@@ -1,14 +1,11 @@
 // Engine-scaling harness: events/sec of the fine engine's stepping paths as
 // the trace grows from 64 to 100k jobs.
 //
-// Three checks per sweep:
+// Two checks per sweep:
 //   - the indexed event-calendar path vs the O(jobs)-scan escape hatch
 //     (FineEngineOptions::use_linear_scan), bit-identity enforced (the linear
 //     path is only run up to --linear-max jobs; beyond that its quadratic
 //     scans dominate the harness itself);
-//   - the flow engine's parallel per-dataset zone solves
-//     (SimConfig::zone_solve_threads) vs the sequential escape hatch on a
-//     zoned variant of the trace, bit-identity enforced;
 //   - optional regression gate: --baseline=PATH --max-regress=0.3 re-reads a
 //     committed BENCH_engine_scaling.json and fails if any matching size's
 //     calendar events/sec dropped by more than the allowed fraction.
@@ -30,7 +27,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/table.h"
-#include "src/common/topology.h"
 
 using namespace silod;
 using namespace silod::bench;
@@ -125,50 +121,6 @@ PathStats TimeRunBest(const Trace& trace, const SimConfig& sim, bool linear,
   return best;
 }
 
-// Flow-engine zone check: same trace against a four-rack topology, solved
-// sequentially and on a 4-thread pool.  Returns bit-identity; fills wall
-// times for the report.
-bool ZoneSolveIdentical(const Trace& trace, SimConfig sim, double* seq_wall_s,
-                        double* par_wall_s) {
-  const int racks = 4;
-  const int per_rack = std::max(1, sim.resources.num_servers / racks);
-  std::string spec;
-  for (int r = 0; r < racks; ++r) {
-    const int first = r * per_rack;
-    const int last = r + 1 == racks ? sim.resources.num_servers - 1 : first + per_rack - 1;
-    if (first > last) {
-      break;
-    }
-    spec += (spec.empty() ? "" : ";") + ("rack" + std::to_string(r)) + "=" +
-            std::to_string(first) + "-" + std::to_string(last);
-  }
-  const Result<ClusterTopology> topology = ClusterTopology::Parse(spec);
-  if (!topology.ok()) {
-    std::fprintf(stderr, "zone topology \"%s\": %s\n", spec.c_str(),
-                 topology.status().ToString().c_str());
-    return false;
-  }
-  sim.topology = *topology;
-
-  ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
-  config.sim = sim;
-  config.engine = EngineKind::kFlow;
-
-  config.sim.zone_solve_threads = 0;
-  auto start = std::chrono::steady_clock::now();
-  const SimResult sequential = RunExperiment(trace, config);
-  *seq_wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  config.sim.zone_solve_threads = 4;
-  start = std::chrono::steady_clock::now();
-  const SimResult parallel = RunExperiment(trace, config);
-  *par_wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  return PhysicallyIdentical(sequential, parallel);
-}
-
 // Minimal targeted scan of a committed report: the calendar events/sec
 // recorded for `label`, or -1 when absent.  Good enough for the flat
 // RunReport JSON this harness itself writes.
@@ -251,7 +203,7 @@ int main(int argc, char** argv) {
     baseline_json = buf.str();
   }
 
-  Table table({"jobs", "linear ev/s", "calendar ev/s", "zone seq s", "zone par s", "identical"});
+  Table table({"jobs", "linear ev/s", "calendar ev/s", "identical"});
   std::vector<RunReport> runs;
   bool all_identical = true;
   bool regressed = false;
@@ -272,23 +224,10 @@ int main(int argc, char** argv) {
       all_identical = all_identical && identical;
     }
 
-    // Zone bit-identity on the flow engine; run once per size up to the
-    // linear cap (the check is about correctness, not throughput at scale).
-    double zone_seq_s = 0;
-    double zone_par_s = 0;
-    bool zone_identical = true;
-    if (n <= linear_max) {
-      zone_identical = ZoneSolveIdentical(trace, sim, &zone_seq_s, &zone_par_s);
-      all_identical = all_identical && zone_identical;
-    }
-
     const std::string label = "calendar/" + std::to_string(n) + "-jobs";
     table.AddRow({std::to_string(n),
                   n <= linear_max ? Fmt(linear.events_per_s) : std::string("-"),
-                  Fmt(calendar.events_per_s),
-                  n <= linear_max ? Fmt(zone_seq_s, 3) : std::string("-"),
-                  n <= linear_max ? Fmt(zone_par_s, 3) : std::string("-"),
-                  identical && zone_identical ? "yes" : "NO"});
+                  Fmt(calendar.events_per_s), identical ? "yes" : "NO"});
 
     RunReport report = MakeRunReport(label, "fine", calendar_result);
     report.AddExtra("events", static_cast<double>(calendar.steps));
@@ -298,9 +237,6 @@ int main(int argc, char** argv) {
       report.AddExtra("linear_wall_s", linear.wall_s);
       report.AddExtra("linear_events_per_s", linear.events_per_s);
       report.AddExtra("identical", identical);
-      report.AddExtra("zone_sequential_wall_s", zone_seq_s);
-      report.AddExtra("zone_parallel_wall_s", zone_par_s);
-      report.AddExtra("zone_identical", zone_identical);
     }
     runs.push_back(std::move(report));
 
@@ -322,7 +258,7 @@ int main(int argc, char** argv) {
     SimResult result;
     const PathStats stats = TimeRunBest(trace, sim, /*linear=*/false, repeats, &result);
     const Seconds span = trace.jobs.empty() ? 0 : trace.jobs.back().submit_time;
-    table.AddRow({"philly400/" + std::to_string(n), "-", Fmt(stats.events_per_s), "-", "-", "yes"});
+    table.AddRow({"philly400/" + std::to_string(n), "-", Fmt(stats.events_per_s), "yes"});
     RunReport report = MakeRunReport("philly400/" + std::to_string(n) + "-jobs", "fine", result);
     report.AddExtra("events", static_cast<double>(stats.steps));
     report.AddExtra("calendar_wall_s", stats.wall_s);
@@ -341,7 +277,7 @@ int main(int argc, char** argv) {
   std::ofstream(out_path) << ReportsToJson("engine_scaling", header, runs);
   std::printf("wrote %s\n", out_path.c_str());
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: stepping or zone-solve paths diverged\n");
+    std::fprintf(stderr, "FAIL: stepping paths diverged\n");
     return 1;
   }
   if (regressed) {

@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot primitives: the max-min
 // arbiter (runs on every engine event), the item caches (every block access),
-// IOPerf (every estimator call), the shared-LRU fluid model (every Alluxio
-// rate fix-point) and the event queue.
+// IOPerf (every estimator call) and the shared-LRU fluid model (every Alluxio
+// rate fix-point).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -12,7 +12,6 @@
 #include "src/common/units.h"
 #include "src/core/system.h"
 #include "src/estimator/ioperf.h"
-#include "src/sim/event_queue.h"
 #include "src/storage/remote_store.h"
 
 namespace silod {
@@ -82,25 +81,6 @@ void BM_SharedLruModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SharedLruModel)->Arg(16)->Arg(128);
-
-void BM_EventQueue(benchmark::State& state) {
-  EventQueue queue;
-  Rng rng(5);
-  Seconds t = 0;
-  int depth = 0;
-  for (auto _ : state) {
-    if (depth < 1024) {
-      queue.Schedule(t + rng.Uniform(0.0, 100.0), [&depth](Seconds) { --depth; });
-      ++depth;
-    }
-    if (depth >= 1024) {
-      t = queue.RunNext();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueue);
-
 
 // Whole-engine throughput: one scheduling-heavy 400-GPU flow-engine run and
 // one mini-batch fine-engine run per iteration.  These are the regression

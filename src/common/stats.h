@@ -56,7 +56,7 @@ class SampleSet {
   // change: every const accessor returns the same values before and after.
   // Not thread-safe — concurrent const calls (Percentile, Cdf, samples) may
   // race on the sort; SampleSet, like the rest of the metrics layer, is
-  // single-threaded by contract (worker pools never touch collectors).
+  // single-threaded by contract.
   void EnsureSorted() const;
 
   mutable std::vector<double> samples_;

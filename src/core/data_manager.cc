@@ -85,9 +85,6 @@ Status DataManager::AllocateCacheSize(const Dataset& dataset, Bytes cache_size) 
     }
   }
   ClearZoneShares(dataset.id);  // Uniform allocation ends any zone spread.
-  if (listener_) {
-    listener_(dataset.id);
-  }
   return Status::Ok();
 }
 
@@ -121,9 +118,6 @@ Status DataManager::AllocateCacheSizeZoned(const Dataset& dataset,
     }
   }
   SetZoneShares(dataset.id, zone_shares);
-  if (listener_) {
-    listener_(dataset.id);
-  }
   return Status::Ok();
 }
 
@@ -185,7 +179,6 @@ Status DataManager::ApplyPlan(const AllocationPlan& plan, const DatasetCatalog& 
   }
   // Shrinks first so reshuffled allocations never transiently over-commit any
   // shard (per-shard, because zone spreads make shares asymmetric).
-  std::vector<bool> changed(catalog.all().size(), false);
   for (const bool shrink_pass : {true, false}) {
     for (std::size_t d = 0; d < catalog.all().size(); ++d) {
       const Dataset& dataset = catalog.all()[d];
@@ -198,14 +191,6 @@ Status DataManager::ApplyPlan(const AllocationPlan& plan, const DatasetCatalog& 
         if (const Status st = shards_[s].AllocateCacheSize(dataset, target); !st.ok()) {
           return st;
         }
-        changed[d] = true;
-      }
-    }
-  }
-  if (listener_) {
-    for (std::size_t d = 0; d < changed.size(); ++d) {
-      if (changed[d]) {
-        listener_(catalog.all()[d].id);
       }
     }
   }
@@ -305,24 +290,14 @@ std::int64_t DataManager::CrashShard(int shard) {
   alive_[static_cast<std::size_t>(shard)] = false;
   // Everything resident on the crashed server is lost; its quota shares stay
   // (the pod annotations are durable) but cannot be used until recovery.
-  const std::int64_t lost = shards_[static_cast<std::size_t>(shard)].EvictRandomFraction(1.0);
-  if (listener_) {
-    // Residency moved for every dataset with blocks routed here; enumerating
-    // them would cost more than a conservative cache-wide mark.
-    listener_(kInvalidDataset);
-  }
-  return lost;
+  return shards_[static_cast<std::size_t>(shard)].EvictRandomFraction(1.0);
 }
 
 void DataManager::RecoverShard(int shard) {
   if (shard < 0 || shard >= num_shards()) {
     return;
   }
-  const bool was_dead = !alive_[static_cast<std::size_t>(shard)];
   alive_[static_cast<std::size_t>(shard)] = true;
-  if (was_dead && listener_) {
-    listener_(kInvalidDataset);
-  }
 }
 
 bool DataManager::shard_alive(int shard) const {

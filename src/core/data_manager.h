@@ -16,7 +16,6 @@
 #define SILOD_SRC_CORE_DATA_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,17 +39,6 @@ class DataManager {
   // spread) placement and quotas stay exactly as before.
   Status SetTopology(const ClusterTopology& topology);
   const ClusterTopology& topology() const { return topology_; }
-
-  // --- Change listener (core/dirty_tracker.h) -------------------------------
-  // Invoked after an operation changes what a planner may assume about a
-  // dataset's cache: a quota moved (AllocateCacheSize*/ApplyPlan) or a shard
-  // crash/recovery dropped or re-enabled residency.  kInvalidDataset means
-  // "every dataset" (cache-wide events like a shard crash, where enumerating
-  // the affected datasets would cost more than a conservative full mark).
-  // The silodd planner points this at a DirtyTracker so cache churn marks
-  // datasets dirty without polling; null (the default) disables the hook.
-  using ChangeListener = std::function<void(DatasetId)>;
-  void SetChangeListener(ChangeListener listener) { listener_ = std::move(listener); }
 
   // --- Table 3 allocation APIs --------------------------------------------
   // void allocateCacheSize(dataset_uri, cache_size)
@@ -144,7 +132,6 @@ class DataManager {
   // back to the global ring.
   std::vector<std::vector<Bytes>> zone_shares_;
   RemoteStore remote_;
-  ChangeListener listener_;
 };
 
 }  // namespace silod

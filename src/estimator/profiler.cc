@@ -6,20 +6,6 @@
 
 namespace silod {
 
-OfflineProfiler::OfflineProfiler(double relative_error, std::uint64_t seed)
-    : relative_error_(relative_error), rng_(seed) {
-  SILOD_CHECK(relative_error >= 0 && relative_error < 1) << "bad relative error";
-}
-
-BytesPerSec OfflineProfiler::ProfiledIdealIo(const JobSpec& job) {
-  auto it = factor_.find(job.id);
-  if (it == factor_.end()) {
-    const double f = 1.0 + rng_.Uniform(-relative_error_, relative_error_);
-    it = factor_.emplace(job.id, f).first;
-  }
-  return job.ideal_io * it->second;
-}
-
 OnlineBenefitProfiler::OnlineBenefitProfiler(double relative_noise, std::uint64_t seed)
     : relative_noise_(relative_noise), rng_(seed) {
   SILOD_CHECK(relative_noise >= 0 && relative_noise < 1) << "bad relative noise";

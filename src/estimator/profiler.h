@@ -1,43 +1,26 @@
-// Profiling models.
+// Quiver's online cache-benefit profiling.
 //
 // Two profiling regimes matter in the paper:
 //   - SiloD profiles each model's ideal throughput f* OFFLINE; it is highly
 //     stable ("a job's ideal training speed and its dataset size ... can be
 //     obtained robustly offline", §7.1.2), so SiloD's allocation inputs are
-//     reliable.
+//     reliable, and the schedulers read f* straight from the job spec.
 //   - Quiver estimates a dataset's caching benefit ONLINE from observed
 //     latencies, which fluctuates with the very contention the allocation is
 //     trying to fix ("not stable when the remote IO fluctuates", §7.1.2),
 //     causing unstable caching priorities and wrong evictions.
 //
-// OfflineProfiler adds small bounded noise to f*; OnlineBenefitProfiler adds
-// larger round-to-round noise to cache-benefit estimates, giving the Quiver
-// baseline its paper-observed instability.
+// OnlineBenefitProfiler adds round-to-round noise to cache-benefit
+// estimates, giving the Quiver baseline its paper-observed instability.
 #ifndef SILOD_SRC_ESTIMATOR_PROFILER_H_
 #define SILOD_SRC_ESTIMATOR_PROFILER_H_
 
-#include <map>
+#include <cstdint>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/workload/job.h"
 
 namespace silod {
-
-class OfflineProfiler {
- public:
-  // `relative_error` is the maximum fractional error of a profiled f*
-  // (e.g. 0.02 for +-2%).  Each job's error is fixed once (profiling happens
-  // once, offline).
-  OfflineProfiler(double relative_error, std::uint64_t seed);
-
-  BytesPerSec ProfiledIdealIo(const JobSpec& job);
-
- private:
-  double relative_error_;
-  Rng rng_;
-  std::map<JobId, double> factor_;
-};
 
 class OnlineBenefitProfiler {
  public:

@@ -95,8 +95,8 @@ struct AllocationPlan {
 
 // Exact (bit-level) plan equality: every field compared, doubles by their
 // bit pattern so NaN/±0/inf differences are caught.  This is the correctness
-// anchor of the incremental planner (sched/delta_fill.h): a delta solve must
-// be PlansBitIdentical to the batch solve on the same snapshot.
+// anchor of the silodd planner (serve/incremental_planner.h): the daemon's
+// plan must be PlansBitIdentical to a batch solve of the same snapshot.
 bool PlansBitIdentical(const AllocationPlan& a, const AllocationPlan& b);
 
 // FNV-1a digest over a canonical serialization of the plan (maps iterate in

@@ -1,31 +1,25 @@
 #include "src/serve/incremental_planner.h"
 
-#include <set>
 #include <utility>
-
-#include "src/common/logging.h"
 
 namespace silod {
 
-IncrementalPlanner::IncrementalPlanner(std::string policy, SchedulerOptions options,
-                                       PlanningOptions planning,
+IncrementalPlanner::IncrementalPlanner(std::string policy, PlanningOptions planning,
                                        std::shared_ptr<Scheduler> scheduler)
-    : policy_(std::move(policy)),
-      options_(options),
-      planning_(planning),
-      scheduler_(std::move(scheduler)),
-      delta_(MakeDelta(policy_, options_)) {
-  dirty_.MarkAll("initial plan");
-}
+    : policy_(std::move(policy)), planning_(planning), scheduler_(std::move(scheduler)) {}
 
 Result<std::unique_ptr<IncrementalPlanner>> IncrementalPlanner::Create(
     const std::string& policy, const SchedulerOptions& options, const PlanningOptions& planning) {
+  if (!(planning.min_replan_interval >= 0)) {
+    return Status::InvalidArgument("replan interval must be >= 0 s, got " +
+                                   std::to_string(planning.min_replan_interval));
+  }
   Result<std::shared_ptr<Scheduler>> scheduler = MakeSchedulerByName(policy, options);
   if (!scheduler.ok()) {
     return scheduler.status();
   }
   return std::unique_ptr<IncrementalPlanner>(
-      new IncrementalPlanner(policy, options, planning, std::move(scheduler).value()));
+      new IncrementalPlanner(policy, planning, std::move(scheduler).value()));
 }
 
 Status IncrementalPlanner::ReloadPolicy(const std::string& policy,
@@ -35,82 +29,32 @@ Status IncrementalPlanner::ReloadPolicy(const std::string& policy,
     return scheduler.status();
   }
   policy_ = policy;
-  options_ = options;
   scheduler_ = std::move(scheduler).value();
-  delta_ = MakeDelta(policy_, options_);
-  dirty_.MarkAll("policy reload: " + policy);
+  NoteEvent();
   return Status::Ok();
 }
 
-std::unique_ptr<DeltaWaterFill> IncrementalPlanner::MakeDelta(const std::string& policy,
-                                                              const SchedulerOptions& options) {
-  const std::size_t plus = policy.find('+');
-  if (plus == std::string::npos || policy.substr(plus + 1) != "silod") {
-    return nullptr;
-  }
-  const std::string sched = policy.substr(0, plus);
-  if (sched == "fifo") {
-    return std::make_unique<DeltaWaterFill>(DeltaOrderKind::kFifo, options.manage_remote_io);
-  }
-  // The registry's sjf+silod pair scores with SiloDPerf (Eq. 7); preemptive
-  // SJF (SRTF) admits differently and stays on the full path.
-  if (sched == "sjf" && !options.preemptive_sjf) {
-    return std::make_unique<DeltaWaterFill>(DeltaOrderKind::kSjfSiloD, options.manage_remote_io);
-  }
-  return nullptr;
-}
-
-bool IncrementalPlanner::Due(const Snapshot& snapshot) const {
-  if (!have_plan_) {
-    return true;
-  }
-  if (dirty_.events() >= planning_.max_coalesced_events) {
-    return true;
-  }
-  return snapshot.now - last_plan_time_ >= planning_.min_replan_interval;
-}
-
-const AllocationPlan& IncrementalPlanner::PlanFor(const Snapshot& snapshot, bool force) {
+bool IncrementalPlanner::PlanFor(const Snapshot& snapshot, bool force) {
   ++planning_ticks_;
-  if (have_plan_ && dirty_.empty()) {
+  const bool due = pending_events_ > 0 &&
+                   (force || pending_events_ >= planning_.max_coalesced_events ||
+                    snapshot.now - last_plan_time_ >= planning_.min_replan_interval);
+  if (!due) {
     ++reused_plans_;
-    return plan_;
+    return false;
   }
-  if (!force && !Due(snapshot)) {
-    ++reused_plans_;
-    return plan_;
-  }
-  if (delta_ != nullptr && !dirty_.all_dirty() && have_plan_) {
-    // Delta solve: recompute only the dirty jobs plus jobs touching dirty
-    // datasets (their effective cache may have moved under them).
-    const std::vector<JobId> marked = dirty_.DirtyJobs();
-    std::set<JobId> dirty_jobs(marked.begin(), marked.end());
-    if (!dirty_.DirtyDatasets().empty()) {
-      const std::set<DatasetId> datasets(dirty_.DirtyDatasets().begin(),
-                                         dirty_.DirtyDatasets().end());
-      for (const JobView& view : snapshot.jobs) {
-        if (datasets.count(view.spec->dataset) > 0 ||
-            datasets.count(kInvalidDataset) > 0) {
-          dirty_jobs.insert(view.spec->id);
-        }
-      }
-    }
-    plan_ = delta_->Solve(snapshot, {dirty_jobs.begin(), dirty_jobs.end()});
-    ++delta_solves_;
-  } else if (delta_ != nullptr) {
-    // All-dirty with a delta-capable policy: same solver, cold cache — still
-    // bit-identical to the batch scheduler, but every job is rescored.
-    delta_->Invalidate();
-    plan_ = delta_->Solve(snapshot, {});
-    ++full_solves_;
-  } else {
-    plan_ = scheduler_->Schedule(snapshot);
-    ++full_solves_;
-  }
-  have_plan_ = true;
+  plan_ = scheduler_->Schedule(snapshot);
+  ++full_solves_;
   last_plan_time_ = snapshot.now;
-  dirty_.Clear();
-  return plan_;
+  pending_events_ = 0;
+  return true;
+}
+
+void IncrementalPlanner::RestoreEpoch(Seconds last_plan_time, std::uint64_t pending_events,
+                                      const Snapshot& snapshot) {
+  plan_ = scheduler_->Schedule(snapshot);
+  last_plan_time_ = last_plan_time;
+  pending_events_ = pending_events;
 }
 
 }  // namespace silod

@@ -1,106 +1,93 @@
-// The silodd planning core: dirty-set-driven, epoch-batched re-solves
-// (docs/MODEL.md §11).
+// The silodd planning core: epoch-batched full re-solves (docs/MODEL.md §11).
 //
-// The planner owns a registry-built scheduler (core/policy_registry.h) and a
-// DirtyTracker.  Every mutating daemon event marks jobs/datasets dirty;
-// PlanFor() decides whether the current plan is still servable or a re-solve
-// is due, and picks the cheapest correct solve:
+// The planner owns a registry-built scheduler (core/policy_registry.h).
+// SiloD's control loop is a pure function of the cluster snapshot, so every
+// re-solve is a full Scheduler::Schedule over the service's snapshot — the
+// same call the batch engines make, hence bit-identical to them for every
+// policy.  The service notes each scheduler-visible mutation (admission,
+// completion, active cancel, progress report, policy reload) with
+// NoteEvent(); PlanFor() decides whether the cached plan is still servable:
 //
-//   - dirty set empty            -> reuse the cached plan (reused_plans);
-//   - delta-capable policy,
-//     partial dirty set          -> DeltaWaterFill::Solve over the dirty
-//                                   jobs (delta_solves) — bit-identical to
-//                                   the batch scheduler by construction;
-//   - all-dirty (policy/topology
-//     /resource change) or a
-//     non-delta policy           -> full Scheduler::Schedule (full_solves).
+//   - no pending events               -> reuse the cached plan (reused_plans);
+//   - pending events and a re-solve
+//     is due                          -> Scheduler::Schedule (full_solves).
 //
-// Epoch batching: a re-solve is due when the dirty set is non-empty AND
-// (enough marks coalesced, OR the min-replan interval elapsed since the last
-// solve, OR the caller forces it).  Between due points queries serve the
-// cached plan, so a burst of N arrivals costs one solve, not N.
-//
-// Delta capability is decided from the policy name: "<sched>+silod" with
-// sched in {fifo, sjf} and non-preemptive SJF.  Everything else (gavel's
-// LP, the stateful Quiver profiler, baseline cache models) takes the full
-// path — correct for all policies, merely slower.
+// Epoch batching: a re-solve is due when events are pending AND (enough
+// events coalesced, OR the min-replan interval elapsed since the last solve,
+// OR the caller forces it).  Between due points queries serve the cached
+// plan, so a burst of N arrivals costs one solve, not N.  The decision reads
+// only the pending-event count and the last solve time, which is exactly what
+// a journal checkpoint saves (RestoreEpoch).
 #ifndef SILOD_SRC_SERVE_INCREMENTAL_PLANNER_H_
 #define SILOD_SRC_SERVE_INCREMENTAL_PLANNER_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
-#include "src/core/dirty_tracker.h"
 #include "src/core/policy_registry.h"
-#include "src/sched/delta_fill.h"
 
 namespace silod {
 
 struct PlanningOptions {
-  // Coalescing window: with a fresh dirty set, wait until this much virtual
-  // time passed since the last solve (0 = re-solve on every dirty event).
+  // Coalescing window: with events pending, wait until this much virtual
+  // time passed since the last solve (0 = re-solve on every event).
   Seconds min_replan_interval = 0;
-  // ... unless this many marks already coalesced, which forces the tick
+  // ... unless this many events already coalesced, which forces the tick
   // early (1 = every event plans immediately, batching disabled).
   std::uint64_t max_coalesced_events = 1;
 };
 
 class IncrementalPlanner {
  public:
-  // kNotFound (listing known policies) for unknown names.
+  // kNotFound (listing known policies) for unknown names; kInvalidArgument
+  // for a negative or NaN min_replan_interval.
   static Result<std::unique_ptr<IncrementalPlanner>> Create(const std::string& policy,
                                                             const SchedulerOptions& options,
                                                             const PlanningOptions& planning);
 
-  // Swaps the scheduler (and delta solver) for `policy` without losing job
-  // state; marks everything dirty so the next plan is a full solve.
+  // Swaps the scheduler for `policy` without losing job state; counts as an
+  // event, so the next forced plan re-solves.
   Status ReloadPolicy(const std::string& policy, const SchedulerOptions& options);
 
-  // The daemon's mutation journal; the service marks events here.
-  DirtyTracker& dirty() { return dirty_; }
-  const DirtyTracker& dirty() const { return dirty_; }
+  // One scheduler-visible mutation since the last solve.
+  void NoteEvent() { ++pending_events_; }
 
-  // Returns the current plan, re-solving first when dirty and due (or
-  // `force`).  The snapshot must reflect all mutations marked so far.
-  const AllocationPlan& PlanFor(const Snapshot& snapshot, bool force);
+  // Re-solves when events are pending and a re-solve is due (or `force`);
+  // returns true iff it did.  The snapshot must reflect every noted event.
+  bool PlanFor(const Snapshot& snapshot, bool force);
+  // The cached plan: the last solve's result.
+  const AllocationPlan& plan() const { return plan_; }
 
   const std::string& policy_name() const { return policy_; }
-  bool delta_capable() const { return delta_ != nullptr; }
+  // -inf until the first solve, so the first plan is always due.
   Seconds last_plan_time() const { return last_plan_time_; }
+  std::uint64_t pending_events() const { return pending_events_; }
 
-  // Journal recovery: restores the epoch-batching clock a checkpoint saved,
-  // so Due() fires at the same virtual instants as the uninterrupted run.
-  void RestorePlanningClock(Seconds last_plan_time) { last_plan_time_ = last_plan_time; }
+  // Journal recovery: restores the epoch a checkpoint saved, so re-solves
+  // fall due at the same virtual instants as in the uninterrupted run, and
+  // rebuilds the cached plan from `snapshot` (not counted as a solve).
+  void RestoreEpoch(Seconds last_plan_time, std::uint64_t pending_events,
+                    const Snapshot& snapshot);
 
   std::uint64_t full_solves() const { return full_solves_; }
-  std::uint64_t delta_solves() const { return delta_solves_; }
   std::uint64_t reused_plans() const { return reused_plans_; }
   std::uint64_t planning_ticks() const { return planning_ticks_; }
-  const DeltaWaterFill* delta() const { return delta_.get(); }
 
  private:
-  IncrementalPlanner(std::string policy, SchedulerOptions options, PlanningOptions planning,
+  IncrementalPlanner(std::string policy, PlanningOptions planning,
                      std::shared_ptr<Scheduler> scheduler);
 
-  bool Due(const Snapshot& snapshot) const;
-  // Builds the delta solver when the policy supports it, else null.
-  static std::unique_ptr<DeltaWaterFill> MakeDelta(const std::string& policy,
-                                                   const SchedulerOptions& options);
-
   std::string policy_;
-  SchedulerOptions options_;
   PlanningOptions planning_;
   std::shared_ptr<Scheduler> scheduler_;
-  std::unique_ptr<DeltaWaterFill> delta_;
 
-  DirtyTracker dirty_;
   AllocationPlan plan_;
-  bool have_plan_ = false;
-  Seconds last_plan_time_ = 0;
+  Seconds last_plan_time_ = -std::numeric_limits<Seconds>::infinity();
+  std::uint64_t pending_events_ = 1;  // The initial plan.
 
   std::uint64_t full_solves_ = 0;
-  std::uint64_t delta_solves_ = 0;
   std::uint64_t reused_plans_ = 0;
   std::uint64_t planning_ticks_ = 0;
 };

@@ -4,8 +4,9 @@
 // The table owns the dataset catalog (datasets are interned by name on first
 // submit; later submits must agree on size/block-size) and assigns dense
 // JobIds in submission order — so snapshots built here walk jobs in the same
-// ascending-id order the simulation engines do, which the delta solver's
-// bit-identity contract relies on (sched/delta_fill.h).
+// ascending-id order the simulation engines do.  The schedulers' tie-breaks
+// follow snapshot order, so the batch-vs-daemon cross-check (silod_client
+// --check) relies on it.
 //
 // States: kActive jobs are visible to the scheduler; kQueued jobs were
 // admission-queued and wait outside the scheduler's view; kCompleted /

@@ -153,43 +153,6 @@ Result<std::uint64_t> CkptU64(const CkptArgs& args, const std::string& kind,
   return static_cast<std::uint64_t>(*value);
 }
 
-// "1,7,12" -> {1, 7, 12}; the empty string is the empty list.
-Result<std::vector<std::int64_t>> ParseIdCsv(const std::string& csv, const std::string& what) {
-  std::vector<std::int64_t> ids;
-  std::string item;
-  for (std::size_t i = 0; i <= csv.size(); ++i) {
-    if (i < csv.size() && csv[i] != ',') {
-      item += csv[i];
-      continue;
-    }
-    if (item.empty()) {
-      if (csv.empty()) {
-        break;
-      }
-      return Status::Internal("journal checkpoint: empty id in '" + what + "'");
-    }
-    char* end = nullptr;
-    const long long value = std::strtoll(item.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return Status::Internal("journal checkpoint: bad id '" + item + "' in '" + what + "'");
-    }
-    ids.push_back(static_cast<std::int64_t>(value));
-    item.clear();
-  }
-  return ids;
-}
-
-std::string IdCsv(const std::vector<std::int64_t>& ids) {
-  std::string csv;
-  for (const std::int64_t id : ids) {
-    if (!csv.empty()) {
-      csv += ',';
-    }
-    csv += std::to_string(id);
-  }
-  return csv;
-}
-
 }  // namespace
 
 bool IsMutatingVerb(const std::string& verb) {
@@ -304,8 +267,12 @@ Status ServiceState::AdvanceClock(const ServeRequest& request) {
 }
 
 void ServiceState::Replan(bool force) {
-  const Snapshot snapshot = MakeSnapshot();
-  const AllocationPlan& plan = planner_->PlanFor(snapshot, force);
+  // A reused plan leaves every job's flags as the last solve set them, so
+  // only a re-solve has anything to apply.
+  if (!planner_->PlanFor(MakeSnapshot(), force)) {
+    return;
+  }
+  const AllocationPlan& plan = planner_->plan();
   for (const auto& job : table_.jobs()) {
     if (job->state != ServeJobState::kActive) {
       continue;
@@ -321,8 +288,7 @@ void ServiceState::Replan(bool force) {
 
 const AllocationPlan& ServiceState::PlanNow() {
   Replan(/*force=*/true);
-  const Snapshot snapshot = MakeSnapshot();
-  return planner_->PlanFor(snapshot, /*force=*/true);
+  return planner_->plan();
 }
 
 void ServiceState::PromoteQueued() {
@@ -335,7 +301,7 @@ void ServiceState::PromoteQueued() {
     job->state = ServeJobState::kActive;
     job->admit_time = now_;
     admission_->Record(AdmissionDecision::kAdmit);
-    planner_->dirty().MarkJob(job->spec.id);
+    planner_->NoteEvent();
   }
 }
 
@@ -577,7 +543,7 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
   if (decision == AdmissionDecision::kAdmit) {
     (*job)->state = ServeJobState::kActive;
     (*job)->admit_time = now_;
-    planner_->dirty().MarkJob((*job)->spec.id);
+    planner_->NoteEvent();
     Replan(/*force=*/false);
     response.fields["running"] = (*job)->running ? "1" : "0";
   } else {
@@ -608,7 +574,7 @@ ServeResponse ServiceState::Complete(const ServeRequest& request) {
   (*job)->finish_time = now_;
   (*job)->running = false;
   (*job)->remaining_bytes = 0;
-  planner_->dirty().MarkJob((*job)->spec.id);
+  planner_->NoteEvent();
   PromoteQueued();
   Replan(/*force=*/false);
   ServeResponse response = OkResponse();
@@ -641,8 +607,8 @@ ServeResponse ServiceState::Cancel(const ServeRequest& request) {
   (*job)->running = false;
   if (was_active) {
     // A queued job was never in the scheduler's view; cancelling it changes
-    // nothing the planner can see, so only active cancels mark dirty.
-    planner_->dirty().MarkJob((*job)->spec.id);
+    // nothing the planner can see, so only active cancels count as events.
+    planner_->NoteEvent();
     PromoteQueued();
     Replan(/*force=*/false);
   }
@@ -688,7 +654,7 @@ ServeResponse ServiceState::Progress(const ServeRequest& request) {
     }
     (*job)->effective_cache = *effective;
   }
-  planner_->dirty().MarkJob((*job)->spec.id);
+  planner_->NoteEvent();
   Replan(/*force=*/false);
   ServeResponse response = OkResponse();
   response.fields["state"] = "active";
@@ -749,7 +715,6 @@ ServeResponse ServiceState::Stats() {
   ServeResponse response = OkResponse();
   response.fields["now"] = FormatDouble(now_);
   response.fields["policy"] = planner_->policy_name();
-  response.fields["delta-capable"] = planner_->delta_capable() ? "1" : "0";
   response.fields["jobs"] = std::to_string(table_.size());
   response.fields["active"] = std::to_string(table_.CountState(ServeJobState::kActive));
   response.fields["queued"] = std::to_string(table_.CountState(ServeJobState::kQueued));
@@ -761,14 +726,9 @@ ServeResponse ServiceState::Stats() {
   response.fields["adm-queued"] = FormatU64(admission_->queued());
   response.fields["rejected"] = FormatU64(admission_->rejected());
   response.fields["full-solves"] = FormatU64(planner_->full_solves());
-  response.fields["delta-solves"] = FormatU64(planner_->delta_solves());
   response.fields["reused-plans"] = FormatU64(planner_->reused_plans());
   response.fields["planning-ticks"] = FormatU64(planner_->planning_ticks());
-  if (planner_->delta() != nullptr) {
-    response.fields["jobs-rescored"] = FormatU64(planner_->delta()->jobs_rescored());
-    response.fields["jobs-reused"] = FormatU64(planner_->delta()->jobs_reused());
-  }
-  response.fields["dirty-pending"] = FormatU64(planner_->dirty().events());
+  response.fields["dirty-pending"] = FormatU64(planner_->pending_events());
   response.fields["requests"] = FormatU64(requests_);
   response.fields["errors"] = FormatU64(errors_);
   response.fields["state-digest"] = FormatDigest(StateDigest());
@@ -809,7 +769,6 @@ ServeResponse ServiceState::ReloadPolicy(const ServeRequest& request) {
   Replan(/*force=*/true);
   ServeResponse response = OkResponse();
   response.fields["policy"] = planner_->policy_name();
-  response.fields["delta-capable"] = planner_->delta_capable() ? "1" : "0";
   return response;
 }
 
@@ -893,20 +852,8 @@ std::string ServiceState::CheckpointText() const {
   out += "admission admitted=" + FormatU64(admission_->admitted()) +
          " queued=" + FormatU64(admission_->queued()) +
          " rejected=" + FormatU64(admission_->rejected()) + "\n";
-  const DirtyTracker& dirty = planner_->dirty();
-  std::vector<std::int64_t> dirty_jobs;
-  for (const JobId id : dirty.DirtyJobs()) {
-    dirty_jobs.push_back(id);
-  }
-  std::vector<std::int64_t> dirty_datasets;
-  for (const DatasetId id : dirty.DirtyDatasets()) {
-    dirty_datasets.push_back(id);
-  }
   out += "planner last-plan-t=" + FormatDouble(planner_->last_plan_time()) +
-         " dirty-all=" + (dirty.all_dirty() ? "1" : "0") +
-         " dirty-reason=" + EscapeToken(dirty.all_dirty_reason()) +
-         " dirty-events=" + FormatU64(dirty.events()) + " dirty-jobs=" + IdCsv(dirty_jobs) +
-         " dirty-datasets=" + IdCsv(dirty_datasets) + "\n";
+         " dirty-events=" + FormatU64(planner_->pending_events()) + "\n";
   for (const Dataset& dataset : table_.catalog().all()) {
     out += "dataset id=" + std::to_string(dataset.id) + " name=" + EscapeToken(dataset.name) +
            " size=" + std::to_string(dataset.size) +
@@ -1041,8 +988,8 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     }
   }
 
-  // Policy first: a reload marks everything dirty, and the planner line
-  // restored below overwrites the dirty state with the checkpointed one.
+  // Policy first: a reload counts as an event, and the planner line restored
+  // below overwrites the epoch with the checkpointed one.
   {
     Result<std::string> name = CkptString(policy_args, "policy", "name");
     Result<std::int64_t> manage = CkptInt(policy_args, "policy", "manage-remote-io");
@@ -1215,46 +1162,17 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     }
   }
 
-  // Planner last: re-marking the checkpointed dirty set replaces whatever the
-  // construction / policy restore marked, and the event meter is pinned so
-  // epoch batching (Due) fires at the same virtual instants it would have.
+  // Planner last: the checkpointed epoch replaces whatever construction and
+  // the policy restore counted, so epoch batching fires at the same virtual
+  // instants it would have.  Older checkpoints' extra dirty-all/-reason/
+  // -jobs/-datasets keys are ignored.
   {
     Result<double> last_plan_t = CkptDouble(planner_args, "planner", "last-plan-t");
-    Result<std::int64_t> dirty_all = CkptInt(planner_args, "planner", "dirty-all");
-    Result<std::string> dirty_reason = CkptString(planner_args, "planner", "dirty-reason");
-    Result<std::uint64_t> dirty_events = CkptU64(planner_args, "planner", "dirty-events");
-    Result<std::string> dirty_jobs_csv = CkptString(planner_args, "planner", "dirty-jobs");
-    Result<std::string> dirty_datasets_csv = CkptString(planner_args, "planner", "dirty-datasets");
-    for (const Status* st :
-         {!last_plan_t.ok() ? &last_plan_t.status() : nullptr,
-          !dirty_all.ok() ? &dirty_all.status() : nullptr,
-          !dirty_reason.ok() ? &dirty_reason.status() : nullptr,
-          !dirty_events.ok() ? &dirty_events.status() : nullptr,
-          !dirty_jobs_csv.ok() ? &dirty_jobs_csv.status() : nullptr,
-          !dirty_datasets_csv.ok() ? &dirty_datasets_csv.status() : nullptr}) {
-      if (st != nullptr) {
-        return *st;
-      }
+    Result<std::uint64_t> pending = CkptU64(planner_args, "planner", "dirty-events");
+    if (!last_plan_t.ok() || !pending.ok()) {
+      return !last_plan_t.ok() ? last_plan_t.status() : pending.status();
     }
-    Result<std::vector<std::int64_t>> dirty_jobs = ParseIdCsv(*dirty_jobs_csv, "dirty-jobs");
-    Result<std::vector<std::int64_t>> dirty_datasets =
-        ParseIdCsv(*dirty_datasets_csv, "dirty-datasets");
-    if (!dirty_jobs.ok() || !dirty_datasets.ok()) {
-      return !dirty_jobs.ok() ? dirty_jobs.status() : dirty_datasets.status();
-    }
-    planner_->RestorePlanningClock(*last_plan_t);
-    DirtyTracker& dirty = planner_->dirty();
-    dirty.Clear();
-    if (*dirty_all != 0) {
-      dirty.MarkAll(*dirty_reason);
-    }
-    for (const std::int64_t id : *dirty_jobs) {
-      dirty.MarkJob(static_cast<JobId>(id));
-    }
-    for (const std::int64_t id : *dirty_datasets) {
-      dirty.MarkDataset(static_cast<DatasetId>(id));
-    }
-    dirty.RestoreEventCount(*dirty_events);
+    planner_->RestoreEpoch(*last_plan_t, *pending, MakeSnapshot());
   }
   return Status::Ok();
 }
@@ -1311,7 +1229,6 @@ RunReport ServiceState::Report() const {
   report.makespan_min = last_finish / 60.0;
   report.AddExtra("policy", planner_->policy_name());
   report.AddExtra("full_solves", static_cast<double>(planner_->full_solves()));
-  report.AddExtra("delta_solves", static_cast<double>(planner_->delta_solves()));
   report.AddExtra("reused_plans", static_cast<double>(planner_->reused_plans()));
   report.AddExtra("admitted", static_cast<double>(admission_->admitted()));
   report.AddExtra("rejected", static_cast<double>(admission_->rejected()));

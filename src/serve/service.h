@@ -105,7 +105,7 @@ class ServiceState {
   // with a batch engine run fed the same submit/complete times.
   RunReport Report() const;
 
-  // Test/replay access: the current plan (re-solving if dirty) and the
+  // Test/replay access: the current plan (re-solving if events are pending) and the
   // scheduler snapshot the next solve would see.
   const AllocationPlan& PlanNow();
   Snapshot MakeSnapshot() const;

@@ -44,12 +44,6 @@ struct SimConfig {
   // implicit singleton domains; the engines thread it into every Snapshot
   // and charge crashes the crashed zone's share of each spread dataset.
   ClusterTopology topology;
-  // Worker threads for the flow engine's per-dataset zone solves (quota
-  // application and zone fill advancement between rehash events).  Writes are
-  // disjoint per dataset, so any value produces bit-identical output to the
-  // sequential path; <= 1 keeps everything on the simulation thread (the
-  // escape hatch, like the fine engine's use_linear_scan).
-  int zone_solve_threads = 0;
 };
 
 // The paper's evaluated cluster scales (Table 5): GPUs, per-scale remote IO

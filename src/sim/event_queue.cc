@@ -1,46 +1,8 @@
 #include "src/sim/event_queue.h"
 
-#include <utility>
-
 #include "src/common/logging.h"
 
 namespace silod {
-
-std::uint64_t EventQueue::Schedule(Seconds t, Callback fn) {
-  SILOD_CHECK(t >= now_) << "cannot schedule in the past: " << t << " < " << now_;
-  SILOD_CHECK(fn != nullptr) << "null event callback";
-  const std::uint64_t id = next_id_++;
-  heap_.push(Entry{t, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
-}
-
-void EventQueue::Cancel(std::uint64_t id) { callbacks_.erase(id); }
-
-void EventQueue::DropCancelled() {
-  while (!heap_.empty() && callbacks_.count(heap_.top().id) == 0) {
-    heap_.pop();
-  }
-}
-
-Seconds EventQueue::PeekTime() {
-  DropCancelled();
-  return heap_.empty() ? kInfiniteTime : heap_.top().t;
-}
-
-Seconds EventQueue::RunNext() {
-  DropCancelled();
-  SILOD_CHECK(!heap_.empty()) << "RunNext on empty queue";
-  const Entry entry = heap_.top();
-  heap_.pop();
-  auto it = callbacks_.find(entry.id);
-  SILOD_CHECK(it != callbacks_.end()) << "live event lost its callback";
-  Callback fn = std::move(it->second);
-  callbacks_.erase(it);
-  now_ = entry.t;
-  fn(entry.t);
-  return entry.t;
-}
 
 void JobCalendar::Reset(std::size_t num_keys) {
   heap_ = {};

@@ -1,61 +1,15 @@
-// A discrete-event queue with stable FIFO ordering among simultaneous events,
-// and an indexed per-key event calendar for the fine engine's stepping loop.
+// An indexed per-key event calendar for the fine engine's stepping loop.
 #ifndef SILOD_SRC_SIM_EVENT_QUEUE_H_
 #define SILOD_SRC_SIM_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/units.h"
 
 namespace silod {
-
-class EventQueue {
- public:
-  using Callback = std::function<void(Seconds)>;
-
-  // Schedules `fn` at time `t` (must be >= now()).  Returns an id usable
-  // with Cancel.
-  std::uint64_t Schedule(Seconds t, Callback fn);
-
-  // Lazily cancels a scheduled event; safe on already-fired ids.
-  void Cancel(std::uint64_t id);
-
-  bool empty() const { return callbacks_.empty(); }
-  std::size_t size() const { return callbacks_.size(); }
-
-  // Time of the earliest live event; kInfiniteTime when empty.
-  Seconds PeekTime();
-
-  // Pops and runs the earliest live event; returns its time.  Must not be
-  // called on an empty queue.
-  Seconds RunNext();
-
-  Seconds now() const { return now_; }
-
- private:
-  struct Entry {
-    Seconds t;
-    std::uint64_t seq;
-    std::uint64_t id;
-    bool operator>(const Entry& other) const {
-      if (t != other.t) {
-        return t > other.t;
-      }
-      return seq > other.seq;
-    }
-  };
-  void DropCancelled();
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_map<std::uint64_t, Callback> callbacks_;  // Live events only.
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  Seconds now_ = 0;
-};
 
 // A binary min-heap over dense integer keys (job ids) where each key holds at
 // most one pending event time.  Update() replaces a key's time with lazy

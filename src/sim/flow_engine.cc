@@ -48,9 +48,6 @@ FlowEngine::FlowEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
         << "job " << i << " references unknown dataset " << d;
     dataset_jobs_[static_cast<std::size_t>(d)].push_back(static_cast<JobId>(i));
   }
-  if (config_.zone_solve_threads > 1) {
-    zone_pool_ = std::make_unique<ThreadPool>(config_.zone_solve_threads);
-  }
 
   if (!config_.topology.empty()) {
     const Status in_range = config_.topology.Validate(config_.resources.num_servers);
@@ -123,24 +120,14 @@ void FlowEngine::Reschedule(Seconds now) {
   // effective and ineffective items in proportion.  With Hoard prefetching,
   // unallocated ("opportunistic") cache contents survive as long as the pool
   // has room; they are evicted first when quotas need the space.
-  //
-  // The per-dataset solves are independent (ApplyDatasetQuota writes only the
-  // dataset's state and its own jobs), so they fan out on zone_pool_ when
-  // configured; the reduction (total_quota) stays sequential.  Output is
-  // bit-identical either way: every dataset runs the same code on the same
-  // inputs regardless of which thread picks it up.
   Bytes total_quota = 0;
   for (const auto& [dataset_id, quota] : plan_.dataset_cache) {
     if (dataset_id >= 0 && static_cast<std::size_t>(dataset_id) < datasets_.size()) {
       total_quota += quota;
     }
   }
-  if (zone_pool_ != nullptr) {
-    zone_pool_->ParallelFor(datasets_.size(), [this](std::size_t d) { ApplyDatasetQuota(d); });
-  } else {
-    for (std::size_t d = 0; d < datasets_.size(); ++d) {
-      ApplyDatasetQuota(d);
-    }
+  for (std::size_t d = 0; d < datasets_.size(); ++d) {
+    ApplyDatasetQuota(d);
   }
   if (config_.prefetch_waiting) {
     // Evict opportunistic data (largest holdings first) until quotas plus
@@ -872,24 +859,14 @@ SimResult FlowEngine::Run() {
         s.private_cached = std::min(limit, s.private_cached + s.io_rate * dt);
       }
     }
-    // Advance the per-dataset cache fill; the zone fills partition by dataset
-    // (each FillZones call writes only its own DatasetState), so they run on
-    // the zone pool when configured, bit-identically to the inline loop.
-    const auto advance_fill = [this, dt](std::size_t d) {
-      DatasetState& ds = datasets_[d];
+    // Advance the per-dataset cache fill.
+    for (DatasetState& ds : datasets_) {
       if (ds.fill_rate > 0 && ds.cached < ds.fill_limit) {
         if (ds.zone_limit.empty()) {
           ds.cached = std::min(ds.fill_limit, ds.cached + ds.fill_rate * dt);
         } else {
           FillZones(ds, ds.fill_rate * dt);
         }
-      }
-    };
-    if (zone_pool_ != nullptr) {
-      zone_pool_->ParallelFor(datasets_.size(), advance_fill);
-    } else {
-      for (std::size_t d = 0; d < datasets_.size(); ++d) {
-        advance_fill(d);
       }
     }
     t += dt;

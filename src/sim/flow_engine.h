@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/parallel.h"
 #include "src/fault/fault_injector.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
@@ -76,9 +75,7 @@ class FlowEngine {
   void ShrinkDataset(std::size_t d, double limit);
   // The whole per-dataset quota step for one dataset: zone-aware solve
   // (ApplyZoneQuota) when the plan spreads it, plain shrink otherwise.
-  // Datasets are mutually independent — each call writes only datasets_[d]
-  // and the jobs in dataset_jobs_[d] — so Reschedule may fan these out on
-  // zone_pool_ with bit-identical results (see common/parallel.h).
+  // Writes only datasets_[d] and the jobs in dataset_jobs_[d].
   void ApplyDatasetQuota(std::size_t d);
   void ComputeRates(Seconds now);
   void RecordMetrics(Seconds now);
@@ -109,12 +106,8 @@ class FlowEngine {
   std::vector<DatasetState> datasets_;  // Indexed by DatasetId.
   // Jobs per dataset, ascending job id (fixed at construction: a job's
   // dataset never changes).  Per-dataset effectiveness updates walk this
-  // partition instead of every job — and because each job appears under
-  // exactly one dataset, per-dataset work writes disjoint job sets.
+  // partition instead of every job.
   std::vector<std::vector<JobId>> dataset_jobs_;
-  // Workers for the per-dataset zone solves (SimConfig::zone_solve_threads);
-  // null when <= 1 — the sequential escape hatch.
-  std::unique_ptr<ThreadPool> zone_pool_;
   AllocationPlan plan_;
   MetricsCollector metrics_;
 

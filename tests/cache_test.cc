@@ -10,7 +10,6 @@
 #include "src/cache/analytic.h"
 #include "src/cache/cache_manager.h"
 #include "src/cache/coordl.h"
-#include "src/cache/distributed_cache.h"
 #include "src/cache/item_cache.h"
 #include "src/cache/quiver.h"
 #include "src/common/rng.h"
@@ -468,91 +467,6 @@ TEST(CoorDl, StaticPartitionByGpuShare) {
   // job half the pool.
   EXPECT_EQ(CoorDlStaticCache(bert, TB(2), 8), TB(1));
   EXPECT_EQ(CoorDlStaticCache(resnet, TB(2), 8), GB(250));
-}
-
-
-// ------------------------------------------------------ DistributedCache --
-
-TEST(DistributedCache, HitMissSemanticsMatchAggregate) {
-  const Dataset dataset = MakeDataset(0, "d", GB(4), MB(100));  // 40 blocks.
-  DistributedCache distributed(8, GB(1));
-  CacheManager aggregate(GB(8));
-  ASSERT_TRUE(distributed.AllocateCacheSize(dataset, GB(4)).ok());
-  ASSERT_TRUE(aggregate.AllocateCacheSize(dataset, GB(4)).ok());
-  // With ample per-server room both behave identically: cold pass all
-  // misses, warm pass all hits.
-  for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-    EXPECT_EQ(distributed.AccessBlock(dataset, b), aggregate.AccessBlock(dataset, b));
-  }
-  for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-    EXPECT_TRUE(distributed.AccessBlock(dataset, b));
-  }
-  EXPECT_EQ(distributed.CachedBytes(dataset.id), GB(4));
-  EXPECT_DOUBLE_EQ(distributed.ServerRejectRate(), 0.0);
-}
-
-TEST(DistributedCache, SpreadsLoadAcrossServers) {
-  const Dataset dataset = MakeDataset(0, "d", GB(32), MB(16));  // 2000 blocks.
-  DistributedCache cache(8, GB(8));
-  ASSERT_TRUE(cache.AllocateCacheSize(dataset, GB(32)).ok());
-  for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-    cache.AccessBlock(dataset, b);
-  }
-  const double expected = static_cast<double>(GB(32)) / 8.0;
-  for (const Bytes used : cache.server_used()) {
-    EXPECT_NEAR(static_cast<double>(used), expected, 0.35 * expected);
-  }
-}
-
-TEST(DistributedCache, FullServerRejectsButOthersAdmit) {
-  // Per-server capacity below the fair share: the fullest servers start
-  // rejecting while the pool still has aggregate room — the imbalance cost
-  // of per-server enforcement.
-  const Dataset dataset = MakeDataset(0, "d", GB(32), MB(16));
-  DistributedCache cache(8, GB(3));  // 24 GB pool for a 32 GB dataset.
-  ASSERT_TRUE(cache.AllocateCacheSize(dataset, GB(24)).ok());
-  for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-    cache.AccessBlock(dataset, b);
-  }
-  EXPECT_GT(cache.ServerRejectRate(), 0.0);
-  // Despite rejections, occupancy lands within a few percent of the pool.
-  EXPECT_GT(cache.CachedBytes(dataset.id), static_cast<Bytes>(0.85 * 24e9));
-  for (const Bytes used : cache.server_used()) {
-    EXPECT_LE(used, GB(3));
-  }
-}
-
-TEST(DistributedCache, ShrinkRebuildsServerUsage) {
-  const Dataset dataset = MakeDataset(0, "d", GB(8), MB(16));
-  DistributedCache cache(4, GB(2));
-  ASSERT_TRUE(cache.AllocateCacheSize(dataset, GB(8)).ok());
-  for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-    cache.AccessBlock(dataset, b);
-  }
-  ASSERT_TRUE(cache.AllocateCacheSize(dataset, GB(2)).ok());
-  Bytes total = 0;
-  for (const Bytes used : cache.server_used()) {
-    total += used;
-  }
-  EXPECT_EQ(total, cache.CachedBytes(dataset.id));
-  EXPECT_LE(total, GB(2));
-}
-
-TEST(DistributedCache, ImbalanceOverheadIsSmallAtScale) {
-  // The quantitative footing for modelling the pool as one capacity: with
-  // uniform spread, >=95% of nominal capacity is usable before per-server
-  // rejections bite.
-  const Dataset dataset = MakeDataset(0, "d", GB(64), MB(16));  // 4000 blocks.
-  DistributedCache cache(16, GB(4));  // Pool exactly = dataset size.
-  ASSERT_TRUE(cache.AllocateCacheSize(dataset, GB(64)).ok());
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    for (std::int64_t b = 0; b < dataset.num_blocks; ++b) {
-      cache.AccessBlock(dataset, b);
-    }
-  }
-  // Measured ~95% with 128 virtual nodes; assert a safe floor.
-  EXPECT_GT(static_cast<double>(cache.CachedBytes(dataset.id)),
-            0.93 * static_cast<double>(GB(64)));
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 // Unit and property tests for src/estimator: the IOPerf closed form (Eq. 2-5),
-// the SiloD-enhanced estimator (Algorithm 1), and the profiling models.
+// the SiloD-enhanced throughput of Algorithm 1, and Quiver's online profiler.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 #include "src/common/units.h"
 #include "src/estimator/ioperf.h"
-#include "src/estimator/perf_model.h"
 #include "src/estimator/profiler.h"
-#include "src/workload/model_zoo.h"
 
 namespace silod {
 namespace {
@@ -37,6 +34,13 @@ TEST(IoPerf, Eq4EndToEnd) {
   EXPECT_DOUBLE_EQ(SiloDPerfThroughput(MBps(114), MBps(30), GB(71.5), GB(143)), MBps(60));
   EXPECT_DOUBLE_EQ(SiloDPerfThroughput(MBps(114), 0, GB(143), GB(143)), MBps(114));
   EXPECT_DOUBLE_EQ(SiloDPerfThroughput(MBps(114), 0, 0, GB(143)), 0);
+  EXPECT_DOUBLE_EQ(SiloDPerfThroughput(MBps(114), MBps(30), 0, GB(143)), MBps(30));
+  // Algorithm 1's min() never exceeds the compute-only estimate f*.
+  for (double io : {0.0, 20.0, 60.0, 200.0}) {
+    for (double cache : {0.0, 50.0, 143.0}) {
+      EXPECT_LE(SiloDPerfThroughput(MBps(114), MBps(io), GB(cache), GB(143)), MBps(114));
+    }
+  }
 }
 
 TEST(IoPerf, Eq3Eq2AreInverses) {
@@ -126,66 +130,7 @@ TEST(IoPerf, ThroughputMonotoneInSpeed) {
   EXPECT_DOUBLE_EQ(SiloDPerfThroughput(f, 100.0, MBps(30), 0, d), MBps(30));
 }
 
-// ------------------------------------------------------------- PerfModel --
-
-class PerfModelTest : public ::testing::Test {
- protected:
-  PerfModelTest() {
-    dataset_ = catalog_.Add("ImageNet-1k", GB(143), MB(64));
-    job_ = MakeJob(0, zoo_, "ResNet-50", 1, dataset_, Hours(10), 0);
-  }
-  ModelZoo zoo_;
-  DatasetCatalog catalog_;
-  DatasetId dataset_;
-  JobSpec job_;
-};
-
-TEST_F(PerfModelTest, ComputeEstimatorIgnoresStorage) {
-  ComputeEstimator estimator;
-  ResourceVector starved{1, 0, 0};
-  ResourceVector rich{1, GB(143), MBps(114)};
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, starved), job_.ideal_io);
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, rich), job_.ideal_io);
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, ResourceVector{0, 0, 0}), 0);
-}
-
-TEST_F(PerfModelTest, SiloDEstimatorCapsByIoPerf) {
-  auto base = std::make_shared<ComputeEstimator>();
-  SiloDEstimator estimator(base, &catalog_);
-  // No storage at all: IO bound at 0.
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, ResourceVector{1, 0, 0}), 0);
-  // 30 MB/s remote, no cache: IO bound at 30.
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, ResourceVector{1, 0, MBps(30)}), MBps(30));
-  // Full cache: compute bound at f*.
-  EXPECT_DOUBLE_EQ(estimator.Estimate(job_, ResourceVector{1, GB(143), 0}), job_.ideal_io);
-  // Algorithm 1's min() never exceeds the base estimator.
-  for (double io : {0.0, 20.0, 60.0, 200.0}) {
-    for (double cache : {0.0, 50.0, 143.0}) {
-      const ResourceVector r{1, GB(cache), MBps(io)};
-      EXPECT_LE(estimator.Estimate(job_, r), base->Estimate(job_, r) + 1e-9);
-    }
-  }
-}
-
-TEST_F(PerfModelTest, SiloDEstimatorNameComposes) {
-  SiloDEstimator estimator(std::make_shared<ComputeEstimator>(), &catalog_);
-  EXPECT_EQ(estimator.name(), "silod(compute-only)");
-}
-
 // -------------------------------------------------------------- Profilers --
-
-TEST(OfflineProfiler, StablePerJob) {
-  ModelZoo zoo;
-  DatasetCatalog catalog;
-  const DatasetId d = catalog.Add("x", GB(143), MB(64));
-  const JobSpec job = MakeJob(0, zoo, "ResNet-50", 1, d, Hours(1), 0);
-  OfflineProfiler profiler(0.02, 5);
-  const BytesPerSec first = profiler.ProfiledIdealIo(job);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(profiler.ProfiledIdealIo(job), first);  // Offline: fixed.
-  }
-  EXPECT_NEAR(first, job.ideal_io, 0.02 * job.ideal_io);
-}
 
 TEST(OnlineBenefitProfiler, NoisyPerMeasurement) {
   OnlineBenefitProfiler profiler(0.25, 5);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/cache/cache_manager.h"
-#include "src/cache/distributed_cache.h"
 #include "src/common/units.h"
 #include "src/core/recovery.h"
 #include "src/core/system.h"
@@ -448,54 +447,6 @@ TEST(CacheManagerFaults, EvictBlockRemovesOneResident) {
   EXPECT_FALSE(cache.IsCached(id, 3));
   EXPECT_FALSE(cache.EvictBlock(id, 3).ok());  // Already gone: NotFound.
   EXPECT_FALSE(cache.EvictBlock(id, 7).ok());  // Never cached.
-}
-
-// ------------------------------------------- DistributedCache crash path --
-
-TEST(DistributedCacheFaults, CrashLosesOnlyThatServersBlocks) {
-  DatasetCatalog catalog;
-  const DatasetId id = catalog.Add("d", MB(200), MB(1));
-  const Dataset& d = catalog.Get(id);
-  DistributedCache cache(4, MB(100));
-  ASSERT_TRUE(cache.AllocateCacheSize(d, MB(200)).ok());
-  for (std::int64_t b = 0; b < 200; ++b) {
-    cache.AccessBlock(d, b);
-  }
-  const Bytes cached_before = cache.CachedBytes(id);
-  const Bytes on_server0 = cache.server_used(0);
-  ASSERT_GT(on_server0, 0);
-
-  const Result<std::int64_t> lost = cache.CrashServer(0);
-  ASSERT_TRUE(lost.ok()) << lost.status().ToString();
-  EXPECT_EQ(*lost * MB(1), on_server0);
-  EXPECT_EQ(cache.CachedBytes(id), cached_before - on_server0);
-  EXPECT_EQ(cache.server_used(0), 0);
-  EXPECT_FALSE(cache.server_alive(0));
-  EXPECT_EQ(cache.alive_servers(), 3);
-  EXPECT_EQ(cache.alive_capacity(), MB(300));
-
-  // Double crash and bad indices are rejected.
-  EXPECT_FALSE(cache.CrashServer(0).ok());
-  EXPECT_FALSE(cache.CrashServer(-1).ok());
-  EXPECT_FALSE(cache.CrashServer(4).ok());
-
-  // Blocks placed on the dead server are not re-admitted while it is down.
-  const Bytes cached_after_crash = cache.CachedBytes(id);
-  for (std::int64_t b = 0; b < 200; ++b) {
-    cache.AccessBlock(d, b);
-  }
-  EXPECT_EQ(cache.CachedBytes(id), cached_after_crash);
-
-  // Recovery rejoins empty; refills restore the original footprint.
-  ASSERT_TRUE(cache.RecoverServer(0).ok());
-  EXPECT_TRUE(cache.server_alive(0));
-  EXPECT_EQ(cache.server_used(0), 0);
-  EXPECT_FALSE(cache.RecoverServer(0).ok());  // Already alive.
-  for (std::int64_t b = 0; b < 200; ++b) {
-    cache.AccessBlock(d, b);
-  }
-  EXPECT_EQ(cache.CachedBytes(id), cached_before);
-  EXPECT_EQ(cache.server_used(0), on_server0);  // Placement is deterministic.
 }
 
 // ----------------------------------------------- InMemRemoteStore faults --

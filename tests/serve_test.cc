@@ -1,10 +1,10 @@
 // Tests for the silodd subsystem (docs/MODEL.md §11-§12): the shared framing
-// layer (including hostile/torn input), the text protocol, dirty-set
-// tracking, the delta water-fill's bit-identity contract, admission-control
-// edges, epoch batching, policy hot-reload, the trace-replay cross-check,
-// the Unix-socket transport, and the crash-safety stack — write-ahead
-// journal, torn-tail truncation, rid dedup, checkpoint compaction, and the
-// recovery bit-identity contract.
+// layer (including hostile/torn input), the text protocol, the daemon plan's
+// bit-identity with the batch scheduler, admission-control edges, epoch
+// batching, policy hot-reload, the trace-replay cross-check, the Unix-socket
+// transport, and the crash-safety stack — write-ahead journal, torn-tail
+// truncation, rid dedup, checkpoint compaction, and the recovery
+// bit-identity contract.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,20 +13,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "src/common/framing.h"
 #include "src/common/units.h"
-#include "src/core/data_manager.h"
-#include "src/core/dirty_tracker.h"
 #include "src/core/policy_registry.h"
-#include "src/sched/delta_fill.h"
-#include "src/sched/fifo.h"
-#include "src/sched/greedy.h"
-#include "src/sched/sjf.h"
 #include "src/serve/journal.h"
 #include "src/serve/server.h"
 #include "src/serve/service.h"
@@ -176,178 +173,7 @@ TEST(ServeProto, RejectsDuplicateKeysAndBadEscapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty tracking.
-
-TEST(DirtyTracker, TracksMarksAndFullInvalidations) {
-  DirtyTracker tracker;
-  EXPECT_TRUE(tracker.empty());
-  tracker.MarkJob(3);
-  tracker.MarkJob(1);
-  tracker.MarkDataset(2);
-  EXPECT_EQ((std::vector<JobId>{1, 3}), tracker.DirtyJobs());
-  EXPECT_EQ(3u, tracker.events());
-  tracker.MarkAll("topology change");
-  EXPECT_TRUE(tracker.all_dirty());
-  EXPECT_EQ("topology change", tracker.all_dirty_reason());
-  tracker.Clear();
-  EXPECT_TRUE(tracker.empty());
-  EXPECT_EQ(0u, tracker.events());
-  EXPECT_EQ(4u, tracker.lifetime_marks());
-  EXPECT_EQ(1u, tracker.lifetime_full_invalidations());
-}
-
-TEST(DirtyTracker, DataManagerChangeListenerMarksDatasets) {
-  DataManager dm(GB(10), MBps(100), /*seed=*/7, /*num_shards=*/2);
-  DirtyTracker tracker;
-  dm.SetChangeListener([&tracker](DatasetId dataset) {
-    if (dataset == kInvalidDataset) {
-      tracker.MarkAll("cache-wide event");
-    } else {
-      tracker.MarkDataset(dataset);
-    }
-  });
-  const Dataset dataset = MakeDataset(0, "d0", GB(4), MB(64));
-  ASSERT_TRUE(dm.AllocateCacheSize(dataset, GB(2)).ok());
-  EXPECT_EQ((std::vector<DatasetId>{0}), tracker.DirtyDatasets());
-  EXPECT_FALSE(tracker.all_dirty());
-  dm.CrashShard(0);
-  EXPECT_TRUE(tracker.all_dirty());
-  tracker.Clear();
-  dm.RecoverShard(0);
-  EXPECT_TRUE(tracker.all_dirty());
-}
-
-// ---------------------------------------------------------------------------
-// Delta water-fill: the bit-identity anchor.
-
-class DeltaFillTest : public ::testing::Test {
- protected:
-  DeltaFillTest() {
-    snapshot_.catalog = &catalog_;
-    snapshot_.resources.total_gpus = 8;
-    snapshot_.resources.total_cache = GB(900);
-    snapshot_.resources.remote_io = MBps(200);
-    snapshot_.resources.num_servers = 4;
-  }
-
-  JobId AddJob(int gpus, Bytes dataset_size, BytesPerSec ideal, Seconds submit,
-               bool running = false) {
-    const JobId id = static_cast<JobId>(specs_.size());
-    const DatasetId d = catalog_.Add("d" + std::to_string(id), dataset_size, MB(64));
-    auto spec = std::make_unique<JobSpec>();
-    spec->id = id;
-    spec->name = "j" + std::to_string(id);
-    spec->num_gpus = gpus;
-    spec->dataset = d;
-    spec->ideal_io = ideal;
-    spec->total_bytes = static_cast<Bytes>(ideal * Hours(10));
-    spec->submit_time = submit;
-    running_.push_back(running);
-    specs_.push_back(std::move(spec));
-    return id;
-  }
-
-  Snapshot& Refresh() {
-    snapshot_.jobs.clear();
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-      JobView view;
-      view.spec = specs_[i].get();
-      view.remaining_bytes = remaining_.count(specs_[i]->id) > 0
-                                 ? remaining_[specs_[i]->id]
-                                 : specs_[i]->total_bytes;
-      view.effective_cache = effective_.count(specs_[i]->id) > 0 ? effective_[specs_[i]->id] : 0;
-      view.running = running_[i];
-      snapshot_.jobs.push_back(view);
-    }
-    return snapshot_;
-  }
-
-  AllocationPlan BatchSolve(DeltaOrderKind kind) {
-    std::shared_ptr<StoragePolicy> storage = std::make_shared<SiloDGreedyStorage>(true);
-    std::shared_ptr<Scheduler> scheduler;
-    if (kind == DeltaOrderKind::kFifo) {
-      scheduler = std::make_shared<FifoScheduler>(storage);
-    } else {
-      scheduler = std::make_shared<SjfScheduler>(
-          storage, kind == DeltaOrderKind::kSjfSiloD ? SjfScoreMode::kSiloD
-                                                     : SjfScoreMode::kComputeOnly);
-    }
-    return scheduler->Schedule(snapshot_);
-  }
-
-  DatasetCatalog catalog_;
-  std::vector<std::unique_ptr<JobSpec>> specs_;
-  std::vector<bool> running_;
-  std::map<JobId, Bytes> remaining_;
-  std::map<JobId, Bytes> effective_;
-  Snapshot snapshot_;
-};
-
-TEST_F(DeltaFillTest, MatchesBatchAcrossIncrementalMutations) {
-  for (const DeltaOrderKind kind :
-       {DeltaOrderKind::kFifo, DeltaOrderKind::kSjfCompute, DeltaOrderKind::kSjfSiloD}) {
-    specs_.clear();
-    running_.clear();
-    remaining_.clear();
-    effective_.clear();
-    catalog_ = DatasetCatalog();
-    DeltaWaterFill delta(kind, /*manage_remote_io=*/true);
-
-    // Round 1: three jobs, cold solve.
-    AddJob(2, GB(400), MBps(120), 0);
-    AddJob(1, GB(800), MBps(60), 10);
-    AddJob(4, TB(1.5), MBps(200), 20);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0, 1, 2}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 1";
-
-    // Round 2: one arrival, only it is dirty.
-    const JobId late = AddJob(1, GB(200), MBps(90), 30);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {late}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 2";
-
-    // Round 3: progress + cache effectiveness moved on job 0 (marked dirty)
-    // and sneakily on job 1 (NOT marked — the input fingerprint must catch
-    // it, the dirty set is never trusted for correctness).
-    remaining_[0] = GB(100);
-    effective_[0] = GB(50);
-    effective_[1] = GB(25);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 3";
-
-    // Round 4: a completion (job leaves the snapshot entirely).
-    specs_.erase(specs_.begin() + 1);
-    running_.erase(running_.begin() + 1);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {1}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 4";
-
-    // Round 5: cluster resources changed — all caches must self-invalidate.
-    snapshot_.resources.total_cache = GB(300);
-    Refresh();
-    EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {}), BatchSolve(kind)))
-        << DeltaOrderKindName(kind) << " round 5";
-    EXPECT_GT(delta.jobs_reused(), 0u);
-  }
-}
-
-TEST_F(DeltaFillTest, MatchesBatchUnderTopology) {
-  AddJob(2, GB(400), MBps(120), 0);
-  AddJob(1, GB(800), MBps(60), 10);
-  Result<ClusterTopology> topology = ClusterTopology::Parse("rack0=0-1;rack1=2-3");
-  ASSERT_TRUE(topology.ok());
-  snapshot_.topology = &*topology;
-  effective_[0] = GB(100);
-  Refresh();
-  DeltaWaterFill delta(DeltaOrderKind::kFifo, true);
-  EXPECT_TRUE(PlansBitIdentical(delta.Solve(snapshot_, {0, 1}),
-                                BatchSolve(DeltaOrderKind::kFifo)));
-  // Digest agrees with bit-identity.
-  EXPECT_EQ(PlanDigest(delta.Solve(snapshot_, {})),
-            PlanDigest(BatchSolve(DeltaOrderKind::kFifo)));
-}
+// Plan digests.
 
 TEST(PlanDigest, DistinguishesPlans) {
   AllocationPlan a;
@@ -444,17 +270,6 @@ TEST_F(ServiceTest, IdentityHoldsAfterAnySubmitCompleteCancelSequence) {
   }
 }
 
-TEST_F(ServiceTest, DeltaSolvesAreUsedAndCounted) {
-  Start(SmallCluster("sjf+silod"));
-  ASSERT_TRUE(service_->planner().delta_capable());
-  Must(SubmitReq("a", 0, 1, GB(400)));
-  Must(SubmitReq("b", 1, 1, GB(400)));
-  Must(Req("complete", {{"key", "a"}, {"t", "50"}}));
-  EXPECT_GE(service_->planner().delta_solves(), 2u);  // Arrival b + completion.
-  EXPECT_EQ(1u, service_->planner().full_solves());   // The cold initial solve.
-  ExpectBatchIdentity();
-}
-
 TEST_F(ServiceTest, AdmissionEdges) {
   ServiceConfig config = SmallCluster("fifo+silod");
   config.admission.max_gpu_load = 1.0;
@@ -500,18 +315,31 @@ TEST_F(ServiceTest, EpochBatchingCoalescesArrivals) {
   config.planning.min_replan_interval = 1000;  // Nothing is due by time.
   config.planning.max_coalesced_events = 3;    // ... until 3 marks coalesce.
   Start(std::move(config));
-  Must(SubmitReq("a", 0, 1, GB(100)));  // Initial all-dirty solve happens.
-  const std::uint64_t solves_after_first =
-      service_->planner().full_solves() + service_->planner().delta_solves();
-  Must(SubmitReq("b", 1, 1, GB(100)));  // 1 pending mark: coalesced.
-  Must(SubmitReq("c", 2, 1, GB(100)));  // 2 pending marks: coalesced.
-  EXPECT_EQ(solves_after_first,
-            service_->planner().full_solves() + service_->planner().delta_solves());
+  Must(SubmitReq("a", 0, 1, GB(100)));  // The initial plan is always due.
+  const std::uint64_t solves_after_first = service_->planner().full_solves();
+  Must(SubmitReq("b", 1, 1, GB(100)));  // 1 pending event: coalesced.
+  Must(SubmitReq("c", 2, 1, GB(100)));  // 2 pending events: coalesced.
+  EXPECT_EQ(solves_after_first, service_->planner().full_solves());
   EXPECT_GE(service_->planner().reused_plans(), 2u);
-  Must(SubmitReq("d", 3, 1, GB(100)));  // 3rd mark forces the tick.
-  EXPECT_EQ(solves_after_first + 1,
-            service_->planner().full_solves() + service_->planner().delta_solves());
+  Must(SubmitReq("d", 3, 1, GB(100)));  // 3rd event forces the tick.
+  EXPECT_EQ(solves_after_first + 1, service_->planner().full_solves());
   ExpectBatchIdentity();  // A forced plan flushes the rest.
+}
+
+TEST(ServicePlanning, RejectsNegativeOrNanReplanInterval) {
+  for (const double interval : {-1.0, std::nan("")}) {
+    PlanningOptions planning;
+    planning.min_replan_interval = interval;
+    Result<std::unique_ptr<IncrementalPlanner>> planner =
+        IncrementalPlanner::Create("fifo+silod", SchedulerOptions{}, planning);
+    ASSERT_FALSE(planner.ok()) << interval;
+    EXPECT_EQ(StatusCode::kInvalidArgument, planner.status().code());
+    ServiceConfig config = SmallCluster("fifo+silod");
+    config.planning = planning;
+    Result<std::unique_ptr<ServiceState>> service = ServiceState::Create(std::move(config));
+    ASSERT_FALSE(service.ok()) << interval;
+    EXPECT_EQ(StatusCode::kInvalidArgument, service.status().code());
+  }
 }
 
 TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
@@ -519,11 +347,9 @@ TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
   Must(SubmitReq("a", 0, 1, GB(400)));
   Must(SubmitReq("b", 1, 1, GB(800)));
   EXPECT_EQ("fifo+silod", service_->policy_name());
-  EXPECT_TRUE(service_->planner().delta_capable());
 
   ServeResponse reload = Must(Req("reload-policy", {{"policy", "gavel+coordl"}}));
   EXPECT_EQ("gavel+coordl", reload.fields.at("policy"));
-  EXPECT_EQ("0", reload.fields.at("delta-capable"));
   const AllocationPlan& plan = service_->PlanNow();
   EXPECT_EQ(CacheModelKind::kPerJobStatic, plan.cache_model);
 
@@ -533,7 +359,7 @@ TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {
   EXPECT_EQ("gavel+coordl", service_->policy_name());
 
   ServeResponse back = Must(Req("reload-policy", {{"policy", "sjf+silod"}}));
-  EXPECT_EQ("1", back.fields.at("delta-capable"));
+  EXPECT_EQ("sjf+silod", back.fields.at("policy"));
   ExpectBatchIdentity();
 }
 
@@ -1060,6 +886,131 @@ TEST_F(ServiceJournalTest, AutoCompactionBoundsTheJournal) {
   ASSERT_NE(nullptr, service);
   EXPECT_TRUE(recovery.from_checkpoint);
   EXPECT_EQ(digest, service->StateDigest());
+}
+
+ServiceConfig CoalescingCluster() {
+  ServiceConfig config = SmallCluster("sjf+silod");
+  config.planning.min_replan_interval = 1000;  // Nothing is due by time...
+  config.planning.max_coalesced_events = 3;    // ... until 3 events coalesce.
+  return config;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Feeds `tail` to both services, requiring the same state digest after each
+// request and the same solve/reuse decisions over the whole tail.
+void ExpectSameTail(ServiceState* live, ServiceState* recovered,
+                    const std::vector<ServeRequest>& tail) {
+  const std::uint64_t live_solves = live->planner().full_solves();
+  const std::uint64_t live_reused = live->planner().reused_plans();
+  const std::uint64_t recovered_solves = recovered->planner().full_solves();
+  const std::uint64_t recovered_reused = recovered->planner().reused_plans();
+  for (const ServeRequest& request : tail) {
+    const ServeResponse a = live->Handle(request);
+    const ServeResponse b = recovered->Handle(request);
+    EXPECT_TRUE(a.ok()) << request.verb << ": " << a.error;
+    EXPECT_EQ(a.fields, b.fields) << request.verb;
+    EXPECT_EQ(live->StateDigest(), recovered->StateDigest()) << "after " << request.Encode();
+  }
+  EXPECT_EQ(live->planner().full_solves() - live_solves,
+            recovered->planner().full_solves() - recovered_solves);
+  EXPECT_EQ(live->planner().reused_plans() - live_reused,
+            recovered->planner().reused_plans() - recovered_reused);
+  EXPECT_EQ(PlanDigest(live->PlanNow()), PlanDigest(recovered->PlanNow()));
+  EXPECT_EQ(live->StateDigest(), recovered->StateDigest());
+}
+
+// A checkpoint taken while coalesced events are pending must restore the
+// epoch: the recovered daemon reuses its plan exactly where the uninterrupted
+// one does, rather than re-solving at its first event.
+TEST_F(ServiceJournalTest, CoalescedRecoveryMatchesUninterruptedRun) {
+  RecoveryInfo recovery;
+  std::unique_ptr<ServiceState> live = Recover(CoalescingCluster(), Opts(), &recovery);
+  ASSERT_NE(nullptr, live);
+  Must(live.get(), WithRid(SubmitReq("a", 0, 2, GB(400)), 1));   // Initial solve.
+  Must(live.get(), WithRid(SubmitReq("b", 10, 4, GB(800)), 2));  // 1 pending, b waits.
+  EXPECT_EQ("1", Must(live.get(), Req("stats", {})).fields.at("dirty-pending"));
+  EXPECT_EQ("0", Must(live.get(), Req("query", {{"key", "b"}})).fields.at("running"));
+  Must(live.get(), Req("checkpoint", {}));
+
+  // The crash copy: the journal as the checkpoint left it.
+  const std::string copy = path_ + ".copy";
+  std::ofstream(copy, std::ios::binary) << ReadFile(path_);
+  std::unique_ptr<ServiceState> recovered =
+      Recover(CoalescingCluster(), JournalOpts(copy), &recovery);
+  ASSERT_NE(nullptr, recovered);
+  EXPECT_TRUE(recovery.from_checkpoint);
+  EXPECT_EQ(0u, recovery.replayed_requests);
+  EXPECT_EQ(live->StateDigest(), recovered->StateDigest());
+
+  ExpectSameTail(live.get(), recovered.get(),
+                 {WithRid(Req("progress", {{"key", "a"},
+                                           {"t", "20"},
+                                           {"remaining", "500000000000"},
+                                           {"effective", "50000000000"}}),
+                          3),                                     // 2 pending: reuse.
+                  WithRid(SubmitReq("c", 30, 1, GB(200)), 4),     // 3rd event: solve.
+                  WithRid(SubmitReq("d", 40, 1, GB(100)), 5),     // 1 pending: reuse.
+                  WithRid(Req("cancel", {{"key", "b"}, {"t", "50"}}), 6),
+                  WithRid(SubmitReq("e", 2000, 2, GB(300)), 7),   // Interval elapsed.
+                  WithRid(Req("complete", {{"key", "c"}, {"t", "2100"}}), 8)});
+  std::remove(copy.c_str());
+}
+
+// With no events pending at the checkpoint, the first plan read after
+// recovery is served from the cache, so the restore must rebuild it.
+TEST_F(ServiceJournalTest, RecoveredPlanServedBeforeAnyEvent) {
+  std::uint64_t plan_digest = 0;
+  {
+    RecoveryInfo recovery;
+    std::unique_ptr<ServiceState> service = Recover(SmallCluster("sjf+silod"), Opts(), &recovery);
+    ASSERT_NE(nullptr, service);
+    Must(service.get(), WithRid(SubmitReq("a", 0, 2, GB(400)), 1));
+    Must(service.get(), WithRid(SubmitReq("b", 10, 1, GB(800)), 2));
+    Must(service.get(), Req("checkpoint", {}));
+    ASSERT_EQ(0u, service->planner().pending_events());
+    plan_digest = PlanDigest(service->PlanNow());
+  }
+  RecoveryInfo recovery;
+  std::unique_ptr<ServiceState> service = Recover(SmallCluster("sjf+silod"), Opts(), &recovery);
+  ASSERT_NE(nullptr, service);
+  EXPECT_TRUE(recovery.from_checkpoint);
+  const ServeResponse plan = Must(service.get(), Req("plan", {}));
+  EXPECT_EQ(0u, service->planner().full_solves());  // Served, not re-solved.
+  EXPECT_EQ(plan_digest, PlanDigest(service->planner().plan()));
+  EXPECT_EQ("2", plan.fields.at("running"));
+}
+
+// Checkpoints written before the planner line shrank to last-plan-t and
+// dirty-events still carry dirty-all/-reason/-jobs/-datasets; they restore
+// to the same epoch.
+TEST_F(ServiceJournalTest, RestoresOlderPlannerLine) {
+  Result<std::unique_ptr<ServiceState>> live = ServiceState::Create(CoalescingCluster());
+  ASSERT_TRUE(live.ok());
+  Must(live->get(), SubmitReq("a", 0, 2, GB(400)));
+  Must(live->get(), SubmitReq("b", 10, 4, GB(800)));
+  std::string text = (*live)->CheckpointText();
+  const std::string current = "planner last-plan-t=0 dirty-events=1\n";
+  const std::size_t at = text.find(current);
+  ASSERT_NE(std::string::npos, at) << text;
+  text.replace(at, current.size(),
+               "planner last-plan-t=0 dirty-all=0 dirty-reason= dirty-events=1 dirty-jobs=1 "
+               "dirty-datasets=\n");
+
+  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(CoalescingCluster());
+  ASSERT_TRUE(restored.ok());
+  const Status st = (*restored)->RestoreFromCheckpoint(text, nullptr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(0.0, (*restored)->planner().last_plan_time());
+  EXPECT_EQ(1u, (*restored)->planner().pending_events());
+  ExpectSameTail(live->get(), restored->get(),
+                 {SubmitReq("c", 20, 1, GB(200)),     // 2 pending: reuse.
+                  SubmitReq("d", 30, 1, GB(100))});   // 3rd event: solve.
 }
 
 TEST_F(ServiceJournalTest, TornTailRecoveryDropsOnlyTheTornFrame) {

@@ -1,4 +1,4 @@
-// Tests for src/sim: event queue, metrics, and both engines — including the
+// Tests for src/sim: metrics and both engines — including the
 // engine-vs-closed-form and engine-vs-engine fidelity checks that mirror the
 // paper's own simulator validation (§7.1.1/§7.2).
 #include <gtest/gtest.h>
@@ -13,69 +13,12 @@
 #include "src/sched/fifo.h"
 #include "src/sched/greedy.h"
 #include "src/sched/storage_policies.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/fine_engine.h"
 #include "src/sim/flow_engine.h"
 #include "src/sim/metrics.h"
 
 namespace silod {
 namespace {
-
-// ------------------------------------------------------------- EventQueue --
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> fired;
-  queue.Schedule(3.0, [&](Seconds) { fired.push_back(3); });
-  queue.Schedule(1.0, [&](Seconds) { fired.push_back(1); });
-  queue.Schedule(2.0, [&](Seconds) { fired.push_back(2); });
-  while (!queue.empty()) {
-    queue.RunNext();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, StableForSimultaneousEvents) {
-  EventQueue queue;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    queue.Schedule(1.0, [&, i](Seconds) { fired.push_back(i); });
-  }
-  while (!queue.empty()) {
-    queue.RunNext();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelSkipsEvent) {
-  EventQueue queue;
-  std::vector<int> fired;
-  const auto id = queue.Schedule(1.0, [&](Seconds) { fired.push_back(1); });
-  queue.Schedule(2.0, [&](Seconds) { fired.push_back(2); });
-  queue.Cancel(id);
-  EXPECT_DOUBLE_EQ(queue.PeekTime(), 2.0);
-  while (!queue.empty()) {
-    queue.RunNext();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue queue;
-  int count = 0;
-  std::function<void(Seconds)> tick = [&](Seconds t) {
-    if (++count < 5) {
-      queue.Schedule(t + 1.0, tick);
-    }
-  };
-  queue.Schedule(0.0, tick);
-  Seconds last = 0;
-  while (!queue.empty()) {
-    last = queue.RunNext();
-  }
-  EXPECT_EQ(count, 5);
-  EXPECT_DOUBLE_EQ(last, 4.0);
-}
 
 // ---------------------------------------------------------------- Metrics --
 
@@ -523,32 +466,6 @@ TEST(FlowEngine, ZoneCrashLossBoundedAndAttributedPerZone) {
   EXPECT_LE(aware.faults.bytes_lost, 0.25 * static_cast<double>(GB(40)) + MB(64));
   ASSERT_EQ(aware.faults.blocks_lost_by_zone.size(), 1u);
   EXPECT_EQ(aware.faults.blocks_lost_by_zone.begin()->first, "rack0");
-}
-
-// The per-dataset zone solves between rehash events are mutually independent
-// (each writes only its own dataset's state and its own jobs), so fanning
-// them out on the worker pool must be bit-identical to the sequential escape
-// hatch — not merely statistically close.
-TEST(FlowEngine, ParallelZoneSolveBitIdenticalToSequential) {
-  const Trace trace = SeededMixTrace(/*num_jobs=*/1000, /*seed=*/33);
-  ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
-  config.sim = SmallCluster(GB(60), MBps(800));
-  config.sim.resources.total_gpus = 256;
-  config.sim.resources.num_servers = 8;
-  const Result<ClusterTopology> topology =
-      ClusterTopology::Parse("rack0=0-3;rack1=4-7;loss-bound=0.5");
-  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
-  config.sim.topology = *topology;
-  config.engine = EngineKind::kFlow;
-
-  config.sim.zone_solve_threads = 0;  // Sequential escape hatch.
-  const SimResult sequential = RunExperiment(trace, config);
-  config.sim.zone_solve_threads = 4;
-  const SimResult parallel = RunExperiment(trace, config);
-
-  EXPECT_TRUE(PhysicallyIdentical(sequential, parallel));
-  EXPECT_EQ(sequential.jobs.size(), 1000u);
 }
 
 // ---------------------------------------------------------- Heterogeneity --

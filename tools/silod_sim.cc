@@ -97,10 +97,6 @@ int main(int argc, char** argv) {
                "registry policy name, e.g. \"sjf+silod\" or \"gavel+coordl\" "
                "(overrides --scheduler/--cache-system)");
   flags.Define("engine", "flow", "flow | fine | rt (rt runs a scaled-down wall-clock cluster)");
-  flags.Define("zone-threads", "0",
-               "worker threads for the flow engine's per-dataset zone solves "
-               "(<= 1 runs them on the simulation thread; results are "
-               "bit-identical either way)");
   flags.Define("fine-linear-scan", "false",
                "fine engine: step by O(jobs) scans instead of the event calendar");
   flags.Define("manage-remote-io", "true", "SiloD throttles remote IO (ablation: false)");
@@ -238,7 +234,6 @@ int main(int argc, char** argv) {
   }
   config.engine = engine_name == "fine" ? EngineKind::kFine : EngineKind::kFlow;
   config.fine.use_linear_scan = flags.GetBool("fine-linear-scan");
-  config.sim.zone_solve_threads = static_cast<int>(flags.GetInt("zone-threads"));
 
   // Faults: the explicit plan's events and the generated churn (independent
   // per-hour rates plus correlated zones) are merged into one schedule and

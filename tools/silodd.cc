@@ -6,10 +6,9 @@
 //
 // A single-process event-loop daemon: clients submit/complete/cancel jobs
 // over a Unix-domain socket (serve/proto.h framing) and the daemon keeps an
-// always-current AllocationPlan via the incremental planner — dirty-set
-// tracking, delta water-filling for the order-based SiloD policies,
-// epoch-batched re-solves, and admission control in front of the scheduler.
-// Drive it with silod_client.
+// always-current AllocationPlan via the incremental planner (epoch-batched
+// full re-solves of the registry scheduler), with admission control in front
+// of the scheduler.  Drive it with silod_client.
 //
 // Crash safety (docs/MODEL.md §12): with --journal, every mutating request
 // is write-ahead logged before it applies, and a restart replays the journal
@@ -71,10 +70,10 @@ int main(int argc, char** argv) {
   flags.Define("max-queue", "1024",
                "admission-queued submissions beyond this are rejected (0 = never queue)");
   flags.Define("replan-interval-s", "0",
-               "epoch batching: coalesce dirty events for this much virtual time between "
-               "re-solves (0 = re-solve on every event)");
+               "epoch batching: coalesce events for this much virtual time between "
+               "re-solves (0 = re-solve on every event; must be >= 0)");
   flags.Define("coalesce-events", "1",
-               "epoch batching: re-solve early once this many dirty marks are pending");
+               "epoch batching: re-solve early once this many events are pending (>= 0)");
   flags.Define("journal", "",
                "write-ahead request journal path; on restart the surviving records replay to "
                "rebuild the exact pre-crash state (empty = no durability)");
@@ -112,9 +111,14 @@ int main(int argc, char** argv) {
   }
   config.admission.max_gpu_load = flags.GetDouble("max-gpu-load");
   config.admission.max_queue = static_cast<int>(flags.GetInt("max-queue"));
+  // IncrementalPlanner::Create rejects a negative or NaN interval.
   config.planning.min_replan_interval = flags.GetDouble("replan-interval-s");
-  config.planning.max_coalesced_events =
-      static_cast<std::uint64_t>(flags.GetInt("coalesce-events"));
+  const std::int64_t coalesce = flags.GetInt("coalesce-events");
+  if (coalesce < 0) {
+    std::fprintf(stderr, "--coalesce-events must be >= 0\n");
+    return 2;
+  }
+  config.planning.max_coalesced_events = static_cast<std::uint64_t>(coalesce);
 
   JournalOptions journal;
   const bool use_journal = !flags.GetString("journal").empty();
