@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "src/common/logging.h"
 
@@ -19,6 +20,42 @@ const char* CacheModelKindName(CacheModelKind kind) {
       return "per-job-static";
   }
   return "unknown";
+}
+
+Status ValidateStorageResources(const ClusterResources& resources) {
+  if (resources.total_cache < 0) {
+    return Status::InvalidArgument("total_cache must be >= 0");
+  }
+  if (!std::isfinite(resources.remote_io) || resources.remote_io < 0) {
+    return Status::InvalidArgument("remote_io must be finite and >= 0");
+  }
+  if (!(resources.per_job_remote_cap >= 0)) {
+    return Status::InvalidArgument("per_job_remote_cap must be >= 0");
+  }
+  return Status::Ok();
+}
+
+Status SetStorageFromFlags(double cache_tb, double egress_gbps, double per_job_cap_mbps,
+                           ClusterResources* resources) {
+  const auto bad = [](const char* flag, double value) {
+    return Status::InvalidArgument(std::string("--") + flag + " must be finite and >= 0, got " +
+                                   std::to_string(value));
+  };
+  // The upper bound keeps TB(cache_tb) inside Bytes.
+  if (!std::isfinite(cache_tb) || cache_tb < 0 || cache_tb > 9e6) {
+    return bad("cache-tb", cache_tb);
+  }
+  if (!std::isfinite(egress_gbps) || egress_gbps < 0) {
+    return bad("egress-gbps", egress_gbps);
+  }
+  if (!(per_job_cap_mbps >= 0)) {
+    return Status::InvalidArgument("--per-job-cap-mbps must be >= 0 (0 = no cap), got " +
+                                   std::to_string(per_job_cap_mbps));
+  }
+  resources->total_cache = TB(cache_tb);
+  resources->remote_io = Gbps(egress_gbps);
+  resources->per_job_remote_cap = per_job_cap_mbps > 0 ? MBps(per_job_cap_mbps) : kUnlimitedRate;
+  return Status::Ok();
 }
 
 int AllocationPlan::GpusUsed() const {

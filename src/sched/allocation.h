@@ -51,6 +51,18 @@ struct ClusterResources {
   int num_servers = 1;
 };
 
+// InvalidArgument unless the storage side of `resources` is usable: a
+// non-negative cache pool, a finite non-negative egress limit, and a per-job
+// cap that is neither negative nor NaN (kUnlimitedRate means no cap).
+Status ValidateStorageResources(const ClusterResources& resources);
+
+// Fills the storage side of `resources` from the CLI tools' shared flags
+// --cache-tb, --egress-gbps and --per-job-cap-mbps (0 = no cap).  A negative
+// or non-finite cache or egress, or a negative or NaN cap, is
+// InvalidArgument naming the flag, and leaves `resources` untouched.
+Status SetStorageFromFlags(double cache_tb, double egress_gbps, double per_job_cap_mbps,
+                           ClusterResources* resources);
+
 struct JobAllocation {
   bool running = false;
   int gpus = 0;

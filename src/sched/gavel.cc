@@ -20,72 +20,163 @@ struct RunningJob {
   BytesPerSec ideal = 0;  // Effective ideal rate f*·speed.
 };
 
-// Fractional-knapsack feasibility oracle: can every job sustain target[i]?
-// On success fills dataset cache quotas and required per-job remote IO.
-bool TargetsFeasible(const Snapshot& snapshot, const std::vector<RunningJob>& jobs,
-                     const std::vector<BytesPerSec>& targets,
-                     std::map<DatasetId, Bytes>* dataset_cache,
-                     std::vector<BytesPerSec>* required_io) {
-  dataset_cache->clear();
-  required_io->assign(jobs.size(), 0);
-
-  // Phase 1 — mandatory cache: the provider's per-job cap means job j can
-  // sustain T_j only if its dataset holds at least d (1 - cap / T_j) bytes of
-  // cache.  With sharing, a dataset's floor is the max over its jobs.
-  const BytesPerSec cap = snapshot.resources.per_job_remote_cap;
-  std::map<DatasetId, Bytes> floor;
-  std::map<DatasetId, double> saving_rate;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
-    saving_rate[d.id] += targets[i] / static_cast<double>(d.size);
-    if (std::isfinite(cap) && targets[i] > cap) {
-      const double frac = 1.0 - cap / targets[i];
-      const Bytes need = static_cast<Bytes>(frac * static_cast<double>(d.size)) + 1;
-      Bytes& slot = floor[d.id];
-      slot = std::max(slot, std::min(need, d.size));
+// The jobs marked running in `plan`, in snapshot order.  The plan's placement
+// is authoritative post-admission: every target and demand uses the
+// effective ideal rate of the GPU type the gang actually landed on (speed
+// 1.0 on uniform fleets).  One plan lookup per job, shared by the cache
+// solve and the throttle bisection.
+std::vector<RunningJob> GatherRunning(const Snapshot& snapshot, const AllocationPlan& plan) {
+  std::vector<RunningJob> jobs;
+  for (const JobView& view : snapshot.jobs) {
+    const JobAllocation& alloc = plan.Get(view.spec->id);
+    if (alloc.running) {
+      RunningJob j;
+      j.view = &view;
+      j.speed = alloc.speed;
+      j.ideal = EffectiveIdeal(view.spec->ideal_io, j.speed);
+      jobs.push_back(j);
     }
   }
-  Bytes remaining = snapshot.resources.total_cache;
-  for (const auto& [dataset_id, need] : floor) {
-    (*dataset_cache)[dataset_id] = need;
-    remaining -= need;
-  }
-  if (remaining < 0) {
-    return false;  // Cannot even satisfy the per-job caps.
-  }
-
-  // Phase 2 — fractional knapsack on the rest: a byte of cache on dataset D
-  // saves sum_{j on D} T_j / d of remote IO.
-  std::vector<std::pair<DatasetId, double>> order(saving_rate.begin(), saving_rate.end());
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) {
-      return a.second > b.second;
-    }
-    return a.first < b.first;
-  });
-  for (const auto& [dataset_id, rate] : order) {
-    if (remaining <= 0) {
-      break;
-    }
-    Bytes& slot = (*dataset_cache)[dataset_id];
-    const Bytes grant = std::min(snapshot.catalog->Get(dataset_id).size - slot, remaining);
-    slot += grant;
-    remaining -= grant;
-  }
-
-  BytesPerSec total_io = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
-    auto it = dataset_cache->find(d.id);
-    const Bytes cache = it == dataset_cache->end() ? 0 : it->second;
-    (*required_io)[i] = RequiredRemoteIo(targets[i], cache, d.size);
-    if ((*required_io)[i] > cap * (1.0 + 1e-12)) {
-      return false;  // The provider's per-job cap binds before the account cap.
-    }
-    total_io += (*required_io)[i];
-  }
-  return total_io <= snapshot.resources.remote_io * (1.0 + 1e-12);
+  return jobs;
 }
+
+// Fractional-knapsack feasibility oracle: can every job sustain target[i]?
+//
+// Works on a dense per-solve dataset index: local index k is the k-th
+// smallest DatasetId among the running jobs' datasets, so ascending k is
+// ascending id.  Every bisection probe reuses the same scratch arrays, and
+// the arithmetic and summation orders are those of a per-dataset map, so
+// plans are bit-identical to it (docs/MODEL.md §4).
+class FeasibilityOracle {
+ public:
+  FeasibilityOracle(const Snapshot& snapshot, const std::vector<RunningJob>& jobs)
+      : snapshot_(snapshot) {
+    job_dataset_.reserve(jobs.size());
+    for (const RunningJob& j : jobs) {
+      ids_.push_back(j.view->spec->dataset);
+    }
+    std::sort(ids_.begin(), ids_.end());
+    ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+    for (const RunningJob& j : jobs) {
+      job_dataset_.push_back(static_cast<std::size_t>(
+          std::lower_bound(ids_.begin(), ids_.end(), j.view->spec->dataset) - ids_.begin()));
+    }
+    const std::size_t n = ids_.size();
+    for (const DatasetId id : ids_) {
+      size_.push_back(snapshot.catalog->Get(id).size);
+    }
+    floor_.resize(n);
+    saving_rate_.resize(n);
+    cache_.resize(n);
+    present_.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      order_.emplace_back(0.0, k);
+    }
+    required_io_.resize(jobs.size());
+  }
+
+  // On success cache and required_io() hold the plan for `targets`.
+  bool Feasible(const std::vector<BytesPerSec>& targets) {
+    std::fill(floor_.begin(), floor_.end(), 0);
+    std::fill(saving_rate_.begin(), saving_rate_.end(), 0.0);
+    std::fill(cache_.begin(), cache_.end(), 0);
+    std::fill(present_.begin(), present_.end(), false);
+
+    // Phase 1 — mandatory cache: the provider's per-job cap means job j can
+    // sustain T_j only if its dataset holds at least d (1 - cap / T_j) bytes
+    // of cache.  With sharing, a dataset's floor is the max over its jobs.
+    // A floor is at least one byte, so 0 means "no floor".
+    const BytesPerSec cap = snapshot_.resources.per_job_remote_cap;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const std::size_t k = job_dataset_[i];
+      saving_rate_[k] += targets[i] / static_cast<double>(size_[k]);
+      if (std::isfinite(cap) && targets[i] > cap) {
+        const double frac = 1.0 - cap / targets[i];
+        const Bytes need = static_cast<Bytes>(frac * static_cast<double>(size_[k])) + 1;
+        floor_[k] = std::max(floor_[k], std::min(need, size_[k]));
+      }
+    }
+    Bytes remaining = snapshot_.resources.total_cache;
+    for (std::size_t k = 0; k < floor_.size(); ++k) {
+      if (floor_[k] > 0) {
+        cache_[k] = floor_[k];
+        present_[k] = true;
+        remaining -= floor_[k];
+      }
+    }
+    if (remaining < 0) {
+      return false;  // Cannot even satisfy the per-job caps.
+    }
+
+    // Phase 2 — fractional knapsack on the rest: a byte of cache on dataset
+    // D saves sum_{j on D} T_j / d of remote IO.  A dataset the loop reaches
+    // gets an entry even when its grant is zero; one it never reaches gets
+    // none.  The key (rate descending, then id ascending) is a strict total
+    // order, so the sorted order does not depend on where sorting starts.
+    // Starting from the previous probe's order pays: successive probes scale
+    // most rates alike, so the order is usually still sorted.
+    for (auto& entry : order_) {
+      entry.first = saving_rate_[entry.second];
+    }
+    const auto before = [](const auto& a, const auto& b) {
+      if (a.first != b.first) {
+        return a.first > b.first;
+      }
+      return a.second < b.second;
+    };
+    if (!std::is_sorted(order_.begin(), order_.end(), before)) {
+      std::sort(order_.begin(), order_.end(), before);
+    }
+    for (const auto& [rate, k] : order_) {
+      if (remaining <= 0) {
+        break;
+      }
+      present_[k] = true;
+      const Bytes grant = std::min(size_[k] - cache_[k], remaining);
+      cache_[k] += grant;
+      remaining -= grant;
+    }
+
+    BytesPerSec total_io = 0;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      required_io_[i] = RequiredRemoteIo(targets[i], job_cache(i), job_dataset_size(i));
+      if (required_io_[i] > cap * (1.0 + 1e-12)) {
+        return false;  // The provider's per-job cap binds before the account cap.
+      }
+      total_io += required_io_[i];
+    }
+    return total_io <= snapshot_.resources.remote_io * (1.0 + 1e-12);
+  }
+
+  const std::vector<BytesPerSec>& required_io() const { return required_io_; }
+  Bytes job_cache(std::size_t i) const { return cache_[job_dataset_[i]]; }
+  Bytes job_dataset_size(std::size_t i) const { return size_[job_dataset_[i]]; }
+
+  // The last probe's cache quotas: an entry for every dataset with a floor
+  // or reached by the knapsack.
+  std::map<DatasetId, Bytes> DatasetCache() const {
+    std::map<DatasetId, Bytes> out;
+    for (std::size_t k = 0; k < ids_.size(); ++k) {
+      if (present_[k]) {
+        out.emplace_hint(out.end(), ids_[k], cache_[k]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  const Snapshot& snapshot_;
+  std::vector<DatasetId> ids_;            // Sorted unique dataset ids.
+  std::vector<Bytes> size_;               // Dataset size, by local index.
+  std::vector<std::size_t> job_dataset_;  // Job i's local dataset index.
+  // Per-probe scratch, by local index.
+  std::vector<Bytes> floor_;
+  std::vector<double> saving_rate_;
+  std::vector<Bytes> cache_;
+  std::vector<bool> present_;  // Whether the dataset has a cache entry.
+  std::vector<std::pair<double, std::size_t>> order_;  // (saving rate, k).
+  std::vector<BytesPerSec> required_io_;
+};
 
 // The normalizer of the fairness ratio for each objective: equal-share
 // throughput for Eq. 8/9 max-min fairness, the exclusive-cluster rate f*·s
@@ -103,22 +194,10 @@ BytesPerSec FairnessBase(GavelObjective objective, const JobSpec& job, double sp
   return base;
 }
 
-GavelSolution SolveFairness(const Snapshot& snapshot, const AllocationPlan& plan,
+// Solves Eq. 9 over `jobs` (from GatherRunning) and fills each job's base.
+GavelSolution SolveFairness(const Snapshot& snapshot, std::vector<RunningJob>& jobs,
                             GavelObjective objective) {
   GavelSolution solution;
-  std::vector<RunningJob> jobs;
-  for (const JobView& view : snapshot.jobs) {
-    if (plan.IsRunning(view.spec->id)) {
-      RunningJob j;
-      j.view = &view;
-      // The plan's placement is authoritative post-admission: every target
-      // and demand below uses the effective ideal rate of the GPU type the
-      // gang actually landed on (speed 1.0 on uniform fleets).
-      j.speed = plan.Get(view.spec->id).speed;
-      j.ideal = EffectiveIdeal(view.spec->ideal_io, j.speed);
-      jobs.push_back(j);
-    }
-  }
   if (jobs.empty()) {
     return solution;
   }
@@ -128,16 +207,14 @@ GavelSolution SolveFairness(const Snapshot& snapshot, const AllocationPlan& plan
     j.base = FairnessBase(objective, *j.view->spec, j.speed, *snapshot.catalog, eq);
   }
 
-  auto targets_at = [&](double rho) {
-    std::vector<BytesPerSec> t(jobs.size());
+  FeasibilityOracle oracle(snapshot, jobs);
+  std::vector<BytesPerSec> targets(jobs.size());
+  auto feasible_at = [&](double rho) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      t[i] = std::min(rho * jobs[i].base, jobs[i].ideal);
+      targets[i] = std::min(rho * jobs[i].base, jobs[i].ideal);
     }
-    return t;
+    return oracle.Feasible(targets);
   };
-
-  std::map<DatasetId, Bytes> cache;
-  std::vector<BytesPerSec> required;
 
   // Upper bound: the ratio at which every job is compute-bound.
   double hi = 1.0;
@@ -145,12 +222,12 @@ GavelSolution SolveFairness(const Snapshot& snapshot, const AllocationPlan& plan
     hi = std::max(hi, j.ideal / j.base);
   }
   double lo = 0.0;
-  if (TargetsFeasible(snapshot, jobs, targets_at(hi), &cache, &required)) {
+  if (feasible_at(hi)) {
     lo = hi;  // Everyone reaches f*.
   } else {
     for (int iter = 0; iter < 100; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      if (TargetsFeasible(snapshot, jobs, targets_at(mid), &cache, &required)) {
+      if (feasible_at(mid)) {
         lo = mid;
       } else {
         hi = mid;
@@ -158,9 +235,9 @@ GavelSolution SolveFairness(const Snapshot& snapshot, const AllocationPlan& plan
     }
   }
   const double rho = lo;
-  std::vector<BytesPerSec> targets = targets_at(rho);
-  const bool ok = TargetsFeasible(snapshot, jobs, targets, &cache, &required);
+  const bool ok = feasible_at(rho);
   SILOD_CHECK(ok) << "bisection lower bound must be feasible";
+  const std::vector<BytesPerSec>& required = oracle.required_io();
 
   // Progressive filling: hand leftover egress bandwidth to jobs that still
   // have headroom toward f*, max-min over the extra demand.
@@ -171,24 +248,21 @@ GavelSolution SolveFairness(const Snapshot& snapshot, const AllocationPlan& plan
   const BytesPerSec leftover = std::max(0.0, snapshot.resources.remote_io - used);
   std::vector<BytesPerSec> extra_demand(jobs.size(), 0);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
-    auto it = cache.find(d.id);
-    const Bytes c = it == cache.end() ? 0 : it->second;
     const BytesPerSec max_b =
-        std::min(RemoteIoDemand(jobs[i].ideal, c, d.size), snapshot.resources.per_job_remote_cap);
+        std::min(RemoteIoDemand(jobs[i].ideal, oracle.job_cache(i), oracle.job_dataset_size(i)),
+                 snapshot.resources.per_job_remote_cap);
     extra_demand[i] = std::max(0.0, max_b - required[i]);
   }
   const std::vector<BytesPerSec> extra = MaxMinShare(extra_demand, leftover);
 
   solution.fairness_ratio = rho;
-  solution.dataset_cache = std::move(cache);
+  solution.dataset_cache = oracle.DatasetCache();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobId id = jobs[i].view->spec->id;
-    solution.remote_io[id] = required[i] + extra[i];
-    const Dataset& d = snapshot.catalog->Get(jobs[i].view->spec->dataset);
-    auto it = solution.dataset_cache.find(d.id);
-    const Bytes c = it == solution.dataset_cache.end() ? 0 : it->second;
-    solution.target[id] = SiloDPerfThroughput(jobs[i].ideal, solution.remote_io[id], c, d.size);
+    const BytesPerSec io = required[i] + extra[i];
+    solution.remote_io[id] = io;
+    solution.target[id] = SiloDPerfThroughput(jobs[i].ideal, io, oracle.job_cache(i),
+                                              oracle.job_dataset_size(i));
   }
   return solution;
 }
@@ -238,7 +312,8 @@ BytesPerSec EqualShareThroughput(const JobSpec& job, double speed, const Dataset
 }
 
 GavelSolution SolveMaxMinFairness(const Snapshot& snapshot, const AllocationPlan& plan) {
-  return SolveFairness(snapshot, plan, GavelObjective::kMaxMinFairness);
+  std::vector<RunningJob> jobs = GatherRunning(snapshot, plan);
+  return SolveFairness(snapshot, jobs, GavelObjective::kMaxMinFairness);
 }
 
 GavelScheduler::GavelScheduler(std::shared_ptr<StoragePolicy> storage, bool silod_aware,
@@ -263,8 +338,8 @@ std::string GavelScheduler::name() const {
 }
 
 void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan& plan) {
-  const GavelSolution solution = SolveFairness(snapshot, plan, objective_);
-  plan.dataset_cache = solution.dataset_cache;
+  std::vector<RunningJob> jobs = GatherRunning(snapshot, plan);
+  plan.dataset_cache = SolveFairness(snapshot, jobs, objective_).dataset_cache;
   if (!manage_remote_io_) {
     return;
   }
@@ -274,31 +349,20 @@ void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan&
   // train and to fill that cache).  We bisect the same ratio over each job's
   // current achievable throughput min(f*, b/(1 - eff/d)); as caches fill,
   // this converges to the steady-state solution.
-  std::vector<JobId> ids;
   std::vector<BytesPerSec> base;
   EstimatorBatch batch;
-  int n_running = 0;
-  for (const JobView& view : snapshot.jobs) {
-    if (plan.IsRunning(view.spec->id)) {
-      ++n_running;
-    }
-  }
-  const EqualShareParams eq = MakeEqualShareParams(snapshot.resources, std::max(1, n_running));
-  for (const JobView& view : snapshot.jobs) {
-    if (!plan.IsRunning(view.spec->id)) {
-      continue;
-    }
-    const Dataset& d = snapshot.catalog->Get(view.spec->dataset);
-    ids.push_back(view.spec->id);
-    const double speed = plan.Get(view.spec->id).speed;
-    base.push_back(FairnessBase(objective_, *view.spec, speed, *snapshot.catalog, eq));
+  base.reserve(jobs.size());
+  batch.Reserve(jobs.size());
+  for (const RunningJob& j : jobs) {
+    base.push_back(j.base);
     // Zone-aware runs feed the estimator the post-crash surviving share, so
     // the throttles granted now still cover the jobs after a worst-case
     // single-zone crash (identity when the snapshot has no topology).  The
     // batch stores the effective ideal f*·s, so every bisection probe and
     // demand below is heterogeneity-aware with no extra work in the loop.
-    batch.Add(view.spec->ideal_io, speed, SurvivingCacheShare(snapshot, view.effective_cache),
-              d.size);
+    batch.Add(j.view->spec->ideal_io, j.speed,
+              SurvivingCacheShare(snapshot, j.view->effective_cache),
+              snapshot.catalog->Get(j.view->spec->dataset).size);
   }
   // One bisection probe sweeps the whole batch instead of re-deriving each
   // job's operating point from snapshot views; the arithmetic (and summation
@@ -306,7 +370,7 @@ void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan&
   const BytesPerSec cap = snapshot.resources.per_job_remote_cap;
   double lo = 0;
   double hi = 1.0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     hi = std::max(hi, batch.ideal(i) / base[i]);
   }
   if (batch.TotalThrottledDemand(hi, base, cap) <= snapshot.resources.remote_io) {
@@ -323,18 +387,18 @@ void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan&
   }
   std::vector<BytesPerSec> max_demand;
   batch.RemoteIoDemands(&max_demand);
-  std::vector<BytesPerSec> grant(ids.size());
-  std::vector<BytesPerSec> residual(ids.size());
+  std::vector<BytesPerSec> grant(jobs.size());
+  std::vector<BytesPerSec> residual(jobs.size());
   BytesPerSec used = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     grant[i] = batch.ThrottledDemand(lo, base, cap, i);
     used += grant[i];
     residual[i] = std::max(0.0, std::min(max_demand[i], cap) - grant[i]);
   }
   const std::vector<BytesPerSec> topup =
       MaxMinShare(residual, std::max(0.0, snapshot.resources.remote_io - used));
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    plan.jobs[ids[i]].remote_io = grant[i] + topup[i];
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    plan.jobs[jobs[i].view->spec->id].remote_io = grant[i] + topup[i];
   }
 }
 

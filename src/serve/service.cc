@@ -169,6 +169,9 @@ Result<std::unique_ptr<ServiceState>> ServiceState::Create(ServiceConfig config)
   if (config.resources.total_gpus <= 0) {
     return Status::InvalidArgument("total_gpus must be positive");
   }
+  if (const Status st = ValidateStorageResources(config.resources); !st.ok()) {
+    return st;
+  }
   auto service = std::unique_ptr<ServiceState>(new ServiceState(std::move(config)));
   if (!service->config_.topology.empty()) {
     const Status st = service->config_.topology.Validate(service->config_.resources.num_servers);

@@ -3,10 +3,17 @@
 // policies, and plan validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <map>
 #include <memory>
+#include <string>
 
+#include "src/common/logging.h"
+#include "src/common/rng.h"
+#include "src/common/topology.h"
 #include "src/common/units.h"
 #include "src/estimator/ioperf.h"
 #include "src/sched/fifo.h"
@@ -284,6 +291,142 @@ TEST_F(SchedTest, GavelImprovesWorstJobOverQuiver) {
                                           c, TB(1.36)));
   }
   EXPECT_GT(worst_silod, worst_quiver * 1.5);
+}
+
+// A seeded Gavel snapshot that reaches every branch of the fairness solve:
+// fewer datasets than jobs (several jobs share one), a cache pool well short
+// of the datasets' total (the knapsack runs dry, leaving some datasets with
+// no entry), a typed two-pool fleet with per-job speed factors, a two-rack
+// zone topology, and running jobs with partly filled caches.
+struct GavelCase {
+  ModelZoo zoo;
+  DatasetCatalog catalog;
+  std::deque<JobSpec> jobs;
+  ClusterTopology topology;
+  Snapshot snapshot;
+};
+
+std::unique_ptr<GavelCase> MakeGavelCase(std::uint64_t seed, bool capped) {
+  auto c = std::make_unique<GavelCase>();
+  Rng rng(seed);
+  constexpr int kDatasets = 6;
+  constexpr int kJobs = 14;
+  constexpr int kRunning = 5;
+  std::vector<DatasetId> datasets;
+  Bytes dataset_total = 0;
+  for (int i = 0; i < kDatasets; ++i) {
+    const Bytes size = GB(100 + 1400 * rng.NextDouble());
+    datasets.push_back(c->catalog.Add("gavel-ds" + std::to_string(i), size, MB(64)));
+    dataset_total += size;
+  }
+  const char* const kModels[] = {"ResNet-50", "EfficientNetB1", "ResNet-152", "AlexNet"};
+  for (int i = 0; i < kJobs; ++i) {
+    JobSpec job = MakeJob(static_cast<JobId>(i), c->zoo, kModels[rng.NextBelow(4)],
+                          1 << rng.NextBelow(3), datasets[rng.NextBelow(kDatasets)],
+                          Hours(1 + 9 * rng.NextDouble()), 60.0 * i);
+    if (i % 3 == 0) {
+      job.speed_factors = {{"k80", 0.8}};
+    }
+    c->jobs.push_back(job);
+  }
+  Result<ClusterTopology> topology = ClusterTopology::Parse(
+      "rack0=0-3;rack1=4-7;gpu-type name=v100 count=12 speed=1;"
+      "gpu-type name=k80 count=12 speed=0.5");
+  SILOD_CHECK(topology.ok()) << topology.status().ToString();
+  c->topology = *std::move(topology);
+
+  Snapshot& s = c->snapshot;
+  s.now = Hours(1);
+  s.catalog = &c->catalog;
+  s.topology = &c->topology;
+  s.resources.total_gpus = 24;
+  s.resources.total_cache = dataset_total * 2 / 5;
+  s.resources.remote_io = MBps(300);
+  s.resources.num_servers = 8;
+  if (capped) {
+    s.resources.per_job_remote_cap = MBps(40);
+  }
+  for (int i = 0; i < kJobs; ++i) {
+    const JobSpec& job = c->jobs[static_cast<std::size_t>(i)];
+    JobView view;
+    view.spec = &job;
+    view.remaining_bytes = job.total_bytes / (1 + i % 3);
+    if (i < kRunning) {  // At most 4 GPUs each: both pools hold their share.
+      view.running = true;
+      view.gpu_type = i % 2;
+      view.effective_cache = static_cast<Bytes>(
+          rng.NextDouble() * static_cast<double>(c->catalog.Get(job.dataset).size));
+    }
+    s.jobs.push_back(view);
+  }
+  AnnotateSnapshotSpeeds(&s);
+  return c;
+}
+
+std::string KeyList(const std::map<DatasetId, Bytes>& cache) {
+  std::string out;
+  for (const auto& [id, bytes] : cache) {
+    out += (out.empty() ? "" : ",") + std::to_string(id);
+  }
+  return out;
+}
+
+// Pins the Gavel solve bit-for-bit: plan digests for both fairness
+// objectives, plus the max-min solution's ratio bits and dataset_cache key
+// set (PlanDigest hashes the key set, so a zero entry for a dataset the
+// knapsack never reached is a change).  Recorded from the map-based oracle;
+// any layout change to the solver must reproduce them exactly.
+TEST_F(SchedTest, GavelPlansMatchPinnedDigests) {
+  struct Pinned {
+    std::uint64_t seed;
+    bool capped;
+    std::uint64_t max_min_digest;
+    std::uint64_t finish_time_digest;
+    std::uint64_t rho_bits;
+    const char* cache_keys;
+  };
+  const Pinned kPinned[] = {
+      {1, false, 0x242cc4d00d14db0bULL, 0x774476e4a7d3904ULL, 0x40056339f7495975ULL, "0,1,5"},
+      {1, true, 0x416a2c7418adf86cULL, 0xe757af28865d2209ULL, 0x400049936b6549aeULL, "0,1,2,3,5"},
+      {2, false, 0xa830068fef00195bULL, 0xf29b372d280d19b6ULL, 0x4005628189525d5dULL, "2,4,5"},
+      {2, true, 0x5eef1174c5ace076ULL, 0xdd4c40bb1f531eb2ULL, 0x3fff1d27c921a408ULL, "1,2,3,4,5"},
+      {3, false, 0xc9e2fb5111ed65f8ULL, 0x6ce1271fb5375ff2ULL, 0x40046da102c88ae4ULL, "2,3,4"},
+      {3, true, 0xfee7b09b455b71b7ULL, 0x5f48113aae78b357ULL, 0x3ff9e507bbe7f781ULL, "0,1,2,3,4"},
+  };
+  bool some_dataset_uncached = false;
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE("seed=" + std::to_string(p.seed) + (p.capped ? " capped" : " uncapped"));
+    const std::unique_ptr<GavelCase> c = MakeGavelCase(p.seed, p.capped);
+    GavelScheduler max_min(nullptr, /*silod_aware=*/true);
+    GavelScheduler finish_time(nullptr, /*silod_aware=*/true, /*manage_remote_io=*/true,
+                               GavelObjective::kFinishTimeFairness);
+    const AllocationPlan plan = max_min.Schedule(c->snapshot);
+    ASSERT_TRUE(plan.Validate(c->snapshot.resources).ok());
+    const GavelSolution solution = SolveMaxMinFairness(c->snapshot, plan);
+    std::uint64_t rho_bits = 0;
+    std::memcpy(&rho_bits, &solution.fairness_ratio, sizeof(rho_bits));
+    EXPECT_EQ(PlanDigest(plan), p.max_min_digest);
+    EXPECT_EQ(PlanDigest(finish_time.Schedule(c->snapshot)), p.finish_time_digest);
+    EXPECT_EQ(rho_bits, p.rho_bits);
+    EXPECT_EQ(KeyList(solution.dataset_cache), p.cache_keys);
+
+    // The fixture must keep reaching the branches it exists for.
+    std::map<DatasetId, int> sharers;
+    for (const JobView& view : c->snapshot.jobs) {
+      if (plan.IsRunning(view.spec->id)) {
+        ++sharers[view.spec->dataset];
+        some_dataset_uncached =
+            some_dataset_uncached || solution.dataset_cache.count(view.spec->dataset) == 0;
+      }
+    }
+    EXPECT_TRUE(std::any_of(sharers.begin(), sharers.end(),
+                            [](const auto& entry) { return entry.second > 1; }));
+    EXPECT_TRUE(std::any_of(plan.jobs.begin(), plan.jobs.end(), [](const auto& entry) {
+      return entry.second.running && entry.second.speed != 1.0;
+    }));
+    EXPECT_FALSE(plan.dataset_zone_cache.empty());
+  }
+  EXPECT_TRUE(some_dataset_uncached);
 }
 
 // -------------------------------------------------- Baseline storage plans --

@@ -17,9 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "src/common/framing.h"
 #include "src/common/units.h"
@@ -250,7 +253,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, IdentityHoldsAfterAnySubmitCompleteCancelSequence) {
-  for (const char* policy : {"fifo+silod", "sjf+silod", "fifo+coordl"}) {
+  for (const char* policy : {"fifo+silod", "sjf+silod", "gavel+silod", "fifo+coordl"}) {
     Start(SmallCluster(policy));
     Must(SubmitReq("a", 0, 2, GB(400)));
     ExpectBatchIdentity();
@@ -340,6 +343,69 @@ TEST(ServicePlanning, RejectsNegativeOrNanReplanInterval) {
     ASSERT_FALSE(service.ok()) << interval;
     EXPECT_EQ(StatusCode::kInvalidArgument, service.status().code());
   }
+}
+
+// Bad storage resources are refused at construction: a negative egress would
+// otherwise abort the Gavel solve on the daemon's first submit.
+TEST(ServiceConfigTest, RejectsNegativeOrNonFiniteStorageResources) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ClusterResources> bad;
+  for (const double rate : {-1.0, nan, inf}) {
+    ClusterResources r = SmallCluster("gavel+silod").resources;
+    r.remote_io = rate;
+    bad.push_back(r);
+  }
+  for (const double cap : {-5.0, nan}) {
+    ClusterResources r = SmallCluster("gavel+silod").resources;
+    r.per_job_remote_cap = cap;
+    bad.push_back(r);
+  }
+  bad.push_back(SmallCluster("gavel+silod").resources);
+  bad.back().total_cache = -1;
+  for (const ClusterResources& resources : bad) {
+    ServiceConfig config = SmallCluster("gavel+silod");
+    config.resources = resources;
+    Result<std::unique_ptr<ServiceState>> service = ServiceState::Create(std::move(config));
+    ASSERT_FALSE(service.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, service.status().code());
+  }
+
+  // The tools' flag helper: same rules in flag units, 0 = no per-job cap,
+  // and a refused value leaves the resources untouched.
+  ClusterResources r;
+  ASSERT_TRUE(SetStorageFromFlags(2, 1.6, 0, &r).ok());
+  EXPECT_EQ(r.total_cache, TB(2));
+  EXPECT_EQ(r.remote_io, Gbps(1.6));
+  EXPECT_EQ(r.per_job_remote_cap, kUnlimitedRate);
+  ASSERT_TRUE(SetStorageFromFlags(0, 0, 50, &r).ok());
+  EXPECT_EQ(r.per_job_remote_cap, MBps(50));
+  const ClusterResources before = r;
+  for (const auto& [cache_tb, egress_gbps, cap_mbps] :
+       std::vector<std::tuple<double, double, double>>{{-1, 1, 0},
+                                                       {nan, 1, 0},
+                                                       {inf, 1, 0},
+                                                       {1, -1, 0},
+                                                       {1, nan, 0},
+                                                       {1, inf, 0},
+                                                       {1, 1, -5},
+                                                       {1, 1, nan}}) {
+    const Status st = SetStorageFromFlags(cache_tb, egress_gbps, cap_mbps, &r);
+    EXPECT_EQ(StatusCode::kInvalidArgument, st.code())
+        << cache_tb << " " << egress_gbps << " " << cap_mbps;
+    EXPECT_EQ(r.total_cache, before.total_cache);
+    EXPECT_EQ(r.remote_io, before.remote_io);
+    EXPECT_EQ(r.per_job_remote_cap, before.per_job_remote_cap);
+  }
+
+  // The edge values stay legal: a Gavel daemon with no cache and no egress
+  // plans without aborting.
+  ServiceConfig config = SmallCluster("gavel+silod");
+  config.resources.total_cache = 0;
+  config.resources.remote_io = 0;
+  Result<std::unique_ptr<ServiceState>> service = ServiceState::Create(std::move(config));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_TRUE((*service)->Handle(SubmitReq("a", 0, 2, GB(400))).ok());
 }
 
 TEST_F(ServiceTest, ReloadPolicySwapsSchedulerAndCachePair) {

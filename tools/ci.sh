@@ -10,8 +10,9 @@
 #   tools/ci.sh smoke      # fault-churn benchmark smoke only
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
 #   tools/ci.sh scaling-smoke # fine-engine throughput + bit-identity smoke only
+#   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests only
 #   tools/ci.sh rt-fault-smoke # multi-process worker crash + minidump replay smoke only
-#   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + replay cross-check only
+#   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + fifo/gavel replay cross-checks only
 #   tools/ci.sh serve-crash-smoke # silodd SIGKILL mid-trace + journal recovery + graceful SIGTERM only
 #   tools/ci.sh hetero-smoke # mixed GPU fleet: per-type report partition, uniform-fleet baseline digest, typed silodd replay
 #
@@ -109,6 +110,22 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
 
 fi
 
+if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
+  # Scheduler-solve smoke: Schedule latency per registry policy at 64-4096
+  # active jobs on frozen snapshots.  bench_sched_solve --baseline fails on
+  # any plan digest that differs from the committed BENCH_sched_solve.json
+  # (the solvers' output is pinned bit-for-bit) and on any cell whose p50 is
+  # more than 30% slower than committed in three attempts.
+  echo "=== [solve-smoke] configure ==="
+  cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  echo "=== [solve-smoke] build ==="
+  cmake --build build-ci-smoke -j "$jobs" --target bench_sched_solve
+  echo "=== [solve-smoke] run ==="
+  ./build-ci-smoke/bench/bench_sched_solve \
+      --baseline=BENCH_sched_solve.json --max-regress=0.3 \
+      --out=build-ci-smoke/BENCH_sched_solve.json
+fi
+
 if [[ "$stage" == "all" || "$stage" == "rt-fault-smoke" ]]; then
   # Multi-process worker smoke under ASan: SIGKILL a live worker process
   # mid-run via the fault plan, assert the run completes with correct
@@ -193,6 +210,12 @@ if [[ "$stage" == "all" || "$stage" == "serve-smoke" ]]; then
   rc=0
   ./build-ci-smoke/tools/silodd --socket="$sock" --coalesce-events=-1 2>/dev/null || rc=$?
   [[ "$rc" == 2 ]] || { echo "serve-smoke: --coalesce-events=-1 exited $rc, want 2"; exit 1; }
+  # Bad storage flags are refused at startup too: a negative egress would
+  # otherwise abort the Gavel solve on the first submit.
+  rc=0
+  ./build-ci-smoke/tools/silodd --socket="$sock" --policy=gavel+silod --egress-gbps=-1 \
+      2>/dev/null || rc=$?
+  [[ "$rc" == 2 ]] || { echo "serve-smoke: --egress-gbps=-1 exited $rc, want 2"; exit 1; }
 
   # Replay a trace through a fresh daemon (the report covers every job the
   # daemon ever saw, so the cross-check needs an empty table); --check
@@ -209,6 +232,21 @@ if [[ "$stage" == "all" || "$stage" == "serve-smoke" ]]; then
       > build-ci-smoke/serve_smoke_report.json
   "$client" --socket="$sock" shutdown >/dev/null
   wait "$silodd_pid" || { echo "serve-smoke: replay daemon exited non-zero"; exit 1; }
+  trap - EXIT
+
+  # The same cross-check for the Gavel solver.
+  ./build-ci-smoke/tools/silodd --socket="$sock" --policy=gavel+silod \
+      --gpus=8 --cache-tb=2 --egress-gbps=1.6 --max-gpu-load=1e18 &
+  silodd_pid=$!
+  trap 'kill "$silodd_pid" 2>/dev/null || true' EXIT
+  for _ in $(seq 50); do [[ -S "$sock" ]] && break; sleep 0.1; done
+  [[ -S "$sock" ]] || { echo "serve-smoke: gavel daemon never bound $sock"; exit 1; }
+  "$client" --socket="$sock" --serve-trace --check --jobs=25 --seed=3 \
+      --policy=gavel+silod --gpus=8 --cache-tb=2 --egress-gbps=1.6 \
+      > build-ci-smoke/serve_smoke_gavel_report.json \
+      || { echo "serve-smoke: gavel daemon diverged from the batch engine"; exit 1; }
+  "$client" --socket="$sock" shutdown >/dev/null
+  wait "$silodd_pid" || { echo "serve-smoke: gavel daemon exited non-zero"; exit 1; }
   trap - EXIT
 fi
 

@@ -220,10 +220,12 @@ int main(int argc, char** argv) {
   }
   config.scheduler_options.manage_remote_io = flags.GetBool("manage-remote-io");
   config.sim.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
-  config.sim.resources.total_cache = TB(flags.GetDouble("cache-tb"));
-  config.sim.resources.remote_io = Gbps(flags.GetDouble("egress-gbps"));
-  if (flags.GetDouble("per-job-cap-mbps") > 0) {
-    config.sim.resources.per_job_remote_cap = MBps(flags.GetDouble("per-job-cap-mbps"));
+  if (const Status st = SetStorageFromFlags(flags.GetDouble("cache-tb"),
+                                            flags.GetDouble("egress-gbps"),
+                                            flags.GetDouble("per-job-cap-mbps"), &config.sim.resources);
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
   }
   config.sim.resources.num_servers = static_cast<int>(flags.GetInt("servers"));
   const std::string engine_name = flags.GetString("engine");

@@ -95,10 +95,12 @@ int main(int argc, char** argv) {
   config.policy = flags.GetString("policy");
   config.scheduler.manage_remote_io = flags.GetBool("manage-remote-io");
   config.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
-  config.resources.total_cache = TB(flags.GetDouble("cache-tb"));
-  config.resources.remote_io = Gbps(flags.GetDouble("egress-gbps"));
-  if (flags.GetDouble("per-job-cap-mbps") > 0) {
-    config.resources.per_job_remote_cap = MBps(flags.GetDouble("per-job-cap-mbps"));
+  if (const Status st = SetStorageFromFlags(flags.GetDouble("cache-tb"),
+                                            flags.GetDouble("egress-gbps"),
+                                            flags.GetDouble("per-job-cap-mbps"), &config.resources);
+      !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
   }
   config.resources.num_servers = static_cast<int>(flags.GetInt("servers"));
   if (!flags.GetString("topology").empty()) {
