@@ -41,18 +41,7 @@ RunReport MakeRtRunReport(std::string label, const RtResult& result) {
   }
   FillJctSummary(samples, &report.jct);
   report.makespan_min = result.makespan / 60.0;
-  report.faults.server_crashes = result.server_crashes;
-  report.faults.server_recoveries = result.server_recoveries;
-  report.faults.degrade_windows = result.degrade_windows;
-  report.faults.dm_restarts = result.dm_restarts;
-  report.faults.worker_crashes = result.worker_crashes;
-  report.faults.worker_restarts = result.worker_restarts;
-  report.faults.ignored_events = result.ignored_faults;
-  report.faults.blocks_lost = result.blocks_lost;
-  report.faults.bytes_lost = static_cast<double>(result.bytes_lost);
-  report.faults.blocks_lost_by_zone = result.blocks_lost_by_zone;
-  report.faults.blocks_refetched = result.blocks_refetched;
-  report.faults.compute_lost = result.compute_lost;
+  report.faults = result.faults;
   report.AddExtra("timed_out", result.timed_out);
   report.AddExtra("remote_retries", static_cast<double>(result.remote_retries));
   report.AddExtra("worker_respawns", static_cast<double>(result.worker_respawns));
@@ -572,7 +561,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
     case FaultKind::kRemoteDegrade:
       remote_.SetFault(event.severity, event.error_rate);
       if (event.severity < 1.0 || event.error_rate > 0) {
-        ++degrade_windows_;
+        ++fault_stats_.degrade_windows;
       }
       if (recorder_ != nullptr) {
         recorder_->Note("degrade factor=" + std::to_string(event.severity) +
@@ -611,7 +600,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       }
       const Status st = RestoreDataManager(snapshot, trace_->catalog, &manager_);
       SILOD_CHECK(st.ok()) << "Data Manager restore failed: " << st.ToString();
-      ++dm_restarts_;
+      ++fault_stats_.dm_restarts;
       if (recorder_ != nullptr) {
         std::string dead = "-";
         if (!dead_shards.empty()) {
@@ -649,15 +638,16 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       for (const Dataset& dataset : trace_->catalog.all()) {
         after += manager_.CachedBytes(dataset.id);
       }
-      blocks_lost_ += lost;
-      bytes_lost_ += before - after;
+      fault_stats_.blocks_lost += lost;
+      fault_stats_.bytes_lost += static_cast<double>(before - after);
       if (!topology_.empty() && lost > 0) {
         const int zone = topology_.ZoneOf(event.target);
         if (zone >= 0) {
-          blocks_lost_by_zone_[topology_.zones()[static_cast<std::size_t>(zone)].name] += lost;
+          const std::string& name = topology_.zones()[static_cast<std::size_t>(zone)].name;
+          fault_stats_.blocks_lost_by_zone[name] += lost;
         }
       }
-      ++server_crashes_;
+      ++fault_stats_.server_crashes;
       if (recorder_ != nullptr) {
         recorder_->RecordFault("server-crash " + std::to_string(event.target));
       }
@@ -674,7 +664,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
         recorder_->MaybeRebase(manager_);
       }
       manager_.RecoverShard(event.target);  // Rejoins empty, refills on misses.
-      ++server_recoveries_;
+      ++fault_stats_.server_recoveries;
       if (recorder_ != nullptr) {
         recorder_->RecordFault("server-recover " + std::to_string(event.target));
       }
@@ -688,7 +678,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
         return;
       }
       job->crashed.store(true);
-      worker_crashes_.fetch_add(1);
+      ++fault_stats_.worker_crashes;
       if (recorder_ != nullptr) {
         recorder_->Note("worker-crash job=" + std::to_string(event.target));
       }
@@ -708,7 +698,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
         ++ignored_by_kind_[event.kind];
         return;
       }
-      worker_restarts_.fetch_add(1);
+      ++fault_stats_.worker_restarts;
       if (recorder_ != nullptr) {
         recorder_->Note("worker-restart job=" + std::to_string(event.target));
       }
@@ -798,13 +788,11 @@ void RtCluster::SchedulerLoop() {
     ScheduleOnce();
     SleepSeconds(options_.reschedule_period);
   }
-  if (!injector_.exhausted()) {
-    // Events scheduled past the end of the run: nothing left to act on.
-    due_faults_.clear();
-    injector_.PopDue(kInfiniteTime, &due_faults_);
-    for (const FaultEvent& event : due_faults_) {
-      ++ignored_by_kind_[event.kind];
-    }
+  // Events scheduled past the end of the run: nothing left to act on.
+  due_faults_.clear();
+  injector_.PopDue(kInfiniteTime, &due_faults_);
+  for (const FaultEvent& event : due_faults_) {
+    ++ignored_by_kind_[event.kind];
   }
 }
 
@@ -861,19 +849,11 @@ RtResult RtCluster::Run() {
     scheduler_thread.join();
   }
 
-  result.dm_restarts = dm_restarts_;
-  result.degrade_windows = degrade_windows_;
-  result.server_crashes = server_crashes_;
-  result.server_recoveries = server_recoveries_;
-  result.worker_crashes = worker_crashes_.load();
-  result.worker_restarts = worker_restarts_.load();
+  result.faults = fault_stats_;
   result.worker_respawns = worker_respawns_.load();
-  result.blocks_lost = blocks_lost_;
-  result.bytes_lost = bytes_lost_;
-  result.blocks_lost_by_zone = blocks_lost_by_zone_;
   result.ignored_by_kind = ignored_by_kind_;
   for (const auto& [kind, count] : ignored_by_kind_) {
-    result.ignored_faults += count;
+    result.faults.ignored_events += count;
   }
   for (const auto& job : jobs_) {
     RtJobResult r;
@@ -888,7 +868,7 @@ RtResult RtCluster::Run() {
     r.remote_retries = job->remote_retries.load();
     r.blocks_refetched = job->refetched;
     result.remote_retries += r.remote_retries;
-    result.blocks_refetched += r.blocks_refetched;
+    result.faults.blocks_refetched += r.blocks_refetched;
     if (r.completed) {
       result.makespan = std::max(result.makespan, r.finish);
       // The completion invariant: every fetched block is a hit or a miss,
@@ -908,7 +888,7 @@ RtResult RtCluster::Run() {
   }
   {
     std::lock_guard<std::mutex> lock(forensics_mu_);
-    result.compute_lost = compute_lost_;
+    result.faults.compute_lost = compute_lost_;
     result.minidump_paths = minidump_paths_;
   }
   std::sort(result.jobs.begin(), result.jobs.end(),

@@ -81,7 +81,7 @@ struct RtOptions {
   // Failure domains of the cache shards (common/topology.h).  Empty =
   // zone-oblivious.  When set it is threaded into the scheduler's Snapshot,
   // the Data Manager routes spread datasets zone-proportionally, and shard
-  // crashes are attributed per zone in RtResult::blocks_lost_by_zone.
+  // crashes are attributed per zone in RtResult::faults.blocks_lost_by_zone.
   ClusterTopology topology;
 
   // What a worker crash discards (fault/restart_cost.h).  The rt runtime
@@ -140,26 +140,15 @@ struct RtResult {
   int unfinished_jobs = 0;
   bool timed_out = false;
 
-  // Fault accounting (RtOptions::faults).
-  int dm_restarts = 0;
-  int degrade_windows = 0;
-  int server_crashes = 0;
-  int server_recoveries = 0;
-  int worker_crashes = 0;
-  int worker_restarts = 0;
+  // Fault accounting (RtOptions::faults).  Losses are shard-crash drops and
+  // ignored_events sums ignored_by_kind; bytes_refetched and windows stay
+  // empty (whole-block re-reads; degrade windows are only counted).
+  FaultStats faults;
+  // Events this runtime could not act on, by kind (targets that are out of
+  // range / in the wrong state).
+  std::map<FaultKind, int> ignored_by_kind;
   // Workers respawned after an unexpected exit (not injected crashes).
   int worker_respawns = 0;
-  std::int64_t blocks_lost = 0;  // Resident blocks dropped by shard crashes.
-  Bytes bytes_lost = 0;          // Resident bytes dropped by shard crashes.
-  // Blocks lost per failure domain (RtOptions::topology); empty without one.
-  std::map<std::string, std::int64_t> blocks_lost_by_zone;
-  // RestartCost accounting, summed over jobs.
-  std::int64_t blocks_refetched = 0;
-  double compute_lost = 0;  // Discarded staged compute, in seconds.
-  // Events this runtime could not act on, by kind (targets that are out of
-  // range / in the wrong state).  ignored_faults is the sum.
-  std::map<FaultKind, int> ignored_by_kind;
-  int ignored_faults = 0;
   std::int64_t remote_retries = 0;
   // Minidumps written during the run (empty unless minidump_dir is set).
   std::vector<std::string> minidump_paths;
@@ -291,26 +280,17 @@ class RtCluster : private NodeManager::Host {
   int dump_counter_ = 0;
   double compute_lost_ = 0;
 
-  // Worker-fault counters; touched by the scheduler thread and (process
-  // mode) handler threads.
-  std::atomic<int> worker_crashes_{0};
-  std::atomic<int> worker_restarts_{0};
+  // Touched by the (process mode) handler threads.
   std::atomic<int> worker_respawns_{0};
 
   // Fault state: owned by the scheduler thread; the counters are read by
-  // Run() only after it joins that thread.
+  // Run() only after it joins that thread.  Liveness is the shards' own.
   FaultInjector injector_;
   std::vector<FaultEvent> due_faults_;
   DataManagerSnapshot last_snapshot_;
   bool have_snapshot_ = false;
   Seconds next_snapshot_ = 0;
-  int dm_restarts_ = 0;
-  int degrade_windows_ = 0;
-  int server_crashes_ = 0;
-  int server_recoveries_ = 0;
-  std::int64_t blocks_lost_ = 0;
-  Bytes bytes_lost_ = 0;
-  std::map<std::string, std::int64_t> blocks_lost_by_zone_;
+  FaultStats fault_stats_;  // Everything but compute_lost and blocks_refetched.
   ClusterTopology topology_;  // Cover()ed copy of RtOptions::topology.
   std::map<FaultKind, int> ignored_by_kind_;
 };

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/restart_cost.h"
@@ -11,6 +12,8 @@
 #include "src/storage/fabric.h"
 
 namespace silod {
+
+struct Trace;
 
 struct SimConfig {
   ClusterResources resources;
@@ -45,6 +48,16 @@ struct SimConfig {
   // and charge crashes the crashed zone's share of each spread dataset.
   ClusterTopology topology;
 };
+
+// What every engine requires: a non-empty trace with dense job ids and known
+// datasets, zones within the servers, typed-GPU counts summing to the
+// cluster's GPUs, and no gang wider than the cluster or the widest type pool
+// (it would wait forever).  InvalidArgument names the first violation.
+Status ValidateSimInputs(const Trace& trace, const SimConfig& config);
+
+// The engines' constructor preamble: SILOD_CHECKs ValidateSimInputs and
+// Cover()s a declared topology (uncovered servers become singleton zones).
+SimConfig PrepareSimConfig(const Trace* trace, SimConfig config);
 
 // The paper's evaluated cluster scales (Table 5): GPUs, per-scale remote IO
 // limit and a cache pool (1 TB SSD per 4-GPU server in the micro-benchmark;

@@ -20,33 +20,17 @@ constexpr double kTimeEps = 1e-9;
 
 FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config, FineEngineOptions options)
-    : trace_(trace), scheduler_(std::move(scheduler)), config_(config), options_(options),
-      cache_manager_(config.resources.total_cache, config.seed ^ 0xCACE),
-      rng_(config.seed), injector_(config.faults), base_resources_(config.resources),
-      server_alive_(static_cast<std::size_t>(config.resources.num_servers), true),
-      alive_servers_(config.resources.num_servers) {
-  SILOD_CHECK(trace_ != nullptr) << "trace required";
+    : trace_(trace), scheduler_(std::move(scheduler)),
+      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_), options_(options),
+      cache_manager_(config_.resources.total_cache, config_.seed ^ 0xCACE), rng_(config_.seed) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
   SILOD_CHECK(options_.prefetch_window >= 1) << "prefetch window must be >= 1";
 
   const StorageFabric fabric{config_.fabric};
   fabric_rate_ = fabric.PerServerCacheReadRate(config_.resources.num_servers);
 
-  if (!config_.topology.empty()) {
-    const Status in_range = config_.topology.Validate(config_.resources.num_servers);
-    SILOD_CHECK(in_range.ok()) << in_range.ToString();
-    // Uncovered servers are independent singleton failure domains.
-    config_.topology = config_.topology.Cover(config_.resources.num_servers);
-    zone_alive_.reserve(config_.topology.zones().size());
-    for (const TopologyZone& zone : config_.topology.zones()) {
-      zone_alive_.push_back(zone.size());
-    }
-  }
-
   jobs_.resize(trace_->jobs.size());
   for (const JobSpec& spec : trace_->jobs) {
-    SILOD_CHECK(spec.id >= 0 && static_cast<std::size_t>(spec.id) < jobs_.size())
-        << "job ids must be dense";
     JobState& s = jobs_[static_cast<std::size_t>(spec.id)];
     s.spec = &spec;
     const Dataset& d = trace_->catalog.Get(spec.dataset);
@@ -54,21 +38,6 @@ FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
         std::max<std::int64_t>(1, (spec.total_bytes + d.block_size / 2) / d.block_size);
     s.rng = Rng(config_.seed ^ (0x9E37ULL * static_cast<std::uint64_t>(spec.id) + 1));
     metrics_.OnSubmit(spec);
-  }
-  if (config_.topology.has_gpu_types()) {
-    SILOD_CHECK(config_.topology.TotalTypedGpus() == config_.resources.total_gpus)
-        << "gpu-type counts sum to " << config_.topology.TotalTypedGpus() << " but the cluster has "
-        << config_.resources.total_gpus << " GPUs";
-    int widest = 0;
-    for (const GpuTypeSpec& t : config_.topology.gpu_types()) {
-      widest = std::max(widest, t.count);
-    }
-    // Gangs never span types: a job wider than every pool would wait forever.
-    for (const JobSpec& spec : trace_->jobs) {
-      SILOD_CHECK(spec.num_gpus <= widest)
-          << "job " << spec.id << " needs " << spec.num_gpus
-          << " GPUs but the widest gpu-type pool has " << widest;
-    }
   }
   calendar_.Reset(jobs_.size());
 }
@@ -121,7 +90,7 @@ void FineEngine::LeaveMissSet(JobState& s) {
 Snapshot FineEngine::BuildSnapshot(Seconds now) {
   Snapshot snap;
   snap.now = now;
-  snap.resources = config_.resources;
+  snap.resources = faults_.resources();
   snap.catalog = &trace_->catalog;
   if (!config_.topology.empty() || config_.topology.has_gpu_types()) {
     snap.topology = &config_.topology;
@@ -187,15 +156,15 @@ void FineEngine::Reschedule(Seconds now) {
     return;
   }
   plan_ = scheduler_->Schedule(snap);
-  const Status valid = plan_.Validate(config_.resources);
+  const Status valid = plan_.Validate(faults_.resources());
   SILOD_CHECK(valid.ok()) << "invalid plan from " << scheduler_->name() << ": "
                           << valid.ToString();
 
   if (shared_pool_ == nullptr) {
     if (plan_.cache_model == CacheModelKind::kSharedLru) {
-      shared_pool_ = std::make_unique<LruItemCache>(config_.resources.total_cache);
+      shared_pool_ = std::make_unique<LruItemCache>(faults_.resources().total_cache);
     } else if (plan_.cache_model == CacheModelKind::kSharedLfu) {
-      shared_pool_ = std::make_unique<LfuItemCache>(config_.resources.total_cache);
+      shared_pool_ = std::make_unique<LfuItemCache>(faults_.resources().total_cache);
     }
   }
 
@@ -383,8 +352,7 @@ void FineEngine::OnFetchComplete(JobState& s, Seconds now) {
   const Dataset& d = trace_->catalog.Get(s.spec->dataset);
   const Bytes bytes = d.BlockBytes(s.current_block);
   if (s.phase == Phase::kMissFetch) {
-    CacheAdmit(s, s.current_block);
-    LeaveMissSet(s);
+    LeaveMissSet(s);  // CacheAccess already admitted the block.
   }
   s.compute_finish = std::max(s.compute_finish, now) +
                      static_cast<double>(bytes) / EffectiveIdeal(s.spec->ideal_io, s.speed);
@@ -392,14 +360,6 @@ void FineEngine::OnFetchComplete(JobState& s, Seconds now) {
   ++s.epoch_fetched;
   s.current_block = -1;
   StartNextFetch(s, now);
-}
-
-void FineEngine::CacheAdmit(JobState& s, std::int64_t block) {
-  // Admission already happened inside CacheAccess for every model (uniform
-  // quota admission is part of CacheManager::AccessBlock; LRU/private caches
-  // admit on miss).  Kept as a separate hook for clarity and future policies.
-  (void)s;
-  (void)block;
 }
 
 // Recomputes the max-min fluid rates over the miss set, then settles and
@@ -415,10 +375,10 @@ void FineEngine::RecomputeFlows(Seconds now) {
   caps.reserve(miss_jobs_.size());
   for (const std::int32_t id : miss_jobs_) {
     caps.push_back(std::min(jobs_[static_cast<std::size_t>(id)].throttle,
-                            config_.resources.per_job_remote_cap));
+                            faults_.resources().per_job_remote_cap));
   }
   const std::vector<BytesPerSec> rates =
-      MaxMinShare(demands, caps, config_.resources.remote_io);
+      MaxMinShare(demands, caps, faults_.resources().remote_io);
   for (std::size_t i = 0; i < miss_jobs_.size(); ++i) {
     JobState& s = jobs_[static_cast<std::size_t>(miss_jobs_[i])];
     if (rates[i] == s.flow_rate) {
@@ -453,7 +413,7 @@ void FineEngine::RecordMetrics(Seconds now) {
   // count; hoisting it replaces a full Snapshot build plus a per-job resource
   // walk with one O(1) evaluation per running job (bit-identical results).
   const EqualShareParams eq_params =
-      MakeEqualShareParams(config_.resources, std::max(1, n_running));
+      MakeEqualShareParams(faults_.resources(), std::max(1, n_running));
   for (const JobId id : active_) {
     JobState& s = jobs_[static_cast<std::size_t>(id)];
     if (!s.running || s.finished) {
@@ -488,18 +448,15 @@ void FineEngine::RecordMetrics(Seconds now) {
 }
 
 void FineEngine::ResizeCachePool(double evict_fraction, bool evict_quota_caches) {
-  config_.resources.total_cache = base_resources_.total_cache *
-                                  static_cast<Bytes>(alive_servers_) /
-                                  static_cast<Bytes>(base_resources_.num_servers);
-  config_.resources.num_servers = std::max(1, alive_servers_);
+  const Bytes total_cache = faults_.resources().total_cache;
   const StorageFabric fabric{config_.fabric};
-  fabric_rate_ = fabric.PerServerCacheReadRate(config_.resources.num_servers);
+  fabric_rate_ = fabric.PerServerCacheReadRate(faults_.resources().num_servers);
   if (evict_fraction > 0) {
+    FaultStats& stats = faults_.stats();
     if (evict_quota_caches) {
       Bytes quota_bytes = 0;
-      fault_stats_.blocks_lost +=
-          cache_manager_.EvictRandomFraction(evict_fraction, &quota_bytes);
-      fault_stats_.bytes_lost += static_cast<double>(quota_bytes);
+      stats.blocks_lost += cache_manager_.EvictRandomFraction(evict_fraction, &quota_bytes);
+      stats.bytes_lost += static_cast<double>(quota_bytes);
     }
     // Shared and per-job private caches live on the same servers: shed the
     // crashed share by shrinking to the surviving bytes and restoring the
@@ -515,9 +472,8 @@ void FineEngine::ResizeCachePool(double evict_fraction, bool evict_quota_caches)
           static_cast<double>(item_cache->used_bytes()) * (1.0 - evict_fraction));
       item_cache->SetCapacity(surviving, &rng_);
       item_cache->SetCapacity(policy_capacity, &rng_);
-      fault_stats_.blocks_lost +=
-          static_cast<std::int64_t>(before - item_cache->item_count());
-      fault_stats_.bytes_lost += static_cast<double>(used_before - item_cache->used_bytes());
+      stats.blocks_lost += static_cast<std::int64_t>(before - item_cache->item_count());
+      stats.bytes_lost += static_cast<double>(used_before - item_cache->used_bytes());
     };
     shed(shared_pool_.get());
     for (JobState& s : jobs_) {
@@ -526,127 +482,82 @@ void FineEngine::ResizeCachePool(double evict_fraction, bool evict_quota_caches)
   }
   // Quotas may transiently exceed the shrunken pool; the reschedule this
   // fault triggers re-plans within it (shrinks apply before grows).
-  cache_manager_.SetTotalCapacity(config_.resources.total_cache);
+  cache_manager_.SetTotalCapacity(total_cache);
   if (shared_pool_ != nullptr) {
-    shared_pool_->SetCapacity(config_.resources.total_cache, &rng_);
+    shared_pool_->SetCapacity(total_cache, &rng_);
   }
 }
 
-void FineEngine::CloseDegradeWindow(Seconds end) {
-  FaultStats::Window window;
-  window.label = "degrade";
-  window.start = degrade_start_;
-  window.end = end;
-  // avg_throughput is filled in after Finalize, when the series is complete.
-  fault_stats_.windows.push_back(std::move(window));
-  degrade_start_ = -1;
-}
-
 void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
+  FaultStats& stats = faults_.stats();
   switch (event.kind) {
     case FaultKind::kCacheServerCrash: {
-      if (event.target < 0 || event.target >= base_resources_.num_servers ||
-          !server_alive_[static_cast<std::size_t>(event.target)]) {
-        ++fault_stats_.ignored_events;
+      const std::optional<ClusterFaultState::ServerCrash> crash =
+          faults_.CrashServer(event.target);
+      if (!crash) {
         return;
       }
-      const int prev_alive = alive_servers_;
-      server_alive_[static_cast<std::size_t>(event.target)] = false;
-      --alive_servers_;
-      ++fault_stats_.server_crashes;
-      int zone = -1;
-      int prev_zone_alive = 0;
-      if (!config_.topology.empty()) {
-        zone = config_.topology.ZoneOf(event.target);
-        if (zone >= 0 && zone_alive_[static_cast<std::size_t>(zone)] > 0) {
-          prev_zone_alive = zone_alive_[static_cast<std::size_t>(zone)];
-          --zone_alive_[static_cast<std::size_t>(zone)];
-        }
-      }
-      const std::int64_t blocks_before = fault_stats_.blocks_lost;
-      const bool spread = prev_zone_alive > 0 && !plan_.dataset_zone_cache.empty() &&
+      const std::int64_t blocks_before = stats.blocks_lost;
+      const bool spread = crash->prev_zone_alive > 0 && !plan_.dataset_zone_cache.empty() &&
                           plan_.cache_model == CacheModelKind::kDatasetQuota;
       if (spread) {
         // Zone-aware placement: a dataset loses the crashed member's slice of
         // its share in this zone — (share_z / quota) / alive_in_z of its
         // residents — instead of the pool-uniform 1/prev_alive share.
+        const auto zone = static_cast<std::size_t>(crash->zone);
         for (const Dataset& dataset : trace_->catalog.all()) {
-          double fraction = 1.0 / prev_alive;
+          double fraction = 1.0 / crash->prev_alive;
           auto it = plan_.dataset_zone_cache.find(dataset.id);
-          if (it != plan_.dataset_zone_cache.end() &&
-              static_cast<std::size_t>(zone) < it->second.size()) {
+          if (it != plan_.dataset_zone_cache.end() && zone < it->second.size()) {
             Bytes quota_total = 0;
             for (Bytes share : it->second) {
               quota_total += share;
             }
-            fraction = quota_total > 0
-                           ? static_cast<double>(it->second[static_cast<std::size_t>(zone)]) /
-                                 static_cast<double>(quota_total) / prev_zone_alive
-                           : 0.0;
+            fraction = quota_total > 0 ? static_cast<double>(it->second[zone]) /
+                                             static_cast<double>(quota_total) /
+                                             crash->prev_zone_alive
+                                       : 0.0;
           }
           if (fraction <= 0) {
             continue;
           }
           Bytes bytes = 0;
-          fault_stats_.blocks_lost += cache_manager_.EvictDatasetFraction(
-              dataset.id, std::min(1.0, fraction), &bytes);
-          fault_stats_.bytes_lost += static_cast<double>(bytes);
+          stats.blocks_lost +=
+              cache_manager_.EvictDatasetFraction(dataset.id, std::min(1.0, fraction), &bytes);
+          stats.bytes_lost += static_cast<double>(bytes);
         }
       }
       // Uniform placement: each alive server held ~1/prev_alive of the pool.
-      ResizeCachePool(1.0 / prev_alive, /*evict_quota_caches=*/!spread);
-      if (zone >= 0) {
-        const std::int64_t zone_blocks = fault_stats_.blocks_lost - blocks_before;
+      ResizeCachePool(1.0 / crash->prev_alive, /*evict_quota_caches=*/!spread);
+      if (crash->zone >= 0) {
+        const std::int64_t zone_blocks = stats.blocks_lost - blocks_before;
         if (zone_blocks > 0) {
-          fault_stats_.blocks_lost_by_zone
-              [config_.topology.zones()[static_cast<std::size_t>(zone)].name] += zone_blocks;
+          stats.blocks_lost_by_zone
+              [config_.topology.zones()[static_cast<std::size_t>(crash->zone)].name] +=
+              zone_blocks;
         }
       }
       return;
     }
-    case FaultKind::kCacheServerRecover: {
-      if (event.target < 0 || event.target >= base_resources_.num_servers ||
-          server_alive_[static_cast<std::size_t>(event.target)]) {
-        ++fault_stats_.ignored_events;
-        return;
-      }
-      server_alive_[static_cast<std::size_t>(event.target)] = true;
-      ++alive_servers_;
-      if (!config_.topology.empty()) {
-        const int zone = config_.topology.ZoneOf(event.target);
-        if (zone >= 0) {
-          ++zone_alive_[static_cast<std::size_t>(zone)];
-        }
-      }
-      ++fault_stats_.server_recoveries;
-      ResizeCachePool(0.0);  // Rejoins empty; refills through misses.
-      return;
-    }
-    case FaultKind::kRemoteDegrade: {
-      // Virtual-time reads retry instantly, so transient errors show up as
-      // egress attempts that transferred nothing: fold them into the rate.
-      config_.resources.remote_io =
-          base_resources_.remote_io * event.severity * (1.0 - event.error_rate);
-      if (degrade_start_ >= 0) {
-        CloseDegradeWindow(now);
-      }
-      if (event.severity < 1.0 || event.error_rate > 0) {
-        degrade_start_ = now;
-        ++fault_stats_.degrade_windows;
+    case FaultKind::kCacheServerRecover:
+      if (faults_.RecoverServer(event.target)) {
+        ResizeCachePool(0.0);  // Rejoins empty; refills through misses.
       }
       return;
-    }
+    case FaultKind::kRemoteDegrade:
+      faults_.Degrade(event, now);
+      return;
     case FaultKind::kWorkerCrash: {
       if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size()) {
-        ++fault_stats_.ignored_events;
+        ++stats.ignored_events;
         return;
       }
       JobState& s = jobs_[static_cast<std::size_t>(event.target)];
       if (!s.arrived || s.finished || s.crashed || !s.running) {
-        ++fault_stats_.ignored_events;  // Queued jobs have no worker to crash.
+        ++stats.ignored_events;  // Queued jobs have no worker to crash.
         return;
       }
-      ++fault_stats_.worker_crashes;
+      ++stats.worker_crashes;
       const double staged = std::max(0.0, s.compute_finish - now);
       // What the crash discards is the RestartCost policy's call: by default
       // everything is checkpointed and the staged compute freezes; otherwise
@@ -674,8 +585,8 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
             std::min(staged, static_cast<double>(lost) * static_cast<double>(d.block_size) /
                                  EffectiveIdeal(s.spec->ideal_io, s.speed));
         s.blocks_fetched -= lost;
-        fault_stats_.blocks_refetched += lost;
-        fault_stats_.compute_lost += lost_compute;
+        stats.blocks_refetched += lost;
+        stats.compute_lost += lost_compute;
         s.compute_backlog = staged - lost_compute;
       } else {
         s.compute_backlog = staged;
@@ -702,16 +613,16 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
     case FaultKind::kWorkerRestart: {
       if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size() ||
           !jobs_[static_cast<std::size_t>(event.target)].crashed) {
-        ++fault_stats_.ignored_events;
+        ++stats.ignored_events;
         return;
       }
       jobs_[static_cast<std::size_t>(event.target)].crashed = false;
       ActivateJob(static_cast<JobId>(event.target));
-      ++fault_stats_.worker_restarts;
+      ++stats.worker_restarts;
       return;  // The reschedule this triggers re-admits it via the start path.
     }
     case FaultKind::kDataManagerRestart: {
-      ++fault_stats_.dm_restarts;
+      ++stats.dm_restarts;
       if (plan_.cache_model != CacheModelKind::kDatasetQuota) {
         return;  // Shared/private caches have no Data Manager state to lose.
       }
@@ -724,7 +635,7 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       CacheManager fresh(boot_capacity,
                          config_.seed ^ 0xCACE ^
                              (0x9E3779B97F4A7C15ULL *
-                              static_cast<std::uint64_t>(fault_stats_.dm_restarts)));
+                              static_cast<std::uint64_t>(stats.dm_restarts)));
       const Status st = RestoreCacheManager(snapshot, trace_->catalog, &fresh);
       SILOD_CHECK(st.ok()) << "Data Manager restore failed: " << st.ToString();
       fresh.SetTotalCapacity(capacity);
@@ -838,7 +749,7 @@ SimResult FineEngine::Run() {
     // metrics sample, the next injected fault, and the per-job calendar.
     // Absolute times throughout so both stepping paths jump to exactly the
     // same instants.
-    Seconds next_event = std::min({next_tick, next_sample, injector_.NextTime()});
+    Seconds next_event = std::min({next_tick, next_sample, faults_.NextTime()});
     if (next_arrival < arrivals.size()) {
       next_event = std::min(
           next_event, trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])].submit_time);
@@ -864,10 +775,8 @@ SimResult FineEngine::Run() {
     // Inject faults before firing job events so a crash at the same instant
     // as a fetch completion takes effect first on both stepping paths.  Every
     // fault is a scheduling event: the plan is recomputed immediately.
-    if (injector_.NextTime() <= t + kTimeEps) {
-      due_faults_.clear();
-      injector_.PopDue(t + kTimeEps, &due_faults_);
-      for (const FaultEvent& event : due_faults_) {
+    if (faults_.NextTime() <= t + kTimeEps) {
+      for (const FaultEvent& event : faults_.PopDue(t + kTimeEps)) {
         ApplyFault(event, t);
       }
       need_resched = true;
@@ -906,20 +815,9 @@ SimResult FineEngine::Run() {
     }
   }
   RecordMetrics(t);
-  if (degrade_start_ >= 0) {
-    CloseDegradeWindow(t);
-  }
-  if (!injector_.exhausted()) {
-    due_faults_.clear();
-    injector_.PopDue(kInfiniteTime, &due_faults_);
-    fault_stats_.ignored_events += static_cast<int>(due_faults_.size());
-  }
   SimResult result = metrics_.Finalize();
   result.steps = counters_;
-  for (FaultStats::Window& window : fault_stats_.windows) {
-    window.avg_throughput = result.total_throughput.TimeAverage(window.start, window.end);
-  }
-  result.faults = fault_stats_;
+  result.faults = faults_.Finish(t, result.total_throughput);
   return result;
 }
 

@@ -24,9 +24,9 @@
 #include "src/cache/cache_manager.h"
 #include "src/cache/item_cache.h"
 #include "src/common/rng.h"
-#include "src/fault/fault_injector.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
+#include "src/sim/cluster_fault_state.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
 #include "src/workload/curriculum.h"
@@ -128,20 +128,18 @@ class FineEngine {
   void BeginEpoch(JobState& s);
   std::int64_t NextBlock(JobState& s);
   bool CacheAccess(JobState& s, std::int64_t block);  // True on hit.
-  void CacheAdmit(JobState& s, std::int64_t block);
   void RecordMetrics(Seconds now);
   Bytes EffectiveBytesFor(const JobState& s);
 
-  // Fault plumbing (SimConfig::faults): events fire from the main event loop
-  // and each one triggers an immediate reschedule.
+  // Fault events fire from the main event loop and each one triggers an
+  // immediate reschedule; faults_ applies the cluster effect, this the loss.
   void ApplyFault(const FaultEvent& event, Seconds now);
-  // Re-derives pool capacity, server count and fabric rate from the alive-server
-  // set; evict_fraction > 0 additionally drops that share of resident blocks
-  // (the crashed server's contents).  When a zone-aware crash already charged
-  // the dataset-quota caches per zone share, evict_quota_caches=false skips
-  // the uniform pass over them (shared/private pools still shed uniformly).
+  // Re-sizes the caches and the fabric rate to the effective resources;
+  // evict_fraction > 0 additionally drops that share of resident blocks (the
+  // crashed server's contents).  When a zone-aware crash already charged the
+  // dataset-quota caches per zone share, evict_quota_caches=false skips the
+  // uniform pass over them (shared/private pools still shed uniformly).
   void ResizeCachePool(double evict_fraction, bool evict_quota_caches = true);
-  void CloseDegradeWindow(Seconds end);
 
   // Event-calendar plumbing (no-ops on the calendar under use_linear_scan).
   void SetJobEvent(JobState& s, Seconds t);
@@ -151,7 +149,8 @@ class FineEngine {
 
   const Trace* trace_;
   std::shared_ptr<Scheduler> scheduler_;
-  SimConfig config_;
+  SimConfig config_;  // Topology covered; resources nominal (see faults_).
+  ClusterFaultState faults_;
   FineEngineOptions options_;
 
   std::vector<JobState> jobs_;
@@ -177,15 +176,6 @@ class FineEngine {
   std::vector<std::int32_t> due_;            // Scratch: keys due this step.
   bool flows_dirty_ = true;                  // Miss set or throttles changed.
   EngineStepCounters counters_;
-
-  FaultInjector injector_;                   // Cursor over SimConfig::faults.
-  ClusterResources base_resources_;          // Nominal (no-fault) resources.
-  std::vector<bool> server_alive_;
-  int alive_servers_ = 0;
-  std::vector<int> zone_alive_;              // Alive members per topology zone.
-  Seconds degrade_start_ = -1;               // Open degrade window, -1 if none.
-  FaultStats fault_stats_;
-  std::vector<FaultEvent> due_faults_;       // Scratch.
 };
 
 }  // namespace silod

@@ -21,70 +21,29 @@ constexpr int kSharedLruIterations = 8;
 
 FlowEngine::FlowEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config)
-    : trace_(trace), scheduler_(std::move(scheduler)), config_(config),
-      injector_(config.faults), base_resources_(config.resources),
-      server_alive_(static_cast<std::size_t>(config.resources.num_servers), true),
-      alive_servers_(config.resources.num_servers) {
-  SILOD_CHECK(trace_ != nullptr) << "trace required";
+    : trace_(trace), scheduler_(std::move(scheduler)),
+      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
-  SILOD_CHECK(!trace_->jobs.empty()) << "empty trace";
 
   jobs_.resize(trace_->jobs.size());
   for (const JobSpec& spec : trace_->jobs) {
-    SILOD_CHECK(spec.id >= 0 && static_cast<std::size_t>(spec.id) < jobs_.size())
-        << "job ids must be dense";
     JobState& s = jobs_[static_cast<std::size_t>(spec.id)];
     s.spec = &spec;
     s.remaining = static_cast<double>(spec.total_bytes);
     metrics_.OnSubmit(spec);
-    SILOD_CHECK(spec.num_gpus <= config_.resources.total_gpus)
-        << "job " << spec.id << " demands more GPUs than the cluster has";
   }
   datasets_.resize(trace_->catalog.size());
   dataset_jobs_.resize(datasets_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const DatasetId d = jobs_[i].spec->dataset;
-    SILOD_CHECK(d >= 0 && static_cast<std::size_t>(d) < datasets_.size())
-        << "job " << i << " references unknown dataset " << d;
-    dataset_jobs_[static_cast<std::size_t>(d)].push_back(static_cast<JobId>(i));
+    dataset_jobs_[static_cast<std::size_t>(jobs_[i].spec->dataset)].push_back(
+        static_cast<JobId>(i));
   }
-
-  if (!config_.topology.empty()) {
-    const Status in_range = config_.topology.Validate(config_.resources.num_servers);
-    SILOD_CHECK(in_range.ok()) << in_range.ToString();
-    // Uncovered servers are independent singleton failure domains.
-    config_.topology = config_.topology.Cover(config_.resources.num_servers);
-    zone_alive_.reserve(config_.topology.zones().size());
-    for (const TopologyZone& zone : config_.topology.zones()) {
-      zone_alive_.push_back(zone.size());
-    }
-  }
-  if (config_.topology.has_gpu_types()) {
-    SILOD_CHECK(config_.topology.TotalTypedGpus() == config_.resources.total_gpus)
-        << "gpu-type counts sum to " << config_.topology.TotalTypedGpus() << " but the cluster has "
-        << config_.resources.total_gpus << " GPUs";
-    int widest = 0;
-    for (const GpuTypeSpec& t : config_.topology.gpu_types()) {
-      widest = std::max(widest, t.count);
-    }
-    // Gangs never span types: a job wider than every pool would wait forever.
-    for (const JobSpec& spec : trace_->jobs) {
-      SILOD_CHECK(spec.num_gpus <= widest)
-          << "job " << spec.id << " needs " << spec.num_gpus
-          << " GPUs but the widest gpu-type pool has " << widest;
-    }
-  }
-}
-
-double FlowEngine::ZoneAliveFraction(int zone) const {
-  const TopologyZone& z = config_.topology.zones()[static_cast<std::size_t>(zone)];
-  return static_cast<double>(zone_alive_[static_cast<std::size_t>(zone)]) / z.size();
 }
 
 Snapshot FlowEngine::BuildSnapshot(Seconds now) const {
   Snapshot snap;
   snap.now = now;
-  snap.resources = config_.resources;
+  snap.resources = faults_.resources();
   snap.catalog = &trace_->catalog;
   if (!config_.topology.empty() || config_.topology.has_gpu_types()) {
     snap.topology = &config_.topology;
@@ -112,7 +71,7 @@ void FlowEngine::Reschedule(Seconds now) {
     return;
   }
   plan_ = scheduler_->Schedule(snap);
-  const Status valid = plan_.Validate(config_.resources);
+  const Status valid = plan_.Validate(faults_.resources());
   SILOD_CHECK(valid.ok()) << "invalid plan from " << scheduler_->name() << ": "
                           << valid.ToString();
 
@@ -140,7 +99,7 @@ void FlowEngine::Reschedule(Seconds now) {
         holders.push_back(d);
       }
     }
-    double budget = static_cast<double>(config_.resources.total_cache - total_quota);
+    double budget = static_cast<double>(faults_.resources().total_cache - total_quota);
     if (opportunistic > budget) {
       std::sort(holders.begin(), holders.end(), [&](std::size_t a, std::size_t b) {
         return datasets_[a].cached > datasets_[b].cached;
@@ -330,7 +289,7 @@ std::vector<double> FlowEngine::ZoneFillCaps(const DatasetState& ds) const {
   double dead_total = 0;
   for (int z = 0; z < num_zones; ++z) {
     const double limit = ds.zone_limit[static_cast<std::size_t>(z)];
-    const double alive = limit * ZoneAliveFraction(z);
+    const double alive = limit * faults_.ZoneAliveFraction(z);
     caps[static_cast<std::size_t>(z)] = alive;
     alive_total += alive;
     dead_total += limit - alive;
@@ -373,8 +332,7 @@ void FlowEngine::FillZones(DatasetState& ds, double delta) {
   ds.cached += assign;
 }
 
-void FlowEngine::ComputeRates(Seconds now) {
-  (void)now;
+void FlowEngine::ComputeRates() {
   std::vector<JobState*> running;
   for (JobState& s : jobs_) {
     s.rate = 0;
@@ -411,7 +369,7 @@ void FlowEngine::ComputeRates(Seconds now) {
     std::vector<BytesPerSec> granted(n, 0);
     for (int iter = 0; iter < kSharedLruIterations; ++iter) {
       const SharedLruResult lru =
-          SharedLruModel(rates, sizes, config_.resources.total_cache);
+          SharedLruModel(rates, sizes, faults_.resources().total_cache);
       std::vector<BytesPerSec> demand(n);
       for (std::size_t i = 0; i < n; ++i) {
         const double h = running[i]->warm ? lru.hit_ratio[i] : 0.0;
@@ -419,8 +377,8 @@ void FlowEngine::ComputeRates(Seconds now) {
         demand[i] = ideals[i] * miss[i];
       }
       granted = MaxMinShare(demand,
-                            std::vector<BytesPerSec>(n, config_.resources.per_job_remote_cap),
-                            config_.resources.remote_io);
+                            std::vector<BytesPerSec>(n, faults_.resources().per_job_remote_cap),
+                            faults_.resources().remote_io);
       for (std::size_t i = 0; i < n; ++i) {
         rates[i] = miss[i] > kEps ? std::min(ideals[i], granted[i] / miss[i]) : ideals[i];
       }
@@ -439,7 +397,7 @@ void FlowEngine::ComputeRates(Seconds now) {
 
   // Quota-based models (SiloD, Quiver) and CoorDL's private static caches.
   std::vector<BytesPerSec> demand(n);
-  std::vector<BytesPerSec> caps(n, config_.resources.per_job_remote_cap);
+  std::vector<BytesPerSec> caps(n, faults_.resources().per_job_remote_cap);
   for (std::size_t i = 0; i < n; ++i) {
     const JobState& s = *running[i];
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
@@ -452,7 +410,7 @@ void FlowEngine::ComputeRates(Seconds now) {
     }
   }
   const std::vector<BytesPerSec> granted =
-      MaxMinShare(demand, caps, config_.resources.remote_io);
+      MaxMinShare(demand, caps, faults_.resources().remote_io);
 
   for (std::size_t i = 0; i < n; ++i) {
     JobState& s = *running[i];
@@ -479,14 +437,14 @@ void FlowEngine::ComputeRates(Seconds now) {
     for (const JobState* s : running) {
       used += s->io_rate;
     }
-    const BytesPerSec leftover = std::max(0.0, config_.resources.remote_io - used);
+    const BytesPerSec leftover = std::max(0.0, faults_.resources().remote_io - used);
     if (leftover > 0) {
       double occupied = 0;
       for (const DatasetState& ds : datasets_) {
         occupied += std::max(ds.cached, static_cast<double>(ds.quota));
       }
       const double pool_space =
-          std::max(0.0, static_cast<double>(config_.resources.total_cache) - occupied);
+          std::max(0.0, static_cast<double>(faults_.resources().total_cache) - occupied);
       if (pool_space > kEps) {
         const JobState* head = nullptr;
         for (const JobState& s : jobs_) {
@@ -513,62 +471,40 @@ void FlowEngine::ComputeRates(Seconds now) {
   }
 }
 
-void FlowEngine::CloseDegradeWindow(Seconds end) {
-  FaultStats::Window window;
-  window.label = "degrade";
-  window.start = degrade_start_;
-  window.end = end;
-  // avg_throughput is filled in after Finalize, when the series is complete.
-  fault_stats_.windows.push_back(std::move(window));
-  degrade_start_ = -1;
-}
-
 void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
+  FaultStats& stats = faults_.stats();
   switch (event.kind) {
     case FaultKind::kCacheServerCrash: {
-      if (event.target < 0 || event.target >= base_resources_.num_servers ||
-          !server_alive_[static_cast<std::size_t>(event.target)]) {
-        ++fault_stats_.ignored_events;
+      const std::optional<ClusterFaultState::ServerCrash> crash =
+          faults_.CrashServer(event.target);
+      if (!crash) {
         return;
       }
-      const int prev_alive = alive_servers_;
-      server_alive_[static_cast<std::size_t>(event.target)] = false;
-      --alive_servers_;
-      ++fault_stats_.server_crashes;
-      config_.resources.total_cache = base_resources_.total_cache *
-                                      static_cast<Bytes>(alive_servers_) /
-                                      static_cast<Bytes>(base_resources_.num_servers);
-      config_.resources.num_servers = std::max(1, alive_servers_);
       // Zone-aware datasets lose the crashed server's slice of the crashed
       // *zone's* share; oblivious ones lose ~1/prev_alive of their fluid
       // (uniform placement).  Effectiveness drops in proportion either way.
-      const int zone = config_.topology.empty() ? -1 : config_.topology.ZoneOf(event.target);
-      int prev_zone_alive = 0;
-      if (zone >= 0) {
-        prev_zone_alive = zone_alive_[static_cast<std::size_t>(zone)];
-        --zone_alive_[static_cast<std::size_t>(zone)];
-      }
+      const int zone = crash->zone;
       const std::string* zone_name =
           zone >= 0 ? &config_.topology.zones()[static_cast<std::size_t>(zone)].name : nullptr;
       auto charge_loss = [&](double lost, Bytes block_size) {
         const std::int64_t blocks =
             static_cast<std::int64_t>(lost / static_cast<double>(block_size));
-        fault_stats_.blocks_lost += blocks;
-        fault_stats_.bytes_lost += lost;
+        stats.blocks_lost += blocks;
+        stats.bytes_lost += lost;
         if (zone_name != nullptr) {
-          fault_stats_.blocks_lost_by_zone[*zone_name] += blocks;
+          stats.blocks_lost_by_zone[*zone_name] += blocks;
         }
       };
-      const double keep = 1.0 - 1.0 / prev_alive;
+      const double keep = 1.0 - 1.0 / crash->prev_alive;
       for (std::size_t d = 0; d < datasets_.size(); ++d) {
         DatasetState& ds = datasets_[d];
         if (ds.cached <= 0) {
           continue;
         }
         double lost = 0;
-        if (zone >= 0 && !ds.zone_cached.empty() && prev_zone_alive > 0) {
+        if (zone >= 0 && !ds.zone_cached.empty() && crash->prev_zone_alive > 0) {
           double& zc = ds.zone_cached[static_cast<std::size_t>(zone)];
-          lost = zc / prev_zone_alive;
+          lost = zc / crash->prev_zone_alive;
           zc -= lost;
         } else {
           lost = ds.cached * (1.0 - keep);
@@ -608,52 +544,23 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       }
       return;
     }
-    case FaultKind::kCacheServerRecover: {
-      if (event.target < 0 || event.target >= base_resources_.num_servers ||
-          server_alive_[static_cast<std::size_t>(event.target)]) {
-        ++fault_stats_.ignored_events;
-        return;
-      }
-      server_alive_[static_cast<std::size_t>(event.target)] = true;
-      ++alive_servers_;
-      if (!config_.topology.empty()) {
-        const int zone = config_.topology.ZoneOf(event.target);
-        if (zone >= 0) {
-          ++zone_alive_[static_cast<std::size_t>(zone)];
-        }
-      }
-      ++fault_stats_.server_recoveries;
-      config_.resources.total_cache = base_resources_.total_cache *
-                                      static_cast<Bytes>(alive_servers_) /
-                                      static_cast<Bytes>(base_resources_.num_servers);
-      config_.resources.num_servers = std::max(1, alive_servers_);
-      return;  // Rejoins empty; the fill dynamics re-warm it.
-    }
-    case FaultKind::kRemoteDegrade: {
-      // Failed reads transfer nothing but consume attempts: fold the error
-      // probability into the sustained rate alongside the rate cut.
-      config_.resources.remote_io =
-          base_resources_.remote_io * event.severity * (1.0 - event.error_rate);
-      if (degrade_start_ >= 0) {
-        CloseDegradeWindow(now);
-      }
-      if (event.severity < 1.0 || event.error_rate > 0) {
-        degrade_start_ = now;
-        ++fault_stats_.degrade_windows;
-      }
+    case FaultKind::kCacheServerRecover:
+      faults_.RecoverServer(event.target);  // Rejoins empty; the fill dynamics re-warm it.
       return;
-    }
+    case FaultKind::kRemoteDegrade:
+      faults_.Degrade(event, now);
+      return;
     case FaultKind::kWorkerCrash: {
       if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size()) {
-        ++fault_stats_.ignored_events;
+        ++stats.ignored_events;
         return;
       }
       JobState& s = jobs_[static_cast<std::size_t>(event.target)];
       if (!s.arrived || s.finished || s.crashed || !s.running) {
-        ++fault_stats_.ignored_events;  // Queued jobs have no worker to crash.
+        ++stats.ignored_events;  // Queued jobs have no worker to crash.
         return;
       }
-      ++fault_stats_.worker_crashes;
+      ++stats.worker_crashes;
       // RestartCost in the fluid model: the un-checkpointed progress suffix
       // is re-trained, charged as extra bytes (re-read through the normal
       // rate model once the job resumes).
@@ -678,10 +585,10 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       if (lost_bytes > 0) {
         s.remaining += lost_bytes;
         s.epoch_pos = std::max(0.0, s.epoch_pos - lost_bytes);
-        fault_stats_.bytes_refetched += lost_bytes;
+        stats.bytes_refetched += lost_bytes;
         // Lost compute-time at the rate the crashed worker actually ran at
         // (its held GPU type), before the placement is released below.
-        fault_stats_.compute_lost += lost_bytes / EffectiveIdeal(s.spec->ideal_io, s.speed);
+        stats.compute_lost += lost_bytes / EffectiveIdeal(s.spec->ideal_io, s.speed);
       }
       s.running = false;
       s.rate = 0;
@@ -699,11 +606,11 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
     case FaultKind::kWorkerRestart: {
       if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size() ||
           !jobs_[static_cast<std::size_t>(event.target)].crashed) {
-        ++fault_stats_.ignored_events;
+        ++stats.ignored_events;
         return;
       }
       jobs_[static_cast<std::size_t>(event.target)].crashed = false;
-      ++fault_stats_.worker_restarts;
+      ++stats.worker_restarts;
       return;  // Re-admitted via the resume path (restore penalty applies).
     }
     case FaultKind::kDataManagerRestart: {
@@ -711,7 +618,7 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       // disk contents) restores exactly, so a restart is performance-neutral
       // here; the fine engine and the real-thread runtime exercise the actual
       // snapshot/restore machinery.
-      ++fault_stats_.dm_restarts;
+      ++stats.dm_restarts;
       return;
     }
   }
@@ -737,7 +644,7 @@ void FlowEngine::RecordMetrics(Seconds now) {
   // The equal-share denominator is job-independent: hoist it instead of
   // rebuilding a Snapshot and re-walking the resources per running job.
   const EqualShareParams eq_params =
-      MakeEqualShareParams(config_.resources, std::max(1, n_running));
+      MakeEqualShareParams(faults_.resources(), std::max(1, n_running));
   for (const JobState& s : jobs_) {
     if (!s.running || s.finished) {
       continue;
@@ -815,7 +722,7 @@ SimResult FlowEngine::Run() {
       Reschedule(t);
       need_resched = false;
     }
-    ComputeRates(t);
+    ComputeRates();
     RecordMetrics(t);
 
     // Time to the next event.
@@ -825,10 +732,7 @@ SimResult FlowEngine::Run() {
                                 .submit_time -
                             t);
     }
-    dt = std::min(dt, next_tick - t);
-    if (!injector_.exhausted()) {
-      dt = std::min(dt, injector_.NextTime() - t);
-    }
+    dt = std::min({dt, next_tick - t, faults_.NextTime() - t});
     for (const JobState& s : jobs_) {
       if (!s.running || s.finished || s.rate <= 0) {
         continue;
@@ -879,10 +783,8 @@ SimResult FlowEngine::Run() {
     // Inject faults before the completion scan so a crash at the same instant
     // as a completion takes effect first (mirrors the fine engine).  Every
     // fault triggers an immediate reschedule.
-    if (injector_.NextTime() <= t + kTimeEps) {
-      due_faults_.clear();
-      injector_.PopDue(t + kTimeEps, &due_faults_);
-      for (const FaultEvent& event : due_faults_) {
+    if (faults_.NextTime() <= t + kTimeEps) {
+      for (const FaultEvent& event : faults_.PopDue(t + kTimeEps)) {
         ApplyFault(event, t);
       }
       need_resched = true;
@@ -930,19 +832,8 @@ SimResult FlowEngine::Run() {
       }
     }
   }
-  if (degrade_start_ >= 0) {
-    CloseDegradeWindow(t);
-  }
-  if (!injector_.exhausted()) {
-    due_faults_.clear();
-    injector_.PopDue(kInfiniteTime, &due_faults_);
-    fault_stats_.ignored_events += static_cast<int>(due_faults_.size());
-  }
   SimResult result = metrics_.Finalize();
-  for (FaultStats::Window& window : fault_stats_.windows) {
-    window.avg_throughput = result.total_throughput.TimeAverage(window.start, window.end);
-  }
-  result.faults = fault_stats_;
+  result.faults = faults_.Finish(t, result.total_throughput);
   return result;
 }
 

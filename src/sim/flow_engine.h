@@ -17,9 +17,9 @@
 #include <memory>
 #include <vector>
 
-#include "src/fault/fault_injector.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
+#include "src/sim/cluster_fault_state.h"
 #include "src/sim/metrics.h"
 #include "src/workload/trace_gen.h"
 
@@ -77,10 +77,10 @@ class FlowEngine {
   // (ApplyZoneQuota) when the plan spreads it, plain shrink otherwise.
   // Writes only datasets_[d] and the jobs in dataset_jobs_[d].
   void ApplyDatasetQuota(std::size_t d);
-  void ComputeRates(Seconds now);
+  void ComputeRates();
   void RecordMetrics(Seconds now);
+  // faults_ applies the cluster effect; this is the fluid loss model.
   void ApplyFault(const FaultEvent& event, Seconds now);
-  void CloseDegradeWindow(Seconds end);
   // Applies a zone-aware quota: adopts the plan's per-zone shares as limits,
   // migrates over-cap fluid into zones with headroom (shares that moved — or
   // a zone that died — rebalance over the intra-cluster fabric), and only
@@ -95,11 +95,11 @@ class FlowEngine {
   // rehash to the survivors, so an outage never strands quota).  Equals
   // zone_limit exactly when every member is alive.
   std::vector<double> ZoneFillCaps(const DatasetState& ds) const;
-  double ZoneAliveFraction(int zone) const;
 
   const Trace* trace_;
   std::shared_ptr<Scheduler> scheduler_;
-  SimConfig config_;
+  SimConfig config_;  // Topology covered; resources nominal (see faults_).
+  ClusterFaultState faults_;
   double prefetch_rate_ = 0;  // Leftover-egress prefetch traffic (Hoard mode).
 
   std::vector<JobState> jobs_;          // Indexed by JobId.
@@ -110,15 +110,6 @@ class FlowEngine {
   std::vector<std::vector<JobId>> dataset_jobs_;
   AllocationPlan plan_;
   MetricsCollector metrics_;
-
-  FaultInjector injector_;              // Cursor over SimConfig::faults.
-  ClusterResources base_resources_;     // Nominal (no-fault) resources.
-  std::vector<bool> server_alive_;
-  int alive_servers_ = 0;
-  std::vector<int> zone_alive_;         // Alive members per topology zone.
-  Seconds degrade_start_ = -1;          // Open degrade window, -1 if none.
-  FaultStats fault_stats_;
-  std::vector<FaultEvent> due_faults_;  // Scratch.
 };
 
 }  // namespace silod

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/cache/cache_manager.h"
+#include "src/common/topology.h"
 #include "src/common/units.h"
 #include "src/core/recovery.h"
 #include "src/core/system.h"
@@ -822,6 +825,162 @@ TEST(EngineFaults, ZonalChurnIsDeterministicOnBothEngines) {
     }
     EXPECT_GT(anchored_degrades, 0);
   }
+}
+
+// FNV-1a over the bits of everything an engine reports about a faulted run:
+// each job's start/finish, every FaultStats field (windows and per-zone
+// losses included) and the fine engine's step counters.
+class ResultHasher {
+ public:
+  void Bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void Value(const T& value) {
+    Bytes(&value, sizeof(value));
+  }
+  void String(const std::string& s) {
+    Value(s.size());
+    Bytes(s.data(), s.size());
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t FaultedRunDigest(const SimResult& r) {
+  ResultHasher h;
+  for (const JobResult& j : r.jobs) {
+    h.Value(j.id);
+    h.Value(j.first_start_time);
+    h.Value(j.finish_time);
+  }
+  const FaultStats& f = r.faults;
+  for (const int n : {f.server_crashes, f.server_recoveries, f.worker_crashes, f.worker_restarts,
+                      f.degrade_windows, f.dm_restarts, f.ignored_events}) {
+    h.Value(n);
+  }
+  h.Value(f.blocks_lost);
+  h.Value(f.bytes_lost);
+  h.Value(f.blocks_lost_by_zone.size());
+  for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
+    h.String(zone);
+    h.Value(blocks);
+  }
+  h.Value(f.blocks_refetched);
+  h.Value(f.bytes_refetched);
+  h.Value(f.compute_lost);
+  h.Value(f.windows.size());
+  for (const FaultStats::Window& w : f.windows) {
+    h.String(w.label);
+    h.Value(w.start);
+    h.Value(w.end);
+    h.Value(w.avg_throughput);
+  }
+  const EngineStepCounters& s = r.steps;
+  for (const std::uint64_t n : {s.steps, s.miss_completions, s.hit_completions, s.unblocks,
+                                s.drains, s.reschedules, s.flow_recomputes, s.flow_rate_changes,
+                                s.calendar_updates}) {
+    h.Value(n);
+  }
+  return h.hash();
+}
+
+// Pins both engines' fault paths bit-for-bit: every engine × cache model ×
+// placement × restart policy under HeavyChurn plus one zonal churn (so Data
+// Manager restarts and recovery-anchored degrade windows run too).  Any
+// change to crash charging, eviction, restart cost or window accounting
+// moves a digest.
+TEST(EngineFaults, ChurnResultsMatchPinnedDigests) {
+  // [engine: fine, flow][cache: SiloD, CoorDL, Alluxio][placement: oblivious,
+  // zoned][restart cost: checkpoint-everything, lose-partial-epoch, interval:7]
+  const std::uint64_t kPinned[2][3][2][3] = {
+      {{{0x4fb4003f0c3c1820ULL, 0x209fcbdae242fa53ULL, 0x249163bd16437967ULL},
+        {0xd3351a9b2af9986dULL, 0x10cc9a8f9ae9edbaULL, 0x365aaafe84d113aULL}},
+       {{0x73e1a47aba2a2901ULL, 0x822f28f2ae000442ULL, 0x8afc0ad62f5a4942ULL},
+        {0x122176fa7b92f9a3ULL, 0x9e7f0495d3075fc8ULL, 0xdd3b4898136eac23ULL}},
+       {{0xfd0544c0c4cafb32ULL, 0x9cc41398dc1d41a3ULL, 0xa934fc0714456b6fULL},
+        {0xb82820cc14b411b6ULL, 0x2679212f63ac367dULL, 0x61289c80939a4d1cULL}}},
+      {{{0x500d185fc417912dULL, 0x6dbbae8830b539d4ULL, 0x2e4031b436f03342ULL},
+        {0x279424116e02404fULL, 0xa9d4d5fc68a07e9ULL, 0xe21b06fa889957ffULL}},
+       {{0x4c964d25e1b7a4f7ULL, 0xd7a4d6513f2ba1adULL, 0xbe5bd127b8f55555ULL},
+        {0x65f958b4eee956c9ULL, 0x30b5f79199b22ebbULL, 0x9be2e009b94bc5a8ULL}},
+       {{0x1a38b3bf1948d774ULL, 0x54ff0ecfa7ef6fdaULL, 0x20620401e9e9006eULL},
+        {0x1a38b3bf1948d774ULL, 0x54ff0ecfa7ef6fdaULL, 0x20620401e9e9006eULL}}},
+  };
+  // Longer jobs than ChurnTrace's, so the run spans hours of the plan and
+  // worker crashes land on running jobs under every restart policy.
+  const int kJobs = 16;
+  TraceOptions options;
+  options.num_jobs = kJobs;
+  options.mean_interarrival = Minutes(3);
+  options.median_duration = Hours(1);
+  options.max_duration = Hours(3);
+  options.seed = 91;
+  options.block_size = MB(256);
+  const Trace trace = TraceGenerator(options).Generate();
+  FaultPlan plan = HeavyChurn(kJobs);
+  FaultChurnOptions zonal;
+  zonal.horizon = Hours(12);
+  zonal.num_jobs = kJobs;
+  zonal.seed = 23;
+  ZoneChurn zone;
+  zone.zone = FaultZone{"rack0", 0, 1};
+  zone.crashes_per_hour = 1;
+  zone.downtime = Minutes(10);
+  zone.recovery_stagger = 30;
+  zone.recovery_degrade_factor = 0.5;
+  zone.recovery_degrade_duration = Minutes(5);
+  zonal.zones.push_back(zone);
+  for (const FaultEvent& e : GenerateFaultPlan(zonal).events) {
+    plan.events.push_back(e);  // The injector sorts the merged plan.
+  }
+  // Servers 2 and 3 stay uncovered: Cover() makes them singleton zones.
+  const Result<ClusterTopology> zoned = ClusterTopology::Parse("rack0=0-1;loss-bound=0.4");
+  ASSERT_TRUE(zoned.ok()) << zoned.status().ToString();
+
+  const EngineKind kEngines[] = {EngineKind::kFine, EngineKind::kFlow};
+  const CacheSystem kCaches[] = {CacheSystem::kSiloD, CacheSystem::kCoorDl,
+                                 CacheSystem::kAlluxio};
+  const char* kPolicies[] = {"checkpoint-everything", "lose-partial-epoch",
+                             "checkpoint-interval:7"};
+  bool zone_losses = false;
+  for (int e = 0; e < 2; ++e) {
+    for (int c = 0; c < 3; ++c) {
+      for (int z = 0; z < 2; ++z) {
+        for (int p = 0; p < 3; ++p) {
+          ExperimentConfig config;
+          config.cache = kCaches[c];
+          config.sim = ChurnCluster();
+          config.sim.faults = plan;
+          config.sim.restart_cost = *RestartCost::Parse(kPolicies[p]);
+          if (z == 1) {
+            config.sim.topology = *zoned;
+          }
+          config.engine = kEngines[e];
+          const SimResult result = RunExperiment(trace, config);
+          const std::uint64_t digest = FaultedRunDigest(result);
+          std::ostringstream hex;
+          hex << std::hex << "0x" << digest;
+          EXPECT_EQ(digest, kPinned[e][c][z][p])
+              << (e == 0 ? "fine " : "flow ") << CacheSystemName(kCaches[c])
+              << (z == 0 ? " oblivious " : " zoned ") << kPolicies[p] << ": " << hex.str();
+          EXPECT_GT(result.faults.dm_restarts, 0);
+          if (p > 0) {  // The fixture must keep reaching the restart-cost paths.
+            EXPECT_GT(static_cast<double>(result.faults.blocks_refetched) +
+                          result.faults.bytes_refetched,
+                      0);
+          }
+          zone_losses = zone_losses || !result.faults.blocks_lost_by_zone.empty();
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(zone_losses);
 }
 
 // ------------------------------------------- Sharded DataManager faults --

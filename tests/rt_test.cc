@@ -223,7 +223,7 @@ TEST(RtClusterFaults, TransientRemoteErrorsAreRetriedToCompletion) {
   EXPECT_EQ(j.cache_hits + j.cache_misses, 96);
   EXPECT_EQ(j.cache_misses, 32);
   EXPECT_GT(result.remote_retries, 0);  // 32 misses at 50% error: ~32 retries.
-  EXPECT_EQ(result.degrade_windows, 1);
+  EXPECT_EQ(result.faults.degrade_windows, 1);
 }
 
 // A Data-Manager restart mid-run: the runtime rebuilds from the periodic
@@ -241,7 +241,7 @@ TEST(RtClusterFaults, DataManagerRestartIsSurvivable) {
                     TinyCluster(MB(16), MBps(100)), options);
   const RtResult result = cluster.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_GE(result.dm_restarts, 1);  // Late events may land after the last job.
+  EXPECT_GE(result.faults.dm_restarts, 1);  // Late events may land after the last job.
   for (const RtJobResult& j : result.jobs) {
     EXPECT_TRUE(j.completed);
     EXPECT_EQ(j.cache_hits + j.cache_misses, 192) << "job " << j.id;
@@ -249,9 +249,9 @@ TEST(RtClusterFaults, DataManagerRestartIsSurvivable) {
   }
   // The sharded Data Manager makes the server crash actionable: it is acted
   // on (shard 0 drops its residents), not counted as ignored.
-  EXPECT_EQ(result.server_crashes, 1);
+  EXPECT_EQ(result.faults.server_crashes, 1);
   EXPECT_EQ(result.ignored_by_kind.count(FaultKind::kCacheServerCrash), 0u);
-  EXPECT_EQ(result.ignored_faults, 0);
+  EXPECT_EQ(result.faults.ignored_events, 0);
 }
 
 // A sharded server crash mid-run (4 shards, one crashes and recovers): the
@@ -270,11 +270,11 @@ TEST(RtClusterFaults, ShardedServerCrashIsActionable) {
                     resources, options);
   const RtResult result = cluster.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(result.server_crashes, 1);
-  EXPECT_EQ(result.server_recoveries, 1);
+  EXPECT_EQ(result.faults.server_crashes, 1);
+  EXPECT_EQ(result.faults.server_recoveries, 1);
   EXPECT_EQ(result.ignored_by_kind.count(FaultKind::kCacheServerCrash), 0u);
   EXPECT_EQ(result.ignored_by_kind.count(FaultKind::kCacheServerRecover), 0u);
-  EXPECT_EQ(result.ignored_faults, 0);
+  EXPECT_EQ(result.faults.ignored_events, 0);
   for (const RtJobResult& j : result.jobs) {
     EXPECT_TRUE(j.completed) << "job " << j.id;
     // Exact accounting survives the crash: every block is exactly one hit or
@@ -316,10 +316,10 @@ TEST(RtClusterWorkers, CheckpointEverythingRefetchesNothing) {
                     TinyCluster(MB(8), MBps(100)), options);
   const RtResult result = cluster.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(result.worker_crashes, 1);
-  EXPECT_EQ(result.worker_restarts, 1);
-  EXPECT_EQ(result.blocks_refetched, 0);
-  EXPECT_DOUBLE_EQ(result.compute_lost, 0);
+  EXPECT_EQ(result.faults.worker_crashes, 1);
+  EXPECT_EQ(result.faults.worker_restarts, 1);
+  EXPECT_EQ(result.faults.blocks_refetched, 0);
+  EXPECT_DOUBLE_EQ(result.faults.compute_lost, 0);
   const RtJobResult& j = result.jobs[0];
   EXPECT_TRUE(j.completed);
   EXPECT_EQ(j.cache_hits + j.cache_misses, 192);
@@ -346,8 +346,8 @@ TEST(RtClusterWorkers, LossyRestartPoliciesBoundTheRefetch) {
                       TinyCluster(MB(8), MBps(100)), options);
     const RtResult result = cluster.Run();
     ASSERT_FALSE(result.timed_out) << c.spec;
-    EXPECT_EQ(result.worker_crashes, 1) << c.spec;
-    EXPECT_EQ(result.worker_restarts, 1) << c.spec;
+    EXPECT_EQ(result.faults.worker_crashes, 1) << c.spec;
+    EXPECT_EQ(result.faults.worker_restarts, 1) << c.spec;
     const RtJobResult& j = result.jobs[0];
     ASSERT_TRUE(j.completed) << c.spec;
     EXPECT_EQ(j.cache_hits + j.cache_misses, 192 + j.blocks_refetched) << c.spec;
@@ -372,11 +372,11 @@ TEST(RtClusterWorkers, WorkerEventsAreNeverIgnoredUnderChurn) {
                     TinyCluster(MB(16), MBps(100)), options);
   const RtResult result = cluster.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(result.worker_crashes, 3);
-  EXPECT_EQ(result.worker_restarts, 3);
+  EXPECT_EQ(result.faults.worker_crashes, 3);
+  EXPECT_EQ(result.faults.worker_restarts, 3);
   EXPECT_EQ(result.ignored_by_kind.count(FaultKind::kWorkerCrash), 0u);
   EXPECT_EQ(result.ignored_by_kind.count(FaultKind::kWorkerRestart), 0u);
-  EXPECT_EQ(result.ignored_faults, 0);
+  EXPECT_EQ(result.faults.ignored_events, 0);
   for (const RtJobResult& j : result.jobs) {
     EXPECT_TRUE(j.completed) << "job " << j.id;
     EXPECT_EQ(j.cache_hits + j.cache_misses, 192 + j.blocks_refetched) << "job " << j.id;
@@ -436,8 +436,8 @@ TEST(RtClusterProcesses, InjectedCrashRestartsWithReplayableMinidump) {
                     TinyCluster(MB(8), MBps(100)), options);
   const RtResult result = cluster.Run();
   ASSERT_FALSE(result.timed_out);
-  EXPECT_EQ(result.worker_crashes, 1);
-  EXPECT_EQ(result.worker_restarts, 1);
+  EXPECT_EQ(result.faults.worker_crashes, 1);
+  EXPECT_EQ(result.faults.worker_restarts, 1);
   const RtJobResult& j = result.jobs[0];
   ASSERT_TRUE(j.completed);
   EXPECT_EQ(j.cache_hits + j.cache_misses, 192 + j.blocks_refetched);
@@ -488,14 +488,14 @@ TEST(RtClusterProcesses, FineEngineAndRtClusterAgreeOnFaultAccounting) {
   const RtResult rt = cluster.Run();
   ASSERT_FALSE(rt.timed_out);
 
-  EXPECT_EQ(fine.faults.worker_crashes, rt.worker_crashes);
-  EXPECT_EQ(fine.faults.worker_restarts, rt.worker_restarts);
-  EXPECT_EQ(fine.faults.ignored_events, rt.ignored_faults);
-  EXPECT_EQ(rt.worker_crashes, 1);
+  EXPECT_EQ(fine.faults.worker_crashes, rt.faults.worker_crashes);
+  EXPECT_EQ(fine.faults.worker_restarts, rt.faults.worker_restarts);
+  EXPECT_EQ(fine.faults.ignored_events, rt.faults.ignored_events);
+  EXPECT_EQ(rt.faults.worker_crashes, 1);
   const std::int64_t tolerance =
-      rt.worker_crashes * (kCost.interval_blocks + options.pipeline_depth + 1);
-  EXPECT_LE(std::abs(fine.faults.blocks_refetched - rt.blocks_refetched), tolerance)
-      << "fine=" << fine.faults.blocks_refetched << " rt=" << rt.blocks_refetched;
+      rt.faults.worker_crashes * (kCost.interval_blocks + options.pipeline_depth + 1);
+  EXPECT_LE(std::abs(fine.faults.blocks_refetched - rt.faults.blocks_refetched), tolerance)
+      << "fine=" << fine.faults.blocks_refetched << " rt=" << rt.faults.blocks_refetched;
 }
 
 }  // namespace

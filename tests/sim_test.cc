@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "src/common/units.h"
 #include "src/core/silod_scheduler.h"
@@ -13,6 +14,7 @@
 #include "src/sched/fifo.h"
 #include "src/sched/greedy.h"
 #include "src/sched/storage_policies.h"
+#include "src/sim/cluster.h"
 #include "src/sim/fine_engine.h"
 #include "src/sim/flow_engine.h"
 #include "src/sim/metrics.h"
@@ -587,6 +589,80 @@ TEST(Heterogeneity, SlowBoundJobTailRegressesUnderSjfNotFairness) {
   // duration.
   EXPECT_GT(sjf_result.jobs[victim].Jct(), 1.5 * gavel_result.jobs[victim].Jct());
   EXPECT_GT(sjf.jct.p99_jct_min, 1.3 * gavel.jct.p99_jct_min);
+}
+
+// ------------------------------------------------------- Input validation --
+
+// One job of `gpus` GPUs on the SingleJobTrace dataset.
+Trace WideJobTrace(int gpus) {
+  Trace trace = SingleJobTrace(/*epochs=*/1);
+  trace.jobs[0].num_gpus = gpus;
+  return trace;
+}
+
+bool Mentions(const Status& st, const std::string& text) {
+  return st.message().find(text) != std::string::npos;
+}
+
+// A gang wider than the whole cluster could never start: both engines used
+// to run until max_time (fine) or abort (flow) instead of rejecting it.
+TEST(SimInputs, RejectsJobWiderThanCluster) {
+  SimConfig config = SmallCluster(GB(10), MBps(100));
+  config.resources.total_gpus = 16;
+  const Status st = ValidateSimInputs(WideJobTrace(64), config);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(st, "needs 64 GPUs but the cluster has 16")) << st.ToString();
+  EXPECT_TRUE(ValidateSimInputs(WideJobTrace(16), config).ok());
+}
+
+// Gangs never span GPU types: 12 GPUs fit the 16-GPU cluster but neither
+// 8-GPU pool.
+TEST(SimInputs, RejectsJobWiderThanEveryGpuTypePool) {
+  SimConfig config = SmallCluster(GB(10), MBps(100));
+  config.resources.total_gpus = 16;
+  const Result<ClusterTopology> typed = ClusterTopology::Parse(
+      "gpu-type name=v100 count=8 speed=1;gpu-type name=k80 count=8 speed=0.5");
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  config.topology = *typed;
+  const Status st = ValidateSimInputs(WideJobTrace(12), config);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(st, "widest gpu-type pool has 8")) << st.ToString();
+  EXPECT_TRUE(ValidateSimInputs(WideJobTrace(8), config).ok());
+}
+
+// What a zero-job workload amounts to.
+TEST(SimInputs, RejectsEmptyTrace) {
+  const Status st = ValidateSimInputs(Trace{}, SmallCluster(GB(10), MBps(100)));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(st, "empty trace")) << st.ToString();
+}
+
+TEST(SimInputs, RejectsMalformedTraceAndTopology) {
+  const SimConfig config = SmallCluster(GB(10), MBps(100));
+  Trace sparse_ids = SingleJobTrace(1);
+  sparse_ids.jobs[0].id = 3;
+  EXPECT_TRUE(Mentions(ValidateSimInputs(sparse_ids, config), "dense"));
+  Trace duplicate_ids = SingleJobTrace(1);
+  duplicate_ids.jobs.push_back(duplicate_ids.jobs[0]);
+  EXPECT_TRUE(Mentions(ValidateSimInputs(duplicate_ids, config), "dense"));
+  Trace unknown_dataset = SingleJobTrace(1);
+  unknown_dataset.jobs[0].dataset = 7;
+  EXPECT_TRUE(Mentions(ValidateSimInputs(unknown_dataset, config), "unknown dataset 7"));
+
+  SimConfig zones_past_servers = config;  // Two servers: 0 and 1.
+  const Result<ClusterTopology> racks = ClusterTopology::Parse("rack0=0-1;rack1=2-3");
+  ASSERT_TRUE(racks.ok()) << racks.status().ToString();
+  zones_past_servers.topology = *racks;
+  EXPECT_FALSE(ValidateSimInputs(SingleJobTrace(1), zones_past_servers).ok());
+
+  SimConfig typed_sum = config;  // Eight GPUs.
+  const Result<ClusterTopology> typed = ClusterTopology::Parse("gpu-type name=v100 count=6");
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  typed_sum.topology = *typed;
+  EXPECT_TRUE(Mentions(ValidateSimInputs(SingleJobTrace(1), typed_sum),
+                       "gpu-type counts sum to 6 but the cluster has 8 GPUs"));
+
+  EXPECT_TRUE(ValidateSimInputs(SingleJobTrace(1), config).ok());
 }
 
 }  // namespace

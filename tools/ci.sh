@@ -67,13 +67,23 @@ fi
 
 if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # Fault-churn sweep in smoke mode: both engines survive a seeded crash
-  # schedule with every job completing; fails on any lost job.
+  # schedule with every job completing; fails on any lost job.  Bad inputs
+  # (a gang wider than the cluster, --jobs=0) must exit 2 up front.
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
-  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn
+  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim
   echo "=== [smoke] run ==="
   ./build-ci-smoke/bench/bench_fault_churn --smoke build-ci-smoke/BENCH_fault_churn.json
+  wide_trace="build-ci-smoke/wide_job_trace.csv"
+  printf '%s\n' "id,name,model,gpus,dataset,dataset_bytes,block_bytes,ideal_io_bps,total_bytes,submit_seconds,regular,curriculum,pacing_start,pacing_alpha,pacing_step" \
+      "0,wide,ResNet-50,64,d0,10000000000,64000000,114000000,20000000000,0,1,0,0.04,1.9,50000" \
+      > "$wide_trace"
+  for args in "--engine=fine --trace=$wide_trace --gpus=16" \
+              "--engine=flow --trace=$wide_trace --gpus=16" "--jobs=0"; do
+    rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim $args >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || { echo "smoke: silod_sim $args exited $rc, want 2"; exit 1; }
+  done
 fi
 
 if [[ "$stage" == "all" || "$stage" == "zone-smoke" ]]; then

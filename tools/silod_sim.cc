@@ -18,6 +18,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/rt/rt_cluster.h"
 #include "src/rt/worker_main.h"
+#include "src/sim/cluster.h"
 #include "src/workload/trace_io.h"
 
 using namespace silod;
@@ -75,6 +76,31 @@ Status MergeFaultZones(const std::vector<TopologyZone>& incoming,
     }
   }
   return Status::Ok();
+}
+
+// The fault rows of the summary table, shared by the simulated and rt runs.
+void AddFaultRows(const FaultStats& f, const RestartCost& restart_cost, Table* summary) {
+  summary->AddRow({"faults (srv crash/recover, wrk crash/restart)",
+                   std::to_string(f.server_crashes) + "/" + std::to_string(f.server_recoveries) +
+                       ", " + std::to_string(f.worker_crashes) + "/" +
+                       std::to_string(f.worker_restarts)});
+  summary->AddRow({"faults (degrade windows, dm restarts, ignored)",
+                   std::to_string(f.degrade_windows) + ", " + std::to_string(f.dm_restarts) +
+                       ", " + std::to_string(f.ignored_events)});
+  summary->AddRow({"blocks lost to server crashes", std::to_string(f.blocks_lost)});
+  if (!f.blocks_lost_by_zone.empty()) {
+    std::string by_zone;
+    for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
+      by_zone += (by_zone.empty() ? "" : ", ") + zone + "=" + std::to_string(blocks);
+    }
+    summary->AddRow({"blocks lost by zone", by_zone});
+    summary->AddRow({"cache bytes lost (MB)", Fmt(f.bytes_lost / 1e6)});
+  }
+  if (restart_cost.policy != RestartCostPolicy::kCheckpointEverything) {
+    summary->AddRow({"restart cost (" + restart_cost.ToSpec() + "): re-reads blk/MB, compute s",
+                     std::to_string(f.blocks_refetched) + "/" + Fmt(f.bytes_refetched / 1e6) +
+                         ", " + Fmt(f.compute_lost)});
+  }
 }
 
 }  // namespace
@@ -181,6 +207,11 @@ int main(int argc, char** argv) {
     }
     trace = std::move(loaded).value();
   } else {
+    if (flags.GetInt("jobs") < 1) {
+      std::fprintf(stderr, "--jobs: %lld is not a positive job count\n",
+                   static_cast<long long>(flags.GetInt("jobs")));
+      return 2;
+    }
     TraceOptions options;
     options.num_jobs = static_cast<int>(flags.GetInt("jobs"));
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
@@ -392,21 +423,18 @@ int main(int argc, char** argv) {
     }
     topology = *parsed;
   }
-  if (topology.has_gpu_types() &&
-      topology.TotalTypedGpus() != config.sim.resources.total_gpus) {
-    std::fprintf(stderr, "--gpu-types: counts sum to %d but the cluster has --gpus=%d\n",
-                 topology.TotalTypedGpus(), config.sim.resources.total_gpus);
-    return 2;
-  }
   if (!topology.empty() || topology.has_gpu_types()) {
-    if (!topology.empty()) {
-      if (const Status st = topology.Validate(config.sim.resources.num_servers); !st.ok()) {
-        std::fprintf(stderr, "--topology: %s\n", st.ToString().c_str());
-        return 2;
-      }
-    }
     config.sim.topology = topology;
   }
+  // The engines' input contract (sim/cluster.h): a violation exits 2 with
+  // its one-line reason instead of aborting mid-run.
+  const auto rejects = [&](const Trace& run_trace) {
+    const Status st = ValidateSimInputs(run_trace, config.sim);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+    }
+    return !st.ok();
+  };
 
   if (flags.GetString("engine") == "rt") {
     // The wall-clock mini-cluster: a generated micro-trace (seconds of wall
@@ -428,6 +456,9 @@ int main(int argc, char** argv) {
       job.total_bytes = static_cast<Bytes>(flags.GetDouble("rt-epochs") *
                                            static_cast<double>(MB(flags.GetDouble("rt-dataset-mb"))));
       rt_trace.jobs.push_back(job);
+    }
+    if (rejects(rt_trace)) {
+      return 2;
     }
 
     std::shared_ptr<Scheduler> rt_scheduler;
@@ -465,16 +496,8 @@ int main(int argc, char** argv) {
                                                      rt.unfinished_jobs) +
                                           "/" + std::to_string(rt.jobs.size())});
     summary.AddRow({"makespan (s)", Fmt(rt.makespan)});
-    summary.AddRow({"faults (wrk crash/restart/respawn)",
-                    std::to_string(rt.worker_crashes) + "/" + std::to_string(rt.worker_restarts) +
-                        "/" + std::to_string(rt.worker_respawns)});
-    summary.AddRow({"faults (srv crash/recover, dm restarts, ignored)",
-                    std::to_string(rt.server_crashes) + "/" + std::to_string(rt.server_recoveries) +
-                        ", " + std::to_string(rt.dm_restarts) + ", " +
-                        std::to_string(rt.ignored_faults)});
-    summary.AddRow({"restart cost (" + rt_options.restart_cost.ToSpec() +
-                        "): re-reads blk, compute s",
-                    std::to_string(rt.blocks_refetched) + ", " + Fmt(rt.compute_lost)});
+    AddFaultRows(rt.faults, rt_options.restart_cost, &summary);
+    summary.AddRow({"worker respawns", std::to_string(rt.worker_respawns)});
     for (const RtJobResult& j : rt.jobs) {
       if (!j.completed) {
         continue;
@@ -513,6 +536,9 @@ int main(int argc, char** argv) {
     return invariant_ok && rt.unfinished_jobs == 0 ? 0 : 1;
   }
 
+  if (rejects(trace)) {
+    return 2;
+  }
   std::printf("Running %s over %zu jobs on %d GPUs / %.1f TB cache / %.1f Gbps egress (%s "
               "engine)\n",
               config.Name().c_str(), trace.jobs.size(), config.sim.resources.total_gpus,
@@ -547,29 +573,7 @@ int main(int argc, char** argv) {
                         std::to_string(result.steps.drains)});
   }
   if (!config.sim.faults.empty()) {
-    const FaultStats& f = result.faults;
-    summary.AddRow({"faults (srv crash/recover, wrk crash/restart)",
-                    std::to_string(f.server_crashes) + "/" + std::to_string(f.server_recoveries) +
-                        ", " + std::to_string(f.worker_crashes) + "/" +
-                        std::to_string(f.worker_restarts)});
-    summary.AddRow({"faults (degrade windows, dm restarts, ignored)",
-                    std::to_string(f.degrade_windows) + ", " + std::to_string(f.dm_restarts) +
-                        ", " + std::to_string(f.ignored_events)});
-    summary.AddRow({"blocks lost to server crashes", std::to_string(f.blocks_lost)});
-    if (!f.blocks_lost_by_zone.empty()) {
-      std::string by_zone;
-      for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
-        by_zone += (by_zone.empty() ? "" : ", ") + zone + "=" + std::to_string(blocks);
-      }
-      summary.AddRow({"blocks lost by zone", by_zone});
-      summary.AddRow({"cache bytes lost (MB)", Fmt(f.bytes_lost / 1e6)});
-    }
-    if (config.sim.restart_cost.policy != RestartCostPolicy::kCheckpointEverything) {
-      summary.AddRow({"restart cost (" + config.sim.restart_cost.ToSpec() +
-                          "): re-reads blk/MB, compute s",
-                      std::to_string(f.blocks_refetched) + "/" + Fmt(f.bytes_refetched / 1e6) +
-                          ", " + Fmt(f.compute_lost)});
-    }
+    AddFaultRows(result.faults, config.sim.restart_cost, &summary);
   }
   summary.Print();
   for (const FaultStats::Window& w : result.faults.windows) {
