@@ -1,8 +1,9 @@
 #include "src/common/flags.h"
 
-#include <cstdlib>
+#include <cmath>
 
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 
 namespace silod {
 
@@ -52,6 +53,10 @@ Status FlagSet::Parse(int argc, const char* const* argv) {
         return Status::InvalidArgument("flag --" + name + " needs a value");
       }
     }
+    // A flag declared with a numeric default takes only a whole number token.
+    if (ParseDouble(it->second.default_value).ok() && !ParseDouble(value).ok()) {
+      return Status::InvalidArgument("flag --" + name + " wants a number, got '" + value + "'");
+    }
     it->second.value = value;
   }
   return Status::Ok();
@@ -66,11 +71,19 @@ std::string FlagSet::GetString(const std::string& name) const {
 }
 
 std::int64_t FlagSet::GetInt(const std::string& name) const {
-  return std::strtoll(GetString(name).c_str(), nullptr, 10);
+  const std::string value = GetString(name);
+  if (const Result<std::int64_t> exact = ParseInt(value); exact.ok()) {
+    return *exact;
+  }
+  // A fractional value truncates toward zero; NaN and values past the
+  // int64 range read as the error value 0.
+  const double truncated = GetDouble(name);
+  return std::fabs(truncated) < 0x1p63 ? static_cast<std::int64_t>(truncated) : 0;
 }
 
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(GetString(name).c_str(), nullptr);
+  const Result<double> value = ParseDouble(GetString(name));
+  return value.ok() ? *value : 0;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {

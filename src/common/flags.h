@@ -19,15 +19,18 @@ class FlagSet {
   void Define(const std::string& name, const std::string& default_value,
               const std::string& help);
 
-  // Parses argv; returns an error for unknown flags or missing values.
-  // Non-flag arguments are collected into positional().
+  // Parses argv; returns an error for unknown flags, missing values, and a
+  // value that is not a number token (common/text_codec.h ParseDouble) for a
+  // flag whose declared default is one.  Integer and fractional flags are
+  // not told apart: GetInt truncates --jobs=1.5 to 1.  Non-flag arguments
+  // are collected into positional().
   Status Parse(int argc, const char* const* argv);
 
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name) const;
   // Numeric accessors abort (via SILOD_CHECK) on undeclared flags and return
-  // an error value of 0 / false on malformed numbers after Parse succeeded
-  // (Parse validates declared numeric defaults only by construction).
+  // an error value of 0 / false on malformed numbers (possible only for a
+  // flag whose default is not numeric).
   std::int64_t GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;

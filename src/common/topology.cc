@@ -1,67 +1,61 @@
 #include "src/common/topology.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <climits>
+#include <string_view>
+
+#include "src/common/text_codec.h"
 
 namespace silod {
 
 namespace {
 
-// Splits on `sep`, dropping empty pieces (tolerates trailing separators).
-std::vector<std::string> Split(const std::string& text, char sep) {
-  std::vector<std::string> pieces;
-  std::stringstream stream(text);
-  std::string piece;
-  while (std::getline(stream, piece, sep)) {
+// Splits on ';', trimming spaces and tabs and dropping empty entries
+// (tolerates trailing separators).
+std::vector<std::string_view> SplitEntries(std::string_view spec) {
+  std::vector<std::string_view> entries;
+  for (const std::string_view piece : SplitList(spec, ';')) {
     const std::size_t begin = piece.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const std::size_t end = piece.find_last_not_of(" \t");
-    pieces.push_back(piece.substr(begin, end - begin + 1));
+    if (begin != std::string_view::npos) {
+      entries.push_back(piece.substr(begin, piece.find_last_not_of(" \t") - begin + 1));
+    }
   }
-  return pieces;
-}
-
-// Shortest decimal form that round-trips through strtod, so Parse(ToSpec())
-// stays the identity for any representable speed factor.
-std::string FormatSpeed(double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  if (std::strtod(buf, nullptr) == value) return buf;
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  return entries;
 }
 
 // `gpu-type name=v100 count=64 speed=1`: space-separated key=value tokens
 // after the marker.  speed is optional (default 1).
-Result<GpuTypeSpec> ParseGpuType(const std::string& entry) {
+Result<GpuTypeSpec> ParseGpuType(std::string_view entry) {
   GpuTypeSpec type;
   bool have_count = false;
-  for (const std::string& token : Split(entry.substr(8), ' ')) {
+  for (const std::string_view token : SplitTokens(entry.substr(8))) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("gpu-type token missing '=': " + token);
+    if (eq == std::string_view::npos) {
+      return Status::InvalidArgument("gpu-type token missing '=': " + std::string(token));
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
+    const std::string key(token.substr(0, eq));
+    const std::string_view value = token.substr(eq + 1);
     if (key == "name") {
       type.name = value;
     } else if (key == "count") {
-      type.count = std::atoi(value.c_str());
+      const Result<std::int64_t> count = ParseInt(value, INT_MIN, INT_MAX);
+      if (!count.ok()) {
+        return Status::InvalidArgument("gpu-type count " + count.status().message());
+      }
+      type.count = static_cast<int>(*count);
       have_count = true;
     } else if (key == "speed") {
-      char* rest = nullptr;
-      type.speed = std::strtod(value.c_str(), &rest);
-      if (rest == value.c_str()) {
-        return Status::InvalidArgument("gpu-type speed is not a number: " + value);
+      const Result<double> speed = ParseDouble(value);
+      if (!speed.ok()) {
+        return Status::InvalidArgument("gpu-type speed " + speed.status().message());
       }
+      type.speed = *speed;
     } else {
       return Status::InvalidArgument("unknown gpu-type key: " + key);
     }
   }
   if (type.name.empty() || !have_count) {
-    return Status::InvalidArgument("gpu-type entry needs name= and count=: " + entry);
+    return Status::InvalidArgument("gpu-type entry needs name= and count=: " + std::string(entry));
   }
   return type;
 }
@@ -72,7 +66,7 @@ Result<ClusterTopology> ClusterTopology::Parse(const std::string& spec) {
   std::vector<TopologyZone> zones;
   std::vector<GpuTypeSpec> gpu_types;
   double loss_bound = kDefaultLossBound;
-  for (const std::string& entry : Split(spec, ';')) {
+  for (const std::string_view entry : SplitEntries(spec)) {
     if (entry.rfind("gpu-type", 0) == 0 &&
         (entry.size() == 8 || entry[8] == ' ' || entry[8] == '\t')) {
       Result<GpuTypeSpec> type = ParseGpuType(entry);
@@ -84,25 +78,28 @@ Result<ClusterTopology> ClusterTopology::Parse(const std::string& spec) {
     }
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos) {
-      return Status::InvalidArgument("topology entry missing '=': " + entry);
+      return Status::InvalidArgument("topology entry missing '=': " + std::string(entry));
     }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
+    const std::string key(entry.substr(0, eq));
+    const std::string_view value = entry.substr(eq + 1);
     if (key == "loss-bound") {
-      char* rest = nullptr;
-      loss_bound = std::strtod(value.c_str(), &rest);
-      if (rest == value.c_str() || loss_bound <= 0 || loss_bound > 1) {
-        return Status::InvalidArgument("topology loss-bound must be in (0, 1]: " + value);
+      const Result<double> bound = ParseDouble(value);
+      if (!bound.ok() || !(*bound > 0 && *bound <= 1)) {
+        return Status::InvalidArgument("topology loss-bound must be in (0, 1]: " +
+                                       std::string(value));
       }
+      loss_bound = *bound;
       continue;
     }
-    int first = 0;
-    int last = 0;
-    if (std::sscanf(value.c_str(), "%d-%d", &first, &last) != 2) {
+    const std::size_t dash = value.find('-');
+    const Result<std::int64_t> first = ParseInt(value.substr(0, dash), INT_MIN, INT_MAX);
+    const Result<std::int64_t> last =
+        ParseInt(dash == std::string_view::npos ? "" : value.substr(dash + 1), INT_MIN, INT_MAX);
+    if (!first.ok() || !last.ok()) {
       return Status::InvalidArgument("topology zone '" + key +
-                                     "' needs a server range <a>-<b>, got: " + value);
+                                     "' needs a server range <a>-<b>, got: " + std::string(value));
     }
-    zones.push_back(TopologyZone{key, first, last});
+    zones.push_back(TopologyZone{key, static_cast<int>(*first), static_cast<int>(*last)});
   }
   return Make(std::move(zones), std::move(gpu_types), loss_bound);
 }
@@ -225,14 +222,12 @@ std::string ClusterTopology::ToSpec() const {
     spec += z.name + "=" + std::to_string(z.first_server) + "-" + std::to_string(z.last_server);
   }
   if (loss_bound_ != kDefaultLossBound) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ";loss-bound=%g", loss_bound_);
-    spec += buf;
+    spec += ";loss-bound=" + FormatShortest(loss_bound_);
   }
   for (const GpuTypeSpec& t : gpu_types_) {
     if (!spec.empty()) spec += ";";
     spec += "gpu-type name=" + t.name + " count=" + std::to_string(t.count) +
-            " speed=" + FormatSpeed(t.speed);
+            " speed=" + FormatShortest(t.speed);
   }
   return spec;
 }

@@ -1,8 +1,11 @@
 #include "src/core/recovery.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <sstream>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string_view>
+
+#include "src/common/text_codec.h"
 
 namespace silod {
 
@@ -119,106 +122,90 @@ Status RestoreDataManager(const DataManagerSnapshot& snapshot, const DatasetCata
 
 std::string SnapshotToText(const DataManagerSnapshot& snapshot) {
   std::string out = "silod-snapshot-v1\n";
-  char buf[64];
   for (const auto& [dataset, quota] : snapshot.cache_allocations) {
-    std::snprintf(buf, sizeof(buf), "cache %d %" PRId64 "\n", dataset, quota);
-    out += buf;
+    out += "cache " + std::to_string(dataset) + " " + std::to_string(quota) + "\n";
   }
   for (const auto& [job, rate] : snapshot.io_allocations) {
-    std::snprintf(buf, sizeof(buf), "io %d %.6f\n", job, rate);
-    out += buf;
+    out += "io " + std::to_string(job) + " " + FormatExact(rate) + "\n";
   }
   for (const auto& [dataset, blocks] : snapshot.cached_blocks) {
-    std::snprintf(buf, sizeof(buf), "blocks %d", dataset);
-    out += buf;
+    out += "blocks " + std::to_string(dataset);
     for (const std::int64_t block : blocks) {
-      std::snprintf(buf, sizeof(buf), " %" PRId64, block);
-      out += buf;
+      out += " " + std::to_string(block);
     }
     out += "\n";
   }
   return out;
 }
 
-namespace {
-
-// True when the stream has unread non-whitespace (a malformed or extra token).
-bool HasTrailingGarbage(std::istringstream& fields) {
-  fields.clear();
-  std::string extra;
-  return static_cast<bool>(fields >> extra);
-}
-
-}  // namespace
-
 Result<DataManagerSnapshot> SnapshotFromText(const std::string& text,
                                              const DatasetCatalog* catalog) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "silod-snapshot-v1") {
+  const std::vector<std::string_view> lines = SplitList(text, '\n');
+  if (lines.empty() || lines[0] != "silod-snapshot-v1") {
     return Status::InvalidArgument("bad snapshot header");
   }
   DataManagerSnapshot snapshot;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const std::vector<std::string_view> fields = SplitTokens(lines[i]);
+    if (fields.empty()) {
       continue;
     }
-    std::istringstream fields(line);
-    std::string kind;
-    fields >> kind;
+    const std::string line(lines[i]);
+    const std::string kind(fields[0]);
+    const auto bad = [&line](const std::string& why) {
+      return Status::InvalidArgument(why + ": " + line);
+    };
+    if (kind != "cache" && kind != "io" && kind != "blocks") {
+      return Status::InvalidArgument("unknown snapshot record: " + kind);
+    }
+    if (fields.size() < (kind == "blocks" ? 2u : 3u)) {
+      return bad("truncated " + kind + " line");
+    }
+    if (kind != "blocks" && fields.size() > 3) {
+      return bad("trailing garbage on " + kind + " line");
+    }
+    const Result<std::int64_t> id = ParseInt(fields[1], std::numeric_limits<std::int32_t>::min(),
+                                             std::numeric_limits<std::int32_t>::max());
+    if (!id.ok()) {
+      return bad("bad " + kind + " id (" + id.status().message() + ")");
+    }
     if (kind == "cache") {
-      DatasetId dataset;
-      Bytes quota;
-      if (!(fields >> dataset >> quota)) {
-        return Status::InvalidArgument("truncated cache line: " + line);
+      const Result<std::int64_t> quota = ParseInt(fields[2]);
+      if (!quota.ok()) {
+        return bad("bad cache quota (" + quota.status().message() + ")");
       }
-      if (HasTrailingGarbage(fields)) {
-        return Status::InvalidArgument("trailing garbage on cache line: " + line);
+      if (*quota < 0) {
+        return bad("negative cache quota");
       }
-      if (quota < 0) {
-        return Status::InvalidArgument("negative cache quota: " + line);
-      }
-      if (!snapshot.cache_allocations.emplace(dataset, quota).second) {
-        return Status::InvalidArgument("duplicate cache record for dataset " +
-                                       std::to_string(dataset));
+      if (!snapshot.cache_allocations.emplace(static_cast<DatasetId>(*id), *quota).second) {
+        return bad("duplicate cache record");
       }
     } else if (kind == "io") {
-      JobId job;
-      BytesPerSec rate;
-      if (!(fields >> job >> rate)) {
-        return Status::InvalidArgument("truncated io line: " + line);
+      const Result<double> rate = ParseDouble(fields[2]);
+      if (!rate.ok()) {
+        return bad("bad io rate (" + rate.status().message() + ")");
       }
-      if (HasTrailingGarbage(fields)) {
-        return Status::InvalidArgument("trailing garbage on io line: " + line);
+      if (!std::isfinite(*rate) || *rate < 0) {
+        return bad("negative or non-finite io rate");
       }
-      if (rate < 0) {
-        return Status::InvalidArgument("negative io rate: " + line);
-      }
-      if (!snapshot.io_allocations.emplace(job, rate).second) {
-        return Status::InvalidArgument("duplicate io record for job " + std::to_string(job));
-      }
-    } else if (kind == "blocks") {
-      DatasetId dataset;
-      if (!(fields >> dataset)) {
-        return Status::InvalidArgument("truncated blocks line: " + line);
-      }
-      std::vector<std::int64_t> blocks;
-      std::int64_t block;
-      while (fields >> block) {
-        blocks.push_back(block);
-      }
-      if (HasTrailingGarbage(fields)) {
-        return Status::InvalidArgument("non-numeric block id: " + line);
-      }
-      if (blocks.empty()) {
-        return Status::InvalidArgument("blocks record lists no blocks: " + line);
-      }
-      if (!snapshot.cached_blocks.emplace(dataset, std::move(blocks)).second) {
-        return Status::InvalidArgument("duplicate blocks record for dataset " +
-                                       std::to_string(dataset));
+      if (!snapshot.io_allocations.emplace(static_cast<JobId>(*id), *rate).second) {
+        return bad("duplicate io record");
       }
     } else {
-      return Status::InvalidArgument("unknown snapshot record: " + kind);
+      std::vector<std::int64_t> blocks;
+      for (std::size_t j = 2; j < fields.size(); ++j) {
+        const Result<std::int64_t> block = ParseInt(fields[j]);
+        if (!block.ok()) {
+          return bad("non-numeric block id (" + block.status().message() + ")");
+        }
+        blocks.push_back(*block);
+      }
+      if (blocks.empty()) {
+        return bad("blocks record lists no blocks");
+      }
+      if (!snapshot.cached_blocks.emplace(static_cast<DatasetId>(*id), std::move(blocks)).second) {
+        return bad("duplicate blocks record");
+      }
     }
   }
   if (catalog != nullptr) {

@@ -10,7 +10,7 @@
 // Text format, line oriented:
 //   silod-snapshot-v1
 //   cache <dataset_id> <quota_bytes>
-//   io <job_id> <bytes_per_sec>
+//   io <job_id> <bytes_per_sec, FormatExact>
 //   blocks <dataset_id> <block> <block> ...
 #ifndef SILOD_SRC_CORE_RECOVERY_H_
 #define SILOD_SRC_CORE_RECOVERY_H_

@@ -1,26 +1,16 @@
 #include "src/fault/fault_plan.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <climits>
+#include <cmath>
 #include <map>
-#include <sstream>
+#include <string_view>
 
 #include "src/common/rng.h"
+#include "src/common/text_codec.h"
 
 namespace silod {
 namespace {
-
-std::string FmtTime(Seconds t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", t);
-  return buf;
-}
-
-std::string FmtDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 struct EventSpec {
   Seconds t = -1;
@@ -45,13 +35,15 @@ Status ParseServerRange(const std::string& raw, int* lo, int* hi) {
   if (dash == std::string::npos || dash == 0 || dash + 1 >= raw.size()) {
     return Status::InvalidArgument("zone servers= wants a range a-b, got: " + raw);
   }
-  std::istringstream lo_in(raw.substr(0, dash));
-  std::istringstream hi_in(raw.substr(dash + 1));
-  if (!(lo_in >> *lo) || !lo_in.eof() || !(hi_in >> *hi) || !hi_in.eof()) {
+  const Result<std::int64_t> first = ParseInt(std::string_view(raw).substr(0, dash), 0, INT_MAX);
+  const Result<std::int64_t> last = ParseInt(std::string_view(raw).substr(dash + 1), 0, INT_MAX);
+  if (!first.ok() || !last.ok()) {
     return Status::InvalidArgument("zone servers= wants a range a-b, got: " + raw);
   }
-  if (*lo < 0 || *hi < *lo) {
-    return Status::InvalidArgument("zone servers= range is empty or negative: " + raw);
+  *lo = static_cast<int>(*first);
+  *hi = static_cast<int>(*last);
+  if (*hi < *lo) {
+    return Status::InvalidArgument("zone servers= range is empty: " + raw);
   }
   return Status::Ok();
 }
@@ -79,17 +71,21 @@ Status ParseKeyValue(const std::string& token, EventSpec* spec) {
   if (key == "servers") {
     return ParseServerRange(raw, &spec->servers_lo, &spec->servers_hi);
   }
-  double value = 0;
-  std::istringstream in(raw);
-  if (!(in >> value) || !in.eof()) {
+  if (key == "server" || key == "job") {
+    const Result<std::int64_t> id = ParseInt(raw, INT_MIN, INT_MAX);
+    if (!id.ok()) {
+      return Status::InvalidArgument("bad fault " + key + " id: " + token);
+    }
+    (key == "server" ? spec->server : spec->job) = static_cast<int>(*id);
+    return Status::Ok();
+  }
+  const Result<double> parsed = ParseDouble(raw);
+  if (!parsed.ok() || !std::isfinite(*parsed)) {
     return Status::InvalidArgument("bad fault value: " + token);
   }
+  const double value = *parsed;
   if (key == "t") {
     spec->t = value;
-  } else if (key == "server") {
-    spec->server = static_cast<int>(value);
-  } else if (key == "job") {
-    spec->job = static_cast<int>(value);
   } else if (key == "factor") {
     spec->factor = value;
   } else if (key == "err") {
@@ -140,7 +136,7 @@ std::string FaultPlan::ToSpec() const {
       out += "; ";
     }
     out += FaultKindName(e.kind);
-    out += " t=" + FmtTime(e.time);
+    out += " t=" + FormatShortest(e.time);
     switch (e.kind) {
       case FaultKind::kCacheServerCrash:
       case FaultKind::kCacheServerRecover:
@@ -155,7 +151,7 @@ std::string FaultPlan::ToSpec() const {
         out += " job=" + std::to_string(e.target);
         break;
       case FaultKind::kRemoteDegrade:
-        out += " factor=" + FmtDouble(e.severity) + " err=" + FmtDouble(e.error_rate);
+        out += " factor=" + FormatShortest(e.severity) + " err=" + FormatShortest(e.error_rate);
         break;
       case FaultKind::kDataManagerRestart:
         break;
@@ -174,20 +170,18 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec,
   // each zone's most recent zone-crash (for anchored degrades).
   std::map<std::string, FaultZone> zones;
   std::map<std::string, Seconds> recovery_base;
-  std::istringstream events_in(spec);
-  std::string event_text;
-  while (std::getline(events_in, event_text, ';')) {
-    std::istringstream fields(event_text);
-    std::string kind_name;
-    if (!(fields >> kind_name)) {
+  for (const std::string_view segment : SplitList(spec, ';')) {
+    const std::vector<std::string_view> tokens = SplitTokens(segment);
+    if (tokens.empty()) {
       continue;  // Empty segment (trailing semicolon).
     }
+    const std::string event_text(segment);
+    const std::string kind_name(tokens[0]);
     EventSpec s;
     // worker-crash expands with a paired restart by default; explicit
     // restart=0 keeps the worker down for good.
-    std::string token;
-    while (fields >> token) {
-      if (const Status st = ParseKeyValue(token, &s); !st.ok()) {
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+      if (const Status st = ParseKeyValue(std::string(tokens[i]), &s); !st.ok()) {
         return st;
       }
     }
@@ -426,25 +420,20 @@ FaultPlan GenerateFaultPlan(const FaultChurnOptions& options) {
 
 Result<std::vector<ZoneChurn>> ParseZoneChurnSpec(const std::string& spec) {
   std::vector<ZoneChurn> zones;
-  std::istringstream zones_in(spec);
-  std::string zone_text;
-  while (std::getline(zones_in, zone_text, ';')) {
-    if (zone_text.find_first_not_of(" \t") == std::string::npos) {
+  for (const std::string_view zone_text : SplitList(spec, ';')) {
+    if (zone_text.find_first_not_of(" \t") == std::string_view::npos) {
       continue;  // Empty segment (trailing semicolon).
     }
     ZoneChurn churn;
     bool has_name = false;
     bool has_range = false;
-    std::istringstream fields_in(zone_text);
-    std::string field;
-    while (std::getline(fields_in, field, ':')) {
+    for (const std::string_view piece : SplitList(zone_text, ':')) {
       // Trim surrounding spaces.
-      const std::size_t begin = field.find_first_not_of(" \t");
-      const std::size_t end = field.find_last_not_of(" \t");
-      if (begin == std::string::npos) {
+      const std::size_t begin = piece.find_first_not_of(" \t");
+      if (begin == std::string_view::npos) {
         continue;
       }
-      field = field.substr(begin, end - begin + 1);
+      const std::string field(piece.substr(begin, piece.find_last_not_of(" \t") - begin + 1));
       const std::size_t eq = field.find('=');
       if (eq == std::string::npos) {
         return Status::InvalidArgument("zone field is not key=value: " + field);
@@ -465,11 +454,11 @@ Result<std::vector<ZoneChurn>> ParseZoneChurnSpec(const std::string& spec) {
         has_range = true;
         continue;
       }
-      double value = 0;
-      std::istringstream in(raw);
-      if (!(in >> value) || !in.eof()) {
+      const Result<double> parsed = ParseDouble(raw);
+      if (!parsed.ok() || !std::isfinite(*parsed)) {
         return Status::InvalidArgument("bad zone value: " + field);
       }
+      const double value = *parsed;
       if (key == "crashes-per-hour") {
         churn.crashes_per_hour = value;
       } else if (key == "down") {
@@ -494,7 +483,7 @@ Result<std::vector<ZoneChurn>> ParseZoneChurnSpec(const std::string& spec) {
     }
     if (!has_name || !has_range) {
       return Status::InvalidArgument("zone spec wants zone=<name> and servers=<a>-<b>: " +
-                                     zone_text);
+                                     std::string(zone_text));
     }
     zones.push_back(std::move(churn));
   }

@@ -4,130 +4,39 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 #include "src/common/topology.h"
 
 namespace silod {
 namespace {
 
-// String fields are single space-free tokens: backslash, newline and space
-// are escaped, and the empty string becomes the reserved token "\e" (a
-// literal "\e" input round-trips as "\\e", so the sentinel is unambiguous).
-std::string Escape(const std::string& text);
+constexpr const char* kHeader = "silod-minidump-v2";
 
-}  // namespace
-
-std::string MinidumpEscape(const std::string& text) { return Escape(text); }
-
-namespace {
-
-std::string Escape(const std::string& text) {
-  if (text.empty()) {
-    return "\\e";
-  }
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case ' ':
-        out += "\\s";
-        break;
-      default:
-        out += c;
+// Comma-separated integers; "" is the empty list.
+Result<std::vector<std::int64_t>> ParseIntList(std::string_view csv) {
+  std::vector<std::int64_t> values;
+  for (const std::string_view piece : SplitList(csv, ',')) {
+    const auto value = ParseInt(piece);
+    if (!value.ok()) {
+      return value.status();
     }
+    values.push_back(*value);
+  }
+  return values;
+}
+
+std::string JoinInts(const std::vector<std::int64_t>& values) {
+  std::string out;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out += (i > 0 ? "," : "") + std::to_string(values[i]);
   }
   return out;
-}
-
-Result<std::string> Unescape(const std::string& token) {
-  if (token == "\\e") {
-    return std::string();
-  }
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '\\') {
-      out += token[i];
-      continue;
-    }
-    if (i + 1 == token.size()) {
-      return Status::InvalidArgument("minidump: dangling escape in \"" + token + "\"");
-    }
-    switch (token[++i]) {
-      case '\\':
-        out += '\\';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 's':
-        out += ' ';
-        break;
-      default:
-        return Status::InvalidArgument("minidump: bad escape in \"" + token + "\"");
-    }
-  }
-  return out;
-}
-
-// Doubles print with max_digits10 so FromText(ToText(d)) is bit-exact.
-std::string DoubleToken(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    tokens.push_back(std::move(token));
-  }
-  return tokens;
-}
-
-Result<std::int64_t> ParseInt(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument("minidump: bad integer \"" + token + "\"");
-  }
-  return static_cast<std::int64_t>(v);
-}
-
-Result<std::uint64_t> ParseU64(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument("minidump: bad u64 \"" + token + "\"");
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-Result<double> ParseDouble(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument("minidump: bad double \"" + token + "\"");
-  }
-  return v;
 }
 
 const char* EventKindName(MinidumpEvent::Kind kind) {
@@ -144,73 +53,45 @@ const char* EventKindName(MinidumpEvent::Kind kind) {
   return "unknown";
 }
 
-// Joins tokens[first..] back into the original space-separated detail (each
-// token is individually escaped; spaces inside a field were turned into \s,
-// so the join separator is unambiguous).
-Result<std::string> JoinUnescaped(const std::vector<std::string>& tokens, std::size_t first) {
-  std::string out;
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const auto piece = Unescape(tokens[i]);
-    if (!piece.ok()) {
-      return piece.status();
-    }
-    if (i > first) {
-      out += ' ';
-    }
-    out += *piece;
-  }
-  return out;
-}
-
-// Replays one kFault event against the replay manager.  `manager` is
-// reassigned wholesale on dm-restart (the live path builds a fresh manager
-// too), which is why it is a non-const reference to a value.
+// Replays one kFault event — a codec record `server-crash shard=<s>`,
+// `server-recover shard=<s>` or `dm-restart dead=<csv|-> snap=<snapshot>` —
+// against the replay manager.  `manager` is reassigned wholesale on
+// dm-restart (the live path builds a fresh manager too), which is why it is a
+// non-const reference to a value.
 Status ReplayFault(const std::string& detail, const DatasetCatalog& catalog,
                    const Minidump& dump, const ClusterTopology& topology, DataManager& manager) {
-  const std::vector<std::string> parts = SplitTokens(detail);
-  if (parts.empty()) {
-    return Status::InvalidArgument("minidump: empty fault detail");
+  const auto record = DecodeRecord(detail);
+  if (!record.ok()) {
+    return Status::InvalidArgument("minidump: fault detail: " + record.status().message());
   }
-  if (parts[0] == "server-crash" || parts[0] == "server-recover") {
-    if (parts.size() != 2) {
-      return Status::InvalidArgument("minidump: fault detail \"" + detail + "\"");
+  const std::string& kind = record->head;
+  FieldReader fields(record->fields, kind);
+  if (kind == "server-crash" || kind == "server-recover") {
+    const std::int64_t shard = fields.Int("shard");
+    if (!fields.status().ok()) {
+      return fields.status();
     }
-    const auto shard = ParseInt(parts[1]);
-    if (!shard.ok()) {
-      return shard.status();
-    }
-    if (*shard < 0 || *shard >= manager.num_shards()) {
+    if (shard < 0 || shard >= manager.num_shards()) {
       return Status::InvalidArgument("minidump: fault shard out of range in \"" + detail + "\"");
     }
-    if (parts[0] == "server-crash") {
-      manager.CrashShard(static_cast<int>(*shard));
+    if (kind == "server-crash") {
+      manager.CrashShard(static_cast<int>(shard));
     } else {
-      manager.RecoverShard(static_cast<int>(*shard));
+      manager.RecoverShard(static_cast<int>(shard));
     }
     return Status::Ok();
   }
-  if (parts[0] == "dm-restart") {
-    if (parts.size() != 3 || parts[1].rfind("dead=", 0) != 0 || parts[2].rfind("snap=", 0) != 0) {
-      return Status::InvalidArgument("minidump: fault detail \"" + detail + "\"");
+  if (kind == "dm-restart") {
+    const std::string dead_csv = fields.String("dead");
+    const std::string snap_text = fields.String("snap");
+    if (!fields.status().ok()) {
+      return fields.status();
     }
-    std::vector<int> dead;
-    const std::string dead_csv = parts[1].substr(5);
-    if (dead_csv != "-") {
-      std::istringstream is(dead_csv);
-      std::string piece;
-      while (std::getline(is, piece, ',')) {
-        const auto shard = ParseInt(piece);
-        if (!shard.ok()) {
-          return shard.status();
-        }
-        dead.push_back(static_cast<int>(*shard));
-      }
+    const auto dead = ParseIntList(dead_csv == "-" ? "" : dead_csv);
+    if (!dead.ok()) {
+      return dead.status();
     }
-    const auto snap_text = Unescape(parts[2].substr(5));
-    if (!snap_text.ok()) {
-      return snap_text.status();
-    }
-    const auto snapshot = SnapshotFromText(*snap_text, &catalog);
+    const auto snapshot = SnapshotFromText(snap_text, &catalog);
     if (!snapshot.ok()) {
       return snapshot.status();
     }
@@ -222,11 +103,11 @@ Status ReplayFault(const std::string& detail, const DatasetCatalog& catalog,
         return st;
       }
     }
-    for (const int shard : dead) {
+    for (const std::int64_t shard : *dead) {
       if (shard < 0 || shard >= fresh.num_shards()) {
         return Status::InvalidArgument("minidump: dead shard out of range in \"" + detail + "\"");
       }
-      fresh.CrashShard(shard);
+      fresh.CrashShard(static_cast<int>(shard));
     }
     if (const Status st = RestoreDataManager(*snapshot, catalog, &fresh); !st.ok()) {
       return st;
@@ -234,282 +115,190 @@ Status ReplayFault(const std::string& detail, const DatasetCatalog& catalog,
     manager = std::move(fresh);
     return Status::Ok();
   }
-  return Status::InvalidArgument("minidump: unknown fault kind \"" + parts[0] + "\"");
+  return Status::InvalidArgument("minidump: unknown fault kind \"" + kind + "\"");
 }
 
 Status ReplayPlan(const std::string& detail, const DatasetCatalog& catalog, DataManager& manager) {
   AllocationPlan plan;
   plan.cache_model = CacheModelKind::kDatasetQuota;
   if (detail != "-") {
-    for (const std::string& entry : SplitTokens(detail)) {
+    for (const std::string_view entry : SplitTokens(detail)) {
       const std::size_t eq = entry.find('=');
-      if (eq == std::string::npos) {
-        return Status::InvalidArgument("minidump: plan entry \"" + entry + "\"");
+      if (eq == std::string_view::npos) {
+        return Status::InvalidArgument("minidump: plan entry \"" + std::string(entry) + "\"");
       }
       const auto dataset = ParseInt(entry.substr(0, eq));
       if (!dataset.ok()) {
         return dataset.status();
       }
-      std::string rest = entry.substr(eq + 1);
+      std::string_view rest = entry.substr(eq + 1);
       const std::size_t at = rest.find('@');
-      std::vector<Bytes> zone_shares;
-      if (at != std::string::npos) {
-        std::istringstream is(rest.substr(at + 1));
-        std::string piece;
-        while (std::getline(is, piece, ',')) {
-          const auto share = ParseInt(piece);
-          if (!share.ok()) {
-            return share.status();
-          }
-          zone_shares.push_back(*share);
-        }
-        rest = rest.substr(0, at);
+      const auto zone_shares =
+          ParseIntList(at == std::string_view::npos ? "" : rest.substr(at + 1));
+      if (!zone_shares.ok()) {
+        return zone_shares.status();
       }
-      const auto quota = ParseInt(rest);
+      const auto quota = ParseInt(rest.substr(0, at));
       if (!quota.ok()) {
         return quota.status();
       }
       const auto id = static_cast<DatasetId>(*dataset);
       plan.dataset_cache[id] = *quota;
-      if (!zone_shares.empty()) {
-        plan.dataset_zone_cache[id] = std::move(zone_shares);
+      if (!zone_shares->empty()) {
+        plan.dataset_zone_cache[id] = *zone_shares;
       }
     }
   }
   return manager.ApplyPlan(plan, catalog);
 }
 
+// Applies one decoded minidump line to `dump`.
+Status ApplyRecord(const TextRecord& record, Minidump* dump) {
+  const std::string& head = record.head;
+  FieldReader fields(record.fields, head);
+  if (head == "time") {
+    dump->wall_time = fields.Double("t");
+  } else if (head == "reason") {
+    dump->reason = fields.String("text");
+  } else if (head == "topology") {
+    dump->topology_spec = fields.String("text");
+  } else if (head == "config") {
+    const std::int64_t shards = fields.Int("shards");
+    if (fields.status().ok() && (shards < 1 || shards > 1 << 16)) {
+      return Status::InvalidArgument("num_shards must be in [1, 65536]");
+    }
+    dump->num_shards = static_cast<int>(shards);
+    dump->total_cache = fields.Int("cache");
+    dump->remote_io = fields.Double("io");
+    dump->seed = fields.U64("seed");
+  } else if (head == "dataset") {
+    MinidumpCatalogEntry entry;
+    entry.id = static_cast<DatasetId>(fields.Int("id"));
+    entry.name = fields.String("name");
+    entry.size = fields.Int("size");
+    entry.block_size = fields.Int("block");
+    dump->catalog.push_back(std::move(entry));
+  } else if (head == "base") {
+    dump->base_seq = fields.Int("seq");
+  } else if (head == "shard") {
+    if (fields.Int("index") != static_cast<std::int64_t>(dump->shards.size())) {
+      return fields.status().ok() ? Status::InvalidArgument("shard records out of order")
+                                  : fields.status();
+    }
+    MinidumpShard shard;
+    shard.alive = fields.Int("alive") != 0;
+    shard.capacity = fields.Int("capacity");
+    shard.snapshot_text = fields.String("state");
+    for (std::size_t i = 0; i < shard.rng_state.size(); ++i) {
+      shard.rng_state[i] = fields.U64("rng" + std::to_string(i));
+    }
+    dump->shards.push_back(std::move(shard));
+  } else if (head == "zone-shares") {
+    const auto id = static_cast<DatasetId>(fields.Int("dataset"));
+    auto shares = ParseIntList(fields.String("shares"));
+    if (!shares.ok()) {
+      return shares.status();
+    }
+    dump->zone_shares.emplace_back(id, *std::move(shares));
+  } else if (head == "event") {
+    MinidumpEvent event;
+    event.seq = fields.Int("seq");
+    const std::string kind = fields.String("kind");
+    if (kind == "access") {
+      event.kind = MinidumpEvent::Kind::kAccess;
+      event.job = static_cast<JobId>(fields.Int("job"));
+      event.dataset = static_cast<DatasetId>(fields.Int("dataset"));
+      event.block = fields.Int("block");
+      event.hit = fields.Int("hit") != 0;
+    } else if (kind == "plan" || kind == "fault" || kind == "note") {
+      event.kind = kind == "plan"    ? MinidumpEvent::Kind::kPlan
+                   : kind == "fault" ? MinidumpEvent::Kind::kFault
+                                     : MinidumpEvent::Kind::kNote;
+      event.detail = fields.String("detail");
+    } else if (fields.status().ok()) {
+      return Status::InvalidArgument("unknown event kind \"" + kind + "\"");
+    }
+    dump->events.push_back(std::move(event));
+  } else {
+    return Status::InvalidArgument("unknown record \"" + head + "\"");
+  }
+  return fields.status();
+}
+
 }  // namespace
 
 std::string MinidumpToText(const Minidump& dump) {
-  std::ostringstream os;
-  os << "silod-minidump-v1\n";
-  os << "time " << DoubleToken(dump.wall_time) << "\n";
-  os << "reason " << Escape(dump.reason) << "\n";
-  os << "config " << dump.num_shards << " " << dump.total_cache << " "
-     << DoubleToken(dump.remote_io) << " " << dump.seed << "\n";
-  os << "topology " << Escape(dump.topology_spec) << "\n";
+  std::string out = std::string(kHeader) + "\n";
+  const auto line = [&out](std::string_view head, const RecordFields& fields) {
+    out += EncodeRecord(head, fields);
+    out += '\n';
+  };
+  line("time", {{"t", FormatExact(dump.wall_time)}});
+  line("reason", {{"text", dump.reason}});
+  line("config", {{"shards", std::to_string(dump.num_shards)},
+                  {"cache", std::to_string(dump.total_cache)},
+                  {"io", FormatExact(dump.remote_io)},
+                  {"seed", std::to_string(dump.seed)}});
+  line("topology", {{"text", dump.topology_spec}});
   for (const auto& entry : dump.catalog) {
-    os << "dataset " << entry.id << " " << Escape(entry.name) << " " << entry.size << " "
-       << entry.block_size << "\n";
+    line("dataset", {{"id", std::to_string(entry.id)},
+                     {"name", entry.name},
+                     {"size", std::to_string(entry.size)},
+                     {"block", std::to_string(entry.block_size)}});
   }
-  os << "base " << dump.base_seq << "\n";
+  line("base", {{"seq", std::to_string(dump.base_seq)}});
   for (std::size_t s = 0; s < dump.shards.size(); ++s) {
     const MinidumpShard& shard = dump.shards[s];
-    os << "shard " << s << " " << (shard.alive ? 1 : 0) << " " << shard.capacity;
-    for (const std::uint64_t word : shard.rng_state) {
-      os << " " << word;
+    RecordFields fields = {{"index", std::to_string(s)},
+                           {"alive", shard.alive ? "1" : "0"},
+                           {"capacity", std::to_string(shard.capacity)},
+                           {"state", shard.snapshot_text}};
+    for (std::size_t i = 0; i < shard.rng_state.size(); ++i) {
+      fields["rng" + std::to_string(i)] = std::to_string(shard.rng_state[i]);
     }
-    os << "\n";
-    os << "shard-state " << s << " " << Escape(shard.snapshot_text) << "\n";
+    line("shard", fields);
   }
   for (const auto& [dataset, shares] : dump.zone_shares) {
-    os << "zone-shares " << dataset;
-    for (const Bytes share : shares) {
-      os << " " << share;
-    }
-    os << "\n";
+    line("zone-shares", {{"dataset", std::to_string(dataset)}, {"shares", JoinInts(shares)}});
   }
   for (const MinidumpEvent& event : dump.events) {
-    os << "event " << event.seq << " " << EventKindName(event.kind);
+    RecordFields fields = {{"seq", std::to_string(event.seq)},
+                           {"kind", EventKindName(event.kind)}};
     if (event.kind == MinidumpEvent::Kind::kAccess) {
-      os << " " << event.job << " " << event.dataset << " " << event.block << " "
-         << (event.hit ? 1 : 0);
+      fields["job"] = std::to_string(event.job);
+      fields["dataset"] = std::to_string(event.dataset);
+      fields["block"] = std::to_string(event.block);
+      fields["hit"] = event.hit ? "1" : "0";
     } else {
-      os << " " << Escape(event.detail);
+      fields["detail"] = event.detail;
     }
-    os << "\n";
+    line("event", fields);
   }
-  return os.str();
+  return out;
 }
 
 Result<Minidump> MinidumpFromText(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line != "silod-minidump-v1") {
-    return Status::InvalidArgument("minidump: missing silod-minidump-v1 header");
+  const std::vector<std::string_view> lines = SplitList(text, '\n');
+  if (lines.empty() || lines[0] != kHeader) {
+    return Status::InvalidArgument(
+        "minidump: want a " + std::string(kHeader) + " header" +
+        (!lines.empty() && lines[0] == "silod-minidump-v1"
+             ? ", got silod-minidump-v1 (no longer readable; re-record the dump)"
+             : ""));
   }
   Minidump dump;
   bool saw_config = false;
-  int line_no = 1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::vector<std::string> tokens = SplitTokens(line);
-    if (tokens.empty()) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].empty()) {
       continue;
     }
-    const auto fail = [&](const std::string& why) -> Status {
-      return Status::InvalidArgument("minidump line " + std::to_string(line_no) + ": " + why);
-    };
-    const std::string& key = tokens[0];
-    if (key == "time") {
-      if (tokens.size() != 2) {
-        return fail("time wants 1 field");
-      }
-      const auto v = ParseDouble(tokens[1]);
-      if (!v.ok()) {
-        return v.status();
-      }
-      dump.wall_time = *v;
-    } else if (key == "reason") {
-      if (tokens.size() != 2) {
-        return fail("reason wants 1 field");
-      }
-      const auto v = Unescape(tokens[1]);
-      if (!v.ok()) {
-        return v.status();
-      }
-      dump.reason = *v;
-    } else if (key == "config") {
-      if (tokens.size() != 5) {
-        return fail("config wants 4 fields");
-      }
-      const auto shards = ParseInt(tokens[1]);
-      const auto cache = ParseInt(tokens[2]);
-      const auto io = ParseDouble(tokens[3]);
-      const auto seed = ParseU64(tokens[4]);
-      if (!shards.ok() || !cache.ok() || !io.ok() || !seed.ok()) {
-        return fail("bad config field");
-      }
-      if (*shards < 1) {
-        return fail("num_shards must be >= 1");
-      }
-      dump.num_shards = static_cast<int>(*shards);
-      dump.total_cache = *cache;
-      dump.remote_io = *io;
-      dump.seed = *seed;
-      saw_config = true;
-    } else if (key == "topology") {
-      if (tokens.size() != 2) {
-        return fail("topology wants 1 field");
-      }
-      const auto v = Unescape(tokens[1]);
-      if (!v.ok()) {
-        return v.status();
-      }
-      dump.topology_spec = *v;
-    } else if (key == "dataset") {
-      if (tokens.size() != 5) {
-        return fail("dataset wants 4 fields");
-      }
-      const auto id = ParseInt(tokens[1]);
-      const auto name = Unescape(tokens[2]);
-      const auto size = ParseInt(tokens[3]);
-      const auto block = ParseInt(tokens[4]);
-      if (!id.ok() || !name.ok() || !size.ok() || !block.ok()) {
-        return fail("bad dataset field");
-      }
-      dump.catalog.push_back(
-          {static_cast<DatasetId>(*id), *name, *size, *block});
-    } else if (key == "base") {
-      if (tokens.size() != 2) {
-        return fail("base wants 1 field");
-      }
-      const auto v = ParseInt(tokens[1]);
-      if (!v.ok()) {
-        return v.status();
-      }
-      dump.base_seq = *v;
-    } else if (key == "shard") {
-      if (tokens.size() != 8) {
-        return fail("shard wants 7 fields");
-      }
-      const auto index = ParseInt(tokens[1]);
-      const auto alive = ParseInt(tokens[2]);
-      const auto capacity = ParseInt(tokens[3]);
-      if (!index.ok() || !alive.ok() || !capacity.ok()) {
-        return fail("bad shard field");
-      }
-      if (*index != static_cast<std::int64_t>(dump.shards.size())) {
-        return fail("shard records out of order");
-      }
-      MinidumpShard shard;
-      shard.alive = *alive != 0;
-      shard.capacity = *capacity;
-      for (int i = 0; i < 4; ++i) {
-        const auto word = ParseU64(tokens[4 + i]);
-        if (!word.ok()) {
-          return word.status();
-        }
-        shard.rng_state[static_cast<std::size_t>(i)] = *word;
-      }
-      dump.shards.push_back(std::move(shard));
-    } else if (key == "shard-state") {
-      if (tokens.size() != 3) {
-        return fail("shard-state wants 2 fields");
-      }
-      const auto index = ParseInt(tokens[1]);
-      const auto state = Unescape(tokens[2]);
-      if (!index.ok() || !state.ok()) {
-        return fail("bad shard-state field");
-      }
-      if (*index < 0 || *index >= static_cast<std::int64_t>(dump.shards.size())) {
-        return fail("shard-state before its shard record");
-      }
-      dump.shards[static_cast<std::size_t>(*index)].snapshot_text = *state;
-    } else if (key == "zone-shares") {
-      if (tokens.size() < 2) {
-        return fail("zone-shares wants a dataset id");
-      }
-      const auto id = ParseInt(tokens[1]);
-      if (!id.ok()) {
-        return id.status();
-      }
-      std::vector<Bytes> shares;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto share = ParseInt(tokens[i]);
-        if (!share.ok()) {
-          return share.status();
-        }
-        shares.push_back(*share);
-      }
-      dump.zone_shares.emplace_back(static_cast<DatasetId>(*id), std::move(shares));
-    } else if (key == "event") {
-      if (tokens.size() < 3) {
-        return fail("event wants a seq and a kind");
-      }
-      const auto seq = ParseInt(tokens[1]);
-      if (!seq.ok()) {
-        return seq.status();
-      }
-      MinidumpEvent event;
-      event.seq = *seq;
-      const std::string& kind = tokens[2];
-      if (kind == "access") {
-        if (tokens.size() != 7) {
-          return fail("access event wants 4 fields");
-        }
-        const auto job = ParseInt(tokens[3]);
-        const auto dataset = ParseInt(tokens[4]);
-        const auto block = ParseInt(tokens[5]);
-        const auto hit = ParseInt(tokens[6]);
-        if (!job.ok() || !dataset.ok() || !block.ok() || !hit.ok()) {
-          return fail("bad access field");
-        }
-        event.kind = MinidumpEvent::Kind::kAccess;
-        event.job = static_cast<JobId>(*job);
-        event.dataset = static_cast<DatasetId>(*dataset);
-        event.block = *block;
-        event.hit = *hit != 0;
-      } else if (kind == "plan" || kind == "fault" || kind == "note") {
-        if (tokens.size() < 4) {
-          return fail(kind + " event wants a detail");
-        }
-        event.kind = kind == "plan"    ? MinidumpEvent::Kind::kPlan
-                     : kind == "fault" ? MinidumpEvent::Kind::kFault
-                                       : MinidumpEvent::Kind::kNote;
-        const auto detail = JoinUnescaped(tokens, 3);
-        if (!detail.ok()) {
-          return detail.status();
-        }
-        event.detail = *detail;
-      } else {
-        return fail("unknown event kind \"" + kind + "\"");
-      }
-      dump.events.push_back(std::move(event));
-    } else {
-      return fail("unknown record \"" + key + "\"");
+    auto record = DecodeRecord(lines[i]);
+    Status st = record.ok() ? ApplyRecord(*record, &dump) : record.status();
+    if (!st.ok()) {
+      return Status::InvalidArgument("minidump line " + std::to_string(i + 1) + ": " +
+                                     st.message());
     }
+    saw_config = saw_config || record->head == "config";
   }
   if (!saw_config) {
     return Status::InvalidArgument("minidump: missing config record");
@@ -735,26 +524,15 @@ std::string MinidumpRecorder::PlanDetail(const AllocationPlan& plan) {
   if (plan.dataset_cache.empty()) {
     return "-";
   }
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   for (const auto& [dataset, quota] : plan.dataset_cache) {
-    if (!first) {
-      os << " ";
-    }
-    first = false;
-    os << dataset << "=" << quota;
+    out += (out.empty() ? "" : " ") + std::to_string(dataset) + "=" + std::to_string(quota);
     const auto zit = plan.dataset_zone_cache.find(dataset);
     if (zit != plan.dataset_zone_cache.end() && !zit->second.empty()) {
-      os << "@";
-      for (std::size_t z = 0; z < zit->second.size(); ++z) {
-        if (z > 0) {
-          os << ",";
-        }
-        os << zit->second[z];
-      }
+      out += "@" + JoinInts(zit->second);
     }
   }
-  return os.str();
+  return out;
 }
 
 Minidump MinidumpRecorder::Dump(Seconds wall_time, std::string reason) const {

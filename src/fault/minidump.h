@@ -59,8 +59,9 @@ struct MinidumpEvent {
   std::int64_t block = -1;
   bool hit = false;
   // kPlan: MinidumpRecorder::PlanDetail's encoding of the quota plan.
-  // kFault: "server-crash <s>" | "server-recover <s>" |
-  //         "dm-restart dead=<csv|-> snap=<escaped snapshot text>".
+  // kFault: one common/text_codec.h record, "server-crash shard=<s>" |
+  //         "server-recover shard=<s>" |
+  //         "dm-restart dead=<csv|-> snap=<snapshot text>".
   // kNote: free-form forensic text (never replayed).
   std::string detail;
 
@@ -103,14 +104,12 @@ struct Minidump {
   bool operator==(const Minidump&) const = default;
 };
 
-// Durable serialization; MinidumpFromText(MinidumpToText(d)) == d.
+// Durable serialization; MinidumpFromText(MinidumpToText(d)) == d.  The
+// text is a "silod-minidump-v2" header, then one common/text_codec.h record
+// per line (time, reason, config, topology, dataset, base, shard,
+// zone-shares, event); strings are percent-escaped and doubles FormatExact.
 std::string MinidumpToText(const Minidump& dump);
 Result<Minidump> MinidumpFromText(const std::string& text);
-
-// The serializer's token escaping (backslash, newline, space; "" -> "\e").
-// Public because kFault details embed an escaped snapshot text as a single
-// token ("dm-restart dead=<csv|-> snap=<MinidumpEscape(snapshot)>").
-std::string MinidumpEscape(const std::string& text);
 
 struct ReplayReport {
   std::int64_t events = 0;    // Events re-executed (notes included).

@@ -1,6 +1,8 @@
 #include "src/fault/restart_cost.h"
 
-#include <sstream>
+#include <string_view>
+
+#include "src/common/text_codec.h"
 
 namespace silod {
 
@@ -28,13 +30,13 @@ Result<RestartCost> RestartCost::Parse(const std::string& spec) {
   }
   const std::string prefix = "checkpoint-interval:";
   if (spec.rfind(prefix, 0) == 0) {
-    std::int64_t blocks = 0;
-    std::istringstream in(spec.substr(prefix.size()));
-    if (!(in >> blocks) || !in.eof() || blocks <= 0) {
+    const Result<std::int64_t> blocks =
+        ParseInt(std::string_view(spec).substr(prefix.size()), 1);
+    if (!blocks.ok()) {
       return Status::InvalidArgument("checkpoint-interval wants a positive block count: " + spec);
     }
     cost.policy = RestartCostPolicy::kCheckpointInterval;
-    cost.interval_blocks = blocks;
+    cost.interval_blocks = *blocks;
     return cost;
   }
   return Status::InvalidArgument(

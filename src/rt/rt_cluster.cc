@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 #include "src/rt/epoch_order.h"
 
 namespace silod {
@@ -612,8 +613,8 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
             dead += std::to_string(dead_shards[i]);
           }
         }
-        recorder_->RecordFault("dm-restart dead=" + dead +
-                               " snap=" + MinidumpEscape(SnapshotToText(snapshot)));
+        recorder_->RecordFault(
+            EncodeRecord("dm-restart", {{"dead", dead}, {"snap", SnapshotToText(snapshot)}}));
       }
       return;
     }
@@ -649,7 +650,8 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       }
       ++fault_stats_.server_crashes;
       if (recorder_ != nullptr) {
-        recorder_->RecordFault("server-crash " + std::to_string(event.target));
+        recorder_->RecordFault(
+            EncodeRecord("server-crash", {{"shard", std::to_string(event.target)}}));
       }
       return;
     }
@@ -666,7 +668,8 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       manager_.RecoverShard(event.target);  // Rejoins empty, refills on misses.
       ++fault_stats_.server_recoveries;
       if (recorder_ != nullptr) {
-        recorder_->RecordFault("server-recover " + std::to_string(event.target));
+        recorder_->RecordFault(
+            EncodeRecord("server-recover", {{"shard", std::to_string(event.target)}}));
       }
       return;
     }

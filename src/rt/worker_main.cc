@@ -4,13 +4,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
 
+#include "src/common/text_codec.h"
 #include "src/rt/epoch_order.h"
 #include "src/rt/wire.h"
 
@@ -250,11 +251,11 @@ int MaybeRunWorkerMain(int argc, char** argv) {
   constexpr const char kFlag[] = "--silod-worker-fd=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      const int fd = std::atoi(argv[i] + sizeof(kFlag) - 1);
-      if (fd < 0) {
+      const Result<std::int64_t> fd = ParseInt(argv[i] + sizeof(kFlag) - 1, 0, INT_MAX);
+      if (!fd.ok()) {
         return 3;
       }
-      return RunWorker(fd);
+      return RunWorker(static_cast<int>(*fd));
     }
   }
   return -1;

@@ -6,11 +6,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 
 #include "src/common/framing.h"
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 
 namespace silod {
 namespace {
@@ -75,14 +76,13 @@ Status ParseJournalSyncSpec(const std::string& spec, JournalOptions* options) {
   }
   if (spec.rfind("batch:", 0) == 0) {
     const std::string count = spec.substr(6);
-    char* end = nullptr;
-    const long n = std::strtol(count.c_str(), &end, 10);
-    if (count.empty() || end == nullptr || *end != '\0' || n < 1) {
+    const Result<std::int64_t> n = ParseInt(count, 1, UINT32_MAX);
+    if (!n.ok()) {
       return Status::InvalidArgument("bad --journal-sync batch count '" + count +
                                      "' (want batch:<N>, N >= 1)");
     }
     options->sync = JournalSyncMode::kBatch;
-    options->batch_frames = static_cast<std::uint32_t>(n);
+    options->batch_frames = static_cast<std::uint32_t>(*n);
     return Status::Ok();
   }
   return Status::InvalidArgument("bad --journal-sync '" + spec +

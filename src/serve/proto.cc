@@ -1,78 +1,9 @@
 #include "src/serve/proto.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <vector>
-
 #include "src/common/framing.h"
 
 namespace silod {
 namespace {
-
-bool NeedsEscape(unsigned char c) {
-  return c <= ' ' || c >= 0x7f || c == '%';
-}
-
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  if (c >= 'A' && c <= 'F') {
-    return c - 'A' + 10;
-  }
-  return -1;
-}
-
-std::vector<std::string> SplitTokens(const std::string& payload) {
-  std::vector<std::string> tokens;
-  std::string token;
-  for (const char c : payload) {
-    if (c == ' ') {
-      if (!token.empty()) {
-        tokens.push_back(token);
-        token.clear();
-      }
-    } else {
-      token += c;
-    }
-  }
-  if (!token.empty()) {
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-// Parses the `key=value` tokens after the leading verb/status token.
-Status ParseArgs(const std::vector<std::string>& tokens, std::size_t first,
-                 std::map<std::string, std::string>* args) {
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("malformed token '" + token + "' (want key=value)");
-    }
-    Result<std::string> value = UnescapeToken(token.substr(eq + 1));
-    if (!value.ok()) {
-      return value.status();
-    }
-    const std::string key = token.substr(0, eq);
-    if (!args->emplace(key, *std::move(value)).second) {
-      return Status::InvalidArgument("duplicate key '" + key + "'");
-    }
-  }
-  return Status::Ok();
-}
-
-std::string EncodeArgs(const std::map<std::string, std::string>& args) {
-  std::string out;
-  for (const auto& [key, value] : args) {
-    out += " " + key + "=" + EscapeToken(value);
-  }
-  return out;
-}
 
 // Status codes travel as their kebab-case names ("invalid-argument"), kept in
 // sync with StatusCode by the exhaustive switch below.
@@ -115,95 +46,43 @@ Result<StatusCode> TokenToCode(const std::string& token) {
 
 }  // namespace
 
-std::string EscapeToken(const std::string& raw) {
-  static const char* kHex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (NeedsEscape(u)) {
-      out += '%';
-      out += kHex[u >> 4];
-      out += kHex[u & 0xf];
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> UnescapeToken(const std::string& token) {
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      out += token[i];
-      continue;
-    }
-    if (i + 2 >= token.size()) {
-      return Status::InvalidArgument("truncated escape in '" + token + "'");
-    }
-    const int hi = HexValue(token[i + 1]);
-    const int lo = HexValue(token[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad escape in '" + token + "'");
-    }
-    out += static_cast<char>((hi << 4) | lo);
-    i += 2;
-  }
-  return out;
-}
-
 Result<std::string> ServeRequest::GetString(const std::string& key) const {
-  const auto it = args.find(key);
-  if (it == args.end()) {
-    return Status::InvalidArgument(verb + ": missing required argument '" + key + "'");
-  }
-  return it->second;
-}
-
-Result<std::int64_t> ServeRequest::GetInt(const std::string& key) const {
-  Result<std::string> raw = GetString(key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(raw->c_str(), &end, 10);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(verb + ": argument '" + key + "' is not an integer: " + *raw);
-  }
-  return static_cast<std::int64_t>(value);
-}
-
-Result<double> ServeRequest::GetDouble(const std::string& key) const {
-  Result<std::string> raw = GetString(key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument(verb + ": argument '" + key + "' is not a number: " + *raw);
+  FieldReader reader(args, verb);
+  std::string value = reader.String(key);
+  if (!reader.status().ok()) {
+    return reader.status();
   }
   return value;
 }
 
-std::string ServeRequest::Encode() const { return EscapeToken(verb) + EncodeArgs(args); }
+Result<std::int64_t> ServeRequest::GetInt(const std::string& key) const {
+  FieldReader reader(args, verb);
+  const std::int64_t value = reader.Int(key);
+  if (!reader.status().ok()) {
+    return reader.status();
+  }
+  return value;
+}
+
+Result<double> ServeRequest::GetDouble(const std::string& key) const {
+  FieldReader reader(args, verb);
+  const double value = reader.Double(key);
+  if (!reader.status().ok()) {
+    return reader.status();
+  }
+  return value;
+}
+
+std::string ServeRequest::Encode() const { return EncodeRecord(verb, args); }
 
 Result<ServeRequest> ServeRequest::Decode(const std::string& payload) {
-  const std::vector<std::string> tokens = SplitTokens(payload);
-  if (tokens.empty()) {
-    return Status::InvalidArgument("empty request");
+  Result<TextRecord> record = DecodeRecord(payload);
+  if (!record.ok()) {
+    return record.status();
   }
   ServeRequest request;
-  Result<std::string> verb = UnescapeToken(tokens[0]);
-  if (!verb.ok()) {
-    return verb.status();
-  }
-  request.verb = *std::move(verb);
-  if (const Status st = ParseArgs(tokens, 1, &request.args); !st.ok()) {
-    return st;
-  }
+  request.verb = std::move(record->head);
+  request.args = std::move(record->fields);
   return request;
 }
 
@@ -217,29 +96,29 @@ ServeResponse ServeResponse::FromStatus(const Status& status) {
 std::string ServeResponse::Encode() const {
   std::string out = CodeToken(code);
   if (!ok()) {
-    out += " err=" + EscapeToken(error);
+    AppendField(&out, "err", error);
   }
-  out += EncodeArgs(fields);
+  for (const auto& [key, value] : fields) {
+    AppendField(&out, key, value);
+  }
   return out;
 }
 
 Result<ServeResponse> ServeResponse::Decode(const std::string& payload) {
-  const std::vector<std::string> tokens = SplitTokens(payload);
-  if (tokens.empty()) {
-    return Status::InvalidArgument("empty response");
+  Result<TextRecord> record = DecodeRecord(payload);
+  if (!record.ok()) {
+    return record.status();
   }
-  Result<StatusCode> code = TokenToCode(tokens[0]);
+  Result<StatusCode> code = TokenToCode(record->head);
   if (!code.ok()) {
     return code.status();
   }
   ServeResponse response;
   response.code = *code;
-  if (const Status st = ParseArgs(tokens, 1, &response.fields); !st.ok()) {
-    return st;
-  }
+  response.fields = std::move(record->fields);
   const auto err = response.fields.find("err");
   if (err != response.fields.end()) {
-    response.error = err->second;
+    response.error = std::move(err->second);
     response.fields.erase(err);
   }
   return response;

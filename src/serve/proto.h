@@ -8,11 +8,12 @@
 //   request:   <verb> key=value key=value ...
 //   response:  <status-token> [err=<message>] key=value ...
 //
-// Values are percent-escaped (space, '%', control bytes) so any string
-// round-trips; keys are plain identifiers.  The encoding is deliberately
-// greppable — `silod_client --verbose` prints frames verbatim — and
-// deterministic: args serialize in sorted key order, so identical requests
-// are byte-identical (useful for request logs and replay).
+// Each payload is one common/text_codec.h record: values are percent-escaped
+// (space, '%', control bytes) so any string round-trips; keys are plain
+// identifiers.  The encoding is deliberately greppable — `silod_client
+// --verbose` prints frames verbatim — and deterministic: args serialize in
+// sorted key order, so identical requests are byte-identical (useful for
+// request logs and replay).
 //
 // Verbs: submit | complete | cancel | progress | query | stats | plan |
 //        reload-policy | report | shutdown (see serve/service.h for the
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "src/common/status.h"
+#include "src/common/text_codec.h"
 
 namespace silod {
 
@@ -32,11 +34,6 @@ enum class ServeFrameType : std::uint8_t {
   kRequest = 1,
   kResponse = 2,
 };
-
-// Percent-escapes '%', whitespace and control/non-ASCII bytes so the token
-// neither splits nor corrupts the line; identity on plain printable text.
-std::string EscapeToken(const std::string& raw);
-Result<std::string> UnescapeToken(const std::string& token);
 
 struct ServeRequest {
   std::string verb;

@@ -2,9 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -12,12 +12,6 @@
 
 namespace silod {
 namespace {
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string FormatU64(std::uint64_t value) { return std::to_string(value); }
 
@@ -63,94 +57,23 @@ void MixString(std::uint64_t* h, const std::string& s) {
   }
 }
 
-// --- Checkpoint text parsing (silodd-checkpoint-v1) -----------------------
-
-using CkptArgs = std::map<std::string, std::string>;
-
-// Splits "kind key=value ..." with the same percent-escaping as the wire
-// protocol, so keys/names with spaces survive the line format.
-Status ParseCheckpointLine(const std::string& line, std::string* kind, CkptArgs* args) {
-  std::vector<std::string> tokens;
-  std::string token;
-  for (const char c : line) {
-    if (c == ' ') {
-      if (!token.empty()) {
-        tokens.push_back(token);
-        token.clear();
-      }
-    } else {
-      token += c;
+// Parses a `speeds=` value: comma-separated `type=factor` pairs scaling a
+// job's throughput on each GPU type (unlisted types default to 1.0).
+Result<std::vector<std::pair<std::string, double>>> ParseSpeeds(std::string_view speeds) {
+  std::vector<std::pair<std::string, double>> factors;
+  for (const std::string_view pair : SplitList(speeds, ',')) {
+    const std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      return Status::InvalidArgument("malformed speeds entry '" + std::string(pair) + "'");
     }
-  }
-  if (!token.empty()) {
-    tokens.push_back(token);
-  }
-  if (tokens.empty()) {
-    return Status::Internal("journal checkpoint: empty line");
-  }
-  *kind = tokens[0];
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::Internal("journal checkpoint: malformed token '" + tokens[i] + "'");
+    const Result<double> factor = ParseDouble(pair.substr(eq + 1));
+    if (!factor.ok() || !(*factor > 0)) {
+      return Status::InvalidArgument("speeds factor must be positive in '" + std::string(pair) +
+                                     "'");
     }
-    Result<std::string> value = UnescapeToken(tokens[i].substr(eq + 1));
-    if (!value.ok()) {
-      return Status::Internal("journal checkpoint: " + value.status().message());
-    }
-    (*args)[tokens[i].substr(0, eq)] = *std::move(value);
+    factors.emplace_back(pair.substr(0, eq), *factor);
   }
-  return Status::Ok();
-}
-
-Result<std::string> CkptString(const CkptArgs& args, const std::string& kind,
-                               const std::string& key) {
-  const auto it = args.find(key);
-  if (it == args.end()) {
-    return Status::Internal("journal checkpoint: '" + kind + "' line is missing '" + key + "'");
-  }
-  return it->second;
-}
-
-Result<double> CkptDouble(const CkptArgs& args, const std::string& kind, const std::string& key) {
-  Result<std::string> raw = CkptString(args, kind, key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is not a number: " +
-                            *raw);
-  }
-  return value;
-}
-
-Result<std::int64_t> CkptInt(const CkptArgs& args, const std::string& kind,
-                             const std::string& key) {
-  Result<std::string> raw = CkptString(args, kind, key);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(raw->c_str(), &end, 10);
-  if (raw->empty() || end == nullptr || *end != '\0') {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is not an integer: " +
-                            *raw);
-  }
-  return static_cast<std::int64_t>(value);
-}
-
-Result<std::uint64_t> CkptU64(const CkptArgs& args, const std::string& kind,
-                              const std::string& key) {
-  Result<std::int64_t> value = CkptInt(args, kind, key);
-  if (!value.ok()) {
-    return value.status();
-  }
-  if (*value < 0) {
-    return Status::Internal("journal checkpoint: '" + kind + "." + key + "' is negative");
-  }
-  return static_cast<std::uint64_t>(*value);
+  return factors;
 }
 
 }  // namespace
@@ -391,23 +314,23 @@ ServeResponse ServiceState::Dispatch(const ServeRequest& request) {
   } else if (request.verb == "checkpoint") {
     response = Checkpoint();
   } else if (request.verb == "report") {
-    // The JCT summary travels both as the RunReport JSON and as %.17g scalar
-    // fields, so --serve-trace --check can compare doubles bit-for-bit
-    // without a JSON parser.
+    // The JCT summary travels both as the RunReport JSON and as FormatExact
+    // scalar fields, so --serve-trace --check can compare doubles
+    // bit-for-bit without a JSON parser.
     const RunReport report = Report();
     response = OkResponse();
     response.fields["json"] = report.ToJson();
     response.fields["jobs"] = std::to_string(report.jobs);
     response.fields["unfinished"] = std::to_string(report.unfinished_jobs);
     response.fields["finished"] = std::to_string(report.jct.finished);
-    response.fields["avg-jct-min"] = FormatDouble(report.jct.avg_jct_min);
-    response.fields["p50-jct-min"] = FormatDouble(report.jct.p50_jct_min);
-    response.fields["p90-jct-min"] = FormatDouble(report.jct.p90_jct_min);
-    response.fields["p95-jct-min"] = FormatDouble(report.jct.p95_jct_min);
-    response.fields["p99-jct-min"] = FormatDouble(report.jct.p99_jct_min);
-    response.fields["avg-queue-min"] = FormatDouble(report.jct.avg_queue_min);
-    response.fields["avg-run-min"] = FormatDouble(report.jct.avg_run_min);
-    response.fields["makespan-min"] = FormatDouble(report.makespan_min);
+    response.fields["avg-jct-min"] = FormatExact(report.jct.avg_jct_min);
+    response.fields["p50-jct-min"] = FormatExact(report.jct.p50_jct_min);
+    response.fields["p90-jct-min"] = FormatExact(report.jct.p90_jct_min);
+    response.fields["p95-jct-min"] = FormatExact(report.jct.p95_jct_min);
+    response.fields["p99-jct-min"] = FormatExact(report.jct.p99_jct_min);
+    response.fields["avg-queue-min"] = FormatExact(report.jct.avg_queue_min);
+    response.fields["avg-run-min"] = FormatExact(report.jct.avg_run_min);
+    response.fields["makespan-min"] = FormatExact(report.makespan_min);
   } else if (request.verb == "shutdown") {
     shutdown_ = true;
     response = OkResponse();
@@ -486,8 +409,8 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
   if (decision == AdmissionDecision::kReject) {
     return ServeResponse::FromStatus(Status::ResourceExhausted(
         "admission rejected '" + *key + "': load would reach " +
-        FormatDouble(admission_->LoadWith(table_.ActiveGpuDemand(), static_cast<int>(*gpus))) +
-        " > " + FormatDouble(admission_->options().max_gpu_load) + " and the queue is full (" +
+        FormatExact(admission_->LoadWith(table_.ActiveGpuDemand(), static_cast<int>(*gpus))) +
+        " > " + FormatExact(admission_->options().max_gpu_load) + " and the queue is full (" +
         std::to_string(admission_->options().max_queue) + ")"));
   }
 
@@ -503,30 +426,13 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
     spec.tenant = request.args.at("tenant");
   }
   if (request.Has("speeds")) {
-    // Comma-separated `type=factor` pairs scaling the job's throughput on
-    // each GPU type (unlisted types default to 1.0).
-    const std::string& speeds = request.args.at("speeds");
-    std::size_t pos = 0;
-    while (pos < speeds.size()) {
-      std::size_t comma = speeds.find(',', pos);
-      if (comma == std::string::npos) {
-        comma = speeds.size();
-      }
-      const std::string pair = speeds.substr(pos, comma - pos);
-      pos = comma + 1;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return ServeResponse::FromStatus(
-            Status::InvalidArgument("submit: malformed speeds entry '" + pair + "'"));
-      }
-      char* end = nullptr;
-      const double factor = std::strtod(pair.c_str() + eq + 1, &end);
-      if (end == pair.c_str() + eq + 1 || *end != '\0' || !(factor > 0)) {
-        return ServeResponse::FromStatus(
-            Status::InvalidArgument("submit: speeds factor must be positive in '" + pair + "'"));
-      }
-      spec.speed_factors.emplace_back(pair.substr(0, eq), factor);
+    Result<std::vector<std::pair<std::string, double>>> speeds =
+        ParseSpeeds(request.args.at("speeds"));
+    if (!speeds.ok()) {
+      return ServeResponse::FromStatus(
+          Status::InvalidArgument("submit: " + speeds.status().message()));
     }
+    spec.speed_factors = *std::move(speeds);
   }
   if (request.Has("step-bytes")) {
     Result<std::int64_t> step = request.GetInt("step-bytes");
@@ -582,7 +488,7 @@ ServeResponse ServiceState::Complete(const ServeRequest& request) {
   Replan(/*force=*/false);
   ServeResponse response = OkResponse();
   response.fields["state"] = "completed";
-  response.fields["jct"] = FormatDouble((*job)->finish_time - (*job)->submit_time);
+  response.fields["jct"] = FormatExact((*job)->finish_time - (*job)->submit_time);
   return response;
 }
 
@@ -682,15 +588,15 @@ ServeResponse ServiceState::Query(const ServeRequest& request) {
   response.fields["running"] = j.running ? "1" : "0";
   response.fields["dataset"] = table_.catalog().Get(j.spec.dataset).name;
   response.fields["remaining"] = std::to_string(j.remaining_bytes);
-  response.fields["submit-t"] = FormatDouble(j.submit_time);
+  response.fields["submit-t"] = FormatExact(j.submit_time);
   if (j.admit_time >= 0) {
-    response.fields["admit-t"] = FormatDouble(j.admit_time);
+    response.fields["admit-t"] = FormatExact(j.admit_time);
   }
   if (j.first_start_time >= 0) {
-    response.fields["start-t"] = FormatDouble(j.first_start_time);
+    response.fields["start-t"] = FormatExact(j.first_start_time);
   }
   if (j.finish_time >= 0) {
-    response.fields["finish-t"] = FormatDouble(j.finish_time);
+    response.fields["finish-t"] = FormatExact(j.finish_time);
   }
   return response;
 }
@@ -716,7 +622,7 @@ ServeResponse ServiceState::Plan(const ServeRequest& request) {
 
 ServeResponse ServiceState::Stats() {
   ServeResponse response = OkResponse();
-  response.fields["now"] = FormatDouble(now_);
+  response.fields["now"] = FormatExact(now_);
   response.fields["policy"] = planner_->policy_name();
   response.fields["jobs"] = std::to_string(table_.size());
   response.fields["active"] = std::to_string(table_.CountState(ServeJobState::kActive));
@@ -845,17 +751,17 @@ std::string ServiceState::CheckpointText() const {
   std::string out = "silodd-checkpoint-v1\n";
   out += "cluster gpus=" + std::to_string(config_.resources.total_gpus) +
          " cache=" + std::to_string(config_.resources.total_cache) +
-         " egress=" + FormatDouble(config_.resources.remote_io) +
+         " egress=" + FormatExact(config_.resources.remote_io) +
          " servers=" + std::to_string(config_.resources.num_servers) + "\n";
   out += "policy name=" + EscapeToken(planner_->policy_name()) +
          " manage-remote-io=" + (config_.scheduler.manage_remote_io ? "1" : "0") + "\n";
-  out += "clock now=" + FormatDouble(now_) + " last-rid=" + FormatU64(last_rid_) +
+  out += "clock now=" + FormatExact(now_) + " last-rid=" + FormatU64(last_rid_) +
          " requests=" + FormatU64(requests_) + " errors=" + FormatU64(errors_) +
          " duplicates=" + FormatU64(duplicates_) + "\n";
   out += "admission admitted=" + FormatU64(admission_->admitted()) +
          " queued=" + FormatU64(admission_->queued()) +
          " rejected=" + FormatU64(admission_->rejected()) + "\n";
-  out += "planner last-plan-t=" + FormatDouble(planner_->last_plan_time()) +
+  out += "planner last-plan-t=" + FormatExact(planner_->last_plan_time()) +
          " dirty-events=" + FormatU64(planner_->pending_events()) + "\n";
   for (const Dataset& dataset : table_.catalog().all()) {
     out += "dataset id=" + std::to_string(dataset.id) + " name=" + EscapeToken(dataset.name) +
@@ -867,13 +773,13 @@ std::string ServiceState::CheckpointText() const {
     out += "job id=" + std::to_string(j.spec.id) + " key=" + EscapeToken(j.key) +
            " state=" + ServeJobStateName(j.state) + " gpus=" + std::to_string(j.spec.num_gpus) +
            " dataset=" + std::to_string(j.spec.dataset) +
-           " ideal-io=" + FormatDouble(j.spec.ideal_io) +
+           " ideal-io=" + FormatExact(j.spec.ideal_io) +
            " total-bytes=" + std::to_string(j.spec.total_bytes) +
            " step-bytes=" + std::to_string(j.spec.step_data_size) +
-           " model=" + EscapeToken(j.spec.model) + " submit-t=" + FormatDouble(j.submit_time) +
-           " admit-t=" + FormatDouble(j.admit_time) +
-           " start-t=" + FormatDouble(j.first_start_time) +
-           " finish-t=" + FormatDouble(j.finish_time) +
+           " model=" + EscapeToken(j.spec.model) + " submit-t=" + FormatExact(j.submit_time) +
+           " admit-t=" + FormatExact(j.admit_time) +
+           " start-t=" + FormatExact(j.first_start_time) +
+           " finish-t=" + FormatExact(j.finish_time) +
            " remaining=" + std::to_string(j.remaining_bytes) +
            " effective=" + std::to_string(j.effective_cache) +
            " running=" + (j.running ? "1" : "0");
@@ -894,7 +800,7 @@ std::string ServiceState::CheckpointText() const {
           out += ",";
         }
         out += EscapeToken(j.spec.speed_factors[i].first) + "=" +
-               FormatDouble(j.spec.speed_factors[i].second);
+               FormatExact(j.spec.speed_factors[i].second);
       }
     }
     out += "\n";
@@ -907,35 +813,29 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   if (table_.size() != 0 || now_ != 0 || last_rid_ != 0) {
     return Status::FailedPrecondition("checkpoint restore requires a fresh service");
   }
-  std::vector<std::string> lines;
-  std::string line;
-  for (const char c : text) {
-    if (c == '\n') {
-      lines.push_back(line);
-      line.clear();
-    } else {
-      line += c;
-    }
-  }
-  if (!line.empty()) {
-    lines.push_back(line);
-  }
+  const Status st = ApplyCheckpoint(text, recovery);
+  return st.ok() ? st : Status::Internal("journal checkpoint: " + st.message());
+}
+
+Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* recovery) {
+  const std::vector<std::string_view> lines = SplitList(text, '\n');
   if (lines.empty() || lines[0] != "silodd-checkpoint-v1") {
-    return Status::Internal("journal checkpoint: bad header (want silodd-checkpoint-v1)");
+    return Status::InvalidArgument("bad header (want silodd-checkpoint-v1)");
   }
 
-  CkptArgs cluster_args, policy_args, clock_args, admission_args, planner_args;
-  std::vector<CkptArgs> dataset_lines, job_lines;
+  RecordFields cluster_args, policy_args, clock_args, admission_args, planner_args;
+  std::vector<RecordFields> dataset_lines, job_lines;
   bool saw_end = false;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     if (lines[i].empty()) {
       continue;
     }
-    std::string kind;
-    CkptArgs args;
-    if (const Status st = ParseCheckpointLine(lines[i], &kind, &args); !st.ok()) {
-      return st;
+    Result<TextRecord> record = DecodeRecord(lines[i]);
+    if (!record.ok()) {
+      return record.status();
     }
+    const std::string& kind = record->head;
+    RecordFields& args = record->fields;
     if (kind == "cluster") {
       cluster_args = std::move(args);
     } else if (kind == "policy") {
@@ -954,38 +854,42 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
       saw_end = true;
       break;
     } else {
-      return Status::Internal("journal checkpoint: unknown line kind '" + kind + "'");
+      return Status::InvalidArgument("unknown line kind '" + kind + "'");
     }
   }
   if (!saw_end) {
-    return Status::Internal("journal checkpoint: truncated (no 'end' line)");
+    return Status::InvalidArgument("truncated (no 'end' line)");
   }
 
   // Cluster shape mismatches are warnings, not errors: the operator may have
   // legitimately resized the cluster between restarts, and the replayed
   // requests re-derive all scheduling decisions against the new flags.
   if (!cluster_args.empty() && recovery != nullptr) {
-    Result<std::int64_t> gpus = CkptInt(cluster_args, "cluster", "gpus");
-    Result<std::int64_t> cache = CkptInt(cluster_args, "cluster", "cache");
-    Result<double> egress = CkptDouble(cluster_args, "cluster", "egress");
-    Result<std::int64_t> servers = CkptInt(cluster_args, "cluster", "servers");
-    if (gpus.ok() && *gpus != config_.resources.total_gpus) {
-      recovery->warnings.push_back("checkpoint cluster had " + std::to_string(*gpus) +
+    FieldReader cluster(cluster_args, "cluster");
+    const std::int64_t gpus = cluster.Int("gpus");
+    const std::int64_t cache = cluster.Int("cache");
+    const double egress = cluster.Double("egress");
+    const std::int64_t servers = cluster.Int("servers");
+    if (!cluster.status().ok()) {
+      return cluster.status();
+    }
+    if (gpus != config_.resources.total_gpus) {
+      recovery->warnings.push_back("checkpoint cluster had " + std::to_string(gpus) +
                                    " GPUs, flags say " +
                                    std::to_string(config_.resources.total_gpus));
     }
-    if (cache.ok() && *cache != config_.resources.total_cache) {
-      recovery->warnings.push_back("checkpoint cluster had cache " + std::to_string(*cache) +
+    if (cache != config_.resources.total_cache) {
+      recovery->warnings.push_back("checkpoint cluster had cache " + std::to_string(cache) +
                                    " B, flags say " +
                                    std::to_string(config_.resources.total_cache) + " B");
     }
-    if (egress.ok() && *egress != config_.resources.remote_io) {
-      recovery->warnings.push_back("checkpoint cluster had egress " + FormatDouble(*egress) +
+    if (egress != config_.resources.remote_io) {
+      recovery->warnings.push_back("checkpoint cluster had egress " + FormatExact(egress) +
                                    " B/s, flags say " +
-                                   FormatDouble(config_.resources.remote_io) + " B/s");
+                                   FormatExact(config_.resources.remote_io) + " B/s");
     }
-    if (servers.ok() && *servers != config_.resources.num_servers) {
-      recovery->warnings.push_back("checkpoint cluster had " + std::to_string(*servers) +
+    if (servers != config_.resources.num_servers) {
+      recovery->warnings.push_back("checkpoint cluster had " + std::to_string(servers) +
                                    " servers, flags say " +
                                    std::to_string(config_.resources.num_servers));
     }
@@ -994,189 +898,129 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
   // Policy first: a reload counts as an event, and the planner line restored
   // below overwrites the epoch with the checkpointed one.
   {
-    Result<std::string> name = CkptString(policy_args, "policy", "name");
-    Result<std::int64_t> manage = CkptInt(policy_args, "policy", "manage-remote-io");
-    if (!name.ok()) {
-      return name.status();
-    }
-    if (!manage.ok()) {
-      return manage.status();
-    }
+    FieldReader policy(policy_args, "policy");
+    const std::string name = policy.String("name");
     SchedulerOptions options = config_.scheduler;
-    options.manage_remote_io = *manage != 0;
-    if (*name != planner_->policy_name() ||
+    options.manage_remote_io = policy.Int("manage-remote-io") != 0;
+    if (!policy.status().ok()) {
+      return policy.status();
+    }
+    if (name != planner_->policy_name() ||
         options.manage_remote_io != config_.scheduler.manage_remote_io) {
-      if (const Status st = planner_->ReloadPolicy(*name, options); !st.ok()) {
-        return Status::Internal("journal checkpoint: cannot restore policy '" + *name +
-                                "': " + st.message());
+      if (const Status st = planner_->ReloadPolicy(name, options); !st.ok()) {
+        return Status::InvalidArgument("cannot restore policy '" + name + "': " + st.message());
       }
-      config_.policy = *name;
+      config_.policy = name;
       config_.scheduler = options;
     }
   }
 
   {
-    Result<double> now = CkptDouble(clock_args, "clock", "now");
-    Result<std::uint64_t> last_rid = CkptU64(clock_args, "clock", "last-rid");
-    Result<std::uint64_t> requests = CkptU64(clock_args, "clock", "requests");
-    Result<std::uint64_t> errors = CkptU64(clock_args, "clock", "errors");
-    Result<std::uint64_t> duplicates = CkptU64(clock_args, "clock", "duplicates");
-    for (const Status* st :
-         {!now.ok() ? &now.status() : nullptr, !last_rid.ok() ? &last_rid.status() : nullptr,
-          !requests.ok() ? &requests.status() : nullptr,
-          !errors.ok() ? &errors.status() : nullptr,
-          !duplicates.ok() ? &duplicates.status() : nullptr}) {
-      if (st != nullptr) {
-        return *st;
+    FieldReader clock(clock_args, "clock");
+    FieldReader admission(admission_args, "admission");
+    now_ = clock.Double("now");
+    last_rid_ = clock.U64("last-rid");
+    requests_ = clock.U64("requests");
+    errors_ = clock.U64("errors");
+    duplicates_ = clock.U64("duplicates");
+    admission_->RestoreCounters(admission.U64("admitted"), admission.U64("queued"),
+                                admission.U64("rejected"));
+    for (const FieldReader* reader : {&clock, &admission}) {
+      if (!reader->status().ok()) {
+        return reader->status();
       }
     }
-    now_ = *now;
-    last_rid_ = *last_rid;
-    requests_ = *requests;
-    errors_ = *errors;
-    duplicates_ = *duplicates;
   }
 
-  {
-    Result<std::uint64_t> admitted = CkptU64(admission_args, "admission", "admitted");
-    Result<std::uint64_t> queued = CkptU64(admission_args, "admission", "queued");
-    Result<std::uint64_t> rejected = CkptU64(admission_args, "admission", "rejected");
-    if (!admitted.ok() || !queued.ok() || !rejected.ok()) {
-      return !admitted.ok() ? admitted.status() : (!queued.ok() ? queued.status() : rejected.status());
+  for (const RecordFields& args : dataset_lines) {
+    FieldReader dataset(args, "dataset");
+    const std::int64_t id = dataset.Int("id");
+    const std::string name = dataset.String("name");
+    const std::int64_t size = dataset.Int("size");
+    const std::int64_t block = dataset.Int("block");
+    if (!dataset.status().ok()) {
+      return dataset.status();
     }
-    admission_->RestoreCounters(*admitted, *queued, *rejected);
-  }
-
-  for (const CkptArgs& args : dataset_lines) {
-    Result<std::int64_t> id = CkptInt(args, "dataset", "id");
-    Result<std::string> name = CkptString(args, "dataset", "name");
-    Result<std::int64_t> size = CkptInt(args, "dataset", "size");
-    Result<std::int64_t> block = CkptInt(args, "dataset", "block");
-    if (!id.ok() || !name.ok() || !size.ok() || !block.ok()) {
-      return !id.ok() ? id.status()
-                      : (!name.ok() ? name.status() : (!size.ok() ? size.status() : block.status()));
-    }
-    Result<DatasetId> interned = table_.InternDataset(*name, *size, *block);
+    Result<DatasetId> interned = table_.InternDataset(name, size, block);
     if (!interned.ok()) {
-      return Status::Internal("journal checkpoint: " + interned.status().message());
+      return interned.status();
     }
-    if (*interned != static_cast<DatasetId>(*id)) {
-      return Status::Internal("journal checkpoint: dataset '" + *name + "' restored as id " +
-                              std::to_string(*interned) + ", checkpoint says " +
-                              std::to_string(*id));
+    if (*interned != static_cast<DatasetId>(id)) {
+      return Status::InvalidArgument("dataset '" + name + "' restored as id " +
+                                     std::to_string(*interned) + ", checkpoint says " +
+                                     std::to_string(id));
     }
   }
 
-  for (const CkptArgs& args : job_lines) {
-    Result<std::int64_t> id = CkptInt(args, "job", "id");
-    Result<std::string> key = CkptString(args, "job", "key");
-    Result<std::string> state_name = CkptString(args, "job", "state");
-    Result<std::int64_t> gpus = CkptInt(args, "job", "gpus");
-    Result<std::int64_t> dataset = CkptInt(args, "job", "dataset");
-    Result<double> ideal_io = CkptDouble(args, "job", "ideal-io");
-    Result<std::int64_t> total_bytes = CkptInt(args, "job", "total-bytes");
-    Result<std::int64_t> step_bytes = CkptInt(args, "job", "step-bytes");
-    Result<std::string> model = CkptString(args, "job", "model");
-    Result<double> submit_t = CkptDouble(args, "job", "submit-t");
-    Result<double> admit_t = CkptDouble(args, "job", "admit-t");
-    Result<double> start_t = CkptDouble(args, "job", "start-t");
-    Result<double> finish_t = CkptDouble(args, "job", "finish-t");
-    Result<std::int64_t> remaining = CkptInt(args, "job", "remaining");
-    Result<std::int64_t> effective = CkptInt(args, "job", "effective");
-    Result<std::int64_t> running = CkptInt(args, "job", "running");
-    for (const Status* st :
-         {!id.ok() ? &id.status() : nullptr, !key.ok() ? &key.status() : nullptr,
-          !state_name.ok() ? &state_name.status() : nullptr,
-          !gpus.ok() ? &gpus.status() : nullptr, !dataset.ok() ? &dataset.status() : nullptr,
-          !ideal_io.ok() ? &ideal_io.status() : nullptr,
-          !total_bytes.ok() ? &total_bytes.status() : nullptr,
-          !step_bytes.ok() ? &step_bytes.status() : nullptr,
-          !model.ok() ? &model.status() : nullptr, !submit_t.ok() ? &submit_t.status() : nullptr,
-          !admit_t.ok() ? &admit_t.status() : nullptr,
-          !start_t.ok() ? &start_t.status() : nullptr,
-          !finish_t.ok() ? &finish_t.status() : nullptr,
-          !remaining.ok() ? &remaining.status() : nullptr,
-          !effective.ok() ? &effective.status() : nullptr,
-          !running.ok() ? &running.status() : nullptr}) {
-      if (st != nullptr) {
-        return *st;
-      }
-    }
-    Result<ServeJobState> state = ServeJobStateFromName(*state_name);
-    if (!state.ok()) {
-      return Status::Internal("journal checkpoint: " + state.status().message());
-    }
+  for (const RecordFields& args : job_lines) {
+    FieldReader line(args, "job");
+    const std::int64_t id = line.Int("id");
+    const std::string key = line.String("key");
+    const std::string state_name = line.String("state");
     JobSpec spec;
-    spec.name = *key;
-    spec.model = *model;
-    spec.num_gpus = static_cast<int>(*gpus);
-    spec.dataset = static_cast<DatasetId>(*dataset);
-    spec.ideal_io = *ideal_io;
-    spec.total_bytes = *total_bytes;
-    spec.step_data_size = *step_bytes;
+    spec.name = key;
+    spec.model = line.String("model");
+    spec.num_gpus = static_cast<int>(line.Int("gpus"));
+    spec.dataset = static_cast<DatasetId>(line.Int("dataset"));
+    spec.ideal_io = line.Double("ideal-io");
+    spec.total_bytes = line.Int("total-bytes");
+    spec.step_data_size = line.Int("step-bytes");
+    const double submit_t = line.Double("submit-t");
+    const double admit_t = line.Double("admit-t");
+    const double start_t = line.Double("start-t");
+    const double finish_t = line.Double("finish-t");
+    const std::int64_t remaining = line.Int("remaining");
+    const std::int64_t effective = line.Int("effective");
+    const bool running = line.Int("running") != 0;
     // Optional heterogeneity tokens (absent in checkpoints from untyped runs).
+    const int gpu_type = args.count("gpu-type") != 0 ? static_cast<int>(line.Int("gpu-type")) : -1;
+    if (!line.status().ok()) {
+      return line.status();
+    }
+    Result<ServeJobState> state = ServeJobStateFromName(state_name);
+    if (!state.ok()) {
+      return state.status();
+    }
     if (args.count("tenant") != 0) {
       spec.tenant = args.at("tenant");
     }
     if (args.count("speeds") != 0) {
-      const std::string& speeds = args.at("speeds");
-      std::size_t pos = 0;
-      while (pos < speeds.size()) {
-        std::size_t comma = speeds.find(',', pos);
-        if (comma == std::string::npos) {
-          comma = speeds.size();
-        }
-        const std::string pair = speeds.substr(pos, comma - pos);
-        pos = comma + 1;
-        const std::size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0) {
-          return Status::Internal("journal checkpoint: malformed job.speeds entry '" + pair + "'");
-        }
-        char* end = nullptr;
-        const double factor = std::strtod(pair.c_str() + eq + 1, &end);
-        if (end == pair.c_str() + eq + 1 || *end != '\0' || !(factor > 0)) {
-          return Status::Internal("journal checkpoint: bad job.speeds factor in '" + pair + "'");
-        }
-        spec.speed_factors.emplace_back(pair.substr(0, eq), factor);
+      Result<std::vector<std::pair<std::string, double>>> speeds = ParseSpeeds(args.at("speeds"));
+      if (!speeds.ok()) {
+        return speeds.status();
       }
+      spec.speed_factors = *std::move(speeds);
     }
-    Result<ServeJob*> job = table_.Add(*key, std::move(spec), *submit_t);
+    Result<ServeJob*> job = table_.Add(key, std::move(spec), submit_t);
     if (!job.ok()) {
-      return Status::Internal("journal checkpoint: " + job.status().message());
+      return job.status();
     }
-    if ((*job)->spec.id != static_cast<JobId>(*id)) {
-      return Status::Internal("journal checkpoint: job '" + *key + "' restored as id " +
-                              std::to_string((*job)->spec.id) + ", checkpoint says " +
-                              std::to_string(*id));
+    if ((*job)->spec.id != static_cast<JobId>(id)) {
+      return Status::InvalidArgument("job '" + key + "' restored as id " +
+                                     std::to_string((*job)->spec.id) + ", checkpoint says " +
+                                     std::to_string(id));
     }
     (*job)->state = *state;
-    (*job)->admit_time = *admit_t;
-    (*job)->first_start_time = *start_t;
-    (*job)->finish_time = *finish_t;
-    (*job)->remaining_bytes = *remaining;
-    (*job)->effective_cache = *effective;
-    (*job)->running = *running != 0;
-    if (args.count("gpu-type") != 0) {
-      Result<std::int64_t> gpu_type = CkptInt(args, "job", "gpu-type");
-      if (!gpu_type.ok()) {
-        return gpu_type.status();
-      }
-      (*job)->gpu_type = static_cast<int>(*gpu_type);
-    }
+    (*job)->admit_time = admit_t;
+    (*job)->first_start_time = start_t;
+    (*job)->finish_time = finish_t;
+    (*job)->remaining_bytes = remaining;
+    (*job)->effective_cache = effective;
+    (*job)->running = running;
+    (*job)->gpu_type = gpu_type;
   }
 
   // Planner last: the checkpointed epoch replaces whatever construction and
   // the policy restore counted, so epoch batching fires at the same virtual
   // instants it would have.  Older checkpoints' extra dirty-all/-reason/
   // -jobs/-datasets keys are ignored.
-  {
-    Result<double> last_plan_t = CkptDouble(planner_args, "planner", "last-plan-t");
-    Result<std::uint64_t> pending = CkptU64(planner_args, "planner", "dirty-events");
-    if (!last_plan_t.ok() || !pending.ok()) {
-      return !last_plan_t.ok() ? last_plan_t.status() : pending.status();
-    }
-    planner_->RestoreEpoch(*last_plan_t, *pending, MakeSnapshot());
+  FieldReader planner(planner_args, "planner");
+  const double last_plan_t = planner.Double("last-plan-t");
+  const std::uint64_t pending = planner.U64("dirty-events");
+  if (!planner.status().ok()) {
+    return planner.status();
   }
+  planner_->RestoreEpoch(last_plan_t, pending, MakeSnapshot());
   return Status::Ok();
 }
 

@@ -146,6 +146,9 @@ class ServiceState {
   ServeResponse Stats();
   ServeResponse ReloadPolicy(const ServeRequest& request);
   ServeResponse Checkpoint();
+  // RestoreFromCheckpoint's body; its errors get one "journal checkpoint:"
+  // kInternal wrapper.
+  Status ApplyCheckpoint(const std::string& text, RecoveryInfo* recovery);
   // The dispatch switch shared by live handling and journal replay.
   ServeResponse Dispatch(const ServeRequest& request);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 #include "src/core/policy_registry.h"
 #include "src/sim/flow_engine.h"
 
@@ -14,14 +14,6 @@ namespace {
 // Bit-for-bit equality for summary statistics, except that the NaN stats of
 // two empty summaries (finished == 0) also count as identical.
 bool BitEqual(double a, double b) { return a == b || (std::isnan(a) && std::isnan(b)); }
-
-// %.17g round-trips a double exactly through strtod, so virtual timestamps
-// survive the text protocol bit-for-bit — the whole cross-check rests on it.
-std::string FormatExact(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 std::string FormatBytes(Bytes value) { return std::to_string(value); }
 

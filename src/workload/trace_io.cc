@@ -1,12 +1,16 @@
 #include "src/workload/trace_io.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
+
+#include "src/common/text_codec.h"
 
 namespace silod {
 namespace {
@@ -64,6 +68,7 @@ Result<Trace> TraceFromCsv(const std::string& csv) {
     return Status::InvalidArgument("unexpected trace header: " + line);
   }
 
+  const std::vector<std::string_view> columns = SplitList(kHeader, ',');
   Trace trace;
   std::map<std::string, DatasetId> datasets;
   int row = 1;
@@ -77,43 +82,70 @@ Result<Trace> TraceFromCsv(const std::string& csv) {
       return Status::InvalidArgument("row " + std::to_string(row) + ": expected 15 fields, got " +
                                      std::to_string(f.size()));
     }
-    const std::string& dataset_name = f[4];
-    const Bytes dataset_bytes = std::strtoll(f[5].c_str(), nullptr, 10);
-    const Bytes block_bytes = std::strtoll(f[6].c_str(), nullptr, 10);
-    if (dataset_bytes <= 0 || block_bytes <= 0) {
-      return Status::InvalidArgument("row " + std::to_string(row) + ": bad dataset sizes");
-    }
-    DatasetId dataset_id;
-    auto it = datasets.find(dataset_name);
-    if (it == datasets.end()) {
-      dataset_id = trace.catalog.Add(dataset_name, dataset_bytes, block_bytes);
-      datasets.emplace(dataset_name, dataset_id);
-    } else {
-      dataset_id = it->second;
-      const Dataset& existing = trace.catalog.Get(dataset_id);
-      if (existing.size != dataset_bytes || existing.block_size != block_bytes) {
-        return Status::InvalidArgument("row " + std::to_string(row) + ": dataset '" +
-                                       dataset_name + "' redefined with different sizes");
+    // Every numeric column parses strictly; an error names the row and column.
+    Status bad;
+    const auto fail = [&](int col, const Status& st) {
+      if (bad.ok()) {
+        bad = Status::InvalidArgument("row " + std::to_string(row) + " column " +
+                                      std::string(columns[static_cast<std::size_t>(col)]) + ": " +
+                                      st.message());
       }
-    }
-
+    };
+    const auto int_col = [&](int col, std::int64_t min, std::int64_t max) -> std::int64_t {
+      const Result<std::int64_t> v = ParseInt(f[static_cast<std::size_t>(col)], min, max);
+      if (!v.ok()) {
+        fail(col, v.status());
+        return 0;
+      }
+      return *v;
+    };
+    const auto double_col = [&](int col) -> double {
+      const Result<double> v = ParseDouble(f[static_cast<std::size_t>(col)]);
+      if (!v.ok()) {
+        fail(col, v.status());
+        return 0;
+      }
+      return *v;
+    };
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const Bytes dataset_bytes = int_col(5, 1, kMax);
+    const Bytes block_bytes = int_col(6, 1, kMax);
     JobSpec job;
     job.id = static_cast<JobId>(trace.jobs.size());
     job.name = f[1];
     job.model = f[2];
-    job.num_gpus = static_cast<int>(std::strtol(f[3].c_str(), nullptr, 10));
-    job.dataset = dataset_id;
-    job.ideal_io = std::strtod(f[7].c_str(), nullptr);
-    job.total_bytes = std::strtoll(f[8].c_str(), nullptr, 10);
-    job.submit_time = std::strtod(f[9].c_str(), nullptr);
+    job.num_gpus = static_cast<int>(int_col(3, 1, std::numeric_limits<int>::max()));
+    job.ideal_io = double_col(7);
+    job.total_bytes = int_col(8, 1, kMax);
+    job.submit_time = double_col(9);
     job.regular = f[10] == "1";
     job.curriculum = f[11] == "1";
-    job.curriculum_params.starting_percent = std::strtod(f[12].c_str(), nullptr);
-    job.curriculum_params.alpha = std::strtod(f[13].c_str(), nullptr);
-    job.curriculum_params.step = std::strtoll(f[14].c_str(), nullptr, 10);
+    job.curriculum_params.starting_percent = double_col(12);
+    job.curriculum_params.alpha = double_col(13);
+    job.curriculum_params.step = int_col(14, std::numeric_limits<std::int64_t>::min(), kMax);
     job.step_data_size = MB(4) * std::max(1, job.num_gpus);
-    if (job.num_gpus <= 0 || job.ideal_io <= 0 || job.total_bytes <= 0) {
-      return Status::InvalidArgument("row " + std::to_string(row) + ": bad job parameters");
+    if (!std::isfinite(job.ideal_io) || job.ideal_io <= 0) {
+      fail(7, Status::InvalidArgument("must be finite and positive"));
+    }
+    if (!std::isfinite(job.submit_time) || job.submit_time < 0) {
+      fail(9, Status::InvalidArgument("must be finite and non-negative"));
+    }
+    if (!bad.ok()) {
+      return bad;
+    }
+
+    const std::string& dataset_name = f[4];
+    auto it = datasets.find(dataset_name);
+    if (it == datasets.end()) {
+      job.dataset = trace.catalog.Add(dataset_name, dataset_bytes, block_bytes);
+      datasets.emplace(dataset_name, job.dataset);
+    } else {
+      job.dataset = it->second;
+      const Dataset& existing = trace.catalog.Get(job.dataset);
+      if (existing.size != dataset_bytes || existing.block_size != block_bytes) {
+        return Status::InvalidArgument("row " + std::to_string(row) + ": dataset '" +
+                                       dataset_name + "' redefined with different sizes");
+      }
     }
     trace.jobs.push_back(std::move(job));
   }

@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "src/common/backoff.h"
 #include "src/common/bitset.h"
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
+#include "src/common/text_codec.h"
 #include "src/common/topology.h"
 #include "src/common/units.h"
 
@@ -420,6 +424,10 @@ TEST(Topology, ParseRejectsOverlapAndBadBound) {
   EXPECT_FALSE(ClusterTopology::Parse("a=3-1").ok());
   EXPECT_FALSE(ClusterTopology::Parse("a=0-3;loss-bound=1.5").ok());
   EXPECT_FALSE(ClusterTopology::Parse("a=0-3;a=4-7").ok());
+  EXPECT_FALSE(ClusterTopology::Parse("rack0=0-3junk").ok());
+  EXPECT_FALSE(ClusterTopology::Parse("rack0=0-").ok());
+  EXPECT_FALSE(ClusterTopology::Parse("a=0-3;loss-bound=0.5x").ok());
+  EXPECT_FALSE(ClusterTopology::Parse("a=0-3;loss-bound=nan").ok());
 }
 
 TEST(Topology, GpuTypeParseAndRoundTrip) {
@@ -453,7 +461,7 @@ TEST(Topology, GpuTypeOnlySpecRoundTripsWithoutZones) {
 
 TEST(Topology, GpuTypeSpeedSurvivesToSpecExactly) {
   // 0.1 has no exact binary representation; the spec must still round-trip the
-  // speed bit-for-bit (FormatSpeed falls back to %.17g when %g is lossy).
+  // speed bit-for-bit (FormatShortest falls back to %.17g when %g is lossy).
   ClusterTopology typed =
       *ClusterTopology::Parse("gpu-type name=t count=4 speed=0.30000000000000004");
   const Result<ClusterTopology> again = ClusterTopology::Parse(typed.ToSpec());
@@ -474,6 +482,9 @@ TEST(Topology, GpuTypeParseRejectsMalformedEntries) {
       "gpu-type name=v100 count=many speed=1",                   // non-numeric count
       "gpu-type name=v100 count=4 flavor=large",                 // unknown key
       "gpu-type name=v100 count=4;gpu-type name=v100 count=2",   // duplicate name
+      "gpu-type name=v100 count=8x speed=1",                     // trailing junk on count
+      "gpu-type name=v100 count=4 speed=0.5abc",                 // trailing junk on speed
+      "gpu-type name=v100 count=99999999999 speed=1",            // count overflows int
   };
   for (const char* spec : kRejects) {
     EXPECT_FALSE(ClusterTopology::Parse(spec).ok()) << spec;
@@ -502,6 +513,130 @@ TEST(Topology, ValidateRejectsOutOfRangeZones) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->Validate(8).ok());
   EXPECT_FALSE(parsed->Validate(6).ok());
+}
+
+// ------------------------------------------------------------- Text codec --
+
+TEST(TextCodec, EscapeRoundTripsEveryByteValue) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    all += static_cast<char>(b);
+  }
+  const std::string escaped = EscapeToken(all);
+  EXPECT_EQ(SplitTokens(escaped).size(), 1u) << "an escaped token never splits";
+  const Result<std::string> back = UnescapeToken(escaped);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, all);
+  EXPECT_EQ(EscapeToken("plain-text_1.5"), "plain-text_1.5");
+  EXPECT_FALSE(UnescapeToken("%4").ok());
+  EXPECT_FALSE(UnescapeToken("%zz").ok());
+}
+
+TEST(TextCodec, FormatExactParseDoubleIsTheIdentity) {
+  const double kEdges[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           0.1 + 0.2,
+                           706.86133350038654};
+  const auto expect_round_trip = [](double x) {
+    const std::string text = FormatExact(x);
+    const Result<double> back = ParseDouble(text);
+    ASSERT_TRUE(back.ok()) << text << ": " << back.status().ToString();
+    if (std::isnan(x)) {
+      EXPECT_TRUE(std::isnan(*back)) << text;
+    } else {
+      EXPECT_EQ(std::memcmp(&x, &*back, sizeof(x)), 0) << text;
+    }
+    EXPECT_EQ(FormatExact(*back), text);
+  };
+  for (const double x : kEdges) {
+    expect_round_trip(x);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = rng.NextU64();
+    double x = 0;
+    std::memcpy(&x, &bits, sizeof(x));
+    expect_round_trip(x);
+  }
+}
+
+TEST(TextCodec, FormatShortestKeepsShortFormsAndRoundTrips) {
+  EXPECT_EQ(FormatShortest(0.5), "0.5");
+  EXPECT_EQ(FormatShortest(1e6), "1e+06");
+  EXPECT_EQ(FormatShortest(706.86133350038654), "706.86133350038654");
+  EXPECT_EQ(*ParseDouble(FormatShortest(0.1 + 0.2)), 0.1 + 0.2);
+}
+
+TEST(TextCodec, StrictNumberParsesRejectPartialTokens) {
+  for (const char* bad : {"", " 1", "1 ", "1x", "0x10", "+1", "1.5", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt(bad).ok()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(*ParseInt("-42"), -42);
+  EXPECT_FALSE(ParseInt("7", 0, 5).ok());
+  EXPECT_FALSE(ParseU64("-1").ok());
+  EXPECT_EQ(*ParseU64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", " 1", "1x", "0x10", "1e999", "-1e999", "abc", "1e"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << "'" << bad << "'";
+  }
+  EXPECT_TRUE(std::isinf(*ParseDouble("inf")));
+  EXPECT_TRUE(std::isnan(*ParseDouble("nan")));
+  EXPECT_EQ(*ParseDouble("4.9406564584124654e-324"), std::numeric_limits<double>::denorm_min());
+}
+
+TEST(TextCodec, RecordsRoundTripAndRejectMalformedKeys) {
+  const RecordFields fields = {{"b", "two words"}, {"a", ""}, {"c", "100%"}};
+  const std::string line = EncodeRecord("head x", fields);
+  EXPECT_EQ(line, "head%20x a= b=two%20words c=100%25");
+  const Result<TextRecord> back = DecodeRecord(line);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->head, "head x");
+  EXPECT_EQ(back->fields, fields);
+  for (const char* bad : {"", "h a=1 a=2", "h =1", "h novalue", "h a=%g1"}) {
+    EXPECT_FALSE(DecodeRecord(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(TextCodec, FieldReaderKeepsTheFirstError) {
+  const Result<TextRecord> record = DecodeRecord("job n=7 t=1.5 big=99999999999999999999");
+  ASSERT_TRUE(record.ok());
+  FieldReader ok_reader(record->fields, "job");
+  EXPECT_EQ(ok_reader.Int("n"), 7);
+  EXPECT_EQ(ok_reader.Double("t"), 1.5);
+  EXPECT_TRUE(ok_reader.status().ok());
+  FieldReader bad_reader(record->fields, "job");
+  EXPECT_EQ(bad_reader.Int("big"), 0);
+  EXPECT_EQ(bad_reader.Int("missing"), 0);
+  EXPECT_EQ(bad_reader.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_reader.status().message().find("'big'"), std::string::npos)
+      << bad_reader.status().ToString();
+}
+
+TEST(Flags, NumericFlagsRejectMalformedValues) {
+  const auto parse = [](const char* arg) {
+    FlagSet flags;
+    flags.Define("gpus", "8", "gpu count");
+    flags.Define("policy", "fifo+silod", "policy");
+    const char* argv[] = {"prog", arg};
+    return flags.Parse(2, argv);
+  };
+  for (const char* bad : {"--gpus=16x", "--gpus=abc", "--gpus=", "--gpus=0x10"}) {
+    EXPECT_FALSE(parse(bad).ok()) << bad;
+  }
+  for (const char* good : {"--gpus=16", "--gpus=1.5", "--gpus=nan", "--policy=16x"}) {
+    EXPECT_TRUE(parse(good).ok()) << good;
+  }
+  FlagSet flags;
+  flags.Define("jobs", "20", "jobs");
+  const char* argv[] = {"prog", "--jobs=1.5"};
+  ASSERT_TRUE(flags.Parse(2, argv).ok());
+  EXPECT_EQ(flags.GetInt("jobs"), 1);  // Fractional values truncate.
 }
 
 // ---------------------------------------------------------------- Backoff --

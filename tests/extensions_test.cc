@@ -165,6 +165,7 @@ TEST_F(RecoveryTest, TextSerializationRoundTrip) {
   DataManagerSnapshot snapshot;
   snapshot.cache_allocations[dataset_a_] = GB(3);
   snapshot.io_allocations[9] = MBps(25);
+  snapshot.io_allocations[11] = 123456789.12345679;  // Needs all 17 digits.
   snapshot.cached_blocks[dataset_a_] = {0, 5, 17};
   const Result<DataManagerSnapshot> parsed = SnapshotFromText(SnapshotToText(snapshot));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();

@@ -80,6 +80,11 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
       {"dm-restart t=abc", "non-numeric value"},
       {"dm-restart time=5", "unknown key"},
       {"dm-restart t", "token without ="},
+      {"server-crash t=5 server=1.7", "fractional server id"},
+      {"worker-crash t=5 job=2.9", "fractional job id"},
+      {"server-crash t=5 server=1x", "trailing junk on server id"},
+      {"dm-restart t=nan", "non-finite time"},
+      {"degrade t=5 factor=inf", "non-finite factor"},
   };
   for (const auto& c : kBad) {
     EXPECT_FALSE(FaultPlan::Parse(c.spec).ok()) << c.why << ": " << c.spec;
@@ -87,6 +92,21 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   // Empty and whitespace-only specs are valid empty plans.
   EXPECT_TRUE(FaultPlan::Parse("").ok());
   EXPECT_TRUE(FaultPlan::Parse(" ; ; ").ok());
+}
+
+TEST(FaultPlan, ToSpecParsesBackToTheGeneratedPlan) {
+  FaultChurnOptions options;
+  options.seed = 7;
+  options.num_servers = 4;
+  options.num_jobs = 10;
+  options.server_crashes_per_hour = 2;
+  options.worker_crashes_per_hour = 1;
+  options.degrade_windows_per_hour = 1;
+  const FaultPlan plan = GenerateFaultPlan(options);
+  ASSERT_GT(plan.events.size(), 100u);
+  const Result<FaultPlan> reparsed = FaultPlan::Parse(plan.ToSpec());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->events, plan.events);
 }
 
 TEST(FaultPlan, GeneratedChurnIsDeterministicInSeed) {

@@ -4,8 +4,10 @@
 // must be flagged with the diverging sequence number.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
+#include "src/common/text_codec.h"
 #include "src/core/data_manager.h"
 #include "src/fault/minidump.h"
 #include "src/workload/dataset.h"
@@ -54,7 +56,7 @@ TEST(Minidump, TextRoundTripIsExact) {
   DriveAccesses(&manager, &recorder, catalog, 20);
   recorder.MaybeRebase(manager);
   manager.CrashShard(1);
-  recorder.RecordFault("server-crash 1");
+  recorder.RecordFault("server-crash shard=1");
   recorder.Note("free-form text with spaces\nand a newline, plus a \\ backslash");
   DriveAccesses(&manager, &recorder, catalog, 10);
 
@@ -62,6 +64,16 @@ TEST(Minidump, TextRoundTripIsExact) {
   const auto parsed = MinidumpFromText(MinidumpToText(dump));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(dump, *parsed);
+
+  // Edge values the writer can emit must read back: a subnormal double, an
+  // empty string and a string full of separators.
+  Minidump edge = dump;
+  edge.wall_time = std::numeric_limits<double>::denorm_min();
+  edge.reason = "";
+  edge.topology_spec = "rack0=0-1; a=b %20 \\e";
+  const auto edge_parsed = MinidumpFromText(MinidumpToText(edge));
+  ASSERT_TRUE(edge_parsed.ok()) << edge_parsed.status().ToString();
+  EXPECT_EQ(edge, *edge_parsed);
 }
 
 TEST(Minidump, ReplayReproducesTheRecordingBitIdentically) {
@@ -76,11 +88,11 @@ TEST(Minidump, ReplayReproducesTheRecordingBitIdentically) {
   DriveAccesses(&manager, &recorder, catalog, 40);
   recorder.MaybeRebase(manager);
   manager.CrashShard(0);
-  recorder.RecordFault("server-crash 0");
+  recorder.RecordFault("server-crash shard=0");
   DriveAccesses(&manager, &recorder, catalog, 20);
   recorder.MaybeRebase(manager);
   manager.RecoverShard(0);
-  recorder.RecordFault("server-recover 0");
+  recorder.RecordFault("server-recover shard=0");
   DriveAccesses(&manager, &recorder, catalog, 20);
 
   const Minidump dump = recorder.Dump(2.0, "replay test");
@@ -158,7 +170,7 @@ TEST(Minidump, ReplaySurvivesADataManagerRestartEvent) {
   const DataManagerSnapshot snapshot = CaptureSnapshot(manager, catalog);
   manager = DataManager(MB(3), MBps(100), /*seed=*/7, /*shards=*/3);
   ASSERT_TRUE(RestoreDataManager(snapshot, catalog, &manager).ok());
-  recorder.RecordFault("dm-restart dead=- snap=" + MinidumpEscape(SnapshotToText(snapshot)));
+  recorder.RecordFault("dm-restart dead=- snap=" + EscapeToken(SnapshotToText(snapshot)));
   DriveAccesses(&manager, &recorder, catalog, 30);
 
   const Minidump dump = recorder.Dump(3.0, "dm-restart test");
@@ -173,8 +185,15 @@ TEST(Minidump, ReplaySurvivesADataManagerRestartEvent) {
 TEST(Minidump, FromTextRejectsGarbage) {
   EXPECT_FALSE(MinidumpFromText("not a minidump").ok());
   EXPECT_FALSE(MinidumpFromText("").ok());
-  // A truncated header parses the magic but must still fail cleanly.
-  EXPECT_FALSE(MinidumpFromText("silod-minidump-v1\ntime 1.0\n").ok());
+  // A truncated dump parses the magic but must still fail cleanly.
+  EXPECT_FALSE(MinidumpFromText("silod-minidump-v2\ntime t=1.0\n").ok());
+  EXPECT_FALSE(MinidumpFromText("silod-minidump-v2\ntime t=1.0 t=2.0\n").ok());
+  EXPECT_FALSE(MinidumpFromText("silod-minidump-v2\ntime t=1e999\n").ok());
+  // The retired v1 format gets an error naming both versions.
+  const auto v1 = MinidumpFromText("silod-minidump-v1\ntime 1.0\n");
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.status().message().find("silod-minidump-v1"), std::string::npos);
+  EXPECT_NE(v1.status().message().find("silod-minidump-v2"), std::string::npos);
 }
 
 }  // namespace

@@ -142,10 +142,13 @@ TEST(Framing, GarbageMidStreamDoesNotCorruptEarlierFrames) {
 // Protocol.
 
 TEST(ServeProto, EscapeRoundTripsHostileBytes) {
-  const std::string hostile = "a b%c\n\t=\x01\x7f";
-  Result<std::string> back = UnescapeToken(EscapeToken(hostile));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(hostile, *back);
+  for (const std::string& hostile :
+       {std::string("a b%c\n\t=\x01\x7f"), std::string(), std::string("%"),
+        std::string("%41"), std::string("\xff\x80 "), std::string("\0x", 2)}) {
+    Result<std::string> back = UnescapeToken(EscapeToken(hostile));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(hostile, *back);
+  }
 }
 
 TEST(ServeProto, RequestRoundTrips) {
@@ -173,6 +176,18 @@ TEST(ServeProto, RejectsDuplicateKeysAndBadEscapes) {
   EXPECT_FALSE(ServeRequest::Decode("submit key=a key=b").ok());
   EXPECT_FALSE(ServeRequest::Decode("submit key=%zz").ok());
   EXPECT_FALSE(ServeRequest::Decode("").ok());
+  EXPECT_FALSE(ServeRequest::Decode("submit =a").ok());
+  EXPECT_FALSE(ServeRequest::Decode("submit key").ok());
+  EXPECT_FALSE(ServeResponse::Decode("ok a=1 a=2").ok());
+  // Numbers are strict: overflow and trailing junk are errors, not clamps.
+  Result<ServeRequest> request =
+      ServeRequest::Decode("submit gpus=99999999999999999999 io=1e999 n=5x t=1.5");
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_FALSE(request->GetInt("gpus").ok());
+  EXPECT_FALSE(request->GetDouble("io").ok());
+  EXPECT_FALSE(request->GetInt("n").ok());
+  EXPECT_FALSE(request->GetInt("t").ok());
+  EXPECT_EQ(1.5, *request->GetDouble("t"));
 }
 
 // ---------------------------------------------------------------------------

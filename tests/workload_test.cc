@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <set>
 
 #include "src/common/units.h"
@@ -11,6 +12,7 @@
 #include "src/workload/job.h"
 #include "src/workload/model_zoo.h"
 #include "src/workload/trace_gen.h"
+#include "src/workload/trace_io.h"
 
 namespace silod {
 namespace {
@@ -202,6 +204,40 @@ TEST(TraceGen, MicrobenchmarkTraceMatchesPaper) {
 }
 
 // ------------------------------------------------------------- Curriculum --
+
+// Every numeric CSV column parses strictly, and a bad one is named by row
+// and column instead of aborting or silently truncating downstream.
+TEST(TraceIo, CsvRejectsMalformedNumbers) {
+  const std::string header =
+      "id,name,model,gpus,dataset,dataset_bytes,block_bytes,ideal_io_bps,total_bytes,"
+      "submit_seconds,regular,curriculum,pacing_start,pacing_alpha,pacing_step\n";
+  const auto row = [](const std::string& gpus, const std::string& ideal_io,
+                      const std::string& submit) {
+    return "0,j,ResNet-50," + gpus + ",d0,10000000000,64000000," + ideal_io +
+           ",20000000000," + submit + ",1,0,0.04,1.9,50000\n";
+  };
+  ASSERT_TRUE(TraceFromCsv(header + row("4", "114000000.000000", "0.000000")).ok());
+  const struct {
+    std::string csv;
+    const char* column;
+  } kBad[] = {
+      {header + row("4", "nan", "0"), "ideal_io_bps"},
+      {header + row("4", "inf", "0"), "ideal_io_bps"},
+      {header + row("4", "1e6x", "0"), "ideal_io_bps"},
+      {header + row("4", "1e6", "nan"), "submit_seconds"},
+      {header + row("4", "1e6", "-1"), "submit_seconds"},
+      {header + row("4x", "1e6", "0"), "gpus"},
+      {header + row("1.5", "1e6", "0"), "gpus"},
+      {header + row("99999999999", "1e6", "0"), "gpus"},
+  };
+  for (const auto& c : kBad) {
+    const Result<Trace> trace = TraceFromCsv(c.csv);
+    ASSERT_FALSE(trace.ok()) << c.csv;
+    const std::string& message = trace.status().message();
+    EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.column), std::string::npos) << message;
+  }
+}
 
 TEST(Curriculum, PacingGrowsMonotonically) {
   CurriculumParams params;

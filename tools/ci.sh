@@ -68,7 +68,10 @@ fi
 if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # Fault-churn sweep in smoke mode: both engines survive a seeded crash
   # schedule with every job completing; fails on any lost job.  Bad inputs
-  # (a gang wider than the cluster, --jobs=0) must exit 2 up front.
+  # must exit 2 up front: a gang wider than the cluster, --jobs=0, a numeric
+  # flag with trailing junk (--gpus=16x), a trace row with ideal_io_bps=nan
+  # (both engines), and a gpu-type count with trailing junk (count=8x; the
+  # same spec with count=8 must run).
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
@@ -79,10 +82,20 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   printf '%s\n' "id,name,model,gpus,dataset,dataset_bytes,block_bytes,ideal_io_bps,total_bytes,submit_seconds,regular,curriculum,pacing_start,pacing_alpha,pacing_step" \
       "0,wide,ResNet-50,64,d0,10000000000,64000000,114000000,20000000000,0,1,0,0.04,1.9,50000" \
       > "$wide_trace"
+  nan_trace="build-ci-smoke/nan_io_trace.csv"
+  sed 's/,114000000,/,nan,/' "$wide_trace" > "$nan_trace"
   for args in "--engine=fine --trace=$wide_trace --gpus=16" \
-              "--engine=flow --trace=$wide_trace --gpus=16" "--jobs=0"; do
+              "--engine=flow --trace=$wide_trace --gpus=16" "--jobs=0" "--gpus=16x" \
+              "--engine=fine --trace=$nan_trace --gpus=64" \
+              "--engine=flow --trace=$nan_trace --gpus=64"; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim $args >/dev/null 2>&1 || rc=$?
     [[ "$rc" == 2 ]] || { echo "smoke: silod_sim $args exited $rc, want 2"; exit 1; }
+  done
+  for count in 8x 8; do
+    rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim --gpus=8 \
+        --topology="gpu-type name=v100 count=$count speed=1" >/dev/null 2>&1 || rc=$?
+    want=$([[ "$count" == 8 ]] && echo 0 || echo 2)
+    [[ "$rc" == "$want" ]] || { echo "smoke: count=$count exited $rc, want $want"; exit 1; }
   done
 fi
 

@@ -143,16 +143,13 @@ int PrintResponse(const ServeResponse& response, bool json) {
 }
 
 // Compares a report-response scalar field against the local batch value; the
-// daemon renders with %.17g, which round-trips doubles exactly.  Both sides
-// being NaN (the null statistics of an empty summary, finished == 0) counts
-// as a match — NaN never compares equal to itself.
+// daemon renders with FormatExact, which round-trips doubles exactly.  Both
+// sides being NaN (the null statistics of an empty summary, finished == 0)
+// counts as a match — NaN never compares equal to itself.
 bool FieldMatches(const ServeResponse& response, const std::string& key, double expected) {
-  const auto it = response.fields.find(key);
-  if (it == response.fields.end()) {
-    return false;
-  }
-  const double got = std::strtod(it->second.c_str(), nullptr);
-  return got == expected || (std::isnan(got) && std::isnan(expected));
+  FieldReader report(response.fields, "report");
+  const double got = report.Double(key);
+  return report.status().ok() && (got == expected || (std::isnan(got) && std::isnan(expected)));
 }
 
 int RunServeTrace(const FlagSet& flags, RetryingClient* client) {

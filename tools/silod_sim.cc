@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     Result<Trace> loaded = ReadTraceFile(flags.GetString("trace"));
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
+      return 2;
     }
     trace = std::move(loaded).value();
   } else {
