@@ -53,7 +53,7 @@ class CacheManager {
   // Releases the dataset's quota and evicts its items.
   void ReleaseDataset(DatasetId dataset);
 
-  // --- Item path (driven by the fine engine / data pipeline) ---------------
+  // --- Item path (driven by the fine engine / the rt fetch path) ----------
   // Records a read of `block`.  Returns true on hit.  On miss the caller
   // fetches remotely and the manager admits the block under uniform caching.
   bool AccessBlock(const Dataset& dataset, std::int64_t block);

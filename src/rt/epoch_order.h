@@ -4,8 +4,8 @@
 // one shuffle per epoch boundary, exactly-once-per-epoch access (§2.2).  The
 // RestartCost policies need to *rewind* that cursor — a crash discards the
 // un-checkpointed fetch suffix and the loader re-fetches from an earlier
-// absolute index — and worker processes need to *resume* from a checkpoint
-// index after a respawn.  SeekTo re-derives the epoch state from the seed by
+// absolute index — and a respawned worker needs to *resume* from a checkpoint
+// index.  SeekTo re-derives the epoch state from the seed by
 // replaying the shuffles, so the block sequence is bit-identical to the
 // historical loader for any crash/resume pattern (and to a crash-free run:
 // epoch e's order is e+1 successive Fisher-Yates shuffles of iota).

@@ -13,60 +13,83 @@
 
 #include "src/common/logging.h"
 #include "src/rt/wire.h"
+#include "src/rt/worker_main.h"
 
 namespace silod {
 
-NodeManager::NodeManager(Host* host) : host_(host) {
+NodeManager::NodeManager(Host* host, bool processes) : host_(host), processes_(processes) {
   SILOD_CHECK(host_ != nullptr) << "NodeManager needs a host";
 }
 
 NodeManager::~NodeManager() { Stop(0); }
 
 Status NodeManager::Spawn(const WorkerConfig& config) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopped_) {
-      return Status::FailedPrecondition("node manager is stopped");
-    }
-  }
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
     return Status::Internal(std::string("socketpair: ") + std::strerror(errno));
   }
-  // Everything the child touches between fork and exec is prepared here:
-  // only async-signal-safe calls are legal in the child of a multi-threaded
-  // parent.
-  static const char kExe[] = "/proc/self/exe";
-  static const char kFlag[] = "--silod-worker-fd=3";
-  char* const child_argv[] = {const_cast<char*>(kExe), const_cast<char*>(kFlag), nullptr};
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    return Status::Internal(std::string("fork: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child.  dup2 clears CLOEXEC on the copy, so fd 3 survives the exec.
-    if (::dup2(sv[1], 3) < 0) {
-      ::_exit(126);
-    }
-    ::execv(kExe, child_argv);
-    ::_exit(127);
-  }
-  ::close(sv[1]);
-
   auto worker = std::make_unique<Worker>();
   worker->config = config;
-  worker->pid = pid;
   worker->fd = sv[0];
   Worker* raw = worker.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    workers_.push_back(std::move(worker));
+  // Checked and registered under one lock, so Stop never misses a worker
+  // that a handler thread respawns concurrently.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopped_) {
+    ::close(sv[0]);
+    ::close(sv[1]);
+    return Status::FailedPrecondition("node manager is stopped");
   }
+  if (processes_) {
+    // Everything the child touches between fork and exec is prepared here:
+    // only async-signal-safe calls are legal in the child of a
+    // multi-threaded parent.
+    static const char kExe[] = "/proc/self/exe";
+    static const char kFlag[] = "--silod-worker-fd=3";
+    char* const child_argv[] = {const_cast<char*>(kExe), const_cast<char*>(kFlag), nullptr};
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(sv[0]);
+      ::close(sv[1]);
+      return Status::Internal(std::string("fork: ") + std::strerror(errno));
+    }
+    if (pid == 0) {
+      // Child.  dup2 clears CLOEXEC on the copy, so fd 3 survives the exec.
+      if (::dup2(sv[1], 3) < 0) {
+        ::_exit(126);
+      }
+      ::execv(kExe, child_argv);
+      ::_exit(127);
+    }
+    ::close(sv[1]);
+    raw->pid = pid;
+  } else {
+    raw->thread = std::thread([raw, fd = sv[1]] { raw->exit_code = RunWorker(fd); });
+  }
+  workers_.push_back(std::move(worker));
   raw->handler = std::thread(&NodeManager::HandlerLoop, this, raw);
   return Status::Ok();
+}
+
+void NodeManager::KillLocked(const Worker& worker) {
+  if (processes_) {
+    ::kill(worker.pid, SIGKILL);
+  } else {
+    // Both directions: the worker's reads see EOF and its writes fail, so
+    // every one of its threads stops; the handler's reads end the same way.
+    ::shutdown(worker.fd, SHUT_RDWR);
+  }
+}
+
+int NodeManager::Reap(Worker* worker) {
+  if (!processes_) {
+    worker->thread.join();
+    return worker->exit_code;
+  }
+  int status = 0;
+  while (::waitpid(worker->pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return status;
 }
 
 bool NodeManager::Kill(JobId job) {
@@ -80,10 +103,10 @@ bool NodeManager::Kill(JobId job) {
     if (worker->state != WorkerStateKind::kRunning) {
       return false;
     }
-    // Marked before the signal so the handler's exit classification (under
+    // Marked before the kill so the handler's exit classification (under
     // this same mutex) always sees the kill as intentional.
     worker->state = WorkerStateKind::kKilled;
-    ::kill(worker->pid, SIGKILL);
+    KillLocked(*worker);
     return true;
   }
   return false;
@@ -113,13 +136,13 @@ void NodeManager::Stop(Seconds grace) {
     for (const auto& worker : workers_) {
       if (worker->state == WorkerStateKind::kRunning) {
         worker->state = WorkerStateKind::kStopping;
+        // Under the lock, so the handler cannot have closed the fd yet.
+        // Best effort: a dead peer just means the handler is already
+        // unwinding.
+        WriteFrame(worker->fd, WireType::kStop, {}).ok();
         live.push_back(worker.get());
       }
     }
-  }
-  for (Worker* worker : live) {
-    // Best effort: a dead peer just means the handler is already unwinding.
-    WriteFrame(worker->fd, WireType::kStop, {}).ok();
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -133,8 +156,8 @@ void NodeManager::Stop(Seconds grace) {
       return true;
     });
     for (Worker* worker : live) {
-      if (worker->state != WorkerStateKind::kExited) {
-        ::kill(worker->pid, SIGKILL);  // Straggler past the grace period.
+      if (worker->state == WorkerStateKind::kStopping) {
+        KillLocked(*worker);  // Straggler past the grace period.
       }
     }
   }
@@ -145,90 +168,88 @@ void NodeManager::Stop(Seconds grace) {
   }
 }
 
-int NodeManager::live_workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int live = 0;
-  for (const auto& worker : workers_) {
-    if (worker->state == WorkerStateKind::kRunning) {
-      ++live;
-    }
-  }
-  return live;
-}
-
 void NodeManager::HandlerLoop(Worker* worker) {
-  const JobId job = worker->config.job;
-  const std::uint64_t incarnation = worker->config.incarnation;
+  const WorkerConfig& c = worker->config;
 
   // First frame must be the worker's hello; then hand it its assignment.
-  bool protocol_ok = false;
-  if (auto hello = ReadFrame(worker->fd); hello.ok() && hello->type == WireType::kHello) {
-    const WorkerConfig& c = worker->config;
-    const Status st =
-        WriteFrame(worker->fd, WireType::kAssign,
-                   {static_cast<std::uint64_t>(c.job), static_cast<std::uint64_t>(c.blocks_total),
-                    static_cast<std::uint64_t>(c.resume_done),
-                    static_cast<std::uint64_t>(c.resume_fetched),
-                    static_cast<std::uint64_t>(c.num_blocks),
-                    static_cast<std::uint64_t>(c.pipeline_depth), c.rng_seed,
-                    WireMessage::FromDouble(c.block_compute),
-                    WireMessage::FromDouble(c.heartbeat_period)});
-    protocol_ok = st.ok();
+  // `end` records why the conversation stopped: OutOfRange is the worker
+  // closing its end (it exited or died); anything else is a protocol error
+  // or a socket that failed mid-conversation.
+  Status end = Status::Internal("worker skipped its hello");
+  if (auto hello = ReadFrame(worker->fd); !hello.ok()) {
+    end = hello.status();
+  } else if (hello->type == WireType::kHello) {
+    end = WriteFrame(worker->fd, WireType::kAssign,
+                     {static_cast<std::uint64_t>(c.job), static_cast<std::uint64_t>(c.blocks_total),
+                      static_cast<std::uint64_t>(c.resume_done),
+                      static_cast<std::uint64_t>(c.resume_fetched),
+                      static_cast<std::uint64_t>(c.num_blocks),
+                      static_cast<std::uint64_t>(c.pipeline_depth), c.rng_seed,
+                      WireMessage::FromDouble(c.block_compute)});
   }
-  while (protocol_ok) {
-    auto frame = ReadFrame(worker->fd);
+  while (end.ok()) {
+    Result<WireMessage> frame = ReadFrame(worker->fd);
     if (!frame.ok()) {
-      break;  // EOF: the worker exited (or died).
+      end = frame.status();
+      break;
+    }
+    end = CheckWorkerFrame(*frame, c.num_blocks, c.blocks_total);
+    if (!end.ok()) {
+      break;
     }
     switch (frame->type) {
       case WireType::kFetchRequest: {
         bool aborted = false;
         const bool hit =
-            host_->FetchBlock(job, incarnation, static_cast<std::int64_t>(frame->words[0]),
+            host_->FetchBlock(c.job, c.incarnation, static_cast<std::int64_t>(frame->words[0]),
                               static_cast<std::int64_t>(frame->words[1]), &aborted);
-        const Status st =
-            WriteFrame(worker->fd, WireType::kFetchReply,
-                       {hit ? std::uint64_t{1} : 0, aborted ? std::uint64_t{1} : 0});
-        if (!st.ok()) {
-          protocol_ok = false;  // Worker died mid-fetch; fall through to reap.
-        }
+        end = WriteFrame(worker->fd, WireType::kFetchReply,
+                         {hit ? std::uint64_t{1} : 0, aborted ? std::uint64_t{1} : 0});
         break;
       }
       case WireType::kBlockDone:
-        host_->OnBlockDone(job, incarnation, static_cast<std::int64_t>(frame->words[0]));
-        break;
-      case WireType::kHeartbeat:
-        host_->OnHeartbeat(job, incarnation, static_cast<std::int64_t>(frame->words[0]));
+        host_->OnBlockDone(c.job, c.incarnation, static_cast<std::int64_t>(frame->words[0]));
         break;
       case WireType::kDrained: {
         {
           std::lock_guard<std::mutex> lock(mu_);
           worker->drained = true;
         }
-        host_->OnDrained(job, incarnation, static_cast<std::int64_t>(frame->words[0]),
+        host_->OnDrained(c.job, c.incarnation, static_cast<std::int64_t>(frame->words[0]),
                          static_cast<std::int64_t>(frame->words[1]));
         break;
       }
       default:
-        break;  // kHello twice etc.: tolerate, the exit classification rules.
+        break;  // CheckWorkerFrame admits no other type.
     }
   }
-
-  int status = 0;
-  while (::waitpid(worker->pid, &status, 0) < 0 && errno == EINTR) {
+  if (end.code() != StatusCode::kOutOfRange) {
+    // Make sure the worker is gone before reaping it.  The kill is not
+    // marked intentional: a worker that broke the protocol reports an
+    // unexpected exit.  (A worker already killed or stopping keeps its
+    // classification; killing it again is harmless before the reap.)
+    std::lock_guard<std::mutex> lock(mu_);
+    if (worker->state == WorkerStateKind::kRunning) {
+      SILOD_LOG(Error) << "worker for job " << c.job << ": " << end.ToString();
+    }
+    KillLocked(*worker);
   }
-  ::close(worker->fd);
 
+  const int status = Reap(worker);
   bool expected;
   {
+    // Marked reaped before the fd closes, so Kill and Stop never signal a
+    // pid that is no longer our child or shut down a reused fd number.
     std::lock_guard<std::mutex> lock(mu_);
     expected = worker->drained || worker->state == WorkerStateKind::kKilled ||
                worker->state == WorkerStateKind::kStopping;
+    worker->state = WorkerStateKind::kReaped;
   }
+  ::close(worker->fd);
   if (!expected) {
     // Reported before the worker is retired so the host can respawn from
     // inside the callback without racing this worker's bookkeeping.
-    host_->OnUnexpectedExit(job, incarnation, status);
+    host_->OnUnexpectedExit(c.job, c.incarnation, status);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);

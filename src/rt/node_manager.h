@@ -1,26 +1,37 @@
-// NodeManager: the per-node worker-process pool of the multi-process runtime
-// (docs/MODEL.md §10).
+// NodeManager: the per-node worker pool of the runtime (docs/MODEL.md §10).
 //
-// One real OS process per trainer: Spawn fork/execs the host binary back on
-// itself ("/proc/self/exe --silod-worker-fd=3", see rt/worker_main.h) with an
-// AF_UNIX stream socket as the control channel, a per-worker handler thread
-// speaks the rt/wire.h protocol, and exits are reaped with waitpid and
-// classified.  The division of labor keeps the cluster state in one place:
-// workers own only their compute/pipeline loop; every cache access, throttle
-// wait and remote read happens in the parent via Host::FetchBlock while the
-// worker blocks on the reply — so an injected kWorkerCrash can SIGKILL the
-// process without any shared state to corrupt, and the restart pays its
-// refetch cost through the very same DataManager path the thread-mode
-// trainers use.
+// One worker per job, running RunWorker (rt/worker_main.h), the runtime's one
+// loader->trainer pipeline.  Each worker talks to a per-worker handler thread
+// over an AF_UNIX socketpair in the rt/wire.h protocol.  The division of
+// labor keeps the cluster state in one place: workers own only their
+// compute/pipeline loop; every cache access, throttle wait and remote read
+// happens in the driver via Host::FetchBlock while the worker blocks on the
+// reply — so a kill has no shared state to corrupt, and the restart pays its
+// refetch cost through the very same DataManager path.
+//
+// Only spawn, kill and reap depend on the mode chosen at construction:
+//
+//   step    process mode                            thread mode
+//   spawn   fork/exec of the host binary            std::thread running RunWorker
+//           ("/proc/self/exe --silod-worker-fd=3")
+//   kill    SIGKILL                                 shutdown(SHUT_RDWR) on the driver's
+//                                                   end of the socket
+//   reap    waitpid                                 join; RunWorker's return code is
+//                                                   the exit status
+//
+// The handler checks every worker frame against the worker's assignment
+// (CheckWorkerFrame in rt/wire.h); a malformed or out-of-range frame is a
+// protocol error, and the handler kills the worker without marking the kill
+// intentional.
 //
 // Exit classification: a worker that dies while marked killed (injected
 // crash) or stopping (drain), or after sending kDrained, exited as expected;
-// anything else — a real crash — is surfaced through Host::OnUnexpectedExit
-// so the cluster can write a minidump and respawn.
+// anything else — a real crash or a protocol error — is surfaced through
+// Host::OnUnexpectedExit so the cluster can write a minidump and respawn.
 //
 // Incarnations: every Spawn bumps the job's incarnation, and all Host
 // callbacks carry it.  Frames can sit in a socket buffer after their worker
-// was SIGKILLed; the incarnation lets the cluster drop such stale progress
+// was killed; the incarnation lets the cluster drop such stale progress
 // instead of resurrecting pre-crash counters after a rollback.
 #ifndef SILOD_SRC_RT_NODE_MANAGER_H_
 #define SILOD_SRC_RT_NODE_MANAGER_H_
@@ -51,9 +62,8 @@ struct WorkerConfig {
   std::int64_t resume_fetched = 0;
   std::int64_t num_blocks = 0;      // Blocks per epoch (shuffle geometry).
   std::int64_t pipeline_depth = 1;
-  std::uint64_t rng_seed = 0;     // Epoch-shuffle seed (same as thread mode).
+  std::uint64_t rng_seed = 0;     // Epoch-shuffle seed.
   Seconds block_compute = 0;
-  Seconds heartbeat_period = 0.25;
 };
 
 class NodeManager {
@@ -70,27 +80,30 @@ class NodeManager {
     virtual bool FetchBlock(JobId job, std::uint64_t incarnation, std::int64_t fetch_index,
                             std::int64_t block, bool* aborted) = 0;
     virtual void OnBlockDone(JobId job, std::uint64_t incarnation, std::int64_t blocks_done) = 0;
-    virtual void OnHeartbeat(JobId /*job*/, std::uint64_t /*incarnation*/,
-                             std::int64_t /*blocks_done*/) {}
     virtual void OnDrained(JobId job, std::uint64_t incarnation, std::int64_t blocks_done,
                            std::int64_t blocks_fetched) = 0;
     // The worker died without being killed, stopped or drained.  Runs on the
-    // handler thread after the pid was reaped; the worker is already retired,
-    // so the implementation may Spawn a replacement from inside the callback.
-    virtual void OnUnexpectedExit(JobId job, std::uint64_t incarnation, int wait_status) = 0;
+    // handler thread after the worker was reaped; `exit_status` is the
+    // waitpid status (process mode) or RunWorker's return code (thread mode).
+    // The worker is already retired, so the implementation may Spawn a
+    // replacement from inside the callback.
+    virtual void OnUnexpectedExit(JobId job, std::uint64_t incarnation, int exit_status) = 0;
   };
 
-  explicit NodeManager(Host* host);
+  // `processes` picks the mode: one OS process per worker (true) or one
+  // driver thread per worker (false).
+  NodeManager(Host* host, bool processes);
   ~NodeManager();  // Stop(0) + joins if still running.
 
   NodeManager(const NodeManager&) = delete;
   NodeManager& operator=(const NodeManager&) = delete;
 
-  // Forks one worker for `config.job` and starts its handler thread.
+  // Starts one worker for `config.job` and its handler thread.
   Status Spawn(const WorkerConfig& config);
 
-  // SIGKILLs the job's live worker (an injected kWorkerCrash).  False when
-  // the job has no live worker.
+  // Kills the job's live worker (an injected kWorkerCrash).  False when the
+  // job has no live worker; a worker counts as live until its handler has
+  // reaped it, so a kill never reaches a reused pid or fd.
   bool Kill(JobId job);
 
   // Blocks until every worker of `job` has been reaped and its handler
@@ -99,28 +112,35 @@ class NodeManager {
   bool WaitIdle(JobId job, Seconds timeout);
 
   // Graceful shutdown: sends kStop to every live worker, waits up to `grace`
-  // for them to drain and exit, SIGKILLs stragglers, then joins every
-  // handler thread (including long-retired ones).  Idempotent.
+  // for them to drain and exit, kills stragglers, then joins every handler
+  // thread (including long-retired ones).  Idempotent.
   void Stop(Seconds grace);
 
-  int live_workers() const;
-
  private:
-  enum class WorkerStateKind { kRunning, kKilled, kStopping, kExited };
+  // kReaped: the handler has reaped the worker and is about to close its fd
+  // and report the exit; kExited: fully retired.
+  enum class WorkerStateKind { kRunning, kKilled, kStopping, kReaped, kExited };
 
   struct Worker {
     WorkerConfig config;
-    pid_t pid = -1;
-    int fd = -1;
+    pid_t pid = -1;       // Process mode.
+    int exit_code = 0;    // Thread mode: RunWorker's return, read after join.
+    std::thread thread;   // Thread mode: runs RunWorker on the worker's end.
+    int fd = -1;          // The driver's end of the socketpair.
     WorkerStateKind state = WorkerStateKind::kRunning;
     bool drained = false;
     std::thread handler;
   };
 
+  // SIGKILL or socket shutdown, per mode; mu_ held, worker not yet reaped.
+  void KillLocked(const Worker& worker);
+  // Blocks until the worker is gone; returns its exit status.
+  int Reap(Worker* worker);
   void HandlerLoop(Worker* worker);
 
   Host* const host_;
-  mutable std::mutex mu_;
+  const bool processes_;
+  std::mutex mu_;
   std::condition_variable exited_cv_;
   bool stopped_ = false;
   // Append-only so Worker* stays stable for handler threads; exited workers

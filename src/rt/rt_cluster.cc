@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/text_codec.h"
-#include "src/rt/epoch_order.h"
 
 namespace silod {
 namespace {
 
-// Loader epoch-shuffle seed; shared with the worker processes so thread and
-// process mode walk bit-identical block orders.
+// Worker epoch-shuffle seed, per job.
 constexpr std::uint64_t kLoaderSeed = 0x10AD;
 constexpr std::uint64_t kRespawnSeed = 0xBAC0FF;
 
@@ -56,7 +55,7 @@ RtCluster::RtCluster(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
       remote_(resources.remote_io, /*burst=*/MB(8)),
       manager_(resources.total_cache, resources.remote_io, /*seed=*/7,
                std::max(1, resources.num_servers)),
-      injector_(options.faults) {
+      injector_(options.faults), node_(this, options.workers_processes) {
   SILOD_CHECK(trace_ != nullptr) << "trace required";
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
   SILOD_CHECK(!trace_->jobs.empty()) << "empty trace";
@@ -171,7 +170,13 @@ bool RtCluster::FetchOneBlock(RtJob& job, std::int64_t fetch_index, std::int64_t
         *aborted = true;
         return hit;
       }
-      if (remote_.TryReadBlock(dataset.id, block).ok()) {
+      const Result<std::vector<std::uint8_t>> payload = remote_.TryReadBlock(dataset.id, block);
+      if (payload.ok()) {
+        // The store is in-process and deterministic: a mismatch is memory
+        // corruption, not a transient error.
+        SILOD_CHECK(InMemRemoteStore::Checksum(*payload) ==
+                    InMemRemoteStore::ExpectedChecksum(dataset.id, block, bytes))
+            << "corrupt payload: dataset " << dataset.id << " block " << block;
         break;
       }
       job.remote_retries.fetch_add(1);
@@ -191,108 +196,6 @@ void RtCluster::SleepInterruptible(Seconds s) {
   }
 }
 
-void RtCluster::LoaderLoop(RtJob& job) {
-  const Dataset& dataset = trace_->catalog.Get(job.spec->dataset);
-  EpochShuffler order(kLoaderSeed ^ static_cast<std::uint64_t>(job.spec->id), dataset.num_blocks);
-  std::int64_t local = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(job.mu);
-      for (;;) {
-        // Crash rendezvous: park until the restart event rewinds us.
-        while (job.crashed.load() && !stopping_.load()) {
-          job.loader_paused = true;
-          job.cv.notify_all();
-          job.cv.wait(lock);
-        }
-        job.loader_paused = false;
-        if (stopping_.load() || job.completed.load()) {
-          return;
-        }
-        if (job.fetched < job.blocks_total && job.staged < options_.pipeline_depth) {
-          break;
-        }
-        // Pipeline full, or fully fetched and awaiting either completion or
-        // a crash rewind.
-        job.cv.wait(lock);
-      }
-      if (job.fetched != local) {
-        // A lossy restart rewound the cursor while we were parked.
-        local = job.fetched;
-        order.SeekTo(local);
-      }
-    }
-    const std::int64_t block = order.Next();
-    bool aborted = false;
-    FetchOneBlock(job, local, block, &aborted);
-    if (aborted) {
-      return;  // Only stopping_ aborts a thread-mode fetch.
-    }
-    ++local;
-    {
-      std::lock_guard<std::mutex> lock(job.mu);
-      job.fetched = local;
-      ++job.staged;
-    }
-    job.cv.notify_all();
-  }
-}
-
-void RtCluster::TrainerLoop(RtJob& job) {
-  job.start = WallNow();
-  for (;;) {
-    bool finished = false;
-    {
-      std::unique_lock<std::mutex> lock(job.mu);
-      for (;;) {
-        while (job.crashed.load() && !stopping_.load()) {
-          job.trainer_paused = true;
-          job.cv.notify_all();
-          job.cv.wait(lock);
-        }
-        job.trainer_paused = false;
-        if (stopping_.load()) {
-          return;  // Aborted: leave the job uncompleted.
-        }
-        if (job.consumed >= job.blocks_total) {
-          finished = true;
-          break;
-        }
-        if (job.staged > 0) {
-          break;
-        }
-        job.cv.wait(lock);
-      }
-      if (!finished) {
-        --job.staged;
-      }
-    }
-    job.cv.notify_all();
-    if (finished) {
-      break;
-    }
-    // The paper's GPU-acceleration sleep: compute replaced by its profiled
-    // duration.  Shutting down must not pay it once per staged block — with a
-    // deep pipeline that stretches teardown by pipeline_depth x block_compute.
-    if (stopping_.load()) {
-      return;
-    }
-    SleepSeconds(job.block_compute);
-    if (stopping_.load()) {
-      return;
-    }
-    job.blocks_done.fetch_add(1);
-    {
-      // A block counts as consumed only once its compute actually ran, so
-      // consumed == blocks_done even when Run() aborts a job mid-pipeline.
-      std::lock_guard<std::mutex> lock(job.mu);
-      ++job.consumed;
-    }
-    job.cv.notify_all();
-  }
-  CompleteJob(job);
-}
-
 void RtCluster::CompleteJob(RtJob& job) {
   bool first = false;
   {
@@ -304,7 +207,6 @@ void RtCluster::CompleteJob(RtJob& job) {
     }
   }
   if (first) {
-    job.cv.notify_all();
     unfinished_.fetch_sub(1);
   }
 }
@@ -326,7 +228,7 @@ void RtCluster::AbandonJob(RtJob& job) {
   }
 }
 
-// --- NodeManager::Host (process mode) ---------------------------------------
+// --- NodeManager::Host -------------------------------------------------------
 
 bool RtCluster::FetchBlock(JobId job_id, std::uint64_t incarnation, std::int64_t fetch_index,
                            std::int64_t block, bool* aborted) {
@@ -398,7 +300,7 @@ void RtCluster::OnDrained(JobId job_id, std::uint64_t incarnation, std::int64_t 
   }
 }
 
-void RtCluster::OnUnexpectedExit(JobId job_id, std::uint64_t incarnation, int wait_status) {
+void RtCluster::OnUnexpectedExit(JobId job_id, std::uint64_t incarnation, int exit_status) {
   RtJob* job = FindJob(job_id);
   if (job == nullptr || stopping_.load()) {
     return;
@@ -409,15 +311,15 @@ void RtCluster::OnUnexpectedExit(JobId job_id, std::uint64_t incarnation, int wa
       return;
     }
   }
-  SILOD_LOG(Error) << "worker for job " << job_id << " exited unexpectedly (status " << wait_status
+  SILOD_LOG(Error) << "worker for job " << job_id << " exited unexpectedly (status " << exit_status
                    << ")";
   if (recorder_ != nullptr) {
     recorder_->Note("worker-exit job=" + std::to_string(job_id) +
-                    " status=" + std::to_string(wait_status));
+                    " status=" + std::to_string(exit_status));
   }
   WriteDump("worker-exit-job" + std::to_string(job_id),
-            "unexpected worker exit, job " + std::to_string(job_id) + ", wait status " +
-                std::to_string(wait_status));
+            "unexpected worker exit, job " + std::to_string(job_id) + ", exit status " +
+                std::to_string(exit_status));
   if (job->respawn_backoff->exhausted()) {
     SILOD_LOG(Error) << "job " << job_id << " abandoned after " << job->respawn_backoff->attempts()
                      << " respawns";
@@ -476,39 +378,26 @@ void RtCluster::ApplyRollbackLocked(RtJob& job) {
   }
   job.consumed = resume;
   job.blocks_done.store(resume);
-  job.staged = 0;
   job.fetched = resume;
 }
 
 void RtCluster::RestartJob(RtJob& job) {
-  if (options_.workers_processes) {
-    // The SIGKILLed worker's handler drains any in-flight fetch and retires;
-    // wait for it so the fetch cursor is final before the rollback.
-    if (!node_->WaitIdle(job.spec->id, options_.worker_stop_grace)) {
-      SILOD_LOG(Error) << "job " << job.spec->id << " worker did not retire within grace";
-    }
-    {
-      std::lock_guard<std::mutex> lock(job.mu);
-      ApplyRollbackLocked(job);
-      job.crashed.store(false);
-    }
-    if (!stopping_.load()) {
-      if (const Status st = SpawnWorker(job); !st.ok()) {
-        SILOD_LOG(Error) << "restart spawn for job " << job.spec->id
-                         << " failed: " << st.ToString();
-        AbandonJob(job);
-      }
-    }
-    return;
+  // The killed worker's handler drains any in-flight fetch and retires; wait
+  // for it so the fetch cursor is final before the rollback.
+  if (!node_.WaitIdle(job.spec->id, options_.worker_stop_grace)) {
+    SILOD_LOG(Error) << "job " << job.spec->id << " worker did not retire within grace";
   }
-  std::unique_lock<std::mutex> lock(job.mu);
-  job.cv.wait(lock, [&] {
-    return stopping_.load() || (job.loader_paused && job.trainer_paused);
-  });
-  ApplyRollbackLocked(job);
-  job.crashed.store(false);
-  lock.unlock();
-  job.cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(job.mu);
+    ApplyRollbackLocked(job);
+    job.crashed.store(false);
+  }
+  if (!stopping_.load()) {
+    if (const Status st = SpawnWorker(job); !st.ok()) {
+      SILOD_LOG(Error) << "restart spawn for job " << job.spec->id << " failed: " << st.ToString();
+      AbandonJob(job);
+    }
+  }
 }
 
 Status RtCluster::SpawnWorker(RtJob& job) {
@@ -520,7 +409,6 @@ Status RtCluster::SpawnWorker(RtJob& job) {
   config.pipeline_depth = options_.pipeline_depth;
   config.rng_seed = kLoaderSeed ^ static_cast<std::uint64_t>(job.spec->id);
   config.block_compute = job.block_compute;
-  config.heartbeat_period = options_.heartbeat_period;
   {
     std::lock_guard<std::mutex> lock(job.mu);
     config.incarnation = ++job.incarnation;
@@ -533,7 +421,7 @@ Status RtCluster::SpawnWorker(RtJob& job) {
                     " done=" + std::to_string(config.resume_done) +
                     " fetched=" + std::to_string(config.resume_fetched));
   }
-  return node_->Spawn(config);
+  return node_.Spawn(config);
 }
 
 void RtCluster::WriteDump(const std::string& label, const std::string& reason) {
@@ -571,7 +459,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       return;
     case FaultKind::kDataManagerRestart: {
       // The in-memory Data Manager dies and a fresh one rebuilds from the
-      // durable state (§6).  Loaders keep running throughout: they serialize
+      // durable state (§6).  Fetches keep running throughout: they serialize
       // on manager_mu_, so each read lands either on the old manager or the
       // restored one — a restore from a stale snapshot only turns some hits
       // into misses, never corrupts accounting.
@@ -685,11 +573,7 @@ void RtCluster::ApplyFault(const FaultEvent& event) {
       if (recorder_ != nullptr) {
         recorder_->Note("worker-crash job=" + std::to_string(event.target));
       }
-      if (options_.workers_processes) {
-        node_->Kill(job->spec->id);  // A real SIGKILL; the handler reaps it.
-      } else {
-        job->cv.notify_all();  // Park the pipeline threads.
-      }
+      node_.Kill(job->spec->id);  // The handler reaps it.
       WriteDump("worker-crash-job" + std::to_string(event.target),
                 "injected worker crash, job " + std::to_string(event.target));
       return;
@@ -804,24 +688,16 @@ RtResult RtCluster::Run() {
   unfinished_.store(static_cast<int>(jobs_.size()));
 
   // Allocations are durable annotations set at admission (§6): apply the
-  // first plan before any loader runs, or early misses land while the
+  // first plan before any worker runs, or early misses land while the
   // dataset quota is still zero and are never admitted — a startup race
   // that costs an extra miss per affected block on the next epoch.
   ScheduleOnce();
 
-  if (options_.workers_processes) {
-    // Workers exist before the scheduler thread can deliver a kWorkerCrash.
-    node_ = std::make_unique<NodeManager>(static_cast<NodeManager::Host*>(this));
-    for (auto& job : jobs_) {
-      job->start = WallNow();
-      const Status st = SpawnWorker(*job);
-      SILOD_CHECK(st.ok()) << "worker spawn failed: " << st.ToString();
-    }
-  } else {
-    for (auto& job : jobs_) {
-      job->loader = std::thread([this, &job] { LoaderLoop(*job); });
-      job->trainer = std::thread([this, &job] { TrainerLoop(*job); });
-    }
+  // Workers exist before the scheduler thread can deliver a kWorkerCrash.
+  for (auto& job : jobs_) {
+    job->start = WallNow();
+    const Status st = SpawnWorker(*job);
+    SILOD_CHECK(st.ok()) << "worker spawn failed: " << st.ToString();
   }
   std::thread scheduler_thread([this] { SchedulerLoop(); });
 
@@ -834,20 +710,7 @@ RtResult RtCluster::Run() {
     SleepSeconds(0.01);
   }
   stopping_.store(true);
-  for (auto& job : jobs_) {
-    job->cv.notify_all();
-  }
-  if (node_ != nullptr) {
-    node_->Stop(options_.worker_stop_grace);
-  }
-  for (auto& job : jobs_) {
-    if (job->loader.joinable()) {
-      job->loader.join();
-    }
-    if (job->trainer.joinable()) {
-      job->trainer.join();
-    }
-  }
+  node_.Stop(options_.worker_stop_grace);
   if (scheduler_thread.joinable()) {
     scheduler_thread.join();
   }

@@ -3,23 +3,22 @@
 //
 // The paper evaluates on K80 GPUs that run the full data pipeline but replace
 // the forward/backward passes with sleep(profiled V100 duration).  RtCluster
-// is that idea with the GPUs removed entirely: every job is a loader (walks
-// shuffled epochs, reads blocks through the shared DataManager and the
-// in-memory remote store, throttled to the job's remote-IO allocation) plus a
-// trainer (consumes staged blocks and sleeps block_bytes / f* per block);
-// a scheduler thread periodically snapshots progress and applies a fresh
-// AllocationPlan (quotas + throttles), exactly like the SiloD control loop in
-// Fig. 7.
+// is that idea with the GPUs removed entirely: every job is a worker whose
+// loader walks shuffled epochs and whose trainer sleeps block_bytes / f* per
+// block (rt/worker_main.h); each block fetch is paid in the driver, through
+// the shared DataManager and the in-memory remote store (checksummed
+// payloads), throttled to the job's remote-IO allocation.  A scheduler thread
+// periodically snapshots progress and applies a fresh AllocationPlan (quotas
+// + throttles), exactly like the SiloD control loop in Fig. 7.
 //
-// Worker model (docs/MODEL.md §10): by default loader+trainer are in-process
-// threads (the historical runtime).  With workers_processes they are promoted
-// to one real OS process per job — NodeManager fork/execs a worker that runs
-// the same loader/trainer pipeline and calls back into the cluster for every
-// block fetch, so the cache, the throttles and the remote store stay in one
-// place while an injected kWorkerCrash SIGKILLs a real pid.  Either way the
-// crash discards progress per RtOptions::restart_cost and the restart pays
-// its re-reads through the very same DataManager path, cross-checkable
-// against the fine engine's per-kind fault accounting.
+// Worker model (docs/MODEL.md §10): NodeManager runs every job's worker and
+// speaks the rt/wire.h protocol with it over a socketpair.  By default the
+// worker is a thread of this process; with workers_processes it is one real
+// OS process per job, and an injected kWorkerCrash SIGKILLs a real pid
+// instead of shutting the socket down.  Either way the crash discards
+// progress per RtOptions::restart_cost and the restart pays its re-reads
+// through the very same DataManager path, cross-checkable against the fine
+// engine's per-kind fault accounting.
 //
 // Workloads are scaled down (tiny datasets, seconds of wall time) but every
 // mechanism is the real one: concurrency, contention, throttling, caching,
@@ -28,12 +27,10 @@
 #define SILOD_SRC_RT_RT_CLUSTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/backoff.h"
@@ -53,7 +50,7 @@
 namespace silod {
 
 struct RtOptions {
-  // Blocks the loader may stage ahead of the trainer.
+  // Blocks a worker's loader may stage ahead of its trainer.
   int pipeline_depth = 4;
   // Wall-clock rescheduling period.
   Seconds reschedule_period = 0.25;
@@ -89,13 +86,11 @@ struct RtOptions {
   // model curriculum orders).
   RestartCost restart_cost;
 
-  // Worker execution model: false = in-process loader/trainer threads (the
-  // historical runtime, bit-identical block order); true = one OS process
-  // per job supervised by NodeManager.
+  // How NodeManager runs each job's worker: false = a thread of this process,
+  // true = one OS process per job.  Only spawn, kill and reap differ; the
+  // block order and the protocol are the same.
   bool workers_processes = false;
-  // Process-mode knobs.
-  Seconds worker_stop_grace = 2.0;   // Drain budget at shutdown.
-  Seconds heartbeat_period = 0.25;   // Worker liveness beacon period.
+  Seconds worker_stop_grace = 2.0;  // Drain budget at shutdown and restart.
   // Respawn-after-unexpected-exit policy: bounded exponential backoff with
   // jitter; a job whose worker dies unexpectedly more than max_attempts
   // times is abandoned (reported unfinished).
@@ -123,7 +118,7 @@ struct RtJobResult {
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t blocks_done = 0;      // Blocks whose compute finished.
-  std::int64_t blocks_consumed = 0;  // Blocks dequeued by the trainer.
+  std::int64_t blocks_consumed = 0;  // Blocks the trainer reported done.
   std::int64_t remote_retries = 0;   // Transient remote errors retried.
   // Blocks re-read because a crash discarded un-checkpointed progress.  For
   // a completed job, cache_hits + cache_misses == blocks fetched ==
@@ -172,7 +167,7 @@ class RtCluster : private NodeManager::Host {
  private:
   struct RtJob {
     const JobSpec* spec = nullptr;
-    // Wall-clock remote-IO limiter; throttle_mu serializes the loader's
+    // Wall-clock remote-IO limiter; throttle_mu serializes the fetch path's
     // reservations against the scheduler's SetRate (TokenBucket requires a
     // monotone clock, so every operation reads the wall clock under the
     // lock).
@@ -185,7 +180,7 @@ class RtCluster : private NodeManager::Host {
     // Crashed and awaiting its restart event; set by ApplyFault, cleared by
     // RestartJob.
     std::atomic<bool> crashed{false};
-    // Given up after respawn_max_attempts unexpected exits (process mode).
+    // Given up after respawn_max_attempts unexpected exits.
     std::atomic<bool> abandoned{false};
     std::atomic<std::int64_t> hits{0};
     std::atomic<std::int64_t> misses{0};
@@ -193,48 +188,35 @@ class RtCluster : private NodeManager::Host {
     Seconds start = 0;
     Seconds finish = 0;
     Seconds block_compute = 0;
-    std::thread loader;
-    std::thread trainer;
 
-    // Staged-block handoff (loader -> trainer) and crash/restart
-    // rendezvous; everything below is under mu.
-    std::condition_variable cv;
-    std::int64_t staged = 0;    // Blocks fetched but not yet consumed.
-    std::int64_t consumed = 0;  // Blocks the trainer has finished.
-    // Fetch cursor: the absolute index the loader fetches next (rewound by a
+    // Everything below is under mu.
+    std::int64_t consumed = 0;  // Blocks the worker reported done.
+    // Fetch cursor: the absolute index the worker fetches next (rewound by a
     // lossy restart), and the refetch accounting that backs the completion
     // invariant — an access whose index is below the high-water mark is a
     // policy-mandated re-read.
     std::int64_t fetched = 0;
     std::int64_t high_water = 0;
     std::int64_t refetched = 0;
-    // Thread mode: both pipeline threads park here while crashed, so the
-    // restart can rewind their shared state safely.
-    bool loader_paused = false;
-    bool trainer_paused = false;
-    // Process mode: bumped per spawn; stale frames from a killed worker's
-    // socket buffer carry the old incarnation and are dropped.
+    // Bumped per spawn; stale frames from a killed worker's socket buffer
+    // carry the old incarnation and are dropped.
     std::uint64_t incarnation = 0;
     std::unique_ptr<Rng> respawn_rng;
     std::unique_ptr<Backoff> respawn_backoff;
   };
 
-  // Thread-mode pipeline.
-  void LoaderLoop(RtJob& job);
-  void TrainerLoop(RtJob& job);
-
-  // The full fetch path shared by both modes: cache access (recorded),
-  // refetch accounting, fabric/throttle waits, remote read with bounded
-  // backoff.  Returns hit; *aborted is set when the run is stopping.
+  // The full fetch path: cache access (recorded), refetch accounting,
+  // fabric/throttle waits, remote read with bounded backoff and a checksum
+  // check.  Returns hit; *aborted is set when the run is stopping.
   bool FetchOneBlock(RtJob& job, std::int64_t fetch_index, std::int64_t block, bool* aborted);
 
-  // NodeManager::Host (process mode).
+  // NodeManager::Host.
   bool FetchBlock(JobId job, std::uint64_t incarnation, std::int64_t fetch_index,
                   std::int64_t block, bool* aborted) override;
   void OnBlockDone(JobId job, std::uint64_t incarnation, std::int64_t blocks_done) override;
   void OnDrained(JobId job, std::uint64_t incarnation, std::int64_t blocks_done,
                  std::int64_t blocks_fetched) override;
-  void OnUnexpectedExit(JobId job, std::uint64_t incarnation, int wait_status) override;
+  void OnUnexpectedExit(JobId job, std::uint64_t incarnation, int exit_status) override;
 
   void SchedulerLoop();
   void ScheduleOnce();
@@ -243,9 +225,10 @@ class RtCluster : private NodeManager::Host {
   // The checkpoint index `done` rolls back to under restart_cost.
   std::int64_t RollbackTarget(std::int64_t done, const RtJob& job) const;
   // Applies restart_cost to the job's counters (job.mu held): freezes for
-  // checkpoint-everything, rewinds done/fetched and drops the staged
-  // pipeline otherwise.  Accounts the discarded compute.
+  // checkpoint-everything, rewinds done/fetched otherwise.  Accounts the
+  // discarded compute.
   void ApplyRollbackLocked(RtJob& job);
+  // Waits for the killed worker to retire, rolls back, respawns.
   void RestartJob(RtJob& job);
   Status SpawnWorker(RtJob& job);
   void CompleteJob(RtJob& job);
@@ -271,8 +254,6 @@ class RtCluster : private NodeManager::Host {
   std::atomic<int> unfinished_{0};
   std::chrono::steady_clock::time_point wall_start_;
 
-  // Process mode; null in thread mode.
-  std::unique_ptr<NodeManager> node_;
   // Crash forensics; null unless minidump_dir is set.
   std::unique_ptr<MinidumpRecorder> recorder_;
   std::mutex forensics_mu_;  // Guards minidump_paths_, dump_counter_, compute_lost_.
@@ -280,7 +261,7 @@ class RtCluster : private NodeManager::Host {
   int dump_counter_ = 0;
   double compute_lost_ = 0;
 
-  // Touched by the (process mode) handler threads.
+  // Touched by the handler threads.
   std::atomic<int> worker_respawns_{0};
 
   // Fault state: owned by the scheduler thread; the counters are read by
@@ -293,6 +274,10 @@ class RtCluster : private NodeManager::Host {
   FaultStats fault_stats_;  // Everything but compute_lost and blocks_refetched.
   ClusterTopology topology_;  // Cover()ed copy of RtOptions::topology.
   std::map<FaultKind, int> ignored_by_kind_;
+
+  // Last, so it is destroyed (and its threads joined) before anything its
+  // handler threads touch.
+  NodeManager node_;
 };
 
 }  // namespace silod

@@ -25,8 +25,6 @@ const char* WireTypeName(WireType type) {
       return "fetch-reply";
     case WireType::kBlockDone:
       return "block-done";
-    case WireType::kHeartbeat:
-      return "heartbeat";
     case WireType::kDrained:
       return "drained";
     case WireType::kStop:
@@ -53,14 +51,12 @@ int WireExpectedWords(WireType type) {
     case WireType::kHello:
       return 1;
     case WireType::kAssign:
-      return 9;
+      return 8;
     case WireType::kFetchRequest:
       return 2;
     case WireType::kFetchReply:
       return 2;
     case WireType::kBlockDone:
-      return 1;
-    case WireType::kHeartbeat:
       return 1;
     case WireType::kDrained:
       return 2;
@@ -93,21 +89,61 @@ Result<WireMessage> ReadFrame(int fd) {
   }
   WireMessage msg;
   msg.type = static_cast<WireType>(raw->type);
+  const int expected = WireExpectedWords(msg.type);
+  if (expected < 0) {
+    return Status::Internal("wire read: unknown message type " + std::to_string(raw->type));
+  }
   const std::size_t count = raw->payload.size() / 8;
+  if (count != static_cast<std::size_t>(expected)) {
+    return Status::Internal(std::string("wire read: ") + WireTypeName(msg.type) + " carries " +
+                            std::to_string(count) + " words, want " + std::to_string(expected));
+  }
   msg.words.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     msg.words.push_back(GetU64(reinterpret_cast<const std::uint8_t*>(raw->payload.data()) + 8 * i));
   }
-  if (raw->type < static_cast<std::uint8_t>(WireType::kHello) ||
-      raw->type > static_cast<std::uint8_t>(WireType::kStop)) {
-    return Status::Internal("wire read: unknown message type " + std::to_string(raw->type));
-  }
-  const int expected = WireExpectedWords(msg.type);
-  if (expected >= 0 && count != static_cast<std::size_t>(expected)) {
-    return Status::Internal(std::string("wire read: ") + WireTypeName(msg.type) + " carries " +
-                            std::to_string(count) + " words, want " + std::to_string(expected));
-  }
   return msg;
+}
+
+Status CheckWorkerFrame(const WireMessage& msg, std::int64_t num_blocks,
+                        std::int64_t blocks_total) {
+  const auto below = [](std::uint64_t v, std::int64_t bound) {
+    return bound > 0 && v < static_cast<std::uint64_t>(bound);
+  };
+  const auto at_most = [](std::uint64_t v, std::int64_t bound) {
+    return bound >= 0 && v <= static_cast<std::uint64_t>(bound);
+  };
+  const auto bad = [&](const char* what, std::uint64_t v) {
+    return Status::InvalidArgument(std::string("worker ") + WireTypeName(msg.type) + ": " + what +
+                                   " " + std::to_string(v) + " out of range");
+  };
+  if (static_cast<int>(msg.words.size()) != WireExpectedWords(msg.type)) {
+    return Status::InvalidArgument(std::string("worker ") + WireTypeName(msg.type) +
+                                   ": wrong word count");
+  }
+  switch (msg.type) {
+    case WireType::kFetchRequest:
+      if (!below(msg.words[0], blocks_total)) {
+        return bad("fetch_index", msg.words[0]);
+      }
+      if (!below(msg.words[1], num_blocks)) {
+        return bad("block", msg.words[1]);
+      }
+      return Status::Ok();
+    case WireType::kBlockDone:
+      return at_most(msg.words[0], blocks_total) ? Status::Ok() : bad("blocks_done", msg.words[0]);
+    case WireType::kDrained:
+      if (!at_most(msg.words[0], blocks_total)) {
+        return bad("blocks_done", msg.words[0]);
+      }
+      if (!at_most(msg.words[1], blocks_total)) {
+        return bad("blocks_fetched", msg.words[1]);
+      }
+      return Status::Ok();
+    default:
+      return Status::InvalidArgument(std::string("worker sent unexpected ") +
+                                     WireTypeName(msg.type));
+  }
 }
 
 }  // namespace silod

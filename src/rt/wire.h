@@ -8,8 +8,10 @@
 //   u64 LE  payload words (doubles bit-cast to u64)
 //
 // Fixed-width words keep the framing trivial and platform-independent; the
-// parent validates the word count per type, so a truncated or corrupt frame
-// surfaces as an error instead of a misparse.  The transport loop (length
+// reader validates the type and the word count per type, so a truncated or
+// corrupt frame surfaces as an error instead of a misparse, and the driver
+// checks every worker frame's values against the worker's assignment
+// (CheckWorkerFrame) before acting on it.  The transport loop (length
 // prefix, EINTR/short transfers, MSG_NOSIGNAL) is the shared one in
 // common/framing.h, also used by the silodd request protocol (serve/proto.h);
 // this header owns only the word encoding and the per-type word counts.
@@ -21,7 +23,6 @@
 //   -> kFetchReply   after the parent paid the full fetch path (cache access,
 //                    throttle, remote read with retries): hit + aborted flags
 //   <- kBlockDone    one block's compute finished; running done count
-//   <- kHeartbeat    liveness beacon from the worker's timer thread
 //   -> kStop         drain politely; worker answers kDrained and exits 0
 //   <- kDrained      final counters, last frame before exit
 #ifndef SILOD_SRC_RT_WIRE_H_
@@ -40,7 +41,7 @@ enum class WireType : std::uint8_t {
   kFetchRequest = 3,
   kFetchReply = 4,
   kBlockDone = 5,
-  kHeartbeat = 6,
+  // 6 was a heartbeat; the number stays unused so no peer misreads it.
   kDrained = 7,
   kStop = 8,
 };
@@ -59,22 +60,32 @@ struct WireMessage {
 //   kHello        [pid]
 //   kAssign       [job_id, blocks_total, resume_done, resume_fetched,
 //                  num_blocks, pipeline_depth, rng_seed,
-//                  block_compute(double), heartbeat_period(double)]
+//                  block_compute(double)]
 //   kFetchRequest [fetch_index, block]
 //   kFetchReply   [hit, aborted]
 //   kBlockDone    [blocks_done]
-//   kHeartbeat    [blocks_done]
 //   kDrained      [blocks_done, blocks_fetched]
 //   kStop         []
 //
-// Returns the expected word count for `type`, or -1 if any count is legal.
+// Returns the expected word count for `type`, or -1 for a type that is not
+// part of the protocol.
 int WireExpectedWords(WireType type);
+
+// Checks a frame a worker sent against its assignment: only kFetchRequest,
+// kBlockDone and kDrained may follow the hello; a fetch names `block` in
+// [0, num_blocks) at `fetch_index` in [0, blocks_total); done and fetched
+// counts lie in [0, blocks_total].  InvalidArgument names the violation.
+// Words are unsigned, so a negative value sent as its two's complement is
+// out of range too.
+Status CheckWorkerFrame(const WireMessage& msg, std::int64_t num_blocks,
+                        std::int64_t blocks_total);
 
 // Writes one frame; Internal on a closed/errored peer.
 Status WriteFrame(int fd, WireType type, const std::vector<std::uint64_t>& words);
 
 // Blocking read of one frame.  A clean EOF before any byte of a frame is
-// OutOfRange ("peer closed"); a mid-frame EOF or malformed frame is Internal.
+// OutOfRange ("peer closed"); a mid-frame EOF, an oversized body, a length
+// that is not whole words, an unknown type or a wrong word count is Internal.
 Result<WireMessage> ReadFrame(int fd);
 
 }  // namespace silod

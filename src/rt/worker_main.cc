@@ -18,14 +18,14 @@
 namespace silod {
 namespace {
 
-// The worker mirrors the in-process trainer's loader/trainer split: a loader
-// thread walks the shuffled epoch order and asks the parent to fetch each
-// block (the parent owns the cache, the throttles and the remote store — the
-// worker only sees the latency as reply wait), a trainer thread consumes
-// staged blocks at block_compute seconds apiece, and a heartbeat thread
-// beacons liveness.  A reader thread demultiplexes the socket.  Everything
-// stops promptly on kStop, on an aborted fetch, or on the socket dying
-// (parent gone): real worker processes must never outlive their node manager.
+// The one loader->trainer pipeline of the runtime, in either worker mode: a
+// loader thread walks the shuffled epoch order and asks the driver to fetch
+// each block (the driver owns the cache, the throttles and the remote store —
+// the worker only sees the latency as reply wait), and a trainer thread
+// consumes staged blocks at block_compute seconds apiece.  A reader thread
+// demultiplexes the socket.  Everything stops promptly on kStop, on an
+// aborted fetch, or on the socket dying (driver gone, or a thread-mode kill
+// shut it down): a worker must never outlive its node manager.
 struct WorkerState {
   int fd = -1;
 
@@ -41,7 +41,7 @@ struct WorkerState {
   bool reply_hit = false;
   bool reply_aborted = false;
 
-  // Serializes frame writes from loader/trainer/heartbeat.
+  // Serializes frame writes from loader and trainer.
   std::mutex write_mu;
 
   // Assignment.
@@ -53,7 +53,6 @@ struct WorkerState {
   std::int64_t pipeline_depth = 1;
   std::uint64_t rng_seed = 0;
   double block_compute = 0;
-  double heartbeat_period = 0.25;
 };
 
 void StopWorker(WorkerState* w) {
@@ -151,6 +150,7 @@ void LoaderLoop(WorkerState* w) {
 
 void TrainerLoop(WorkerState* w) {
   for (;;) {
+    std::int64_t done;
     {
       std::unique_lock<std::mutex> lock(w->mu);
       if (w->done >= w->blocks_total) {
@@ -160,36 +160,30 @@ void TrainerLoop(WorkerState* w) {
       if (w->stop) {
         return;
       }
+      done = w->done + 1;
     }
     InterruptibleSleep(w, w->block_compute);
-    std::int64_t done;
     {
       std::lock_guard<std::mutex> lock(w->mu);
       if (w->stop) {
         return;
       }
+    }
+    // Report the block before freeing its pipeline slot: the loader's next
+    // fetch request then follows this frame on the wire, so the driver never
+    // handles a fetch more than pipeline_depth past the done count it holds,
+    // which bounds what a crash rollback re-reads.
+    SendOrStop(w, WireType::kBlockDone, {static_cast<std::uint64_t>(done)});
+    {
+      std::lock_guard<std::mutex> lock(w->mu);
       --w->staged;
-      done = ++w->done;
+      w->done = done;
       w->cv.notify_all();
     }
-    SendOrStop(w, WireType::kBlockDone, {static_cast<std::uint64_t>(done)});
   }
 }
 
-void HeartbeatLoop(WorkerState* w) {
-  for (;;) {
-    InterruptibleSleep(w, w->heartbeat_period);
-    std::int64_t done;
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (w->stop) {
-        return;
-      }
-      done = w->done;
-    }
-    SendOrStop(w, WireType::kHeartbeat, {static_cast<std::uint64_t>(done)});
-  }
-}
+}  // namespace
 
 int RunWorker(int fd) {
   WorkerState w;
@@ -198,6 +192,7 @@ int RunWorker(int fd) {
   SendOrStop(&w, WireType::kHello, {static_cast<std::uint64_t>(::getpid())});
   auto assign = ReadFrame(fd);
   if (!assign.ok() || assign->type != WireType::kAssign) {
+    ::close(fd);
     return 3;
   }
   w.job_id = assign->words[0];
@@ -208,10 +203,10 @@ int RunWorker(int fd) {
   w.pipeline_depth = static_cast<std::int64_t>(assign->words[5]);
   w.rng_seed = assign->words[6];
   w.block_compute = assign->AsDouble(7);
-  w.heartbeat_period = assign->AsDouble(8);
   if (w.num_blocks <= 0 || w.blocks_total < 0 || w.resume_done < 0 ||
       w.resume_fetched < w.resume_done || w.resume_fetched > w.blocks_total ||
       w.resume_done > w.blocks_total || w.pipeline_depth < 1) {
+    ::close(fd);
     return 3;
   }
   w.done = w.resume_done;
@@ -223,29 +218,25 @@ int RunWorker(int fd) {
   std::thread reader(ReaderLoop, &w);
   std::thread loader(LoaderLoop, &w);
   std::thread trainer(TrainerLoop, &w);
-  std::thread heartbeat(HeartbeatLoop, &w);
 
   // The trainer returns at completion or stop; either way the run is over.
   trainer.join();
   StopWorker(&w);
   loader.join();
-  heartbeat.join();
   {
     std::lock_guard<std::mutex> lock(w.mu);
     std::lock_guard<std::mutex> wlock(w.write_mu);
     WriteFrame(fd, WireType::kDrained,
                {static_cast<std::uint64_t>(w.done), static_cast<std::uint64_t>(w.fetched)})
-        .ok();  // Best effort; the parent may already be gone.
+        .ok();  // Best effort; the driver may already be gone.
   }
-  // Unblock our own reader (it is parked in recv; the parent keeps its end
+  // Unblock our own reader (it is parked in recv; the driver keeps its end
   // open until it has reaped us).
   ::shutdown(fd, SHUT_RD);
   reader.join();
   ::close(fd);
   return 0;
 }
-
-}  // namespace
 
 int MaybeRunWorkerMain(int argc, char** argv) {
   constexpr const char kFlag[] = "--silod-worker-fd=";

@@ -44,15 +44,6 @@ void InMemRemoteStore::RegisterDataset(const Dataset& dataset) {
   datasets_[dataset.id] = dataset;
 }
 
-std::vector<std::uint8_t> InMemRemoteStore::ReadBlock(DatasetId dataset, std::int64_t block) {
-  for (;;) {
-    Result<std::vector<std::uint8_t>> result = TryReadBlock(dataset, block);
-    if (result.ok()) {
-      return std::move(result).value();
-    }
-  }
-}
-
 Result<std::vector<std::uint8_t>> InMemRemoteStore::TryReadBlock(DatasetId dataset,
                                                                  std::int64_t block) {
   Bytes size = 0;
@@ -90,7 +81,6 @@ Result<std::vector<std::uint8_t>> InMemRemoteStore::TryReadBlock(DatasetId datas
       data[i + j] = static_cast<std::uint8_t>(w >> (8 * j));
     }
   }
-  bytes_served_.fetch_add(size);
   return data;
 }
 

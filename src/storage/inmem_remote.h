@@ -7,7 +7,7 @@
 // behaviour the rest of the system observes: bytes arrive no faster than the
 // egress cap, and every block's payload is verifiable by checksum.
 //
-// Thread-safe: many pipeline prefetch threads read concurrently.
+// Thread-safe: the runtime's fetch paths read concurrently.
 #ifndef SILOD_SRC_STORAGE_INMEM_REMOTE_H_
 #define SILOD_SRC_STORAGE_INMEM_REMOTE_H_
 
@@ -33,13 +33,9 @@ class InMemRemoteStore {
 
   void RegisterDataset(const Dataset& dataset);
 
-  // Blocking read of one block.  Sleeps as needed to respect the egress
-  // limit, then materializes the deterministic payload.  Retries transient
-  // errors internally (callers that want to back off use TryReadBlock).
-  std::vector<std::uint8_t> ReadBlock(DatasetId dataset, std::int64_t block);
-
-  // Like ReadBlock, but surfaces an injected transient failure as
-  // Status::Internal instead of retrying.  A failed read spends no tokens.
+  // Reads one block: sleeps as needed to respect the egress limit, then
+  // materializes the deterministic payload.  An injected transient failure
+  // is Status::Internal and spends no tokens; callers retry with backoff.
   Result<std::vector<std::uint8_t>> TryReadBlock(DatasetId dataset, std::int64_t block);
 
   // --- Fault injection (§6) -------------------------------------------------
@@ -50,18 +46,15 @@ class InMemRemoteStore {
   void ClearFault() { SetFault(1.0, 0.0); }
   std::int64_t transient_errors() const { return transient_errors_.load(); }
 
-  // The checksum ReadBlock's payload will have; computable without the bytes.
+  // The checksum a block's payload will have; computable without the bytes.
   static std::uint64_t ExpectedChecksum(DatasetId dataset, std::int64_t block, Bytes size);
 
   static std::uint64_t Checksum(const std::vector<std::uint8_t>& data);
-
-  Bytes bytes_served() const { return bytes_served_.load(); }
 
  private:
   mutable std::mutex mu_;
   TokenBucket bucket_;
   std::map<DatasetId, Dataset> datasets_;
-  std::atomic<Bytes> bytes_served_{0};
   std::atomic<std::int64_t> transient_errors_{0};
   const BytesPerSec egress_limit_;
   double error_rate_ = 0;  // Guarded by mu_.

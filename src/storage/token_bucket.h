@@ -4,8 +4,9 @@
 //   - virtual time: the fine simulation engine throttles each job's remote
 //     fetches to its allocated remote-IO rate (the FUSE client behaviour of
 //     §6) by asking when a transfer of B bytes may complete;
-//   - wall-clock time: the real threaded data pipeline enforces an egress
-//     limit by sleeping until tokens are available.
+//   - wall-clock time: the real-time runtime (rt/rt_cluster.h) enforces each
+//     job's throttle and the remote store's egress limit by sleeping until
+//     tokens are available.
 //
 // The bucket is driven explicitly by the caller's clock so the same
 // implementation serves both.

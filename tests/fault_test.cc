@@ -501,10 +501,14 @@ TEST(RemoteStoreFaults, TransientErrorsSurfaceThroughTryReadBlock) {
   }
   EXPECT_EQ(store.transient_errors(), failures);  // No new errors.
 
-  // The blocking path retries through errors and still delivers the payload.
+  // Retrying through the errors reaches a read that delivers the payload.
   store.SetFault(1.0, 0.5);
-  const std::vector<std::uint8_t> data = store.ReadBlock(id, 0);
-  EXPECT_EQ(InMemRemoteStore::Checksum(data),
+  Result<std::vector<std::uint8_t>> data = store.TryReadBlock(id, 0);
+  for (int attempt = 1; !data.ok(); ++attempt) {
+    ASSERT_LT(attempt, 64) << "no success at error rate 0.5";
+    data = store.TryReadBlock(id, 0);
+  }
+  EXPECT_EQ(InMemRemoteStore::Checksum(*data),
             InMemRemoteStore::ExpectedChecksum(id, 0, KB(64)));
 }
 

@@ -4,16 +4,22 @@
 // accounting, cold first epochs, uniform-caching hit ratios, egress
 // enforcement, and the SiloD-vs-baseline ordering.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
 
+#include "src/common/framing.h"
 #include "src/common/units.h"
 #include "src/core/silod_scheduler.h"
 #include "src/core/system.h"
 #include "src/fault/minidump.h"
+#include "src/rt/epoch_order.h"
 #include "src/rt/rt_cluster.h"
+#include "src/rt/wire.h"
 #include "src/rt/worker_main.h"
 
 // fork() from a threaded parent plus worker re-exec is unsupported under
@@ -302,8 +308,8 @@ TEST(RtClusterFaults, AbortedJobsReportConsumedEqualToDone) {
 
 // ------------------------------ Worker crash/restart and RestartCost (§6) --
 
-// Thread mode, checkpoint-everything: the crash freezes the pipeline and the
-// restart resumes it verbatim — zero re-reads, zero discarded compute, and
+// Thread mode, checkpoint-everything: the crash shuts the worker's socket
+// down and the restart resumes its frozen pipeline verbatim — zero re-reads, zero discarded compute, and
 // the completion invariant holds with refetched == 0.
 TEST(RtClusterWorkers, CheckpointEverythingRefetchesNothing) {
   const Trace trace = TinyTrace(1, MB(8), 6.0);  // 32 blocks x 6 epochs.
@@ -383,11 +389,179 @@ TEST(RtClusterWorkers, WorkerEventsAreNeverIgnoredUnderChurn) {
   }
 }
 
-// ------------------------------------- Multi-process workers (MODEL.md §10) --
+// ------------------------------------------------- Epoch order and wire --
 
-// The in-process path stays available behind the flag, and without faults the
-// two modes are bit-identical: same shuffle order, same DataManager, so the
-// same per-job hit/miss split.
+// The worker's shuffled-epoch cursor: every block exactly once per epoch.
+TEST(EpochShuffler, EveryBlockExactlyOncePerEpoch) {
+  constexpr std::int64_t kBlocks = 37;
+  EpochShuffler order(0x5EED, kBlocks);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    std::set<std::int64_t> seen;
+    for (std::int64_t i = 0; i < kBlocks; ++i) {
+      const std::int64_t block = order.Next();
+      EXPECT_GE(block, 0);
+      EXPECT_LT(block, kBlocks);
+      EXPECT_TRUE(seen.insert(block).second) << "block " << block << " twice in epoch " << epoch;
+    }
+    EXPECT_EQ(seen.size(), static_cast<std::size_t>(kBlocks)) << "epoch " << epoch;
+  }
+}
+
+TEST(EpochShuffler, ConsecutiveEpochsDifferInOrder) {
+  constexpr std::int64_t kBlocks = 32;
+  EpochShuffler order(0x10AD, kBlocks);
+  std::vector<std::vector<std::int64_t>> epochs(3);
+  for (auto& epoch : epochs) {
+    for (std::int64_t i = 0; i < kBlocks; ++i) {
+      epoch.push_back(order.Next());
+    }
+  }
+  EXPECT_NE(epochs[0], epochs[1]);
+  EXPECT_NE(epochs[1], epochs[2]);
+}
+
+// SeekTo is how a restart rewinds or resumes the cursor: for every absolute
+// index across three epoch boundaries, seeking a fresh cursor (a respawn) or
+// one that already ran ahead (a rollback) lands on the block the sequential
+// walk delivers there.
+TEST(EpochShuffler, SeekToMatchesTheSequentialWalk) {
+  constexpr std::int64_t kBlocks = 11;
+  constexpr std::uint64_t kSeed = 0xC0FFEE;
+  EpochShuffler sequential(kSeed, kBlocks);
+  std::vector<std::int64_t> walk;
+  for (std::int64_t i = 0; i <= 3 * kBlocks; ++i) {
+    walk.push_back(sequential.Next());
+  }
+  EpochShuffler ahead(kSeed, kBlocks);
+  for (std::int64_t i = 0; i < 2 * kBlocks + 5; ++i) {
+    ahead.Next();
+  }
+  for (std::int64_t i = 0; i <= 3 * kBlocks; ++i) {
+    EpochShuffler fresh(kSeed, kBlocks);
+    fresh.SeekTo(i);
+    EXPECT_EQ(fresh.Next(), walk[static_cast<std::size_t>(i)]) << "index " << i;
+    ahead.SeekTo(i);
+    EXPECT_EQ(ahead.Next(), walk[static_cast<std::size_t>(i)]) << "index " << i;
+  }
+}
+
+// Writes `bytes` into one end of a socketpair, closes it, and reads one
+// frame from the other end.
+Result<WireMessage> ReadFrameFrom(const std::string& bytes) {
+  int sv[2];
+  SILOD_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
+  SILOD_CHECK(::write(sv[1], bytes.data(), bytes.size()) == static_cast<ssize_t>(bytes.size()));
+  ::close(sv[1]);
+  Result<WireMessage> msg = ReadFrame(sv[0]);
+  ::close(sv[0]);
+  return msg;
+}
+
+// A frame header claiming `body` bytes, then the type byte and `payload`.
+std::string RawFrameBytes(std::uint32_t body, std::uint8_t type, std::size_t payload) {
+  std::string bytes(4, '\0');
+  PutU32(reinterpret_cast<std::uint8_t*>(bytes.data()), body);
+  bytes.push_back(static_cast<char>(type));
+  bytes.append(payload, '\0');
+  return bytes;
+}
+
+// A well-formed frame of `words` zero words.
+std::string FrameBytes(std::uint8_t type, std::size_t words) {
+  return RawFrameBytes(static_cast<std::uint32_t>(1 + 8 * words), type, 8 * words);
+}
+
+TEST(Wire, ReadFrameRejectsMalformedFrames) {
+  struct Row {
+    const char* name;
+    std::string bytes;
+    StatusCode code;
+    const char* message;  // Substring of the error; empty for a good frame.
+  };
+  const std::uint8_t kAssign = static_cast<std::uint8_t>(WireType::kAssign);
+  const std::uint8_t kBlockDone = static_cast<std::uint8_t>(WireType::kBlockDone);
+  const Row rows[] = {
+      {"assign, 8 words", FrameBytes(kAssign, 8), StatusCode::kOk, ""},
+      {"stop, no words", FrameBytes(static_cast<std::uint8_t>(WireType::kStop), 0),
+       StatusCode::kOk, ""},
+      {"clean eof", "", StatusCode::kOutOfRange, "peer closed"},
+      {"retired heartbeat type 6", FrameBytes(6, 1), StatusCode::kInternal,
+       "unknown message type 6"},
+      {"type 0", FrameBytes(0, 0), StatusCode::kInternal, "unknown message type 0"},
+      {"type 99", FrameBytes(99, 2), StatusCode::kInternal, "unknown message type 99"},
+      {"assign, old 9 words", FrameBytes(kAssign, 9), StatusCode::kInternal, "9 words, want 8"},
+      {"block-done, 2 words", FrameBytes(kBlockDone, 2), StatusCode::kInternal,
+       "2 words, want 1"},
+      {"length not whole words", RawFrameBytes(8, kBlockDone, 7), StatusCode::kInternal,
+       "malformed frame length"},
+      {"eof mid-frame", RawFrameBytes(9, kBlockDone, 3), StatusCode::kInternal, "eof mid-frame"},
+      {"eof mid-header", std::string(2, '\1'), StatusCode::kInternal, "eof mid-frame"},
+      {"oversized body", RawFrameBytes(64 * 1024 + 1, kBlockDone, 0), StatusCode::kInternal,
+       "malformed frame length"},
+      {"empty body", RawFrameBytes(0, kBlockDone, 0), StatusCode::kInternal,
+       "malformed frame length"},
+  };
+  for (const Row& row : rows) {
+    const Result<WireMessage> msg = ReadFrameFrom(row.bytes);
+    const Status st = msg.ok() ? Status::Ok() : msg.status();
+    EXPECT_EQ(st.code(), row.code) << row.name << ": " << st.ToString();
+    EXPECT_NE(st.message().find(row.message), std::string::npos) << row.name << ": "
+                                                                 << st.ToString();
+  }
+}
+
+// The driver-side check of every worker frame against the assignment.
+TEST(Wire, CheckWorkerFrameBoundsEveryValue) {
+  constexpr std::uint64_t kNeg = ~std::uint64_t{0};  // -1 as a u64 word.
+  struct Row {
+    WireType type;
+    std::vector<std::uint64_t> words;
+    bool ok;
+  };
+  // Assignment: 4 blocks per epoch, 10 blocks in total.
+  const Row rows[] = {
+      {WireType::kFetchRequest, {0, 0}, true},
+      {WireType::kFetchRequest, {9, 3}, true},
+      {WireType::kFetchRequest, {10, 0}, false},  // fetch_index == blocks_total.
+      {WireType::kFetchRequest, {0, 4}, false},   // block == num_blocks.
+      {WireType::kFetchRequest, {0, 999999}, false},
+      {WireType::kFetchRequest, {999999, 0}, false},
+      {WireType::kFetchRequest, {kNeg, 0}, false},
+      {WireType::kFetchRequest, {0, kNeg}, false},
+      {WireType::kFetchRequest, {0}, false},  // Wrong word count.
+      {WireType::kBlockDone, {0}, true},
+      {WireType::kBlockDone, {10}, true},
+      {WireType::kBlockDone, {11}, false},
+      {WireType::kBlockDone, {kNeg}, false},
+      {WireType::kDrained, {0, 0}, true},
+      {WireType::kDrained, {10, 10}, true},
+      {WireType::kDrained, {11, 10}, false},
+      {WireType::kDrained, {10, 11}, false},
+      {WireType::kDrained, {kNeg, 0}, false},
+      {WireType::kHello, {1}, false},  // Only the first frame may be a hello.
+      {WireType::kAssign, {0, 0, 0, 0, 0, 0, 0, 0}, false},
+      {WireType::kFetchReply, {0, 0}, false},
+      {WireType::kStop, {}, false},
+  };
+  for (const Row& row : rows) {
+    WireMessage msg;
+    msg.type = row.type;
+    msg.words = row.words;
+    const Status st = CheckWorkerFrame(msg, /*num_blocks=*/4, /*blocks_total=*/10);
+    std::string words;
+    for (const std::uint64_t w : row.words) {
+      words += std::to_string(w) + " ";
+    }
+    EXPECT_EQ(st.ok(), row.ok) << WireTypeName(row.type) << " [" << words << "]: "
+                               << st.ToString();
+  }
+}
+
+// ---------------------------------------------- Worker modes (MODEL.md §10) --
+
+// The two worker modes run the same worker loop over the same wire, so
+// without faults they are bit-identical: same shuffle order, same
+// DataManager, so the same per-job hit/miss split.
 TEST(RtClusterProcesses, ThreadAndProcessModesAgreeWithoutFaults) {
   SILOD_SKIP_UNDER_TSAN();
   const auto run = [](bool processes) {

@@ -1,16 +1,13 @@
 // Unit tests for src/storage: token bucket, max-min sharing / remote store,
-// storage fabric (Fig. 3), in-memory remote store and the threaded pipeline.
+// storage fabric (Fig. 3) and the in-memory remote store.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/storage/data_pipeline.h"
 #include "src/storage/fabric.h"
 #include "src/storage/inmem_remote.h"
 #include "src/storage/remote_store.h"
@@ -228,21 +225,26 @@ TEST(InMemRemote, PayloadChecksumsMatch) {
   InMemRemoteStore store(GBps(10), MB(64));
   const Dataset d = MakeDataset(0, "x", MB(2), KB(512));
   store.RegisterDataset(d);
+  Bytes served = 0;
   for (std::int64_t b = 0; b < d.num_blocks; ++b) {
-    const auto data = store.ReadBlock(0, b);
-    EXPECT_EQ(data.size(), static_cast<std::size_t>(d.BlockBytes(b)));
-    EXPECT_EQ(InMemRemoteStore::Checksum(data),
+    const auto data = store.TryReadBlock(0, b);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(data->size(), static_cast<std::size_t>(d.BlockBytes(b)));
+    EXPECT_EQ(InMemRemoteStore::Checksum(*data),
               InMemRemoteStore::ExpectedChecksum(0, b, d.BlockBytes(b)));
+    served += static_cast<Bytes>(data->size());
   }
-  EXPECT_EQ(store.bytes_served(), d.size);
+  EXPECT_EQ(served, d.size);
 }
 
 TEST(InMemRemote, DistinctBlocksDistinctPayloads) {
   InMemRemoteStore store(GBps(10), MB(64));
   const Dataset d = MakeDataset(1, "x", MB(1), KB(256));
   store.RegisterDataset(d);
-  EXPECT_NE(InMemRemoteStore::Checksum(store.ReadBlock(1, 0)),
-            InMemRemoteStore::Checksum(store.ReadBlock(1, 1)));
+  const auto first = store.TryReadBlock(1, 0);
+  const auto second = store.TryReadBlock(1, 1);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_NE(InMemRemoteStore::Checksum(*first), InMemRemoteStore::Checksum(*second));
 }
 
 TEST(InMemRemote, EgressThrottleSlowsReads) {
@@ -252,97 +254,11 @@ TEST(InMemRemote, EgressThrottleSlowsReads) {
   store.RegisterDataset(d);
   const auto start = std::chrono::steady_clock::now();
   for (std::int64_t b = 0; b < d.num_blocks; ++b) {
-    store.ReadBlock(0, b);
+    EXPECT_TRUE(store.TryReadBlock(0, b).ok());
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_GE(elapsed, 0.3);
-}
-
-// ------------------------------------------------------------ DataPipeline --
-
-TEST(DataPipeline, DeliversEveryBlockOncePerEpoch) {
-  InMemRemoteStore remote(GBps(1), MB(8));
-  const Dataset d = MakeDataset(0, "x", MB(4), KB(256));
-  PipelineOptions options;
-  options.cache_capacity = 0;
-  DataPipeline pipeline(&remote, d, options);
-  pipeline.StartEpoch();
-  std::set<std::int64_t> seen;
-  for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-    const auto [block, payload] = pipeline.NextBlock();
-    EXPECT_TRUE(seen.insert(block).second) << "block delivered twice";
-    EXPECT_EQ(InMemRemoteStore::Checksum(payload),
-              InMemRemoteStore::ExpectedChecksum(0, block, d.BlockBytes(block)));
-  }
-  EXPECT_TRUE(pipeline.EpochDone());
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(d.num_blocks));
-}
-
-TEST(DataPipeline, UniformCacheHitsMatchAllocation) {
-  InMemRemoteStore remote(GBps(1), MB(8));
-  const Dataset d = MakeDataset(0, "x", MB(8), KB(256));  // 32 blocks.
-  PipelineOptions options;
-  options.cache_capacity = MB(4);  // Half the dataset.
-  DataPipeline pipeline(&remote, d, options);
-
-  pipeline.StartEpoch();
-  for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-    pipeline.NextBlock();
-  }
-  const PipelineStats first = pipeline.stats();
-  EXPECT_EQ(first.cache_hits, 0);  // Cold first epoch.
-  // Admission fills the allocation to within one block.
-  EXPECT_LE(pipeline.cached_bytes(), MB(4));
-  EXPECT_GE(pipeline.cached_bytes(), MB(4) - KB(256));
-
-  pipeline.StartEpoch();
-  for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-    pipeline.NextBlock();
-  }
-  const PipelineStats second = pipeline.stats();
-  // Second epoch: exactly the cached half hits (uniform caching, c/d = 0.5).
-  EXPECT_EQ(second.cache_hits - first.cache_hits, d.num_blocks / 2);
-}
-
-TEST(DataPipeline, ShuffledOrderDiffersAcrossEpochs) {
-  InMemRemoteStore remote(GBps(10), MB(8));
-  const Dataset d = MakeDataset(0, "x", MB(4), KB(128));
-  PipelineOptions options;
-  options.cache_capacity = d.size;  // Cache everything for speed.
-  DataPipeline pipeline(&remote, d, options);
-
-  std::vector<std::int64_t> first;
-  pipeline.StartEpoch();
-  for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-    first.push_back(pipeline.NextBlock().first);
-  }
-  std::vector<std::int64_t> second;
-  pipeline.StartEpoch();
-  for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-    second.push_back(pipeline.NextBlock().first);
-  }
-  EXPECT_NE(first, second);
-}
-
-TEST(DataPipeline, MultipleWorkersStillExactlyOnce) {
-  InMemRemoteStore remote(GBps(1), MB(8));
-  const Dataset d = MakeDataset(0, "x", MB(8), KB(128));
-  PipelineOptions options;
-  options.prefetch_threads = 4;
-  options.prefetch_depth = 8;
-  options.cache_capacity = MB(2);
-  DataPipeline pipeline(&remote, d, options);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    pipeline.StartEpoch();
-    std::set<std::int64_t> seen;
-    for (std::int64_t i = 0; i < d.num_blocks; ++i) {
-      seen.insert(pipeline.NextBlock().first);
-    }
-    EXPECT_EQ(seen.size(), static_cast<std::size_t>(d.num_blocks));
-  }
-  const PipelineStats stats = pipeline.stats();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 3 * d.num_blocks);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: strict-warnings build + tests, an ASan/UBSan build + tests, a
-# TSan build of the real-thread runtime tests, and a fault-churn benchmark
-# smoke run.
+# TSan build of the real-thread runtime tests (thread-mode workers run the
+# NodeManager and the worker loop in-process, so TSan sees both), and a
+# fault-churn benchmark smoke run.
 #
 #   tools/ci.sh            # all stages
 #   tools/ci.sh strict     # warnings stage only
@@ -11,7 +12,7 @@
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
 #   tools/ci.sh scaling-smoke # fine-engine throughput + bit-identity smoke only
 #   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests only
-#   tools/ci.sh rt-fault-smoke # multi-process worker crash + minidump replay smoke only
+#   tools/ci.sh rt-fault-smoke # worker crash + minidump replay smoke, thread and process workers, only
 #   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + fifo/gavel replay cross-checks only
 #   tools/ci.sh serve-crash-smoke # silodd SIGKILL mid-trace + journal recovery + graceful SIGTERM only
 #   tools/ci.sh hetero-smoke # mixed GPU fleet: per-type report partition, uniform-fleet baseline digest, typed silodd replay
@@ -51,9 +52,11 @@ if [[ "$stage" == "all" || "$stage" == "asan" ]]; then
 fi
 
 if [[ "$stage" == "all" || "$stage" == "tsan" ]]; then
-  # The genuinely concurrent code: the real-thread runtime (loaders,
-  # trainers, scheduler, fault injection).  Build and run just its test under
-  # ThreadSanitizer; the simulation engines are single-threaded.
+  # The genuinely concurrent code: the real-thread runtime (scheduler, fault
+  # injection, NodeManager handlers, and in thread mode the worker loop
+  # itself, talking to its handler over a socketpair).  Build and run just
+  # its test under ThreadSanitizer; process-mode cases skip there (fork from
+  # a threaded parent), and the simulation engines are single-threaded.
   echo "=== [tsan] configure ==="
   cmake -B build-ci-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -150,8 +153,9 @@ if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
 fi
 
 if [[ "$stage" == "all" || "$stage" == "rt-fault-smoke" ]]; then
-  # Multi-process worker smoke under ASan: SIGKILL a live worker process
-  # mid-run via the fault plan, assert the run completes with correct
+  # Worker crash smoke under ASan, once per worker mode: kill a live worker
+  # mid-run via the fault plan (a real SIGKILL in process mode, a socket
+  # shutdown in thread mode), assert the run completes with correct
   # accounting (silod_sim exits non-zero on a timeout, an unfinished job or a
   # completion-invariant violation), a minidump was emitted, and silod_replay
   # re-executes its window bit-identically.
@@ -162,22 +166,25 @@ if [[ "$stage" == "all" || "$stage" == "rt-fault-smoke" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   echo "=== [rt-fault-smoke] build ==="
   cmake --build build-ci-rt -j "$jobs" --target silod_sim silod_replay
-  echo "=== [rt-fault-smoke] run ==="
-  dump_dir="build-ci-rt/rt-minidumps"
-  rm -rf "$dump_dir"
-  ./build-ci-rt/tools/silod_sim --engine=rt --workers-processes=true \
-      --rt-jobs=2 --rt-epochs=12 --gpus=8 --cache-tb=0.001 --egress-gbps=0.2 \
-      --restart-cost=checkpoint-interval:4 \
-      --fault-plan="worker-crash t=0.3 job=0 restart=0.3" \
-      --minidump-dir="$dump_dir" --rt-max-wall-seconds=30 \
-      --json=build-ci-rt/rt_smoke.json
-  grep -q '"worker_crashes": 1' build-ci-rt/rt_smoke.json \
-      || { echo "rt-fault-smoke: crash not accounted"; exit 1; }
-  grep -q '"worker_restarts": 1' build-ci-rt/rt_smoke.json \
-      || { echo "rt-fault-smoke: restart not accounted"; exit 1; }
-  dump="$(ls "$dump_dir"/minidump-*.txt 2>/dev/null | head -n1)"
-  [[ -n "$dump" ]] || { echo "rt-fault-smoke: no minidump emitted"; exit 1; }
-  ./build-ci-rt/tools/silod_replay "$dump"
+  for processes in true false; do
+    echo "=== [rt-fault-smoke] run, --workers-processes=$processes ==="
+    dump_dir="build-ci-rt/rt-minidumps-processes-$processes"
+    json="build-ci-rt/rt_smoke-processes-$processes.json"
+    rm -rf "$dump_dir"
+    ./build-ci-rt/tools/silod_sim --engine=rt --workers-processes="$processes" \
+        --rt-jobs=2 --rt-epochs=12 --gpus=8 --cache-tb=0.001 --egress-gbps=0.2 \
+        --restart-cost=checkpoint-interval:4 \
+        --fault-plan="worker-crash t=0.3 job=0 restart=0.3" \
+        --minidump-dir="$dump_dir" --rt-max-wall-seconds=30 \
+        --json="$json"
+    grep -q '"worker_crashes": 1' "$json" \
+        || { echo "rt-fault-smoke ($processes): crash not accounted"; exit 1; }
+    grep -q '"worker_restarts": 1' "$json" \
+        || { echo "rt-fault-smoke ($processes): restart not accounted"; exit 1; }
+    dump="$(ls "$dump_dir"/minidump-*.txt 2>/dev/null | head -n1)"
+    [[ -n "$dump" ]] || { echo "rt-fault-smoke ($processes): no minidump emitted"; exit 1; }
+    ./build-ci-rt/tools/silod_replay "$dump"
+  done
 fi
 
 if [[ "$stage" == "all" || "$stage" == "serve-smoke" ]]; then

@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
                "what a worker crash discards: checkpoint-everything | lose-partial-epoch | "
                "checkpoint-interval:N (N blocks)");
   flags.Define("workers-processes", "false",
-               "rt engine: run each trainer as a real OS process supervised by the node "
-               "manager instead of in-process threads");
+               "rt engine: run each job's worker as a real OS process (a crash is a "
+               "SIGKILL) instead of a thread of this process (a crash is a socket shutdown)");
   flags.Define("minidump-dir", "",
                "rt engine: write replayable crash minidumps (fault/minidump.h) here on "
                "worker crashes, unexpected exits and invariant violations");
