@@ -1,14 +1,14 @@
-// Engine-scaling harness: events/sec of the fine engine's stepping paths as
-// the trace grows from 64 to 100k jobs.
+// Engine-scaling harness: events/sec of the fine engine's event-calendar
+// stepping as the trace grows from 64 to 100k jobs.
 //
-// Two checks per sweep:
-//   - the indexed event-calendar path vs the O(jobs)-scan escape hatch
-//     (FineEngineOptions::use_linear_scan), bit-identity enforced (the linear
-//     path is only run up to --linear-max jobs; beyond that its quadratic
-//     scans dominate the harness itself);
-//   - optional regression gate: --baseline=PATH --max-regress=0.3 re-reads a
-//     committed BENCH_engine_scaling.json and fails if any matching size's
-//     calendar events/sec dropped by more than the allowed fraction.
+// Each row records its event count and the ResultDigest (sim/metrics.h) of
+// its run.  With --baseline=PATH the run fails (exit 1) when a row of the
+// committed BENCH_engine_scaling.json has a different digest or event count
+// (exact: the simulation is deterministic, so any change is a change of
+// physics or of stepping), or when its events/sec dropped by more than
+// --max-regress (default 0.3).  Rows absent from the baseline pass.  A
+// --sizes entry that is not a positive integer, or a --max-regress that is
+// negative or not finite, exits 2.
 //
 // The sweep recipe is deliberately frozen (ScalingTrace/ScalingCluster, seed
 // 17): committed baselines stay comparable across refactors.  A separate
@@ -18,14 +18,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/digest.h"
+#include "src/common/flags.h"
 #include "src/common/table.h"
 
 using namespace silod;
@@ -80,24 +80,22 @@ Trace Philly400Trace(int num_jobs) {
   return TraceGenerator(options).Generate();
 }
 
-struct PathStats {
+struct RunStats {
   double wall_s = 0;
   std::uint64_t steps = 0;
   double events_per_s = 0;
 };
 
-PathStats TimeRun(const Trace& trace, const SimConfig& sim, bool linear,
-                  SimResult* out) {
+RunStats TimeRun(const Trace& trace, const SimConfig& sim, SimResult* out) {
   ExperimentConfig config;
   config.scheduler = SchedulerKind::kFifo;
   config.cache = CacheSystem::kSiloD;
   config.sim = sim;
   config.engine = EngineKind::kFine;
-  config.fine.use_linear_scan = linear;
   const auto start = std::chrono::steady_clock::now();
   *out = RunExperiment(trace, config);
   const auto end = std::chrono::steady_clock::now();
-  PathStats stats;
+  RunStats stats;
   stats.wall_s = std::chrono::duration<double>(end - start).count();
   stats.steps = out->steps.steps;
   stats.events_per_s =
@@ -108,12 +106,11 @@ PathStats TimeRun(const Trace& trace, const SimConfig& sim, bool linear,
 // Best-of-N timing: the simulation is deterministic, so every repeat produces
 // the same result and the fastest wall time is the least-perturbed
 // measurement (shared boxes jitter single runs by 30-50%).
-PathStats TimeRunBest(const Trace& trace, const SimConfig& sim, bool linear,
-                      int repeats, SimResult* out) {
-  PathStats best = TimeRun(trace, sim, linear, out);
+RunStats TimeRunBest(const Trace& trace, const SimConfig& sim, int repeats, SimResult* out) {
+  RunStats best = TimeRun(trace, sim, out);
   for (int r = 1; r < repeats; ++r) {
     SimResult result;
-    const PathStats stats = TimeRun(trace, sim, linear, &result);
+    const RunStats stats = TimeRun(trace, sim, &result);
     if (stats.events_per_s > best.events_per_s) {
       best = stats;
     }
@@ -121,150 +118,123 @@ PathStats TimeRunBest(const Trace& trace, const SimConfig& sim, bool linear,
   return best;
 }
 
-// Minimal targeted scan of a committed report: the calendar events/sec
-// recorded for `label`, or -1 when absent.  Good enough for the flat
-// RunReport JSON this harness itself writes.
-double BaselineEventsPerSec(const std::string& json, const std::string& label) {
-  const std::string needle = "\"label\": \"" + label + "\"";
-  const std::size_t at = json.find(needle);
-  if (at == std::string::npos) {
-    return -1;
+// Gates one row against a committed baseline: its digest and event count
+// must match exactly, and its events/sec may not drop by more than
+// `max_regress`.  Rows the baseline does not have pass.  Prints each
+// failure and returns false if there was one.
+bool CheckBaseline(const std::string& json, const std::string& label, const std::string& digest,
+                   const std::string& events, double events_per_s, double max_regress) {
+  if (!HasBaselineEntry(json, "label", label)) {
+    return true;
   }
-  const std::string key = "\"calendar_events_per_s\": ";
-  const std::size_t key_at = json.find(key, at);
-  // Stay inside this run object: the key must appear before the next label.
-  const std::size_t next = json.find("\"label\": ", at + needle.size());
-  if (key_at == std::string::npos || (next != std::string::npos && key_at > next)) {
-    return -1;
+  bool ok = true;
+  const std::string base_digest = BaselineField(json, "label", label, "digest");
+  if (base_digest != digest) {
+    std::fprintf(stderr, "FAIL: %s result digest %s, baseline %s\n", label.c_str(),
+                 digest.c_str(), base_digest.c_str());
+    ok = false;
   }
-  return std::strtod(json.c_str() + key_at + key.size(), nullptr);
-}
-
-std::vector<int> ParseSizes(const std::string& spec) {
-  std::vector<int> sizes;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      sizes.push_back(std::atoi(item.c_str()));
-    }
+  const std::string base_events = BaselineField(json, "label", label, "events");
+  if (base_events != events) {
+    std::fprintf(stderr, "FAIL: %s stepped %s events, baseline %s\n", label.c_str(),
+                 events.c_str(), base_events.c_str());
+    ok = false;
   }
-  return sizes;
+  const Result<double> base =
+      ParseDouble(BaselineField(json, "label", label, "calendar_events_per_s"));
+  if (base.ok() && *base > 0 && events_per_s < (1.0 - max_regress) * *base) {
+    std::fprintf(stderr, "FAIL: %s regressed: %.0f ev/s vs baseline %.0f (-%.0f%%)\n",
+                 label.c_str(), events_per_s, *base, 100.0 * (1.0 - events_per_s / *base));
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_engine_scaling.json";
-  std::string baseline_path;
-  std::string sizes_spec = "64,256,1024,4096,10000,100000";
-  double max_regress = 0.3;
-  int linear_max = 4096;  // Largest size the linear-scan path still runs at.
-  int repeats = 3;        // Best-of-N; N > 1 tames shared-box timing jitter.
-  bool philly = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::string(prefix).size();
-    };
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = value("--out=");
-    } else if (arg.rfind("--sizes=", 0) == 0) {
-      sizes_spec = value("--sizes=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value("--baseline=");
-    } else if (arg.rfind("--max-regress=", 0) == 0) {
-      max_regress = std::atof(value("--max-regress="));
-    } else if (arg.rfind("--linear-max=", 0) == 0) {
-      linear_max = std::atoi(value("--linear-max="));
-    } else if (arg.rfind("--repeats=", 0) == 0) {
-      repeats = std::max(1, std::atoi(value("--repeats=")));
-    } else if (arg == "--no-philly") {
-      philly = false;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out=PATH] [--sizes=N,N,...] [--baseline=PATH] "
-                   "[--max-regress=F] [--linear-max=N] [--repeats=N] [--no-philly]\n",
-                   argv[0]);
-      return 2;
+  FlagSet flags;
+  flags.Define("out", "BENCH_engine_scaling.json", "report path");
+  flags.Define("sizes", "64,256,1024,4096,10000,100000", "trace sizes in jobs, comma-separated");
+  flags.Define("baseline", "", "committed report to gate against (exact digests and events)");
+  flags.Define("max-regress", "0.3", "allowed events/sec drop against the baseline, a fraction");
+  flags.Define("repeats", "3", "best-of-N timing runs per row; N > 1 tames shared-host jitter");
+  flags.Define("philly", "true", "also run the philly400 row (--no-philly skips it)");
+  Status status = flags.Parse(argc, argv);
+  const Result<std::vector<int>> sizes = ParseSizes(flags.GetString("sizes"));
+  const Result<double> max_regress = ParseMaxRegress(flags.GetString("max-regress"));
+  const Result<std::int64_t> repeats = ParseInt(flags.GetString("repeats"), 1, 1000);
+  const auto keep_first_error = [&status](const auto& parsed) {
+    if (status.ok() && !parsed.ok()) {
+      status = parsed.status();
     }
+  };
+  keep_first_error(sizes);
+  keep_first_error(max_regress);
+  keep_first_error(repeats);
+  if (status.ok() && !flags.positional().empty()) {
+    status = Status::InvalidArgument("unexpected argument '" + flags.positional()[0] + "'");
   }
-  const std::vector<int> sizes = ParseSizes(sizes_spec);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(), flags.Help(argv[0]).c_str());
+    return 2;
+  }
+  const std::string out_path = flags.GetString("out");
 
   std::string baseline_json;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
+  if (const std::string path = flags.GetString("baseline"); !path.empty()) {
+    Result<std::string> text = ReadBaseline(path);
+    if (!text.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", text.status().ToString().c_str());
       return 1;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    baseline_json = buf.str();
+    baseline_json = *std::move(text);
   }
 
-  Table table({"jobs", "linear ev/s", "calendar ev/s", "identical"});
+  Table table({"jobs", "events", "ev/s", "digest"});
   std::vector<RunReport> runs;
-  bool all_identical = true;
-  bool regressed = false;
+  bool failed = false;
+  // Adds one row to the table and the report, and gates it against the
+  // baseline.
+  const auto record = [&](const std::string& row, RunReport report, const SimResult& result,
+                          const RunStats& stats) {
+    const std::string digest = FormatDigest(ResultDigest(result));
+    const std::string events = std::to_string(stats.steps);
+    table.AddRow({row, events, Fmt(stats.events_per_s), digest});
+    report.extra.emplace_back("events", events);
+    report.AddExtra("digest", digest);
+    report.AddExtra("calendar_wall_s", stats.wall_s);
+    report.AddExtra("calendar_events_per_s", stats.events_per_s);
+    if (!baseline_json.empty()) {
+      failed = !CheckBaseline(baseline_json, report.label, digest, events, stats.events_per_s,
+                              *max_regress) ||
+               failed;
+    }
+    runs.push_back(std::move(report));
+  };
 
-  for (const int n : sizes) {
+  for (const int n : *sizes) {
     const Trace trace = ScalingTrace(n, /*seed=*/17);
     const SimConfig sim = ScalingCluster(n);
 
-    SimResult calendar_result;
-    const PathStats calendar = TimeRunBest(trace, sim, /*linear=*/false, repeats, &calendar_result);
-
-    PathStats linear;
-    bool identical = true;
-    if (n <= linear_max) {
-      SimResult linear_result;
-      linear = TimeRunBest(trace, sim, /*linear=*/true, repeats, &linear_result);
-      identical = PhysicallyIdentical(linear_result, calendar_result);
-      all_identical = all_identical && identical;
-    }
-
-    const std::string label = "calendar/" + std::to_string(n) + "-jobs";
-    table.AddRow({std::to_string(n),
-                  n <= linear_max ? Fmt(linear.events_per_s) : std::string("-"),
-                  Fmt(calendar.events_per_s), identical ? "yes" : "NO"});
-
-    RunReport report = MakeRunReport(label, "fine", calendar_result);
-    report.AddExtra("events", static_cast<double>(calendar.steps));
-    report.AddExtra("calendar_wall_s", calendar.wall_s);
-    report.AddExtra("calendar_events_per_s", calendar.events_per_s);
-    if (n <= linear_max) {
-      report.AddExtra("linear_wall_s", linear.wall_s);
-      report.AddExtra("linear_events_per_s", linear.events_per_s);
-      report.AddExtra("identical", identical);
-    }
-    runs.push_back(std::move(report));
-
-    if (!baseline_json.empty()) {
-      const double base = BaselineEventsPerSec(baseline_json, label);
-      if (base > 0 && calendar.events_per_s < (1.0 - max_regress) * base) {
-        std::fprintf(stderr, "FAIL: %s regressed: %.0f ev/s vs baseline %.0f (-%.0f%%)\n",
-                     label.c_str(), calendar.events_per_s, base,
-                     100.0 * (1.0 - calendar.events_per_s / base));
-        regressed = true;
-      }
-    }
+    SimResult result;
+    const RunStats stats = TimeRunBest(trace, sim, static_cast<int>(*repeats), &result);
+    record(std::to_string(n),
+           MakeRunReport("calendar/" + std::to_string(n) + "-jobs", "fine", result), result,
+           stats);
   }
 
-  if (philly) {
+  if (flags.GetBool("philly")) {
     const int n = 10000;
     const Trace trace = Philly400Trace(n);
-    SimConfig sim = Cluster400Config();
     SimResult result;
-    const PathStats stats = TimeRunBest(trace, sim, /*linear=*/false, repeats, &result);
+    const RunStats stats =
+        TimeRunBest(trace, Cluster400Config(), static_cast<int>(*repeats), &result);
     const Seconds span = trace.jobs.empty() ? 0 : trace.jobs.back().submit_time;
-    table.AddRow({"philly400/" + std::to_string(n), "-", Fmt(stats.events_per_s), "yes"});
-    RunReport report = MakeRunReport("philly400/" + std::to_string(n) + "-jobs", "fine", result);
-    report.AddExtra("events", static_cast<double>(stats.steps));
-    report.AddExtra("calendar_wall_s", stats.wall_s);
-    report.AddExtra("calendar_events_per_s", stats.events_per_s);
-    report.AddExtra("arrival_span_days", span / Days(1));
-    runs.push_back(std::move(report));
+    record("philly400/" + std::to_string(n),
+           MakeRunReport("philly400/" + std::to_string(n) + "-jobs", "fine", result), result,
+           stats);
+    runs.back().AddExtra("arrival_span_days", span / Days(1));
   }
 
   table.Print();
@@ -273,15 +243,8 @@ int main(int argc, char** argv) {
   // rework, same recipe and seed — the denominator of the speedup this
   // harness exists to protect.
   header.emplace_back("pre_pr_calendar_events_per_s_10k", "94581.3");
-  header.emplace_back("sizes", "\"" + sizes_spec + "\"");
+  header.emplace_back("sizes", "\"" + flags.GetString("sizes") + "\"");
   std::ofstream(out_path) << ReportsToJson("engine_scaling", header, runs);
   std::printf("wrote %s\n", out_path.c_str());
-  if (!all_identical) {
-    std::fprintf(stderr, "FAIL: stepping paths diverged\n");
-    return 1;
-  }
-  if (regressed) {
-    return 1;
-  }
-  return 0;
+  return failed ? 1 : 0;
 }

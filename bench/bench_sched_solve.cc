@@ -13,21 +13,25 @@
 // With --baseline, the run fails (exit 1) when any cell's digest differs from
 // the committed one, or when a cell's p50 is more than --max-regress (default
 // 0.3) slower than the committed p50 in each of up to three attempts.
-// Digests are exact; only cells present in both files are compared.
+// Digests are exact; only cells present in both files are compared.  A
+// --sizes entry that is not a positive integer, or a --max-regress that is
+// negative or not finite, exits 2.
 //
 // The snapshot recipe (SolveSnapshot, seed 17) is frozen so committed
 // baselines stay comparable across refactors.  Writes BENCH_sched_solve.json.
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "bench/bench_util.h"
+#include "src/common/digest.h"
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/common/topology.h"
@@ -35,6 +39,7 @@
 #include "src/workload/trace_gen.h"
 
 using namespace silod;
+using namespace silod::bench;
 
 namespace {
 
@@ -152,79 +157,39 @@ Cell TimeCell(const std::string& policy, int n, const Snapshot& snapshot) {
   return cell;
 }
 
-std::string FormatDigest(std::uint64_t digest) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-  return buf;
-}
-
-// Each cell is written on its own line: `{"cell": "<name>", ...}`.  Returns
-// that line of a committed file, or "" when the cell is absent.
-std::string BaselineLine(const std::string& json, const std::string& name) {
-  const std::size_t at = json.find("{\"cell\": \"" + name + "\"");
-  if (at == std::string::npos) {
-    return "";
-  }
-  return json.substr(at, json.find('\n', at) - at);
-}
-
-std::string Field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return "";
-  }
-  std::size_t begin = at + needle.size();
-  std::size_t end = line.find_first_of(",}", begin);
-  if (line[begin] == '"') {
-    ++begin;
-    end = line.find('"', begin);
-  }
-  return line.substr(begin, end - begin);
-}
-
-std::vector<std::string> SplitCsv(const std::string& spec) {
-  std::vector<std::string> out;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_sched_solve.json";
-  std::string baseline_path;
-  std::string sizes_spec = "64,256,1024,4096";
-  std::string policies_spec;
-  double max_regress = 0.3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) { return arg.substr(std::string(prefix).size()); };
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = value("--out=");
-    } else if (arg.rfind("--sizes=", 0) == 0) {
-      sizes_spec = value("--sizes=");
-    } else if (arg.rfind("--policies=", 0) == 0) {
-      policies_spec = value("--policies=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value("--baseline=");
-    } else if (arg.rfind("--max-regress=", 0) == 0) {
-      max_regress = std::atof(value("--max-regress=").c_str());
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out=PATH] [--sizes=N,N,...] [--policies=A,B,...] "
-                   "[--baseline=PATH] [--max-regress=F]\n",
-                   argv[0]);
-      return 2;
+  FlagSet flags;
+  flags.Define("out", "BENCH_sched_solve.json", "report path");
+  flags.Define("sizes", "64,256,1024,4096", "snapshot sizes in active jobs, comma-separated");
+  flags.Define("policies", "", "registry policies, comma-separated (default: all)");
+  flags.Define("baseline", "", "committed report to gate against (exact digests)");
+  flags.Define("max-regress", "0.3", "allowed p50 slowdown against the baseline, a fraction");
+  Status status = flags.Parse(argc, argv);
+  const Result<std::vector<int>> sizes = ParseSizes(flags.GetString("sizes"));
+  const Result<double> max_regress = ParseMaxRegress(flags.GetString("max-regress"));
+  const auto keep_first_error = [&status](const auto& parsed) {
+    if (status.ok() && !parsed.ok()) {
+      status = parsed.status();
+    }
+  };
+  keep_first_error(sizes);
+  keep_first_error(max_regress);
+  if (status.ok() && !flags.positional().empty()) {
+    status = Status::InvalidArgument("unexpected argument '" + flags.positional()[0] + "'");
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(), flags.Help(argv[0]).c_str());
+    return 2;
+  }
+  const std::string policies_spec = flags.GetString("policies");
+  std::vector<std::string> policies;
+  for (const std::string_view policy : SplitList(policies_spec, ',')) {
+    if (!policy.empty()) {
+      policies.emplace_back(policy);
     }
   }
-  std::vector<std::string> policies = SplitCsv(policies_spec);
   if (policies.empty()) {
     for (const PolicyInfo& info : PolicyRegistry::Global().List()) {
       policies.push_back(info.name);
@@ -232,31 +197,30 @@ int main(int argc, char** argv) {
   }
 
   std::string baseline_json;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
+  if (const std::string path = flags.GetString("baseline"); !path.empty()) {
+    Result<std::string> text = ReadBaseline(path);
+    if (!text.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", text.status().ToString().c_str());
       return 1;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    baseline_json = buf.str();
+    baseline_json = *std::move(text);
   }
 
   Table table({"policy", "jobs", "reps", "p50 us", "p99 us", "digest"});
   std::vector<Cell> cells;
   bool failed = false;
-  for (const std::string& size : SplitCsv(sizes_spec)) {
-    const int n = std::atoi(size.c_str());
+  for (const int n : *sizes) {
     const std::unique_ptr<SolveSnapshot> snapshot = MakeSolveSnapshot(n);
     for (const std::string& policy : policies) {
       Cell cell = TimeCell(policy, n, snapshot->snapshot);
-      const std::string line = BaselineLine(baseline_json, cell.name);
-      const double base = line.empty() ? 0 : std::atof(Field(line, "p50_us").c_str());
+      const bool in_baseline = HasBaselineEntry(baseline_json, "cell", cell.name);
+      const Result<double> p50 =
+          ParseDouble(BaselineField(baseline_json, "cell", cell.name, "p50_us"));
+      const double base = p50.ok() ? *p50 : 0;
       // A slow cell is timed again, up to twice, before it counts as a
       // regression: on a shared host other tenants slow single cells by
       // 50% or more.  The best attempt is kept.
-      for (int retry = 0; retry < 2 && base > 0 && cell.p50_us > (1.0 + max_regress) * base;
+      for (int retry = 0; retry < 2 && base > 0 && cell.p50_us > (1.0 + *max_regress) * base;
            ++retry) {
         const Cell again = TimeCell(policy, n, snapshot->snapshot);
         if (again.p50_us < cell.p50_us) {
@@ -266,15 +230,16 @@ int main(int argc, char** argv) {
       table.AddRow({policy, std::to_string(n), std::to_string(cell.reps), Fmt(cell.p50_us),
                     Fmt(cell.p99_us), FormatDigest(cell.digest)});
       cells.push_back(cell);
-      if (line.empty()) {
+      if (!in_baseline) {
         continue;
       }
-      if (Field(line, "digest") != FormatDigest(cell.digest)) {
+      const std::string base_digest = BaselineField(baseline_json, "cell", cell.name, "digest");
+      if (base_digest != FormatDigest(cell.digest)) {
         std::fprintf(stderr, "FAIL: %s plan digest %s, baseline %s\n", cell.name.c_str(),
-                     FormatDigest(cell.digest).c_str(), Field(line, "digest").c_str());
+                     FormatDigest(cell.digest).c_str(), base_digest.c_str());
         failed = true;
       }
-      if (base > 0 && cell.p50_us > (1.0 + max_regress) * base) {
+      if (base > 0 && cell.p50_us > (1.0 + *max_regress) * base) {
         std::fprintf(stderr, "FAIL: %s p50 regressed: %.1f us vs baseline %.1f us (+%.0f%%)\n",
                      cell.name.c_str(), cell.p50_us, base, 100.0 * (cell.p50_us / base - 1.0));
         failed = true;
@@ -283,8 +248,9 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
+  const std::string out_path = flags.GetString("out");
   std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"sched_solve\",\n  \"sizes\": \"" << sizes_spec
+  out << "{\n  \"benchmark\": \"sched_solve\",\n  \"sizes\": \"" << flags.GetString("sizes")
       << "\",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

@@ -9,11 +9,18 @@
 #ifndef SILOD_BENCH_BENCH_UTIL_H_
 #define SILOD_BENCH_BENCH_UTIL_H_
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/table.h"
+#include "src/common/text_codec.h"
 #include "src/common/units.h"
 #include "src/core/system.h"
 #include "src/workload/trace_gen.h"
@@ -131,6 +138,78 @@ inline void PrintSeries(const char* label, const TimeSeries& series, double valu
     std::printf("%8.1f", v * value_scale);
   }
   std::printf("\n");
+}
+
+// --- Gate flags and committed baselines --------------------------------------
+
+// A --sizes list: comma-separated positive integers, at least one.
+inline Result<std::vector<int>> ParseSizes(std::string_view spec) {
+  std::vector<int> sizes;
+  for (const std::string_view entry : SplitList(spec, ',')) {
+    const Result<std::int64_t> n = ParseInt(entry, 1, INT_MAX);
+    if (!n.ok()) {
+      return Status::InvalidArgument("--sizes entry '" + std::string(entry) +
+                                     "' is not a positive integer");
+    }
+    sizes.push_back(static_cast<int>(*n));
+  }
+  if (sizes.empty()) {
+    return Status::InvalidArgument("--sizes is empty");
+  }
+  return sizes;
+}
+
+// A --max-regress fraction: finite and >= 0 (NaN would switch the gate off).
+inline Result<double> ParseMaxRegress(std::string_view text) {
+  const Result<double> value = ParseDouble(text);
+  if (!value.ok() || !std::isfinite(*value) || *value < 0) {
+    return Status::InvalidArgument("--max-regress must be a finite number >= 0, got '" +
+                                   std::string(text) + "'");
+  }
+  return *value;
+}
+
+// The whole text of a committed baseline file, or an error if unreadable.
+inline Result<std::string> ReadBaseline(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    return Status::NotFound("cannot read baseline " + path);
+  }
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// A baseline these harnesses wrote is a list of entries, each opened by
+// `"<key>": "<name>"` (key "label" or "cell").  True when `name` has one.
+inline bool HasBaselineEntry(const std::string& json, const std::string& key,
+                             const std::string& name) {
+  return json.find("\"" + key + "\": \"" + name + "\"") != std::string::npos;
+}
+
+// One field of the entry for `name`: it must sit between the entry's key and
+// the next entry's.  Returns the value unquoted, or "" when the entry or the
+// field is absent.
+inline std::string BaselineField(const std::string& json, const std::string& key,
+                                 const std::string& name, const std::string& field) {
+  const std::string entry = "\"" + key + "\": \"" + name + "\"";
+  const std::size_t at = json.find(entry);
+  if (at == std::string::npos) {
+    return "";
+  }
+  const std::size_t next = json.find("\"" + key + "\": ", at + entry.size());
+  const std::string needle = "\"" + field + "\": ";
+  const std::size_t field_at = json.find(needle, at + entry.size());
+  if (field_at == std::string::npos || field_at > next) {
+    return "";
+  }
+  std::size_t begin = field_at + needle.size();
+  std::size_t end = json.find_first_of(",}\n", begin);
+  if (json[begin] == '"') {
+    ++begin;
+    end = json.find('"', begin);
+  }
+  return json.substr(begin, end - begin);
 }
 
 }  // namespace silod::bench

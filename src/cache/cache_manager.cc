@@ -134,25 +134,6 @@ Bytes CacheManager::Allocation(DatasetId dataset) const {
   return state == nullptr ? 0 : state->quota;
 }
 
-void CacheManager::ReleaseDataset(DatasetId dataset) {
-  DatasetState* state = Find(dataset);
-  if (state == nullptr) {
-    return;
-  }
-  total_allocated_ -= state->quota;
-  // Everything resident is gone, so nothing remains effective for any
-  // registered reader; the reader list itself survives the release.
-  for (const JobId reader : state->readers) {
-    jobs_[static_cast<std::size_t>(reader)].effective = 0;
-  }
-  state->present = false;
-  state->quota = 0;
-  state->used = 0;
-  state->resident = 0;
-  state->block_gen.clear();
-  state->block_gen.shrink_to_fit();
-}
-
 bool CacheManager::AccessBlock(const Dataset& dataset, std::int64_t block) {
   DatasetState& state = GetOrCreate(dataset);
   SILOD_CHECK(block >= 0 && block < dataset.num_blocks)
@@ -165,32 +146,6 @@ bool CacheManager::AccessBlock(const Dataset& dataset, std::int64_t block) {
     Admit(state, block);
   }
   return false;
-}
-
-bool CacheManager::WouldAdmit(const Dataset& dataset, std::int64_t block) const {
-  const DatasetState* state = Find(dataset.id);
-  if (state == nullptr || block < 0 || block >= dataset.num_blocks) {
-    return false;
-  }
-  if (state->block_gen[static_cast<std::size_t>(block)] != 0) {
-    return false;  // Already resident.
-  }
-  return state->used + dataset.BlockBytes(block) <= state->quota;
-}
-
-Status CacheManager::AdmitBlock(const Dataset& dataset, std::int64_t block) {
-  DatasetState& state = GetOrCreate(dataset);
-  if (block < 0 || block >= dataset.num_blocks) {
-    return Status::InvalidArgument("block out of range");
-  }
-  if (state.block_gen[static_cast<std::size_t>(block)] != 0) {
-    return Status::AlreadyExists("block already cached");
-  }
-  if (state.used + state.dataset.BlockBytes(block) > state.quota) {
-    return Status::ResourceExhausted("dataset quota full");
-  }
-  Admit(state, block);
-  return Status::Ok();
 }
 
 void CacheManager::SetTotalCapacity(Bytes capacity) {
@@ -237,17 +192,6 @@ std::int64_t CacheManager::EvictDatasetFraction(DatasetId dataset, double fracti
     ++evicted;
   }
   return evicted;
-}
-
-Status CacheManager::EvictBlock(DatasetId dataset, std::int64_t block) {
-  DatasetState* state = Find(dataset);
-  if (state == nullptr || block < 0 ||
-      static_cast<std::size_t>(block) >= state->block_gen.size() ||
-      state->block_gen[static_cast<std::size_t>(block)] == 0) {
-    return Status::NotFound("block not cached");
-  }
-  Evict(*state, block);
-  return Status::Ok();
 }
 
 Bytes CacheManager::CachedBytes(DatasetId dataset) const {
@@ -305,7 +249,6 @@ void CacheManager::RegisterJob(JobId job, const Dataset& dataset) {
   DatasetState& ds = GetOrCreate(dataset);
   state.registered = true;
   state.dataset = dataset.id;
-  state.accessed = DynamicBitset(static_cast<std::size_t>(dataset.num_blocks));
   state.epoch_generation = generation_;
   // Every resident block predates this epoch snapshot, so the job starts
   // with the dataset's full occupancy effective.
@@ -329,19 +272,9 @@ void CacheManager::UnregisterJob(JobId job) {
 
 void CacheManager::StartJobEpoch(JobId job) {
   JobState& state = JobRef(job);
-  state.accessed.ClearAll();
   state.epoch_generation = generation_;
   const DatasetState* ds = Find(state.dataset);
   state.effective = ds == nullptr ? 0 : ds->used;
-}
-
-bool CacheManager::MarkJobAccess(JobId job, std::int64_t block) {
-  return JobRef(job).accessed.Set(static_cast<std::size_t>(block));
-}
-
-std::int64_t CacheManager::RemainingBlocks(JobId job) const {
-  const auto& bits = JobRef(job).accessed;
-  return static_cast<std::int64_t>(bits.size() - bits.Count());
 }
 
 Bytes CacheManager::EffectiveBytes(JobId job) const { return JobRef(job).effective; }

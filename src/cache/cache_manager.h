@@ -9,9 +9,7 @@
 //   - delayed effectiveness (§6): items cached during a job's current epoch
 //     are not re-read until the next epoch, so per-job effectiveness is
 //     tracked by comparing each cached item's insertion generation with the
-//     generation at which the job's epoch started;
-//   - per-job access bitsets expose the instantaneous remote-IO demand
-//     (which blocks of the epoch remain, and how many will miss).
+//     generation at which the job's epoch started.
 //
 // Storage is arena-style: datasets and jobs live in flat vectors indexed by
 // their dense DatasetId/JobId, and each dataset's residency is a flat
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/bitset.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -50,8 +47,6 @@ class CacheManager {
   // the pool.  Shrinking below current occupancy evicts randomly.
   Status AllocateCacheSize(const Dataset& dataset, Bytes cache_size);
   Bytes Allocation(DatasetId dataset) const;
-  // Releases the dataset's quota and evicts its items.
-  void ReleaseDataset(DatasetId dataset);
 
   // --- Item path (driven by the fine engine / the rt fetch path) ----------
   // Records a read of `block`.  Returns true on hit.  On miss the caller
@@ -59,12 +54,6 @@ class CacheManager {
   bool AccessBlock(const Dataset& dataset, std::int64_t block);
   Bytes CachedBytes(DatasetId dataset) const;
   bool IsCached(DatasetId dataset, std::int64_t block) const;
-
-  // Split admission path for callers layering extra constraints (the
-  // distributed cache gates on per-server capacity): WouldAdmit checks the
-  // dataset quota only; AdmitBlock inserts unconditionally-checked.
-  bool WouldAdmit(const Dataset& dataset, std::int64_t block) const;
-  Status AdmitBlock(const Dataset& dataset, std::int64_t block);
 
   // --- Fault injection (§6) --------------------------------------------------
   // Resizes the pool (a cache-server crash or recovery) without touching
@@ -83,9 +72,6 @@ class CacheManager {
   // pool-uniform fraction.
   std::int64_t EvictDatasetFraction(DatasetId dataset, double fraction,
                                     Bytes* bytes_evicted = nullptr);
-  // Evicts one specific block (callers that know placement, e.g. the
-  // distributed cache dropping a crashed server's residents).
-  Status EvictBlock(DatasetId dataset, std::int64_t block);
 
   // --- Crash recovery (§6) --------------------------------------------------
   // The resident blocks of a dataset (sorted), for snapshotting.
@@ -98,15 +84,10 @@ class CacheManager {
   // --- Job epoch tracking (§6) ---------------------------------------------
   void RegisterJob(JobId job, const Dataset& dataset);
   void UnregisterJob(JobId job);
-  // Starts the job's next epoch: clears its access bitset and snapshots the
-  // insertion generation, after which newly cached items are "ineffective"
-  // for this job until the following epoch.
+  // Starts the job's next epoch: snapshots the insertion generation, after
+  // which newly cached items are "ineffective" for this job until the
+  // following epoch.
   void StartJobEpoch(JobId job);
-  // Records that `job` consumed `block` this epoch (returns false if it was
-  // already marked — callers feed each block once per epoch).
-  bool MarkJobAccess(JobId job, std::int64_t block);
-  // Blocks of the job's dataset not yet consumed this epoch.
-  std::int64_t RemainingBlocks(JobId job) const;
 
   // Bytes of the job's dataset that are cached AND were cached before the
   // job's current epoch began — the effective cache size of §6 / Fig. 8.
@@ -131,8 +112,8 @@ class CacheManager {
     // scans walk memory in block order (which also makes eviction candidate
     // collection deterministically sorted before the shuffle).
     std::vector<std::uint64_t> block_gen;
-    // Jobs registered on this dataset; survives ReleaseDataset so epoch
-    // bookkeeping stays wired if the dataset is re-allocated.
+    // Jobs registered on this dataset: the readers whose effective bytes an
+    // eviction may reduce.
     std::vector<JobId> readers;
   };
   struct JobState {
@@ -140,7 +121,6 @@ class CacheManager {
     DatasetId dataset = kInvalidDataset;
     std::uint64_t epoch_generation = 0;
     Bytes effective = 0;
-    DynamicBitset accessed;
   };
 
   DatasetState& GetOrCreate(const Dataset& dataset);

@@ -48,12 +48,6 @@ void UniformItemCache::SetCapacity(Bytes capacity, Rng* rng) {
   }
 }
 
-void UniformItemCache::ForEach(const std::function<void(const ItemKey&, Bytes)>& fn) const {
-  for (const auto& [key, bytes] : items_) {
-    fn(key, bytes);
-  }
-}
-
 // -------------------------------------------------------------------- LRU --
 
 LruItemCache::LruItemCache(Bytes capacity) : ItemCache(capacity) {

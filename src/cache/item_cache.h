@@ -15,7 +15,6 @@
 #define SILOD_SRC_CACHE_ITEM_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -86,9 +85,6 @@ class UniformItemCache : public ItemCache {
   bool Contains(const ItemKey& key) const override;
   Bytes used_bytes() const override { return used_; }
   std::size_t item_count() const override { return items_.size(); }
-
-  // Visits every resident key (for effective-cache accounting).
-  void ForEach(const std::function<void(const ItemKey&, Bytes)>& fn) const;
 
  private:
   std::unordered_map<ItemKey, Bytes, ItemKeyHash> items_;

@@ -47,7 +47,6 @@ constexpr Seconds Minutes(double m) { return m * 60.0; }
 constexpr Seconds Hours(double h) { return h * 3600.0; }
 constexpr Seconds Days(double d) { return d * 86400.0; }
 constexpr double ToMinutes(Seconds s) { return s / 60.0; }
-constexpr double ToHours(Seconds s) { return s / 3600.0; }
 
 inline constexpr Seconds kInfiniteTime = std::numeric_limits<double>::infinity();
 inline constexpr BytesPerSec kUnlimitedRate = std::numeric_limits<double>::infinity();

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/digest.h"
 #include "src/common/logging.h"
 
 namespace silod {
@@ -155,20 +156,6 @@ bool SameAllocation(const JobAllocation& a, const JobAllocation& b) {
          DoubleBits(a.speed) == DoubleBits(b.speed);
 }
 
-class Fnv1a {
- public:
-  void Mix(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (value >> (8 * i)) & 0xff;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 }  // namespace
 
 bool PlansBitIdentical(const AllocationPlan& a, const AllocationPlan& b) {
@@ -191,34 +178,34 @@ bool PlansBitIdentical(const AllocationPlan& a, const AllocationPlan& b) {
 }
 
 std::uint64_t PlanDigest(const AllocationPlan& plan) {
-  Fnv1a fnv;
-  fnv.Mix(static_cast<std::uint64_t>(plan.cache_model));
-  fnv.Mix(plan.manages_remote_io ? 1 : 0);
-  fnv.Mix(plan.jobs.size());
+  Fnv1a64 fnv;
+  fnv.U64(static_cast<std::uint64_t>(plan.cache_model));
+  fnv.U64(plan.manages_remote_io ? 1 : 0);
+  fnv.U64(plan.jobs.size());
   for (const auto& [id, alloc] : plan.jobs) {
-    fnv.Mix(static_cast<std::uint64_t>(id));
-    fnv.Mix(alloc.running ? 1 : 0);
-    fnv.Mix(static_cast<std::uint64_t>(alloc.gpus));
-    fnv.Mix(static_cast<std::uint64_t>(alloc.private_cache));
-    fnv.Mix(DoubleBits(alloc.remote_io));
+    fnv.U64(static_cast<std::uint64_t>(id));
+    fnv.U64(alloc.running ? 1 : 0);
+    fnv.U64(static_cast<std::uint64_t>(alloc.gpus));
+    fnv.U64(static_cast<std::uint64_t>(alloc.private_cache));
+    fnv.Double(alloc.remote_io);
     // Mixed only for typed placements: an untyped plan's digest must equal
     // the digest the pre-heterogeneity code produced for the same plan.
     if (alloc.gpu_type >= 0) {
-      fnv.Mix(static_cast<std::uint64_t>(alloc.gpu_type));
-      fnv.Mix(DoubleBits(alloc.speed));
+      fnv.U64(static_cast<std::uint64_t>(alloc.gpu_type));
+      fnv.Double(alloc.speed);
     }
   }
-  fnv.Mix(plan.dataset_cache.size());
+  fnv.U64(plan.dataset_cache.size());
   for (const auto& [id, bytes] : plan.dataset_cache) {
-    fnv.Mix(static_cast<std::uint64_t>(id));
-    fnv.Mix(static_cast<std::uint64_t>(bytes));
+    fnv.U64(static_cast<std::uint64_t>(id));
+    fnv.U64(static_cast<std::uint64_t>(bytes));
   }
-  fnv.Mix(plan.dataset_zone_cache.size());
+  fnv.U64(plan.dataset_zone_cache.size());
   for (const auto& [id, shares] : plan.dataset_zone_cache) {
-    fnv.Mix(static_cast<std::uint64_t>(id));
-    fnv.Mix(shares.size());
+    fnv.U64(static_cast<std::uint64_t>(id));
+    fnv.U64(shares.size());
     for (const Bytes share : shares) {
-      fnv.Mix(static_cast<std::uint64_t>(share));
+      fnv.U64(static_cast<std::uint64_t>(share));
     }
   }
   return fnv.hash();

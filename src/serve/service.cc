@@ -1,12 +1,10 @@
 #include "src/serve/service.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/logging.h"
 #include "src/sched/allocation.h"
 
@@ -15,46 +13,10 @@ namespace {
 
 std::string FormatU64(std::uint64_t value) { return std::to_string(value); }
 
-std::string FormatDigest(std::uint64_t digest) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, digest);
-  return buf;
-}
-
 ServeResponse OkResponse() {
   ServeResponse response;
   response.code = StatusCode::kOk;
   return response;
-}
-
-// --- StateDigest mixing (FNV-1a, 64-bit, byte-at-a-time) ------------------
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void MixByte(std::uint64_t* h, unsigned char b) {
-  *h ^= b;
-  *h *= kFnvPrime;
-}
-
-void MixU64(std::uint64_t* h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    MixByte(h, static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-// Raw bit pattern, so the digest distinguishes -0.0/0.0 and is exact.
-void MixDouble(std::uint64_t* h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  MixU64(h, bits);
-}
-
-void MixString(std::uint64_t* h, const std::string& s) {
-  MixU64(h, s.size());
-  for (const char c : s) {
-    MixByte(h, static_cast<unsigned char>(c));
-  }
 }
 
 // Parses a `speeds=` value: comma-separated `type=factor` pairs scaling a
@@ -699,52 +661,52 @@ ServeResponse ServiceState::Checkpoint() {
 }
 
 std::uint64_t ServiceState::StateDigest() const {
-  std::uint64_t h = kFnvOffset;
-  MixString(&h, planner_->policy_name());
-  MixU64(&h, config_.scheduler.manage_remote_io ? 1 : 0);
-  MixDouble(&h, now_);
-  MixU64(&h, last_rid_);
-  MixU64(&h, admission_->admitted());
-  MixU64(&h, admission_->queued());
-  MixU64(&h, admission_->rejected());
-  MixDouble(&h, planner_->last_plan_time());
-  MixU64(&h, table_.catalog().size());
+  Fnv1a64 h;
+  h.String(planner_->policy_name());
+  h.U64(config_.scheduler.manage_remote_io ? 1 : 0);
+  h.Double(now_);
+  h.U64(last_rid_);
+  h.U64(admission_->admitted());
+  h.U64(admission_->queued());
+  h.U64(admission_->rejected());
+  h.Double(planner_->last_plan_time());
+  h.U64(table_.catalog().size());
   for (const Dataset& dataset : table_.catalog().all()) {
-    MixString(&h, dataset.name);
-    MixU64(&h, static_cast<std::uint64_t>(dataset.size));
-    MixU64(&h, static_cast<std::uint64_t>(dataset.block_size));
+    h.String(dataset.name);
+    h.U64(static_cast<std::uint64_t>(dataset.size));
+    h.U64(static_cast<std::uint64_t>(dataset.block_size));
   }
-  MixU64(&h, table_.size());
+  h.U64(table_.size());
   for (const auto& job : table_.jobs()) {
-    MixString(&h, job->key);
-    MixString(&h, ServeJobStateName(job->state));
-    MixU64(&h, static_cast<std::uint64_t>(job->spec.num_gpus));
-    MixU64(&h, static_cast<std::uint64_t>(job->spec.dataset));
-    MixDouble(&h, job->spec.ideal_io);
-    MixU64(&h, static_cast<std::uint64_t>(job->spec.total_bytes));
-    MixU64(&h, static_cast<std::uint64_t>(job->spec.step_data_size));
-    MixString(&h, job->spec.model);
-    MixDouble(&h, job->submit_time);
-    MixDouble(&h, job->admit_time);
-    MixDouble(&h, job->first_start_time);
-    MixDouble(&h, job->finish_time);
-    MixU64(&h, static_cast<std::uint64_t>(job->remaining_bytes));
-    MixU64(&h, static_cast<std::uint64_t>(job->effective_cache));
-    MixU64(&h, job->running ? 1 : 0);
+    h.String(job->key);
+    h.String(ServeJobStateName(job->state));
+    h.U64(static_cast<std::uint64_t>(job->spec.num_gpus));
+    h.U64(static_cast<std::uint64_t>(job->spec.dataset));
+    h.Double(job->spec.ideal_io);
+    h.U64(static_cast<std::uint64_t>(job->spec.total_bytes));
+    h.U64(static_cast<std::uint64_t>(job->spec.step_data_size));
+    h.String(job->spec.model);
+    h.Double(job->submit_time);
+    h.Double(job->admit_time);
+    h.Double(job->first_start_time);
+    h.Double(job->finish_time);
+    h.U64(static_cast<std::uint64_t>(job->remaining_bytes));
+    h.U64(static_cast<std::uint64_t>(job->effective_cache));
+    h.U64(job->running ? 1 : 0);
     // Heterogeneity fields mix only when present so untyped/untenanted
     // digests stay byte-identical to earlier releases.
     if (job->gpu_type >= 0) {
-      MixU64(&h, static_cast<std::uint64_t>(job->gpu_type) + 1);
+      h.U64(static_cast<std::uint64_t>(job->gpu_type) + 1);
     }
     if (!job->spec.tenant.empty()) {
-      MixString(&h, job->spec.tenant);
+      h.String(job->spec.tenant);
     }
     for (const auto& [type_name, factor] : job->spec.speed_factors) {
-      MixString(&h, type_name);
-      MixDouble(&h, factor);
+      h.String(type_name);
+      h.Double(factor);
     }
   }
-  return h;
+  return h.hash();
 }
 
 std::string ServiceState::CheckpointText() const {

@@ -55,10 +55,6 @@ void FineEngine::DeactivateJob(JobId id) {
 }
 
 void FineEngine::SetJobEvent(JobState& s, Seconds t) {
-  s.event_time = t;
-  if (options_.use_linear_scan) {
-    return;
-  }
   ++counters_.calendar_updates;
   if (std::isfinite(t)) {
     calendar_.Update(s.spec->id, t);
@@ -281,13 +277,9 @@ std::int64_t FineEngine::NextBlock(JobState& s) {
 bool FineEngine::CacheAccess(JobState& s, std::int64_t block) {
   const Dataset& d = trace_->catalog.Get(s.spec->dataset);
   switch (plan_.cache_model) {
-    case CacheModelKind::kDatasetQuota: {
-      if (!s.spec->curriculum) {
-        cache_manager_.MarkJobAccess(s.spec->id, block);
-      }
+    case CacheModelKind::kDatasetQuota:
       // AccessBlock admits on miss internally.
       return cache_manager_.AccessBlock(d, block);
-    }
     case CacheModelKind::kSharedLru:
     case CacheModelKind::kSharedLfu: {
       const ItemKey key{d.id, block};
@@ -366,8 +358,7 @@ void FineEngine::OnFetchComplete(JobState& s, Seconds now) {
 // re-projects only the jobs whose rates actually changed.  MaxMinShare's
 // output per flow depends only on the multiset of caps (satisfied flows get
 // their cap, the rest the common water level), so the iteration order of
-// miss_jobs_ cannot perturb the result — both stepping paths agree
-// bit-for-bit.
+// miss_jobs_ cannot perturb the result.
 void FineEngine::RecomputeFlows(Seconds now) {
   ++counters_.flow_recomputes;
   std::vector<BytesPerSec> demands(miss_jobs_.size(), kUnlimitedRate);
@@ -640,9 +631,8 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       SILOD_CHECK(st.ok()) << "Data Manager restore failed: " << st.ToString();
       fresh.SetTotalCapacity(capacity);
       cache_manager_ = std::move(fresh);
-      // Re-register the live jobs; their epoch bitsets restart empty and the
-      // restored blocks are immediately effective (inserted before the new
-      // epoch generation).
+      // Re-register the live jobs; the restored blocks are immediately
+      // effective for them (inserted before their new epoch generation).
       for (JobState& s : jobs_) {
         if (s.arrived && !s.finished && !s.crashed && s.running) {
           cache_manager_.RegisterJob(s.spec->id, trace_->catalog.Get(s.spec->dataset));
@@ -660,10 +650,10 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
 // Fires the event the job is currently waiting on.  Cross-job effects (flow
 // rates) are deferred through flows_dirty_, so the order in which several
 // simultaneous jobs fire cannot change any of their outcomes — but it is
-// still pinned to ascending job id on both stepping paths for bit-identical
-// RNG and cache interleaving.  Returns true when the job finished, so the
-// caller can reschedule the freed GPUs/cache/throttles immediately instead
-// of leaving them idle until the next periodic tick.
+// still pinned to ascending job id for bit-identical RNG and cache
+// interleaving.  Returns true when the job finished, so the caller can
+// reschedule the freed GPUs/cache/throttles immediately instead of leaving
+// them idle until the next periodic tick.
 bool FineEngine::FireJobEvent(JobState& s, Seconds now) {
   switch (s.phase) {
     case Phase::kMissFetch:
@@ -747,22 +737,11 @@ SimResult FineEngine::Run() {
 
     // Next event: the earliest of the next arrival, the reschedule tick, the
     // metrics sample, the next injected fault, and the per-job calendar.
-    // Absolute times throughout so both stepping paths jump to exactly the
-    // same instants.
-    Seconds next_event = std::min({next_tick, next_sample, faults_.NextTime()});
+    Seconds next_event =
+        std::min({next_tick, next_sample, faults_.NextTime(), calendar_.PeekTime()});
     if (next_arrival < arrivals.size()) {
       next_event = std::min(
           next_event, trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])].submit_time);
-    }
-    if (options_.use_linear_scan) {
-      for (const JobId id : active_) {
-        const JobState& s = jobs_[static_cast<std::size_t>(id)];
-        if (s.running && !s.finished) {
-          next_event = std::min(next_event, s.event_time);
-        }
-      }
-    } else {
-      next_event = std::min(next_event, calendar_.PeekTime());
     }
     SILOD_CHECK(std::isfinite(next_event)) << "fine engine stalled at t=" << t;
     t = std::max(t, next_event);
@@ -773,8 +752,8 @@ SimResult FineEngine::Run() {
     }
 
     // Inject faults before firing job events so a crash at the same instant
-    // as a fetch completion takes effect first on both stepping paths.  Every
-    // fault is a scheduling event: the plan is recomputed immediately.
+    // as a fetch completion takes effect first.  Every fault is a scheduling
+    // event: the plan is recomputed immediately.
     if (faults_.NextTime() <= t + kTimeEps) {
       for (const FaultEvent& event : faults_.PopDue(t + kTimeEps)) {
         ApplyFault(event, t);
@@ -785,32 +764,16 @@ SimResult FineEngine::Run() {
 
     // Fire matured per-job events in ascending job id.  Events scheduled
     // during this pass (e.g. an instantaneous unblock) fire on the next
-    // iteration, on both paths.  A finished job frees resources, so it
-    // triggers a reschedule at the top of the next iteration rather than
-    // waiting out the periodic tick.
-    if (options_.use_linear_scan) {
-      // FireJobEvent can erase the finishing job from active_, so index by
-      // position and re-check each step (erasures are behind the cursor or at
-      // it; firing never activates jobs).
-      for (std::size_t i = 0; i < active_.size();) {
-        const JobId id = active_[i];
-        JobState& s = jobs_[static_cast<std::size_t>(id)];
-        if (s.running && !s.finished && t + kTimeEps >= s.event_time) {
-          need_resched = FireJobEvent(s, t) || need_resched;
-        }
-        if (i < active_.size() && active_[i] == id) {
-          ++i;  // Not erased; advance.  Otherwise the next id slid into place.
-        }
-      }
-    } else {
-      due_.clear();
-      calendar_.PopDue(t + kTimeEps, due_);
-      std::sort(due_.begin(), due_.end());
-      for (const std::int32_t id : due_) {
-        JobState& s = jobs_[static_cast<std::size_t>(id)];
-        if (s.running && !s.finished) {
-          need_resched = FireJobEvent(s, t) || need_resched;
-        }
+    // iteration.  A finished job frees resources, so it triggers a reschedule
+    // at the top of the next iteration rather than waiting out the periodic
+    // tick.
+    due_.clear();
+    calendar_.PopDue(t + kTimeEps, due_);
+    std::sort(due_.begin(), due_.end());
+    for (const std::int32_t id : due_) {
+      JobState& s = jobs_[static_cast<std::size_t>(id)];
+      if (s.running && !s.finished) {
+        need_resched = FireJobEvent(s, t) || need_resched;
       }
     }
   }

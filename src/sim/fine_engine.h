@@ -42,10 +42,6 @@ struct FineEngineOptions {
   int prefetch_window = 256;
   // Metrics sampling period on top of event-driven samples.
   Seconds sample_period = Minutes(5);
-  // Escape hatch (one release): find next/due events by an O(jobs) scan
-  // instead of the indexed event calendar.  Both paths share the fluid
-  // arithmetic and must produce bit-identical results; see docs/MODEL.md §6.
-  bool use_linear_scan = false;
 };
 
 class FineEngine {
@@ -92,17 +88,14 @@ class FineEngine {
 
     // Fluid miss-fetch accounting, settled lazily: `fetch_remaining` is the
     // bytes left as of `settle_time`; while the rate is constant the
-    // projected completion (event_time) is exact, so the residue is only
-    // re-settled when the rate changes or the fetch completes.
+    // projected completion (the job's calendar entry) is exact, so the
+    // residue is only re-settled when the rate changes or the fetch
+    // completes.
     double fetch_remaining = 0;
     Seconds settle_time = 0;
     BytesPerSec flow_rate = 0;        // Current fluid rate (miss fetch).
     BytesPerSec throttle = kUnlimitedRate;
 
-    // The job's next event (phase completion) in virtual time; kInfiniteTime
-    // for a rate-starved miss fetch.  Mirrored into the event calendar unless
-    // the linear-scan path is active.
-    Seconds event_time = kInfiniteTime;
     std::int32_t miss_index = -1;     // Position in miss_jobs_; -1 if absent.
 
     // GPU-type placement from the plan (-1 / 1.0 on uniform fleets): compute
@@ -141,7 +134,8 @@ class FineEngine {
   // uniform pass over them (shared/private pools still shed uniformly).
   void ResizeCachePool(double evict_fraction, bool evict_quota_caches = true);
 
-  // Event-calendar plumbing (no-ops on the calendar under use_linear_scan).
+  // Event-calendar plumbing.  SetJobEvent files the job's next event (phase
+  // completion); kInfiniteTime, for a rate-starved miss fetch, removes it.
   void SetJobEvent(JobState& s, Seconds t);
   void EnterMissSet(JobState& s, Seconds now);
   void LeaveMissSet(JobState& s);

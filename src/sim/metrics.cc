@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "src/common/digest.h"
 #include "src/common/logging.h"
 
 namespace silod {
@@ -43,6 +44,16 @@ bool SeriesIdentical(const TimeSeries& a, const TimeSeries& b) {
   return true;
 }
 
+// Job ids and FaultStats counters are 4-byte ints: they hash as their four
+// bytes, least significant first, not widened to eight.
+void HashInt32(Fnv1a64& h, std::int32_t value) {
+  const auto bits = static_cast<std::uint32_t>(value);
+  const unsigned char bytes[4] = {
+      static_cast<unsigned char>(bits), static_cast<unsigned char>(bits >> 8),
+      static_cast<unsigned char>(bits >> 16), static_cast<unsigned char>(bits >> 24)};
+  h.Bytes(bytes, sizeof(bytes));
+}
+
 }  // namespace
 
 bool PhysicallyIdentical(const SimResult& a, const SimResult& b) {
@@ -62,6 +73,44 @@ bool PhysicallyIdentical(const SimResult& a, const SimResult& b) {
          SeriesIdentical(a.remote_io_usage, b.remote_io_usage) &&
          SeriesIdentical(a.fairness_ratio, b.fairness_ratio) &&
          SeriesIdentical(a.effective_cache_ratio, b.effective_cache_ratio);
+}
+
+std::uint64_t ResultDigest(const SimResult& r) {
+  Fnv1a64 h;
+  for (const JobResult& j : r.jobs) {
+    HashInt32(h, j.id);
+    h.Double(j.first_start_time);
+    h.Double(j.finish_time);
+  }
+  const FaultStats& f = r.faults;
+  for (const int n : {f.server_crashes, f.server_recoveries, f.worker_crashes, f.worker_restarts,
+                      f.degrade_windows, f.dm_restarts, f.ignored_events}) {
+    HashInt32(h, n);
+  }
+  h.U64(static_cast<std::uint64_t>(f.blocks_lost));
+  h.Double(f.bytes_lost);
+  h.U64(f.blocks_lost_by_zone.size());
+  for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
+    h.String(zone);
+    h.U64(static_cast<std::uint64_t>(blocks));
+  }
+  h.U64(static_cast<std::uint64_t>(f.blocks_refetched));
+  h.Double(f.bytes_refetched);
+  h.Double(f.compute_lost);
+  h.U64(f.windows.size());
+  for (const FaultStats::Window& w : f.windows) {
+    h.String(w.label);
+    h.Double(w.start);
+    h.Double(w.end);
+    h.Double(w.avg_throughput);
+  }
+  const EngineStepCounters& s = r.steps;
+  for (const std::uint64_t n : {s.steps, s.miss_completions, s.hit_completions, s.unblocks,
+                                s.drains, s.reschedules, s.flow_recomputes, s.flow_rate_changes,
+                                s.calendar_updates}) {
+    h.U64(n);
+  }
+  return h.hash();
 }
 
 double SimResult::AvgFairness() const {

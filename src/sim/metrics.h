@@ -8,6 +8,7 @@
 #ifndef SILOD_SRC_SIM_METRICS_H_
 #define SILOD_SRC_SIM_METRICS_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -38,9 +39,9 @@ struct JobResult {
 
 // Per-phase event counters from the fine engine's stepping loop.  These make
 // performance regressions observable: `steps` bounds wall time, the per-phase
-// completion counts are invariant across stepping strategies (the same events
-// must fire either way), and `calendar_updates` measures indexing work (zero
-// on the linear-scan path).
+// completion counts say which events fired, and `calendar_updates` measures
+// indexing work.  All of them are deterministic, so ResultDigest pins them
+// with the physics.
 struct EngineStepCounters {
   std::uint64_t steps = 0;             // Main-loop iterations.
   std::uint64_t miss_completions = 0;  // Remote fetches finished.
@@ -164,9 +165,15 @@ std::string ReportsToJson(const std::string& benchmark,
 
 // True when two results agree bit-for-bit on every physical quantity: per-job
 // submit/start/finish times, makespan, and all time series.  Step counters are
-// deliberately excluded — the two fine-engine stepping paths count indexing
-// work differently while producing identical physics.
+// deliberately excluded.
 bool PhysicallyIdentical(const SimResult& a, const SimResult& b);
+
+// FNV-1a (common/digest.h) over the bits of what a run reports about its
+// jobs, faults and stepping: each job's id and start/finish times, every
+// FaultStats field (windows and per-zone losses included) and the step
+// counters.  Committed digests of seeded runs pin the fine engine's event
+// stepping and both engines' fault paths bit-for-bit.
+std::uint64_t ResultDigest(const SimResult& result);
 
 // Incremental collector driven by the engines.
 class MetricsCollector {

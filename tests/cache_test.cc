@@ -382,16 +382,13 @@ TEST_F(CacheManagerTest, DelayedEffectiveness) {
   manager_.StartJobEpoch(7);
   // The job fetches (and caches) 10 blocks during its epoch.
   for (std::int64_t b = 0; b < 10; ++b) {
-    manager_.MarkJobAccess(7, b);
     manager_.AccessBlock(dataset_, b);
   }
   // Items cached during this epoch are not effective for it.
   EXPECT_EQ(manager_.EffectiveBytes(7), 0);
-  EXPECT_EQ(manager_.RemainingBlocks(7), 30);
   // Next epoch: everything cached so far becomes effective.
   manager_.StartJobEpoch(7);
   EXPECT_EQ(manager_.EffectiveBytes(7), 10 * MB(100));
-  EXPECT_EQ(manager_.RemainingBlocks(7), 40);
 }
 
 TEST_F(CacheManagerTest, SharingJobSeesPriorJobsBlocksAsEffective) {
@@ -406,13 +403,6 @@ TEST_F(CacheManagerTest, SharingJobSeesPriorJobsBlocksAsEffective) {
   manager_.StartJobEpoch(2);
   EXPECT_EQ(manager_.EffectiveBytes(2), 20 * MB(100));
   EXPECT_EQ(manager_.EffectiveBytes(1), 0);
-}
-
-TEST_F(CacheManagerTest, ReleaseDatasetFreesQuota) {
-  ASSERT_TRUE(manager_.AllocateCacheSize(dataset_, GB(10)).ok());
-  manager_.ReleaseDataset(dataset_.id);
-  EXPECT_EQ(manager_.total_allocated(), 0);
-  EXPECT_TRUE(manager_.AllocateCacheSize(other_, GB(8)).ok());
 }
 
 // ----------------------------------------------------------------- Quiver --

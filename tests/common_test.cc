@@ -1,4 +1,4 @@
-// Unit tests for src/common: units, RNG, status, stats, bitset, table,
+// Unit tests for src/common: units, RNG, status, stats, digest, table,
 // backoff.
 #include <gtest/gtest.h>
 
@@ -6,9 +6,10 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string_view>
 
 #include "src/common/backoff.h"
-#include "src/common/bitset.h"
+#include "src/common/digest.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -333,48 +334,53 @@ TEST(TimeSeries, Downsample) {
   EXPECT_DOUBLE_EQ(points.back().first, 999.0);
 }
 
-// ----------------------------------------------------------------- Bitset --
+// ----------------------------------------------------------------- Digest --
 
-TEST(DynamicBitset, SetResetCount) {
-  DynamicBitset bits(200);
-  EXPECT_EQ(bits.Count(), 0u);
-  EXPECT_TRUE(bits.Set(0));
-  EXPECT_TRUE(bits.Set(63));
-  EXPECT_TRUE(bits.Set(64));
-  EXPECT_TRUE(bits.Set(199));
-  EXPECT_FALSE(bits.Set(0));  // Already set.
-  EXPECT_EQ(bits.Count(), 4u);
-  EXPECT_TRUE(bits.Test(63));
-  EXPECT_FALSE(bits.Test(62));
-  EXPECT_TRUE(bits.Reset(63));
-  EXPECT_FALSE(bits.Reset(63));
-  EXPECT_EQ(bits.Count(), 3u);
+// FNV-1a 64 known answers: the offset basis for no input, and the published
+// test vectors for "a" and "foobar".
+TEST(Digest, Fnv1aKnownAnswers) {
+  const auto hash = [](std::string_view text) {
+    Fnv1a64 h;
+    h.Bytes(text.data(), text.size());
+    return h.hash();
+  };
+  EXPECT_EQ(hash(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(hash("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(hash("foobar"), 0x85944171f73967e8ULL);
 }
 
-TEST(DynamicBitset, IncrementalCountMatchesPopcount) {
-  DynamicBitset bits(5000);
-  Rng rng(29);
-  for (int i = 0; i < 20000; ++i) {
-    const std::size_t idx = static_cast<std::size_t>(rng.NextBelow(5000));
-    if (rng.NextDouble() < 0.6) {
-      bits.Set(idx);
-    } else {
-      bits.Reset(idx);
-    }
-  }
-  EXPECT_EQ(bits.Count(), bits.RecountSlow());
+// U64 and Double feed little-endian bytes, String a length prefix first.
+TEST(Digest, TypedFeedsAreByteStreams) {
+  const unsigned char le[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  Fnv1a64 raw;
+  raw.Bytes(le, sizeof(le));
+  Fnv1a64 u64;
+  u64.U64(0x0102030405060708ULL);
+  EXPECT_EQ(u64.hash(), raw.hash());
+
+  Fnv1a64 dbl;
+  dbl.Double(1.0);
+  Fnv1a64 bits;
+  bits.U64(0x3ff0000000000000ULL);
+  EXPECT_EQ(dbl.hash(), bits.hash());
+  Fnv1a64 negative_zero;
+  negative_zero.Double(-0.0);
+  Fnv1a64 zero;
+  zero.Double(0.0);
+  EXPECT_NE(negative_zero.hash(), zero.hash());
+
+  Fnv1a64 str;
+  str.String("ab");
+  Fnv1a64 prefixed;
+  prefixed.U64(2);
+  prefixed.Bytes("ab", 2);
+  EXPECT_EQ(str.hash(), prefixed.hash());
 }
 
-TEST(DynamicBitset, ClearAll) {
-  DynamicBitset bits(100);
-  for (std::size_t i = 0; i < 100; i += 3) {
-    bits.Set(i);
-  }
-  bits.ClearAll();
-  EXPECT_EQ(bits.Count(), 0u);
-  EXPECT_EQ(bits.RecountSlow(), 0u);
+TEST(Digest, FormatIsSixteenHexDigits) {
+  EXPECT_EQ(FormatDigest(1), "0000000000000001");
+  EXPECT_EQ(FormatDigest(0xcbf29ce484222325ULL), "cbf29ce484222325");
 }
-
 
 // ---------------------------------------------------------------- Logging --
 

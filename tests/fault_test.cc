@@ -6,11 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/cache/cache_manager.h"
+#include "src/common/digest.h"
 #include "src/common/topology.h"
 #include "src/common/units.h"
 #include "src/core/recovery.h"
@@ -458,20 +458,6 @@ TEST(CacheManagerFaults, ShrinkIsLegalWhileOverCommitted) {
   EXPECT_FALSE(cache.AllocateCacheSize(catalog.Get(a), MB(80)).ok());
 }
 
-TEST(CacheManagerFaults, EvictBlockRemovesOneResident) {
-  DatasetCatalog catalog;
-  const DatasetId id = catalog.Add("d", MB(10), MB(1));
-  const Dataset& d = catalog.Get(id);
-  CacheManager cache(MB(10));
-  ASSERT_TRUE(cache.AllocateCacheSize(d, MB(10)).ok());
-  cache.AccessBlock(d, 3);
-
-  EXPECT_TRUE(cache.EvictBlock(id, 3).ok());
-  EXPECT_FALSE(cache.IsCached(id, 3));
-  EXPECT_FALSE(cache.EvictBlock(id, 3).ok());  // Already gone: NotFound.
-  EXPECT_FALSE(cache.EvictBlock(id, 7).ok());  // Never cached.
-}
-
 // ----------------------------------------------- InMemRemoteStore faults --
 
 TEST(RemoteStoreFaults, TransientErrorsSurfaceThroughTryReadBlock) {
@@ -851,69 +837,6 @@ TEST(EngineFaults, ZonalChurnIsDeterministicOnBothEngines) {
   }
 }
 
-// FNV-1a over the bits of everything an engine reports about a faulted run:
-// each job's start/finish, every FaultStats field (windows and per-zone
-// losses included) and the fine engine's step counters.
-class ResultHasher {
- public:
-  void Bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ = (hash_ ^ p[i]) * 0x100000001b3ULL;
-    }
-  }
-  template <typename T>
-  void Value(const T& value) {
-    Bytes(&value, sizeof(value));
-  }
-  void String(const std::string& s) {
-    Value(s.size());
-    Bytes(s.data(), s.size());
-  }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-std::uint64_t FaultedRunDigest(const SimResult& r) {
-  ResultHasher h;
-  for (const JobResult& j : r.jobs) {
-    h.Value(j.id);
-    h.Value(j.first_start_time);
-    h.Value(j.finish_time);
-  }
-  const FaultStats& f = r.faults;
-  for (const int n : {f.server_crashes, f.server_recoveries, f.worker_crashes, f.worker_restarts,
-                      f.degrade_windows, f.dm_restarts, f.ignored_events}) {
-    h.Value(n);
-  }
-  h.Value(f.blocks_lost);
-  h.Value(f.bytes_lost);
-  h.Value(f.blocks_lost_by_zone.size());
-  for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
-    h.String(zone);
-    h.Value(blocks);
-  }
-  h.Value(f.blocks_refetched);
-  h.Value(f.bytes_refetched);
-  h.Value(f.compute_lost);
-  h.Value(f.windows.size());
-  for (const FaultStats::Window& w : f.windows) {
-    h.String(w.label);
-    h.Value(w.start);
-    h.Value(w.end);
-    h.Value(w.avg_throughput);
-  }
-  const EngineStepCounters& s = r.steps;
-  for (const std::uint64_t n : {s.steps, s.miss_completions, s.hit_completions, s.unblocks,
-                                s.drains, s.reschedules, s.flow_recomputes, s.flow_rate_changes,
-                                s.calendar_updates}) {
-    h.Value(n);
-  }
-  return h.hash();
-}
-
 // Pins both engines' fault paths bit-for-bit: every engine × cache model ×
 // placement × restart policy under HeavyChurn plus one zonal churn (so Data
 // Manager restarts and recovery-anchored degrade windows run too).  Any
@@ -987,12 +910,11 @@ TEST(EngineFaults, ChurnResultsMatchPinnedDigests) {
           }
           config.engine = kEngines[e];
           const SimResult result = RunExperiment(trace, config);
-          const std::uint64_t digest = FaultedRunDigest(result);
-          std::ostringstream hex;
-          hex << std::hex << "0x" << digest;
+          const std::uint64_t digest = ResultDigest(result);
           EXPECT_EQ(digest, kPinned[e][c][z][p])
               << (e == 0 ? "fine " : "flow ") << CacheSystemName(kCaches[c])
-              << (z == 0 ? " oblivious " : " zoned ") << kPolicies[p] << ": " << hex.str();
+              << (z == 0 ? " oblivious " : " zoned ") << kPolicies[p] << ": 0x"
+              << FormatDigest(digest);
           EXPECT_GT(result.faults.dm_restarts, 0);
           if (p > 0) {  // The fixture must keep reaching the restart-cost paths.
             EXPECT_GT(static_cast<double>(result.faults.blocks_refetched) +

@@ -10,7 +10,7 @@
 #   tools/ci.sh tsan       # TSan rt_test stage only
 #   tools/ci.sh smoke      # fault-churn benchmark smoke only
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
-#   tools/ci.sh scaling-smoke # fine-engine throughput + bit-identity smoke only
+#   tools/ci.sh scaling-smoke # fine-engine throughput + pinned result digests + gate self-tests only
 #   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests only
 #   tools/ci.sh rt-fault-smoke # worker crash + minidump replay smoke, thread and process workers, only
 #   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + fifo/gavel replay cross-checks only
@@ -121,19 +121,45 @@ if [[ "$stage" == "all" || "$stage" == "zone-smoke" ]]; then
 fi
 
 if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
-  # Engine-scaling smoke: a short 4k-job sweep.  bench_engine_scaling itself
-  # enforces calendar vs linear-scan stepping bit-identity and, via
-  # --baseline, fails if the calendar path's events/sec regresses more than
-  # 30% against the committed BENCH_engine_scaling.json.
+  # Engine-scaling smoke: a short 4k-job sweep.  With --baseline,
+  # bench_engine_scaling fails on a row whose ResultDigest or event count
+  # differs from the committed BENCH_engine_scaling.json (exact: the fine
+  # engine's stepping is pinned bit-for-bit) and on calendar events/sec more
+  # than 30% below the committed value.  Then the self-tests: both benches'
+  # exact digest gates must fail against a baseline with one digest altered,
+  # and a NaN --max-regress or a malformed --sizes entry must exit 2.
   echo "=== [scaling-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [scaling-smoke] build ==="
-  cmake --build build-ci-smoke -j "$jobs" --target bench_engine_scaling
+  cmake --build build-ci-smoke -j "$jobs" --target bench_engine_scaling bench_sched_solve
   echo "=== [scaling-smoke] run ==="
   ./build-ci-smoke/bench/bench_engine_scaling --sizes=4096 --no-philly \
       --baseline=BENCH_engine_scaling.json --max-regress=0.3 \
       --out=build-ci-smoke/BENCH_engine_scaling.json
-
+  echo "=== [scaling-smoke] gate self-tests ==="
+  altered_scaling="build-ci-smoke/BENCH_engine_scaling.altered.json"
+  sed '/"label": "calendar\/64-jobs"/,/"digest"/ s/"digest": "[0-9a-f]*"/"digest": "0000000000000000"/' \
+      BENCH_engine_scaling.json > "$altered_scaling"
+  altered_solve="build-ci-smoke/BENCH_sched_solve.altered.json"
+  sed '/"cell": "fifo+silod\/64"/ s/"digest": "[0-9a-f]*"/"digest": "0000000000000000"/' \
+      BENCH_sched_solve.json > "$altered_solve"
+  ! cmp -s BENCH_engine_scaling.json "$altered_scaling" \
+      || { echo "scaling-smoke: no engine-scaling digest to alter"; exit 1; }
+  ! cmp -s BENCH_sched_solve.json "$altered_solve" \
+      || { echo "scaling-smoke: no sched-solve digest to alter"; exit 1; }
+  scaling="bench_engine_scaling --sizes=64 --no-philly --out=build-ci-smoke/BENCH_self_test.json"
+  solve="bench_sched_solve --policies=fifo+silod --sizes=64 --out=build-ci-smoke/BENCH_self_test.json"
+  for cmd in "$scaling --baseline=$altered_scaling" "$solve --baseline=$altered_solve"; do
+    rc=0; ./build-ci-smoke/bench/$cmd >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
+    [[ "$rc" == 1 ]] && grep -q 'FAIL: .*digest' build-ci-smoke/self_test.err \
+        || { echo "scaling-smoke: $cmd exited $rc without a digest failure, want 1"; exit 1; }
+  done
+  for cmd in "$scaling" "$solve"; do
+    for bad in --max-regress=nan --sizes=64x; do
+      rc=0; ./build-ci-smoke/bench/$cmd $bad >/dev/null 2>&1 || rc=$?
+      [[ "$rc" == 2 ]] || { echo "scaling-smoke: $cmd $bad exited $rc, want 2"; exit 1; }
+    done
+  done
 fi
 
 if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then

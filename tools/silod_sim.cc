@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
                "registry policy name, e.g. \"sjf+silod\" or \"gavel+coordl\" "
                "(overrides --scheduler/--cache-system)");
   flags.Define("engine", "flow", "flow | fine | rt (rt runs a scaled-down wall-clock cluster)");
-  flags.Define("fine-linear-scan", "false",
-               "fine engine: step by O(jobs) scans instead of the event calendar");
   flags.Define("manage-remote-io", "true", "SiloD throttles remote IO (ablation: false)");
   flags.Define("jobs", "300", "jobs to generate (ignored with --trace)");
   flags.Define("interarrival-min", "4", "mean job inter-arrival (minutes)");
@@ -266,7 +264,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.engine = engine_name == "fine" ? EngineKind::kFine : EngineKind::kFlow;
-  config.fine.use_linear_scan = flags.GetBool("fine-linear-scan");
 
   // Faults: the explicit plan's events and the generated churn (independent
   // per-hour rates plus correlated zones) are merged into one schedule and
