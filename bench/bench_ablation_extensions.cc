@@ -154,8 +154,7 @@ void Partitioning() {
   for (JobSpec& job : naive.jobs) {
     job.regular = true;
   }
-  config.scheduler = SchedulerKind::kGavel;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "gavel+silod";
   const SimResult unpartitioned = RunExperiment(naive, config);
 
   Table table({"configuration", "avg JCT (min)", "makespan (min)", "fairness"});

@@ -88,8 +88,6 @@ struct RunStats {
 
 RunStats TimeRun(const Trace& trace, const SimConfig& sim, SimResult* out) {
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
   config.sim = sim;
   config.engine = EngineKind::kFine;
   const auto start = std::chrono::steady_clock::now();

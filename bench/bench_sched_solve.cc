@@ -1,4 +1,4 @@
-// Scheduler-solve latency: one `Schedule` call per registry policy on seeded
+// Scheduler-solve latency: one `Schedule` call per policy on seeded
 // snapshots of 64 to 4096 active jobs.  This is the layer both engines and
 // silodd share, so it is timed on its own, away from any engine.
 //
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   FlagSet flags;
   flags.Define("out", "BENCH_sched_solve.json", "report path");
   flags.Define("sizes", "64,256,1024,4096", "snapshot sizes in active jobs, comma-separated");
-  flags.Define("policies", "", "registry policies, comma-separated (default: all)");
+  flags.Define("policies", "", "policy names, comma-separated (default: all 15)");
   flags.Define("baseline", "", "committed report to gate against (exact digests)");
   flags.Define("max-regress", "0.3", "allowed p50 slowdown against the baseline, a fraction");
   Status status = flags.Parse(argc, argv);
@@ -191,9 +191,7 @@ int main(int argc, char** argv) {
     }
   }
   if (policies.empty()) {
-    for (const PolicyInfo& info : PolicyRegistry::Global().List()) {
-      policies.push_back(info.name);
-    }
+    policies = AllPolicyNames();
   }
 
   std::string baseline_json;

@@ -38,11 +38,10 @@ int main() {
     for (const CacheSystem cache : {CacheSystem::kSiloD, CacheSystem::kAlluxio,
                                     CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
       ExperimentConfig config;
-      config.scheduler = scheduler;
-      config.cache = cache;
+      config.policy = PolicyName(scheduler, cache);
       config.sim = cluster;
       const SimResult result = RunExperiment(trace, config);
-      table.AddRow({config.Name(), Fmt(result.AvgJctMinutes()),
+      table.AddRow({config.policy, Fmt(result.AvgJctMinutes()),
                     Fmt(result.JctSamplesMinutes().Percentile(90)),
                     Fmt(result.MakespanMinutes()), Fmt(result.AvgFairness(), 2)});
     }

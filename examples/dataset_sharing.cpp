@@ -49,8 +49,7 @@ int main() {
     options.seed = 17;
     const Trace trace = TraceGenerator(options).Generate();
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kSjf;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "sjf+silod";
     config.sim.resources.total_gpus = 48;
     config.sim.resources.total_cache = TB(4);
     config.sim.resources.remote_io = Gbps(4);

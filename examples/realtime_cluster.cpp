@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "src/common/table.h"
-#include "src/core/silod_scheduler.h"
+#include "src/core/policy_registry.h"
 #include "src/rt/rt_cluster.h"
 
 using namespace silod;

@@ -1,10 +1,9 @@
 #include "src/core/policy_registry.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "src/common/logging.h"
 #include "src/sched/fifo.h"
-#include "src/sched/gavel.h"
 #include "src/sched/greedy.h"
 #include "src/sched/sjf.h"
 #include "src/sched/storage_policies.h"
@@ -12,44 +11,54 @@
 namespace silod {
 namespace {
 
-constexpr SchedulerKind kSchedulers[] = {SchedulerKind::kFifo, SchedulerKind::kSjf,
-                                         SchedulerKind::kGavel};
-constexpr CacheSystem kCacheSystems[] = {CacheSystem::kSiloD, CacheSystem::kAlluxio,
-                                         CacheSystem::kAlluxioLfu, CacheSystem::kCoorDl,
-                                         CacheSystem::kQuiver};
+// One row per enum value: its policy-name token and its display name.
+template <typename Enum>
+struct Row {
+  Enum value;
+  const char* token;
+  const char* display;
+};
 
-const char* SchedulerToken(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kFifo:
-      return "fifo";
-    case SchedulerKind::kSjf:
-      return "sjf";
-    case SchedulerKind::kGavel:
-      return "gavel";
-  }
-  return "unknown";
+constexpr Row<SchedulerKind> kSchedulers[] = {
+    {SchedulerKind::kFifo, "fifo", "FIFO"},
+    {SchedulerKind::kSjf, "sjf", "SJF"},
+    {SchedulerKind::kGavel, "gavel", "Gavel"},
+};
+
+constexpr Row<CacheSystem> kCacheSystems[] = {
+    {CacheSystem::kSiloD, "silod", "SiloD"},
+    {CacheSystem::kAlluxio, "alluxio", "Alluxio"},
+    {CacheSystem::kAlluxioLfu, "alluxio-lfu", "Alluxio-LFU"},
+    {CacheSystem::kCoorDl, "coordl", "CoorDL"},
+    {CacheSystem::kQuiver, "quiver", "Quiver"},
+};
+
+template <typename Enum, std::size_t N>
+const Row<Enum>& RowOf(const Row<Enum> (&rows)[N], Enum value) {
+  const auto* row = std::find_if(rows, rows + N, [value](const Row<Enum>& r) {
+    return r.value == value;
+  });
+  SILOD_CHECK(row != rows + N) << "enum value " << static_cast<int>(value)
+                               << " has no row";
+  return *row;
 }
 
-const char* CacheToken(CacheSystem system) {
-  switch (system) {
-    case CacheSystem::kSiloD:
-      return "silod";
-    case CacheSystem::kAlluxio:
-      return "alluxio";
-    case CacheSystem::kAlluxioLfu:
-      return "alluxio-lfu";
-    case CacheSystem::kCoorDl:
-      return "coordl";
-    case CacheSystem::kQuiver:
-      return "quiver";
-  }
-  return "unknown";
+template <typename Enum, std::size_t N>
+const Row<Enum>* RowByToken(const Row<Enum> (&rows)[N], std::string_view token) {
+  const auto* row = std::find_if(rows, rows + N, [token](const Row<Enum>& r) {
+    return token == r.token;
+  });
+  return row == rows + N ? nullptr : row;
 }
 
-// Algorithm 1's composition, moved verbatim from the old enum factory: the
-// registry's built-in entries and the enum wrapper both resolve here.
-std::shared_ptr<Scheduler> BuildScheduler(SchedulerKind kind, CacheSystem system,
-                                          const SchedulerOptions& options) {
+}  // namespace
+
+const char* SchedulerKindName(SchedulerKind kind) { return RowOf(kSchedulers, kind).display; }
+
+const char* CacheSystemName(CacheSystem system) { return RowOf(kCacheSystems, system).display; }
+
+std::shared_ptr<Scheduler> MakeScheduler(SchedulerKind kind, CacheSystem system,
+                                         const SchedulerOptions& options) {
   std::shared_ptr<StoragePolicy> storage;
   switch (system) {
     case CacheSystem::kSiloD:
@@ -65,8 +74,7 @@ std::shared_ptr<Scheduler> BuildScheduler(SchedulerKind kind, CacheSystem system
       storage = std::make_shared<CoorDlStorage>();
       break;
     case CacheSystem::kQuiver:
-      storage =
-          std::make_shared<QuiverStorage>(options.quiver_profiling_noise, options.seed);
+      storage = std::make_shared<QuiverStorage>();
       break;
   }
 
@@ -90,79 +98,44 @@ std::shared_ptr<Scheduler> BuildScheduler(SchedulerKind kind, CacheSystem system
   return nullptr;
 }
 
-}  // namespace
+std::string PolicyName(SchedulerKind kind, CacheSystem system) {
+  return std::string(RowOf(kSchedulers, kind).token) + "+" + RowOf(kCacheSystems, system).token;
+}
 
-PolicyRegistry& PolicyRegistry::Global() {
-  static PolicyRegistry* registry = [] {
-    auto* r = new PolicyRegistry();
-    for (const SchedulerKind kind : kSchedulers) {
-      for (const CacheSystem system : kCacheSystems) {
-        const std::string description = std::string(SchedulerKindName(kind)) +
-                                        " scheduling on the " + CacheSystemName(system) +
-                                        " cache system";
-        const Status st = r->Register(
-            PolicyName(kind, system), description,
-            [kind, system](const SchedulerOptions& options) {
-              return BuildScheduler(kind, system, options);
-            });
-        SILOD_CHECK(st.ok()) << "built-in policy registration collided: " << st.ToString();
-      }
+Result<std::pair<SchedulerKind, CacheSystem>> ParsePolicyName(std::string_view name) {
+  const std::size_t plus = name.find('+');
+  if (plus != std::string_view::npos) {
+    const Row<SchedulerKind>* kind = RowByToken(kSchedulers, name.substr(0, plus));
+    const Row<CacheSystem>* system = RowByToken(kCacheSystems, name.substr(plus + 1));
+    if (kind != nullptr && system != nullptr) {
+      return std::make_pair(kind->value, system->value);
     }
-    return r;
-  }();
-  return *registry;
+  }
+  std::string known;
+  for (const std::string& policy : AllPolicyNames()) {
+    known += (known.empty() ? "" : ", ") + policy;
+  }
+  return Status::NotFound("unknown policy '" + std::string(name) + "'; known: " + known);
 }
 
-Status PolicyRegistry::Register(const std::string& name, const std::string& description,
-                                PolicyFactory factory) {
-  if (name.empty() || factory == nullptr) {
-    return Status::InvalidArgument("policy registration wants a name and a factory");
+std::vector<std::string> AllPolicyNames() {
+  std::vector<std::string> names;
+  for (const Row<SchedulerKind>& kind : kSchedulers) {
+    for (const Row<CacheSystem>& system : kCacheSystems) {
+      names.push_back(PolicyName(kind.value, system.value));
+    }
   }
-  const auto [it, inserted] =
-      policies_.emplace(name, std::make_pair(description, std::move(factory)));
-  (void)it;
-  if (!inserted) {
-    return Status::AlreadyExists("policy already registered: " + name);
-  }
-  return Status::Ok();
-}
-
-bool PolicyRegistry::Contains(const std::string& name) const { return policies_.count(name) > 0; }
-
-Result<std::shared_ptr<Scheduler>> PolicyRegistry::Make(const std::string& name,
-                                                        const SchedulerOptions& options) const {
-  const auto it = policies_.find(name);
-  if (it == policies_.end()) {
-    return Status::NotFound("unknown policy '" + name + "'; known: " + KnownNames());
-  }
-  return it->second.second(options);
-}
-
-std::vector<PolicyInfo> PolicyRegistry::List() const {
-  std::vector<PolicyInfo> out;
-  out.reserve(policies_.size());
-  for (const auto& [name, entry] : policies_) {
-    out.push_back(PolicyInfo{name, entry.first});
-  }
-  return out;  // std::map iterates sorted by name.
-}
-
-std::string PolicyRegistry::KnownNames() const {
-  std::string out;
-  for (const auto& [name, entry] : policies_) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 Result<std::shared_ptr<Scheduler>> MakeSchedulerByName(const std::string& name,
                                                        const SchedulerOptions& options) {
-  return PolicyRegistry::Global().Make(name, options);
-}
-
-std::string PolicyName(SchedulerKind kind, CacheSystem system) {
-  return std::string(SchedulerToken(kind)) + "+" + CacheToken(system);
+  const Result<std::pair<SchedulerKind, CacheSystem>> pair = ParsePolicyName(name);
+  if (!pair.ok()) {
+    return pair.status();
+  }
+  return MakeScheduler(pair->first, pair->second, options);
 }
 
 }  // namespace silod

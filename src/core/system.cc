@@ -1,28 +1,14 @@
 #include "src/core/system.h"
 
 #include "src/common/logging.h"
-#include "src/core/policy_registry.h"
 
 namespace silod {
 
-std::string ExperimentConfig::Name() const {
-  if (!policy.empty()) {
-    return policy;
-  }
-  return std::string(SchedulerKindName(scheduler)) + "-" + CacheSystemName(cache);
-}
-
 SimResult RunExperiment(const Trace& trace, const ExperimentConfig& config) {
-  std::shared_ptr<Scheduler> scheduler;
-  if (!config.policy.empty()) {
-    Result<std::shared_ptr<Scheduler>> made =
-        MakeSchedulerByName(config.policy, config.scheduler_options);
-    SILOD_CHECK(made.ok()) << made.status().ToString();
-    scheduler = *made;
-  } else {
-    scheduler = MakeScheduler(config.scheduler, config.cache, config.scheduler_options);
-  }
-  return RunExperimentWith(trace, std::move(scheduler), config);
+  Result<std::shared_ptr<Scheduler>> scheduler =
+      MakeSchedulerByName(config.policy, config.scheduler_options);
+  SILOD_CHECK(scheduler.ok()) << scheduler.status().ToString();
+  return RunExperimentWith(trace, std::move(scheduler).value(), config);
 }
 
 SimResult RunExperimentWith(const Trace& trace, std::shared_ptr<Scheduler> scheduler,

@@ -9,7 +9,7 @@
 #include <memory>
 #include <string>
 
-#include "src/core/silod_scheduler.h"
+#include "src/core/policy_registry.h"
 #include "src/sim/cluster.h"
 #include "src/sim/fine_engine.h"
 #include "src/sim/flow_engine.h"
@@ -24,20 +24,16 @@ enum class EngineKind {
 };
 
 struct ExperimentConfig {
-  SchedulerKind scheduler = SchedulerKind::kFifo;
-  CacheSystem cache = CacheSystem::kSiloD;
-  // Registry policy name (core/policy_registry.h), e.g. "gavel+coordl".
-  // When non-empty it overrides the enum pair above.
-  std::string policy;
+  // Policy name (core/policy_registry.h), e.g. "gavel+coordl".
+  std::string policy = "fifo+silod";
   SchedulerOptions scheduler_options;
   SimConfig sim;
   EngineKind engine = EngineKind::kFlow;
   FineEngineOptions fine;
-
-  std::string Name() const;
 };
 
-// Runs one experiment end to end.
+// Runs one experiment end to end; SILOD_CHECKs that `config.policy` names a
+// policy.
 SimResult RunExperiment(const Trace& trace, const ExperimentConfig& config);
 
 // Same, but with a caller-provided scheduler (e.g. a PartitionedScheduler).

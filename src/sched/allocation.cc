@@ -33,6 +33,10 @@ Status ValidateStorageResources(const ClusterResources& resources) {
   if (!(resources.per_job_remote_cap >= 0)) {
     return Status::InvalidArgument("per_job_remote_cap must be >= 0");
   }
+  if (resources.num_servers < 1) {
+    return Status::InvalidArgument("num_servers must be >= 1, got " +
+                                   std::to_string(resources.num_servers));
+  }
   return Status::Ok();
 }
 

@@ -52,8 +52,9 @@ struct ClusterResources {
 };
 
 // InvalidArgument unless the storage side of `resources` is usable: a
-// non-negative cache pool, a finite non-negative egress limit, and a per-job
-// cap that is neither negative nor NaN (kUnlimitedRate means no cap).
+// non-negative cache pool, a finite non-negative egress limit, a per-job cap
+// that is neither negative nor NaN (kUnlimitedRate means no cap), and at
+// least one cache server.
 Status ValidateStorageResources(const ClusterResources& resources);
 
 // Fills the storage side of `resources` from the CLI tools' shared flags

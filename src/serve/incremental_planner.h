@@ -1,6 +1,6 @@
 // The silodd planning core: epoch-batched full re-solves (docs/MODEL.md §11).
 //
-// The planner owns a registry-built scheduler (core/policy_registry.h).
+// The planner owns a scheduler built from a policy name (core/policy_registry.h).
 // SiloD's control loop is a pure function of the cluster snapshot, so every
 // re-solve is a full Scheduler::Schedule over the service's snapshot — the
 // same call the batch engines make, hence bit-identical to them for every

@@ -26,6 +26,9 @@ Status ValidateSimInputs(const Trace& trace, const SimConfig& config) {
   if (trace.jobs.empty()) {
     return Status::InvalidArgument("empty trace");
   }
+  if (const Status storage = ValidateStorageResources(config.resources); !storage.ok()) {
+    return storage;
+  }
   const ClusterTopology& topology = config.topology;
   int widest = topology.has_gpu_types() ? 0 : config.resources.total_gpus;
   for (const GpuTypeSpec& t : topology.gpu_types()) {

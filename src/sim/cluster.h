@@ -50,9 +50,10 @@ struct SimConfig {
 };
 
 // What every engine requires: a non-empty trace with dense job ids and known
-// datasets, zones within the servers, typed-GPU counts summing to the
-// cluster's GPUs, and no gang wider than the cluster or the widest type pool
-// (it would wait forever).  InvalidArgument names the first violation.
+// datasets, usable storage and at least one server (ValidateStorageResources),
+// zones within the servers, typed-GPU counts summing to the cluster's GPUs,
+// and no gang wider than the cluster or the widest type pool (it would wait
+// forever).  InvalidArgument names the first violation.
 Status ValidateSimInputs(const Trace& trace, const SimConfig& config);
 
 // The engines' constructor preamble: SILOD_CHECKs ValidateSimInputs and

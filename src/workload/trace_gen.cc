@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/common/logging.h"
+#include "src/common/text_codec.h"
 
 namespace silod {
 
@@ -16,10 +17,43 @@ int Trace::TotalGpuDemand() const {
   return total;
 }
 
+Status ValidateTraceOptions(const TraceOptions& options) {
+  const auto bad = [](const char* what, double value) {
+    return Status::InvalidArgument(std::string(what) + ", got " + FormatShortest(value));
+  };
+  if (options.num_jobs < 1) {
+    return bad("num_jobs must be >= 1", options.num_jobs);
+  }
+  if (!std::isfinite(options.mean_interarrival) || options.mean_interarrival < 0) {
+    return bad("mean_interarrival must be finite and >= 0", options.mean_interarrival);
+  }
+  if (!std::isfinite(options.median_duration) || options.median_duration <= 0) {
+    return bad("median_duration must be finite and > 0", options.median_duration);
+  }
+  if (!std::isfinite(options.duration_sigma) || options.duration_sigma < 0) {
+    return bad("duration_sigma must be finite and >= 0", options.duration_sigma);
+  }
+  if (!std::isfinite(options.min_duration) || options.min_duration <= 0) {
+    return bad("min_duration must be finite and > 0", options.min_duration);
+  }
+  if (!std::isfinite(options.max_duration) || options.max_duration < options.min_duration) {
+    return bad("max_duration must be finite and >= min_duration", options.max_duration);
+  }
+  if (!(options.share_fraction >= 0 && options.share_fraction <= 1)) {
+    return bad("share_fraction must be in [0, 1]", options.share_fraction);
+  }
+  if (!std::isfinite(options.gpu_speed_scale) || options.gpu_speed_scale <= 0) {
+    return bad("gpu_speed_scale must be finite and > 0", options.gpu_speed_scale);
+  }
+  if (options.block_size <= 0) {
+    return bad("block_size must be > 0", static_cast<double>(options.block_size));
+  }
+  return Status::Ok();
+}
+
 TraceGenerator::TraceGenerator(TraceOptions options) : options_(options) {
-  SILOD_CHECK(options_.num_jobs > 0) << "trace needs at least one job";
-  SILOD_CHECK(options_.share_fraction >= 0 && options_.share_fraction <= 1)
-      << "share_fraction must be a fraction";
+  const Status valid = ValidateTraceOptions(options_);
+  SILOD_CHECK(valid.ok()) << valid.ToString();
 }
 
 const std::vector<TraceGenerator::MixEntry>& TraceGenerator::DefaultMix() {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/workload/dataset.h"
 #include "src/workload/job.h"
@@ -41,6 +42,12 @@ struct TraceOptions {
   std::uint64_t seed = 1;
 };
 
+// InvalidArgument naming the first option no trace can be drawn from: fewer
+// than one job, a negative or non-finite inter-arrival gap, a non-positive
+// median or minimum duration, a cap below the minimum, a negative sigma, a
+// share fraction outside [0, 1], a non-positive GPU speed or block size.
+Status ValidateTraceOptions(const TraceOptions& options);
+
 struct Trace {
   DatasetCatalog catalog;
   std::vector<JobSpec> jobs;
@@ -51,6 +58,7 @@ struct Trace {
 
 class TraceGenerator {
  public:
+  // SILOD_CHECKs ValidateTraceOptions.
   explicit TraceGenerator(TraceOptions options);
 
   Trace Generate() const;

@@ -2,6 +2,7 @@
 // API, irregular-job partitioning (§6), and the experiment facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <memory>
@@ -10,7 +11,6 @@
 #include "src/core/data_manager.h"
 #include "src/core/partition.h"
 #include "src/core/policy_registry.h"
-#include "src/core/silod_scheduler.h"
 #include "src/core/system.h"
 #include "src/sched/fifo.h"
 #include "src/sched/greedy.h"
@@ -20,11 +20,12 @@ namespace {
 
 // -------------------------------------------------------- MakeScheduler ----
 
-TEST(MakeScheduler, AllTwelveCombinationsConstruct) {
+TEST(MakeScheduler, AllFifteenCombinationsConstruct) {
   for (const SchedulerKind kind :
        {SchedulerKind::kFifo, SchedulerKind::kSjf, SchedulerKind::kGavel}) {
-    for (const CacheSystem cache : {CacheSystem::kSiloD, CacheSystem::kAlluxio,
-                                    CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
+    for (const CacheSystem cache :
+         {CacheSystem::kSiloD, CacheSystem::kAlluxio, CacheSystem::kAlluxioLfu,
+          CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
       const auto scheduler = MakeScheduler(kind, cache);
       ASSERT_NE(scheduler, nullptr);
       EXPECT_FALSE(scheduler->name().empty());
@@ -206,7 +207,7 @@ TEST_F(PartitionTest, PureRegularDelegates) {
 
 // ----------------------------------------------------------- RunExperiment --
 
-TEST(RunExperiment, NamesAndBothEngines) {
+TEST(RunExperiment, DefaultPolicyOnBothEngines) {
   const ModelZoo zoo;
   Trace trace;
   const DatasetId d = trace.catalog.Add("x", GB(5), MB(16));
@@ -215,12 +216,10 @@ TEST(RunExperiment, NamesAndBothEngines) {
   trace.jobs.push_back(job);
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
   config.sim.resources.total_gpus = 4;
   config.sim.resources.total_cache = GB(5);
   config.sim.resources.remote_io = MBps(50);
-  EXPECT_EQ(config.Name(), "FIFO-SiloD");
+  EXPECT_EQ(config.policy, "fifo+silod");
 
   config.engine = EngineKind::kFlow;
   const SimResult flow = RunExperiment(trace, config);
@@ -230,42 +229,64 @@ TEST(RunExperiment, NamesAndBothEngines) {
   EXPECT_NEAR(flow.AvgJctSeconds(), fine.AvgJctSeconds(), 0.08 * fine.AvgJctSeconds());
 }
 
-// --------------------------------------------------------- PolicyRegistry --
+// ------------------------------------------------------------ PolicyName --
 
-TEST(PolicyRegistry, EveryEnumPairResolvesByName) {
+TEST(PolicyName, ParseRoundTripsEveryPair) {
+  int pairs = 0;
   for (const SchedulerKind kind :
        {SchedulerKind::kFifo, SchedulerKind::kSjf, SchedulerKind::kGavel}) {
     for (const CacheSystem cache :
          {CacheSystem::kSiloD, CacheSystem::kAlluxio, CacheSystem::kAlluxioLfu,
           CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
       const std::string name = PolicyName(kind, cache);
-      EXPECT_TRUE(PolicyRegistry::Global().Contains(name)) << name;
+      const Result<std::pair<SchedulerKind, CacheSystem>> parsed = ParsePolicyName(name);
+      ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.status().ToString();
+      EXPECT_EQ(parsed->first, kind) << name;
+      EXPECT_EQ(parsed->second, cache) << name;
+      // The name builds the same policy the enum pair does.
       const Result<std::shared_ptr<Scheduler>> by_name = MakeSchedulerByName(name);
-      ASSERT_TRUE(by_name.ok()) << name << ": " << by_name.status().ToString();
-      // The registry builds the same policy the enum factory does.
+      ASSERT_TRUE(by_name.ok()) << name;
       EXPECT_EQ((*by_name)->name(), MakeScheduler(kind, cache)->name()) << name;
+      ++pairs;
     }
   }
-  EXPECT_GE(PolicyRegistry::Global().List().size(), 15u);
+  EXPECT_EQ(pairs, 15);
+  EXPECT_EQ(PolicyName(SchedulerKind::kGavel, CacheSystem::kAlluxioLfu), "gavel+alluxio-lfu");
 }
 
-TEST(PolicyRegistry, UnknownNameListsKnownPolicies) {
-  EXPECT_FALSE(PolicyRegistry::Global().Contains("lifo+silod"));
-  const Result<std::shared_ptr<Scheduler>> made = MakeSchedulerByName("lifo+silod");
-  ASSERT_FALSE(made.ok());
-  EXPECT_NE(made.status().ToString().find("fifo+silod"), std::string::npos)
-      << made.status().ToString();
+TEST(PolicyName, RejectsMalformedNamesListingEveryPolicy) {
+  for (const char* name :
+       {"", "fifo", "fifo+", "+silod", "fifo+silod+x", "FIFO+SiloD", "lifo+silod", "fifo silod",
+        "fifo+silod "}) {
+    const Result<std::pair<SchedulerKind, CacheSystem>> parsed = ParsePolicyName(name);
+    ASSERT_FALSE(parsed.ok()) << "'" << name << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kNotFound) << name;
+    for (const std::string& known : AllPolicyNames()) {
+      EXPECT_NE(parsed.status().message().find(known), std::string::npos) << known;
+    }
+    EXPECT_FALSE(MakeSchedulerByName(name).ok()) << name;
+  }
 }
 
-TEST(PolicyRegistry, RejectsDuplicateRegistration) {
-  const Status again = PolicyRegistry::Global().Register(
-      "fifo+silod", "dup", [](const SchedulerOptions& options) {
-        return MakeScheduler(SchedulerKind::kFifo, CacheSystem::kSiloD, options);
-      });
-  EXPECT_FALSE(again.ok());
+TEST(PolicyName, AllPolicyNamesAreFifteenSortedAndParse) {
+  const std::vector<std::string> names = AllPolicyNames();
+  EXPECT_EQ(names.size(), 15u);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  EXPECT_EQ(names.front(), "fifo+alluxio");
+  EXPECT_EQ(names.back(), "sjf+silod");
+  for (const std::string& name : names) {
+    EXPECT_TRUE(ParsePolicyName(name).ok()) << name;
+  }
 }
 
-TEST(PolicyRegistry, NamedPolicyRunsIdenticallyToEnumPair) {
+TEST(PolicyName, DisplayNamesLabelThePaperTables) {
+  EXPECT_STREQ(SchedulerKindName(SchedulerKind::kGavel), "Gavel");
+  EXPECT_STREQ(CacheSystemName(CacheSystem::kAlluxioLfu), "Alluxio-LFU");
+  EXPECT_STREQ(CacheSystemName(CacheSystem::kCoorDl), "CoorDL");
+}
+
+TEST(PolicyName, NamedPolicyRunsIdenticallyToEnumPair) {
   const ModelZoo zoo;
   Trace trace;
   const DatasetId d = trace.catalog.Add("x", GB(5), MB(16));
@@ -273,14 +294,13 @@ TEST(PolicyRegistry, NamedPolicyRunsIdenticallyToEnumPair) {
   trace.jobs.push_back(MakeJob(1, zoo, "BERT", 2, d, Hours(1), 60));
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kSjf;
-  config.cache = CacheSystem::kSiloD;
   config.sim.resources.total_gpus = 4;
   config.sim.resources.total_cache = GB(5);
   config.sim.resources.remote_io = MBps(200);
-  const SimResult via_enum = RunExperiment(trace, config);
+  const SimResult via_enum =
+      RunExperimentWith(trace, MakeScheduler(SchedulerKind::kSjf, CacheSystem::kSiloD), config);
 
-  config.policy = "sjf+silod";  // Overrides the enum pair.
+  config.policy = "sjf+silod";
   const SimResult via_name = RunExperiment(trace, config);
   EXPECT_TRUE(PhysicallyIdentical(via_enum, via_name));
 }

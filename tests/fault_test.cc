@@ -583,8 +583,7 @@ TEST(EngineFaults, EveryJobCompletesUnderHeavyChurnOnBothEngines) {
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     for (const CacheSystem cache : {CacheSystem::kSiloD, CacheSystem::kCoorDl}) {
       ExperimentConfig config;
-      config.scheduler = SchedulerKind::kFifo;
-      config.cache = cache;
+      config.policy = PolicyName(SchedulerKind::kFifo, cache);
       config.sim = ChurnCluster();
       config.sim.faults = HeavyChurn(kJobs);
       config.engine = engine;
@@ -616,7 +615,7 @@ TEST(EngineFaults, EveryJobCompletesUnderHeavyChurnOnBothEngines) {
 TEST(EngineFaults, ChurnRunsAreDeterministic) {
   const Trace trace = ChurnTrace(8);
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = ChurnCluster();
   config.sim.faults = HeavyChurn(8);
   config.engine = EngineKind::kFine;
@@ -643,7 +642,7 @@ TEST(EngineFaults, DegradeWindowSlowsRemoteBoundJob) {
 
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = sim;
     config.engine = engine;
     const SimResult baseline = RunExperiment(trace, config);
@@ -679,7 +678,7 @@ TEST(EngineFaults, WorkerCrashDelaysThatJobOnly) {
   sim.reschedule_period = 10;
 
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = sim;
   config.engine = EngineKind::kFine;
   const SimResult baseline = RunExperiment(trace, config);
@@ -723,7 +722,7 @@ TEST(EngineFaults, FineEngineBlockAccountingIsExactUnderEveryRestartPolicy) {
   for (const char* spec :
        {"checkpoint-everything", "lose-partial-epoch", "checkpoint-interval:7"}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = ChurnCluster();
     config.sim.faults = GenerateFaultPlan(churn);
     config.sim.restart_cost = *RestartCost::Parse(spec);
@@ -771,7 +770,7 @@ TEST(EngineFaults, FlowEngineChargesExactlyTheRefetchedBytes) {
 
   auto run = [&](const char* spec) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = sim;
     config.sim.restart_cost = *RestartCost::Parse(spec);
     config.engine = EngineKind::kFlow;
@@ -814,7 +813,7 @@ TEST(EngineFaults, ZonalChurnIsDeterministicOnBothEngines) {
 
   for (const EngineKind engine : {EngineKind::kFine, EngineKind::kFlow}) {
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = ChurnCluster();
     config.sim.faults = GenerateFaultPlan(churn);
     config.engine = engine;
@@ -901,7 +900,7 @@ TEST(EngineFaults, ChurnResultsMatchPinnedDigests) {
       for (int z = 0; z < 2; ++z) {
         for (int p = 0; p < 3; ++p) {
           ExperimentConfig config;
-          config.cache = kCaches[c];
+          config.policy = PolicyName(SchedulerKind::kFifo, kCaches[c]);
           config.sim = ChurnCluster();
           config.sim.faults = plan;
           config.sim.restart_cost = *RestartCost::Parse(kPolicies[p]);

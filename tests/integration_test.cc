@@ -7,7 +7,7 @@
 #include <map>
 
 #include "src/common/units.h"
-#include "src/core/silod_scheduler.h"
+#include "src/core/policy_registry.h"
 #include "src/core/system.h"
 #include "src/estimator/ioperf.h"
 
@@ -49,8 +49,7 @@ SimResult RunMicro(CacheSystem cache, EngineKind engine,
                    SchedulerKind scheduler = SchedulerKind::kFifo) {
   const Trace trace = ScaledMicroTrace();
   ExperimentConfig config;
-  config.scheduler = scheduler;
-  config.cache = cache;
+  config.policy = PolicyName(scheduler, cache);
   config.sim = ScaledMicroCluster();
   config.engine = engine;
   return RunExperiment(trace, config);
@@ -105,7 +104,7 @@ TEST(Integration, EstimatorErrorWithinThreePercent) {
     trace.jobs.push_back(job);
 
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.engine = EngineKind::kFine;
     config.sim.resources.total_gpus = 1;
     config.sim.resources.total_cache = static_cast<Bytes>(cache_frac * static_cast<double>(d));
@@ -130,12 +129,12 @@ TEST(Integration, BandwidthSweepNarrowsTheGap) {
   for (const double egress : {5.0, 20.0, 400.0}) {
     const Trace trace = ScaledMicroTrace();
     ExperimentConfig config;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "fifo+silod";
     config.sim = ScaledMicroCluster();
     config.sim.resources.remote_io = MBps(egress);
     config.engine = EngineKind::kFlow;
     const double silod = RunExperiment(trace, config).AvgJctSeconds();
-    config.cache = CacheSystem::kAlluxio;
+    config.policy = "fifo+alluxio";
     const double alluxio = RunExperiment(trace, config).AvgJctSeconds();
     gain[egress] = alluxio / silod;
   }
@@ -163,8 +162,7 @@ TEST(Integration, FasterGpusWidenTheGap) {
     add("ResNet-50", GB(65), 13);
     add("EfficientNetB1", GB(65), 10);
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kGavel;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "gavel+silod";
     config.sim = ScaledMicroCluster();
     // At 1x the 300 MB/s egress covers the aggregate demand (297 MB/s): no
     // bottleneck, so the cache system barely matters.  At 4x the demand
@@ -172,7 +170,7 @@ TEST(Integration, FasterGpusWidenTheGap) {
     config.sim.resources.remote_io = MBps(300);
     config.engine = EngineKind::kFlow;
     const double silod = RunExperiment(trace, config).AvgJctSeconds();
-    config.cache = CacheSystem::kQuiver;
+    config.policy = "gavel+quiver";
     const double quiver = RunExperiment(trace, config).AvgJctSeconds();
     gain[scale] = quiver / silod;
   }
@@ -195,8 +193,7 @@ TEST(Integration, FairnessOrderingUnderGavel) {
 
   const Trace trace = ScaledMicroTrace();
   ExperimentConfig ablation;
-  ablation.scheduler = SchedulerKind::kGavel;
-  ablation.cache = CacheSystem::kSiloD;
+  ablation.policy = "gavel+silod";
   ablation.scheduler_options.manage_remote_io = false;
   ablation.sim = ScaledMicroCluster();
   ablation.engine = EngineKind::kFlow;
@@ -216,8 +213,7 @@ TEST(Integration, DatasetSharingHelps) {
     options.seed = 21;
     const Trace trace = TraceGenerator(options).Generate();
     ExperimentConfig config;
-    config.scheduler = SchedulerKind::kSjf;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = "sjf+silod";
     config.sim.resources.total_gpus = 16;
     config.sim.resources.total_cache = TB(1);
     config.sim.resources.remote_io = MBps(100);
@@ -244,7 +240,7 @@ TEST(Integration, CurriculumMakesLruMatchUniform) {
     job.regular = false;
     trace.jobs.push_back(job);
     ExperimentConfig config;
-    config.cache = cache;
+    config.policy = PolicyName(SchedulerKind::kFifo, cache);
     config.engine = EngineKind::kFine;
     config.sim.resources.total_gpus = 1;
     config.sim.resources.total_cache = GB(5);

@@ -59,8 +59,7 @@ TEST_P(InvariantSweep, PhysicalInvariantsHold) {
   const SimConfig sim = SweepCluster();
 
   ExperimentConfig config;
-  config.scheduler = scheduler;
-  config.cache = cache;
+  config.policy = PolicyName(scheduler, cache);
   config.sim = sim;
   config.engine = engine;
   const SimResult result = RunExperiment(trace, config);
@@ -101,8 +100,7 @@ TEST_P(InvariantSweep, DeterministicAcrossRuns) {
   const auto& [scheduler, cache, engine] = GetParam();
   const Trace trace = MakeSweepTrace();
   ExperimentConfig config;
-  config.scheduler = scheduler;
-  config.cache = cache;
+  config.policy = PolicyName(scheduler, cache);
   config.sim = SweepCluster();
   config.engine = engine;
   const SimResult a = RunExperiment(trace, config);
@@ -135,7 +133,7 @@ TEST(PrefetchInvariants, ConservationWithPrefetchEnabled) {
   options.seed = 81;
   const Trace trace = TraceGenerator(options).Generate();
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim.resources.total_gpus = 8;  // Queueing so prefetch has targets.
   config.sim.resources.total_cache = TB(8);
   config.sim.resources.remote_io = MBps(400);
@@ -165,8 +163,7 @@ TEST_P(ObjectiveInvariantSweep, PhysicalInvariantsHold) {
   options.seed = 78;
   const Trace trace = TraceGenerator(options).Generate();
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kGavel;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "gavel+silod";
   config.scheduler_options.gavel_objective = GetParam();
   config.sim.resources.total_gpus = 16;
   config.sim.resources.total_cache = TB(2);

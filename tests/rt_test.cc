@@ -14,7 +14,7 @@
 
 #include "src/common/framing.h"
 #include "src/common/units.h"
-#include "src/core/silod_scheduler.h"
+#include "src/core/policy_registry.h"
 #include "src/core/system.h"
 #include "src/fault/minidump.h"
 #include "src/rt/epoch_order.h"
@@ -645,7 +645,7 @@ TEST(RtClusterProcesses, FineEngineAndRtClusterAgreeOnFaultAccounting) {
   const RestartCost kCost = *RestartCost::Parse("checkpoint-interval:4");
 
   ExperimentConfig fine_config;
-  fine_config.cache = CacheSystem::kSiloD;
+  fine_config.policy = "fifo+silod";
   fine_config.engine = EngineKind::kFine;
   fine_config.sim.resources = TinyCluster(MB(8), MBps(100));
   fine_config.sim.faults = *FaultPlan::Parse(kPlan);

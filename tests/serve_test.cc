@@ -378,6 +378,11 @@ TEST(ServiceConfigTest, RejectsNegativeOrNonFiniteStorageResources) {
   }
   bad.push_back(SmallCluster("gavel+silod").resources);
   bad.back().total_cache = -1;
+  for (const int servers : {0, -2}) {
+    ClusterResources r = SmallCluster("gavel+silod").resources;
+    r.num_servers = servers;
+    bad.push_back(r);
+  }
   for (const ClusterResources& resources : bad) {
     ServiceConfig config = SmallCluster("gavel+silod");
     config.resources = resources;

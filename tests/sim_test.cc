@@ -10,7 +10,7 @@
 
 #include "src/common/digest.h"
 #include "src/common/units.h"
-#include "src/core/silod_scheduler.h"
+#include "src/core/policy_registry.h"
 #include "src/core/system.h"
 #include "src/sched/fifo.h"
 #include "src/sched/greedy.h"
@@ -75,8 +75,7 @@ SimConfig SmallCluster(Bytes cache, BytesPerSec egress) {
 double RunJct(const Trace& trace, EngineKind engine, CacheSystem cache, SimConfig sim,
               SchedulerKind scheduler = SchedulerKind::kFifo) {
   ExperimentConfig config;
-  config.scheduler = scheduler;
-  config.cache = cache;
+  config.policy = PolicyName(scheduler, cache);
   config.sim = sim;
   config.engine = engine;
   const SimResult result = RunExperiment(trace, config);
@@ -129,7 +128,7 @@ TEST(FlowEngine, RemoteIoUsageNeverExceedsEgress) {
   options.seed = 4;
   const Trace trace = TraceGenerator(options).Generate();
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = SmallCluster(TB(2), MBps(300));
   config.sim.resources.total_gpus = 16;
   const SimResult result = RunExperiment(trace, config);
@@ -147,7 +146,7 @@ TEST(FlowEngine, AllCacheSystemsCompleteAllJobs) {
   for (const CacheSystem cache : {CacheSystem::kSiloD, CacheSystem::kAlluxio,
                                   CacheSystem::kCoorDl, CacheSystem::kQuiver}) {
     ExperimentConfig config;
-    config.cache = cache;
+    config.policy = PolicyName(SchedulerKind::kFifo, cache);
     config.sim = SmallCluster(TB(1), MBps(200));
     config.sim.resources.total_gpus = 16;
     const SimResult result = RunExperiment(trace, config);
@@ -167,8 +166,7 @@ TEST(FlowEngine, SchedulersRespectArrivalCausality) {
   for (const SchedulerKind kind :
        {SchedulerKind::kFifo, SchedulerKind::kSjf, SchedulerKind::kGavel}) {
     ExperimentConfig config;
-    config.scheduler = kind;
-    config.cache = CacheSystem::kSiloD;
+    config.policy = PolicyName(kind, CacheSystem::kSiloD);
     config.sim = SmallCluster(TB(1), MBps(200));
     config.sim.resources.total_gpus = 16;
     const SimResult result = RunExperiment(trace, config);
@@ -182,7 +180,7 @@ TEST(FlowEngine, SchedulersRespectArrivalCausality) {
 TEST(FlowEngine, EffectiveCacheRampsUp) {
   const Trace trace = SingleJobTrace(4.0);
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = SmallCluster(GB(10), MBps(50));
   const SimResult result = RunExperiment(trace, config);
   // Cold at the start, fully effective near the end (Fig. 8's ramp).
@@ -249,7 +247,7 @@ TEST(FineEngine, TwoJobsShareEgressFairly) {
   trace.jobs = {j0, j1};
   // No cache, 40 MB/s egress: each runs at ~20 MB/s, both finish together.
   ExperimentConfig config;
-  config.cache = CacheSystem::kAlluxio;
+  config.policy = "fifo+alluxio";
   config.sim = SmallCluster(0, MBps(40));
   config.engine = EngineKind::kFine;
   const SimResult result = RunExperiment(trace, config);
@@ -301,7 +299,7 @@ TEST(FineEngine, StepResultsMatchPinnedDigests) {
   };
   for (const auto& [cache, pinned] : kPinned) {
     ExperimentConfig config;
-    config.cache = cache;
+    config.policy = PolicyName(SchedulerKind::kFifo, cache);
     config.sim = sim;
     config.engine = EngineKind::kFine;
     const SimResult result = RunExperiment(trace, config);
@@ -313,7 +311,7 @@ TEST(FineEngine, StepResultsMatchPinnedDigests) {
 TEST(FineEngine, StepCountersAccountForEveryBlock) {
   const Trace trace = SingleJobTrace(3.0);
   ExperimentConfig config;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = SmallCluster(GB(10), MBps(50));
   config.engine = EngineKind::kFine;
   const SimResult result = RunExperiment(trace, config);
@@ -340,7 +338,7 @@ TEST(FineEngine, CurriculumJobReportsEffectiveCacheUnderCoorDl) {
   trace.jobs.push_back(job);
 
   ExperimentConfig config;
-  config.cache = CacheSystem::kCoorDl;
+  config.policy = "fifo+coordl";
   config.sim = SmallCluster(GB(1), MBps(50));
   config.engine = EngineKind::kFine;
   config.fine.sample_period = 2.0;  // The run lasts ~1 min of sim time.
@@ -363,8 +361,7 @@ TEST(FineEngine, QueuedJobStartsAtPredecessorFinishNotNextTick) {
     trace.jobs.push_back(job);
   }
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = SmallCluster(GB(5), GBps(10));
   config.sim.resources.total_gpus = 1;  // The jobs must run back to back.
   config.engine = EngineKind::kFine;
@@ -401,7 +398,7 @@ TEST_P(EngineFidelityTest, FlowMatchesFine) {
 
   const SimConfig sim = SmallCluster(GB(20), MBps(20));
   ExperimentConfig config;
-  config.cache = GetParam();
+  config.policy = PolicyName(SchedulerKind::kFifo, GetParam());
   config.sim = sim;
 
   config.engine = EngineKind::kFine;
@@ -435,8 +432,7 @@ TEST(FlowEngine, ZoneCrashLossBoundedAndAttributedPerZone) {
   }
 
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kFifo;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "fifo+silod";
   config.sim = SmallCluster(GB(80), MBps(500));
   config.sim.resources.num_servers = 8;
   config.sim.faults = faults;
@@ -471,8 +467,7 @@ TEST(Heterogeneity, UniformTypedFleetBitIdenticalToUntyped) {
          {SchedulerKind::kFifo, SchedulerKind::kSjf, SchedulerKind::kGavel}) {
       ExperimentConfig config;
       config.engine = engine;
-      config.scheduler = scheduler;
-      config.cache = CacheSystem::kSiloD;
+      config.policy = PolicyName(scheduler, CacheSystem::kSiloD);
       config.sim = SmallCluster(GB(40), MBps(300));
       const SimResult untyped = RunExperiment(trace, config);
       config.sim.topology = *typed;
@@ -493,8 +488,7 @@ TEST(Heterogeneity, UniformTypedFleetBitIdenticalToUntyped) {
 TEST(Heterogeneity, PerTypeBreakdownPartitionsFinishedJobs) {
   const Trace trace = SeededMixTrace(/*num_jobs=*/48, /*seed=*/9);
   ExperimentConfig config;
-  config.scheduler = SchedulerKind::kSjf;
-  config.cache = CacheSystem::kSiloD;
+  config.policy = "sjf+silod";
   config.sim = SmallCluster(GB(40), MBps(300));
   const Result<ClusterTopology> typed =
       ClusterTopology::Parse("gpu-type name=v100 count=5 speed=1;gpu-type name=k80 count=3 speed=0.5");
@@ -550,7 +544,6 @@ TEST(Heterogeneity, SlowBoundJobTailRegressesUnderSjfNotFairness) {
 
   ExperimentConfig config;
   config.engine = EngineKind::kFlow;
-  config.cache = CacheSystem::kSiloD;
   config.sim = SmallCluster(TB(1), GBps(10));  // Compute-bound throughout.
   config.sim.resources.total_gpus = 2;
   config.sim.reschedule_period = Minutes(1);
@@ -559,9 +552,9 @@ TEST(Heterogeneity, SlowBoundJobTailRegressesUnderSjfNotFairness) {
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   config.sim.topology = *typed;
 
-  config.scheduler = SchedulerKind::kSjf;
+  config.policy = "sjf+silod";
   const SimResult sjf_result = RunExperiment(trace, config);
-  config.scheduler = SchedulerKind::kGavel;
+  config.policy = "gavel+silod";
   const SimResult gavel_result = RunExperiment(trace, config);
   const RunReport sjf = MakeRunReport("sjf", "flow", sjf_result);
   const RunReport gavel = MakeRunReport("gavel", "flow", gavel_result);
@@ -647,6 +640,16 @@ TEST(SimInputs, RejectsMalformedTraceAndTopology) {
   typed_sum.topology = *typed;
   EXPECT_TRUE(Mentions(ValidateSimInputs(SingleJobTrace(1), typed_sum),
                        "gpu-type counts sum to 6 but the cluster has 8 GPUs"));
+
+  // The fine engine's fabric used to abort on zero servers; the flow engine
+  // ran without any.
+  for (const int servers : {0, -3}) {
+    SimConfig serverless = config;
+    serverless.resources.num_servers = servers;
+    EXPECT_TRUE(Mentions(ValidateSimInputs(SingleJobTrace(1), serverless),
+                         "num_servers must be >= 1"))
+        << servers;
+  }
 
   EXPECT_TRUE(ValidateSimInputs(SingleJobTrace(1), config).ok());
 }

@@ -1,6 +1,7 @@
 // Unit tests for src/workload: datasets, model zoo, jobs, traces, curriculum.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <set>
@@ -188,6 +189,54 @@ TEST(TraceGen, GpuSpeedScaleRaisesIdealIo) {
   for (std::size_t i = 0; i < a.jobs.size(); ++i) {
     EXPECT_NEAR(b.jobs[i].ideal_io / a.jobs[i].ideal_io, 4.0, 1e-9);
   }
+}
+
+// Every option the CLI tools take from flags: each row is rejected up front,
+// where the generator used to abort (share_fraction, gpu_speed_scale,
+// max_duration) or draw a nonsense trace (a NaN or negative inter-arrival).
+TEST(TraceGen, ValidateTraceOptionsRejectsUndrawableOptions) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    void (*set)(TraceOptions*, double);
+    double value;
+  };
+  const Case cases[] = {
+      {"num_jobs", [](TraceOptions* o, double v) { o->num_jobs = static_cast<int>(v); }, 0},
+      {"num_jobs", [](TraceOptions* o, double v) { o->num_jobs = static_cast<int>(v); }, -2},
+      {"mean_interarrival", [](TraceOptions* o, double v) { o->mean_interarrival = v; }, -1},
+      {"mean_interarrival", [](TraceOptions* o, double v) { o->mean_interarrival = v; }, kNan},
+      {"mean_interarrival", [](TraceOptions* o, double v) { o->mean_interarrival = v; }, kInf},
+      {"median_duration", [](TraceOptions* o, double v) { o->median_duration = v; }, 0},
+      {"median_duration", [](TraceOptions* o, double v) { o->median_duration = v; }, -60},
+      {"median_duration", [](TraceOptions* o, double v) { o->median_duration = v; }, kNan},
+      {"duration_sigma", [](TraceOptions* o, double v) { o->duration_sigma = v; }, -0.5},
+      {"min_duration", [](TraceOptions* o, double v) { o->min_duration = v; }, 0},
+      {"max_duration", [](TraceOptions* o, double v) { o->max_duration = v; }, -Days(1)},
+      {"max_duration", [](TraceOptions* o, double v) { o->max_duration = v; }, Minutes(1)},
+      {"max_duration", [](TraceOptions* o, double v) { o->max_duration = v; }, kNan},
+      {"share_fraction", [](TraceOptions* o, double v) { o->share_fraction = v; }, 2},
+      {"share_fraction", [](TraceOptions* o, double v) { o->share_fraction = v; }, -0.1},
+      {"share_fraction", [](TraceOptions* o, double v) { o->share_fraction = v; }, kNan},
+      {"gpu_speed_scale", [](TraceOptions* o, double v) { o->gpu_speed_scale = v; }, 0},
+      {"gpu_speed_scale", [](TraceOptions* o, double v) { o->gpu_speed_scale = v; }, kInf},
+      {"block_size", [](TraceOptions* o, double v) { o->block_size = static_cast<Bytes>(v); }, 0},
+  };
+  for (const Case& c : cases) {
+    TraceOptions options;
+    c.set(&options, c.value);
+    const Status st = ValidateTraceOptions(options);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << c.field << "=" << c.value;
+    EXPECT_NE(st.message().find(c.field), std::string::npos) << st.ToString();
+  }
+  // The edges the defaults and the benches use stay valid.
+  TraceOptions edges;
+  edges.mean_interarrival = 0;  // Everything submitted at t = 0.
+  edges.share_fraction = 1;
+  edges.max_duration = edges.min_duration;
+  EXPECT_TRUE(ValidateTraceOptions(edges).ok());
+  EXPECT_TRUE(ValidateTraceOptions(TraceOptions{}).ok());
 }
 
 TEST(TraceGen, MicrobenchmarkTraceMatchesPaper) {

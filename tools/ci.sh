@@ -73,12 +73,17 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # schedule with every job completing; fails on any lost job.  Bad inputs
   # must exit 2 up front: a gang wider than the cluster, --jobs=0, a numeric
   # flag with trailing junk (--gpus=16x), a trace row with ideal_io_bps=nan
-  # (both engines), and a gpu-type count with trailing junk (count=8x; the
-  # same spec with count=8 must run).
+  # (both engines), trace options no trace can be drawn from (--share=2,
+  # --gpu-speed=0), zero cache servers, an unknown policy name, and a
+  # gpu-type count with trailing junk (count=8x; the same spec with count=8
+  # must run).  silod_client --serve-trace --jobs=0 must fail on the trace
+  # options before it dials the (missing) daemon socket, and silodd
+  # --servers=0 must refuse to start.
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
-  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim
+  cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim silod_client \
+      silodd
   echo "=== [smoke] run ==="
   ./build-ci-smoke/bench/bench_fault_churn --smoke build-ci-smoke/BENCH_fault_churn.json
   wide_trace="build-ci-smoke/wide_job_trace.csv"
@@ -90,10 +95,22 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   for args in "--engine=fine --trace=$wide_trace --gpus=16" \
               "--engine=flow --trace=$wide_trace --gpus=16" "--jobs=0" "--gpus=16x" \
               "--engine=fine --trace=$nan_trace --gpus=64" \
-              "--engine=flow --trace=$nan_trace --gpus=64"; do
+              "--engine=flow --trace=$nan_trace --gpus=64" "--share=2" "--gpu-speed=0" \
+              "--engine=fine --servers=0" "--policy=lifo+silod"; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim $args >/dev/null 2>&1 || rc=$?
     [[ "$rc" == 2 ]] || { echo "smoke: silod_sim $args exited $rc, want 2"; exit 1; }
   done
+  missing_socket="build-ci-smoke/no-such-silodd.sock"
+  rm -f "$missing_socket"
+  rc=0; timeout 60 ./build-ci-smoke/tools/silod_client --socket="$missing_socket" \
+      --serve-trace --jobs=0 >/dev/null 2>build-ci-smoke/client.err || rc=$?
+  [[ "$rc" == 2 ]] && grep -q 'num_jobs' build-ci-smoke/client.err \
+      && ! grep -q 'connect' build-ci-smoke/client.err \
+      || { echo "smoke: silod_client --serve-trace --jobs=0 exited $rc, want 2 before connecting"; exit 1; }
+  rc=0; timeout 60 ./build-ci-smoke/tools/silodd --socket="$missing_socket" --servers=0 \
+      >/dev/null 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || { echo "smoke: silodd --servers=0 exited $rc, want 2"; exit 1; }
+  [[ ! -e "$missing_socket" ]] || { echo "smoke: silodd --servers=0 bound its socket"; exit 1; }
   for count in 8x 8; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim --gpus=8 \
         --topology="gpu-type name=v100 count=$count speed=1" >/dev/null 2>&1 || rc=$?

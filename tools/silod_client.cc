@@ -167,6 +167,10 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
     options.median_duration = Minutes(flags.GetDouble("median-duration-min"));
     options.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+    if (const Status st = ValidateTraceOptions(options); !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+      return 2;
+    }
     trace = TraceGenerator(options).Generate();
   }
 
@@ -189,6 +193,12 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
       return 2;
     }
     config.topology = *std::move(topology);
+  }
+  // The batch engine's input contract (sim/cluster.h): exit 2 before the
+  // first request instead of aborting in the engine.
+  if (const Status st = ValidateSimInputs(trace, config); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
   }
   const std::string policy = flags.GetString("policy");
   SchedulerOptions scheduler_options;

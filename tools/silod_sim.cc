@@ -1,7 +1,7 @@
 // silod_sim: command-line cluster simulator.
 //
-//   silod_sim --gpus=96 --cache-tb=7.2 --egress-gbps=8 --scheduler=gavel
-//             --cache-system=silod --jobs=300
+//   silod_sim --gpus=96 --cache-tb=7.2 --egress-gbps=8 --policy=gavel+silod
+//             --jobs=300
 //
 // Runs one (scheduler, cache system) configuration over a generated or
 // imported trace and prints the paper's metrics; optionally dumps the trace
@@ -13,7 +13,6 @@
 #include "src/common/table.h"
 #include "src/common/topology.h"
 #include "src/core/policy_registry.h"
-#include "src/core/silod_scheduler.h"
 #include "src/core/system.h"
 #include "src/fault/fault_plan.h"
 #include "src/rt/rt_cluster.h"
@@ -24,36 +23,6 @@
 using namespace silod;
 
 namespace {
-
-Result<SchedulerKind> ParseScheduler(const std::string& name) {
-  if (name == "fifo") {
-    return SchedulerKind::kFifo;
-  }
-  if (name == "sjf") {
-    return SchedulerKind::kSjf;
-  }
-  if (name == "gavel") {
-    return SchedulerKind::kGavel;
-  }
-  return Status::InvalidArgument("unknown scheduler: " + name + " (fifo|sjf|gavel)");
-}
-
-Result<CacheSystem> ParseCacheSystem(const std::string& name) {
-  if (name == "silod") {
-    return CacheSystem::kSiloD;
-  }
-  if (name == "alluxio") {
-    return CacheSystem::kAlluxio;
-  }
-  if (name == "coordl") {
-    return CacheSystem::kCoorDl;
-  }
-  if (name == "quiver") {
-    return CacheSystem::kQuiver;
-  }
-  return Status::InvalidArgument("unknown cache system: " + name +
-                                 " (silod|alluxio|coordl|quiver)");
-}
 
 // Merges the fault plan's declared zones into one list, rejecting two
 // declarations of the same name with different server ranges.
@@ -117,11 +86,9 @@ int main(int argc, char** argv) {
   flags.Define("egress-gbps", "8", "remote storage egress limit (Gbps)");
   flags.Define("per-job-cap-mbps", "0", "per-job provider cap in MB/s (0 = none)");
   flags.Define("servers", "24", "number of cache servers");
-  flags.Define("scheduler", "fifo", "fifo | sjf | gavel");
-  flags.Define("cache-system", "silod", "silod | alluxio | coordl | quiver");
-  flags.Define("policy", "",
-               "registry policy name, e.g. \"sjf+silod\" or \"gavel+coordl\" "
-               "(overrides --scheduler/--cache-system)");
+  flags.Define("policy", "fifo+silod",
+               "\"<scheduler>+<cache>\" policy pair, scheduler fifo | sjf | gavel, cache "
+               "silod | alluxio | alluxio-lfu | coordl | quiver");
   flags.Define("engine", "flow", "flow | fine | rt (rt runs a scaled-down wall-clock cluster)");
   flags.Define("manage-remote-io", "true", "SiloD throttles remote IO (ablation: false)");
   flags.Define("jobs", "300", "jobs to generate (ignored with --trace)");
@@ -205,11 +172,6 @@ int main(int argc, char** argv) {
     }
     trace = std::move(loaded).value();
   } else {
-    if (flags.GetInt("jobs") < 1) {
-      std::fprintf(stderr, "--jobs: %lld is not a positive job count\n",
-                   static_cast<long long>(flags.GetInt("jobs")));
-      return 2;
-    }
     TraceOptions options;
     options.num_jobs = static_cast<int>(flags.GetInt("jobs"));
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
@@ -218,6 +180,10 @@ int main(int argc, char** argv) {
     options.share_fraction = flags.GetDouble("share");
     options.gpu_speed_scale = flags.GetDouble("gpu-speed");
     options.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+    if (const Status st = ValidateTraceOptions(options); !st.ok()) {
+      std::fprintf(stderr, "%s\n", st.message().c_str());
+      return 2;
+    }
     trace = TraceGenerator(options).Generate();
   }
   if (!flags.GetString("dump-trace").empty()) {
@@ -228,24 +194,12 @@ int main(int argc, char** argv) {
   }
 
   // Configuration.
-  const Result<SchedulerKind> scheduler = ParseScheduler(flags.GetString("scheduler"));
-  const Result<CacheSystem> cache = ParseCacheSystem(flags.GetString("cache-system"));
-  if (!scheduler.ok() || !cache.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 (!scheduler.ok() ? scheduler.status() : cache.status()).ToString().c_str());
-    return 2;
-  }
   ExperimentConfig config;
-  config.scheduler = *scheduler;
-  config.cache = *cache;
-  if (!flags.GetString("policy").empty()) {
-    const std::string& name = flags.GetString("policy");
-    if (!PolicyRegistry::Global().Contains(name)) {
-      std::fprintf(stderr, "--policy: unknown policy \"%s\"; known: %s\n", name.c_str(),
-                   PolicyRegistry::Global().KnownNames().c_str());
-      return 2;
-    }
-    config.policy = name;
+  config.policy = flags.GetString("policy");
+  const Result<std::pair<SchedulerKind, CacheSystem>> policy = ParsePolicyName(config.policy);
+  if (!policy.ok()) {
+    std::fprintf(stderr, "--policy: %s\n", policy.status().message().c_str());
+    return 2;
   }
   config.scheduler_options.manage_remote_io = flags.GetBool("manage-remote-io");
   config.sim.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
@@ -458,19 +412,6 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    std::shared_ptr<Scheduler> rt_scheduler;
-    if (!config.policy.empty()) {
-      Result<std::shared_ptr<Scheduler>> made =
-          MakeSchedulerByName(config.policy, config.scheduler_options);
-      if (!made.ok()) {
-        std::fprintf(stderr, "--policy: %s\n", made.status().ToString().c_str());
-        return 2;
-      }
-      rt_scheduler = *made;
-    } else {
-      rt_scheduler = MakeScheduler(config.scheduler, config.cache, config.scheduler_options);
-    }
-
     RtOptions rt_options;
     rt_options.faults = config.sim.faults;
     rt_options.restart_cost = config.sim.restart_cost;
@@ -481,10 +422,12 @@ int main(int argc, char** argv) {
 
     std::printf("Running %s over %d rt jobs on %d GPUs / %.1f TB cache / %.1f Gbps egress "
                 "(%s workers)\n",
-                config.Name().c_str(), rt_jobs, config.sim.resources.total_gpus,
+                config.policy.c_str(), rt_jobs, config.sim.resources.total_gpus,
                 ToTB(config.sim.resources.total_cache), ToGbps(config.sim.resources.remote_io),
                 rt_options.workers_processes ? "process" : "thread");
-    RtCluster cluster(&rt_trace, std::move(rt_scheduler), config.sim.resources, rt_options);
+    RtCluster cluster(&rt_trace,
+                      MakeScheduler(policy->first, policy->second, config.scheduler_options),
+                      config.sim.resources, rt_options);
     const RtResult rt = cluster.Run();
 
     bool invariant_ok = true;
@@ -519,7 +462,7 @@ int main(int argc, char** argv) {
     }
 
     if (!flags.GetString("json").empty()) {
-      RunReport report = MakeRtRunReport(config.Name(), rt);
+      RunReport report = MakeRtRunReport(config.policy, rt);
       if (!config.sim.topology.empty() || config.sim.topology.has_gpu_types()) {
         report.AddExtra("topology", config.sim.topology.ToSpec());
       }
@@ -538,11 +481,11 @@ int main(int argc, char** argv) {
   }
   std::printf("Running %s over %zu jobs on %d GPUs / %.1f TB cache / %.1f Gbps egress (%s "
               "engine)\n",
-              config.Name().c_str(), trace.jobs.size(), config.sim.resources.total_gpus,
+              config.policy.c_str(), trace.jobs.size(), config.sim.resources.total_gpus,
               ToTB(config.sim.resources.total_cache), ToGbps(config.sim.resources.remote_io),
               flags.GetString("engine").c_str());
   const SimResult result = RunExperiment(trace, config);
-  RunReport report = MakeRunReport(config.Name(), flags.GetString("engine"), result);
+  RunReport report = MakeRunReport(config.policy, flags.GetString("engine"), result);
 
   Table summary({"metric", "value"});
   summary.AddRow({"avg JCT (min)", Fmt(report.jct.avg_jct_min)});

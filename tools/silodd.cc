@@ -7,7 +7,7 @@
 // A single-process event-loop daemon: clients submit/complete/cancel jobs
 // over a Unix-domain socket (serve/proto.h framing) and the daemon keeps an
 // always-current AllocationPlan via the incremental planner (epoch-batched
-// full re-solves of the registry scheduler), with admission control in front
+// full re-solves of the named policy's scheduler), with admission control in front
 // of the scheduler.  Drive it with silod_client.
 //
 // Crash safety (docs/MODEL.md §12): with --journal, every mutating request
