@@ -2,11 +2,15 @@
 // stepping as the trace grows from 64 to 100k jobs.
 //
 // Each row records its event count and the ResultDigest (sim/metrics.h) of
-// its run.  With --baseline=PATH the run fails (exit 1) when a row of the
-// committed BENCH_engine_scaling.json has a different digest or event count
-// (exact: the simulation is deterministic, so any change is a change of
-// physics or of stepping), or when its events/sec dropped by more than
-// --max-regress (default 0.3).  Rows absent from the baseline pass.  A
+// its run.  With --baseline=PATH the run fails (exit 1, a "FAIL:" line per
+// failure) when a row has a different digest or event count than the
+// committed BENCH_engine_scaling.json (exact: the simulation is
+// deterministic, so any change is a change of physics or of stepping), or
+// when its events/sec dropped by more than --max-regress (default 0.3).  It
+// also fails, before or instead of comparing, on a baseline that does not
+// parse or is not an "engine_scaling" report, on a row the baseline lacks,
+// and on a baseline row without a string "digest" or a numeric "events" or
+// "calendar_events_per_s".  Baseline rows the run did not produce pass.  A
 // --sizes entry that is not a positive integer, or a --max-regress that is
 // negative or not finite, exits 2.
 //
@@ -19,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,33 +121,39 @@ RunStats TimeRunBest(const Trace& trace, const SimConfig& sim, int repeats, SimR
   return best;
 }
 
-// Gates one row against a committed baseline: its digest and event count
-// must match exactly, and its events/sec may not drop by more than
-// `max_regress`.  Rows the baseline does not have pass.  Prints each
-// failure and returns false if there was one.
-bool CheckBaseline(const std::string& json, const std::string& label, const std::string& digest,
+// Gates one row against a committed baseline: the baseline must have the
+// row, its digest and event count must match exactly, and its events/sec may
+// not drop by more than `max_regress`.  Prints each failure and returns false
+// if there was one.
+bool CheckBaseline(const Baseline& baseline, const std::string& label, const std::string& digest,
                    const std::string& events, double events_per_s, double max_regress) {
-  if (!HasBaselineEntry(json, "label", label)) {
-    return true;
+  const Result<const JsonValue*> row =
+      baseline.Row(label, {{"digest", JsonValue::Kind::kString},
+                           {"events", JsonValue::Kind::kNumber},
+                           {"calendar_events_per_s", JsonValue::Kind::kNumber}});
+  if (!row.ok()) {
+    std::fprintf(stderr, "FAIL: %s\n", row.status().message().c_str());
+    return false;
   }
   bool ok = true;
-  const std::string base_digest = BaselineField(json, "label", label, "digest");
+  const std::string& base_digest = (*row)->Find("digest")->text();
   if (base_digest != digest) {
     std::fprintf(stderr, "FAIL: %s result digest %s, baseline %s\n", label.c_str(),
                  digest.c_str(), base_digest.c_str());
     ok = false;
   }
-  const std::string base_events = BaselineField(json, "label", label, "events");
+  // Exact: the number's source token against the count's decimal digits.
+  const std::string& base_events = (*row)->Find("events")->text();
   if (base_events != events) {
     std::fprintf(stderr, "FAIL: %s stepped %s events, baseline %s\n", label.c_str(),
                  events.c_str(), base_events.c_str());
     ok = false;
   }
-  const Result<double> base =
-      ParseDouble(BaselineField(json, "label", label, "calendar_events_per_s"));
-  if (base.ok() && *base > 0 && events_per_s < (1.0 - max_regress) * *base) {
+  // The reader has parsed every number token, so this parse cannot fail.
+  const double base = *ParseDouble((*row)->Find("calendar_events_per_s")->text());
+  if (base > 0 && events_per_s < (1.0 - max_regress) * base) {
     std::fprintf(stderr, "FAIL: %s regressed: %.0f ev/s vs baseline %.0f (-%.0f%%)\n",
-                 label.c_str(), events_per_s, *base, 100.0 * (1.0 - events_per_s / *base));
+                 label.c_str(), events_per_s, base, 100.0 * (1.0 - events_per_s / base));
     ok = false;
   }
   return ok;
@@ -179,14 +190,14 @@ int main(int argc, char** argv) {
   }
   const std::string out_path = flags.GetString("out");
 
-  std::string baseline_json;
+  std::optional<Baseline> baseline;
   if (const std::string path = flags.GetString("baseline"); !path.empty()) {
-    Result<std::string> text = ReadBaseline(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "FAIL: %s\n", text.status().ToString().c_str());
+    Result<Baseline> loaded = Baseline::Load(path, "engine_scaling", "runs", "label");
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", loaded.status().message().c_str());
       return 1;
     }
-    baseline_json = *std::move(text);
+    baseline = *std::move(loaded);
   }
 
   Table table({"jobs", "events", "ev/s", "digest"});
@@ -199,12 +210,12 @@ int main(int argc, char** argv) {
     const std::string digest = FormatDigest(ResultDigest(result));
     const std::string events = std::to_string(stats.steps);
     table.AddRow({row, events, Fmt(stats.events_per_s), digest});
-    report.extra.emplace_back("events", events);
+    report.AddExtra("events", static_cast<std::int64_t>(stats.steps));
     report.AddExtra("digest", digest);
     report.AddExtra("calendar_wall_s", stats.wall_s);
     report.AddExtra("calendar_events_per_s", stats.events_per_s);
-    if (!baseline_json.empty()) {
-      failed = !CheckBaseline(baseline_json, report.label, digest, events, stats.events_per_s,
+    if (baseline) {
+      failed = !CheckBaseline(*baseline, report.label, digest, events, stats.events_per_s,
                               *max_regress) ||
                failed;
     }
@@ -236,12 +247,12 @@ int main(int argc, char** argv) {
   }
 
   table.Print();
-  std::vector<std::pair<std::string, std::string>> header;
+  JsonValue header = JsonValue::Object();
   // The calendar path's throughput at 10k jobs before the arena/batching
   // rework, same recipe and seed — the denominator of the speedup this
   // harness exists to protect.
-  header.emplace_back("pre_pr_calendar_events_per_s_10k", "94581.3");
-  header.emplace_back("sizes", "\"" + flags.GetString("sizes") + "\"");
+  header.Set("pre_pr_calendar_events_per_s_10k", JsonValue::Number(94581.3))
+      .Set("sizes", JsonValue::String(flags.GetString("sizes")));
   std::ofstream(out_path) << ReportsToJson("engine_scaling", header, runs);
   std::printf("wrote %s\n", out_path.c_str());
   return failed ? 1 : 0;

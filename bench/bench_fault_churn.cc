@@ -25,15 +25,18 @@
 // bound genuinely moves bytes at zero total-cache cost — and asserts the
 // zone-aware run loses strictly fewer cached bytes with no-worse avg JCT.
 //
-// Emits BENCH_fault_churn.json (RunReport schema, sim/metrics.h).  `--smoke`
-// shrinks the sweep for CI (<30 s).
+//   bench_fault_churn [--smoke] [--out=PATH]
+//
+// Writes the sweep to --out (default BENCH_fault_churn.json; RunReport
+// schema, sim/metrics.h).  --smoke shrinks the sweep for CI (<30 s).  An
+// unknown flag or a stray argument exits 2.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/table.h"
 #include "src/common/topology.h"
@@ -91,15 +94,19 @@ bool AllCompleted(const SimResult& result, int num_jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_fault_churn.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      out_path = argv[i];
-    }
+  FlagSet flags;
+  flags.Define("smoke", "false", "shrink the sweep for CI");
+  flags.Define("out", "BENCH_fault_churn.json", "report path");
+  Status status = flags.Parse(argc, argv);
+  if (status.ok() && !flags.positional().empty()) {
+    status = Status::InvalidArgument("unexpected argument '" + flags.positional()[0] + "'");
   }
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n%s", status.ToString().c_str(), flags.Help(argv[0]).c_str());
+    return 2;
+  }
+  const bool smoke = flags.GetBool("smoke");
+  const std::string out_path = flags.GetString("out");
 
   const int num_jobs = smoke ? 16 : 40;
   const std::vector<double> rates = smoke ? std::vector<double>{0, 4}
@@ -109,6 +116,16 @@ int main(int argc, char** argv) {
   const Trace trace = ChurnTrace(num_jobs, /*seed=*/11);
 
   std::vector<RunReport> runs;
+  Table table({"label", "crashes/hr", "makespan (min)", "avg JCT (min)", "p95 JCT (min)",
+               "p99 JCT (min)", "srv crashes", "blocks lost", "bytes lost (MB)", "completed"});
+  // Records one run: a table row and a report.
+  const auto add_run = [&](RunReport r, double rate) {
+    table.AddRow({r.label, FormatShortest(rate), Fmt(r.makespan_min), Fmt(r.jct.avg_jct_min),
+                  Fmt(r.jct.p95_jct_min), Fmt(r.jct.p99_jct_min),
+                  std::to_string(r.faults.server_crashes), std::to_string(r.faults.blocks_lost),
+                  Fmt(r.faults.bytes_lost / 1e6), r.unfinished_jobs == 0 ? "yes" : "NO"});
+    runs.push_back(std::move(r));
+  };
   bool ok = true;
 
   // --- Sweep 1: cache system x failure shape x crash rate -------------------
@@ -139,7 +156,7 @@ int main(int argc, char** argv) {
         const bool completed = AllCompleted(result, num_jobs);
         report.AddExtra("all_completed", completed);
         ok = ok && completed && report.makespan_min > 0;
-        runs.push_back(std::move(report));
+        add_run(std::move(report), rate);
       }
     }
   }
@@ -193,19 +210,11 @@ int main(int argc, char** argv) {
         pair.oblivious_bytes = result.faults.bytes_lost;
         pair.oblivious_jct = result.AvgJctMinutes();
       }
-      runs.push_back(std::move(report));
+      add_run(std::move(report), rate);
     }
     pairs.push_back(pair);
   }
 
-  Table table({"label", "crashes/hr", "makespan (min)", "avg JCT (min)", "p95 JCT (min)",
-               "p99 JCT (min)", "srv crashes", "blocks lost", "bytes lost (MB)", "completed"});
-  for (const RunReport& r : runs) {
-    table.AddRow({r.label, r.extra[2].second, Fmt(r.makespan_min), Fmt(r.jct.avg_jct_min),
-                  Fmt(r.jct.p95_jct_min), Fmt(r.jct.p99_jct_min),
-                  std::to_string(r.faults.server_crashes), std::to_string(r.faults.blocks_lost),
-                  Fmt(r.faults.bytes_lost / 1e6), r.unfinished_jobs == 0 ? "yes" : "NO"});
-  }
   table.Print();
 
   // The tentpole claim: at equal cache totals and equal crash schedules,
@@ -226,8 +235,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::pair<std::string, std::string>> header;
-  header.emplace_back("smoke", smoke ? "true" : "false");
+  JsonValue header = JsonValue::Object();
+  header.Set("smoke", JsonValue::Bool(smoke));
   std::ofstream(out_path) << ReportsToJson("fault_churn", header, runs);
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -10,12 +10,15 @@
 //   bench_sched_solve [--out=PATH] [--sizes=N,N,...] [--policies=A,B,...]
 //                     [--baseline=PATH] [--max-regress=F]
 //
-// With --baseline, the run fails (exit 1) when any cell's digest differs from
-// the committed one, or when a cell's p50 is more than --max-regress (default
-// 0.3) slower than the committed p50 in each of up to three attempts.
-// Digests are exact; only cells present in both files are compared.  A
-// --sizes entry that is not a positive integer, or a --max-regress that is
-// negative or not finite, exits 2.
+// With --baseline, the run fails (exit 1, a "FAIL:" line per failure) when
+// any cell's digest differs from the committed one, or when a cell's p50 is
+// more than --max-regress (default 0.3) slower than the committed p50 in
+// each of up to three attempts.  Digests are exact.  It also fails on a
+// baseline that does not parse or is not a "sched_solve" report, on a cell
+// the baseline lacks, and on a baseline cell without a string "digest" or a
+// numeric "p50_us".  Baseline cells the run did not time pass.  A --sizes
+// entry that is not a positive integer, or a --max-regress that is negative
+// or not finite, exits 2.
 //
 // The snapshot recipe (SolveSnapshot, seed 17) is frozen so committed
 // baselines stay comparable across refactors.  Writes BENCH_sched_solve.json.
@@ -25,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -194,14 +198,14 @@ int main(int argc, char** argv) {
     policies = AllPolicyNames();
   }
 
-  std::string baseline_json;
+  std::optional<Baseline> baseline;
   if (const std::string path = flags.GetString("baseline"); !path.empty()) {
-    Result<std::string> text = ReadBaseline(path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "FAIL: %s\n", text.status().ToString().c_str());
+    Result<Baseline> loaded = Baseline::Load(path, "sched_solve", "cells", "cell");
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "FAIL: %s\n", loaded.status().message().c_str());
       return 1;
     }
-    baseline_json = *std::move(text);
+    baseline = *std::move(loaded);
   }
 
   Table table({"policy", "jobs", "reps", "p50 us", "p99 us", "digest"});
@@ -211,10 +215,20 @@ int main(int argc, char** argv) {
     const std::unique_ptr<SolveSnapshot> snapshot = MakeSolveSnapshot(n);
     for (const std::string& policy : policies) {
       Cell cell = TimeCell(policy, n, snapshot->snapshot);
-      const bool in_baseline = HasBaselineEntry(baseline_json, "cell", cell.name);
-      const Result<double> p50 =
-          ParseDouble(BaselineField(baseline_json, "cell", cell.name, "p50_us"));
-      const double base = p50.ok() ? *p50 : 0;
+      const JsonValue* row = nullptr;  // The cell's baseline row, when gated.
+      if (baseline) {
+        const Result<const JsonValue*> found =
+            baseline->Row(cell.name, {{"digest", JsonValue::Kind::kString},
+                                      {"p50_us", JsonValue::Kind::kNumber}});
+        if (found.ok()) {
+          row = *found;
+        } else {
+          std::fprintf(stderr, "FAIL: %s\n", found.status().message().c_str());
+          failed = true;
+        }
+      }
+      // The reader has parsed every number token, so this parse cannot fail.
+      const double base = row != nullptr ? *ParseDouble(row->Find("p50_us")->text()) : 0;
       // A slow cell is timed again, up to twice, before it counts as a
       // regression: on a shared host other tenants slow single cells by
       // 50% or more.  The best attempt is kept.
@@ -228,10 +242,10 @@ int main(int argc, char** argv) {
       table.AddRow({policy, std::to_string(n), std::to_string(cell.reps), Fmt(cell.p50_us),
                     Fmt(cell.p99_us), FormatDigest(cell.digest)});
       cells.push_back(cell);
-      if (!in_baseline) {
+      if (row == nullptr) {
         continue;
       }
-      const std::string base_digest = BaselineField(baseline_json, "cell", cell.name, "digest");
+      const std::string& base_digest = row->Find("digest")->text();
       if (base_digest != FormatDigest(cell.digest)) {
         std::fprintf(stderr, "FAIL: %s plan digest %s, baseline %s\n", cell.name.c_str(),
                      FormatDigest(cell.digest).c_str(), base_digest.c_str());
@@ -246,21 +260,22 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  const std::string out_path = flags.GetString("out");
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"sched_solve\",\n  \"sizes\": \"" << flags.GetString("sizes")
-      << "\",\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"cell\": \"%s\", \"reps\": %d, \"p50_us\": %.2f, \"p99_us\": %.2f, "
-                  "\"digest\": \"%s\"}%s\n",
-                  c.name.c_str(), c.reps, c.p50_us, c.p99_us, FormatDigest(c.digest).c_str(),
-                  i + 1 < cells.size() ? "," : "");
-    out << buf;
+  JsonValue rows = JsonValue::Array();
+  for (const Cell& c : cells) {
+    JsonValue row = JsonValue::Object(/*one_line=*/true);
+    row.Set("cell", JsonValue::String(c.name))
+        .Set("reps", JsonValue::Int(c.reps))
+        .Set("p50_us", JsonValue::Number(c.p50_us))
+        .Set("p99_us", JsonValue::Number(c.p99_us))
+        .Set("digest", JsonValue::String(FormatDigest(c.digest)));
+    rows.Push(std::move(row));
   }
-  out << "  ]\n}\n";
+  JsonValue doc = JsonValue::Object();
+  doc.Set("benchmark", JsonValue::String("sched_solve"))
+      .Set("sizes", JsonValue::String(flags.GetString("sizes")))
+      .Set("cells", std::move(rows));
+  const std::string out_path = flags.GetString("out");
+  std::ofstream(out_path) << doc.Format() << "\n";
   std::printf("wrote %s\n", out_path.c_str());
   return failed ? 1 : 0;
 }

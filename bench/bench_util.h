@@ -13,9 +13,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -168,48 +170,80 @@ inline Result<double> ParseMaxRegress(std::string_view text) {
   return *value;
 }
 
-// The whole text of a committed baseline file, or an error if unreadable.
-inline Result<std::string> ReadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot read baseline " + path);
+// A committed baseline: the document one of these harnesses wrote, read by
+// the strict JSON reader (common/text_codec.h).  Its rows sit in the
+// `rows_key` array, each named by its string `name_key` member.  Every way a
+// baseline can fail to gate a run is an error here, so a gate never passes
+// by not finding what it compares.
+class Baseline {
+ public:
+  // An error unless `path` parses, its "benchmark" is `benchmark` (a gate
+  // given another harness's file fails), and every row is an object with a
+  // string name.
+  static Result<Baseline> Load(const std::string& path, const std::string& benchmark,
+                               std::string rows_key, std::string name_key) {
+    std::ifstream in(path);
+    if (!in) {
+      return Status::NotFound("cannot read baseline " + path);
+    }
+    std::stringstream text;
+    text << in.rdbuf();
+    Result<JsonValue> doc = ParseJson(text.str());
+    if (!doc.ok()) {
+      return Status::InvalidArgument("baseline " + path + ": " + doc.status().message());
+    }
+    const JsonValue* name = doc->Find("benchmark");
+    if (name == nullptr || name->kind() != JsonValue::Kind::kString || name->text() != benchmark) {
+      return Status::InvalidArgument("baseline " + path + " is not a report of benchmark '" +
+                                     benchmark + "'");
+    }
+    const JsonValue* rows = doc->Find(rows_key);
+    bool rows_ok = rows != nullptr && rows->kind() == JsonValue::Kind::kArray;
+    for (std::size_t i = 0; rows_ok && i < rows->items().size(); ++i) {
+      const JsonValue* row_name = rows->items()[i].Find(name_key);
+      rows_ok = row_name != nullptr && row_name->kind() == JsonValue::Kind::kString;
+    }
+    if (!rows_ok) {
+      return Status::InvalidArgument("baseline " + path + " has no '" + rows_key +
+                                     "' array of rows named by '" + name_key + "'");
+    }
+    Baseline baseline;
+    baseline.path_ = path;
+    baseline.doc_ = *std::move(doc);
+    baseline.rows_key_ = std::move(rows_key);
+    baseline.name_key_ = std::move(name_key);
+    return baseline;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
-// A baseline these harnesses wrote is a list of entries, each opened by
-// `"<key>": "<name>"` (key "label" or "cell").  True when `name` has one.
-inline bool HasBaselineEntry(const std::string& json, const std::string& key,
-                             const std::string& name) {
-  return json.find("\"" + key + "\": \"" + name + "\"") != std::string::npos;
-}
+  // The row named `name`, holding each gated field with its kind; an error
+  // naming the missing row or field otherwise.  Rows the run did not
+  // produce are never looked at, so a run over a subset of sizes passes.
+  Result<const JsonValue*> Row(
+      const std::string& name,
+      std::initializer_list<std::pair<const char*, JsonValue::Kind>> fields) const {
+    for (const JsonValue& row : doc_.Find(rows_key_)->items()) {
+      if (row.Find(name_key_)->text() != name) {
+        continue;
+      }
+      for (const auto& [field, kind] : fields) {
+        const JsonValue* value = row.Find(field);
+        if (value == nullptr || value->kind() != kind) {
+          return Status::InvalidArgument(name + ": baseline " + path_ + " has no " +
+                                         (kind == JsonValue::Kind::kString ? "string" : "number") +
+                                         " field '" + field + "'");
+        }
+      }
+      return &row;
+    }
+    return Status::NotFound(name + " has no row in baseline " + path_);
+  }
 
-// One field of the entry for `name`: it must sit between the entry's key and
-// the next entry's.  Returns the value unquoted, or "" when the entry or the
-// field is absent.
-inline std::string BaselineField(const std::string& json, const std::string& key,
-                                 const std::string& name, const std::string& field) {
-  const std::string entry = "\"" + key + "\": \"" + name + "\"";
-  const std::size_t at = json.find(entry);
-  if (at == std::string::npos) {
-    return "";
-  }
-  const std::size_t next = json.find("\"" + key + "\": ", at + entry.size());
-  const std::string needle = "\"" + field + "\": ";
-  const std::size_t field_at = json.find(needle, at + entry.size());
-  if (field_at == std::string::npos || field_at > next) {
-    return "";
-  }
-  std::size_t begin = field_at + needle.size();
-  std::size_t end = json.find_first_of(",}\n", begin);
-  if (json[begin] == '"') {
-    ++begin;
-    end = json.find('"', begin);
-  }
-  return json.substr(begin, end - begin);
-}
+ private:
+  std::string path_;
+  JsonValue doc_;
+  std::string rows_key_;
+  std::string name_key_;
+};
 
 }  // namespace silod::bench
 

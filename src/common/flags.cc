@@ -81,6 +81,14 @@ std::int64_t FlagSet::GetInt(const std::string& name) const {
   return std::fabs(truncated) < 0x1p63 ? static_cast<std::int64_t>(truncated) : 0;
 }
 
+Result<int> FlagSet::GetIntInRange(const std::string& name, int min, int max) const {
+  const Result<std::int64_t> value = ParseInt(GetString(name), min, max);
+  if (!value.ok()) {
+    return Status::InvalidArgument("--" + name + ": " + value.status().message());
+  }
+  return static_cast<int>(*value);
+}
+
 double FlagSet::GetDouble(const std::string& name) const {
   const Result<double> value = ParseDouble(GetString(name));
   return value.ok() ? *value : 0;

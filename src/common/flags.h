@@ -4,6 +4,7 @@
 #ifndef SILOD_SRC_COMMON_FLAGS_H_
 #define SILOD_SRC_COMMON_FLAGS_H_
 
+#include <climits>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -22,8 +23,9 @@ class FlagSet {
   // Parses argv; returns an error for unknown flags, missing values, and a
   // value that is not a number token (common/text_codec.h ParseDouble) for a
   // flag whose declared default is one.  Integer and fractional flags are
-  // not told apart: GetInt truncates --jobs=1.5 to 1.  Non-flag arguments
-  // are collected into positional().
+  // not told apart here: GetInt truncates --jobs=1.5 to 1, and only
+  // GetIntInRange rejects it.  Non-flag arguments are collected into
+  // positional().
   Status Parse(int argc, const char* const* argv);
 
   bool Has(const std::string& name) const;
@@ -32,6 +34,10 @@ class FlagSet {
   // an error value of 0 / false on malformed numbers (possible only for a
   // flag whose default is not numeric).
   std::int64_t GetInt(const std::string& name) const;
+  // The value as an int in [min, max]; an InvalidArgument naming the flag for
+  // a fractional, non-numeric or out-of-range value.  The getter for every
+  // flag a tool narrows to int.
+  Result<int> GetIntInRange(const std::string& name, int min = INT_MIN, int max = INT_MAX) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 

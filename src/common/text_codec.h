@@ -1,10 +1,11 @@
-// The one text codec behind every line format in the tree: the silodd wire
+// The one text codec behind every text format in the tree: the silodd wire
 // protocol and journal checkpoints (serve/), minidumps (fault/), recovery
-// snapshots (core/), topology, fault-plan and restart-cost specs, trace CSVs
-// and command-line flags.  The bit-identity gates (daemon == batch --check,
-// journal recovery to the same StateDigest, minidump replay) all rest on
-// text round-tripping doubles and strings exactly, so each piece lives here
-// once:
+// snapshots (core/), topology, fault-plan and restart-cost specs, trace CSVs,
+// command-line flags, and JSON (run reports, `--json` output, bench files and
+// the baselines their gates read).  The bit-identity gates (daemon == batch
+// --check, journal recovery to the same StateDigest, minidump replay) all
+// rest on text round-tripping doubles and strings exactly, so each piece
+// lives here once:
 //
 //   - a percent token escape: any byte string becomes one space-free token;
 //   - a whitespace tokenizer and a `<head> key=value ...` record codec;
@@ -13,7 +14,11 @@
 //   - strict number parsing: the whole token, no leading whitespace or '+',
 //     decimal only.  Overflow (including a double past DBL_MAX) is an error;
 //     literal inf/nan and subnormals are accepted, so
-//     FormatExact(ParseDouble(FormatExact(x))) is the identity for every x.
+//     FormatExact(ParseDouble(FormatExact(x))) is the identity for every x;
+//   - a JSON value with a writer and a strict reader.  The writer renders
+//     doubles with %.6g (a non-finite double becomes null) and integers
+//     exactly; the reader keeps each number's source token, so an integer
+//     compares exactly and a double goes through ParseDouble.
 #ifndef SILOD_SRC_COMMON_TEXT_CODEC_H_
 #define SILOD_SRC_COMMON_TEXT_CODEC_H_
 
@@ -22,6 +27,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -94,6 +100,67 @@ Result<std::int64_t> ParseInt(std::string_view token,
                               std::int64_t max = std::numeric_limits<std::int64_t>::max());
 Result<std::uint64_t> ParseU64(std::string_view token);
 Result<double> ParseDouble(std::string_view token);
+
+// One JSON value, for both directions.  Scalars keep their JSON text: a
+// number is its token, a bool is "true"/"false", a string is its decoded
+// bytes.  Objects keep their members in insertion (or source) order.
+class JsonValue {
+ public:
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  JsonValue() = default;  // null
+  static JsonValue Bool(bool value);
+  // %.6g; NaN and the infinities become null.
+  static JsonValue Number(double value);
+  static JsonValue Int(std::int64_t value);
+  static JsonValue String(std::string value);
+  // Empty containers.  A `one_line` container formats on a single line,
+  // with everything inside it.
+  static JsonValue Array(bool one_line = false);
+  static JsonValue Object(bool one_line = false);
+
+  // Appends an array item / an object member; an object's keys must be
+  // distinct.  Both return *this.
+  JsonValue& Push(JsonValue item);
+  JsonValue& Set(std::string key, JsonValue value);
+
+  Kind kind() const { return kind_; }
+  // A string's bytes, a number's token, "true"/"false", or "" for null and
+  // containers.
+  const std::string& text() const { return text_; }
+  const std::vector<JsonValue>& items() const { return items_; }
+  const std::vector<std::pair<std::string, JsonValue>>& members() const { return members_; }
+  // The object member named `key`, or nullptr.
+  const JsonValue* Find(std::string_view key) const;
+
+  // Two-space pretty printing: each member or item on its own line, `"key":
+  // value` with one space, an empty container as {} or [], and one-line
+  // containers as {"a": 1, "b": [2, 3]}.  No trailing newline.  Strings
+  // escape '"', '\' and every byte below 0x20 ("\n" by name, the rest as
+  // \u00XX); other bytes pass through.
+  std::string Format() const;
+
+ private:
+  friend class JsonParser;
+
+  JsonValue(Kind kind, std::string text, bool one_line = false);
+  void AppendTo(std::string* out, bool one_line, int depth) const;
+
+  Kind kind_ = Kind::kNull;
+  bool one_line_ = false;
+  std::string text_;
+  std::vector<JsonValue> items_;
+  std::vector<std::pair<std::string, JsonValue>> members_;
+};
+
+// Nesting deeper than this is an error: the reader recurses once per level.
+inline constexpr int kMaxJsonDepth = 64;
+
+// Parses one JSON document (RFC 8259) strictly: surrounding whitespace only,
+// no duplicate keys, no raw control bytes in strings, numbers in JSON's
+// grammar (no '+', no leading zeros, no NaN/Infinity) that fit a double and,
+// when integral, an int64 or a u64.  Bytes >= 0x80 pass through unchecked.
+Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace silod
 

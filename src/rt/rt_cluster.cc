@@ -43,9 +43,9 @@ RunReport MakeRtRunReport(std::string label, const RtResult& result) {
   report.makespan_min = result.makespan / 60.0;
   report.faults = result.faults;
   report.AddExtra("timed_out", result.timed_out);
-  report.AddExtra("remote_retries", static_cast<double>(result.remote_retries));
-  report.AddExtra("worker_respawns", static_cast<double>(result.worker_respawns));
-  report.AddExtra("minidumps", static_cast<double>(result.minidump_paths.size()));
+  report.AddExtra("remote_retries", result.remote_retries);
+  report.AddExtra("worker_respawns", static_cast<std::int64_t>(result.worker_respawns));
+  report.AddExtra("minidumps", static_cast<std::int64_t>(result.minidump_paths.size()));
   return report;
 }
 

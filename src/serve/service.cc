@@ -281,7 +281,7 @@ ServeResponse ServiceState::Dispatch(const ServeRequest& request) {
     // bit-for-bit without a JSON parser.
     const RunReport report = Report();
     response = OkResponse();
-    response.fields["json"] = report.ToJson();
+    response.fields["json"] = report.ToJson().Format();
     response.fields["jobs"] = std::to_string(report.jobs);
     response.fields["unfinished"] = std::to_string(report.unfinished_jobs);
     response.fields["finished"] = std::to_string(report.jct.finished);
@@ -1037,10 +1037,10 @@ RunReport ServiceState::Report() const {
       results, +[](const JobResult& j) -> const std::string& { return j.gpu_type; });
   report.makespan_min = last_finish / 60.0;
   report.AddExtra("policy", planner_->policy_name());
-  report.AddExtra("full_solves", static_cast<double>(planner_->full_solves()));
-  report.AddExtra("reused_plans", static_cast<double>(planner_->reused_plans()));
-  report.AddExtra("admitted", static_cast<double>(admission_->admitted()));
-  report.AddExtra("rejected", static_cast<double>(admission_->rejected()));
+  report.AddExtra("full_solves", static_cast<std::int64_t>(planner_->full_solves()));
+  report.AddExtra("reused_plans", static_cast<std::int64_t>(planner_->reused_plans()));
+  report.AddExtra("admitted", static_cast<std::int64_t>(admission_->admitted()));
+  report.AddExtra("rejected", static_cast<std::int64_t>(admission_->rejected()));
   return report;
 }
 

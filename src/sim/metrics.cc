@@ -1,7 +1,6 @@
 #include "src/sim/metrics.h"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 #include <map>
 
 #include "src/common/digest.h"
@@ -122,130 +121,86 @@ double SimResult::AvgFairness() const {
 
 namespace {
 
-std::string JsonNumber(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-std::string JsonString(const std::string& value) {
-  std::string out = "\"";
-  for (const char c : value) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string FaultsToJson(const FaultStats& f, const std::string& margin) {
-  std::string json = "{\n";
-  const auto field = [&](const char* key, const std::string& value, bool last = false) {
-    json += margin + "  \"" + key + "\": " + value + (last ? "\n" : ",\n");
-  };
-  field("server_crashes", std::to_string(f.server_crashes));
-  field("server_recoveries", std::to_string(f.server_recoveries));
-  field("worker_crashes", std::to_string(f.worker_crashes));
-  field("worker_restarts", std::to_string(f.worker_restarts));
-  field("degrade_windows", std::to_string(f.degrade_windows));
-  field("dm_restarts", std::to_string(f.dm_restarts));
-  field("ignored_events", std::to_string(f.ignored_events));
-  field("blocks_lost", std::to_string(f.blocks_lost));
-  field("bytes_lost", JsonNumber(f.bytes_lost));
-  field("blocks_refetched", std::to_string(f.blocks_refetched));
-  field("compute_lost", JsonNumber(f.compute_lost));
-  std::string by_zone = "{";
-  bool first = true;
+JsonValue FaultsToJson(const FaultStats& f) {
+  JsonValue by_zone = JsonValue::Object(/*one_line=*/true);
   for (const auto& [zone, blocks] : f.blocks_lost_by_zone) {
-    by_zone += std::string(first ? "" : ", ") + JsonString(zone) + ": " + std::to_string(blocks);
-    first = false;
+    by_zone.Set(zone, JsonValue::Int(blocks));
   }
-  by_zone += "}";
-  field("blocks_lost_by_zone", by_zone, /*last=*/true);
-  json += margin + "}";
+  JsonValue json = JsonValue::Object();
+  json.Set("server_crashes", JsonValue::Int(f.server_crashes))
+      .Set("server_recoveries", JsonValue::Int(f.server_recoveries))
+      .Set("worker_crashes", JsonValue::Int(f.worker_crashes))
+      .Set("worker_restarts", JsonValue::Int(f.worker_restarts))
+      .Set("degrade_windows", JsonValue::Int(f.degrade_windows))
+      .Set("dm_restarts", JsonValue::Int(f.dm_restarts))
+      .Set("ignored_events", JsonValue::Int(f.ignored_events))
+      .Set("blocks_lost", JsonValue::Int(f.blocks_lost))
+      .Set("bytes_lost", JsonValue::Number(f.bytes_lost))
+      .Set("blocks_refetched", JsonValue::Int(f.blocks_refetched))
+      .Set("compute_lost", JsonValue::Number(f.compute_lost))
+      .Set("blocks_lost_by_zone", std::move(by_zone));
+  return json;
+}
+
+JsonValue TenantSummariesToJson(const std::vector<TenantSummary>& groups) {
+  JsonValue json = JsonValue::Object();
+  for (const TenantSummary& group : groups) {
+    json.Set(group.name, group.jct.ToJson());
+  }
   return json;
 }
 
 }  // namespace
 
 void RunReport::AddExtra(const std::string& key, double value) {
-  extra.emplace_back(key, JsonNumber(value));
+  extra.emplace_back(key, JsonValue::Number(value));
+}
+
+void RunReport::AddExtra(const std::string& key, std::int64_t value) {
+  extra.emplace_back(key, JsonValue::Int(value));
 }
 
 void RunReport::AddExtra(const std::string& key, const std::string& value) {
-  extra.emplace_back(key, JsonString(value));
+  extra.emplace_back(key, JsonValue::String(value));
 }
 
 void RunReport::AddExtra(const std::string& key, bool value) {
-  extra.emplace_back(key, value ? "true" : "false");
+  extra.emplace_back(key, JsonValue::Bool(value));
 }
 
-std::string JctSummary::ToJson(int indent) const {
-  const std::string margin(static_cast<std::size_t>(indent), ' ');
-  // NaN (finished == 0) serializes as null: an empty summary reports "no
-  // samples", never zero minutes.
-  const auto stat = [](double value) {
-    return std::isnan(value) ? std::string("null") : JsonNumber(value);
-  };
-  std::string json = "{\n";
-  const auto field = [&](const char* key, const std::string& value, bool last = false) {
-    json += margin + "  \"" + key + "\": " + value + (last ? "\n" : ",\n");
-  };
-  field("finished", std::to_string(finished));
-  field("avg_jct_min", stat(avg_jct_min));
-  field("p50_jct_min", stat(p50_jct_min));
-  field("p90_jct_min", stat(p90_jct_min));
-  field("p95_jct_min", stat(p95_jct_min));
-  field("p99_jct_min", stat(p99_jct_min));
-  field("avg_queue_min", stat(avg_queue_min));
-  field("avg_run_min", stat(avg_run_min), /*last=*/true);
-  json += margin + "}";
+JsonValue JctSummary::ToJson() const {
+  JsonValue json = JsonValue::Object();
+  json.Set("finished", JsonValue::Int(finished))
+      .Set("avg_jct_min", JsonValue::Number(avg_jct_min))
+      .Set("p50_jct_min", JsonValue::Number(p50_jct_min))
+      .Set("p90_jct_min", JsonValue::Number(p90_jct_min))
+      .Set("p95_jct_min", JsonValue::Number(p95_jct_min))
+      .Set("p99_jct_min", JsonValue::Number(p99_jct_min))
+      .Set("avg_queue_min", JsonValue::Number(avg_queue_min))
+      .Set("avg_run_min", JsonValue::Number(avg_run_min));
   return json;
 }
 
-namespace {
-
-std::string TenantSummariesToJson(const std::vector<TenantSummary>& groups,
-                                  const std::string& margin) {
-  std::string json = "{\n";
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    json += margin + "  " + JsonString(groups[i].name) + ": " +
-            groups[i].jct.ToJson(static_cast<int>(margin.size()) + 2) +
-            (i + 1 == groups.size() ? "\n" : ",\n");
-  }
-  json += margin + "}";
-  return json;
-}
-
-}  // namespace
-
-std::string RunReport::ToJson(int indent) const {
-  const std::string margin(static_cast<std::size_t>(indent), ' ');
-  std::string json = margin + "{\n";
-  const auto field = [&](const char* key, const std::string& value, bool last = false) {
-    json += margin + "  \"" + key + "\": " + value + (last ? "\n" : ",\n");
-  };
-  field("report_version", "2");
-  field("label", JsonString(label));
-  field("engine", JsonString(engine));
-  field("jobs", std::to_string(jobs));
-  field("unfinished_jobs", std::to_string(unfinished_jobs));
-  field("jct", jct.ToJson(indent + 2));
+JsonValue RunReport::ToJson() const {
+  JsonValue json = JsonValue::Object();
+  json.Set("report_version", JsonValue::Int(2))
+      .Set("label", JsonValue::String(label))
+      .Set("engine", JsonValue::String(engine))
+      .Set("jobs", JsonValue::Int(jobs))
+      .Set("unfinished_jobs", JsonValue::Int(unfinished_jobs))
+      .Set("jct", jct.ToJson());
   if (!tenants.empty()) {
-    field("tenants", TenantSummariesToJson(tenants, margin + "  "));
+    json.Set("tenants", TenantSummariesToJson(tenants));
   }
   if (!gpu_types.empty()) {
-    field("gpu_types", TenantSummariesToJson(gpu_types, margin + "  "));
+    json.Set("gpu_types", TenantSummariesToJson(gpu_types));
   }
-  field("makespan_min", JsonNumber(makespan_min));
-  field("avg_fairness", JsonNumber(avg_fairness));
-  field("faults", FaultsToJson(faults, margin + "  "), extra.empty());
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    field(extra[i].first.c_str(), extra[i].second, i + 1 == extra.size());
+  json.Set("makespan_min", JsonValue::Number(makespan_min))
+      .Set("avg_fairness", JsonValue::Number(avg_fairness))
+      .Set("faults", FaultsToJson(faults));
+  for (const auto& [key, value] : extra) {
+    json.Set(key, value);
   }
-  json += margin + "}";
   return json;
 }
 
@@ -336,20 +291,19 @@ RunReport MakeRunReport(std::string label, std::string engine, const SimResult& 
   return report;
 }
 
-std::string ReportsToJson(const std::string& benchmark,
-                          const std::vector<std::pair<std::string, std::string>>& header,
+std::string ReportsToJson(const std::string& benchmark, const JsonValue& header,
                           const std::vector<RunReport>& runs) {
-  std::string json = "{\n  \"benchmark\": " + JsonString(benchmark) + ",\n";
-  for (const auto& [key, value] : header) {
-    json += "  \"" + key + "\": " + value + ",\n";
+  JsonValue json = JsonValue::Object();
+  json.Set("benchmark", JsonValue::String(benchmark));
+  for (const auto& [key, value] : header.members()) {
+    json.Set(key, value);
   }
-  json += "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    json += runs[i].ToJson(4);
-    json += i + 1 < runs.size() ? ",\n" : "\n";
+  JsonValue array = JsonValue::Array();
+  for (const RunReport& run : runs) {
+    array.Push(run.ToJson());
   }
-  json += "  ]\n}\n";
-  return json;
+  json.Set("runs", std::move(array));
+  return json.Format() + "\n";
 }
 
 void MetricsCollector::OnSubmit(const JobSpec& job) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/common/text_codec.h"
 #include "src/common/units.h"
 #include "src/fault/fault_plan.h"
 #include "src/workload/job.h"
@@ -97,9 +98,8 @@ struct JctSummary {
   double avg_queue_min = std::numeric_limits<double>::quiet_NaN();
   double avg_run_min = std::numeric_limits<double>::quiet_NaN();
 
-  // A JSON object; `indent` spaces of left margin on every line.  NaN fields
-  // (finished == 0) render as null.
-  std::string ToJson(int indent = 0) const;
+  // A JSON object; NaN fields (finished == 0) render as null.
+  JsonValue ToJson() const;
 };
 
 // A named sub-population's summary (one tenant, or one GPU type).
@@ -111,8 +111,8 @@ struct TenantSummary {
 // One run's report: the shared summary every front end serializes the same
 // way.  silod_sim and the bench harnesses build one from a SimResult with
 // MakeRunReport; RtCluster runs go through rt/rt_cluster.h's MakeRtRunReport;
-// silodd builds one in ServiceState::Report.  This replaces the per-tool
-// snprintf JSON emitters: one schema, one serializer.
+// silodd builds one in ServiceState::Report.  One schema, written by the
+// one JSON writer in common/text_codec.h.
 struct RunReport {
   std::string label;   // Policy name or a free-form cell label.
   std::string engine;  // "flow" | "fine" | "rt" | "serve".
@@ -129,16 +129,17 @@ struct RunReport {
   double avg_fairness = 0;
   FaultStats faults;
 
-  // Extra scalar fields appended verbatim, in insertion order.  Values are
-  // pre-rendered JSON (AddExtra quotes strings and formats numbers).
-  std::vector<std::pair<std::string, std::string>> extra;
+  // Extra scalar fields appended after the fixed ones, in insertion order.
+  // Doubles render with %.6g; counters go through the integer overload, which
+  // stays exact past 1e6.
+  std::vector<std::pair<std::string, JsonValue>> extra;
   void AddExtra(const std::string& key, double value);
+  void AddExtra(const std::string& key, std::int64_t value);
   void AddExtra(const std::string& key, const std::string& value);
   void AddExtra(const std::string& key, bool value);
 
-  // A JSON object with "report_version": 2 leading; `indent` spaces of left
-  // margin on every line.
-  std::string ToJson(int indent = 0) const;
+  // A JSON object with "report_version": 2 leading.
+  JsonValue ToJson() const;
 };
 
 RunReport MakeRunReport(std::string label, std::string engine, const SimResult& result);
@@ -157,10 +158,9 @@ std::vector<TenantSummary> GroupJctSummaries(
     const std::vector<JobResult>& jobs,
     const std::string& (*key)(const JobResult&));
 
-// One benchmark document: {"benchmark": <name>, <header k:v>, "runs": [...]}.
-// Header values are pre-rendered JSON, like RunReport::extra.
-std::string ReportsToJson(const std::string& benchmark,
-                          const std::vector<std::pair<std::string, std::string>>& header,
+// One benchmark document, newline-terminated: {"benchmark": <name>, the
+// members of the `header` object, "runs": [...]}.
+std::string ReportsToJson(const std::string& benchmark, const JsonValue& header,
                           const std::vector<RunReport>& runs);
 
 // True when two results agree bit-for-bit on every physical quantity: per-job

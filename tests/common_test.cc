@@ -1,7 +1,9 @@
 // Unit tests for src/common: units, RNG, status, stats, digest, table,
+// text codec (JSON included, with the run-report layout it pins), flags,
 // backoff.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -19,6 +21,7 @@
 #include "src/common/text_codec.h"
 #include "src/common/topology.h"
 #include "src/common/units.h"
+#include "src/sim/metrics.h"
 
 namespace silod {
 namespace {
@@ -624,6 +627,175 @@ TEST(TextCodec, FieldReaderKeepsTheFirstError) {
       << bad_reader.status().ToString();
 }
 
+TEST(Json, WriterOutputParsesBackToTheSameValues) {
+  std::string controls;
+  for (int b = 0; b < 0x20; ++b) {
+    controls += static_cast<char>(b);
+  }
+  const std::string tricky = controls + "\"quoted\" back\\slash /é";
+  JsonValue inner = JsonValue::Object(/*one_line=*/true);
+  inner.Set("k\"ey", JsonValue::Int(-7)).Set("list", JsonValue::Array().Push(JsonValue::Int(1)));
+  JsonValue doc = JsonValue::Object();
+  doc.Set("text", JsonValue::String(tricky))
+      .Set(tricky, JsonValue::Bool(true))
+      .Set("min", JsonValue::Int(std::numeric_limits<std::int64_t>::min()))
+      .Set("max", JsonValue::Int(std::numeric_limits<std::int64_t>::max()))
+      .Set("tenth", JsonValue::Number(0.1))
+      .Set("nan", JsonValue::Number(std::nan("")))
+      .Set("inf", JsonValue::Number(-std::numeric_limits<double>::infinity()))
+      .Set("empty_object", JsonValue::Object())
+      .Set("empty_array", JsonValue::Array(/*one_line=*/true))
+      .Set("inner", std::move(inner));
+  const std::string text = doc.Format();
+  for (const char c : text) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << static_cast<int>(c) << " in the output";
+  }
+  const Result<JsonValue> back = ParseJson(text);
+  ASSERT_TRUE(back.ok()) << back.status().ToString() << "\n" << text;
+  EXPECT_EQ(back->Find("text")->text(), tricky);
+  ASSERT_NE(back->Find(tricky), nullptr);
+  EXPECT_EQ(back->Find(tricky)->kind(), JsonValue::Kind::kBool);
+  EXPECT_EQ(back->Find(tricky)->text(), "true");
+  EXPECT_EQ(*ParseInt(back->Find("min")->text()), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(*ParseInt(back->Find("max")->text()), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(back->Find("tenth")->text(), "0.1");
+  EXPECT_EQ(back->Find("nan")->kind(), JsonValue::Kind::kNull);
+  EXPECT_EQ(back->Find("inf")->kind(), JsonValue::Kind::kNull);
+  EXPECT_TRUE(back->Find("empty_object")->members().empty());
+  EXPECT_TRUE(back->Find("empty_array")->items().empty());
+  const JsonValue* parsed_inner = back->Find("inner");
+  ASSERT_NE(parsed_inner, nullptr);
+  EXPECT_EQ(parsed_inner->Find("k\"ey")->text(), "-7");
+  EXPECT_EQ(parsed_inner->Find("list")->items().at(0).text(), "1");
+  EXPECT_EQ(back->members().size(), doc.members().size());
+  // Layout: two-space indent, one-line containers inline, {} and [] empty.
+  EXPECT_NE(text.find("\n  \"empty_object\": {},\n  \"empty_array\": [],\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\n  \"inner\": {\"k\\\"ey\": -7, \"list\": [1]}\n}"), std::string::npos)
+      << text;
+  EXPECT_EQ(JsonValue::String("a\nb\x01").Format(), "\"a\\nb\\u0001\"");
+}
+
+TEST(Json, ReaderAcceptsStandardJson) {
+  const Result<JsonValue> doc = ParseJson(
+      " {\"a\": [0, -0.5e+3, 1E2, true, false, null, \"\\u00e9\\ud83d\\ude00\\/\\t\"],"
+      "\"big\": 18446744073709551615, \"low\": -9223372036854775808}\n");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const std::vector<JsonValue>& a = doc->Find("a")->items();
+  ASSERT_EQ(a.size(), 7u);
+  EXPECT_EQ(a[1].text(), "-0.5e+3");  // Numbers keep their source token.
+  EXPECT_EQ(a[2].text(), "1E2");
+  EXPECT_EQ(a[5].kind(), JsonValue::Kind::kNull);
+  EXPECT_EQ(a[6].text(), "\xc3\xa9\xf0\x9f\x98\x80/\t");
+  EXPECT_EQ(doc->Find("big")->text(), "18446744073709551615");
+  EXPECT_EQ(doc->Find("missing"), nullptr);
+  const std::string deepest = std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_TRUE(ParseJson(deepest).ok());
+}
+
+TEST(Json, ReaderRejectsMalformedInputWithAStatus) {
+  const std::string raw_control = std::string("\"a") + '\x01' + "\"";
+  const std::string too_deep =
+      std::string(kMaxJsonDepth + 1, '[') + std::string(kMaxJsonDepth + 1, ']');
+  const std::string hostile_depth(100000, '[');
+  const std::string bad[] = {
+      "", " ", "{", "[1,]", "[1 2]", "{\"a\" 1}", "{\"a\": 1,}", "{'a': 1}", "{a: 1}",
+      "{\"a\": 1, \"a\": 2}",                      // Duplicate key.
+      "{} x", "[1] [2]", "1 2", "null,",           // Trailing bytes.
+      "\"a\nb\"", "\"tab\there\"", raw_control,    // Raw control bytes.
+      "+1", "[+1]", "01", "-01", "[00]", "-", "1.", ".5", "1e", "1e+", "0x10",
+      "NaN", "nan", "Infinity", "-Infinity", "inf",
+      "1e999", "-1e999", "99999999999999999999", "-9223372036854775809",  // Overflow.
+      "\"\\x\"", "\"\\u12\"", "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"open",
+      "tru", "nul", "True",
+      too_deep, hostile_depth};
+  for (const std::string& text : bad) {
+    const Result<JsonValue> parsed = ParseJson(text);
+    EXPECT_FALSE(parsed.ok()) << "accepted '" << text.substr(0, 40) << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_NE(ParseJson("{\"a\": 1, \"a\": 2}").status().message().find("duplicate key 'a'"),
+            std::string::npos);
+}
+
+// The v2 report layout, byte for byte: key order, two-space indent, %.6g
+// doubles, exact integers, null for an empty summary, and the one-line
+// per-zone loss map.
+TEST(Json, RunReportLayoutIsPinned) {
+  RunReport report;
+  report.label = "fifo+silod";
+  report.engine = "flow";
+  report.jobs = 3;
+  report.unfinished_jobs = 1;
+  report.jct.finished = 2;
+  report.jct.avg_jct_min = 2;
+  report.jct.p50_jct_min = 2;
+  report.jct.p90_jct_min = 2.4;
+  report.jct.p95_jct_min = 2.45;
+  report.jct.p99_jct_min = 2.4912345;
+  report.jct.avg_queue_min = 0.25;
+  report.jct.avg_run_min = 1.75;
+  report.tenants.push_back(TenantSummary{"-", JctSummary{}});
+  report.makespan_min = 12.25;
+  report.avg_fairness = 0.5;
+  report.faults.server_crashes = 1;
+  report.faults.blocks_lost = 5;
+  report.faults.bytes_lost = 1.5e9;
+  report.faults.blocks_lost_by_zone = {{"rack0", 3}, {"rack1", 2}};
+  report.AddExtra("events", std::int64_t{1234567890123});
+  report.AddExtra("topology", std::string("rack0=0-3"));
+  report.AddExtra("timed_out", false);
+  EXPECT_EQ(report.ToJson().Format(), R"({
+  "report_version": 2,
+  "label": "fifo+silod",
+  "engine": "flow",
+  "jobs": 3,
+  "unfinished_jobs": 1,
+  "jct": {
+    "finished": 2,
+    "avg_jct_min": 2,
+    "p50_jct_min": 2,
+    "p90_jct_min": 2.4,
+    "p95_jct_min": 2.45,
+    "p99_jct_min": 2.49123,
+    "avg_queue_min": 0.25,
+    "avg_run_min": 1.75
+  },
+  "tenants": {
+    "-": {
+      "finished": 0,
+      "avg_jct_min": null,
+      "p50_jct_min": null,
+      "p90_jct_min": null,
+      "p95_jct_min": null,
+      "p99_jct_min": null,
+      "avg_queue_min": null,
+      "avg_run_min": null
+    }
+  },
+  "makespan_min": 12.25,
+  "avg_fairness": 0.5,
+  "faults": {
+    "server_crashes": 1,
+    "server_recoveries": 0,
+    "worker_crashes": 0,
+    "worker_restarts": 0,
+    "degrade_windows": 0,
+    "dm_restarts": 0,
+    "ignored_events": 0,
+    "blocks_lost": 5,
+    "bytes_lost": 1.5e+09,
+    "blocks_refetched": 0,
+    "compute_lost": 0,
+    "blocks_lost_by_zone": {"rack0": 3, "rack1": 2}
+  },
+  "events": 1234567890123,
+  "topology": "rack0=0-3",
+  "timed_out": false
+})");
+}
+
 TEST(Flags, NumericFlagsRejectMalformedValues) {
   const auto parse = [](const char* arg) {
     FlagSet flags;
@@ -643,6 +815,27 @@ TEST(Flags, NumericFlagsRejectMalformedValues) {
   const char* argv[] = {"prog", "--jobs=1.5"};
   ASSERT_TRUE(flags.Parse(2, argv).ok());
   EXPECT_EQ(flags.GetInt("jobs"), 1);  // Fractional values truncate.
+  EXPECT_FALSE(flags.GetIntInRange("jobs").ok()) << "the range-checked getter does not";
+}
+
+TEST(Flags, GetIntInRangeRejectsValuesPastTheRange) {
+  const auto get = [](const char* value, int min, int max) {
+    FlagSet flags;
+    flags.Define("jobs", "20", "jobs");
+    const std::string arg = std::string("--jobs=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(flags.Parse(2, argv).ok()) << value;
+    return flags.GetIntInRange("jobs", min, max);
+  };
+  EXPECT_EQ(*get("7", 1, 8), 7);
+  EXPECT_EQ(*get("-2147483648", INT_MIN, INT_MAX), INT_MIN);
+  for (const char* bad : {"4294967297", "4294967312", "-4294967297", "2147483648", "1.5", "1e3",
+                          "nan", "0", "9"}) {
+    const Result<int> value = get(bad, 1, 8);
+    ASSERT_FALSE(value.ok()) << bad;
+    EXPECT_NE(value.status().message().find("--jobs"), std::string::npos)
+        << value.status().message();
+  }
 }
 
 // ---------------------------------------------------------------- Backoff --

@@ -491,8 +491,8 @@ TEST(ServeReplay, DaemonReportMatchesBatchEngine) {
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_TRUE(outcome->jct_identical)
         << policy << "\nbatch:\n"
-        << outcome->batch.ToJson() << "\nserve:\n"
-        << outcome->serve.ToJson();
+        << outcome->batch.ToJson().Format() << "\nserve:\n"
+        << outcome->serve.ToJson().Format();
     EXPECT_EQ(0, outcome->serve.unfinished_jobs);
   }
 }
@@ -527,7 +527,8 @@ TEST(ServeReplay, TypedFleetReportMatchesBatchEngine) {
       trace, config, "sjf+silod", SchedulerOptions{}, PlanningOptions{});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->jct_identical)
-      << "batch:\n" << outcome->batch.ToJson() << "\nserve:\n" << outcome->serve.ToJson();
+      << "batch:\n" << outcome->batch.ToJson().Format() << "\nserve:\n"
+      << outcome->serve.ToJson().Format();
   EXPECT_EQ(0, outcome->serve.unfinished_jobs);
   ASSERT_EQ(outcome->batch.tenants.size(), outcome->serve.tenants.size());
   ASSERT_EQ(outcome->batch.gpu_types.size(), outcome->serve.gpu_types.size());
@@ -856,7 +857,7 @@ TEST_F(ServiceJournalTest, RecoveryRebuildsStateBitIdentically) {
     Must(service.get(), WithRid(Req("cancel", {{"key", "c"}, {"t", "300"}}), 8));
     digest = service->StateDigest();
     plan_digest = PlanDigest(service->PlanNow());
-    report = service->Report().ToJson();
+    report = service->Report().ToJson().Format();
     // SIGKILL: the service dies here without Sync or graceful teardown; the
     // kAlways journal already has every frame on disk.
   }
@@ -868,7 +869,7 @@ TEST_F(ServiceJournalTest, RecoveryRebuildsStateBitIdentically) {
   EXPECT_EQ(0u, recovery.dropped_bytes);
   EXPECT_EQ(digest, service->StateDigest()) << "recovered state diverged";
   EXPECT_EQ(plan_digest, PlanDigest(service->PlanNow())) << "recovered plan diverged";
-  EXPECT_EQ(report, service->Report().ToJson()) << "recovered report diverged";
+  EXPECT_EQ(report, service->Report().ToJson().Format()) << "recovered report diverged";
   EXPECT_EQ("fifo+silod", service->policy_name());  // The hot-swap replayed.
 }
 
@@ -1188,8 +1189,8 @@ TEST(ServeReplay, CrashMidTraceRecoveryMatchesBatchEngine) {
   const RunReport serve = (*service)->Report();
   EXPECT_TRUE(JctSummariesIdentical(batch, serve))
       << "batch:\n"
-      << batch.ToJson() << "\nserve:\n"
-      << serve.ToJson();
+      << batch.ToJson().Format() << "\nserve:\n"
+      << serve.ToJson().Format();
   EXPECT_EQ(0, serve.unfinished_jobs);
 }
 

@@ -74,18 +74,23 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # must exit 2 up front: a gang wider than the cluster, --jobs=0, a numeric
   # flag with trailing junk (--gpus=16x), a trace row with ideal_io_bps=nan
   # (both engines), trace options no trace can be drawn from (--share=2,
-  # --gpu-speed=0), zero cache servers, an unknown policy name, and a
-  # gpu-type count with trailing junk (count=8x; the same spec with count=8
-  # must run).  silod_client --serve-trace --jobs=0 must fail on the trace
-  # options before it dials the (missing) daemon socket, and silodd
-  # --servers=0 must refuse to start.
+  # --gpu-speed=0), zero cache servers, an unknown policy name, a count past
+  # the int range (--jobs=4294967297, --gpus=4294967312: no wrap-around), rt
+  # micro-trace flags no dataset can be built from (--rt-block-kb=0,
+  # --rt-dataset-mb=0, --rt-epochs=-1), and a gpu-type count with trailing
+  # junk (count=8x; the same spec with count=8 must run).  silod_client
+  # --serve-trace --jobs=0 must fail on the trace options before it dials
+  # the (missing) daemon socket, silodd --servers=0 must refuse to start, and
+  # bench_fault_churn must refuse a misspelt flag instead of running.
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
   cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim silod_client \
       silodd
   echo "=== [smoke] run ==="
-  ./build-ci-smoke/bench/bench_fault_churn --smoke build-ci-smoke/BENCH_fault_churn.json
+  ./build-ci-smoke/bench/bench_fault_churn --smoke --out=build-ci-smoke/BENCH_fault_churn.json
+  rc=0; ./build-ci-smoke/bench/bench_fault_churn --smok >/dev/null 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || { echo "smoke: bench_fault_churn --smok exited $rc, want 2"; exit 1; }
   wide_trace="build-ci-smoke/wide_job_trace.csv"
   printf '%s\n' "id,name,model,gpus,dataset,dataset_bytes,block_bytes,ideal_io_bps,total_bytes,submit_seconds,regular,curriculum,pacing_start,pacing_alpha,pacing_step" \
       "0,wide,ResNet-50,64,d0,10000000000,64000000,114000000,20000000000,0,1,0,0.04,1.9,50000" \
@@ -96,7 +101,10 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
               "--engine=flow --trace=$wide_trace --gpus=16" "--jobs=0" "--gpus=16x" \
               "--engine=fine --trace=$nan_trace --gpus=64" \
               "--engine=flow --trace=$nan_trace --gpus=64" "--share=2" "--gpu-speed=0" \
-              "--engine=fine --servers=0" "--policy=lifo+silod"; do
+              "--engine=fine --servers=0" "--policy=lifo+silod" "--jobs=4294967297" \
+              "--gpus=4294967312" "--engine=rt --rt-jobs=1 --gpus=8 --rt-block-kb=0" \
+              "--engine=rt --rt-jobs=1 --gpus=8 --rt-dataset-mb=0" \
+              "--engine=rt --rt-jobs=1 --gpus=8 --rt-epochs=-1"; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim $args >/dev/null 2>&1 || rc=$?
     [[ "$rc" == 2 ]] || { echo "smoke: silod_sim $args exited $rc, want 2"; exit 1; }
   done
@@ -130,7 +138,7 @@ if [[ "$stage" == "all" || "$stage" == "zone-smoke" ]]; then
   echo "=== [zone-smoke] build ==="
   cmake --build build-ci-smoke -j "$jobs" --target bench_fault_churn silod_sim
   echo "=== [zone-smoke] run ==="
-  ./build-ci-smoke/bench/bench_fault_churn --smoke build-ci-smoke/BENCH_zone_smoke.json
+  ./build-ci-smoke/bench/bench_fault_churn --smoke --out=build-ci-smoke/BENCH_zone_smoke.json
   ./build-ci-smoke/tools/silod_sim --jobs=12 --servers=8 \
       --fault-zone="zone=rack0:servers=0-3:crashes-per-hour=2" \
       --zone-loss-bound=0.25 --seed=7 \
@@ -142,9 +150,12 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   # bench_engine_scaling fails on a row whose ResultDigest or event count
   # differs from the committed BENCH_engine_scaling.json (exact: the fine
   # engine's stepping is pinned bit-for-bit) and on calendar events/sec more
-  # than 30% below the committed value.  Then the self-tests: both benches'
-  # exact digest gates must fail against a baseline with one digest altered,
-  # and a NaN --max-regress or a malformed --sizes entry must exit 2.
+  # than 30% below the committed value.  Then the self-tests: each bench must
+  # exit 1 with a FAIL: line against a baseline with one digest altered (a
+  # digest failure), against the other bench's committed file, against its
+  # own file cut to 200 bytes, against an empty file, and against a copy
+  # with one gated field deleted; a NaN --max-regress or a malformed --sizes
+  # entry must exit 2.
   echo "=== [scaling-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [scaling-smoke] build ==="
@@ -170,6 +181,36 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
     rc=0; ./build-ci-smoke/bench/$cmd >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
     [[ "$rc" == 1 ]] && grep -q 'FAIL: .*digest' build-ci-smoke/self_test.err \
         || { echo "scaling-smoke: $cmd exited $rc without a digest failure, want 1"; exit 1; }
+  done
+  empty="build-ci-smoke/BENCH_empty.json"
+  : > "$empty"
+  for bench in engine_scaling sched_solve; do
+    head -c 200 "BENCH_$bench.json" > "build-ci-smoke/BENCH_$bench.cut.json"
+  done
+  # One gated field deleted from a row the self-test run produces, leaving
+  # valid JSON: calendar/64-jobs' calendar_events_per_s (its last field, so
+  # the line before loses its comma), and fifo+silod/64's p50_us.
+  sed '/"label": "calendar\/64-jobs"/,/"calendar_events_per_s"/ {
+         /"calendar_wall_s"/ s/,$//
+         /"calendar_events_per_s"/d
+       }' BENCH_engine_scaling.json > build-ci-smoke/BENCH_engine_scaling.nofield.json
+  sed '/"cell": "fifo+silod\/64"/ s/"p50_us": [0-9.]*, //' \
+      BENCH_sched_solve.json > build-ci-smoke/BENCH_sched_solve.nofield.json
+  for bench in engine_scaling sched_solve; do
+    ! cmp -s "BENCH_$bench.json" "build-ci-smoke/BENCH_$bench.nofield.json" \
+        || { echo "scaling-smoke: no $bench field to delete"; exit 1; }
+  done
+  for cmd in "$scaling --baseline=BENCH_sched_solve.json" \
+             "$scaling --baseline=build-ci-smoke/BENCH_engine_scaling.cut.json" \
+             "$scaling --baseline=$empty" \
+             "$scaling --baseline=build-ci-smoke/BENCH_engine_scaling.nofield.json" \
+             "$solve --baseline=BENCH_engine_scaling.json" \
+             "$solve --baseline=build-ci-smoke/BENCH_sched_solve.cut.json" \
+             "$solve --baseline=$empty" \
+             "$solve --baseline=build-ci-smoke/BENCH_sched_solve.nofield.json"; do
+    rc=0; ./build-ci-smoke/bench/$cmd >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
+    [[ "$rc" == 1 ]] && grep -q '^FAIL: ' build-ci-smoke/self_test.err \
+        || { echo "scaling-smoke: $cmd exited $rc without a FAIL: line, want 1"; exit 1; }
   done
   for cmd in "$scaling" "$solve"; do
     for bad in --max-regress=nan --sizes=64x; do
@@ -453,6 +494,10 @@ PY
       || { echo "hetero-smoke: typed daemon diverged from the typed batch engine"; exit 1; }
   grep -q '"gpu_types"' build-ci-smoke/hetero_serve_report.json \
       || { echo "hetero-smoke: daemon report lacks the per-type breakdown"; exit 1; }
+  # --json output must be JSON, even with the multi-line report inside it.
+  ./build-ci-smoke/tools/silod_client --socket="$sock" --json report \
+      | python3 -c 'import json,sys; json.load(sys.stdin)' \
+      || { echo "hetero-smoke: silod_client --json report is not valid JSON"; exit 1; }
   ./build-ci-smoke/tools/silod_client --socket="$sock" shutdown >/dev/null
   wait "$silodd_pid" || { echo "hetero-smoke: daemon exited non-zero"; exit 1; }
   trap - EXIT

@@ -31,6 +31,7 @@
 
 #include "src/common/backoff.h"
 #include "src/common/flags.h"
+#include "src/common/text_codec.h"
 #include "src/common/topology.h"
 #include "src/core/policy_registry.h"
 #include "src/serve/server.h"
@@ -104,36 +105,19 @@ class RetryingClient {
   std::optional<ServeClient> client_;
 };
 
-// Renders response fields as a flat JSON object (values as JSON strings;
-// numeric consumers parse them — the fields are exact decimal renderings).
-std::string FieldsToJson(const ServeResponse& response) {
-  std::string json = "{";
-  bool first = true;
-  for (const auto& [key, value] : response.fields) {
-    if (!first) {
-      json += ", ";
-    }
-    first = false;
-    std::string escaped;
-    for (const char c : value) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
-    json += "\"" + key + "\": \"" + escaped + "\"";
-  }
-  json += "}";
-  return json;
-}
-
 int PrintResponse(const ServeResponse& response, bool json) {
   if (!response.ok()) {
     std::fprintf(stderr, "error: %s\n", response.ToStatus().ToString().c_str());
     return kExitDaemonRejected;
   }
   if (json) {
-    std::printf("%s\n", FieldsToJson(response).c_str());
+    // One line, every value a JSON string: numeric consumers parse the
+    // fields' exact decimal renderings themselves.
+    JsonValue object = JsonValue::Object(/*one_line=*/true);
+    for (const auto& [key, value] : response.fields) {
+      object.Set(key, JsonValue::String(value));
+    }
+    std::printf("%s\n", object.Format().c_str());
   } else {
     for (const auto& [key, value] : response.fields) {
       std::printf("%s=%s\n", key.c_str(), value.c_str());
@@ -153,6 +137,15 @@ bool FieldMatches(const ServeResponse& response, const std::string& key, double 
 }
 
 int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
+  const Result<int> num_jobs = flags.GetIntInRange("jobs");
+  const Result<int> gpus = flags.GetIntInRange("gpus");
+  const Result<int> servers = flags.GetIntInRange("servers");
+  for (const Result<int>* value : {&num_jobs, &gpus, &servers}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->status().message().c_str());
+      return 2;
+    }
+  }
   Trace trace;
   if (!flags.GetString("trace").empty()) {
     Result<Trace> loaded = ReadTraceFile(flags.GetString("trace"));
@@ -163,7 +156,7 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
     trace = *std::move(loaded);
   } else {
     TraceOptions options;
-    options.num_jobs = static_cast<int>(flags.GetInt("jobs"));
+    options.num_jobs = *num_jobs;
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
     options.median_duration = Minutes(flags.GetDouble("median-duration-min"));
     options.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
@@ -177,7 +170,7 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
   // The local batch run must see the same cluster the daemon was started
   // with; these flags mirror silodd's.
   SimConfig config;
-  config.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
+  config.resources.total_gpus = *gpus;
   if (const Status st = SetStorageFromFlags(flags.GetDouble("cache-tb"),
                                             flags.GetDouble("egress-gbps"),
                                             flags.GetDouble("per-job-cap-mbps"), &config.resources);
@@ -185,7 +178,7 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return 2;
   }
-  config.resources.num_servers = static_cast<int>(flags.GetInt("servers"));
+  config.resources.num_servers = *servers;
   if (!flags.GetString("topology").empty()) {
     Result<ClusterTopology> topology = ClusterTopology::Parse(flags.GetString("topology"));
     if (!topology.ok()) {
@@ -264,7 +257,7 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
         FieldMatches(*report, "makespan-min", batch.makespan_min);
     if (!identical) {
       std::fprintf(stderr, "cross-check FAILED: daemon JCT summary differs from batch engine\n");
-      std::fprintf(stderr, "batch:\n%s\n", batch.ToJson().c_str());
+      std::fprintf(stderr, "batch:\n%s\n", batch.ToJson().Format().c_str());
       return kExitCheckMismatch;
     }
     std::fprintf(stderr, "cross-check OK: daemon report matches the batch engine (%d jobs)\n",
@@ -317,16 +310,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--socket is required\n%s", flags.Help("silod_client").c_str());
     return 2;
   }
-  const std::int64_t timeout_ms = flags.GetInt("timeout-ms");
-  const std::int64_t retries = flags.GetInt("retries");
-  if (timeout_ms < 0 || retries < 0 || flags.GetDouble("retry-base-ms") <= 0) {
+  const Result<int> timeout_ms = flags.GetIntInRange("timeout-ms", 0);
+  const Result<int> retries = flags.GetIntInRange("retries", 0);
+  if (!timeout_ms.ok() || !retries.ok() || !(flags.GetDouble("retry-base-ms") > 0)) {
     std::fprintf(stderr,
-                 "--timeout-ms and --retries must be >= 0, --retry-base-ms must be > 0\n");
+                 "--timeout-ms and --retries must be integers >= 0, --retry-base-ms must be > "
+                 "0\n");
     return 2;
   }
   ClientOptions options;
-  options.timeout_ms = static_cast<int>(timeout_ms);
-  RetryingClient client(flags.GetString("socket"), options, static_cast<int>(retries),
+  options.timeout_ms = *timeout_ms;
+  RetryingClient client(flags.GetString("socket"), options, *retries,
                         flags.GetDouble("retry-base-ms"));
 
   if (flags.GetBool("serve-trace")) {

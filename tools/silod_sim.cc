@@ -72,6 +72,50 @@ void AddFaultRows(const FaultStats& f, const RestartCost& restart_cost, Table* s
   }
 }
 
+// The rt engine's micro-trace: `jobs` one-GPU jobs, each reading its own
+// dataset for a whole number of bytes.
+struct RtMicroTrace {
+  int jobs = 0;
+  Bytes dataset = 0;
+  Bytes block = 0;
+  Bytes total = 0;  // Bytes each job reads over all its epochs.
+};
+
+// `value` units of `unit` bytes as a byte count: at least one byte and far
+// from the int64 edge, or an error naming the flag.
+Result<Bytes> PositiveBytes(const std::string& flag, double value, double unit) {
+  const double bytes = value * unit;
+  if (!(bytes >= 1 && bytes < 0x1p62)) {
+    return Status::InvalidArgument("--" + flag + " must come to between 1 and 2^62 bytes, got " +
+                                   FormatShortest(value));
+  }
+  return static_cast<Bytes>(bytes);
+}
+
+// Reads and checks every --rt-* micro-trace flag before any Dataset exists.
+Result<RtMicroTrace> ParseRtMicroTrace(const FlagSet& flags, int total_gpus) {
+  const Result<int> jobs = flags.GetIntInRange("rt-jobs", 1, total_gpus);
+  if (!jobs.ok()) {
+    return jobs.status();
+  }
+  const Result<Bytes> dataset =
+      PositiveBytes("rt-dataset-mb", flags.GetDouble("rt-dataset-mb"), static_cast<double>(kMB));
+  if (!dataset.ok()) {
+    return dataset.status();
+  }
+  const Result<Bytes> block =
+      PositiveBytes("rt-block-kb", flags.GetDouble("rt-block-kb"), static_cast<double>(kKB));
+  if (!block.ok()) {
+    return block.status();
+  }
+  const Result<Bytes> total =
+      PositiveBytes("rt-epochs", flags.GetDouble("rt-epochs"), static_cast<double>(*dataset));
+  if (!total.ok()) {
+    return total.status();
+  }
+  return RtMicroTrace{*jobs, *dataset, *block, *total};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,6 +206,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Every flag narrowed to int is range-checked up front: a value past the
+  // int range exits 2 instead of wrapping.
+  const Result<int> num_jobs = flags.GetIntInRange("jobs");
+  const Result<int> gpus = flags.GetIntInRange("gpus");
+  const Result<int> servers = flags.GetIntInRange("servers");
+  for (const Result<int>* value : {&num_jobs, &gpus, &servers}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->status().message().c_str());
+      return 2;
+    }
+  }
+
   // Workload.
   Trace trace;
   if (!flags.GetString("trace").empty()) {
@@ -173,7 +229,7 @@ int main(int argc, char** argv) {
     trace = std::move(loaded).value();
   } else {
     TraceOptions options;
-    options.num_jobs = static_cast<int>(flags.GetInt("jobs"));
+    options.num_jobs = *num_jobs;
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
     options.median_duration = Minutes(flags.GetDouble("median-duration-min"));
     options.max_duration = Days(flags.GetDouble("max-duration-days"));
@@ -202,7 +258,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.scheduler_options.manage_remote_io = flags.GetBool("manage-remote-io");
-  config.sim.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
+  config.sim.resources.total_gpus = *gpus;
   if (const Status st = SetStorageFromFlags(flags.GetDouble("cache-tb"),
                                             flags.GetDouble("egress-gbps"),
                                             flags.GetDouble("per-job-cap-mbps"), &config.sim.resources);
@@ -210,7 +266,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return 2;
   }
-  config.sim.resources.num_servers = static_cast<int>(flags.GetInt("servers"));
+  config.sim.resources.num_servers = *servers;
   const std::string engine_name = flags.GetString("engine");
   if (engine_name != "flow" && engine_name != "fine" && engine_name != "rt") {
     std::fprintf(stderr, "--engine: unknown engine \"%s\"; valid engines: flow, fine, rt\n",
@@ -391,21 +447,19 @@ int main(int argc, char** argv) {
     // The wall-clock mini-cluster: a generated micro-trace (seconds of wall
     // time) run on real threads or real worker processes, reported through
     // the same RunReport schema as the simulation engines.
-    const int rt_jobs = static_cast<int>(flags.GetInt("rt-jobs"));
-    if (rt_jobs < 1 || rt_jobs > config.sim.resources.total_gpus) {
-      std::fprintf(stderr, "--rt-jobs: %d is not in [1, --gpus=%d]\n", rt_jobs,
-                   config.sim.resources.total_gpus);
+    const Result<RtMicroTrace> micro = ParseRtMicroTrace(flags, config.sim.resources.total_gpus);
+    if (!micro.ok()) {
+      std::fprintf(stderr, "%s\n", micro.status().message().c_str());
       return 2;
     }
+    const int rt_jobs = micro->jobs;
     const ModelZoo zoo;
     Trace rt_trace;
     for (int i = 0; i < rt_jobs; ++i) {
-      const DatasetId d = rt_trace.catalog.Add("rt-d" + std::to_string(i),
-                                               MB(flags.GetDouble("rt-dataset-mb")),
-                                               KB(flags.GetDouble("rt-block-kb")));
+      const DatasetId d =
+          rt_trace.catalog.Add("rt-d" + std::to_string(i), micro->dataset, micro->block);
       JobSpec job = MakeJob(static_cast<JobId>(i), zoo, "ResNet-50", 1, d, 1.0, 0);
-      job.total_bytes = static_cast<Bytes>(flags.GetDouble("rt-epochs") *
-                                           static_cast<double>(MB(flags.GetDouble("rt-dataset-mb"))));
+      job.total_bytes = micro->total;
       rt_trace.jobs.push_back(job);
     }
     if (rejects(rt_trace)) {
@@ -466,7 +520,7 @@ int main(int argc, char** argv) {
       if (!config.sim.topology.empty() || config.sim.topology.has_gpu_types()) {
         report.AddExtra("topology", config.sim.topology.ToSpec());
       }
-      std::ofstream(flags.GetString("json")) << report.ToJson() << "\n";
+      std::ofstream(flags.GetString("json")) << report.ToJson().Format() << "\n";
       std::printf("wrote %s\n", flags.GetString("json").c_str());
     }
     if (rt.timed_out) {
@@ -547,7 +601,7 @@ int main(int argc, char** argv) {
     if (!config.sim.topology.empty() || config.sim.topology.has_gpu_types()) {
       report.AddExtra("topology", config.sim.topology.ToSpec());
     }
-    std::ofstream(flags.GetString("json")) << report.ToJson() << "\n";
+    std::ofstream(flags.GetString("json")) << report.ToJson().Format() << "\n";
     std::printf("wrote %s\n", flags.GetString("json").c_str());
   }
   return 0;

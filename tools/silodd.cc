@@ -91,10 +91,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const Result<int> gpus = flags.GetIntInRange("gpus");
+  const Result<int> servers = flags.GetIntInRange("servers");
+  const Result<int> max_queue = flags.GetIntInRange("max-queue");
+  for (const Result<int>* value : {&gpus, &servers, &max_queue}) {
+    if (!value->ok()) {
+      std::fprintf(stderr, "%s\n", value->status().message().c_str());
+      return 2;
+    }
+  }
+
   ServiceConfig config;
   config.policy = flags.GetString("policy");
   config.scheduler.manage_remote_io = flags.GetBool("manage-remote-io");
-  config.resources.total_gpus = static_cast<int>(flags.GetInt("gpus"));
+  config.resources.total_gpus = *gpus;
   if (const Status st = SetStorageFromFlags(flags.GetDouble("cache-tb"),
                                             flags.GetDouble("egress-gbps"),
                                             flags.GetDouble("per-job-cap-mbps"), &config.resources);
@@ -102,7 +112,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return 2;
   }
-  config.resources.num_servers = static_cast<int>(flags.GetInt("servers"));
+  config.resources.num_servers = *servers;
   if (!flags.GetString("topology").empty()) {
     Result<ClusterTopology> topology = ClusterTopology::Parse(flags.GetString("topology"));
     if (!topology.ok()) {
@@ -112,7 +122,7 @@ int main(int argc, char** argv) {
     config.topology = *std::move(topology);
   }
   config.admission.max_gpu_load = flags.GetDouble("max-gpu-load");
-  config.admission.max_queue = static_cast<int>(flags.GetInt("max-queue"));
+  config.admission.max_queue = *max_queue;
   // IncrementalPlanner::Create rejects a negative or NaN interval.
   config.planning.min_replan_interval = flags.GetDouble("replan-interval-s");
   const std::int64_t coalesce = flags.GetInt("coalesce-events");
