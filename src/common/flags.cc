@@ -89,6 +89,17 @@ Result<int> FlagSet::GetIntInRange(const std::string& name, int min, int max) co
   return static_cast<int>(*value);
 }
 
+Result<std::uint64_t> FlagSet::GetU64(const std::string& name, std::uint64_t max) const {
+  const Result<std::uint64_t> value = ParseU64(GetString(name));
+  if (!value.ok()) {
+    return Status::InvalidArgument("--" + name + ": " + value.status().message());
+  }
+  if (*value > max) {
+    return Status::InvalidArgument("--" + name + ": above the maximum " + std::to_string(max));
+  }
+  return *value;
+}
+
 double FlagSet::GetDouble(const std::string& name) const {
   const Result<double> value = ParseDouble(GetString(name));
   return value.ok() ? *value : 0;

@@ -38,6 +38,9 @@ class FlagSet {
   // a fractional, non-numeric or out-of-range value.  The getter for every
   // flag a tool narrows to int.
   Result<int> GetIntInRange(const std::string& name, int min = INT_MIN, int max = INT_MAX) const;
+  // The value as an unsigned integer in [0, max], for seeds and sizes; an
+  // InvalidArgument naming the flag for anything else (a cast would wrap).
+  Result<std::uint64_t> GetU64(const std::string& name, std::uint64_t max = UINT64_MAX) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 

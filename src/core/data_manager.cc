@@ -88,39 +88,6 @@ Status DataManager::AllocateCacheSize(const Dataset& dataset, Bytes cache_size) 
   return Status::Ok();
 }
 
-Status DataManager::AllocateCacheSizeZoned(const Dataset& dataset,
-                                           const std::vector<Bytes>& zone_shares) {
-  if (zone_placement_ == nullptr) {
-    return Status::FailedPrecondition("no topology declared; call SetTopology first");
-  }
-  if (zone_shares.size() != static_cast<std::size_t>(topology_.num_zones())) {
-    return Status::InvalidArgument("zone share count does not match the topology");
-  }
-  Bytes quota = 0;
-  for (const Bytes share : zone_shares) {
-    if (share < 0) {
-      return Status::InvalidArgument("negative zone cache share");
-    }
-    quota += share;
-  }
-  const std::vector<Bytes> targets = PerShardTargets(quota, &zone_shares);
-  // Shrinks before grows so moving a share between shards never transiently
-  // over-commits the growing shard.
-  for (const bool shrink_pass : {true, false}) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Bytes current = shards_[s].Allocation(dataset.id);
-      if (targets[s] == current || (targets[s] < current) != shrink_pass) {
-        continue;
-      }
-      if (const Status st = shards_[s].AllocateCacheSize(dataset, targets[s]); !st.ok()) {
-        return st;
-      }
-    }
-  }
-  SetZoneShares(dataset.id, zone_shares);
-  return Status::Ok();
-}
-
 std::vector<Bytes> DataManager::PerShardTargets(Bytes quota,
                                                 const std::vector<Bytes>* zone_shares) const {
   std::vector<Bytes> targets(shards_.size(), 0);

@@ -43,10 +43,6 @@ class DataManager {
   // --- Table 3 allocation APIs --------------------------------------------
   // void allocateCacheSize(dataset_uri, cache_size)
   Status AllocateCacheSize(const Dataset& dataset, Bytes cache_size);
-  // Zone-aware variant: `zone_shares` is indexed like topology().zones() and
-  // sums to the dataset's quota; each shard gets its zone's share split
-  // equally among the zone's members, and reads route zone-proportionally.
-  Status AllocateCacheSizeZoned(const Dataset& dataset, const std::vector<Bytes>& zone_shares);
   // void allocateRemoteIO(job_id, io_speed)
   Status AllocateRemoteIo(JobId job, BytesPerSec io_speed);
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <map>
 #include <string_view>
+#include <utility>
 
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/text_codec.h"
 
@@ -301,7 +303,37 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec,
   return plan;
 }
 
+Status ValidateFaultChurnOptions(const FaultChurnOptions& options) {
+  const auto bad = [](double value) { return !std::isfinite(value) || value < 0; };
+  if (bad(options.horizon)) {
+    return Status::InvalidArgument("fault horizon must be finite and >= 0: " +
+                                   FormatShortest(options.horizon));
+  }
+  std::vector<std::pair<std::string, double>> rates = {
+      {"server crashes per hour", options.server_crashes_per_hour},
+      {"worker crashes per hour", options.worker_crashes_per_hour},
+      {"degrade windows per hour", options.degrade_windows_per_hour},
+      {"dm restarts per hour", options.dm_restarts_per_hour}};
+  for (const ZoneChurn& zone : options.zones) {
+    rates.emplace_back("zone " + zone.zone.name + " crashes per hour", zone.crashes_per_hour);
+  }
+  double expected = 0;
+  for (const auto& [name, rate] : rates) {
+    if (bad(rate)) {
+      return Status::InvalidArgument(name + " must be finite and >= 0: " + FormatShortest(rate));
+    }
+    expected += rate * (options.horizon / 3600.0);
+  }
+  if (!(expected <= kMaxExpectedFaultEvents)) {
+    return Status::InvalidArgument("rates x horizon expect " + FormatShortest(expected) +
+                                   " arrivals, over " + FormatShortest(kMaxExpectedFaultEvents));
+  }
+  return Status::Ok();
+}
+
 FaultPlan GenerateFaultPlan(const FaultChurnOptions& options) {
+  const Status valid = ValidateFaultChurnOptions(options);
+  SILOD_CHECK(valid.ok()) << valid.ToString();
   FaultPlan plan;
   Rng rng(options.seed ^ 0xFA171ULL);
 

@@ -143,6 +143,16 @@ struct FaultChurnOptions {
   std::vector<ZoneChurn> zones;
 };
 
+// Cap on a churn plan's expected arrivals: rate x horizon, summed over the
+// categories and zones.
+inline constexpr double kMaxExpectedFaultEvents = 1e6;
+
+// InvalidArgument naming the first category or zone rate, or the horizon,
+// that is negative or not finite, or rates past the cap.  A huge rate stops
+// `t += gap` advancing, and the generator would never return.
+Status ValidateFaultChurnOptions(const FaultChurnOptions& options);
+
+// SILOD_CHECKs ValidateFaultChurnOptions.
 FaultPlan GenerateFaultPlan(const FaultChurnOptions& options);
 
 // Parses the --fault-zone flag: ";"-separated zone specs, each a ":"-joined

@@ -9,18 +9,6 @@
 #include "src/workload/trace_gen.h"
 
 namespace silod {
-namespace {
-
-SimConfig MakeCluster(int gpus, Bytes cache) {
-  SimConfig config;
-  config.resources.total_gpus = gpus;
-  config.resources.total_cache = cache;
-  config.resources.remote_io = RemoteIoLimitForCluster(gpus);
-  config.resources.num_servers = (gpus + 3) / 4;  // 4-GPU servers.
-  return config;
-}
-
-}  // namespace
 
 Status ValidateSimInputs(const Trace& trace, const SimConfig& config) {
   if (trace.jobs.empty()) {
@@ -76,17 +64,5 @@ SimConfig PrepareSimConfig(const Trace* trace, SimConfig config) {
   }
   return config;
 }
-
-SimConfig MicrobenchmarkCluster() {
-  // Two 4-V100 VMs with 1 TB SSD each (§7.1.1).
-  return MakeCluster(8, TB(2));
-}
-
-SimConfig Cluster96() {
-  // 1 TB of SSD per 4-GPU server, matching the micro-benchmark density.
-  return MakeCluster(96, TB(24));
-}
-
-SimConfig Cluster400() { return MakeCluster(400, TB(100)); }
 
 }  // namespace silod

@@ -60,13 +60,6 @@ Status ValidateSimInputs(const Trace& trace, const SimConfig& config);
 // Cover()s a declared topology (uncovered servers become singleton zones).
 SimConfig PrepareSimConfig(const Trace* trace, SimConfig config);
 
-// The paper's evaluated cluster scales (Table 5): GPUs, per-scale remote IO
-// limit and a cache pool (1 TB SSD per 4-GPU server in the micro-benchmark;
-// proportional at larger scales).
-SimConfig MicrobenchmarkCluster();   // 8 V100, 2 TB cache, 1.6 Gbps.
-SimConfig Cluster96();               // 96 GPUs, 8 Gbps.
-SimConfig Cluster400();              // 400 GPUs, 32 Gbps.
-
 }  // namespace silod
 
 #endif  // SILOD_SRC_SIM_CLUSTER_H_

@@ -2,26 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "src/common/logging.h"
 #include "src/core/recovery.h"
 #include "src/estimator/ioperf.h"
-#include "src/sched/gavel.h"
 #include "src/storage/remote_store.h"
 
 namespace silod {
-namespace {
-
-constexpr double kTimeEps = 1e-9;
-
-}  // namespace
 
 FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config, FineEngineOptions options)
     : trace_(trace), scheduler_(std::move(scheduler)),
-      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_), options_(options),
+      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_), lifecycle_(trace),
+      options_(options),
       cache_manager_(config_.resources.total_cache, config_.seed ^ 0xCACE), rng_(config_.seed) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
   SILOD_CHECK(options_.prefetch_window >= 1) << "prefetch window must be >= 1";
@@ -40,18 +34,6 @@ FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
     metrics_.OnSubmit(spec);
   }
   calendar_.Reset(jobs_.size());
-}
-
-void FineEngine::ActivateJob(JobId id) {
-  const auto it = std::lower_bound(active_.begin(), active_.end(), id);
-  SILOD_CHECK(it == active_.end() || *it != id) << "job " << id << " already active";
-  active_.insert(it, id);
-}
-
-void FineEngine::DeactivateJob(JobId id) {
-  const auto it = std::lower_bound(active_.begin(), active_.end(), id);
-  SILOD_CHECK(it != active_.end() && *it == id) << "job " << id << " not active";
-  active_.erase(it);
 }
 
 void FineEngine::SetJobEvent(JobState& s, Seconds t) {
@@ -81,30 +63,6 @@ void FineEngine::LeaveMissSet(JobState& s) {
   s.miss_index = -1;
   s.flow_rate = 0;
   flows_dirty_ = true;
-}
-
-Snapshot FineEngine::BuildSnapshot(Seconds now) {
-  Snapshot snap;
-  snap.now = now;
-  snap.resources = faults_.resources();
-  snap.catalog = &trace_->catalog;
-  if (!config_.topology.empty() || config_.topology.has_gpu_types()) {
-    snap.topology = &config_.topology;
-  }
-  snap.jobs.reserve(active_.size());
-  for (const JobId id : active_) {
-    JobState& s = jobs_[static_cast<std::size_t>(id)];
-    JobView view;
-    view.spec = s.spec;
-    const Bytes block = trace_->catalog.Get(s.spec->dataset).block_size;
-    view.remaining_bytes = (s.blocks_total - s.blocks_fetched) * block;
-    view.running = s.running;
-    view.effective_cache = EffectiveBytesFor(s);
-    view.gpu_type = s.gpu_type;
-    snap.jobs.push_back(view);
-  }
-  AnnotateSnapshotSpeeds(&snap);
-  return snap;
 }
 
 Bytes FineEngine::EffectiveBytesFor(const JobState& s) {
@@ -146,15 +104,19 @@ Bytes FineEngine::EffectiveBytesFor(const JobState& s) {
 }
 
 void FineEngine::Reschedule(Seconds now) {
-  const Snapshot snap = BuildSnapshot(now);
-  if (snap.jobs.empty()) {
-    plan_ = AllocationPlan{};
+  const Snapshot snap =
+      lifecycle_.MakeSnapshot(now, faults_.resources(), config_.topology, [&](JobId id) {
+        const JobState& s = jobs_[static_cast<std::size_t>(id)];
+        const Bytes block = trace_->catalog.Get(s.spec->dataset).block_size;
+        return JobView{.spec = s.spec,
+                       .remaining_bytes = (s.blocks_total - s.blocks_fetched) * block,
+                       .running = s.running,
+                       .effective_cache = EffectiveBytesFor(s),
+                       .gpu_type = s.gpu_type};
+      });
+  if (!SolvePlan(*scheduler_, snap, &plan_)) {
     return;
   }
-  plan_ = scheduler_->Schedule(snap);
-  const Status valid = plan_.Validate(faults_.resources());
-  SILOD_CHECK(valid.ok()) << "invalid plan from " << scheduler_->name() << ": "
-                          << valid.ToString();
 
   if (shared_pool_ == nullptr) {
     if (plan_.cache_model == CacheModelKind::kSharedLru) {
@@ -205,11 +167,11 @@ void FineEngine::Reschedule(Seconds now) {
     }
   }
 
-  // Merge-join the plan's job map (sorted) with the active set (sorted):
-  // O(active + plan) id lookups instead of a map find per job.
+  // Merge-join the plan's job map (sorted) with the live set (sorted):
+  // O(live + plan) id lookups instead of a map find per job.
   auto plan_it = plan_.jobs.begin();
   static const JobAllocation kIdleAlloc;
-  for (const JobId id : active_) {
+  for (const JobId id : lifecycle_.live()) {
     JobState& s = jobs_[static_cast<std::size_t>(id)];
     while (plan_it != plan_.jobs.end() && plan_it->first < id) {
       ++plan_it;
@@ -224,9 +186,7 @@ void FineEngine::Reschedule(Seconds now) {
       s.running = true;
       s.gpu_type = alloc.gpu_type;
       s.speed = alloc.speed;
-      if (s.gpu_type >= 0) {
-        metrics_.OnAssign(s.spec->id, config_.topology.gpu_types()[static_cast<std::size_t>(s.gpu_type)].name);
-      }
+      metrics_.OnAssign(s.spec->id, s.gpu_type, config_.topology);
       metrics_.OnStart(s.spec->id, now);
       const Dataset& d = trace_->catalog.Get(s.spec->dataset);
       if (plan_.cache_model == CacheModelKind::kDatasetQuota) {
@@ -302,7 +262,7 @@ bool FineEngine::CacheAccess(JobState& s, std::int64_t block) {
 }
 
 void FineEngine::StartNextFetch(JobState& s, Seconds now) {
-  SILOD_CHECK(s.running && !s.finished) << "fetch for inactive job";
+  SILOD_CHECK(s.running) << "fetch for a job that is not running";
   if (s.blocks_fetched >= s.blocks_total) {
     s.phase = Phase::kDraining;
     SetJobEvent(s, s.compute_finish);
@@ -387,40 +347,11 @@ void FineEngine::RecomputeFlows(Seconds now) {
 }
 
 void FineEngine::RecordMetrics(Seconds now) {
-  BytesPerSec total = 0;
-  BytesPerSec ideal = 0;
-  BytesPerSec io = 0;
-  double fairness = std::numeric_limits<double>::infinity();
-  double eff_num = 0;
-  double eff_den = 0;
-  int n_running = 0;
-  for (const JobId id : active_) {
+  std::vector<JobRates> rates;
+  for (const JobId id : lifecycle_.live()) {
     const JobState& s = jobs_[static_cast<std::size_t>(id)];
-    if (s.running && !s.finished) {
-      ++n_running;
-    }
-  }
-  // The equal-share denominator depends only on the cluster and the sharer
-  // count; hoisting it replaces a full Snapshot build plus a per-job resource
-  // walk with one O(1) evaluation per running job (bit-identical results).
-  const EqualShareParams eq_params =
-      MakeEqualShareParams(faults_.resources(), std::max(1, n_running));
-  for (const JobId id : active_) {
-    JobState& s = jobs_[static_cast<std::size_t>(id)];
-    if (!s.running || s.finished) {
+    if (!s.running) {
       continue;
-    }
-    // Instantaneous consumption: f*·s while the compute pipeline has data.
-    const BytesPerSec job_ideal = EffectiveIdeal(s.spec->ideal_io, s.speed);
-    const BytesPerSec rate = s.compute_finish > now + kTimeEps ? job_ideal : 0;
-    total += rate;
-    ideal += job_ideal;
-    if (s.phase == Phase::kMissFetch) {
-      io += s.flow_rate;
-    }
-    const BytesPerSec eq = EqualShareThroughput(*s.spec, s.speed, trace_->catalog, eq_params);
-    if (eq > 0) {
-      fairness = std::min(fairness, rate / eq);
     }
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
     double quota = 0;
@@ -429,13 +360,13 @@ void FineEngine::RecordMetrics(Seconds now) {
     } else if (plan_.cache_model == CacheModelKind::kPerJobStatic && s.private_cache) {
       quota = static_cast<double>(std::min(s.private_cache->capacity(), d.size));
     }
-    eff_num += std::min(static_cast<double>(EffectiveBytesFor(s)), quota);
-    eff_den += quota;
+    // Instantaneous consumption: f*·s while the compute pipeline has data.
+    const BytesPerSec ideal = EffectiveIdeal(s.spec->ideal_io, s.speed);
+    rates.push_back({s.spec, s.speed, s.compute_finish > now + kTimeEps ? ideal : 0,
+                      s.phase == Phase::kMissFetch ? s.flow_rate : 0,
+                      static_cast<double>(EffectiveBytesFor(s)), quota});
   }
-  if (!std::isfinite(fairness)) {
-    fairness = 0;
-  }
-  metrics_.OnRates(now, total, ideal, io, fairness, eff_den > 0 ? eff_num / eff_den : 1.0);
+  metrics_.OnRates(now, rates, 0, faults_.resources(), trace_->catalog);
 }
 
 void FineEngine::ResizeCachePool(double evict_fraction, bool evict_quota_caches) {
@@ -539,16 +470,10 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       faults_.Degrade(event, now);
       return;
     case FaultKind::kWorkerCrash: {
-      if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size()) {
-        ++stats.ignored_events;
+      if (!lifecycle_.CrashWorker(event.target, jobs_, stats)) {
         return;
       }
       JobState& s = jobs_[static_cast<std::size_t>(event.target)];
-      if (!s.arrived || s.finished || s.crashed || !s.running) {
-        ++stats.ignored_events;  // Queued jobs have no worker to crash.
-        return;
-      }
-      ++stats.worker_crashes;
       const double staged = std::max(0.0, s.compute_finish - now);
       // What the crash discards is the RestartCost policy's call: by default
       // everything is checkpointed and the staged compute freezes; otherwise
@@ -590,10 +515,8 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       s.current_block = -1;
       s.fetch_remaining = 0;
       s.running = false;
-      s.crashed = true;
       s.gpu_type = -1;
       s.speed = 1.0;
-      DeactivateJob(s.spec->id);
       SetJobEvent(s, kInfiniteTime);
       if (plan_.cache_model == CacheModelKind::kDatasetQuota) {
         cache_manager_.UnregisterJob(s.spec->id);
@@ -601,17 +524,9 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       s.private_cache.reset();  // CoorDL's cache lives on the crashed worker.
       return;
     }
-    case FaultKind::kWorkerRestart: {
-      if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size() ||
-          !jobs_[static_cast<std::size_t>(event.target)].crashed) {
-        ++stats.ignored_events;
-        return;
-      }
-      jobs_[static_cast<std::size_t>(event.target)].crashed = false;
-      ActivateJob(static_cast<JobId>(event.target));
-      ++stats.worker_restarts;
+    case FaultKind::kWorkerRestart:
+      lifecycle_.RestartWorker(event.target, stats);
       return;  // The reschedule this triggers re-admits it via the start path.
-    }
     case FaultKind::kDataManagerRestart: {
       ++stats.dm_restarts;
       if (plan_.cache_model != CacheModelKind::kDatasetQuota) {
@@ -633,18 +548,16 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       cache_manager_ = std::move(fresh);
       // Re-register the live jobs; the restored blocks are immediately
       // effective for them (inserted before their new epoch generation).
-      for (JobState& s : jobs_) {
-        if (s.arrived && !s.finished && !s.crashed && s.running) {
-          cache_manager_.RegisterJob(s.spec->id, trace_->catalog.Get(s.spec->dataset));
+      for (const JobId id : lifecycle_.live()) {
+        const JobState& s = jobs_[static_cast<std::size_t>(id)];
+        if (s.running) {
+          cache_manager_.RegisterJob(id, trace_->catalog.Get(s.spec->dataset));
         }
       }
       return;
     }
   }
-  // A FaultEvent with an out-of-enum kind is an invariant violation, not an
-  // "ignored" fault; log it rather than inflating the counter.
-  SILOD_LOG(Error) << "fault event with invalid kind " << static_cast<int>(event.kind)
-                   << " dropped";
+  LogInvalidFaultKind(event);
 }
 
 // Fires the event the job is currently waiting on.  Cross-job effects (flow
@@ -674,9 +587,8 @@ bool FineEngine::FireJobEvent(JobState& s, Seconds now) {
       break;
     case Phase::kDraining:
       ++counters_.drains;
-      s.finished = true;
       s.running = false;
-      DeactivateJob(s.spec->id);
+      lifecycle_.Finish(s.spec->id);
       s.phase = Phase::kIdle;
       SetJobEvent(s, kInfiniteTime);
       metrics_.OnFinish(s.spec->id, now);
@@ -691,17 +603,8 @@ bool FineEngine::FireJobEvent(JobState& s, Seconds now) {
 }
 
 SimResult FineEngine::Run() {
-  std::vector<JobId> arrivals;
-  for (const JobSpec& spec : trace_->jobs) {
-    arrivals.push_back(spec.id);
-  }
-  std::sort(arrivals.begin(), arrivals.end(), [&](JobId a, JobId b) {
-    return trace_->jobs[static_cast<std::size_t>(a)].submit_time <
-           trace_->jobs[static_cast<std::size_t>(b)].submit_time;
-  });
-
-  Seconds t = trace_->jobs[static_cast<std::size_t>(arrivals.front())].submit_time;
-  std::size_t next_arrival = 0;
+  // Start at the first arrival; the reschedule tick counts from there.
+  Seconds t = lifecycle_.NextArrivalTime();
   Seconds next_tick = t + config_.reschedule_period;
   Seconds next_sample = t;
   bool need_resched = true;
@@ -710,16 +613,7 @@ SimResult FineEngine::Run() {
     SILOD_CHECK(++counters_.steps < 2'000'000'000ULL) << "fine engine step limit exceeded";
     SILOD_CHECK(t <= config_.max_time) << "simulation exceeded max_time at t=" << t;
 
-    while (next_arrival < arrivals.size()) {
-      const JobSpec& spec = trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])];
-      if (spec.submit_time > t + kTimeEps) {
-        break;
-      }
-      jobs_[static_cast<std::size_t>(spec.id)].arrived = true;
-      ActivateJob(spec.id);
-      ++next_arrival;
-      need_resched = true;
-    }
+    need_resched = lifecycle_.ArriveUntil(t + kTimeEps) || need_resched;
     if (need_resched) {
       ++counters_.reschedules;
       Reschedule(t);
@@ -737,12 +631,8 @@ SimResult FineEngine::Run() {
 
     // Next event: the earliest of the next arrival, the reschedule tick, the
     // metrics sample, the next injected fault, and the per-job calendar.
-    Seconds next_event =
-        std::min({next_tick, next_sample, faults_.NextTime(), calendar_.PeekTime()});
-    if (next_arrival < arrivals.size()) {
-      next_event = std::min(
-          next_event, trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])].submit_time);
-    }
+    const Seconds next_event = std::min({next_tick, next_sample, faults_.NextTime(),
+                                         calendar_.PeekTime(), lifecycle_.NextArrivalTime()});
     SILOD_CHECK(std::isfinite(next_event)) << "fine engine stalled at t=" << t;
     t = std::max(t, next_event);
 
@@ -772,7 +662,7 @@ SimResult FineEngine::Run() {
     std::sort(due_.begin(), due_.end());
     for (const std::int32_t id : due_) {
       JobState& s = jobs_[static_cast<std::size_t>(id)];
-      if (s.running && !s.finished) {
+      if (s.running) {
         need_resched = FireJobEvent(s, t) || need_resched;
       }
     }

@@ -28,6 +28,7 @@
 #include "src/sim/cluster.h"
 #include "src/sim/cluster_fault_state.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/job_lifecycle.h"
 #include "src/sim/metrics.h"
 #include "src/workload/curriculum.h"
 #include "src/workload/trace_gen.h"
@@ -63,14 +64,10 @@ class FineEngine {
   struct JobState {
     const JobSpec* spec = nullptr;
     Phase phase = Phase::kIdle;
-    bool arrived = false;
     bool running = false;
-    bool finished = false;
-    // Worker crashed (kWorkerCrash) and not yet restarted: invisible to the
-    // scheduler, holds no resources.  Fetched-but-unconsumed compute is kept
-    // in compute_backlog (training progress is checkpointed, §6) and re-staged
-    // when the scheduler re-admits the job after kWorkerRestart.
-    bool crashed = false;
+    // Fetched-but-unconsumed compute a crashed worker keeps (training
+    // progress is checkpointed, §6), re-staged when the scheduler re-admits
+    // the job after kWorkerRestart.
     double compute_backlog = 0;
 
     std::int64_t blocks_total = 0;    // Blocks to fetch over the job's life.
@@ -108,13 +105,7 @@ class FineEngine {
     Rng rng{1};
   };
 
-  Snapshot BuildSnapshot(Seconds now);
   void Reschedule(Seconds now);
-  // Membership of active_ (arrived, not finished, not crashed), kept sorted
-  // by job id so scans visit jobs in exactly the order the full-vector loops
-  // did.
-  void ActivateJob(JobId id);
-  void DeactivateJob(JobId id);
   void RecomputeFlows(Seconds now);
   void StartNextFetch(JobState& s, Seconds now);
   void OnFetchComplete(JobState& s, Seconds now);
@@ -145,13 +136,10 @@ class FineEngine {
   std::shared_ptr<Scheduler> scheduler_;
   SimConfig config_;  // Topology covered; resources nominal (see faults_).
   ClusterFaultState faults_;
+  JobLifecycle lifecycle_;
   FineEngineOptions options_;
 
   std::vector<JobState> jobs_;
-  // Ids of jobs that are arrived && !finished && !crashed, ascending.  On a
-  // 100k-job trace only a few hundred jobs are live at once, so every
-  // per-event and per-reschedule scan walks this set instead of jobs_.
-  std::vector<JobId> active_;
   // Superset of the datasets whose CacheManager allocation is nonzero,
   // ascending.  Quota enforcement visits the union of this set and the plan's
   // dataset_cache — every other dataset is a quota==current==0 no-op — so a

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/cache/analytic.h"
 #include "src/common/logging.h"
 #include "src/estimator/ioperf.h"
-#include "src/sched/gavel.h"
 #include "src/storage/remote_store.h"
 
 namespace silod {
 namespace {
 
 constexpr double kEps = 1e-6;           // Bytes-scale tolerance.
-constexpr double kTimeEps = 1e-9;       // Seconds-scale tolerance.
 constexpr int kSharedLruIterations = 8;
 
 }  // namespace
@@ -22,7 +19,7 @@ constexpr int kSharedLruIterations = 8;
 FlowEngine::FlowEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config)
     : trace_(trace), scheduler_(std::move(scheduler)),
-      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_) {
+      config_(PrepareSimConfig(trace, std::move(config))), faults_(config_), lifecycle_(trace) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
 
   jobs_.resize(trace_->jobs.size());
@@ -40,40 +37,19 @@ FlowEngine::FlowEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
   }
 }
 
-Snapshot FlowEngine::BuildSnapshot(Seconds now) const {
-  Snapshot snap;
-  snap.now = now;
-  snap.resources = faults_.resources();
-  snap.catalog = &trace_->catalog;
-  if (!config_.topology.empty() || config_.topology.has_gpu_types()) {
-    snap.topology = &config_.topology;
-  }
-  for (const JobState& s : jobs_) {
-    if (!s.arrived || s.finished || s.crashed) {
-      continue;  // A crashed worker holds no resources until it restarts.
-    }
-    JobView view;
-    view.spec = s.spec;
-    view.remaining_bytes = static_cast<Bytes>(std::max(0.0, s.remaining));
-    view.running = s.running;
-    view.effective_cache = static_cast<Bytes>(s.effective);
-    view.gpu_type = s.gpu_type;
-    snap.jobs.push_back(view);
-  }
-  AnnotateSnapshotSpeeds(&snap);
-  return snap;
-}
-
 void FlowEngine::Reschedule(Seconds now) {
-  const Snapshot snap = BuildSnapshot(now);
-  if (snap.jobs.empty()) {
-    plan_ = AllocationPlan{};
+  const Snapshot snap =
+      lifecycle_.MakeSnapshot(now, faults_.resources(), config_.topology, [&](JobId id) {
+        const JobState& s = jobs_[static_cast<std::size_t>(id)];
+        return JobView{.spec = s.spec,
+                       .remaining_bytes = static_cast<Bytes>(std::max(0.0, s.remaining)),
+                       .running = s.running,
+                       .effective_cache = static_cast<Bytes>(s.effective),
+                       .gpu_type = s.gpu_type};
+      });
+  if (!SolvePlan(*scheduler_, snap, &plan_)) {
     return;
   }
-  plan_ = scheduler_->Schedule(snap);
-  const Status valid = plan_.Validate(faults_.resources());
-  SILOD_CHECK(valid.ok()) << "invalid plan from " << scheduler_->name() << ": "
-                          << valid.ToString();
 
   // Apply dataset quotas; shrinking evicts uniformly at random, which removes
   // effective and ineffective items in proportion.  With Hoard prefetching,
@@ -116,17 +92,13 @@ void FlowEngine::Reschedule(Seconds now) {
     }
   }
 
-  for (JobState& s : jobs_) {
-    if (!s.arrived || s.finished || s.crashed) {
-      continue;
-    }
-    const JobAllocation& alloc = plan_.Get(s.spec->id);
+  for (const JobId id : lifecycle_.live()) {
+    JobState& s = jobs_[static_cast<std::size_t>(id)];
+    const JobAllocation& alloc = plan_.Get(id);
     if (!alloc.running && s.running) {
       // Preemption (SRTF plans): suspend in place — progress, epoch position
       // and cache effectiveness survive; the resume penalty is charged below.
       s.running = false;
-      s.rate = 0;
-      s.io_rate = 0;
       s.gpu_type = -1;
       s.speed = 1.0;
       continue;
@@ -136,18 +108,14 @@ void FlowEngine::Reschedule(Seconds now) {
       // old type, restore on the new one — same cost as a suspend/resume pair.
       s.gpu_type = alloc.gpu_type;
       s.speed = alloc.speed;
-      if (s.gpu_type >= 0) {
-        metrics_.OnAssign(s.spec->id, config_.topology.gpu_types()[static_cast<std::size_t>(s.gpu_type)].name);
-      }
+      metrics_.OnAssign(s.spec->id, s.gpu_type, config_.topology);
       s.remaining += config_.preempt_resume_penalty * EffectiveIdeal(s.spec->ideal_io, s.speed);
     }
     if (alloc.running && !s.running) {
       s.running = true;
       s.gpu_type = alloc.gpu_type;
       s.speed = alloc.speed;
-      if (s.gpu_type >= 0) {
-        metrics_.OnAssign(s.spec->id, config_.topology.gpu_types()[static_cast<std::size_t>(s.gpu_type)].name);
-      }
+      metrics_.OnAssign(s.spec->id, s.gpu_type, config_.topology);
       metrics_.OnStart(s.spec->id, now);
       const Dataset& d = trace_->catalog.Get(s.spec->dataset);
       if (!s.started) {
@@ -190,14 +158,16 @@ void FlowEngine::ShrinkDataset(std::size_t d, double limit) {
   if (ds.cached <= limit) {
     return;
   }
-  const double keep = ds.cached > 0 ? limit / ds.cached : 0.0;
+  ScaleEffective(d, ds.cached > 0 ? limit / ds.cached : 0.0);
+  ds.cached = limit;
+}
+
+void FlowEngine::ScaleEffective(std::size_t d, double keep) {
   for (const JobId id : dataset_jobs_[d]) {
-    JobState& s = jobs_[static_cast<std::size_t>(id)];
-    if (s.arrived && !s.finished) {
-      s.effective *= keep;
+    if (lifecycle_.Present(id)) {
+      jobs_[static_cast<std::size_t>(id)].effective *= keep;
     }
   }
-  ds.cached = limit;
 }
 
 void FlowEngine::ApplyDatasetQuota(std::size_t d) {
@@ -270,13 +240,7 @@ void FlowEngine::ApplyZoneQuota(std::size_t d, Bytes quota, const std::vector<By
     after += ds.zone_cached[static_cast<std::size_t>(z)];
   }
   if (after < before - kEps && before > 0) {
-    const double keep = after / before;
-    for (const JobId id : dataset_jobs_[d]) {
-      JobState& s = jobs_[static_cast<std::size_t>(id)];
-      if (s.arrived && !s.finished) {
-        s.effective *= keep;
-      }
-    }
+    ScaleEffective(d, after / before);
   }
   ds.cached = after;
   ds.quota = quota;
@@ -334,10 +298,9 @@ void FlowEngine::FillZones(DatasetState& ds, double delta) {
 
 void FlowEngine::ComputeRates() {
   std::vector<JobState*> running;
-  for (JobState& s : jobs_) {
-    s.rate = 0;
-    s.io_rate = 0;
-    if (s.running && !s.finished) {
+  for (const JobId id : lifecycle_.live()) {
+    JobState& s = jobs_[static_cast<std::size_t>(id)];
+    if (s.running) {
       running.push_back(&s);
     }
   }
@@ -446,9 +409,11 @@ void FlowEngine::ComputeRates() {
       const double pool_space =
           std::max(0.0, static_cast<double>(faults_.resources().total_cache) - occupied);
       if (pool_space > kEps) {
+        // Crashed jobs wait too.
         const JobState* head = nullptr;
-        for (const JobState& s : jobs_) {
-          if (!s.arrived || s.finished || s.running) {
+        for (const JobId id : lifecycle_.present()) {
+          const JobState& s = jobs_[static_cast<std::size_t>(id)];
+          if (s.running) {
             continue;
           }
           const Dataset& d = trace_->catalog.Get(s.spec->dataset);
@@ -522,18 +487,14 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
         const double dataset_keep = ds.cached > 0 ? 1.0 - lost / ds.cached : 0.0;
         ds.cached -= lost;
         charge_loss(lost, trace_->catalog.Get(static_cast<DatasetId>(d)).block_size);
-        for (const JobId id : dataset_jobs_[d]) {
-          JobState& s = jobs_[static_cast<std::size_t>(id)];
-          if (s.arrived && !s.finished) {
-            s.effective *= dataset_keep;
-          }
-        }
+        ScaleEffective(d, dataset_keep);
       }
       // Per-job partitions (CoorDL-style) are striped across the same
       // servers: each job loses its share of the crashed one too.
       if (plan_.cache_model == CacheModelKind::kPerJobStatic) {
-        for (JobState& s : jobs_) {
-          if (!s.arrived || s.finished || s.private_cached <= 0) {
+        for (const JobId id : lifecycle_.present()) {
+          JobState& s = jobs_[static_cast<std::size_t>(id)];
+          if (s.private_cached <= 0) {
             continue;
           }
           const double lost = s.private_cached * (1.0 - keep);
@@ -551,16 +512,10 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       faults_.Degrade(event, now);
       return;
     case FaultKind::kWorkerCrash: {
-      if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size()) {
-        ++stats.ignored_events;
+      if (!lifecycle_.CrashWorker(event.target, jobs_, stats)) {
         return;
       }
       JobState& s = jobs_[static_cast<std::size_t>(event.target)];
-      if (!s.arrived || s.finished || s.crashed || !s.running) {
-        ++stats.ignored_events;  // Queued jobs have no worker to crash.
-        return;
-      }
-      ++stats.worker_crashes;
       // RestartCost in the fluid model: the un-checkpointed progress suffix
       // is re-trained, charged as extra bytes (re-read through the normal
       // rate model once the job resumes).
@@ -591,9 +546,6 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
         stats.compute_lost += lost_bytes / EffectiveIdeal(s.spec->ideal_io, s.speed);
       }
       s.running = false;
-      s.rate = 0;
-      s.io_rate = 0;
-      s.crashed = true;
       s.gpu_type = -1;
       s.speed = 1.0;
       if (plan_.cache_model == CacheModelKind::kPerJobStatic) {
@@ -603,16 +555,9 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       }
       return;
     }
-    case FaultKind::kWorkerRestart: {
-      if (event.target < 0 || static_cast<std::size_t>(event.target) >= jobs_.size() ||
-          !jobs_[static_cast<std::size_t>(event.target)].crashed) {
-        ++stats.ignored_events;
-        return;
-      }
-      jobs_[static_cast<std::size_t>(event.target)].crashed = false;
-      ++stats.worker_restarts;
+    case FaultKind::kWorkerRestart:
+      lifecycle_.RestartWorker(event.target, stats);
       return;  // Re-admitted via the resume path (restore penalty applies).
-    }
     case FaultKind::kDataManagerRestart: {
       // In the fluid model the Data Manager's durable state (allocations +
       // disk contents) restores exactly, so a restart is performance-neutral
@@ -622,102 +567,41 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
       return;
     }
   }
-  // A FaultEvent with an out-of-enum kind is an invariant violation, not an
-  // "ignored" fault; log it rather than inflating the counter.
-  SILOD_LOG(Error) << "fault event with invalid kind " << static_cast<int>(event.kind)
-                   << " dropped";
+  LogInvalidFaultKind(event);
 }
 
 void FlowEngine::RecordMetrics(Seconds now) {
-  BytesPerSec total = 0;
-  BytesPerSec ideal = 0;
-  BytesPerSec io = 0;
-  double fairness = std::numeric_limits<double>::infinity();
-  double eff_num = 0;
-  double eff_den = 0;
-  int n_running = 0;
-  for (const JobState& s : jobs_) {
-    if (s.running && !s.finished) {
-      ++n_running;
-    }
-  }
-  // The equal-share denominator is job-independent: hoist it instead of
-  // rebuilding a Snapshot and re-walking the resources per running job.
-  const EqualShareParams eq_params =
-      MakeEqualShareParams(faults_.resources(), std::max(1, n_running));
-  for (const JobState& s : jobs_) {
-    if (!s.running || s.finished) {
+  std::vector<JobRates> rates;
+  for (const JobId id : lifecycle_.live()) {
+    const JobState& s = jobs_[static_cast<std::size_t>(id)];
+    if (!s.running) {
       continue;
     }
-    total += s.rate;
-    ideal += EffectiveIdeal(s.spec->ideal_io, s.speed);
-    io += s.io_rate;
-    const BytesPerSec eq = EqualShareThroughput(*s.spec, s.speed, trace_->catalog, eq_params);
-    if (eq > 0) {
-      fairness = std::min(fairness, s.rate / eq);
-    }
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
-    double quota = 0;
-    switch (plan_.cache_model) {
-      case CacheModelKind::kDatasetQuota:
-        quota = static_cast<double>(
-            std::min(datasets_[static_cast<std::size_t>(d.id)].quota, d.size));
-        break;
-      case CacheModelKind::kPerJobStatic:
-        quota = static_cast<double>(std::min(s.private_quota, d.size));
-        break;
-      case CacheModelKind::kSharedLru:
-      case CacheModelKind::kSharedLfu:
-        quota = 0;  // No explicit allocation to compare against.
-        break;
+    double quota = 0;  // Shared pools have no allocation to compare against.
+    if (plan_.cache_model == CacheModelKind::kDatasetQuota) {
+      quota = static_cast<double>(
+          std::min(datasets_[static_cast<std::size_t>(d.id)].quota, d.size));
+    } else if (plan_.cache_model == CacheModelKind::kPerJobStatic) {
+      quota = static_cast<double>(std::min(s.private_quota, d.size));
     }
-    eff_num += std::min(s.effective, quota);
-    eff_den += quota;
+    rates.push_back({s.spec, s.speed, s.rate, s.io_rate, s.effective, quota});
   }
-  if (!std::isfinite(fairness)) {
-    fairness = 0;
-  }
-  io += prefetch_rate_;
-  metrics_.OnRates(now, total, ideal, io, fairness, eff_den > 0 ? eff_num / eff_den : 1.0);
+  metrics_.OnRates(now, rates, prefetch_rate_, faults_.resources(), trace_->catalog);
 }
 
 SimResult FlowEngine::Run() {
-  // Arrival order.
-  std::vector<JobId> arrivals;
-  for (const JobSpec& spec : trace_->jobs) {
-    arrivals.push_back(spec.id);
-  }
-  std::sort(arrivals.begin(), arrivals.end(), [&](JobId a, JobId b) {
-    return trace_->jobs[static_cast<std::size_t>(a)].submit_time <
-           trace_->jobs[static_cast<std::size_t>(b)].submit_time;
-  });
-
-  Seconds t = 0;
-  std::size_t next_arrival = 0;
+  // Jump to the first arrival; the reschedule tick keeps its origin at 0.
+  Seconds t = std::max(0.0, lifecycle_.NextArrivalTime());
   Seconds next_tick = config_.reschedule_period;
   bool need_resched = true;
   std::uint64_t steps = 0;
-
-  // Jump to the first arrival.
-  if (next_arrival < arrivals.size()) {
-    t = std::max(t, trace_->jobs[static_cast<std::size_t>(arrivals[0])].submit_time);
-  }
 
   while (!metrics_.AllFinished()) {
     SILOD_CHECK(++steps < 100'000'000ULL) << "flow engine step limit exceeded";
     SILOD_CHECK(t <= config_.max_time) << "simulation exceeded max_time at t=" << t;
 
-    // Process arrivals at the current time.
-    while (next_arrival < arrivals.size()) {
-      const JobSpec& spec = trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])];
-      if (spec.submit_time > t + kTimeEps) {
-        break;
-      }
-      jobs_[static_cast<std::size_t>(spec.id)].arrived = true;
-      ++next_arrival;
-      need_resched = true;
-    }
-
+    need_resched = lifecycle_.ArriveUntil(t + kTimeEps) || need_resched;
     if (need_resched) {
       Reschedule(t);
       need_resched = false;
@@ -726,15 +610,11 @@ SimResult FlowEngine::Run() {
     RecordMetrics(t);
 
     // Time to the next event.
-    Seconds dt = kInfiniteTime;
-    if (next_arrival < arrivals.size()) {
-      dt = std::min(dt, trace_->jobs[static_cast<std::size_t>(arrivals[next_arrival])]
-                                .submit_time -
-                            t);
-    }
-    dt = std::min({dt, next_tick - t, faults_.NextTime() - t});
-    for (const JobState& s : jobs_) {
-      if (!s.running || s.finished || s.rate <= 0) {
+    Seconds dt =
+        std::min({lifecycle_.NextArrivalTime() - t, next_tick - t, faults_.NextTime() - t});
+    for (const JobId id : lifecycle_.live()) {
+      const JobState& s = jobs_[static_cast<std::size_t>(id)];
+      if (!s.running || s.rate <= 0) {
         continue;
       }
       dt = std::min(dt, s.remaining / s.rate);
@@ -749,8 +629,9 @@ SimResult FlowEngine::Run() {
     dt = std::max(dt, 0.0);
 
     // Advance.
-    for (JobState& s : jobs_) {
-      if (!s.running || s.finished) {
+    for (const JobId id : lifecycle_.live()) {
+      JobState& s = jobs_[static_cast<std::size_t>(id)];
+      if (!s.running) {
         continue;
       }
       const double delta = s.rate * dt;
@@ -791,18 +672,18 @@ SimResult FlowEngine::Run() {
     }
 
     // Epoch boundaries and completions.
-    for (JobState& s : jobs_) {
-      if (!s.running || s.finished) {
-        continue;
+    lifecycle_.FinishWhere([&](JobId id) {
+      JobState& s = jobs_[static_cast<std::size_t>(id)];
+      if (!s.running) {
+        return false;
       }
       const Dataset& d = trace_->catalog.Get(s.spec->dataset);
       if (s.remaining <= kEps) {
-        s.finished = true;
         s.running = false;
         s.remaining = 0;
-        metrics_.OnFinish(s.spec->id, t);
+        metrics_.OnFinish(id, t);
         need_resched = true;
-        continue;
+        return true;
       }
       if (s.epoch_pos + kEps >= static_cast<double>(d.size)) {
         s.epoch_pos = 0;
@@ -830,7 +711,8 @@ SimResult FlowEngine::Run() {
           need_resched = true;
         }
       }
-    }
+      return false;
+    });
   }
   SimResult result = metrics_.Finalize();
   result.faults = faults_.Finish(t, result.total_throughput);

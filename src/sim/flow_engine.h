@@ -20,6 +20,7 @@
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
 #include "src/sim/cluster_fault_state.h"
+#include "src/sim/job_lifecycle.h"
 #include "src/sim/metrics.h"
 #include "src/workload/trace_gen.h"
 
@@ -39,17 +40,12 @@ class FlowEngine {
     double effective = 0;        // Effective cache bytes for the current epoch.
     double private_cached = 0;   // CoorDL private-cache fill.
     Bytes private_quota = 0;
-    bool arrived = false;
     bool running = false;
-    bool started = false;  // Ever held GPUs (distinguishes start from resume).
-    bool finished = false;
-    // Worker crashed and not yet restarted.  `started` stays true, so the
-    // scheduler's re-admission goes through the resume path and pays the
-    // checkpoint-restore penalty.
-    bool crashed = false;
+    // Ever held GPUs: a restarted worker resumes and pays the restore penalty.
+    bool started = false;
     bool warm = false;           // Completed at least one epoch.
-    BytesPerSec rate = 0;        // Current end-to-end throughput.
-    BytesPerSec io_rate = 0;     // Current egress consumption.
+    BytesPerSec rate = 0;        // End-to-end throughput; set while running.
+    BytesPerSec io_rate = 0;     // Egress consumption; set while running.
     // GPU-type placement from the plan (-1 / 1.0 on uniform fleets): the job
     // computes at spec->ideal_io * speed while holding this type's GPUs.
     int gpu_type = -1;
@@ -67,12 +63,13 @@ class FlowEngine {
     std::vector<double> zone_limit;
   };
 
-  Snapshot BuildSnapshot(Seconds now) const;
   void Reschedule(Seconds now);
   // Shrinks dataset d's fluid to `limit`, scaling its jobs' effectiveness in
   // proportion (uniform random eviction removes effective and ineffective
   // items alike).  Touches only the dataset's own state and its own jobs.
   void ShrinkDataset(std::size_t d, double limit);
+  // Scales the effectiveness of dataset d's present (live or crashed) jobs.
+  void ScaleEffective(std::size_t d, double keep);
   // The whole per-dataset quota step for one dataset: zone-aware solve
   // (ApplyZoneQuota) when the plan spreads it, plain shrink otherwise.
   // Writes only datasets_[d] and the jobs in dataset_jobs_[d].
@@ -100,6 +97,7 @@ class FlowEngine {
   std::shared_ptr<Scheduler> scheduler_;
   SimConfig config_;  // Topology covered; resources nominal (see faults_).
   ClusterFaultState faults_;
+  JobLifecycle lifecycle_;
   double prefetch_rate_ = 0;  // Leftover-egress prefetch traffic (Hoard mode).
 
   std::vector<JobState> jobs_;          // Indexed by JobId.

@@ -1,10 +1,14 @@
 #include "src/sim/metrics.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "src/common/digest.h"
 #include "src/common/logging.h"
+#include "src/estimator/ioperf.h"
+#include "src/sched/gavel.h"
 
 namespace silod {
 
@@ -324,9 +328,12 @@ void MetricsCollector::OnStart(JobId job, Seconds t) {
   }
 }
 
-void MetricsCollector::OnAssign(JobId job, const std::string& gpu_type_name) {
+void MetricsCollector::OnAssign(JobId job, int gpu_type, const ClusterTopology& topology) {
   SILOD_CHECK(job >= 0 && static_cast<std::size_t>(job) < jobs_.size()) << "unknown job " << job;
-  jobs_[static_cast<std::size_t>(job)].gpu_type = gpu_type_name;
+  if (gpu_type >= 0) {
+    jobs_[static_cast<std::size_t>(job)].gpu_type =
+        topology.gpu_types()[static_cast<std::size_t>(gpu_type)].name;
+  }
 }
 
 void MetricsCollector::OnFinish(JobId job, Seconds t) {
@@ -338,14 +345,35 @@ void MetricsCollector::OnFinish(JobId job, Seconds t) {
   last_finish_ = std::max(last_finish_, t);
 }
 
-void MetricsCollector::OnRates(Seconds t, BytesPerSec total, BytesPerSec ideal,
-                               BytesPerSec remote_io, double fairness,
-                               double effective_cache_ratio) {
+void MetricsCollector::OnRates(Seconds t, const std::vector<JobRates>& jobs,
+                               BytesPerSec extra_io, const ClusterResources& resources,
+                               const DatasetCatalog& catalog) {
+  // The equal-share denominator depends only on the cluster and the sharer
+  // count: one evaluation per sample, not a Snapshot per job.
+  const EqualShareParams eq_params =
+      MakeEqualShareParams(resources, std::max(1, static_cast<int>(jobs.size())));
+  BytesPerSec total = 0;
+  BytesPerSec ideal = 0;
+  BytesPerSec io = 0;
+  double fairness = std::numeric_limits<double>::infinity();
+  double eff_num = 0;
+  double eff_den = 0;
+  for (const JobRates& j : jobs) {
+    total += j.rate;
+    ideal += EffectiveIdeal(j.spec->ideal_io, j.speed);
+    io += j.remote_io;
+    const BytesPerSec eq = EqualShareThroughput(*j.spec, j.speed, catalog, eq_params);
+    if (eq > 0) {
+      fairness = std::min(fairness, j.rate / eq);
+    }
+    eff_num += std::min(j.effective, j.quota);
+    eff_den += j.quota;
+  }
   series_.total_throughput.Record(t, total);
   series_.ideal_throughput.Record(t, ideal);
-  series_.remote_io_usage.Record(t, remote_io);
-  series_.fairness_ratio.Record(t, fairness);
-  series_.effective_cache_ratio.Record(t, effective_cache_ratio);
+  series_.remote_io_usage.Record(t, io + extra_io);
+  series_.fairness_ratio.Record(t, std::isfinite(fairness) ? fairness : 0);
+  series_.effective_cache_ratio.Record(t, eff_den > 0 ? eff_num / eff_den : 1.0);
 }
 
 bool MetricsCollector::AllFinished() const { return finished_ == jobs_.size(); }

@@ -18,6 +18,8 @@
 #include "src/common/text_codec.h"
 #include "src/common/units.h"
 #include "src/fault/fault_plan.h"
+#include "src/sched/allocation.h"
+#include "src/workload/dataset.h"
 #include "src/workload/job.h"
 
 namespace silod {
@@ -175,20 +177,35 @@ bool PhysicallyIdentical(const SimResult& a, const SimResult& b);
 // stepping and both engines' fault paths bit-for-bit.
 std::uint64_t ResultDigest(const SimResult& result);
 
+// What one running job adds to a rate sample.
+struct JobRates {
+  const JobSpec* spec = nullptr;
+  double speed = 1.0;         // Speed factor of the held GPU type.
+  BytesPerSec rate = 0;       // Actual throughput.
+  BytesPerSec remote_io = 0;  // Egress drawn.
+  double effective = 0;       // Effective cache bytes.
+  double quota = 0;           // Allocated cache bytes; 0 when none.
+};
+
 // Incremental collector driven by the engines.
 class MetricsCollector {
  public:
   void OnSubmit(const JobSpec& job);
   void OnStart(JobId job, Seconds t);
-  // Records the GPU type a plan placed the job on (per-type breakdown in the
-  // run report).  Engines call this on typed fleets only; the last held type
-  // wins when a preemptive plan migrates the job.
-  void OnAssign(JobId job, const std::string& gpu_type_name);
+  // Records the GPU type (index into topology.gpu_types(); -1, a uniform
+  // fleet, records nothing) a plan placed the job on, for the run report's
+  // per-type breakdown.  The last held type wins when a preemptive plan
+  // migrates the job.
+  void OnAssign(JobId job, int gpu_type, const ClusterTopology& topology);
   void OnFinish(JobId job, Seconds t);
 
-  // Rate snapshot valid from time t until the next call.
-  void OnRates(Seconds t, BytesPerSec total, BytesPerSec ideal, BytesPerSec remote_io,
-               double fairness, double effective_cache_ratio);
+  // Rate sample valid from time t until the next call, from the running
+  // jobs' rates in ascending id: throughput, ideal throughput (f* at each
+  // job's speed), egress plus
+  // `extra_io`, the Eq. 8 fairness minimum over an equal share among them,
+  // and effective over allocated cache.
+  void OnRates(Seconds t, const std::vector<JobRates>& jobs, BytesPerSec extra_io,
+               const ClusterResources& resources, const DatasetCatalog& catalog);
 
   SimResult Finalize() const;
   bool AllFinished() const;

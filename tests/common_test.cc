@@ -5,6 +5,7 @@
 
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <set>
@@ -834,6 +835,25 @@ TEST(Flags, GetIntInRangeRejectsValuesPastTheRange) {
     const Result<int> value = get(bad, 1, 8);
     ASSERT_FALSE(value.ok()) << bad;
     EXPECT_NE(value.status().message().find("--jobs"), std::string::npos)
+        << value.status().message();
+  }
+}
+
+TEST(Flags, GetU64RejectsNegativeFractionalAndOversizedValues) {
+  const auto get = [](const char* value, std::uint64_t max) {
+    FlagSet flags;
+    flags.Define("seed", "3", "seed");
+    const std::string arg = std::string("--seed=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(flags.Parse(2, argv).ok()) << value;
+    return flags.GetU64("seed", max);
+  };
+  EXPECT_EQ(*get("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(*get("1024", 1024), 1024u);
+  for (const char* bad : {"-1", "1.5", "nan", "18446744073709551616", "1025"}) {
+    const Result<std::uint64_t> value = get(bad, 1024);
+    ASSERT_FALSE(value.ok()) << bad;
+    EXPECT_NE(value.status().message().find("--seed"), std::string::npos)
         << value.status().message();
   }
 }

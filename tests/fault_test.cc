@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/cache_manager.h"
@@ -179,6 +181,46 @@ TEST(FaultPlan, RaisingOneRateDoesNotPerturbOtherStreams) {
     return times;
   };
   EXPECT_EQ(server_times(base), server_times(with_dm));
+}
+
+// A churn plan the generator could not finish is refused up front: a NaN,
+// negative or infinite rate (per category or per zone) or horizon, and rates
+// whose expected arrivals pass the cap.  At 1e300 crashes/hour the gap drawn
+// between arrivals no longer advances `t`, so the generator used to spin.
+TEST(FaultPlan, ChurnOptionsRejectRatesNoPlanCanBeDrawnFrom) {
+  FaultChurnOptions ok;
+  ok.horizon = Hours(24);
+  ok.server_crashes_per_hour = 4;
+  ok.zones.push_back(ZoneChurn{});
+  ok.zones.back().zone = FaultZone{"rack0", 0, 1};
+  ok.zones.back().crashes_per_hour = 1;
+  EXPECT_TRUE(ValidateFaultChurnOptions(ok).ok());
+  EXPECT_TRUE(ValidateFaultChurnOptions(FaultChurnOptions{}).ok());
+
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<const char*, FaultChurnOptions>> bad;
+  for (const double rate : {kNan, kInf, -1.0, 1e300}) {
+    FaultChurnOptions o = ok;
+    o.worker_crashes_per_hour = rate;
+    bad.emplace_back("worker rate", o);
+    o = ok;
+    o.zones.back().crashes_per_hour = rate;
+    bad.emplace_back("zone rate", o);
+  }
+  for (const Seconds horizon : {kNan, kInf, -1.0}) {
+    FaultChurnOptions o = ok;
+    o.horizon = horizon;
+    bad.emplace_back("horizon", o);
+  }
+  FaultChurnOptions dense = ok;  // Each rate fine alone; together past the cap.
+  dense.server_crashes_per_hour = kMaxExpectedFaultEvents / 24 * 0.6;
+  dense.dm_restarts_per_hour = kMaxExpectedFaultEvents / 24 * 0.6;
+  bad.emplace_back("summed rates", dense);
+  for (const auto& [what, options] : bad) {
+    const Status st = ValidateFaultChurnOptions(options);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+  }
 }
 
 // --------------------------------------------------- Failure domains (§6) --

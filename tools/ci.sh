@@ -78,10 +78,15 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   # the int range (--jobs=4294967297, --gpus=4294967312: no wrap-around), rt
   # micro-trace flags no dataset can be built from (--rt-block-kb=0,
   # --rt-dataset-mb=0, --rt-epochs=-1), and a gpu-type count with trailing
-  # junk (count=8x; the same spec with count=8 must run).  silod_client
-  # --serve-trace --jobs=0 must fail on the trace options before it dials
-  # the (missing) daemon socket, silodd --servers=0 must refuse to start, and
-  # bench_fault_churn must refuse a misspelt flag instead of running.
+  # junk (count=8x; the same spec with count=8 must run), churn no plan can
+  # be generated from (a NaN rate, and a 1e300/h rate, independent or per
+  # zone, that used to hang the generator), a non-positive
+  # --rt-max-wall-seconds, and a negative --seed or --fault-seed (no wrap to
+  # u64).  silod_client --serve-trace --jobs=0 and --seed=-1 must fail on the
+  # trace options before they dial the (missing) daemon socket, silodd
+  # --servers=0 and a --journal-max-mb whose byte count wraps u64 must refuse
+  # to start, and bench_fault_churn must refuse a misspelt flag instead of
+  # running.
   echo "=== [smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [smoke] build ==="
@@ -104,7 +109,12 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
               "--engine=fine --servers=0" "--policy=lifo+silod" "--jobs=4294967297" \
               "--gpus=4294967312" "--engine=rt --rt-jobs=1 --gpus=8 --rt-block-kb=0" \
               "--engine=rt --rt-jobs=1 --gpus=8 --rt-dataset-mb=0" \
-              "--engine=rt --rt-jobs=1 --gpus=8 --rt-epochs=-1"; do
+              "--engine=rt --rt-jobs=1 --gpus=8 --rt-epochs=-1" \
+              "--jobs=5 --fault-server-crashes-per-hour=nan" \
+              "--jobs=5 --fault-server-crashes-per-hour=1e300" \
+              "--jobs=5 --fault-zone=zone=r0:servers=0-1:crashes-per-hour=1e300" \
+              "--engine=rt --rt-jobs=1 --gpus=8 --rt-max-wall-seconds=-1" \
+              "--jobs=5 --seed=-1" "--jobs=5 --fault-seed=-1"; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim $args >/dev/null 2>&1 || rc=$?
     [[ "$rc" == 2 ]] || { echo "smoke: silod_sim $args exited $rc, want 2"; exit 1; }
   done
@@ -115,10 +125,19 @@ if [[ "$stage" == "all" || "$stage" == "smoke" ]]; then
   [[ "$rc" == 2 ]] && grep -q 'num_jobs' build-ci-smoke/client.err \
       && ! grep -q 'connect' build-ci-smoke/client.err \
       || { echo "smoke: silod_client --serve-trace --jobs=0 exited $rc, want 2 before connecting"; exit 1; }
+  rc=0; timeout 60 ./build-ci-smoke/tools/silod_client --socket="$missing_socket" \
+      --serve-trace --seed=-1 >/dev/null 2>build-ci-smoke/client.err || rc=$?
+  [[ "$rc" == 2 ]] && grep -q 'seed' build-ci-smoke/client.err \
+      && ! grep -q 'connect' build-ci-smoke/client.err \
+      || { echo "smoke: silod_client --serve-trace --seed=-1 exited $rc, want 2 before connecting"; exit 1; }
   rc=0; timeout 60 ./build-ci-smoke/tools/silodd --socket="$missing_socket" --servers=0 \
       >/dev/null 2>&1 || rc=$?
   [[ "$rc" == 2 ]] || { echo "smoke: silodd --servers=0 exited $rc, want 2"; exit 1; }
   [[ ! -e "$missing_socket" ]] || { echo "smoke: silodd --servers=0 bound its socket"; exit 1; }
+  rc=0; timeout 60 ./build-ci-smoke/tools/silodd --socket="$missing_socket" \
+      --journal=build-ci-smoke/wrap.wal --journal-max-mb=17592186044416 >/dev/null 2>&1 || rc=$?
+  [[ "$rc" == 2 ]] || { echo "smoke: silodd --journal-max-mb=2^44 exited $rc, want 2"; exit 1; }
+  [[ ! -e "$missing_socket" ]] || { echo "smoke: silodd --journal-max-mb=2^44 bound its socket"; exit 1; }
   for count in 8x 8; do
     rc=0; timeout 60 ./build-ci-smoke/tools/silod_sim --gpus=8 \
         --topology="gpu-type name=v100 count=$count speed=1" >/dev/null 2>&1 || rc=$?

@@ -159,7 +159,12 @@ int RunServeTrace(const FlagSet& flags, RetryingClient* client) {
     options.num_jobs = *num_jobs;
     options.mean_interarrival = Minutes(flags.GetDouble("interarrival-min"));
     options.median_duration = Minutes(flags.GetDouble("median-duration-min"));
-    options.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+    const Result<std::uint64_t> seed = flags.GetU64("seed");
+    if (!seed.ok()) {
+      std::fprintf(stderr, "%s\n", seed.status().message().c_str());
+      return 2;
+    }
+    options.seed = *seed;
     if (const Status st = ValidateTraceOptions(options); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.message().c_str());
       return 2;

@@ -235,7 +235,12 @@ int main(int argc, char** argv) {
     options.max_duration = Days(flags.GetDouble("max-duration-days"));
     options.share_fraction = flags.GetDouble("share");
     options.gpu_speed_scale = flags.GetDouble("gpu-speed");
-    options.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
+    const Result<std::uint64_t> seed = flags.GetU64("seed");
+    if (!seed.ok()) {
+      std::fprintf(stderr, "%s\n", seed.status().message().c_str());
+      return 2;
+    }
+    options.seed = *seed;
     if (const Status st = ValidateTraceOptions(options); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.message().c_str());
       return 2;
@@ -309,20 +314,30 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!zones.empty() || flags.GetDouble("fault-server-crashes-per-hour") > 0 ||
-      flags.GetDouble("fault-worker-crashes-per-hour") > 0 ||
-      flags.GetDouble("fault-degrade-windows-per-hour") > 0 ||
-      flags.GetDouble("fault-dm-restarts-per-hour") > 0) {
-    FaultChurnOptions churn;
-    churn.horizon = Hours(flags.GetDouble("fault-horizon-hours"));
-    churn.server_crashes_per_hour = flags.GetDouble("fault-server-crashes-per-hour");
-    churn.worker_crashes_per_hour = flags.GetDouble("fault-worker-crashes-per-hour");
-    churn.degrade_windows_per_hour = flags.GetDouble("fault-degrade-windows-per-hour");
-    churn.dm_restarts_per_hour = flags.GetDouble("fault-dm-restarts-per-hour");
-    churn.num_servers = config.sim.resources.num_servers;
-    churn.num_jobs = static_cast<int>(trace.jobs.size());
-    churn.seed = static_cast<std::uint64_t>(flags.GetInt("fault-seed"));
-    churn.zones = std::move(zones);
+  FaultChurnOptions churn;
+  churn.horizon = Hours(flags.GetDouble("fault-horizon-hours"));
+  churn.server_crashes_per_hour = flags.GetDouble("fault-server-crashes-per-hour");
+  churn.worker_crashes_per_hour = flags.GetDouble("fault-worker-crashes-per-hour");
+  churn.degrade_windows_per_hour = flags.GetDouble("fault-degrade-windows-per-hour");
+  churn.dm_restarts_per_hour = flags.GetDouble("fault-dm-restarts-per-hour");
+  churn.num_servers = config.sim.resources.num_servers;
+  churn.num_jobs = static_cast<int>(trace.jobs.size());
+  churn.zones = std::move(zones);
+  const Result<std::uint64_t> fault_seed = flags.GetU64("fault-seed");
+  if (!fault_seed.ok()) {
+    std::fprintf(stderr, "%s\n", fault_seed.status().message().c_str());
+    return 2;
+  }
+  churn.seed = *fault_seed;
+  // Validated even when every rate is 0: a NaN rate fails `> 0` below and
+  // would otherwise run without churn.
+  if (const Status st = ValidateFaultChurnOptions(churn); !st.ok()) {
+    std::fprintf(stderr, "fault churn: %s\n", st.message().c_str());
+    return 2;
+  }
+  if (!churn.zones.empty() || churn.server_crashes_per_hour > 0 ||
+      churn.worker_crashes_per_hour > 0 || churn.degrade_windows_per_hour > 0 ||
+      churn.dm_restarts_per_hour > 0) {
     FaultPlan generated = GenerateFaultPlan(churn);
     config.sim.faults.events.insert(config.sim.faults.events.end(), generated.events.begin(),
                                     generated.events.end());
@@ -473,6 +488,10 @@ int main(int argc, char** argv) {
     rt_options.workers_processes = flags.GetBool("workers-processes");
     rt_options.minidump_dir = flags.GetString("minidump-dir");
     rt_options.max_wall_seconds = flags.GetDouble("rt-max-wall-seconds");
+    if (!(rt_options.max_wall_seconds > 0)) {
+      std::fprintf(stderr, "--rt-max-wall-seconds must be > 0\n");
+      return 2;
+    }
 
     std::printf("Running %s over %d rt jobs on %d GPUs / %.1f TB cache / %.1f Gbps egress "
                 "(%s workers)\n",

@@ -141,12 +141,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--journal-sync: %s\n", st.ToString().c_str());
       return 2;
     }
-    const std::int64_t max_mb = flags.GetInt("journal-max-mb");
-    if (max_mb < 0) {
-      std::fprintf(stderr, "--journal-max-mb must be >= 0\n");
+    // Capped so the byte count cannot wrap to a tiny or zero cap.
+    const Result<std::uint64_t> max_mb = flags.GetU64("journal-max-mb", UINT64_MAX >> 20);
+    if (!max_mb.ok()) {
+      std::fprintf(stderr, "%s\n", max_mb.status().message().c_str());
       return 2;
     }
-    journal.max_bytes = static_cast<std::uint64_t>(max_mb) * 1024 * 1024;
+    journal.max_bytes = *max_mb << 20;
   }
   RecoveryInfo recovery;
   Result<std::unique_ptr<ServiceState>> service =
