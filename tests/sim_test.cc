@@ -375,7 +375,8 @@ TEST(FineEngine, StepResultsMatchPinnedDigests) {
 // churn pins (fault_test) do not reach: a Gavel solve; preemptive SJF on a
 // typed fleet, so jobs are suspended, resumed and migrated across GPU types;
 // Hoard prefetching while workers crash, so the head-of-queue search meets
-// crashed jobs; and the shared-LRU fluid model.
+// crashed jobs; the shared-LRU fluid model; and a Gavel solve under rack,
+// cap and churn pressure.
 TEST(FlowEngine, StepResultsMatchPinnedDigests) {
   TraceOptions options;
   options.num_jobs = 40;
@@ -439,6 +440,51 @@ TEST(FlowEngine, StepResultsMatchPinnedDigests) {
     }
     const SimResult result = RunExperiment(trace, config);
     EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(kCells[i].pinned)) << kCells[i].name;
+  }
+
+  // The Gavel solve on the churn path: the shape of the flow400-gavel-churn
+  // benchmark scaled to 60 jobs (arrivals faster than the cluster drains
+  // them, four cache racks, seeded server-crash, worker-crash and degrade
+  // churn), plus a finite per-job remote-IO cap, so both Gavel searches meet
+  // cap-bound probes, cache floors and zone-loss throttles.
+  {
+    TraceOptions churn_options;
+    churn_options.num_jobs = 60;
+    churn_options.mean_interarrival = Minutes(0.25);
+    churn_options.median_duration = Hours(3);
+    churn_options.duration_sigma = 1.4;
+    churn_options.max_duration = Hours(12);
+    churn_options.seed = 41;
+    const Trace churn_trace = TraceGenerator(churn_options).Generate();
+
+    ExperimentConfig config;
+    config.policy = "gavel+silod";
+    config.engine = EngineKind::kFlow;
+    config.sim.resources.total_gpus = 80;
+    config.sim.resources.total_cache = TB(6);
+    config.sim.resources.remote_io = Gbps(6.4);
+    config.sim.resources.per_job_remote_cap = MBps(60);
+    config.sim.resources.num_servers = 20;
+    config.sim.reschedule_period = Minutes(10);
+    const Result<ClusterTopology> racks =
+        ClusterTopology::Parse("rack0=0-4;rack1=5-9;rack2=10-14;rack3=15-19");
+    ASSERT_TRUE(racks.ok()) << racks.status().ToString();
+    config.sim.topology = *racks;
+    FaultChurnOptions churn;
+    churn.horizon = Hours(24);
+    churn.server_crashes_per_hour = 1;
+    churn.worker_crashes_per_hour = 1;
+    churn.degrade_windows_per_hour = 0.5;
+    churn.num_servers = config.sim.resources.num_servers;
+    churn.num_jobs = churn_options.num_jobs;
+    churn.seed = 41 * 7919 + 1;
+    config.sim.faults = GenerateFaultPlan(churn);
+
+    const SimResult result = RunExperiment(churn_trace, config);
+    EXPECT_GT(result.faults.server_crashes, 0);
+    EXPECT_GT(result.faults.worker_crashes, 0);
+    EXPECT_GT(result.faults.degrade_windows, 0);
+    EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(0xd03bf530d573c96fULL));
   }
 }
 
