@@ -398,8 +398,8 @@ void FineEngine::ResizeCachePool(double evict_fraction, bool evict_quota_caches)
       stats.bytes_lost += static_cast<double>(used_before - item_cache->used_bytes());
     };
     shed(shared_pool_.get());
-    for (JobState& s : jobs_) {
-      shed(s.private_cache.get());
+    for (const JobId id : lifecycle_.present()) {
+      shed(jobs_[static_cast<std::size_t>(id)].private_cache.get());
     }
   }
   // Quotas may transiently exceed the shrunken pool; the reschedule this
@@ -595,6 +595,7 @@ bool FineEngine::FireJobEvent(JobState& s, Seconds now) {
       if (plan_.cache_model == CacheModelKind::kDatasetQuota) {
         cache_manager_.UnregisterJob(s.spec->id);
       }
+      s.private_cache.reset();  // CoorDL's cache goes with the finished job.
       return true;
     case Phase::kIdle:
       break;

@@ -666,6 +666,38 @@ TEST(EngineFaults, ChurnRunsAreDeterministic) {
   EXPECT_TRUE(PhysicallyIdentical(a, b));
 }
 
+// A finished CoorDL job's private cache goes with it: a server crash after
+// the only arrived job has finished finds nothing to shed.  (A second job
+// arrives after the crash, so the run is still going when it fires.)
+TEST(EngineFaults, FinishedCoorDlJobHoldsNoCache) {
+  const ModelZoo zoo;
+  Trace trace;
+  const DatasetId d = trace.catalog.Add("d", GB(4), MB(256));
+  for (int i = 0; i < 2; ++i) {
+    JobSpec job = MakeJob(i, zoo, "ResNet-50", 1, d, 1.0, /*submit_time=*/i * 7200.0);
+    job.total_bytes = 2 * GB(4);
+    trace.jobs.push_back(job);
+  }
+
+  ExperimentConfig config;
+  config.policy = "fifo+coordl";
+  config.engine = EngineKind::kFine;
+  config.sim.resources.total_gpus = 4;
+  config.sim.resources.total_cache = GB(8);
+  config.sim.resources.remote_io = MBps(100);
+  config.sim.resources.num_servers = 2;
+  const Result<FaultPlan> plan = FaultPlan::Parse("server-crash t=3600 server=0 down=60");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  config.sim.faults = *plan;
+  const SimResult result = RunExperiment(trace, config);
+
+  ASSERT_EQ(result.jobs.size(), 2u);
+  EXPECT_LT(result.jobs[0].finish_time, 3600);
+  EXPECT_EQ(result.faults.server_crashes, 1);
+  EXPECT_EQ(result.faults.blocks_lost, 0);
+  EXPECT_EQ(result.faults.bytes_lost, 0);
+}
+
 // A single remote-bound job: a degrade window must slow it down, and the
 // effect must be visible on both engines.
 TEST(EngineFaults, DegradeWindowSlowsRemoteBoundJob) {
@@ -889,8 +921,8 @@ TEST(EngineFaults, ChurnResultsMatchPinnedDigests) {
   const std::uint64_t kPinned[2][3][2][3] = {
       {{{0x4fb4003f0c3c1820ULL, 0x209fcbdae242fa53ULL, 0x249163bd16437967ULL},
         {0xd3351a9b2af9986dULL, 0x10cc9a8f9ae9edbaULL, 0x365aaafe84d113aULL}},
-       {{0x73e1a47aba2a2901ULL, 0x822f28f2ae000442ULL, 0x8afc0ad62f5a4942ULL},
-        {0x122176fa7b92f9a3ULL, 0x9e7f0495d3075fc8ULL, 0xdd3b4898136eac23ULL}},
+       {{0xec399fa4bf582f71ULL, 0x4dddf17dbf5dd3a5ULL, 0x73caf08dbeec37afULL},
+        {0x170f4c2629b46e12ULL, 0x4a5a248d2eb049dfULL, 0xe129c258b532ef71ULL}},
        {{0xfd0544c0c4cafb32ULL, 0x9cc41398dc1d41a3ULL, 0xa934fc0714456b6fULL},
         {0xb82820cc14b411b6ULL, 0x2679212f63ac367dULL, 0x61289c80939a4d1cULL}}},
       {{{0x500d185fc417912dULL, 0x6dbbae8830b539d4ULL, 0x2e4031b436f03342ULL},
