@@ -5,23 +5,29 @@
 // Each cell records the latency p50/p99 over repeated solves of one frozen
 // snapshot (the best of three rounds), plus the PlanDigest of the plan (the
 // first solve of a freshly built scheduler, so stateful storage policies
-// digest deterministically).
+// digest deterministically).  A cell whose scheduler runs Gavel's fair-share
+// solve (gavel+silod) also records that first solve's predicate evaluations:
+// its fairness-ratio and throttle-level probes (GavelScheduler counters).
 //
 //   bench_sched_solve [--out=PATH] [--sizes=N,N,...] [--policies=A,B,...]
 //                     [--baseline=PATH] [--max-regress=F]
 //
 // With --baseline, the run fails (exit 1, a "FAIL:" line per failure) when
-// any cell's digest differs from the committed one, or when a cell's p50 is
+// any cell's digest differs from the committed one, when a cell makes more
+// probes of either kind than the committed counts, or when a cell's p50 is
 // more than --max-regress (default 0.3) slower than the committed p50 in
-// each of up to three attempts.  Digests are exact.  It also fails on a
-// baseline that does not parse or is not a "sched_solve" report, on a cell
-// the baseline lacks, and on a baseline cell without a string "digest" or a
-// numeric "p50_us".  Baseline cells the run did not time pass.  A --sizes
-// entry that is not a positive integer, or a --max-regress that is negative
-// or not finite, exits 2.
+// each of up to three attempts.  Digests and probe counts are exact.  It
+// also fails on a baseline that does not parse or is not a "sched_solve"
+// report, on a cell the baseline lacks, on a baseline cell without a string
+// "digest" or a numeric "p50_us", and on a probe-counting cell whose
+// baseline row has no count in "fair_probes" or "throttle_probes".
+// Baseline cells the run did not time pass.  A --sizes entry that is not a
+// positive integer, or a --max-regress that is negative or not finite,
+// exits 2.
 //
-// The snapshot recipe (SolveSnapshot, seed 17) is frozen so committed
-// baselines stay comparable across refactors.  Writes BENCH_sched_solve.json.
+// The snapshot recipe (MakeSolveSnapshot in bench_util.h, seed 17) is
+// frozen so committed baselines stay comparable across refactors.  Writes
+// BENCH_sched_solve.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -36,78 +42,14 @@
 #include "bench/bench_util.h"
 #include "src/common/digest.h"
 #include "src/common/flags.h"
-#include "src/common/rng.h"
 #include "src/common/table.h"
-#include "src/common/topology.h"
 #include "src/core/policy_registry.h"
-#include "src/workload/trace_gen.h"
+#include "src/sched/gavel.h"
 
 using namespace silod;
 using namespace silod::bench;
 
 namespace {
-
-// A mid-trace cluster state at `n` active jobs: roughly half the jobs hold
-// GPUs (with partly filled caches), the rest wait; 30% of jobs share a
-// canonical dataset; cache, egress and GPUs scale with n from the §7.2
-// 400-GPU cluster; a finite per-job remote-IO cap and four cache racks make
-// every co-designed policy take its full path.
-struct SolveSnapshot {
-  Trace trace;
-  ClusterTopology topology;
-  Snapshot snapshot;
-};
-
-std::unique_ptr<SolveSnapshot> MakeSolveSnapshot(int n) {
-  auto s = std::make_unique<SolveSnapshot>();
-  TraceOptions options;
-  options.num_jobs = n;
-  options.mean_interarrival = Minutes(1);
-  options.share_fraction = 0.3;
-  options.seed = 17;
-  s->trace = TraceGenerator(options).Generate();
-
-  const int servers = std::max(4, n / 4);
-  std::string spec;
-  for (int r = 0; r < 4; ++r) {
-    spec += (r ? ";rack" : "rack") + std::to_string(r) + "=" + std::to_string(r * servers / 4) +
-            "-" + std::to_string((r + 1) * servers / 4 - 1);
-  }
-  Result<ClusterTopology> topology = ClusterTopology::Parse(spec);
-  if (!topology.ok()) {
-    std::fprintf(stderr, "bad topology %s: %s\n", spec.c_str(),
-                 topology.status().ToString().c_str());
-    std::exit(2);
-  }
-  s->topology = *std::move(topology);
-
-  Snapshot& snap = s->snapshot;
-  snap.now = s->trace.jobs.back().submit_time;
-  snap.catalog = &s->trace.catalog;
-  snap.topology = &s->topology;
-  snap.resources.total_gpus = std::max(8, s->trace.TotalGpuDemand() * 3 / 4);
-  snap.resources.total_cache = GB(75) * n;
-  snap.resources.remote_io = Gbps(0.08) * n;
-  snap.resources.per_job_remote_cap = MBps(60);
-  snap.resources.num_servers = servers;
-
-  Rng rng(17);
-  int held = 0;
-  for (const JobSpec& job : s->trace.jobs) {
-    JobView view;
-    view.spec = &job;
-    view.remaining_bytes =
-        static_cast<Bytes>((0.1 + 0.9 * rng.NextDouble()) * static_cast<double>(job.total_bytes));
-    if (held + job.num_gpus <= snap.resources.total_gpus / 2) {
-      held += job.num_gpus;
-      view.running = true;
-      view.effective_cache = static_cast<Bytes>(
-          rng.NextDouble() * static_cast<double>(s->trace.catalog.Get(job.dataset).size));
-    }
-    snap.jobs.push_back(view);
-  }
-  return s;
-}
 
 struct Cell {
   std::string name;  // "<policy>/<jobs>".
@@ -115,6 +57,9 @@ struct Cell {
   double p50_us = 0;
   double p99_us = 0;
   std::uint64_t digest = 0;
+  // Probes of the digest solve, for schedulers that run the fair-share solve.
+  std::optional<std::uint64_t> fair_probes;
+  std::optional<std::uint64_t> throttle_probes;
 };
 
 double Percentile(std::vector<double> samples, double q) {
@@ -143,6 +88,11 @@ Cell TimeCell(const std::string& policy, int n, const Snapshot& snapshot) {
   auto start = Clock::now();
   cell.digest = PlanDigest((*scheduler)->Schedule(snapshot));
   const double first_us = MicrosSince(start);
+  if (const auto* gavel = dynamic_cast<const GavelScheduler*>(scheduler->get());
+      gavel != nullptr && gavel->fair_probes() > 0) {
+    cell.fair_probes = gavel->fair_probes();
+    cell.throttle_probes = gavel->throttle_probes();
+  }
   // About 50 ms of solves per round, between 5 and 300 samples.
   cell.reps = std::clamp(static_cast<int>(50000.0 / std::max(1.0, first_us)), 5, 300);
   for (int round = 0; round < 3; ++round) {
@@ -208,7 +158,8 @@ int main(int argc, char** argv) {
     baseline = *std::move(loaded);
   }
 
-  Table table({"policy", "jobs", "reps", "p50 us", "p99 us", "digest"});
+  Table table(
+      {"policy", "jobs", "reps", "p50 us", "p99 us", "fair probes", "throttle probes", "digest"});
   std::vector<Cell> cells;
   bool failed = false;
   for (const int n : *sizes) {
@@ -218,8 +169,13 @@ int main(int argc, char** argv) {
       const JsonValue* row = nullptr;  // The cell's baseline row, when gated.
       if (baseline) {
         const Result<const JsonValue*> found =
-            baseline->Row(cell.name, {{"digest", JsonValue::Kind::kString},
-                                      {"p50_us", JsonValue::Kind::kNumber}});
+            cell.fair_probes
+                ? baseline->Row(cell.name, {{"digest", JsonValue::Kind::kString},
+                                            {"p50_us", JsonValue::Kind::kNumber},
+                                            {"fair_probes", JsonValue::Kind::kNumber},
+                                            {"throttle_probes", JsonValue::Kind::kNumber}})
+                : baseline->Row(cell.name, {{"digest", JsonValue::Kind::kString},
+                                            {"p50_us", JsonValue::Kind::kNumber}});
         if (found.ok()) {
           row = *found;
         } else {
@@ -239,8 +195,12 @@ int main(int argc, char** argv) {
           cell = again;
         }
       }
+      const auto count = [](const std::optional<std::uint64_t>& probes) {
+        return probes ? std::to_string(*probes) : std::string("-");
+      };
       table.AddRow({policy, std::to_string(n), std::to_string(cell.reps), Fmt(cell.p50_us),
-                    Fmt(cell.p99_us), FormatDigest(cell.digest)});
+                    Fmt(cell.p99_us), count(cell.fair_probes), count(cell.throttle_probes),
+                    FormatDigest(cell.digest)});
       cells.push_back(cell);
       if (row == nullptr) {
         continue;
@@ -250,6 +210,26 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FAIL: %s plan digest %s, baseline %s\n", cell.name.c_str(),
                      FormatDigest(cell.digest).c_str(), base_digest.c_str());
         failed = true;
+      }
+      // Probe counts are exact work counters: any increase fails, whatever
+      // the host's speed.
+      for (const auto& [field, probes] :
+           {std::pair{"fair_probes", cell.fair_probes},
+            std::pair{"throttle_probes", cell.throttle_probes}}) {
+        if (!probes) {
+          continue;
+        }
+        const Result<std::uint64_t> pinned = ParseU64(row->Find(field)->text());
+        if (!pinned.ok()) {
+          std::fprintf(stderr, "FAIL: %s baseline %s '%s' is not a count\n", cell.name.c_str(),
+                       field, row->Find(field)->text().c_str());
+          failed = true;
+        } else if (*probes > *pinned) {
+          std::fprintf(stderr, "FAIL: %s %s %llu, baseline %llu\n", cell.name.c_str(), field,
+                       static_cast<unsigned long long>(*probes),
+                       static_cast<unsigned long long>(*pinned));
+          failed = true;
+        }
       }
       if (base > 0 && cell.p50_us > (1.0 + *max_regress) * base) {
         std::fprintf(stderr, "FAIL: %s p50 regressed: %.1f us vs baseline %.1f us (+%.0f%%)\n",
@@ -268,6 +248,10 @@ int main(int argc, char** argv) {
         .Set("p50_us", JsonValue::Number(c.p50_us))
         .Set("p99_us", JsonValue::Number(c.p99_us))
         .Set("digest", JsonValue::String(FormatDigest(c.digest)));
+    if (c.fair_probes) {
+      row.Set("fair_probes", JsonValue::Int(static_cast<std::int64_t>(*c.fair_probes)))
+          .Set("throttle_probes", JsonValue::Int(static_cast<std::int64_t>(*c.throttle_probes)));
+    }
     rows.Push(std::move(row));
   }
   JsonValue doc = JsonValue::Object();

@@ -9,20 +9,25 @@
 #ifndef SILOD_BENCH_BENCH_UTIL_H_
 #define SILOD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "src/common/logging.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
 #include "src/common/text_codec.h"
+#include "src/common/topology.h"
 #include "src/common/units.h"
 #include "src/core/system.h"
 #include "src/workload/trace_gen.h"
@@ -94,6 +99,68 @@ inline TraceOptions Trace96Options(std::uint64_t seed = 3) {
   options.max_duration = Days(2);
   options.seed = seed;
   return options;
+}
+
+// --- Frozen scheduler snapshots ----------------------------------------------
+
+// A mid-trace cluster state at `n` active jobs: roughly half the jobs hold
+// GPUs (with partly filled caches), the rest wait; 30% of jobs share a
+// canonical dataset; cache, egress and GPUs scale with n from the §7.2
+// 400-GPU cluster; a finite per-job remote-IO cap and four cache racks make
+// every co-designed policy take its full path.  The recipe (seed 17) is
+// frozen: bench_sched_solve's committed baselines and the Gavel search's
+// spec test (SchedTest.GavelSearchMatchesBisection) are taken on it.
+struct SolveSnapshot {
+  Trace trace;
+  ClusterTopology topology;
+  Snapshot snapshot;
+};
+
+inline std::unique_ptr<SolveSnapshot> MakeSolveSnapshot(int n) {
+  auto s = std::make_unique<SolveSnapshot>();
+  TraceOptions options;
+  options.num_jobs = n;
+  options.mean_interarrival = Minutes(1);
+  options.share_fraction = 0.3;
+  options.seed = 17;
+  s->trace = TraceGenerator(options).Generate();
+
+  const int servers = std::max(4, n / 4);
+  std::string spec;
+  for (int r = 0; r < 4; ++r) {
+    spec += (r ? ";rack" : "rack") + std::to_string(r) + "=" + std::to_string(r * servers / 4) +
+            "-" + std::to_string((r + 1) * servers / 4 - 1);
+  }
+  Result<ClusterTopology> topology = ClusterTopology::Parse(spec);
+  SILOD_CHECK(topology.ok()) << "bad topology " << spec << ": " << topology.status().ToString();
+  s->topology = *std::move(topology);
+
+  Snapshot& snap = s->snapshot;
+  snap.now = s->trace.jobs.back().submit_time;
+  snap.catalog = &s->trace.catalog;
+  snap.topology = &s->topology;
+  snap.resources.total_gpus = std::max(8, s->trace.TotalGpuDemand() * 3 / 4);
+  snap.resources.total_cache = GB(75) * n;
+  snap.resources.remote_io = Gbps(0.08) * n;
+  snap.resources.per_job_remote_cap = MBps(60);
+  snap.resources.num_servers = servers;
+
+  Rng rng(17);
+  int held = 0;
+  for (const JobSpec& job : s->trace.jobs) {
+    JobView view;
+    view.spec = &job;
+    view.remaining_bytes =
+        static_cast<Bytes>((0.1 + 0.9 * rng.NextDouble()) * static_cast<double>(job.total_bytes));
+    if (held + job.num_gpus <= snap.resources.total_gpus / 2) {
+      held += job.num_gpus;
+      view.running = true;
+      view.effective_cache = static_cast<Bytes>(
+          rng.NextDouble() * static_cast<double>(s->trace.catalog.Get(job.dataset).size));
+    }
+    snap.jobs.push_back(view);
+  }
+  return s;
 }
 
 // --- Result helpers ----------------------------------------------------------

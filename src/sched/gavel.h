@@ -5,7 +5,7 @@
 // SiloDPerf and adds cache and remote IO as resource dimensions (Eq. 9).
 //
 // Exploiting the structure of SiloDPerf, the program is solved exactly:
-//   - bisection on the fairness ratio rho;
+//   - a search for the largest feasible fairness ratio rho (ratio_search.h);
 //   - the feasibility oracle for a set of target throughputs T_j is a
 //     fractional knapsack: a byte of cache on dataset D saves
 //     sum_{j on D} T_j / d bytes/s of remote IO, so cache goes to datasets in
@@ -21,11 +21,14 @@
 #ifndef SILOD_SRC_SCHED_GAVEL_H_
 #define SILOD_SRC_SCHED_GAVEL_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "src/sched/policy.h"
+#include "src/sched/ratio_search.h"
 
 namespace silod {
 
@@ -78,6 +81,29 @@ struct GavelSolution {
 // Solves Eq. 9 for the jobs marked running in `plan`.
 GavelSolution SolveMaxMinFairness(const Snapshot& snapshot, const AllocationPlan& plan);
 
+// One of the fair-share solve's two searches, with the arguments the solve
+// passes LargestFeasibleRatio: the top of its range, the step count of the
+// bisection whose answer it reproduces, the slack standing in for 0's, the
+// first probe (0: none), and the predicate.
+struct GavelSearch {
+  double hi = 0;
+  int steps = 0;
+  double slack_at_zero = 0;
+  double first = 0;
+  std::function<SearchProbe(double)> probe;
+};
+struct GavelSearches {
+  GavelSearch fairness;  // Eq. 9's ratio rho over the steady-state cache plan.
+  GavelSearch throttle;  // The throttle level over the effective caches.
+};
+
+// The two searches GavelScheduler::Schedule runs for the jobs marked running
+// in `plan` under a fairness objective, so tests can hold the search to the
+// predicates it searches.  The probes read `snapshot`, which must outlive
+// them.
+GavelSearches MakeGavelSearches(const Snapshot& snapshot, const AllocationPlan& plan,
+                                GavelObjective objective);
+
 class GavelScheduler : public Scheduler {
  public:
   // `silod_aware` selects SiloDPerf (Eq. 9) vs the compute-only estimator
@@ -90,6 +116,12 @@ class GavelScheduler : public Scheduler {
   AllocationPlan Schedule(const Snapshot& snapshot) override;
   std::string name() const override;
 
+  // Predicate evaluations of this scheduler's fair-share solves so far: the
+  // fairness-ratio probes (with the closing one that leaves the oracle at
+  // rho*) and the throttle-level probes.  Exact, so a gate can pin them.
+  std::uint64_t fair_probes() const { return fair_probes_; }
+  std::uint64_t throttle_probes() const { return throttle_probes_; }
+
  private:
   void AllocateFairShare(const Snapshot& snapshot, AllocationPlan& plan);
   void AllocateGreedyObjective(const Snapshot& snapshot, AllocationPlan& plan);
@@ -98,6 +130,8 @@ class GavelScheduler : public Scheduler {
   bool silod_aware_;
   bool manage_remote_io_;
   GavelObjective objective_;
+  std::uint64_t fair_probes_ = 0;
+  std::uint64_t throttle_probes_ = 0;
 };
 
 }  // namespace silod

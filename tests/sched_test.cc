@@ -5,12 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "bench/bench_util.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/topology.h"
@@ -19,6 +24,7 @@
 #include "src/sched/fifo.h"
 #include "src/sched/gavel.h"
 #include "src/sched/greedy.h"
+#include "src/sched/ratio_search.h"
 #include "src/sched/sjf.h"
 #include "src/sched/storage_policies.h"
 #include "src/sched/zone_spread.h"
@@ -427,6 +433,157 @@ TEST_F(SchedTest, GavelPlansMatchPinnedDigests) {
     EXPECT_FALSE(plan.dataset_zone_cache.empty());
   }
   EXPECT_TRUE(some_dataset_uncached);
+}
+
+// The fixed-count bisection the Gavel solves ran before the search, kept here
+// as the search's spec: the answer and the probes it made.
+struct Bisection {
+  double value = 0;
+  int probes = 0;
+};
+
+template <typename Feasible>
+Bisection OldBisection(double hi, int steps, Feasible&& feasible) {
+  Bisection out;
+  out.probes = 1;
+  if (feasible(hi)) {
+    out.value = hi;
+    return out;
+  }
+  double lo = 0;
+  for (int iter = 0; iter < steps; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    ++out.probes;
+    if (feasible(mid)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  out.value = lo;
+  return out;
+}
+
+std::uint64_t Bits(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Holds one search to its spec: the old loop's bits, no more probes than it
+// made, and x* the largest feasible double below hi (x* feasible, the next
+// double up not).  Returns the search.
+RatioSearch ExpectMatchesBisection(const GavelSearch& search) {
+  const auto feasible = [&](double x) { return search.probe(x).feasible; };
+  const Bisection old = OldBisection(search.hi, search.steps, feasible);
+  const RatioSearch found = LargestFeasibleRatio(search.hi, search.steps, search.slack_at_zero,
+                                                 search.first, search.probe);
+  EXPECT_EQ(Bits(found.value), Bits(old.value)) << found.value << " vs " << old.value;
+  EXPECT_LE(found.probes, old.probes);
+  EXPECT_TRUE(feasible(found.largest)) << found.largest;
+  if (found.largest < search.hi) {
+    EXPECT_FALSE(feasible(std::nextafter(found.largest, HUGE_VAL))) << found.largest;
+  } else {
+    EXPECT_EQ(found.probes, 1);
+  }
+  return found;
+}
+
+// The search returns the fixed-count bisection's bits on real Gavel solves:
+// the seeded fixture, both fairness objectives, capped and uncapped, and the
+// solve benchmark's frozen 64- and 256-job snapshots (cache floors and a
+// binding per-job cap).  A built case with rho* far below hi·2^-50 checks
+// the replay: there the old loops stopped before their brackets closed, so
+// their answer is not x*, and only replaying their arithmetic keeps it.
+TEST_F(SchedTest, GavelSearchMatchesBisection) {
+  int fairness_probes = 0;
+  int throttle_probes = 0;
+  int solves = 0;
+  const auto check = [&](const Snapshot& snapshot, GavelObjective objective) {
+    GavelScheduler gavel(nullptr, /*silod_aware=*/true, /*manage_remote_io=*/true, objective);
+    const AllocationPlan plan = gavel.Schedule(snapshot);
+    const GavelSearches searches = MakeGavelSearches(snapshot, plan, objective);
+    EXPECT_EQ(searches.fairness.steps, 100);
+    EXPECT_EQ(searches.throttle.steps, 80);
+    fairness_probes += ExpectMatchesBisection(searches.fairness).probes;
+    throttle_probes += ExpectMatchesBisection(searches.throttle).probes;
+    ++solves;
+  };
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const bool capped : {false, true}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + (capped ? " capped" : " uncapped"));
+      const std::unique_ptr<GavelCase> c = MakeGavelCase(seed, capped);
+      check(c->snapshot, GavelObjective::kMaxMinFairness);
+      check(c->snapshot, GavelObjective::kFinishTimeFairness);
+    }
+  }
+  for (const int n : {64, 256}) {
+    SCOPED_TRACE("bench snapshot " + std::to_string(n));
+    check(bench::MakeSolveSnapshot(n)->snapshot, GavelObjective::kMaxMinFairness);
+  }
+  // A handful of probes per solve, not the old loops' 101 and 81.
+  EXPECT_LE(fairness_probes, 20 * solves);
+  EXPECT_LE(throttle_probes, 15 * solves);
+
+  // Finish-time fairness normalizes by f*·s, so hi = 1, and an egress of
+  // 2^-60 of the jobs' demand puts both rho* and the throttle level near
+  // 2^-60.
+  snapshot_.resources.total_cache = 0;
+  AddJob("ResNet-50", 1, TB(1));
+  AddJob("BERT", 2, TB(2));
+  snapshot_.resources.remote_io = 0.7 * std::ldexp(jobs_[0].ideal_io + jobs_[1].ideal_io, -60);
+  const GavelObjective objective = GavelObjective::kFinishTimeFairness;
+  GavelScheduler gavel(nullptr, /*silod_aware=*/true, /*manage_remote_io=*/true, objective);
+  const AllocationPlan plan = gavel.Schedule(snapshot());
+  const GavelSearches searches = MakeGavelSearches(snapshot(), plan, objective);
+  for (const auto& [search, depth] :
+       {std::pair{&searches.fairness, -50}, std::pair{&searches.throttle, -30}}) {
+    const RatioSearch found = ExpectMatchesBisection(*search);
+    EXPECT_GT(found.largest, 0);
+    EXPECT_LT(found.largest, std::ldexp(search->hi, depth));
+    EXPECT_NE(Bits(found.value), Bits(found.largest));  // The old loop never got there.
+  }
+}
+
+// The search on synthetic monotone predicates "feasible iff x <= t", with
+// slacks that steer badly or not at all: NaN everywhere, a flat ±1, and a
+// threshold at a denormal; with and without a first probe.  Each returns the
+// fixed-count bisection's bits and finds t exactly, within that loop's
+// probe count.
+TEST(RatioSearch, MatchesBisectionOnSyntheticPredicates) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    double hi;
+    double t;
+    std::function<double(double)> slack;
+  };
+  const double denormal = 5e-320;
+  const Case kCases[] = {
+      {"nan slack", 1.0, 0.3712, [&](double) { return kNaN; }},
+      {"flat slack", 7.0, 2.25, [](double x) { return x <= 2.25 ? 1.0 : -1.0; }},
+      {"step at a denormal", 1.0, denormal, [&](double x) { return denormal - x; }},
+      {"flat slack at a denormal", 3.0, denormal,
+       [&](double x) { return x <= denormal ? 1.0 : -1.0; }},
+      {"linear slack", 68.5, 3.2060803347532256, [](double x) { return 3.2060803347532256 - x; }},
+      {"feasible hi", 2.0, 2.0, [](double x) { return 2.0 - x; }},
+  };
+  for (const Case& c : kCases) {
+    for (const int steps : {100, 80}) {
+      for (const double first : {0.0, c.hi / 3}) {
+        SCOPED_TRACE(std::string(c.name) + ", " + std::to_string(steps) + " steps, first " +
+                     std::to_string(first));
+        GavelSearch search;
+        search.hi = c.hi;
+        search.steps = steps;
+        search.slack_at_zero = c.slack(0.0);
+        search.first = first;
+        search.probe = [&](double x) { return SearchProbe{x <= c.t, c.slack(x)}; };
+        const RatioSearch found = ExpectMatchesBisection(search);
+        EXPECT_EQ(Bits(found.largest), Bits(c.t));
+      }
+    }
+  }
 }
 
 // -------------------------------------------------- Baseline storage plans --

@@ -11,7 +11,7 @@
 #   tools/ci.sh smoke      # fault-churn benchmark smoke only
 #   tools/ci.sh zone-smoke # zone-aware vs oblivious placement smoke only
 #   tools/ci.sh scaling-smoke # fine-engine throughput + pinned result digests + gate self-tests only
-#   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests only
+#   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests and Gavel probe counts only
 #   tools/ci.sh rt-fault-smoke # worker crash + minidump replay smoke, thread and process workers, only
 #   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + fifo/gavel replay cross-checks only
 #   tools/ci.sh serve-crash-smoke # silodd SIGKILL mid-trace + journal recovery + graceful SIGTERM only
@@ -243,8 +243,12 @@ if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
   # Scheduler-solve smoke: Schedule latency per registry policy at 64-4096
   # active jobs on frozen snapshots.  bench_sched_solve --baseline fails on
   # any plan digest that differs from the committed BENCH_sched_solve.json
-  # (the solvers' output is pinned bit-for-bit) and on any cell whose p50 is
-  # more than 30% slower than committed in three attempts.
+  # (the solvers' output is pinned bit-for-bit), on a gavel+silod cell that
+  # makes more fairness or throttle probes than committed (exact counters),
+  # and on any cell whose p50 is more than 30% slower than committed in three
+  # attempts.  Then the self-test: against a copy with gavel+silod/64's
+  # fair_probes, or its throttle_probes, lowered by one, the gate must exit 1
+  # with a FAIL: line naming the count.
   echo "=== [solve-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [solve-smoke] build ==="
@@ -253,6 +257,25 @@ if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
   ./build-ci-smoke/bench/bench_sched_solve \
       --baseline=BENCH_sched_solve.json --max-regress=0.3 \
       --out=build-ci-smoke/BENCH_sched_solve.json
+  echo "=== [solve-smoke] gate self-test ==="
+  for field in fair_probes throttle_probes; do
+    lowered="build-ci-smoke/BENCH_sched_solve.$field.json"
+    awk -v field="$field" '/"cell": "gavel\+silod\/64"/ {
+           pattern = "\"" field "\": [0-9]+"
+           if (match($0, pattern)) {
+             split(substr($0, RSTART, RLENGTH), kv, ": ")
+             $0 = substr($0, 1, RSTART - 1) "\"" field "\": " (kv[2] - 1) substr($0, RSTART + RLENGTH)
+           }
+         }
+         { print }' BENCH_sched_solve.json > "$lowered"
+    ! cmp -s BENCH_sched_solve.json "$lowered" \
+        || { echo "solve-smoke: no gavel+silod/64 $field to lower"; exit 1; }
+    rc=0; ./build-ci-smoke/bench/bench_sched_solve --policies=gavel+silod --sizes=64 \
+        --baseline="$lowered" --out=build-ci-smoke/BENCH_self_test.json \
+        >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
+    [[ "$rc" == 1 ]] && grep -q "^FAIL: gavel+silod/64 $field" build-ci-smoke/self_test.err \
+        || { echo "solve-smoke: a lowered $field exited $rc without its FAIL: line, want 1"; exit 1; }
+  done
 fi
 
 if [[ "$stage" == "all" || "$stage" == "rt-fault-smoke" ]]; then
