@@ -92,9 +92,18 @@ void FlowEngine::Reschedule(Seconds now) {
     }
   }
 
+  // Merge-join the plan's job map (sorted) with the live set (sorted):
+  // O(live + plan) id lookups instead of a map find per job.
+  auto plan_it = plan_.jobs.begin();
+  static const JobAllocation kIdleAlloc;
   for (const JobId id : lifecycle_.live()) {
     JobState& s = jobs_[static_cast<std::size_t>(id)];
-    const JobAllocation& alloc = plan_.Get(id);
+    while (plan_it != plan_.jobs.end() && plan_it->first < id) {
+      ++plan_it;
+    }
+    const JobAllocation& alloc =
+        plan_it != plan_.jobs.end() && plan_it->first == id ? plan_it->second : kIdleAlloc;
+    s.throttle = plan_.manages_remote_io ? alloc.remote_io : kUnlimitedRate;
     if (!alloc.running && s.running) {
       // Preemption (SRTF plans): suspend in place — progress, epoch position
       // and cache effectiveness survive; the resume penalty is charged below.
@@ -368,9 +377,7 @@ void FlowEngine::ComputeRates() {
         std::min(1.0, std::max(0.0, s.effective / static_cast<double>(d.size)));
     miss[i] = 1.0 - hit;
     demand[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
-    if (plan_.manages_remote_io) {
-      caps[i] = std::min(caps[i], plan_.Get(s.spec->id).remote_io);
-    }
+    caps[i] = std::min(caps[i], s.throttle);
   }
   const std::vector<BytesPerSec> granted =
       MaxMinShare(demand, caps, faults_.resources().remote_io);

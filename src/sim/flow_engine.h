@@ -50,6 +50,9 @@ class FlowEngine {
     // computes at spec->ideal_io * speed while holding this type's GPUs.
     int gpu_type = -1;
     double speed = 1.0;
+    // The plan's remote-IO throttle as of the last reschedule;
+    // kUnlimitedRate when the plan does not manage remote IO.
+    BytesPerSec throttle = kUnlimitedRate;
   };
   struct DatasetState {
     Bytes quota = 0;
