@@ -486,6 +486,49 @@ TEST(FlowEngine, StepResultsMatchPinnedDigests) {
     EXPECT_GT(result.faults.degrade_windows, 0);
     EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(0xd03bf530d573c96fULL));
   }
+
+  // The edges of the engine's held-dataset set (docs/MODEL.md §9): Hoard
+  // prefetching into zone-spread quotas while cache servers crash, over a
+  // catalog of 42 datasets, three times the largest live set (14 jobs).
+  // Half the jobs share a canonical dataset, so a shared dataset's quota
+  // drops to 0 when its last running job ends and comes back with the next
+  // one (about 30 times in this run).
+  {
+    TraceOptions held_options;
+    held_options.num_jobs = 80;
+    held_options.mean_interarrival = Minutes(15);
+    held_options.median_duration = Minutes(40);
+    held_options.max_duration = Hours(6);
+    held_options.share_fraction = 0.5;
+    held_options.seed = 57;
+    held_options.block_size = MB(256);
+    const Trace held_trace = TraceGenerator(held_options).Generate();
+
+    ExperimentConfig config;
+    config.policy = "fifo+silod";
+    config.engine = EngineKind::kFlow;
+    config.sim.resources.total_gpus = 16;
+    config.sim.resources.total_cache = TB(3);
+    config.sim.resources.remote_io = MBps(600);
+    config.sim.resources.num_servers = 8;
+    config.sim.reschedule_period = Minutes(5);
+    config.sim.prefetch_waiting = true;
+    const Result<ClusterTopology> racks = ClusterTopology::Parse("rack0=0-3;rack1=4-7");
+    ASSERT_TRUE(racks.ok()) << racks.status().ToString();
+    config.sim.topology = *racks;
+    FaultChurnOptions churn;
+    churn.horizon = Hours(24);
+    churn.server_crashes_per_hour = 0.5;
+    churn.num_servers = config.sim.resources.num_servers;
+    churn.num_jobs = held_options.num_jobs;
+    churn.seed = 57;
+    config.sim.faults = GenerateFaultPlan(churn);
+
+    const SimResult result = RunExperiment(held_trace, config);
+    EXPECT_GT(result.faults.server_crashes, 0);
+    EXPECT_GT(result.faults.bytes_lost, 0);
+    EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(0x2a1b552c43b06490ULL));
+  }
 }
 
 TEST(FineEngine, StepCountersAccountForEveryBlock) {
