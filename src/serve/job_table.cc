@@ -1,8 +1,25 @@
 #include "src/serve/job_table.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace silod {
+namespace {
+
+// Inserts or erases `id` in the ascending `ids`.
+template <typename Ids>
+void SetMember(Ids& ids, JobId id, bool member) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (member) {
+    ids.insert(it, id);
+  } else {
+    SILOD_CHECK(it != ids.end() && *it == id) << "job " << id << " missing from the index";
+    ids.erase(it);
+  }
+}
+
+}  // namespace
 
 const char* ServeJobStateName(ServeJobState state) {
   switch (state) {
@@ -46,7 +63,8 @@ Result<DatasetId> JobTable::InternDataset(const std::string& name, Bytes size,
   return id;
 }
 
-Result<ServeJob*> JobTable::Add(const std::string& key, JobSpec spec, Seconds submit_time) {
+Result<ServeJob*> JobTable::Add(const std::string& key, JobSpec spec, Seconds submit_time,
+                                ServeJobState state) {
   if (jobs_by_key_.count(key) > 0) {
     return Status::AlreadyExists("job '" + key + "' already submitted");
   }
@@ -57,10 +75,44 @@ Result<ServeJob*> JobTable::Add(const std::string& key, JobSpec spec, Seconds su
   job->spec.submit_time = submit_time;
   job->submit_time = submit_time;
   job->remaining_bytes = job->spec.total_bytes;
+  job->state_ = state;
   ServeJob* raw = job.get();
   jobs_by_key_.emplace(key, raw->spec.id);
   jobs_.push_back(std::move(job));
+  Index(*raw, /*enter=*/true);
   return raw;
+}
+
+void JobTable::SetState(ServeJob* job, ServeJobState to) {
+  const ServeJobState from = job->state_;
+  const bool valid =
+      (from == ServeJobState::kQueued &&
+       (to == ServeJobState::kActive || to == ServeJobState::kCancelled)) ||
+      (from == ServeJobState::kActive &&
+       (to == ServeJobState::kCompleted || to == ServeJobState::kCancelled));
+  SILOD_CHECK(valid) << "job '" << job->key << "' cannot go from " << ServeJobStateName(from)
+                     << " to " << ServeJobStateName(to);
+  Index(*job, /*enter=*/false);
+  job->state_ = to;
+  Index(*job, /*enter=*/true);
+}
+
+void JobTable::Index(const ServeJob& job, bool enter) {
+  const JobId id = job.spec.id;
+  switch (job.state_) {
+    case ServeJobState::kActive:
+      SetMember(active_, id, enter);
+      active_gpu_demand_ += enter ? job.spec.num_gpus : -job.spec.num_gpus;
+      break;
+    case ServeJobState::kQueued:
+      SetMember(queued_, id, enter);
+      break;
+    case ServeJobState::kCompleted:
+    case ServeJobState::kCancelled:
+      break;
+  }
+  std::size_t& count = counts_[static_cast<std::size_t>(job.state_)];
+  count = enter ? count + 1 : count - 1;
 }
 
 Result<ServeJob*> JobTable::Find(const std::string& key) {
@@ -89,50 +141,19 @@ Snapshot JobTable::BuildSnapshot(Seconds now, const ClusterResources& resources,
   snapshot.resources = resources;
   snapshot.catalog = &catalog_;
   snapshot.topology = topology;
-  for (const auto& job : jobs_) {
-    if (job->state != ServeJobState::kActive) {
-      continue;
-    }
+  snapshot.jobs.reserve(active_.size());
+  for (const JobId id : active_) {
+    const ServeJob& job = *jobs_[static_cast<std::size_t>(id)];
     JobView view;
-    view.spec = &job->spec;
-    view.remaining_bytes = job->remaining_bytes;
-    view.effective_cache = job->effective_cache;
-    view.running = job->running;
-    view.gpu_type = job->gpu_type;
+    view.spec = &job.spec;
+    view.remaining_bytes = job.remaining_bytes;
+    view.effective_cache = job.effective_cache;
+    view.running = job.running;
+    view.gpu_type = job.gpu_type;
     snapshot.jobs.push_back(view);
   }
   AnnotateSnapshotSpeeds(&snapshot);
   return snapshot;
-}
-
-int JobTable::ActiveGpuDemand() const {
-  int demand = 0;
-  for (const auto& job : jobs_) {
-    if (job->state == ServeJobState::kActive) {
-      demand += job->spec.num_gpus;
-    }
-  }
-  return demand;
-}
-
-std::vector<ServeJob*> JobTable::QueuedJobs() {
-  std::vector<ServeJob*> queued;
-  for (const auto& job : jobs_) {
-    if (job->state == ServeJobState::kQueued) {
-      queued.push_back(job.get());
-    }
-  }
-  return queued;
-}
-
-std::size_t JobTable::CountState(ServeJobState state) const {
-  std::size_t count = 0;
-  for (const auto& job : jobs_) {
-    if (job->state == state) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace silod

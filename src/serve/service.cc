@@ -160,17 +160,21 @@ void ServiceState::Replan(bool force) {
   if (!planner_->PlanFor(MakeSnapshot(), force)) {
     return;
   }
+  // Merge-join the active ids (ascending) with the plan's job map (sorted).
   const AllocationPlan& plan = planner_->plan();
-  for (const auto& job : table_.jobs()) {
-    if (job->state != ServeJobState::kActive) {
-      continue;
+  auto plan_it = plan.jobs.begin();
+  for (const JobId id : table_.active()) {
+    while (plan_it != plan.jobs.end() && plan_it->first < id) {
+      ++plan_it;
     }
-    const bool running = plan.IsRunning(job->spec.id);
+    const bool running =
+        plan_it != plan.jobs.end() && plan_it->first == id && plan_it->second.running;
+    ServeJob* job = table_.Get(id);
     if (running && !job->running && job->first_start_time < 0) {
       job->first_start_time = now_;
     }
     job->running = running;
-    job->gpu_type = running ? plan.Get(job->spec.id).gpu_type : -1;
+    job->gpu_type = running ? plan_it->second.gpu_type : -1;
   }
 }
 
@@ -179,18 +183,22 @@ const AllocationPlan& ServiceState::PlanNow() {
   return planner_->plan();
 }
 
-void ServiceState::PromoteQueued() {
+bool ServiceState::PromoteQueued() {
   // Strict FIFO: promote from the head while the gate allows; the first job
   // that does not fit blocks everything behind it.
-  for (ServeJob* job : table_.QueuedJobs()) {
+  bool promoted = false;
+  while (!table_.queued().empty()) {
+    ServeJob* job = table_.Get(table_.queued().front());
     if (!admission_->LoadAllows(table_.ActiveGpuDemand(), job->spec.num_gpus)) {
       break;
     }
-    job->state = ServeJobState::kActive;
+    table_.SetState(job, ServeJobState::kActive);
     job->admit_time = now_;
     admission_->Record(AdmissionDecision::kAdmit);
     planner_->NoteEvent();
+    promoted = true;
   }
+  return promoted;
 }
 
 ServeResponse ServiceState::Handle(const ServeRequest& request) {
@@ -403,7 +411,9 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
     }
     spec.step_data_size = *step;
   }
-  Result<ServeJob*> job = table_.Add(*key, std::move(spec), now_);
+  const bool admit = decision == AdmissionDecision::kAdmit;
+  Result<ServeJob*> job = table_.Add(*key, std::move(spec), now_,
+                                     admit ? ServeJobState::kActive : ServeJobState::kQueued);
   if (!job.ok()) {
     return ServeResponse::FromStatus(job.status());
   }
@@ -411,14 +421,12 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
   ServeResponse response = OkResponse();
   response.fields["decision"] = AdmissionDecisionName(decision);
   response.fields["job"] = std::to_string((*job)->spec.id);
-  if (decision == AdmissionDecision::kAdmit) {
-    (*job)->state = ServeJobState::kActive;
+  if (admit) {
     (*job)->admit_time = now_;
     planner_->NoteEvent();
     Replan(/*force=*/false);
     response.fields["running"] = (*job)->running ? "1" : "0";
   } else {
-    (*job)->state = ServeJobState::kQueued;
     response.fields["position"] = std::to_string(table_.CountState(ServeJobState::kQueued));
   }
   return response;
@@ -437,11 +445,11 @@ ServeResponse ServiceState::Complete(const ServeRequest& request) {
   if (!job.ok()) {
     return ServeResponse::FromStatus(job.status());
   }
-  if ((*job)->state != ServeJobState::kActive) {
+  if ((*job)->state() != ServeJobState::kActive) {
     return ServeResponse::FromStatus(Status::FailedPrecondition(
-        "job '" + *key + "' is " + ServeJobStateName((*job)->state) + ", not active"));
+        "job '" + *key + "' is " + ServeJobStateName((*job)->state()) + ", not active"));
   }
-  (*job)->state = ServeJobState::kCompleted;
+  table_.SetState(*job, ServeJobState::kCompleted);
   (*job)->finish_time = now_;
   (*job)->running = false;
   (*job)->remaining_bytes = 0;
@@ -467,20 +475,22 @@ ServeResponse ServiceState::Cancel(const ServeRequest& request) {
   if (!job.ok()) {
     return ServeResponse::FromStatus(job.status());
   }
-  const ServeJobState state = (*job)->state;
+  const ServeJobState state = (*job)->state();
   if (state == ServeJobState::kCompleted || state == ServeJobState::kCancelled) {
     return ServeResponse::FromStatus(Status::FailedPrecondition(
         "job '" + *key + "' is already " + ServeJobStateName(state)));
   }
   const bool was_active = state == ServeJobState::kActive;
-  (*job)->state = ServeJobState::kCancelled;
+  table_.SetState(*job, ServeJobState::kCancelled);
   (*job)->finish_time = now_;
   (*job)->running = false;
   if (was_active) {
-    // A queued job was never in the scheduler's view; cancelling it changes
-    // nothing the planner can see, so only active cancels count as events.
     planner_->NoteEvent();
     PromoteQueued();
+    Replan(/*force=*/false);
+  } else if (PromoteQueued()) {
+    // A queued job was never in the scheduler's view, so its cancel is no
+    // event; but it may have been the head blocking the queue behind it.
     Replan(/*force=*/false);
   }
   ServeResponse response = OkResponse();
@@ -509,9 +519,9 @@ ServeResponse ServiceState::Progress(const ServeRequest& request) {
   if (!job.ok()) {
     return ServeResponse::FromStatus(job.status());
   }
-  if ((*job)->state != ServeJobState::kActive) {
+  if ((*job)->state() != ServeJobState::kActive) {
     return ServeResponse::FromStatus(Status::FailedPrecondition(
-        "job '" + *key + "' is " + ServeJobStateName((*job)->state) + ", not active"));
+        "job '" + *key + "' is " + ServeJobStateName((*job)->state()) + ", not active"));
   }
   (*job)->remaining_bytes = *remaining;
   if (request.Has("effective")) {
@@ -544,7 +554,7 @@ ServeResponse ServiceState::Query(const ServeRequest& request) {
   }
   const ServeJob& j = **job;
   ServeResponse response = OkResponse();
-  response.fields["state"] = ServeJobStateName(j.state);
+  response.fields["state"] = ServeJobStateName(j.state());
   response.fields["job"] = std::to_string(j.spec.id);
   response.fields["gpus"] = std::to_string(j.spec.num_gpus);
   response.fields["running"] = j.running ? "1" : "0";
@@ -679,7 +689,7 @@ std::uint64_t ServiceState::StateDigest() const {
   h.U64(table_.size());
   for (const auto& job : table_.jobs()) {
     h.String(job->key);
-    h.String(ServeJobStateName(job->state));
+    h.String(ServeJobStateName(job->state()));
     h.U64(static_cast<std::uint64_t>(job->spec.num_gpus));
     h.U64(static_cast<std::uint64_t>(job->spec.dataset));
     h.Double(job->spec.ideal_io);
@@ -733,7 +743,7 @@ std::string ServiceState::CheckpointText() const {
   for (const auto& job : table_.jobs()) {
     const ServeJob& j = *job;
     out += "job id=" + std::to_string(j.spec.id) + " key=" + EscapeToken(j.key) +
-           " state=" + ServeJobStateName(j.state) + " gpus=" + std::to_string(j.spec.num_gpus) +
+           " state=" + ServeJobStateName(j.state()) + " gpus=" + std::to_string(j.spec.num_gpus) +
            " dataset=" + std::to_string(j.spec.dataset) +
            " ideal-io=" + FormatExact(j.spec.ideal_io) +
            " total-bytes=" + std::to_string(j.spec.total_bytes) +
@@ -953,7 +963,7 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
       }
       spec.speed_factors = *std::move(speeds);
     }
-    Result<ServeJob*> job = table_.Add(key, std::move(spec), submit_t);
+    Result<ServeJob*> job = table_.Add(key, std::move(spec), submit_t, *state);
     if (!job.ok()) {
       return job.status();
     }
@@ -962,7 +972,6 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
                                      std::to_string((*job)->spec.id) + ", checkpoint says " +
                                      std::to_string(id));
     }
-    (*job)->state = *state;
     (*job)->admit_time = admit_t;
     (*job)->first_start_time = start_t;
     (*job)->finish_time = finish_t;
@@ -1004,7 +1013,7 @@ RunReport ServiceState::Report() const {
   results.reserve(table_.size());
   Seconds last_finish = 0;
   for (const auto& job : table_.jobs()) {
-    if (job->state != ServeJobState::kCompleted) {
+    if (job->state() != ServeJobState::kCompleted) {
       ++report.unfinished_jobs;
       continue;
     }

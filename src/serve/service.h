@@ -155,8 +155,8 @@ class ServiceState {
   // Re-solves if due and syncs per-job running flags / first-start times
   // with the resulting plan.
   void Replan(bool force);
-  // Admits queued jobs (FIFO) that now pass the load gate.
-  void PromoteQueued();
+  // Admits queued jobs (FIFO) that now pass the load gate; true if any.
+  bool PromoteQueued();
   Status AdvanceClock(const ServeRequest& request);
 
   ServiceConfig config_;

@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,8 @@
 #include <vector>
 
 #include "src/common/framing.h"
+#include "src/common/rng.h"
+#include "src/common/text_codec.h"
 #include "src/common/units.h"
 #include "src/core/policy_registry.h"
 #include "src/serve/journal.h"
@@ -935,6 +938,172 @@ TEST_F(ServiceJournalTest, CheckpointVerbCompactsAndRecoveryMatches) {
   ServeResponse dup = Must(service.get(), WithRid(SubmitReq("c", 60, 1, GB(200)), 4));
   EXPECT_EQ("1", dup.fields.at("duplicate"));
   Must(service.get(), WithRid(Req("complete", {{"key", "c"}, {"t", "100"}}), 5));
+}
+
+// Cancelling a queued job re-runs promotion.  With A active (4 of 8 GPUs),
+// B (8 GPUs) queued at the head and C (2 GPUs) behind it, cancelling B must
+// admit C at once; before, C stayed queued, and every later submit queued
+// behind it, until some active job ended.  Journal recovery replays the
+// same promotion.
+TEST_F(ServiceTest, CancellingQueuedHeadPromotesTheQueue) {
+  ServiceConfig config = SmallCluster("fifo+silod");
+  config.admission.max_gpu_load = 1.0;
+  const ServeRequest requests[] = {
+      WithRid(SubmitReq("A", 0, 4, GB(100)), 1),
+      WithRid(SubmitReq("B", 1, 8, GB(100)), 2),
+      WithRid(SubmitReq("C", 2, 2, GB(100)), 3),
+      WithRid(Req("cancel", {{"key", "B"}, {"t", "3"}}), 4),
+      WithRid(SubmitReq("D", 4, 2, GB(100)), 5),
+  };
+  Start(config);
+  std::vector<ServeResponse> responses;
+  for (const ServeRequest& request : requests) {
+    responses.push_back(Must(request));
+  }
+  EXPECT_EQ("admitted", responses[0].fields.at("decision"));
+  EXPECT_EQ("queued", responses[1].fields.at("decision"));
+  EXPECT_EQ("queued", responses[2].fields.at("decision"));
+  EXPECT_EQ("queued", responses[3].fields.at("was"));
+  EXPECT_EQ("active", Must(Req("query", {{"key", "C"}})).fields.at("state"));
+  EXPECT_EQ("admitted", responses[4].fields.at("decision"));
+  const ServeResponse stats = Must(Req("stats", {}));
+  EXPECT_EQ("0", stats.fields.at("queued"));
+  EXPECT_EQ("8", stats.fields.at("gpu-demand"));
+  ExpectBatchIdentity();
+
+  const std::string path = FreshJournalPath("CancellingQueuedHeadPromotesTheQueue");
+  std::uint64_t digest = 0;
+  {
+    RecoveryInfo recovery;
+    Result<std::unique_ptr<ServiceState>> journaled =
+        ServiceState::CreateFromJournal(config, JournalOpts(path), &recovery);
+    ASSERT_TRUE(journaled.ok()) << journaled.status().ToString();
+    for (const ServeRequest& request : requests) {
+      ASSERT_TRUE((*journaled)->Handle(request).ok()) << request.verb;
+    }
+    digest = (*journaled)->StateDigest();
+  }
+  RecoveryInfo recovery;
+  Result<std::unique_ptr<ServiceState>> recovered =
+      ServiceState::CreateFromJournal(config, JournalOpts(path), &recovery);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(5u, recovery.replayed_requests);
+  EXPECT_EQ(digest, (*recovered)->StateDigest());
+  EXPECT_EQ("active", (*recovered)->Handle(Req("query", {{"key", "C"}})).fields.at("state"));
+}
+
+// A scan of every job in the table: what the live index must equal.
+struct TableScan {
+  std::vector<JobId> active;
+  std::vector<JobId> queued;
+  std::array<std::size_t, 4> counts{};
+  int gpu_demand = 0;
+};
+
+TableScan ScanTable(const JobTable& table) {
+  TableScan scan;
+  for (const auto& job : table.jobs()) {
+    ++scan.counts[static_cast<std::size_t>(job->state())];
+    if (job->state() == ServeJobState::kActive) {
+      scan.active.push_back(job->spec.id);
+      scan.gpu_demand += job->spec.num_gpus;
+    } else if (job->state() == ServeJobState::kQueued) {
+      scan.queued.push_back(job->spec.id);
+    }
+  }
+  return scan;
+}
+
+void ExpectIndexMatchesScan(const ServiceState& service, const std::string& where) {
+  const JobTable& table = service.jobs();
+  const TableScan scan = ScanTable(table);
+  EXPECT_EQ(scan.active, table.active()) << where;
+  EXPECT_EQ(scan.queued, std::vector<JobId>(table.queued().begin(), table.queued().end()))
+      << where;
+  for (const ServeJobState state : {ServeJobState::kActive, ServeJobState::kQueued,
+                                    ServeJobState::kCompleted, ServeJobState::kCancelled}) {
+    EXPECT_EQ(scan.counts[static_cast<std::size_t>(state)], table.CountState(state))
+        << where << " " << ServeJobStateName(state);
+  }
+  EXPECT_EQ(scan.gpu_demand, table.ActiveGpuDemand()) << where;
+  std::vector<JobId> snapshot_ids;
+  for (const JobView& view : service.MakeSnapshot().jobs) {
+    snapshot_ids.push_back(view.spec->id);
+  }
+  EXPECT_EQ(scan.active, snapshot_ids) << where;
+}
+
+// The job table's live index against a full scan after every request of a
+// seeded mix under a tight load gate: submits that admit, queue or are
+// rejected, promotions, completes, and cancels of active and queued jobs;
+// then after checkpoint restore and after journal recovery (from a
+// mid-run compaction checkpoint plus the requests behind it).
+TEST_F(ServiceJournalTest, JobTableIndexMatchesFullScan) {
+  ServiceConfig config = SmallCluster("sjf+silod");
+  config.admission.max_gpu_load = 1.5;  // 12 GPUs of active demand.
+  config.admission.max_queue = 5;
+  JournalOptions options = Opts();
+  options.sync = JournalSyncMode::kNone;
+  std::uint64_t digest = 0;
+  std::string checkpoint;
+  {
+    RecoveryInfo recovery;
+    std::unique_ptr<ServiceState> service = Recover(config, options, &recovery);
+    ASSERT_NE(nullptr, service);
+    Rng rng(25);
+    std::uint64_t rid = 0;
+    int submitted = 0;
+    int cancelled_queued = 0;
+    for (int step = 1; step <= 240; ++step) {
+      const std::string t = std::to_string(step);
+      const TableScan scan = ScanTable(service->jobs());
+      const double roll = rng.NextDouble();
+      ServeRequest request;
+      if (roll < 0.5 || (scan.active.empty() && scan.queued.empty())) {
+        const std::string key = "j" + std::to_string(submitted++);
+        request = SubmitReq(key, step, 1 + static_cast<int>(rng.NextBelow(6)), GB(100));
+      } else {
+        const bool from_queue = !scan.queued.empty() && (scan.active.empty() || roll >= 0.85);
+        const std::vector<JobId>& pool = from_queue ? scan.queued : scan.active;
+        const JobId id = pool[static_cast<std::size_t>(rng.NextBelow(pool.size()))];
+        const bool complete = !from_queue && roll < 0.75;
+        cancelled_queued += from_queue ? 1 : 0;
+        request = Req(complete ? "complete" : "cancel",
+                      {{"key", service->jobs().Get(id)->key}, {"t", t}});
+      }
+      service->Handle(WithRid(request, ++rid));  // A rejected submit is part of the mix.
+      ExpectIndexMatchesScan(*service, "after request " + std::to_string(rid));
+      if (step == 160) {
+        Must(service.get(), Req("checkpoint", {}));
+      }
+    }
+    // End with a non-empty queue (at most one 12-GPU job fits the gate), so
+    // restore and recovery rebuild one.
+    for (const char* key : {"wide", "wider"}) {
+      Must(service.get(), WithRid(SubmitReq(key, 241, 12, GB(100)), ++rid));
+      ExpectIndexMatchesScan(*service, std::string("after submit ") + key);
+    }
+    EXPECT_GT(service->admission().queued(), 20u);
+    EXPECT_GT(service->admission().rejected(), 0u);
+    EXPECT_GT(cancelled_queued, 5);
+    EXPECT_GT(service->jobs().CountState(ServeJobState::kQueued), 0u);
+    digest = service->StateDigest();
+    checkpoint = service->CheckpointText();
+  }
+
+  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(config);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->RestoreFromCheckpoint(checkpoint, nullptr).ok());
+  ExpectIndexMatchesScan(**restored, "after checkpoint restore");
+  EXPECT_EQ(digest, (*restored)->StateDigest());
+
+  RecoveryInfo recovery;
+  std::unique_ptr<ServiceState> recovered = Recover(config, options, &recovery);
+  ASSERT_NE(nullptr, recovered);
+  EXPECT_TRUE(recovery.from_checkpoint);
+  EXPECT_EQ(82u, recovery.replayed_requests);
+  ExpectIndexMatchesScan(*recovered, "after journal recovery");
+  EXPECT_EQ(digest, recovered->StateDigest());
 }
 
 TEST_F(ServiceJournalTest, CheckpointWithoutJournalIsFailedPrecondition) {
