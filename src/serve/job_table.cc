@@ -45,6 +45,42 @@ Result<ServeJobState> ServeJobStateFromName(const std::string& name) {
   return Status::InvalidArgument("unknown job state '" + name + "'");
 }
 
+std::uint64_t JobStateHash(const ServeJob& job) {
+  Fnv1a64 h;
+  h.U64(static_cast<std::uint64_t>(job.spec.id));
+  h.String(job.key);
+  h.String(ServeJobStateName(job.state()));
+  h.U64(static_cast<std::uint64_t>(job.spec.num_gpus));
+  h.U64(static_cast<std::uint64_t>(job.spec.dataset));
+  h.Double(job.spec.ideal_io);
+  h.U64(static_cast<std::uint64_t>(job.spec.total_bytes));
+  h.U64(static_cast<std::uint64_t>(job.spec.step_data_size));
+  h.String(job.spec.model);
+  h.Double(job.submit_time);
+  h.Double(job.admit_time);
+  h.Double(job.first_start_time);
+  h.Double(job.finish_time);
+  h.U64(static_cast<std::uint64_t>(job.remaining_bytes));
+  h.U64(static_cast<std::uint64_t>(job.effective_cache));
+  h.U64(job.running ? 1 : 0);
+  // Heterogeneity fields mix only when present, as in the checkpoint text.
+  if (job.gpu_type >= 0) {
+    h.U64(static_cast<std::uint64_t>(job.gpu_type) + 1);
+  }
+  if (!job.spec.tenant.empty()) {
+    h.String(job.spec.tenant);
+  }
+  for (const auto& [type_name, factor] : job.spec.speed_factors) {
+    h.String(type_name);
+    h.Double(factor);
+  }
+  // splitmix64's finalizer.
+  std::uint64_t z = h.hash();
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 Result<DatasetId> JobTable::InternDataset(const std::string& name, Bytes size,
                                           Bytes block_size) {
   const auto it = datasets_by_name_.find(name);
@@ -60,6 +96,9 @@ Result<DatasetId> JobTable::InternDataset(const std::string& name, Bytes size,
   }
   const DatasetId id = catalog_.Add(name, size, block_size);
   datasets_by_name_.emplace(name, id);
+  catalog_hash_.String(name);
+  catalog_hash_.U64(static_cast<std::uint64_t>(size));
+  catalog_hash_.U64(static_cast<std::uint64_t>(block_size));
   return id;
 }
 
@@ -109,10 +148,24 @@ void JobTable::Index(const ServeJob& job, bool enter) {
       break;
     case ServeJobState::kCompleted:
     case ServeJobState::kCancelled:
+      // Terminal states are never left, so only entering one can happen.
+      unfolded_.push_back(id);
       break;
   }
   std::size_t& count = counts_[static_cast<std::size_t>(job.state_)];
   count = enter ? count + 1 : count - 1;
+}
+
+void JobTable::FoldRetired() {
+  for (const JobId id : unfolded_) {
+    retired_sum_ += JobStateHash(*jobs_[static_cast<std::size_t>(id)]);
+  }
+  unfolded_.clear();
+}
+
+std::uint64_t JobTable::retired_sum() const {
+  SILOD_CHECK(unfolded_.empty()) << unfolded_.size() << " retired jobs not folded yet";
+  return retired_sum_;
 }
 
 Result<ServeJob*> JobTable::Find(const std::string& key) {

@@ -16,16 +16,23 @@
 // jobs, the queued ids in FIFO order, a count per state and the active GPU
 // demand.  Every state change goes through SetState, so snapshots, queue
 // walks, counts and the demand cost O(live) or O(1), not O(history).
+//
+// It also keeps what the service's state digest needs so that the digest
+// costs O(live) too (docs/MODEL.md §12): a running FNV-1a over the catalog,
+// which only ever grows by appends, and a wrapping sum of JobStateHash over
+// the jobs that reached a terminal state (their fields never change again).
 #ifndef SILOD_SRC_SERVE_JOB_TABLE_H_
 #define SILOD_SRC_SERVE_JOB_TABLE_H_
 
 #include <array>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/status.h"
 #include "src/sched/policy.h"
 #include "src/workload/dataset.h"
@@ -64,6 +71,11 @@ struct ServeJob {
   friend class JobTable;
   ServeJobState state_ = ServeJobState::kActive;
 };
+
+// The job's contribution to the service's state digest: FNV-1a over its id,
+// key, state, spec, timestamps and scheduler-visible state, then a
+// splitmix64 finalizer so a wrapping sum of these hashes mixes every bit.
+std::uint64_t JobStateHash(const ServeJob& job);
 
 class JobTable {
  public:
@@ -106,6 +118,18 @@ class JobTable {
   const std::vector<std::unique_ptr<ServeJob>>& jobs() const { return jobs_; }
   const DatasetCatalog& catalog() const { return catalog_; }
 
+  // FNV-1a over every interned dataset's name, size and block size, in
+  // catalog order.
+  std::uint64_t catalog_digest() const { return catalog_hash_.hash(); }
+  // Folds the JobStateHash of each job that reached a terminal state since
+  // the last call into retired_sum().  Call it once the request that ended
+  // them has returned: a completed or cancelled job's fields are final then,
+  // but not yet inside the request (or checkpoint restore) that set them.
+  void FoldRetired();
+  // Wrapping sum of JobStateHash over the completed and cancelled jobs;
+  // SILOD_CHECKs that none is waiting for FoldRetired.
+  std::uint64_t retired_sum() const;
+
  private:
   // Enters or leaves `job` in the index for its current state.
   void Index(const ServeJob& job, bool enter);
@@ -118,6 +142,9 @@ class JobTable {
   std::deque<JobId> queued_;   // Ascending (FIFO).
   std::array<std::size_t, 4> counts_{};  // Indexed by ServeJobState.
   int active_gpu_demand_ = 0;
+  Fnv1a64 catalog_hash_;
+  std::vector<JobId> unfolded_;  // Terminal, not yet in retired_sum_.
+  std::uint64_t retired_sum_ = 0;
 };
 
 }  // namespace silod

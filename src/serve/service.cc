@@ -243,6 +243,7 @@ ServeResponse ServiceState::Handle(const ServeRequest& request) {
   }
 
   ServeResponse response = Dispatch(request);
+  table_.FoldRetired();
   if (!response.ok()) {
     ++errors_;
   } else if (rid > 0) {
@@ -680,42 +681,18 @@ std::uint64_t ServiceState::StateDigest() const {
   h.U64(admission_->queued());
   h.U64(admission_->rejected());
   h.Double(planner_->last_plan_time());
-  h.U64(table_.catalog().size());
-  for (const Dataset& dataset : table_.catalog().all()) {
-    h.String(dataset.name);
-    h.U64(static_cast<std::uint64_t>(dataset.size));
-    h.U64(static_cast<std::uint64_t>(dataset.block_size));
-  }
+  h.U64(table_.catalog_digest());
   h.U64(table_.size());
-  for (const auto& job : table_.jobs()) {
-    h.String(job->key);
-    h.String(ServeJobStateName(job->state()));
-    h.U64(static_cast<std::uint64_t>(job->spec.num_gpus));
-    h.U64(static_cast<std::uint64_t>(job->spec.dataset));
-    h.Double(job->spec.ideal_io);
-    h.U64(static_cast<std::uint64_t>(job->spec.total_bytes));
-    h.U64(static_cast<std::uint64_t>(job->spec.step_data_size));
-    h.String(job->spec.model);
-    h.Double(job->submit_time);
-    h.Double(job->admit_time);
-    h.Double(job->first_start_time);
-    h.Double(job->finish_time);
-    h.U64(static_cast<std::uint64_t>(job->remaining_bytes));
-    h.U64(static_cast<std::uint64_t>(job->effective_cache));
-    h.U64(job->running ? 1 : 0);
-    // Heterogeneity fields mix only when present so untyped/untenanted
-    // digests stay byte-identical to earlier releases.
-    if (job->gpu_type >= 0) {
-      h.U64(static_cast<std::uint64_t>(job->gpu_type) + 1);
-    }
-    if (!job->spec.tenant.empty()) {
-      h.String(job->spec.tenant);
-    }
-    for (const auto& [type_name, factor] : job->spec.speed_factors) {
-      h.String(type_name);
-      h.Double(factor);
-    }
+  // A wrapping sum is order-free, so the retired jobs' part is kept folded
+  // and only the live jobs are hashed here.
+  std::uint64_t jobs = table_.retired_sum();
+  for (const JobId id : table_.active()) {
+    jobs += JobStateHash(*table_.Get(id));
   }
+  for (const JobId id : table_.queued()) {
+    jobs += JobStateHash(*table_.Get(id));
+  }
+  h.U64(jobs);
   return h.hash();
 }
 
@@ -786,6 +763,7 @@ Status ServiceState::RestoreFromCheckpoint(const std::string& text, RecoveryInfo
     return Status::FailedPrecondition("checkpoint restore requires a fresh service");
   }
   const Status st = ApplyCheckpoint(text, recovery);
+  table_.FoldRetired();
   return st.ok() ? st : Status::Internal("journal checkpoint: " + st.message());
 }
 

@@ -111,16 +111,22 @@ class ServiceState {
   Snapshot MakeSnapshot() const;
 
   Seconds now() const { return now_; }
+  std::uint64_t last_rid() const { return last_rid_; }
+  bool manages_remote_io() const { return config_.scheduler.manage_remote_io; }
   const std::string& policy_name() const { return planner_->policy_name(); }
   const IncrementalPlanner& planner() const { return *planner_; }
   const AdmissionController& admission() const { return *admission_; }
   const JobTable& jobs() const { return table_; }
 
-  // FNV-1a over the recovery-relevant state: the virtual clock, policy name,
-  // last applied rid, dataset catalog, every job's spec/state/timestamps and
-  // the admission counters.  A digest taken before SIGKILL must equal the
-  // digest after recovery; volatile observability counters (requests_,
-  // planner solve counts) are deliberately excluded.
+  // A hash of the recovery-relevant state (docs/MODEL.md §12): FNV-1a over
+  // the policy, the remote-IO flag, the virtual clock, the last applied rid,
+  // the admission counters, the last plan time, the catalog's running FNV-1a,
+  // the job count, and the wrapping sum of JobStateHash over every job.  The
+  // completed and cancelled jobs' hashes are folded into that sum once, after
+  // the request or checkpoint restore that ended them, so a call costs
+  // O(active + queued), not O(history).  A digest taken before SIGKILL must
+  // equal the digest after recovery; volatile observability counters
+  // (requests_, planner solve counts) are deliberately excluded.
   std::uint64_t StateDigest() const;
 
   // Checkpoint text for compaction (silodd-checkpoint-v1, journal.h) and its

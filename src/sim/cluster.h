@@ -32,7 +32,8 @@ struct SimConfig {
   // preemptive schedulers (SRTF); the fine engine rejects such plans.
   Seconds preempt_resume_penalty = 30.0;
   std::uint64_t seed = 42;
-  // Hard stop for runaway simulations (fails loudly rather than hanging).
+  // Hard stop for runaway simulations: the run ends there, and the jobs with
+  // no finish time are reported unfinished (RunReport::unfinished_jobs).
   Seconds max_time = Days(365);
   // Adversarial cluster conditions: both engines consume the plan from their
   // event loops and reschedule immediately on every failure/recovery (§6).

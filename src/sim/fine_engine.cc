@@ -612,7 +612,9 @@ SimResult FineEngine::Run() {
 
   while (!metrics_.AllFinished()) {
     SILOD_CHECK(++counters_.steps < 2'000'000'000ULL) << "fine engine step limit exceeded";
-    SILOD_CHECK(t <= config_.max_time) << "simulation exceeded max_time at t=" << t;
+    if (t > config_.max_time) {
+      break;  // The jobs with no finish time are reported unfinished.
+    }
 
     need_resched = lifecycle_.ArriveUntil(t + kTimeEps) || need_resched;
     if (need_resched) {

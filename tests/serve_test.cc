@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -25,6 +26,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/common/digest.h"
 #include "src/common/framing.h"
 #include "src/common/rng.h"
 #include "src/common/text_codec.h"
@@ -1104,6 +1106,193 @@ TEST_F(ServiceJournalTest, JobTableIndexMatchesFullScan) {
   EXPECT_EQ(82u, recovery.replayed_requests);
   ExpectIndexMatchesScan(*recovered, "after journal recovery");
   EXPECT_EQ(digest, recovered->StateDigest());
+}
+
+// The state digest's definition (docs/MODEL.md §12), recomputed from a scan
+// of the whole table through public accessors: what StateDigest() keeps
+// incrementally must always equal it.
+std::uint64_t FullScanJobHash(const ServeJob& job) {
+  Fnv1a64 h;
+  h.U64(static_cast<std::uint64_t>(job.spec.id));
+  h.String(job.key);
+  h.String(ServeJobStateName(job.state()));
+  h.U64(static_cast<std::uint64_t>(job.spec.num_gpus));
+  h.U64(static_cast<std::uint64_t>(job.spec.dataset));
+  h.Double(job.spec.ideal_io);
+  h.U64(static_cast<std::uint64_t>(job.spec.total_bytes));
+  h.U64(static_cast<std::uint64_t>(job.spec.step_data_size));
+  h.String(job.spec.model);
+  h.Double(job.submit_time);
+  h.Double(job.admit_time);
+  h.Double(job.first_start_time);
+  h.Double(job.finish_time);
+  h.U64(static_cast<std::uint64_t>(job.remaining_bytes));
+  h.U64(static_cast<std::uint64_t>(job.effective_cache));
+  h.U64(job.running ? 1 : 0);
+  if (job.gpu_type >= 0) {
+    h.U64(static_cast<std::uint64_t>(job.gpu_type) + 1);
+  }
+  if (!job.spec.tenant.empty()) {
+    h.String(job.spec.tenant);
+  }
+  for (const auto& [type_name, factor] : job.spec.speed_factors) {
+    h.String(type_name);
+    h.Double(factor);
+  }
+  std::uint64_t z = h.hash();
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::uint64_t FullScanStateDigest(const ServiceState& service) {
+  Fnv1a64 catalog;
+  for (const Dataset& dataset : service.jobs().catalog().all()) {
+    catalog.String(dataset.name);
+    catalog.U64(static_cast<std::uint64_t>(dataset.size));
+    catalog.U64(static_cast<std::uint64_t>(dataset.block_size));
+  }
+  std::uint64_t jobs = 0;
+  for (const auto& job : service.jobs().jobs()) {
+    jobs += FullScanJobHash(*job);
+  }
+  Fnv1a64 h;
+  h.String(service.policy_name());
+  h.U64(service.manages_remote_io() ? 1 : 0);
+  h.Double(service.now());
+  h.U64(service.last_rid());
+  h.U64(service.admission().admitted());
+  h.U64(service.admission().queued());
+  h.U64(service.admission().rejected());
+  h.Double(service.planner().last_plan_time());
+  h.U64(catalog.hash());
+  h.U64(service.jobs().size());
+  h.U64(jobs);
+  return h.hash();
+}
+
+// Replaces the value of `key=` in the first line of `text` that contains
+// `line_marker`.
+std::string ReplaceCheckpointField(std::string text, const std::string& line_marker,
+                                   const std::string& key, const std::string& value) {
+  const std::size_t line = text.find(line_marker);
+  const std::size_t start = text.find(" " + key + "=", line);
+  EXPECT_NE(std::string::npos, line);
+  EXPECT_NE(std::string::npos, start);
+  const std::size_t value_start = start + key.size() + 2;
+  const std::size_t value_end = text.find_first_of(" \n", value_start);
+  return text.replace(value_start, value_end - value_start, value);
+}
+
+// The incremental state digest against the full-scan definition after every
+// request of a seeded mix under a tight load gate: submits that admit, queue
+// or are rejected (some with a tenant and speed factors), promotions,
+// progress reports, completes, cancels of active and queued jobs, forced
+// plans and policy reloads; then after checkpoint restore and after journal
+// recovery from a mid-run compaction.  Two restores differing only in one
+// completed job's finish time must digest differently.
+TEST_F(ServiceJournalTest, StateDigestMatchesFullScan) {
+  ServiceConfig config = SmallCluster("sjf+silod");
+  config.admission.max_gpu_load = 1.5;  // 12 GPUs of active demand.
+  config.admission.max_queue = 5;
+  JournalOptions options = Opts();
+  options.sync = JournalSyncMode::kNone;
+  std::uint64_t digest = 0;
+  std::string checkpoint;
+  {
+    RecoveryInfo recovery;
+    std::unique_ptr<ServiceState> service = Recover(config, options, &recovery);
+    ASSERT_NE(nullptr, service);
+    EXPECT_EQ(FullScanStateDigest(*service), service->StateDigest()) << "fresh service";
+    Rng rng(26);
+    std::uint64_t rid = 0;
+    int submitted = 0;
+    std::array<int, 6> kinds{};  // progress, complete, cancel active/queued, plan, reload.
+    for (int step = 1; step <= 240; ++step) {
+      const std::string t = std::to_string(step);
+      const std::vector<JobId>& active = service->jobs().active();
+      const std::deque<JobId>& queued = service->jobs().queued();
+      const double roll = rng.NextDouble();
+      ServeRequest request;
+      if (roll < 0.4 || (active.empty() && queued.empty())) {
+        const std::string key = "j" + std::to_string(submitted++);
+        request = SubmitReq(key, step, 1 + static_cast<int>(rng.NextBelow(6)), GB(100));
+        if (submitted % 3 == 0) {
+          request.args["tenant"] = "team" + std::to_string(submitted % 2);
+          request.args["speeds"] = "v100=1.5,k80=0.5";
+        }
+      } else if (roll < 0.9 && !active.empty()) {
+        const JobId id = active[static_cast<std::size_t>(rng.NextBelow(active.size()))];
+        const std::string& key = service->jobs().Get(id)->key;
+        if (roll < 0.55) {
+          ++kinds[0];
+          request = Req("progress", {{"key", key},
+                                     {"t", t},
+                                     {"remaining", std::to_string(rng.NextBelow(1000) * 1000000)},
+                                     {"effective", std::to_string(rng.NextBelow(100) * 1000000)}});
+        } else if (roll < 0.75) {
+          ++kinds[1];
+          request = Req("complete", {{"key", key}, {"t", t}});
+        } else {
+          ++kinds[2];
+          request = Req("cancel", {{"key", key}, {"t", t}});
+        }
+      } else if (roll < 0.95 && !queued.empty()) {
+        ++kinds[3];
+        const JobId id = queued[static_cast<std::size_t>(rng.NextBelow(queued.size()))];
+        request = Req("cancel", {{"key", service->jobs().Get(id)->key}, {"t", t}});
+      } else if (roll < 0.97) {
+        ++kinds[4];
+        request = Req("plan", {{"t", t}});
+      } else {
+        ++kinds[5];
+        const bool fifo = service->policy_name() == "sjf+silod";
+        request = Req("reload-policy", {{"policy", fifo ? "fifo+silod" : "sjf+silod"},
+                                        {"manage-remote-io", fifo ? "0" : "1"}});
+      }
+      service->Handle(WithRid(request, ++rid));  // A rejected submit is part of the mix.
+      ASSERT_EQ(FullScanStateDigest(*service), service->StateDigest())
+          << "after request " << rid << " (" << request.verb << ")";
+      if (step == 160) {
+        Must(service.get(), Req("checkpoint", {}));
+      }
+    }
+    for (const int count : kinds) {
+      EXPECT_GT(count, 0);
+    }
+    int promoted = 0;
+    for (const auto& job : service->jobs().jobs()) {
+      promoted += job->admit_time > job->submit_time ? 1 : 0;
+    }
+    EXPECT_GT(promoted, 0);
+    EXPECT_GT(service->admission().queued(), 5u);
+    EXPECT_GT(service->admission().rejected(), 0u);
+    digest = service->StateDigest();
+    checkpoint = service->CheckpointText();
+  }
+
+  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(config);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE((*restored)->RestoreFromCheckpoint(checkpoint, nullptr).ok());
+  EXPECT_EQ(FullScanStateDigest(**restored), (*restored)->StateDigest());
+  EXPECT_EQ(digest, (*restored)->StateDigest());
+
+  RecoveryInfo recovery;
+  std::unique_ptr<ServiceState> recovered = Recover(config, options, &recovery);
+  ASSERT_NE(nullptr, recovered);
+  EXPECT_TRUE(recovery.from_checkpoint);
+  EXPECT_EQ(FullScanStateDigest(*recovered), recovered->StateDigest());
+  EXPECT_EQ(digest, recovered->StateDigest());
+
+  // A retired job's fields count: move one completed job's finish time.
+  const std::string moved =
+      ReplaceCheckpointField(checkpoint, "state=completed", "finish-t", "12345.5");
+  ASSERT_NE(checkpoint, moved);
+  Result<std::unique_ptr<ServiceState>> other = ServiceState::Create(config);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE((*other)->RestoreFromCheckpoint(moved, nullptr).ok());
+  EXPECT_EQ(FullScanStateDigest(**other), (*other)->StateDigest());
+  EXPECT_NE(digest, (*other)->StateDigest());
 }
 
 TEST_F(ServiceJournalTest, CheckpointWithoutJournalIsFailedPrecondition) {

@@ -85,7 +85,34 @@ double RunJct(const Trace& trace, EngineKind engine, CacheSystem cache, SimConfi
   return result.AvgJctSeconds();
 }
 
+// A run that reaches SimConfig::max_time ends there instead of aborting: a
+// 20 GB job at 20 MB/s cannot finish in 400 s, while a 1 GB job sharing the
+// egress does.
+RunReport RunPastMaxTime(EngineKind engine) {
+  Trace trace = SingleJobTrace(2.0);
+  JobSpec short_job = trace.jobs[0];
+  short_job.id = 1;
+  short_job.total_bytes = GB(1);
+  trace.jobs.push_back(short_job);
+  SimConfig sim = SmallCluster(0, MBps(20));
+  sim.max_time = 400;
+  ExperimentConfig config;
+  config.policy = PolicyName(SchedulerKind::kFifo, CacheSystem::kSiloD);
+  config.sim = sim;
+  config.engine = engine;
+  const SimResult result = RunExperiment(trace, config);
+  EXPECT_LT(result.jobs[0].finish_time, 0);
+  EXPECT_GT(result.jobs[1].finish_time, 0);
+  return MakeRunReport("fifo+silod", "test", result);
+}
+
 // ------------------------------------------------------------- FlowEngine --
+
+TEST(FlowEngine, MaxTimeEndsRunWithUnfinishedJobs) {
+  const RunReport report = RunPastMaxTime(EngineKind::kFlow);
+  EXPECT_EQ(1, report.unfinished_jobs);
+  EXPECT_EQ(1, report.jct.finished);
+}
 
 TEST(FlowEngine, ComputeBoundJobRunsAtIdealSpeed) {
   const Trace trace = SingleJobTrace(2.0);
@@ -194,6 +221,12 @@ TEST(FlowEngine, EffectiveCacheRampsUp) {
 }
 
 // ------------------------------------------------------------- FineEngine --
+
+TEST(FineEngine, MaxTimeEndsRunWithUnfinishedJobs) {
+  const RunReport report = RunPastMaxTime(EngineKind::kFine);
+  EXPECT_EQ(1, report.unfinished_jobs);
+  EXPECT_EQ(1, report.jct.finished);
+}
 
 TEST(FineEngine, ComputeBoundJobMatchesClosedForm) {
   const Trace trace = SingleJobTrace(2.0);

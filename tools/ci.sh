@@ -13,7 +13,7 @@
 #   tools/ci.sh scaling-smoke # fine-engine throughput, flow-engine growth + pinned result digests + gate self-tests only
 #   tools/ci.sh solve-smoke # per-policy Schedule latency + pinned plan digests and Gavel probe counts only
 #   tools/ci.sh rt-fault-smoke # worker crash + minidump replay smoke, thread and process workers, only
-#   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + fifo/gavel replay cross-checks only
+#   tools/ci.sh serve-smoke # silodd daemon lifecycle + live reload + sjf/gavel replay cross-checks + serve cost growth gate only
 #   tools/ci.sh serve-crash-smoke # silodd SIGKILL mid-trace + journal recovery + graceful SIGTERM only
 #   tools/ci.sh hetero-smoke # mixed GPU fleet: per-type report partition, uniform-fleet baseline digest, typed silodd replay
 #
@@ -335,7 +335,7 @@ if [[ "$stage" == "all" || "$stage" == "serve-smoke" ]]; then
   echo "=== [serve-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [serve-smoke] build ==="
-  cmake --build build-ci-smoke -j "$jobs" --target silodd silod_client
+  cmake --build build-ci-smoke -j "$jobs" --target silodd silod_client bench_serve_replay
   echo "=== [serve-smoke] run ==="
   sock="build-ci-smoke/serve-smoke.sock"
   client="./build-ci-smoke/tools/silod_client"
@@ -417,6 +417,13 @@ if [[ "$stage" == "all" || "$stage" == "serve-smoke" ]]; then
   "$client" --socket="$sock" shutdown >/dev/null
   wait "$silodd_pid" || { echo "serve-smoke: gavel daemon exited non-zero"; exit 1; }
   trap - EXIT
+
+  # Per-request cost bounded by live state: replay 1k- and 16k-job histories
+  # in-process (sjf+silod and gavel+silod, about 2 s); the stats p99 and the
+  # write p50 at 16k may be at most twice their 1k values in the same run.
+  ./build-ci-smoke/bench/bench_serve_replay --baseline=BENCH_serve.json \
+      --out=build-ci-smoke/BENCH_serve.json \
+      || { echo "serve-smoke: serve replay gate failed"; exit 1; }
 fi
 
 if [[ "$stage" == "all" || "$stage" == "serve-crash-smoke" ]]; then

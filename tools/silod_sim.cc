@@ -623,5 +623,10 @@ int main(int argc, char** argv) {
     std::ofstream(flags.GetString("json")) << report.ToJson().Format() << "\n";
     std::printf("wrote %s\n", flags.GetString("json").c_str());
   }
+  if (report.unfinished_jobs > 0) {
+    std::fprintf(stderr, "run reached max_time (%.0f days) with %d of %d jobs unfinished\n",
+                 config.sim.max_time / Days(1), report.unfinished_jobs, report.jobs);
+    return 1;
+  }
   return 0;
 }
