@@ -381,26 +381,50 @@ Trace SeededMixTrace(int num_jobs, std::uint64_t seed) {
 }
 
 // The fine engine's event stepping, pinned bit-for-bit: the ResultDigest
-// (job times, step counters) of a seeded 64-job mix under each cache model.
-// Any change to event indexing, firing order or the fluid arithmetic moves
-// one.
+// (job times, step counters) of a seeded 64-job mix under each cache model,
+// plus two fifo+silod cells for the flow recompute on a denser copy of the
+// mix: one whose egress binds, so the throttles hand out all of remote_io
+// while the miss set churns, and one with degrade windows and a per-job
+// remote cap, so the capacity and the caps move while miss fetches are in
+// flight.  Any change to event indexing, firing order or the fluid
+// arithmetic moves one.
 TEST(FineEngine, StepResultsMatchPinnedDigests) {
   const Trace trace = SeededMixTrace(/*num_jobs=*/64, /*seed=*/21);
+  // The same mix arriving every 3 s instead of every minute, so a few dozen
+  // jobs fetch at once.
+  Trace dense = trace;
+  for (JobSpec& job : dense.jobs) {
+    job.submit_time /= 20;
+  }
   SimConfig sim = SmallCluster(GB(40), MBps(400));
   sim.resources.total_gpus = 64;
-  const std::pair<CacheSystem, std::uint64_t> kPinned[] = {
-      {CacheSystem::kSiloD, 0x560a2c5ab4513adcULL},
-      {CacheSystem::kAlluxio, 0x645b363d5a192815ULL},
-      {CacheSystem::kCoorDl, 0x3997674e4bccefd4ULL},
+  SimConfig degraded = sim;
+  degraded.resources.per_job_remote_cap = MBps(60);
+  const Result<FaultPlan> degrades = FaultPlan::Parse(
+      "degrade t=60 factor=0.25 for=90; degrade t=200 factor=0.5 err=0.1 for=60");
+  ASSERT_TRUE(degrades.ok()) << degrades.status().ToString();
+  degraded.faults = *degrades;
+  const struct {
+    const char* name;
+    CacheSystem cache;
+    const Trace& trace;
+    const SimConfig& sim;
+    std::uint64_t pinned;
+  } kCells[] = {
+      {"silod", CacheSystem::kSiloD, trace, sim, 0x560a2c5ab4513adcULL},
+      {"alluxio", CacheSystem::kAlluxio, trace, sim, 0x645b363d5a192815ULL},
+      {"coordl", CacheSystem::kCoorDl, trace, sim, 0x3997674e4bccefd4ULL},
+      {"silod egress-bound", CacheSystem::kSiloD, dense, sim, 0xaad056eea5d38ed7ULL},
+      {"silod degraded", CacheSystem::kSiloD, dense, degraded, 0x1f01a32cf65a9e6dULL},
   };
-  for (const auto& [cache, pinned] : kPinned) {
+  for (const auto& cell : kCells) {
     ExperimentConfig config;
-    config.policy = PolicyName(SchedulerKind::kFifo, cache);
-    config.sim = sim;
+    config.policy = PolicyName(SchedulerKind::kFifo, cell.cache);
+    config.sim = cell.sim;
     config.engine = EngineKind::kFine;
-    const SimResult result = RunExperiment(trace, config);
-    EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(pinned)) << CacheSystemName(cache);
-    EXPECT_GT(result.steps.calendar_updates, 0u) << CacheSystemName(cache);
+    const SimResult result = RunExperiment(cell.trace, config);
+    EXPECT_EQ(FormatDigest(ResultDigest(result)), FormatDigest(cell.pinned)) << cell.name;
+    EXPECT_GT(result.steps.calendar_updates, 0u) << cell.name;
   }
 }
 
