@@ -34,6 +34,10 @@ FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
     metrics_.OnSubmit(spec);
   }
   calendar_.Reset(jobs_.size());
+  // Sized for every job at once, so the miss set never reallocates.
+  miss_wants_.reserve(jobs_.size());
+  miss_ids_.reserve(jobs_.size());
+  fresh_.reserve(jobs_.size());
 }
 
 void FineEngine::SetJobEvent(JobState& s, Seconds t) {
@@ -45,22 +49,49 @@ void FineEngine::SetJobEvent(JobState& s, Seconds t) {
   }
 }
 
+BytesPerSec FineEngine::FlowWant(const JobState& s) const {
+  const BytesPerSec want = std::min(s.throttle, faults_.resources().per_job_remote_cap);
+  SILOD_CHECK(want >= 0) << "negative remote-IO cap for job " << s.spec->id;
+  return want;
+}
+
+std::size_t FineEngine::MissSlot(BytesPerSec want, std::int32_t id) const {
+  std::size_t lo = 0;
+  std::size_t hi = miss_ids_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (miss_wants_[mid] < want || (miss_wants_[mid] == want && miss_ids_[mid] < id)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 void FineEngine::EnterMissSet(JobState& s, Seconds now) {
-  SILOD_CHECK(s.miss_index < 0) << "job already in the miss set";
-  s.miss_index = static_cast<std::int32_t>(miss_jobs_.size());
-  miss_jobs_.push_back(s.spec->id);
+  SILOD_CHECK(!s.in_miss_set) << "job already in the miss set";
+  s.in_miss_set = true;
+  s.flow_want = FlowWant(s);
+  const std::size_t slot = MissSlot(s.flow_want, s.spec->id);
+  miss_wants_.insert(miss_wants_.begin() + static_cast<std::ptrdiff_t>(slot), s.flow_want);
+  miss_ids_.insert(miss_ids_.begin() + static_cast<std::ptrdiff_t>(slot), s.spec->id);
+  s.flow_fresh = true;
+  fresh_.push_back(s.spec->id);
   s.flow_rate = 0;
   s.settle_time = now;
   flows_dirty_ = true;
 }
 
 void FineEngine::LeaveMissSet(JobState& s) {
-  SILOD_CHECK(s.miss_index >= 0) << "job not in the miss set";
-  const std::int32_t last = miss_jobs_.back();
-  miss_jobs_[static_cast<std::size_t>(s.miss_index)] = last;
-  jobs_[static_cast<std::size_t>(last)].miss_index = s.miss_index;
-  miss_jobs_.pop_back();
-  s.miss_index = -1;
+  SILOD_CHECK(s.in_miss_set) << "job not in the miss set";
+  const std::size_t slot = MissSlot(s.flow_want, s.spec->id);
+  SILOD_CHECK(slot < miss_ids_.size() && miss_ids_[slot] == s.spec->id)
+      << "miss set lost job " << s.spec->id;
+  miss_wants_.erase(miss_wants_.begin() + static_cast<std::ptrdiff_t>(slot));
+  miss_ids_.erase(miss_ids_.begin() + static_cast<std::ptrdiff_t>(slot));
+  s.in_miss_set = false;
+  s.flow_fresh = false;
   s.flow_rate = 0;
   flows_dirty_ = true;
 }
@@ -314,36 +345,78 @@ void FineEngine::OnFetchComplete(JobState& s, Seconds now) {
   StartNextFetch(s, now);
 }
 
-// Recomputes the max-min fluid rates over the miss set, then settles and
-// re-projects only the jobs whose rates actually changed.  MaxMinShare's
-// output per flow depends only on the multiset of caps (satisfied flows get
-// their cap, the rest the common water level), so the iteration order of
-// miss_jobs_ cannot perturb the result.
+void FineEngine::RefreshFlowWants() {
+  bool moved = false;
+  for (const std::int32_t id : miss_ids_) {
+    JobState& s = jobs_[static_cast<std::size_t>(id)];
+    const BytesPerSec want = FlowWant(s);
+    if (want == s.flow_want) {
+      continue;
+    }
+    s.flow_want = want;
+    moved = true;
+    if (!s.flow_fresh) {
+      s.flow_fresh = true;
+      fresh_.push_back(id);
+    }
+  }
+  if (!moved) {
+    return;
+  }
+  std::sort(miss_ids_.begin(), miss_ids_.end(), [&](std::int32_t a, std::int32_t b) {
+    const BytesPerSec want_a = jobs_[static_cast<std::size_t>(a)].flow_want;
+    const BytesPerSec want_b = jobs_[static_cast<std::size_t>(b)].flow_want;
+    return want_a < want_b || (want_a == want_b && a < b);
+  });
+  for (std::size_t k = 0; k < miss_ids_.size(); ++k) {
+    miss_wants_[k] = jobs_[static_cast<std::size_t>(miss_ids_[k])].flow_want;
+  }
+}
+
+void FineEngine::ReprojectFlow(JobState& s, BytesPerSec level, Seconds now) {
+  ++counters_.flow_visits;
+  s.flow_fresh = false;
+  const BytesPerSec rate = s.flow_want > 0 ? std::min(s.flow_want, level) : 0.0;
+  if (rate == s.flow_rate) {
+    return;  // Unchanged rate: the projected completion stays exact.
+  }
+  ++counters_.flow_rate_changes;
+  // Settle the fluid at the old rate up to `now`, then re-project.
+  s.fetch_remaining = std::max(0.0, s.fetch_remaining - s.flow_rate * (now - s.settle_time));
+  s.settle_time = now;
+  s.flow_rate = rate;
+  SetJobEvent(s, s.flow_rate > 0 ? now + s.fetch_remaining / s.flow_rate : kInfiniteTime);
+}
+
+// Recomputes the max-min fluid rates over the miss set and re-projects only
+// the flows whose rate can have moved.  Every member's max-min rate is
+// min(want, L) for the water level L (WaterLevel), and L depends only on the
+// sorted wants, so the result cannot depend on the members' order.  A member
+// that is not fresh holds min(want, L_old) from the last recompute; if its
+// want is at most both levels that is its want either way, so only the
+// members above min(L_old, L_new) (a suffix of the sorted wants) and the
+// fresh ones need a visit.
 void FineEngine::RecomputeFlows(Seconds now) {
   ++counters_.flow_recomputes;
-  std::vector<BytesPerSec> demands(miss_jobs_.size(), kUnlimitedRate);
-  std::vector<BytesPerSec> caps;
-  caps.reserve(miss_jobs_.size());
-  for (const std::int32_t id : miss_jobs_) {
-    caps.push_back(std::min(jobs_[static_cast<std::size_t>(id)].throttle,
-                            faults_.resources().per_job_remote_cap));
+  if (wants_dirty_) {
+    RefreshFlowWants();
+    wants_dirty_ = false;
   }
-  const std::vector<BytesPerSec> rates =
-      MaxMinShare(demands, caps, faults_.resources().remote_io);
-  for (std::size_t i = 0; i < miss_jobs_.size(); ++i) {
-    JobState& s = jobs_[static_cast<std::size_t>(miss_jobs_[i])];
-    if (rates[i] == s.flow_rate) {
-      continue;  // Unchanged rate: the projected completion stays exact.
+  const BytesPerSec level = WaterLevel(miss_wants_, faults_.resources().remote_io);
+  const BytesPerSec floor = std::min(flow_level_, level);
+  flow_level_ = level;
+  const std::size_t first = static_cast<std::size_t>(
+      std::upper_bound(miss_wants_.begin(), miss_wants_.end(), floor) - miss_wants_.begin());
+  for (std::size_t k = first; k < miss_ids_.size(); ++k) {
+    ReprojectFlow(jobs_[static_cast<std::size_t>(miss_ids_[k])], level, now);
+  }
+  for (const std::int32_t id : fresh_) {
+    JobState& s = jobs_[static_cast<std::size_t>(id)];
+    if (s.flow_fresh) {  // Not left since, nor visited in the suffix.
+      ReprojectFlow(s, level, now);
     }
-    ++counters_.flow_rate_changes;
-    // Settle the fluid at the old rate up to `now`, then re-project.
-    s.fetch_remaining =
-        std::max(0.0, s.fetch_remaining - s.flow_rate * (now - s.settle_time));
-    s.settle_time = now;
-    s.flow_rate = rates[i];
-    SetJobEvent(s, s.flow_rate > 0 ? now + s.fetch_remaining / s.flow_rate
-                                   : kInfiniteTime);
   }
+  fresh_.clear();
 }
 
 void FineEngine::RecordMetrics(Seconds now) {
@@ -622,6 +695,7 @@ SimResult FineEngine::Run() {
       Reschedule(t);
       need_resched = false;
       flows_dirty_ = true;  // Throttles may have moved.
+      wants_dirty_ = true;
     }
     if (flows_dirty_) {
       RecomputeFlows(t);
@@ -652,7 +726,8 @@ SimResult FineEngine::Run() {
         ApplyFault(event, t);
       }
       need_resched = true;
-      flows_dirty_ = true;
+      flows_dirty_ = true;  // The capacity or the per-job cap may have moved.
+      wants_dirty_ = true;
     }
 
     // Fire matured per-job events in ascending job id.  Events scheduled

@@ -93,7 +93,12 @@ class FineEngine {
     BytesPerSec flow_rate = 0;        // Current fluid rate (miss fetch).
     BytesPerSec throttle = kUnlimitedRate;
 
-    std::int32_t miss_index = -1;     // Position in miss_jobs_; -1 if absent.
+    // Miss-set membership: the flow's want (min of its throttle and the
+    // per-job remote cap) as filed in miss_wants_, and whether its rate has
+    // not been evaluated since it entered or its want moved.
+    bool in_miss_set = false;
+    bool flow_fresh = false;
+    BytesPerSec flow_want = 0;
 
     // GPU-type placement from the plan (-1 / 1.0 on uniform fleets): compute
     // drains the prefetch buffer at spec->ideal_io * speed while the job
@@ -130,6 +135,16 @@ class FineEngine {
   void SetJobEvent(JobState& s, Seconds t);
   void EnterMissSet(JobState& s, Seconds now);
   void LeaveMissSet(JobState& s);
+  // Position of (want, id) in the miss set's (want, id) order: the first
+  // member not below it.
+  std::size_t MissSlot(BytesPerSec want, std::int32_t id) const;
+  BytesPerSec FlowWant(const JobState& s) const;
+  // Re-reads every member's want after the throttles or the resources may
+  // have moved; members whose want moved become fresh.
+  void RefreshFlowWants();
+  // Sets the job's rate to min(want, level), re-projecting its completion if
+  // the rate moved.
+  void ReprojectFlow(JobState& s, BytesPerSec level, Seconds now);
   bool FireJobEvent(JobState& s, Seconds now);  // True if the job finished.
 
   const Trace* trace_;
@@ -154,9 +169,16 @@ class FineEngine {
   Rng rng_;
 
   JobCalendar calendar_;                     // Next event per running job.
-  std::vector<std::int32_t> miss_jobs_;      // Jobs in Phase::kMissFetch.
+  // The miss set (jobs in Phase::kMissFetch) in ascending (want, id) order,
+  // as parallel arrays so the wants are one contiguous sorted span for
+  // WaterLevel.
+  std::vector<BytesPerSec> miss_wants_;
+  std::vector<std::int32_t> miss_ids_;
+  std::vector<std::int32_t> fresh_;          // Jobs that became fresh since the last recompute.
+  BytesPerSec flow_level_ = 0;               // Water level of the last recompute.
   std::vector<std::int32_t> due_;            // Scratch: keys due this step.
-  bool flows_dirty_ = true;                  // Miss set or throttles changed.
+  bool flows_dirty_ = true;                  // Miss set, caps or capacity changed.
+  bool wants_dirty_ = true;                  // Throttles or resources may have moved.
   EngineStepCounters counters_;
 };
 

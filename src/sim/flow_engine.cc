@@ -371,21 +371,21 @@ void FlowEngine::ComputeRates() {
       rates[i] = ideals[i];
       sizes[i] = trace_->catalog.Get(running[i]->spec->dataset).size;
     }
-    std::vector<BytesPerSec> granted(n, 0);
+    share_demand_.resize(n);
+    share_caps_.assign(n, faults_.resources().per_job_remote_cap);
     for (int iter = 0; iter < kSharedLruIterations; ++iter) {
       const SharedLruResult lru =
           SharedLruModel(rates, sizes, faults_.resources().total_cache);
-      std::vector<BytesPerSec> demand(n);
       for (std::size_t i = 0; i < n; ++i) {
         const double h = running[i]->warm ? lru.hit_ratio[i] : 0.0;
         miss[i] = 1.0 - h;
-        demand[i] = ideals[i] * miss[i];
+        share_demand_[i] = ideals[i] * miss[i];
       }
-      granted = MaxMinShare(demand,
-                            std::vector<BytesPerSec>(n, faults_.resources().per_job_remote_cap),
-                            faults_.resources().remote_io);
+      MaxMinShare(share_demand_, share_caps_, faults_.resources().remote_io, &share_sorted_,
+                  &share_granted_);
       for (std::size_t i = 0; i < n; ++i) {
-        rates[i] = miss[i] > kEps ? std::min(ideals[i], granted[i] / miss[i]) : ideals[i];
+        rates[i] =
+            miss[i] > kEps ? std::min(ideals[i], share_granted_[i] / miss[i]) : ideals[i];
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -401,25 +401,25 @@ void FlowEngine::ComputeRates() {
   }
 
   // Quota-based models (SiloD, Quiver) and CoorDL's private static caches.
-  std::vector<BytesPerSec> demand(n);
-  std::vector<BytesPerSec> caps(n, faults_.resources().per_job_remote_cap);
+  share_demand_.resize(n);
+  share_caps_.assign(n, faults_.resources().per_job_remote_cap);
   for (std::size_t i = 0; i < n; ++i) {
     const JobState& s = *running[i];
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
     const double hit =
         std::min(1.0, std::max(0.0, s.effective / static_cast<double>(d.size)));
     miss[i] = 1.0 - hit;
-    demand[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
-    caps[i] = std::min(caps[i], s.throttle);
+    share_demand_[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
+    share_caps_[i] = std::min(share_caps_[i], s.throttle);
   }
-  const std::vector<BytesPerSec> granted =
-      MaxMinShare(demand, caps, faults_.resources().remote_io);
+  MaxMinShare(share_demand_, share_caps_, faults_.resources().remote_io, &share_sorted_,
+              &share_granted_);
 
   for (std::size_t i = 0; i < n; ++i) {
     JobState& s = *running[i];
     const BytesPerSec ideal = EffectiveIdeal(s.spec->ideal_io, s.speed);
-    s.io_rate = granted[i];
-    s.rate = miss[i] > kEps ? std::min(ideal, granted[i] / miss[i]) : ideal;
+    s.io_rate = share_granted_[i];
+    s.rate = miss[i] > kEps ? std::min(ideal, share_granted_[i] / miss[i]) : ideal;
 
     // Cache fill: missed fetches are admitted until the quota is reached.
     // A dataset outside the held set has no quota, so this leaves it zero.

@@ -123,6 +123,12 @@ class FlowEngine {
   std::vector<std::vector<JobId>> dataset_jobs_;
   AllocationPlan plan_;
   MetricsCollector metrics_;
+  // ComputeRates' max-min share buffers, kept so that a step does not
+  // allocate them.
+  std::vector<BytesPerSec> share_demand_;
+  std::vector<BytesPerSec> share_caps_;
+  std::vector<BytesPerSec> share_sorted_;
+  std::vector<BytesPerSec> share_granted_;
 };
 
 }  // namespace silod

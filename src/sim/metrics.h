@@ -44,7 +44,8 @@ struct JobResult {
 // performance regressions observable: `steps` bounds wall time, the per-phase
 // completion counts say which events fired, and `calendar_updates` measures
 // indexing work.  All of them are deterministic, so ResultDigest pins them
-// with the physics.
+// with the physics, all but flow_visits, which bench_engine_scaling gates on
+// its own.
 struct EngineStepCounters {
   std::uint64_t steps = 0;             // Main-loop iterations.
   std::uint64_t miss_completions = 0;  // Remote fetches finished.
@@ -55,6 +56,9 @@ struct EngineStepCounters {
   std::uint64_t flow_recomputes = 0;   // Max-min share recomputations.
   std::uint64_t flow_rate_changes = 0; // Jobs whose fluid rate actually changed.
   std::uint64_t calendar_updates = 0;  // Heap refreshes (event-calendar path).
+  // Jobs whose rate a flow recompute evaluated: an exact work count, kept
+  // out of ResultDigest so that the digest pins results, not this cost.
+  std::uint64_t flow_visits = 0;
 };
 
 struct SimResult {

@@ -7,57 +7,62 @@
 
 namespace silod {
 
-std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
-                                     const std::vector<BytesPerSec>& caps,
-                                     BytesPerSec capacity) {
-  SILOD_CHECK(demands.size() == caps.size()) << "demands/caps size mismatch";
-  const std::size_t n = demands.size();
-  std::vector<BytesPerSec> rates(n, 0.0);
-  if (n == 0) {
-    return rates;
-  }
-
-  // Effective demand of each flow; flows "freeze" when satisfied.
-  std::vector<double> want(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    SILOD_CHECK(demands[i] >= 0 && caps[i] >= 0) << "negative demand or cap";
-    want[i] = std::min(demands[i], caps[i]);
-  }
-
-  double remaining = capacity;
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (want[i] > 0) {
-      active.push_back(i);
-    }
-  }
-  // Progressive filling: repeatedly grant the smallest unmet demand to all
-  // active flows; flows reaching their demand leave the active set.
-  std::sort(active.begin(), active.end(),
-            [&](std::size_t a, std::size_t b) { return want[a] < want[b]; });
+BytesPerSec WaterLevel(std::span<const BytesPerSec> sorted_wants, BytesPerSec capacity) {
+  const std::size_t n = sorted_wants.size();
+  // Zero wants sort first and take no share.
   std::size_t idx = 0;
-  double level = 0.0;  // Water level granted so far to every active flow.
-  while (idx < active.size() && remaining > 0) {
-    const std::size_t remaining_flows = active.size() - idx;
-    const double next = want[active[idx]];
+  while (idx < n && !(sorted_wants[idx] > 0)) {
+    ++idx;
+  }
+  // Progressive filling: repeatedly grant the smallest unmet want to all
+  // unsatisfied flows; flows reaching their want leave the filling.
+  double remaining = capacity;
+  double level = 0.0;  // Water level granted so far to every unsatisfied flow.
+  while (idx < n && remaining > 0) {
+    const std::size_t remaining_flows = n - idx;
+    const double next = sorted_wants[idx];
     const double step = next - level;
     const double fill = remaining / static_cast<double>(remaining_flows);
     if (std::isinf(next) || fill < step) {
       level += fill;
-      remaining = 0;
       break;
     }
     level = next;
     remaining -= step * static_cast<double>(remaining_flows);
-    // All flows whose demand equals the new level are satisfied.
-    while (idx < active.size() && want[active[idx]] <= level) {
-      rates[active[idx]] = want[active[idx]];
+    // All flows whose want equals the new level are satisfied.
+    while (idx < n && sorted_wants[idx] <= level) {
       ++idx;
     }
   }
-  for (std::size_t k = idx; k < active.size(); ++k) {
-    rates[active[k]] = level;
+  // A satisfied flow's want is at most the final level and an unsatisfied
+  // one's at least it, so min(want, level) is every flow's rate.
+  return level;
+}
+
+void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerSec> caps,
+                 BytesPerSec capacity, std::vector<BytesPerSec>* sorted,
+                 std::vector<BytesPerSec>* rates) {
+  SILOD_CHECK(demands.size() == caps.size()) << "demands/caps size mismatch";
+  const std::size_t n = demands.size();
+  rates->resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    SILOD_CHECK(demands[i] >= 0 && caps[i] >= 0) << "negative demand or cap";
+    (*rates)[i] = std::min(demands[i], caps[i]);
   }
+  sorted->assign(rates->begin(), rates->end());
+  std::sort(sorted->begin(), sorted->end());
+  const BytesPerSec level = WaterLevel(*sorted, capacity);
+  for (BytesPerSec& rate : *rates) {
+    rate = rate > 0 ? std::min(rate, level) : 0.0;
+  }
+}
+
+std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
+                                     const std::vector<BytesPerSec>& caps,
+                                     BytesPerSec capacity) {
+  std::vector<BytesPerSec> sorted;
+  std::vector<BytesPerSec> rates;
+  MaxMinShare(demands, caps, capacity, &sorted, &rates);
   return rates;
 }
 

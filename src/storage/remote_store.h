@@ -13,9 +13,13 @@
 //
 // MaxMinShare is the progressive-filling (water-filling) algorithm both
 // regimes use, exposed separately because the Gavel solver reuses it.
+// WaterLevel is its one filling loop: every flow's max-min rate is
+// min(want, L) for the level L it returns, so a caller that keeps its flows'
+// wants sorted can re-derive the rates without sorting.
 #ifndef SILOD_SRC_STORAGE_REMOTE_STORE_H_
 #define SILOD_SRC_STORAGE_REMOTE_STORE_H_
 
+#include <span>
 #include <vector>
 
 #include "src/common/units.h"
@@ -30,6 +34,20 @@ namespace silod {
 // Either vector entry may be kUnlimitedRate.
 std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
                                      const std::vector<BytesPerSec>& caps, BytesPerSec capacity);
+
+// The same rates written into caller-owned buffers: `rates` receives them and
+// `sorted` is scratch.  Neither allocates once it has grown to the flow
+// count.
+void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerSec> caps,
+                 BytesPerSec capacity, std::vector<BytesPerSec>* sorted,
+                 std::vector<BytesPerSec>* rates);
+
+// The water level of max-min filling `capacity` among flows whose wants
+// (want = min(demand, cap), never negative) are given in ascending order.
+// Flows with a zero want take no share.  Each flow's max-min rate is exactly
+// min(want, L), bit for bit, and L depends only on the sorted multiset of
+// wants.
+BytesPerSec WaterLevel(std::span<const BytesPerSec> sorted_wants, BytesPerSec capacity);
 
 // Convenience overload without per-flow caps.
 std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,

@@ -2,8 +2,11 @@
 // storage fabric (Fig. 3) and the in-memory remote store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -159,6 +162,132 @@ TEST(MaxMinShare, ConservationProperty) {
       EXPECT_NEAR(total, capacity, 1e-6);
     }
   }
+}
+
+// The progressive-filling loop as it stood before WaterLevel was split out,
+// kept verbatim as the oracle of the lemma below.
+std::vector<BytesPerSec> ReferenceMaxMinShare(const std::vector<BytesPerSec>& demands,
+                                              const std::vector<BytesPerSec>& caps,
+                                              BytesPerSec capacity) {
+  const std::size_t n = demands.size();
+  std::vector<BytesPerSec> rates(n, 0.0);
+  std::vector<double> want(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want[i] = std::min(demands[i], caps[i]);
+  }
+  double remaining = capacity;
+  std::vector<std::size_t> active;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (want[i] > 0) {
+      active.push_back(i);
+    }
+  }
+  std::sort(active.begin(), active.end(),
+            [&](std::size_t a, std::size_t b) { return want[a] < want[b]; });
+  std::size_t idx = 0;
+  double level = 0.0;
+  while (idx < active.size() && remaining > 0) {
+    const std::size_t remaining_flows = active.size() - idx;
+    const double next = want[active[idx]];
+    const double step = next - level;
+    const double fill = remaining / static_cast<double>(remaining_flows);
+    if (std::isinf(next) || fill < step) {
+      level += fill;
+      remaining = 0;
+      break;
+    }
+    level = next;
+    remaining -= step * static_cast<double>(remaining_flows);
+    while (idx < active.size() && want[active[idx]] <= level) {
+      rates[active[idx]] = want[active[idx]];
+      ++idx;
+    }
+  }
+  for (std::size_t k = idx; k < active.size(); ++k) {
+    rates[active[k]] = level;
+  }
+  return rates;
+}
+
+// The lemma the fine engine's incremental recompute rests on: every flow's
+// max-min rate is min(want, L) for the one water level L of the sorted
+// wants, bit for bit.  Seeded cases mix ties, zero wants, unlimited demands
+// and caps, capacities of 0 and infinity, and capacities within 4 ulps of
+// the finite wants' sum (where SiloD's throttles, which hand out all of the
+// egress, put the fine engine most of the time).
+TEST(MaxMinShare, RateIsWantCappedAtTheWaterLevel) {
+  Rng rng(2027);
+  int near_sum_cases = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = 1 + rng.NextBelow(trial % 4 == 0 ? 64 : 8);
+    // A few shared values, so ties are common.
+    const BytesPerSec tie_values[] = {rng.Uniform(0, 100), rng.Uniform(0, 100),
+                                      std::floor(rng.Uniform(1, 20))};
+    const auto draw = [&]() -> BytesPerSec {
+      const std::uint64_t pick = rng.NextBelow(10);
+      if (pick == 0) {
+        return 0.0;
+      }
+      if (pick == 1) {
+        return kUnlimitedRate;
+      }
+      if (pick < 6) {
+        return tie_values[rng.NextBelow(3)];
+      }
+      return rng.Uniform(0, 100);
+    };
+    std::vector<BytesPerSec> demands(n);
+    std::vector<BytesPerSec> caps(n);
+    std::vector<BytesPerSec> wants(n);
+    double finite_sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      demands[i] = draw();
+      caps[i] = draw();
+      wants[i] = std::min(demands[i], caps[i]);
+      if (std::isfinite(wants[i])) {
+        finite_sum += wants[i];
+      }
+    }
+    std::vector<double> capacities;
+    switch (trial % 4) {
+      case 0:
+        capacities = {0.0, kUnlimitedRate};
+        break;
+      case 1:
+        capacities = {rng.Uniform(0, 400)};
+        break;
+      default: {
+        // The finite wants' sum and every capacity within 4 ulps of it.
+        double below = finite_sum;
+        for (int u = 0; u < 4; ++u) {
+          below = std::nextafter(below, 0.0);
+        }
+        for (double c = below; capacities.size() < 9; c = std::nextafter(c, kUnlimitedRate)) {
+          capacities.push_back(c);
+        }
+        near_sum_cases += finite_sum > 0;
+        break;
+      }
+    }
+
+    std::vector<BytesPerSec> sorted = wants;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double capacity : capacities) {
+      const std::vector<BytesPerSec> oracle = ReferenceMaxMinShare(demands, caps, capacity);
+      const BytesPerSec level = WaterLevel(sorted, capacity);
+      const std::vector<BytesPerSec> rates = MaxMinShare(demands, caps, capacity);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle[i]),
+                  std::bit_cast<std::uint64_t>(std::min(wants[i], level)))
+            << "trial " << trial << " flow " << i << ": oracle " << oracle[i] << ", want "
+            << wants[i] << ", level " << level << ", capacity " << capacity;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle[i]),
+                  std::bit_cast<std::uint64_t>(rates[i]))
+            << "trial " << trial << " flow " << i << ", capacity " << capacity;
+      }
+    }
+  }
+  EXPECT_GT(near_sum_cases, 5000);
 }
 
 // ------------------------------------------------------------ RemoteStore --
