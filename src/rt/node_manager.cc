@@ -216,7 +216,8 @@ void NodeManager::HandlerLoop(Worker* worker) {
           worker->drained = true;
         }
         host_->OnDrained(c.job, c.incarnation, static_cast<std::int64_t>(frame->words[0]),
-                         static_cast<std::int64_t>(frame->words[1]));
+                         static_cast<std::int64_t>(frame->words[1]),
+                         static_cast<std::int64_t>(frame->words[2]));
         break;
       }
       default:

@@ -81,7 +81,7 @@ class NodeManager {
                             std::int64_t block, bool* aborted) = 0;
     virtual void OnBlockDone(JobId job, std::uint64_t incarnation, std::int64_t blocks_done) = 0;
     virtual void OnDrained(JobId job, std::uint64_t incarnation, std::int64_t blocks_done,
-                           std::int64_t blocks_fetched) = 0;
+                           std::int64_t blocks_fetched, std::int64_t late_sleeps) = 0;
     // The worker died without being killed, stopped or drained.  Runs on the
     // handler thread after the worker was reaped; `exit_status` is the
     // waitpid status (process mode) or RunWorker's return code (thread mode).

@@ -279,7 +279,8 @@ void RtCluster::OnBlockDone(JobId job_id, std::uint64_t incarnation, std::int64_
 }
 
 void RtCluster::OnDrained(JobId job_id, std::uint64_t incarnation, std::int64_t blocks_done,
-                          std::int64_t blocks_fetched) {
+                          std::int64_t blocks_fetched, std::int64_t late_sleeps) {
+  late_compute_sleeps_.fetch_add(late_sleeps);
   RtJob* job = FindJob(job_id);
   if (job == nullptr) {
     return;
@@ -717,6 +718,7 @@ RtResult RtCluster::Run() {
 
   result.faults = fault_stats_;
   result.worker_respawns = worker_respawns_.load();
+  result.late_compute_sleeps = late_compute_sleeps_.load();
   result.ignored_by_kind = ignored_by_kind_;
   for (const auto& [kind, count] : ignored_by_kind_) {
     result.faults.ignored_events += count;

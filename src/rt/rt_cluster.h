@@ -145,6 +145,11 @@ struct RtResult {
   // Workers respawned after an unexpected exit (not injected crashes).
   int worker_respawns = 0;
   std::int64_t remote_retries = 0;
+  // Compute sleeps workers began after they were told to stop (the deadline
+  // or the end of the run), as their kDrained frames report them: each one
+  // is a staged block drained at teardown, so 0 unless shutdown pays for
+  // the pipeline.  A worker killed past worker_stop_grace reports none.
+  std::int64_t late_compute_sleeps = 0;
   // Minidumps written during the run (empty unless minidump_dir is set).
   std::vector<std::string> minidump_paths;
 };
@@ -215,7 +220,7 @@ class RtCluster : private NodeManager::Host {
                   std::int64_t block, bool* aborted) override;
   void OnBlockDone(JobId job, std::uint64_t incarnation, std::int64_t blocks_done) override;
   void OnDrained(JobId job, std::uint64_t incarnation, std::int64_t blocks_done,
-                 std::int64_t blocks_fetched) override;
+                 std::int64_t blocks_fetched, std::int64_t late_sleeps) override;
   void OnUnexpectedExit(JobId job, std::uint64_t incarnation, int exit_status) override;
 
   void SchedulerLoop();
@@ -263,6 +268,7 @@ class RtCluster : private NodeManager::Host {
 
   // Touched by the handler threads.
   std::atomic<int> worker_respawns_{0};
+  std::atomic<std::int64_t> late_compute_sleeps_{0};
 
   // Fault state: owned by the scheduler thread; the counters are read by
   // Run() only after it joins that thread.  Liveness is the shards' own.

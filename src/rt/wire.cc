@@ -59,7 +59,7 @@ int WireExpectedWords(WireType type) {
     case WireType::kBlockDone:
       return 1;
     case WireType::kDrained:
-      return 2;
+      return 3;
     case WireType::kStop:
       return 0;
   }
@@ -138,6 +138,9 @@ Status CheckWorkerFrame(const WireMessage& msg, std::int64_t num_blocks,
       }
       if (!at_most(msg.words[1], blocks_total)) {
         return bad("blocks_fetched", msg.words[1]);
+      }
+      if (!at_most(msg.words[2], blocks_total)) {
+        return bad("late_sleeps", msg.words[2]);
       }
       return Status::Ok();
     default:

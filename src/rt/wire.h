@@ -24,7 +24,8 @@
 //                    throttle, remote read with retries): hit + aborted flags
 //   <- kBlockDone    one block's compute finished; running done count
 //   -> kStop         drain politely; worker answers kDrained and exits 0
-//   <- kDrained      final counters, last frame before exit
+//   <- kDrained      final counters, last frame before exit (a worker killed
+//                    past the stop grace period sends none)
 #ifndef SILOD_SRC_RT_WIRE_H_
 #define SILOD_SRC_RT_WIRE_H_
 
@@ -64,7 +65,7 @@ struct WireMessage {
 //   kFetchRequest [fetch_index, block]
 //   kFetchReply   [hit, aborted]
 //   kBlockDone    [blocks_done]
-//   kDrained      [blocks_done, blocks_fetched]
+//   kDrained      [blocks_done, blocks_fetched, late_sleeps]
 //   kStop         []
 //
 // Returns the expected word count for `type`, or -1 for a type that is not
@@ -73,8 +74,8 @@ int WireExpectedWords(WireType type);
 
 // Checks a frame a worker sent against its assignment: only kFetchRequest,
 // kBlockDone and kDrained may follow the hello; a fetch names `block` in
-// [0, num_blocks) at `fetch_index` in [0, blocks_total); done and fetched
-// counts lie in [0, blocks_total].  InvalidArgument names the violation.
+// [0, num_blocks) at `fetch_index` in [0, blocks_total); done, fetched and
+// late-sleep counts lie in [0, blocks_total].  InvalidArgument names the violation.
 // Words are unsigned, so a negative value sent as its two's complement is
 // out of range too.
 Status CheckWorkerFrame(const WireMessage& msg, std::int64_t num_blocks,

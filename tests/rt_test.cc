@@ -184,8 +184,10 @@ TEST(RtCluster, TimeoutMarksJobsUnfinished) {
 }
 
 // Regression: with a deep pipeline of staged blocks, shutdown must not pay
-// one profiled compute sleep per staged block — the trainer checks stopping_
-// before each sleep, so teardown is bounded by a single block_compute.
+// one profiled compute sleep per staged block — the trainer checks for kStop
+// before each sleep, so teardown is bounded by a single block_compute.  The
+// workers count the sleeps they begin after kStop, so the check does not
+// depend on how fast the host runs.
 TEST(RtCluster, ShutdownDoesNotDrainStagedPipeline) {
   const ModelZoo zoo;
   Trace trace;
@@ -197,17 +199,22 @@ TEST(RtCluster, ShutdownDoesNotDrainStagedPipeline) {
   trace.jobs.push_back(job);
 
   RtOptions options;
-  options.pipeline_depth = 8;  // Pre-fix drain: 8 x 0.28 s ~ 2.2 s extra.
+  options.pipeline_depth = 8;  // Pre-fix drain: 7 x 0.28 s ~ 2 s extra.
   options.max_wall_seconds = 0.3;
-  RtCluster cluster(&trace, MakeScheduler(SchedulerKind::kFifo, CacheSystem::kSiloD),
+  // Room for a draining worker to finish and report its late sleeps.
+  options.worker_stop_grace = 10.0;
+  // Quiver leaves remote IO unthrottled (SiloD would pace the loader at f*),
+  // so the pipeline fills to depth long before the deadline.
+  RtCluster cluster(&trace, MakeScheduler(SchedulerKind::kFifo, CacheSystem::kQuiver),
                     TinyCluster(MB(256), GBps(10)), options);
-  const auto start = std::chrono::steady_clock::now();
   const RtResult result = cluster.Run();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_TRUE(result.timed_out);
-  // Timeout (0.3 s) + at most one in-flight compute sleep (0.28 s) + joins.
-  EXPECT_LT(elapsed, 1.5);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  // Blocks were staged at the deadline and stayed unconsumed; a draining
+  // trainer would have begun a compute sleep after kStop for each.
+  const RtJobResult& j = result.jobs[0];
+  EXPECT_GT(j.cache_hits + j.cache_misses, j.blocks_consumed);
+  EXPECT_EQ(result.late_compute_sleeps, 0);
 }
 
 // --------------------------------------------------- Fault injection (§6) --
@@ -533,11 +540,13 @@ TEST(Wire, CheckWorkerFrameBoundsEveryValue) {
       {WireType::kBlockDone, {10}, true},
       {WireType::kBlockDone, {11}, false},
       {WireType::kBlockDone, {kNeg}, false},
-      {WireType::kDrained, {0, 0}, true},
-      {WireType::kDrained, {10, 10}, true},
-      {WireType::kDrained, {11, 10}, false},
-      {WireType::kDrained, {10, 11}, false},
-      {WireType::kDrained, {kNeg, 0}, false},
+      {WireType::kDrained, {0, 0, 0}, true},
+      {WireType::kDrained, {10, 10, 10}, true},
+      {WireType::kDrained, {11, 10, 0}, false},
+      {WireType::kDrained, {10, 11, 0}, false},
+      {WireType::kDrained, {10, 10, 11}, false},
+      {WireType::kDrained, {kNeg, 0, 0}, false},
+      {WireType::kDrained, {10, 10}, false},  // Wrong word count.
       {WireType::kHello, {1}, false},  // Only the first frame may be a hello.
       {WireType::kAssign, {0, 0, 0, 0, 0, 0, 0, 0}, false},
       {WireType::kFetchReply, {0, 0}, false},
