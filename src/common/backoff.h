@@ -3,11 +3,11 @@
 // Two consumers with the same shape: the RtCluster loader retrying transient
 // remote-read errors (delay only, unbounded attempts) and the NodeManager
 // respawning a worker process that died unexpectedly (jittered delay, capped
-// attempts).  Factored here so the policy — base, cap, multiplier, jitter,
-// attempt budget — is one tested implementation instead of per-site copies.
+// attempts).  Factored here so the policy — base, cap, jitter, attempt
+// budget — is one tested implementation instead of per-site copies.
 //
 // With jitter == 0 the delay sequence is exactly
-//   base, base*m, base*m^2, ...   capped at `cap`,
+//   base, base*2, base*4, ...   capped at `cap`,
 // which is bit-identical to the historical loader loop (first delay == base).
 // Jitter > 0 scales each delay uniformly in [1 - jitter, 1 + jitter] using a
 // caller-provided Rng, so respawn stampedes decorrelate deterministically.
@@ -22,7 +22,6 @@ namespace silod {
 struct BackoffOptions {
   Seconds base = 0.002;
   Seconds cap = 0.1;
-  double multiplier = 2.0;
   // Uniform scale half-width in [0, 1): each delay is multiplied by a draw
   // from [1 - jitter, 1 + jitter].  Requires an Rng when > 0.
   double jitter = 0.0;

@@ -13,6 +13,13 @@ namespace {
 // Worker epoch-shuffle seed, per job.
 constexpr std::uint64_t kLoaderSeed = 0x10AD;
 constexpr std::uint64_t kRespawnSeed = 0xBAC0FF;
+// Service rate for cache hits (the storage fabric).
+constexpr BytesPerSec kFabricRate = GBps(3.2);
+// Respawn-after-unexpected-exit policy (seeded per job by kRespawnSeed).
+constexpr BackoffOptions kRespawnBackoff = {
+    .base = 0.01, .cap = 0.2, .jitter = 0.1, .max_attempts = 3};
+// Events a minidump keeps.
+constexpr int kMinidumpWindow = 256;
 
 void SleepSeconds(double s) {
   if (s > 0) {
@@ -84,18 +91,13 @@ RtCluster::RtCluster(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
     job->block_compute = static_cast<double>(d.block_size) / spec.ideal_io;
     job->respawn_rng =
         std::make_unique<Rng>(kRespawnSeed ^ static_cast<std::uint64_t>(spec.id));
-    BackoffOptions respawn;
-    respawn.base = options_.respawn_backoff_base;
-    respawn.cap = options_.respawn_backoff_cap;
-    respawn.jitter = options_.respawn_backoff_jitter;
-    respawn.max_attempts = options_.respawn_max_attempts;
-    job->respawn_backoff = std::make_unique<Backoff>(respawn, job->respawn_rng.get());
+    job->respawn_backoff = std::make_unique<Backoff>(kRespawnBackoff, job->respawn_rng.get());
     jobs_.push_back(std::move(job));
   }
   if (!options_.minidump_dir.empty()) {
     recorder_ = std::make_unique<MinidumpRecorder>(manager_, &trace_->catalog,
                                                    resources_.remote_io, /*seed=*/7,
-                                                   options_.minidump_window);
+                                                   kMinidumpWindow);
   }
 }
 
@@ -145,7 +147,7 @@ bool RtCluster::FetchOneBlock(RtJob& job, std::int64_t fetch_index, std::int64_t
   const Bytes bytes = dataset.BlockBytes(block);
   if (hit) {
     job.hits.fetch_add(1);
-    SleepSeconds(static_cast<double>(bytes) / options_.fabric_rate);
+    SleepSeconds(static_cast<double>(bytes) / kFabricRate);
   } else {
     job.misses.fetch_add(1);
     // The FUSE client's per-job throttle, then the account-level egress
@@ -161,10 +163,7 @@ bool RtCluster::FetchOneBlock(RtJob& job, std::int64_t fetch_index, std::int64_t
     SleepInterruptible(wait);
     // Bounded exponential backoff against injected transient errors: a
     // failed read spent no egress tokens, so retrying costs only latency.
-    BackoffOptions retry;
-    retry.base = options_.retry_backoff_base;
-    retry.cap = options_.retry_backoff_cap;
-    Backoff backoff(retry);
+    Backoff backoff(BackoffOptions{});
     for (;;) {
       if (stopping_.load()) {
         *aborted = true;

@@ -49,13 +49,19 @@
 
 namespace silod {
 
+// Constants of the runtime, not options (rt_cluster.cc): cache hits are
+// served at the storage-fabric rate kFabricRate (3.2 GB/s); the loader
+// retries a transient remote-read error with BackoffOptions' default
+// backoff (common/backoff.h: 2 ms doubling to a 100 ms cap, unbounded); a
+// worker that exits unexpectedly is respawned after kRespawnBackoff (10 ms
+// doubling to 200 ms, ±10% jitter), and a job whose worker dies that way
+// more than 3 times is abandoned (reported unfinished); a minidump keeps
+// the last kMinidumpWindow (256) events.
 struct RtOptions {
   // Blocks a worker's loader may stage ahead of its trainer.
   int pipeline_depth = 4;
   // Wall-clock rescheduling period.
   Seconds reschedule_period = 0.25;
-  // Service rate for cache hits (the storage fabric).
-  BytesPerSec fabric_rate = GBps(3.2);
   // Safety timeout: Run() aborts (returns error results) past this.
   Seconds max_wall_seconds = 120;
 
@@ -67,10 +73,6 @@ struct RtOptions {
   // counted) only when its target job does not exist, already finished, or
   // is not in the state the event requires.
   FaultPlan faults;
-  // Loader retry policy for transient remote-read errors: exponential
-  // backoff from `base`, capped at `cap` (common/backoff.h).
-  Seconds retry_backoff_base = 0.002;
-  Seconds retry_backoff_cap = 0.1;
   // When > 0, the scheduler thread captures a Data-Manager snapshot (§6,
   // durable pod annotations + disk contents) every period; a Data-Manager
   // restart restores from the latest one instead of capture-at-crash.
@@ -91,20 +93,12 @@ struct RtOptions {
   // block order and the protocol are the same.
   bool workers_processes = false;
   Seconds worker_stop_grace = 2.0;  // Drain budget at shutdown and restart.
-  // Respawn-after-unexpected-exit policy: bounded exponential backoff with
-  // jitter; a job whose worker dies unexpectedly more than max_attempts
-  // times is abandoned (reported unfinished).
-  int respawn_max_attempts = 3;
-  Seconds respawn_backoff_base = 0.01;
-  Seconds respawn_backoff_cap = 0.2;
-  double respawn_backoff_jitter = 0.1;
 
   // Crash forensics (fault/minidump.h): when non-empty, every injected
   // worker crash, unexpected worker exit and completion-invariant violation
   // serializes a minidump here (paths in RtResult::minidump_paths), and the
   // event recorder runs for the whole run.
   std::string minidump_dir;
-  int minidump_window = 256;  // Events kept per dump.
 };
 
 struct RtJobResult {
@@ -185,7 +179,7 @@ class RtCluster : private NodeManager::Host {
     // Crashed and awaiting its restart event; set by ApplyFault, cleared by
     // RestartJob.
     std::atomic<bool> crashed{false};
-    // Given up after respawn_max_attempts unexpected exits.
+    // Given up after kRespawnBackoff.max_attempts unexpected exits.
     std::atomic<bool> abandoned{false};
     std::atomic<std::int64_t> hits{0};
     std::atomic<std::int64_t> misses{0};

@@ -108,8 +108,8 @@ struct AllocationPlan {
 
 // Exact (bit-level) plan equality: every field compared, doubles by their
 // bit pattern so NaN/±0/inf differences are caught.  This is the correctness
-// anchor of the silodd planner (serve/incremental_planner.h): the daemon's
-// plan must be PlansBitIdentical to a batch solve of the same snapshot.
+// anchor of the silodd planner (serve/service.h): the daemon's plan must be
+// PlansBitIdentical to a batch solve of the same snapshot.
 bool PlansBitIdentical(const AllocationPlan& a, const AllocationPlan& b);
 
 // FNV-1a digest over a canonical serialization of the plan (maps iterate in

@@ -41,9 +41,9 @@ Result<std::vector<std::pair<std::string, double>>> ParseSpeeds(std::string_view
 }  // namespace
 
 bool IsMutatingVerb(const std::string& verb) {
-  // `plan` forces a solve that flips running flags and stamps first-start
-  // times, so it must replay; checkpoint/shutdown/query/stats/report leave
-  // the scheduling state untouched.
+  // `plan` solves any pending event, which flips running flags and stamps
+  // first-start times, so it must replay; checkpoint/shutdown/query/stats/
+  // report leave the scheduling state untouched.
   return verb == "submit" || verb == "complete" || verb == "cancel" || verb == "progress" ||
          verb == "reload-policy" || verb == "plan";
 }
@@ -75,12 +75,12 @@ Result<std::unique_ptr<ServiceState>> ServiceState::Create(ServiceConfig config)
         "gpu-type counts sum to " + std::to_string(service->config_.topology.TotalTypedGpus()) +
         " but the cluster has " + std::to_string(service->config_.resources.total_gpus) + " GPUs");
   }
-  Result<std::unique_ptr<IncrementalPlanner>> planner = IncrementalPlanner::Create(
-      service->config_.policy, service->config_.scheduler, service->config_.planning);
-  if (!planner.ok()) {
-    return planner.status();
+  Result<std::shared_ptr<Scheduler>> scheduler =
+      MakeSchedulerByName(service->config_.policy, service->config_.scheduler);
+  if (!scheduler.ok()) {
+    return scheduler.status();
   }
-  service->planner_ = std::move(planner).value();
+  service->scheduler_ = std::move(scheduler).value();
   service->admission_ = std::make_unique<AdmissionController>(
       service->config_.admission, service->config_.resources.total_gpus);
   return service;
@@ -154,21 +154,24 @@ Status ServiceState::AdvanceClock(const ServeRequest& request) {
   return Status::Ok();
 }
 
-void ServiceState::Replan(bool force) {
+void ServiceState::Replan() {
   // A reused plan leaves every job's flags as the last solve set them, so
-  // only a re-solve has anything to apply.
-  if (!planner_->PlanFor(MakeSnapshot(), force)) {
+  // with nothing pending there is no snapshot to build and nothing to apply.
+  if (pending_events_ == 0) {
     return;
   }
+  plan_ = scheduler_->Schedule(MakeSnapshot());
+  ++full_solves_;
+  last_plan_time_ = now_;
+  pending_events_ = 0;
   // Merge-join the active ids (ascending) with the plan's job map (sorted).
-  const AllocationPlan& plan = planner_->plan();
-  auto plan_it = plan.jobs.begin();
+  auto plan_it = plan_.jobs.begin();
   for (const JobId id : table_.active()) {
-    while (plan_it != plan.jobs.end() && plan_it->first < id) {
+    while (plan_it != plan_.jobs.end() && plan_it->first < id) {
       ++plan_it;
     }
     const bool running =
-        plan_it != plan.jobs.end() && plan_it->first == id && plan_it->second.running;
+        plan_it != plan_.jobs.end() && plan_it->first == id && plan_it->second.running;
     ServeJob* job = table_.Get(id);
     if (running && !job->running && job->first_start_time < 0) {
       job->first_start_time = now_;
@@ -179,14 +182,28 @@ void ServiceState::Replan(bool force) {
 }
 
 const AllocationPlan& ServiceState::PlanNow() {
-  Replan(/*force=*/true);
-  return planner_->plan();
+  if (pending_events_ == 0) {
+    ++reused_plans_;
+  }
+  Replan();
+  return plan_;
 }
 
-bool ServiceState::PromoteQueued() {
+Status ServiceState::SetPolicy(const std::string& policy, const SchedulerOptions& options) {
+  Result<std::shared_ptr<Scheduler>> scheduler = MakeSchedulerByName(policy, options);
+  if (!scheduler.ok()) {
+    return scheduler.status();
+  }
+  scheduler_ = std::move(scheduler).value();
+  config_.policy = policy;
+  config_.scheduler = options;
+  ++pending_events_;
+  return Status::Ok();
+}
+
+void ServiceState::PromoteQueued() {
   // Strict FIFO: promote from the head while the gate allows; the first job
   // that does not fit blocks everything behind it.
-  bool promoted = false;
   while (!table_.queued().empty()) {
     ServeJob* job = table_.Get(table_.queued().front());
     if (!admission_->LoadAllows(table_.ActiveGpuDemand(), job->spec.num_gpus)) {
@@ -195,10 +212,8 @@ bool ServiceState::PromoteQueued() {
     table_.SetState(job, ServeJobState::kActive);
     job->admit_time = now_;
     admission_->Record(AdmissionDecision::kAdmit);
-    planner_->NoteEvent();
-    promoted = true;
+    ++pending_events_;
   }
-  return promoted;
 }
 
 ServeResponse ServiceState::Handle(const ServeRequest& request) {
@@ -424,8 +439,8 @@ ServeResponse ServiceState::Submit(const ServeRequest& request) {
   response.fields["job"] = std::to_string((*job)->spec.id);
   if (admit) {
     (*job)->admit_time = now_;
-    planner_->NoteEvent();
-    Replan(/*force=*/false);
+    ++pending_events_;
+    Replan();
     response.fields["running"] = (*job)->running ? "1" : "0";
   } else {
     response.fields["position"] = std::to_string(table_.CountState(ServeJobState::kQueued));
@@ -454,9 +469,9 @@ ServeResponse ServiceState::Complete(const ServeRequest& request) {
   (*job)->finish_time = now_;
   (*job)->running = false;
   (*job)->remaining_bytes = 0;
-  planner_->NoteEvent();
+  ++pending_events_;
   PromoteQueued();
-  Replan(/*force=*/false);
+  Replan();
   ServeResponse response = OkResponse();
   response.fields["state"] = "completed";
   response.fields["jct"] = FormatExact((*job)->finish_time - (*job)->submit_time);
@@ -485,15 +500,13 @@ ServeResponse ServiceState::Cancel(const ServeRequest& request) {
   table_.SetState(*job, ServeJobState::kCancelled);
   (*job)->finish_time = now_;
   (*job)->running = false;
+  // A queued job was never in the scheduler's view, so its cancel is no
+  // event; but it may have been the head blocking the queue behind it.
   if (was_active) {
-    planner_->NoteEvent();
-    PromoteQueued();
-    Replan(/*force=*/false);
-  } else if (PromoteQueued()) {
-    // A queued job was never in the scheduler's view, so its cancel is no
-    // event; but it may have been the head blocking the queue behind it.
-    Replan(/*force=*/false);
+    ++pending_events_;
   }
+  PromoteQueued();
+  Replan();
   ServeResponse response = OkResponse();
   response.fields["state"] = "cancelled";
   response.fields["was"] = ServeJobStateName(state);
@@ -536,8 +549,8 @@ ServeResponse ServiceState::Progress(const ServeRequest& request) {
     }
     (*job)->effective_cache = *effective;
   }
-  planner_->NoteEvent();
-  Replan(/*force=*/false);
+  ++pending_events_;
+  Replan();
   ServeResponse response = OkResponse();
   response.fields["state"] = "active";
   response.fields["running"] = (*job)->running ? "1" : "0";
@@ -596,7 +609,7 @@ ServeResponse ServiceState::Plan(const ServeRequest& request) {
 ServeResponse ServiceState::Stats() {
   ServeResponse response = OkResponse();
   response.fields["now"] = FormatExact(now_);
-  response.fields["policy"] = planner_->policy_name();
+  response.fields["policy"] = config_.policy;
   response.fields["jobs"] = std::to_string(table_.size());
   response.fields["active"] = std::to_string(table_.CountState(ServeJobState::kActive));
   response.fields["queued"] = std::to_string(table_.CountState(ServeJobState::kQueued));
@@ -607,10 +620,8 @@ ServeResponse ServiceState::Stats() {
   response.fields["admitted"] = FormatU64(admission_->admitted());
   response.fields["adm-queued"] = FormatU64(admission_->queued());
   response.fields["rejected"] = FormatU64(admission_->rejected());
-  response.fields["full-solves"] = FormatU64(planner_->full_solves());
-  response.fields["reused-plans"] = FormatU64(planner_->reused_plans());
-  response.fields["planning-ticks"] = FormatU64(planner_->planning_ticks());
-  response.fields["dirty-pending"] = FormatU64(planner_->pending_events());
+  response.fields["full-solves"] = FormatU64(full_solves_);
+  response.fields["reused-plans"] = FormatU64(reused_plans_);
   response.fields["requests"] = FormatU64(requests_);
   response.fields["errors"] = FormatU64(errors_);
   response.fields["state-digest"] = FormatDigest(StateDigest());
@@ -643,14 +654,12 @@ ServeResponse ServiceState::ReloadPolicy(const ServeRequest& request) {
     }
     options.manage_remote_io = *manage != 0;
   }
-  if (const Status st = planner_->ReloadPolicy(*policy, options); !st.ok()) {
+  if (const Status st = SetPolicy(*policy, options); !st.ok()) {
     return ServeResponse::FromStatus(st);
   }
-  config_.policy = *policy;
-  config_.scheduler = options;
-  Replan(/*force=*/true);
+  Replan();
   ServeResponse response = OkResponse();
-  response.fields["policy"] = planner_->policy_name();
+  response.fields["policy"] = config_.policy;
   return response;
 }
 
@@ -673,14 +682,14 @@ ServeResponse ServiceState::Checkpoint() {
 
 std::uint64_t ServiceState::StateDigest() const {
   Fnv1a64 h;
-  h.String(planner_->policy_name());
+  h.String(config_.policy);
   h.U64(config_.scheduler.manage_remote_io ? 1 : 0);
   h.Double(now_);
   h.U64(last_rid_);
   h.U64(admission_->admitted());
   h.U64(admission_->queued());
   h.U64(admission_->rejected());
-  h.Double(planner_->last_plan_time());
+  h.Double(last_plan_time_);
   h.U64(table_.catalog_digest());
   h.U64(table_.size());
   // A wrapping sum is order-free, so the retired jobs' part is kept folded
@@ -702,7 +711,7 @@ std::string ServiceState::CheckpointText() const {
          " cache=" + std::to_string(config_.resources.total_cache) +
          " egress=" + FormatExact(config_.resources.remote_io) +
          " servers=" + std::to_string(config_.resources.num_servers) + "\n";
-  out += "policy name=" + EscapeToken(planner_->policy_name()) +
+  out += "policy name=" + EscapeToken(config_.policy) +
          " manage-remote-io=" + (config_.scheduler.manage_remote_io ? "1" : "0") + "\n";
   out += "clock now=" + FormatExact(now_) + " last-rid=" + FormatU64(last_rid_) +
          " requests=" + FormatU64(requests_) + " errors=" + FormatU64(errors_) +
@@ -710,8 +719,8 @@ std::string ServiceState::CheckpointText() const {
   out += "admission admitted=" + FormatU64(admission_->admitted()) +
          " queued=" + FormatU64(admission_->queued()) +
          " rejected=" + FormatU64(admission_->rejected()) + "\n";
-  out += "planner last-plan-t=" + FormatExact(planner_->last_plan_time()) +
-         " dirty-events=" + FormatU64(planner_->pending_events()) + "\n";
+  out += "planner last-plan-t=" + FormatExact(last_plan_time_) +
+         " dirty-events=" + FormatU64(pending_events_) + "\n";
   for (const Dataset& dataset : table_.catalog().all()) {
     out += "dataset id=" + std::to_string(dataset.id) + " name=" + EscapeToken(dataset.name) +
            " size=" + std::to_string(dataset.size) +
@@ -846,7 +855,7 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
   }
 
   // Policy first: a reload counts as an event, and the planner line restored
-  // below overwrites the epoch with the checkpointed one.
+  // below overwrites the pending count with the checkpointed one.
   {
     FieldReader policy(policy_args, "policy");
     const std::string name = policy.String("name");
@@ -855,13 +864,11 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
     if (!policy.status().ok()) {
       return policy.status();
     }
-    if (name != planner_->policy_name() ||
+    if (name != config_.policy ||
         options.manage_remote_io != config_.scheduler.manage_remote_io) {
-      if (const Status st = planner_->ReloadPolicy(name, options); !st.ok()) {
+      if (const Status st = SetPolicy(name, options); !st.ok()) {
         return Status::InvalidArgument("cannot restore policy '" + name + "': " + st.message());
       }
-      config_.policy = name;
-      config_.scheduler = options;
     }
   }
 
@@ -959,9 +966,12 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
     (*job)->gpu_type = gpu_type;
   }
 
-  // Planner last: the checkpointed epoch replaces whatever construction and
-  // the policy restore counted, so epoch batching fires at the same virtual
-  // instants it would have.  Older checkpoints' extra dirty-all/-reason/
+  // Planner last: the checkpointed pending count replaces whatever
+  // construction and the policy restore counted, and the cached plan is
+  // rebuilt from the restored jobs (not counted as a solve), so a `plan`
+  // with nothing pending serves what the checkpointed daemon would have.  A
+  // nonzero dirty-events (an older batching daemon could write one) makes
+  // the next Replan solve.  Older checkpoints' extra dirty-all/-reason/
   // -jobs/-datasets keys are ignored.
   FieldReader planner(planner_args, "planner");
   const double last_plan_t = planner.Double("last-plan-t");
@@ -969,7 +979,9 @@ Status ServiceState::ApplyCheckpoint(const std::string& text, RecoveryInfo* reco
   if (!planner.status().ok()) {
     return planner.status();
   }
-  planner_->RestoreEpoch(last_plan_t, pending, MakeSnapshot());
+  plan_ = scheduler_->Schedule(MakeSnapshot());
+  last_plan_time_ = last_plan_t;
+  pending_events_ = pending;
   return Status::Ok();
 }
 
@@ -982,7 +994,7 @@ Status ServiceState::SyncJournal() {
 
 RunReport ServiceState::Report() const {
   RunReport report;
-  report.label = planner_->policy_name();
+  report.label = config_.policy;
   report.engine = "serve";
   report.jobs = static_cast<int>(table_.size());
   // Fold the table into JobResults so the summary (and the per-tenant /
@@ -1023,9 +1035,9 @@ RunReport ServiceState::Report() const {
   report.gpu_types = GroupJctSummaries(
       results, +[](const JobResult& j) -> const std::string& { return j.gpu_type; });
   report.makespan_min = last_finish / 60.0;
-  report.AddExtra("policy", planner_->policy_name());
-  report.AddExtra("full_solves", static_cast<std::int64_t>(planner_->full_solves()));
-  report.AddExtra("reused_plans", static_cast<std::int64_t>(planner_->reused_plans()));
+  report.AddExtra("policy", config_.policy);
+  report.AddExtra("full_solves", static_cast<std::int64_t>(full_solves_));
+  report.AddExtra("reused_plans", static_cast<std::int64_t>(reused_plans_));
   report.AddExtra("admitted", static_cast<std::int64_t>(admission_->admitted()));
   report.AddExtra("rejected", static_cast<std::int64_t>(admission_->rejected()));
   return report;

@@ -1,16 +1,22 @@
 // silodd request handling, socket-free (docs/MODEL.md §11).
 //
 // ServiceState is the whole daemon minus the transport: a job table, an
-// admission controller, an incremental planner and a virtual clock, driven
-// one ServeRequest at a time.  The Unix-socket server (serve/server.h), the
-// in-process replay harness (sim/serve_replay.h) and the unit tests all
-// speak to the same Handle() entry point, so every daemon behaviour is
-// testable without sockets.
+// admission controller, the policy's scheduler with its cached plan, and a
+// virtual clock, driven one ServeRequest at a time.  The Unix-socket server
+// (serve/server.h), the in-process replay harness (sim/serve_replay.h) and
+// the unit tests all speak to the same Handle() entry point, so every
+// daemon behaviour is testable without sockets.
 //
 // Time is virtual and carried by the requests: every mutating verb takes a
 // `t=<seconds>` argument and the clock advances to max(now, t).  That makes
 // the daemon a deterministic function of the request sequence — the property
-// the full-vs-incremental identity test and the trace cross-check build on.
+// the journal-recovery identity tests and the trace cross-check build on.
+//
+// One re-solve rule (docs/MODEL.md §11): each scheduler-visible mutation
+// (admission, completion, active cancel, progress report, policy reload)
+// notes a pending event, and the request re-solves the full
+// Scheduler::Schedule over the snapshot exactly when an event is pending.
+// A `plan` with nothing pending serves the cached plan.
 //
 // Verbs (key=value args, serve/proto.h encoding):
 //   submit   key= t= gpus= ideal-io= total-bytes= dataset= dataset-size=
@@ -41,13 +47,14 @@
 #define SILOD_SRC_SERVE_SERVICE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/topology.h"
+#include "src/core/policy_registry.h"
 #include "src/serve/admission.h"
-#include "src/serve/incremental_planner.h"
 #include "src/serve/job_table.h"
 #include "src/serve/journal.h"
 #include "src/serve/proto.h"
@@ -58,7 +65,6 @@ namespace silod {
 struct ServiceConfig {
   std::string policy = "fifo+silod";
   SchedulerOptions scheduler;
-  PlanningOptions planning;
   ClusterResources resources;
   // Empty = zone-oblivious; otherwise covered against num_servers like the
   // engines do.
@@ -67,8 +73,9 @@ struct ServiceConfig {
 };
 
 // True for verbs the journal must capture: everything that moves the job
-// table, the admission queue, the policy, or the planner's running flags
-// (`plan` forces a solve that stamps first-start times, so it counts).
+// table, the admission queue, the policy, or the plan's running flags
+// (`plan` solves any pending event and stamps first-start times, so it
+// counts).
 bool IsMutatingVerb(const std::string& verb);
 
 // What journal recovery found and replayed (reported by silodd at startup).
@@ -105,16 +112,26 @@ class ServiceState {
   // with a batch engine run fed the same submit/complete times.
   RunReport Report() const;
 
-  // Test/replay access: the current plan (re-solving if events are pending) and the
-  // scheduler snapshot the next solve would see.
+  // Test/replay access: the current plan (re-solving if an event is pending)
+  // and the scheduler snapshot the next solve would see.
   const AllocationPlan& PlanNow();
   Snapshot MakeSnapshot() const;
 
   Seconds now() const { return now_; }
   std::uint64_t last_rid() const { return last_rid_; }
   bool manages_remote_io() const { return config_.scheduler.manage_remote_io; }
-  const std::string& policy_name() const { return planner_->policy_name(); }
-  const IncrementalPlanner& planner() const { return *planner_; }
+  const std::string& policy_name() const { return config_.policy; }
+  // The plan the last solve produced (or the checkpoint restore rebuilt).
+  const AllocationPlan& plan() const { return plan_; }
+  // -inf until the first solve.
+  Seconds last_plan_time() const { return last_plan_time_; }
+  // Scheduler-visible events since the last solve; the next Replan solves
+  // iff this is > 0.
+  std::uint64_t pending_events() const { return pending_events_; }
+  std::uint64_t full_solves() const { return full_solves_; }
+  // Plan reads (the `plan` verb, PlanNow) that found nothing pending and
+  // served the cached plan.
+  std::uint64_t reused_plans() const { return reused_plans_; }
   const AdmissionController& admission() const { return *admission_; }
   const JobTable& jobs() const { return table_; }
 
@@ -126,7 +143,7 @@ class ServiceState {
   // the request or checkpoint restore that ended them, so a call costs
   // O(active + queued), not O(history).  A digest taken before SIGKILL must
   // equal the digest after recovery; volatile observability counters
-  // (requests_, planner solve counts) are deliberately excluded.
+  // (requests_, the solve counts) are deliberately excluded.
   std::uint64_t StateDigest() const;
 
   // Checkpoint text for compaction (silodd-checkpoint-v1, journal.h) and its
@@ -158,18 +175,26 @@ class ServiceState {
   // The dispatch switch shared by live handling and journal replay.
   ServeResponse Dispatch(const ServeRequest& request);
 
-  // Re-solves if due and syncs per-job running flags / first-start times
-  // with the resulting plan.
-  void Replan(bool force);
-  // Admits queued jobs (FIFO) that now pass the load gate; true if any.
-  bool PromoteQueued();
+  // Re-solves iff an event is pending and syncs per-job running flags /
+  // first-start times with the new plan.
+  void Replan();
+  // Swaps the scheduler for `policy` without losing job state; counts as an
+  // event.  kNotFound (listing known policies) for unknown names.
+  Status SetPolicy(const std::string& policy, const SchedulerOptions& options);
+  // Admits queued jobs (FIFO) that now pass the load gate, one event each.
+  void PromoteQueued();
   Status AdvanceClock(const ServeRequest& request);
 
   ServiceConfig config_;
   ClusterTopology covered_topology_;
   JobTable table_;
   std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<IncrementalPlanner> planner_;
+  std::shared_ptr<Scheduler> scheduler_;
+  AllocationPlan plan_;
+  Seconds last_plan_time_ = -std::numeric_limits<Seconds>::infinity();
+  std::uint64_t pending_events_ = 1;  // The initial plan.
+  std::uint64_t full_solves_ = 0;
+  std::uint64_t reused_plans_ = 0;
   std::unique_ptr<Journal> journal_;
   Seconds now_ = 0;
   bool shutdown_ = false;

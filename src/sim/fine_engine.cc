@@ -10,6 +10,16 @@
 #include "src/storage/remote_store.h"
 
 namespace silod {
+namespace {
+
+// Blocks the loader may run ahead of computation.  Fetched blocks land on
+// local disk, so real loaders effectively buffer far ahead within an epoch;
+// a large window avoids Jensen-effect throughput loss when hit and miss runs
+// interleave.
+constexpr int kPrefetchWindow = 256;
+static_assert(kPrefetchWindow >= 1, "prefetch window must be >= 1");
+
+}  // namespace
 
 FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config, FineEngineOptions options)
@@ -18,7 +28,6 @@ FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
       options_(options),
       cache_manager_(config_.resources.total_cache, config_.seed ^ 0xCACE), rng_(config_.seed) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
-  SILOD_CHECK(options_.prefetch_window >= 1) << "prefetch window must be >= 1";
 
   const StorageFabric fabric{config_.fabric};
   fabric_rate_ = fabric.PerServerCacheReadRate(config_.resources.num_servers);
@@ -304,11 +313,11 @@ void FineEngine::StartNextFetch(JobState& s, Seconds now) {
       static_cast<double>(d.block_size) / EffectiveIdeal(s.spec->ideal_io, s.speed);
 
   // Prefetch gating: the staged-but-unconsumed buffer may hold at most
-  // `prefetch_window` blocks worth of compute.  The microsecond of slack
+  // kPrefetchWindow blocks worth of compute.  The microsecond of slack
   // absorbs floating-point residue at the unblock instant (without it the
   // gate can re-arm forever on a 1-ulp overshoot).
   const double buffer_ahead = s.compute_finish - now;
-  const double window = options_.prefetch_window * block_compute;
+  const double window = kPrefetchWindow * block_compute;
   if (buffer_ahead > window + 1e-6) {
     s.phase = Phase::kBlocked;
     SetJobEvent(s, std::max(now, s.compute_finish - window));

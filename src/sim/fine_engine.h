@@ -36,11 +36,6 @@
 namespace silod {
 
 struct FineEngineOptions {
-  // Blocks the loader may run ahead of computation.  Fetched blocks land on
-  // local disk, so real loaders effectively buffer far ahead within an epoch;
-  // a large window avoids Jensen-effect throughput loss when hit and miss
-  // runs interleave.  Small values model a shallow in-memory pipeline.
-  int prefetch_window = 256;
   // Metrics sampling period on top of event-driven samples.
   Seconds sample_period = Minutes(5);
 };

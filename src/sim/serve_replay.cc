@@ -106,8 +106,7 @@ bool JctSummariesIdentical(const RunReport& a, const RunReport& b) {
 
 Result<ReplayOutcome> ReplayTraceThroughService(const Trace& trace, const SimConfig& config,
                                                 const std::string& policy,
-                                                const SchedulerOptions& scheduler_options,
-                                                const PlanningOptions& planning) {
+                                                const SchedulerOptions& scheduler_options) {
   Result<std::shared_ptr<Scheduler>> scheduler = MakeSchedulerByName(policy, scheduler_options);
   if (!scheduler.ok()) {
     return scheduler.status();
@@ -118,7 +117,6 @@ Result<ReplayOutcome> ReplayTraceThroughService(const Trace& trace, const SimCon
   ServiceConfig service_config;
   service_config.policy = policy;
   service_config.scheduler = scheduler_options;
-  service_config.planning = planning;
   service_config.resources = config.resources;
   service_config.topology = config.topology;
   // Wide open: the batch engine has no admission gate, so the daemon must

@@ -61,8 +61,7 @@ struct ReplayOutcome {
 // reports.  Any daemon request failing mid-replay is an error.
 Result<ReplayOutcome> ReplayTraceThroughService(const Trace& trace, const SimConfig& config,
                                                 const std::string& policy,
-                                                const SchedulerOptions& scheduler_options,
-                                                const PlanningOptions& planning);
+                                                const SchedulerOptions& scheduler_options);
 
 // The comparison ReplayTraceThroughService applies (exposed for the CLI).
 bool JctSummariesIdentical(const RunReport& a, const RunReport& b);

@@ -107,14 +107,4 @@ BytesPerSec RemoteStore::JobThrottle(JobId job) const {
   return throttles_[static_cast<std::size_t>(job)];
 }
 
-std::vector<BytesPerSec> RemoteStore::ArbitratedRates(
-    const std::vector<JobId>& jobs, const std::vector<BytesPerSec>& demands) const {
-  SILOD_CHECK(jobs.size() == demands.size()) << "jobs/demands size mismatch";
-  std::vector<BytesPerSec> caps(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    caps[i] = JobThrottle(jobs[i]);
-  }
-  return MaxMinShare(demands, caps, egress_limit_);
-}
-
 }  // namespace silod

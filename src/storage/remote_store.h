@@ -67,11 +67,6 @@ class RemoteStore {
   // All explicitly set throttles (for snapshotting, §6 fault tolerance).
   std::vector<std::pair<JobId, BytesPerSec>> Throttles() const;
 
-  // Rates the store grants a set of concurrently fetching jobs with the given
-  // instantaneous demands, honouring throttles and the egress cap.
-  std::vector<BytesPerSec> ArbitratedRates(const std::vector<JobId>& jobs,
-                                           const std::vector<BytesPerSec>& demands) const;
-
  private:
   BytesPerSec egress_limit_;
   std::vector<BytesPerSec> throttles_;  // Indexed by JobId; grows on demand.

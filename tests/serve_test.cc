@@ -1,7 +1,7 @@
 // Tests for the silodd subsystem (docs/MODEL.md §11-§12): the shared framing
 // layer (including hostile/torn input), the text protocol, the daemon plan's
-// bit-identity with the batch scheduler, admission-control edges, epoch
-// batching, policy hot-reload, the trace-replay cross-check, the Unix-socket
+// bit-identity with the batch scheduler, admission-control edges, the one
+// re-solve rule, policy hot-reload, the trace-replay cross-check, the Unix-socket
 // transport, and the crash-safety stack — write-ahead journal, torn-tail
 // truncation, rid dedup, checkpoint compaction, and the recovery
 // bit-identity contract.
@@ -333,36 +333,52 @@ TEST_F(ServiceTest, AdmissionEdges) {
   ExpectBatchIdentity();
 }
 
-TEST_F(ServiceTest, EpochBatchingCoalescesArrivals) {
+// The one re-solve rule: a request that changes what the scheduler sees
+// (admission, completion, active cancel, progress, policy reload) costs
+// exactly one full solve, however many events it notes; every other request
+// costs none, and nothing stays pending between requests.
+TEST_F(ServiceTest, EachSchedulerVisibleEventSolvesOnce) {
   ServiceConfig config = SmallCluster("fifo+silod");
-  config.planning.min_replan_interval = 1000;  // Nothing is due by time.
-  config.planning.max_coalesced_events = 3;    // ... until 3 marks coalesce.
+  config.admission.max_gpu_load = 1.0;
   Start(std::move(config));
-  Must(SubmitReq("a", 0, 1, GB(100)));  // The initial plan is always due.
-  const std::uint64_t solves_after_first = service_->planner().full_solves();
-  Must(SubmitReq("b", 1, 1, GB(100)));  // 1 pending event: coalesced.
-  Must(SubmitReq("c", 2, 1, GB(100)));  // 2 pending events: coalesced.
-  EXPECT_EQ(solves_after_first, service_->planner().full_solves());
-  EXPECT_GE(service_->planner().reused_plans(), 2u);
-  Must(SubmitReq("d", 3, 1, GB(100)));  // 3rd event forces the tick.
-  EXPECT_EQ(solves_after_first + 1, service_->planner().full_solves());
-  ExpectBatchIdentity();  // A forced plan flushes the rest.
-}
-
-TEST(ServicePlanning, RejectsNegativeOrNanReplanInterval) {
-  for (const double interval : {-1.0, std::nan("")}) {
-    PlanningOptions planning;
-    planning.min_replan_interval = interval;
-    Result<std::unique_ptr<IncrementalPlanner>> planner =
-        IncrementalPlanner::Create("fifo+silod", SchedulerOptions{}, planning);
-    ASSERT_FALSE(planner.ok()) << interval;
-    EXPECT_EQ(StatusCode::kInvalidArgument, planner.status().code());
-    ServiceConfig config = SmallCluster("fifo+silod");
-    config.planning = planning;
-    Result<std::unique_ptr<ServiceState>> service = ServiceState::Create(std::move(config));
-    ASSERT_FALSE(service.ok()) << interval;
-    EXPECT_EQ(StatusCode::kInvalidArgument, service.status().code());
+  const struct {
+    ServeRequest request;
+    std::uint64_t solves;
+    const char* what;
+  } steps[] = {
+      {Req("plan", {}), 1, "first plan (the initial event)"},
+      {SubmitReq("a", 0, 4, GB(100)), 1, "admitted submit"},
+      {Req("query", {{"key", "a"}}), 0, "query"},
+      {Req("stats", {}), 0, "stats"},
+      {Req("plan", {{"t", "1"}}), 0, "plan with nothing pending"},
+      {Req("progress", {{"key", "a"}, {"t", "2"}, {"remaining", "500000000000"}}), 1,
+       "progress"},
+      {SubmitReq("b", 3, 4, GB(100)), 1, "admitted submit at the threshold"},
+      {SubmitReq("q1", 4, 2, GB(100)), 0, "queued submit"},
+      {SubmitReq("q2", 5, 8, GB(100)), 0, "queued submit behind q1"},
+      {SubmitReq("q3", 6, 1, GB(100)), 0, "queued submit behind q2"},
+      {Req("cancel", {{"key", "q3"}, {"t", "7"}}), 0, "queued cancel, no promotion"},
+      {Req("reload-policy", {{"policy", "sjf+silod"}}), 1, "reload-policy"},
+      {Req("cancel", {{"key", "a"}, {"t", "8"}}), 1, "active cancel promoting q1"},
+      {Req("cancel", {{"key", "q2"}, {"t", "9"}}), 0, "queued head cancel, nothing behind"},
+      {Req("complete", {{"key", "b"}, {"t", "10"}}), 1, "complete"},
+      {Req("plan", {}), 0, "plan with nothing pending"},
+  };
+  for (const auto& step : steps) {
+    const std::uint64_t solves = service_->full_solves();
+    const std::uint64_t reused = service_->reused_plans();
+    Must(step.request);
+    EXPECT_EQ(solves + step.solves, service_->full_solves()) << step.what;
+    EXPECT_EQ(0u, service_->pending_events()) << step.what;
+    if (step.request.verb == "plan") {
+      EXPECT_EQ(reused + 1 - step.solves, service_->reused_plans()) << step.what;
+    } else {
+      EXPECT_EQ(reused, service_->reused_plans()) << step.what;
+    }
   }
+  EXPECT_EQ("active", Must(Req("query", {{"key", "q1"}})).fields.at("state"));
+  EXPECT_EQ("sjf+silod", Must(Req("stats", {})).fields.at("policy"));
+  ExpectBatchIdentity();
 }
 
 // Bad storage resources are refused at construction: a negative egress would
@@ -492,7 +508,7 @@ TEST(ServeReplay, DaemonReportMatchesBatchEngine) {
   config.resources.remote_io = MBps(200);
   for (const char* policy : {"fifo+silod", "sjf+silod"}) {
     Result<ReplayOutcome> outcome = ReplayTraceThroughService(
-        trace, config, policy, SchedulerOptions{}, PlanningOptions{});
+        trace, config, policy, SchedulerOptions{});
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_TRUE(outcome->jct_identical)
         << policy << "\nbatch:\n"
@@ -529,7 +545,7 @@ TEST(ServeReplay, TypedFleetReportMatchesBatchEngine) {
   ASSERT_TRUE(typed.ok()) << typed.status().ToString();
   config.topology = *typed;
   Result<ReplayOutcome> outcome = ReplayTraceThroughService(
-      trace, config, "sjf+silod", SchedulerOptions{}, PlanningOptions{});
+      trace, config, "sjf+silod", SchedulerOptions{});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_TRUE(outcome->jct_identical)
       << "batch:\n" << outcome->batch.ToJson().Format() << "\nserve:\n"
@@ -547,12 +563,12 @@ TEST(ServeReplay, TypedFleetReportMatchesBatchEngine) {
   SimConfig untyped_config = config;
   untyped_config.topology = ClusterTopology();
   Result<ReplayOutcome> untyped = ReplayTraceThroughService(
-      trace, untyped_config, "sjf+silod", SchedulerOptions{}, PlanningOptions{});
+      trace, untyped_config, "sjf+silod", SchedulerOptions{});
   ASSERT_TRUE(untyped.ok()) << untyped.status().ToString();
   SimConfig uniform_config = config;
   uniform_config.topology = *ClusterTopology::Parse("gpu-type name=any count=8 speed=1");
   Result<ReplayOutcome> uniform = ReplayTraceThroughService(
-      trace, uniform_config, "sjf+silod", SchedulerOptions{}, PlanningOptions{});
+      trace, uniform_config, "sjf+silod", SchedulerOptions{});
   ASSERT_TRUE(uniform.ok()) << uniform.status().ToString();
   EXPECT_TRUE(JctSummariesIdentical(untyped->batch, uniform->batch));
   EXPECT_TRUE(JctSummariesIdentical(untyped->serve, uniform->serve));
@@ -1164,7 +1180,7 @@ std::uint64_t FullScanStateDigest(const ServiceState& service) {
   h.U64(service.admission().admitted());
   h.U64(service.admission().queued());
   h.U64(service.admission().rejected());
-  h.Double(service.planner().last_plan_time());
+  h.Double(service.last_plan_time());
   h.U64(catalog.hash());
   h.U64(service.jobs().size());
   h.U64(jobs);
@@ -1333,13 +1349,6 @@ TEST_F(ServiceJournalTest, AutoCompactionBoundsTheJournal) {
   EXPECT_EQ(digest, service->StateDigest());
 }
 
-ServiceConfig CoalescingCluster() {
-  ServiceConfig config = SmallCluster("sjf+silod");
-  config.planning.min_replan_interval = 1000;  // Nothing is due by time...
-  config.planning.max_coalesced_events = 3;    // ... until 3 events coalesce.
-  return config;
-}
-
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::stringstream buf;
@@ -1347,64 +1356,108 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
-// Feeds `tail` to both services, requiring the same state digest after each
-// request and the same solve/reuse decisions over the whole tail.
+// The planner lines a checkpoint may carry with one event pending: this
+// daemon's, and an older one's with the dirty-all/-reason/-jobs/-datasets
+// keys.  Between requests this daemon always writes dirty-events=0; an older
+// epoch-batching daemon could write 1.
+const char* const kPendingPlannerLines[] = {
+    "dirty-events=1",
+    "dirty-all=0 dirty-reason= dirty-events=1 dirty-jobs=1 dirty-datasets=",
+};
+
+// `text` with its planner line's keys after last-plan-t replaced by `keys`.
+std::string WithPlannerKeys(std::string text, const std::string& keys) {
+  const std::size_t line = text.find("planner last-plan-t=");
+  EXPECT_NE(std::string::npos, line) << text;
+  const std::size_t from = text.find(' ', line + 8) + 1;
+  return text.replace(from, text.find('\n', from) - from, keys);
+}
+
+// Feeds `tail` to both services, requiring the same response and state
+// digest after each request.  The recovered service starts with one event
+// pending, so its first scheduler-visible request re-solves exactly once,
+// as the uninterrupted one does, and both count the same solves over the
+// tail.
 void ExpectSameTail(ServiceState* live, ServiceState* recovered,
                     const std::vector<ServeRequest>& tail) {
-  const std::uint64_t live_solves = live->planner().full_solves();
-  const std::uint64_t live_reused = live->planner().reused_plans();
-  const std::uint64_t recovered_solves = recovered->planner().full_solves();
-  const std::uint64_t recovered_reused = recovered->planner().reused_plans();
+  ASSERT_EQ(0u, live->pending_events());
+  ASSERT_EQ(1u, recovered->pending_events());
+  const std::uint64_t live_solves = live->full_solves();
+  const std::uint64_t recovered_solves = recovered->full_solves();
   for (const ServeRequest& request : tail) {
     const ServeResponse a = live->Handle(request);
     const ServeResponse b = recovered->Handle(request);
     EXPECT_TRUE(a.ok()) << request.verb << ": " << a.error;
     EXPECT_EQ(a.fields, b.fields) << request.verb;
     EXPECT_EQ(live->StateDigest(), recovered->StateDigest()) << "after " << request.Encode();
+    EXPECT_EQ(live->full_solves() - live_solves, recovered->full_solves() - recovered_solves)
+        << "after " << request.Encode();
+    EXPECT_EQ(0u, recovered->pending_events()) << "after " << request.Encode();
   }
-  EXPECT_EQ(live->planner().full_solves() - live_solves,
-            recovered->planner().full_solves() - recovered_solves);
-  EXPECT_EQ(live->planner().reused_plans() - live_reused,
-            recovered->planner().reused_plans() - recovered_reused);
   EXPECT_EQ(PlanDigest(live->PlanNow()), PlanDigest(recovered->PlanNow()));
   EXPECT_EQ(live->StateDigest(), recovered->StateDigest());
 }
 
-// A checkpoint taken while coalesced events are pending must restore the
-// epoch: the recovered daemon reuses its plan exactly where the uninterrupted
-// one does, rather than re-solving at its first event.
-TEST_F(ServiceJournalTest, CoalescedRecoveryMatchesUninterruptedRun) {
-  RecoveryInfo recovery;
-  std::unique_ptr<ServiceState> live = Recover(CoalescingCluster(), Opts(), &recovery);
-  ASSERT_NE(nullptr, live);
-  Must(live.get(), WithRid(SubmitReq("a", 0, 2, GB(400)), 1));   // Initial solve.
-  Must(live.get(), WithRid(SubmitReq("b", 10, 4, GB(800)), 2));  // 1 pending, b waits.
-  EXPECT_EQ("1", Must(live.get(), Req("stats", {})).fields.at("dirty-pending"));
-  EXPECT_EQ("0", Must(live.get(), Req("query", {{"key", "b"}})).fields.at("running"));
-  Must(live.get(), Req("checkpoint", {}));
+// The cluster both recovery tests run: wide-open admission, so the 8-GPU
+// job b is admitted and waits in the scheduler beside the running a.
+ServiceConfig OpenCluster() {
+  ServiceConfig config = SmallCluster("sjf+silod");
+  config.admission.max_gpu_load = 1e18;
+  return config;
+}
 
-  // The crash copy: the journal as the checkpoint left it.
-  const std::string copy = path_ + ".copy";
-  std::ofstream(copy, std::ios::binary) << ReadFile(path_);
-  std::unique_ptr<ServiceState> recovered =
-      Recover(CoalescingCluster(), JournalOpts(copy), &recovery);
-  ASSERT_NE(nullptr, recovered);
-  EXPECT_TRUE(recovery.from_checkpoint);
-  EXPECT_EQ(0u, recovery.replayed_requests);
-  EXPECT_EQ(live->StateDigest(), recovered->StateDigest());
+// The tail both recovery tests feed: the first request is an event, so it
+// takes the restored pending event along in its one solve.
+std::vector<ServeRequest> RecoveryTail() {
+  return {WithRid(Req("progress", {{"key", "a"},
+                                   {"t", "20"},
+                                   {"remaining", "500000000000"},
+                                   {"effective", "50000000000"}}),
+                  3),
+          Req("query", {{"key", "b"}}),
+          WithRid(Req("plan", {{"t", "25"}}), 4),
+          WithRid(SubmitReq("c", 30, 1, GB(200)), 5),
+          WithRid(Req("cancel", {{"key", "b"}, {"t", "50"}}), 6),
+          WithRid(SubmitReq("d", 2000, 2, GB(300)), 7),
+          WithRid(Req("complete", {{"key", "c"}, {"t", "2100"}}), 8)};
+}
 
-  ExpectSameTail(live.get(), recovered.get(),
-                 {WithRid(Req("progress", {{"key", "a"},
-                                           {"t", "20"},
-                                           {"remaining", "500000000000"},
-                                           {"effective", "50000000000"}}),
-                          3),                                     // 2 pending: reuse.
-                  WithRid(SubmitReq("c", 30, 1, GB(200)), 4),     // 3rd event: solve.
-                  WithRid(SubmitReq("d", 40, 1, GB(100)), 5),     // 1 pending: reuse.
-                  WithRid(Req("cancel", {{"key", "b"}, {"t", "50"}}), 6),
-                  WithRid(SubmitReq("e", 2000, 2, GB(300)), 7),   // Interval elapsed.
-                  WithRid(Req("complete", {{"key", "c"}, {"t", "2100"}}), 8)});
-  std::remove(copy.c_str());
+// A journal whose checkpoint carries a pending event (as an older batching
+// daemon could leave one) recovers to the same state as the uninterrupted
+// run; the pending event only makes the next event's one solve due.
+TEST_F(ServiceJournalTest, PendingEventRecoveryMatchesUninterruptedRun) {
+  for (const char* keys : kPendingPlannerLines) {
+    SCOPED_TRACE(keys);
+    std::remove(path_.c_str());
+    RecoveryInfo recovery;
+    std::unique_ptr<ServiceState> live = Recover(OpenCluster(), Opts(), &recovery);
+    ASSERT_NE(nullptr, live);
+    Must(live.get(), WithRid(SubmitReq("a", 0, 2, GB(400)), 1));
+    Must(live.get(), WithRid(SubmitReq("b", 10, 8, GB(800)), 2));
+    EXPECT_EQ("1", Must(live.get(), Req("plan", {})).fields.at("running"));  // One waits.
+    Must(live.get(), Req("checkpoint", {}));
+
+    // The crash copy: the journal as the checkpoint left it, with the
+    // pending event written into the planner line.
+    const std::string copy = path_ + ".copy";
+    std::remove(copy.c_str());
+    {
+      JournalScan scan;
+      std::unique_ptr<Journal> journal = MustOpen(JournalOpts(copy), &scan);
+      ASSERT_TRUE(journal->Compact(WithPlannerKeys(live->CheckpointText(), keys)).ok());
+    }
+    EXPECT_NE(std::string::npos, ReadFile(copy).find(keys));
+    std::unique_ptr<ServiceState> recovered =
+        Recover(OpenCluster(), JournalOpts(copy), &recovery);
+    ASSERT_NE(nullptr, recovered);
+    EXPECT_TRUE(recovery.from_checkpoint);
+    EXPECT_EQ(0u, recovery.replayed_requests);
+    EXPECT_EQ(live->StateDigest(), recovered->StateDigest());
+    EXPECT_EQ(0u, recovered->full_solves());  // The restored plan is no solve.
+
+    ExpectSameTail(live.get(), recovered.get(), RecoveryTail());
+    std::remove(copy.c_str());
+  }
 }
 
 // With no events pending at the checkpoint, the first plan read after
@@ -1418,7 +1471,7 @@ TEST_F(ServiceJournalTest, RecoveredPlanServedBeforeAnyEvent) {
     Must(service.get(), WithRid(SubmitReq("a", 0, 2, GB(400)), 1));
     Must(service.get(), WithRid(SubmitReq("b", 10, 1, GB(800)), 2));
     Must(service.get(), Req("checkpoint", {}));
-    ASSERT_EQ(0u, service->planner().pending_events());
+    ASSERT_EQ(0u, service->pending_events());
     plan_digest = PlanDigest(service->PlanNow());
   }
   RecoveryInfo recovery;
@@ -1426,36 +1479,32 @@ TEST_F(ServiceJournalTest, RecoveredPlanServedBeforeAnyEvent) {
   ASSERT_NE(nullptr, service);
   EXPECT_TRUE(recovery.from_checkpoint);
   const ServeResponse plan = Must(service.get(), Req("plan", {}));
-  EXPECT_EQ(0u, service->planner().full_solves());  // Served, not re-solved.
-  EXPECT_EQ(plan_digest, PlanDigest(service->planner().plan()));
+  EXPECT_EQ(0u, service->full_solves());  // Served, not re-solved.
+  EXPECT_EQ(plan_digest, PlanDigest(service->plan()));
   EXPECT_EQ("2", plan.fields.at("running"));
 }
 
-// Checkpoints written before the planner line shrank to last-plan-t and
-// dirty-events still carry dirty-all/-reason/-jobs/-datasets; they restore
-// to the same epoch.
+// A checkpoint's planner line with one event pending restores in place
+// (last-plan-t and dirty-events read, an older daemon's extra keys
+// ignored), and the next event solves once.
 TEST_F(ServiceJournalTest, RestoresOlderPlannerLine) {
-  Result<std::unique_ptr<ServiceState>> live = ServiceState::Create(CoalescingCluster());
-  ASSERT_TRUE(live.ok());
-  Must(live->get(), SubmitReq("a", 0, 2, GB(400)));
-  Must(live->get(), SubmitReq("b", 10, 4, GB(800)));
-  std::string text = (*live)->CheckpointText();
-  const std::string current = "planner last-plan-t=0 dirty-events=1\n";
-  const std::size_t at = text.find(current);
-  ASSERT_NE(std::string::npos, at) << text;
-  text.replace(at, current.size(),
-               "planner last-plan-t=0 dirty-all=0 dirty-reason= dirty-events=1 dirty-jobs=1 "
-               "dirty-datasets=\n");
+  for (const char* keys : kPendingPlannerLines) {
+    SCOPED_TRACE(keys);
+    Result<std::unique_ptr<ServiceState>> live = ServiceState::Create(OpenCluster());
+    ASSERT_TRUE(live.ok());
+    Must(live->get(), SubmitReq("a", 0, 2, GB(400)));
+    Must(live->get(), SubmitReq("b", 10, 8, GB(800)));
+    const std::string text = (*live)->CheckpointText();
+    ASSERT_NE(std::string::npos, text.find("planner last-plan-t=10 dirty-events=0\n")) << text;
 
-  Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(CoalescingCluster());
-  ASSERT_TRUE(restored.ok());
-  const Status st = (*restored)->RestoreFromCheckpoint(text, nullptr);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(0.0, (*restored)->planner().last_plan_time());
-  EXPECT_EQ(1u, (*restored)->planner().pending_events());
-  ExpectSameTail(live->get(), restored->get(),
-                 {SubmitReq("c", 20, 1, GB(200)),     // 2 pending: reuse.
-                  SubmitReq("d", 30, 1, GB(100))});   // 3rd event: solve.
+    Result<std::unique_ptr<ServiceState>> restored = ServiceState::Create(OpenCluster());
+    ASSERT_TRUE(restored.ok());
+    const Status st = (*restored)->RestoreFromCheckpoint(WithPlannerKeys(text, keys), nullptr);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(10.0, (*restored)->last_plan_time());
+    EXPECT_EQ((*live)->StateDigest(), (*restored)->StateDigest());
+    ExpectSameTail(live->get(), restored->get(), RecoveryTail());
+  }
 }
 
 TEST_F(ServiceJournalTest, TornTailRecoveryDropsOnlyTheTornFrame) {

