@@ -3,18 +3,20 @@
 // wall time per job at 2048 and 8192 jobs.
 //
 // Each row records its event count, its flow visits (the jobs whose rate a
-// flow recompute evaluated, EngineStepCounters::flow_visits) and the
-// ResultDigest (sim/metrics.h) of its run.  With --baseline=PATH the run
-// fails (exit 1, a "FAIL:" line per failure) when a row has a different
-// digest or event count than the committed BENCH_engine_scaling.json
-// (exact: the simulation is deterministic, so any change is a change of
-// physics or of stepping), more flow visits than committed (an exact work
-// counter, so it holds on any host), or when its events/sec dropped by more
-// than --max-regress (default 0.3).  It also fails, before or instead of
-// comparing, on a baseline that does not parse or is not an
+// flow recompute evaluated, EngineStepCounters::flow_visits), its peak
+// block slots (the most epoch-order entries plus cache generation slots
+// held at once, EngineStepCounters::peak_block_slots) and the ResultDigest
+// (sim/metrics.h) of its run.  With --baseline=PATH the run fails (exit 1, a
+// "FAIL:" line per failure) when a row has a different digest or event count
+// than the committed BENCH_engine_scaling.json (exact: the simulation is
+// deterministic, so any change is a change of physics or of stepping), more
+// flow visits or peak block slots than committed (exact work and memory
+// counters, so they hold on any host), or when its events/sec dropped by
+// more than --max-regress (default 0.3).  It also fails, before or instead
+// of comparing, on a baseline that does not parse or is not an
 // "engine_scaling" report, on a row the baseline lacks, and on a baseline
-// row without a string "digest" or a numeric "events", "flow_visits" or
-// "calendar_events_per_s".  Baseline rows the run did not produce pass.  A
+// row without a string "digest" or a numeric "events", "flow_visits",
+// "peak_block_slots" or "calendar_events_per_s".  Baseline rows the run did not produce pass.  A
 // --sizes entry that is not a positive integer, or a --max-regress that is
 // negative or not finite, exits 2.
 //
@@ -124,6 +126,7 @@ struct RunStats {
   double wall_s = 0;
   std::uint64_t steps = 0;
   std::uint64_t flow_visits = 0;
+  std::uint64_t peak_block_slots = 0;
   double events_per_s = 0;
 };
 
@@ -138,6 +141,7 @@ RunStats TimeRun(const Trace& trace, const SimConfig& sim, EngineKind engine, Si
   stats.wall_s = std::chrono::duration<double>(end - start).count();
   stats.steps = out->steps.steps;
   stats.flow_visits = out->steps.flow_visits;
+  stats.peak_block_slots = out->steps.peak_block_slots;
   stats.events_per_s =
       stats.wall_s > 0 ? static_cast<double>(stats.steps) / stats.wall_s : 0;
   return stats;
@@ -171,18 +175,38 @@ bool DigestMatches(const JsonValue& row, const std::string& label, const std::st
   return true;
 }
 
+// The exact-counter gate: prints a failure and returns false when `count`
+// exceeds the row's committed `field`, or the committed value is no count.
+bool CountWithinBaseline(const JsonValue& row, const std::string& label, const char* field,
+                         std::uint64_t count) {
+  const std::string& base = row.Find(field)->text();
+  const Result<std::uint64_t> pinned = ParseU64(base);
+  if (!pinned.ok()) {
+    std::fprintf(stderr, "FAIL: %s baseline %s '%s' is not a count\n", label.c_str(), field,
+                 base.c_str());
+    return false;
+  }
+  if (count > *pinned) {
+    std::fprintf(stderr, "FAIL: %s %s %llu, baseline %llu\n", label.c_str(), field,
+                 static_cast<unsigned long long>(count),
+                 static_cast<unsigned long long>(*pinned));
+    return false;
+  }
+  return true;
+}
+
 // Gates one row against a committed baseline: the baseline must have the
-// row, its digest and event count must match exactly, its flow visits may
-// not exceed the committed count, and its events/sec may not drop by more
-// than `max_regress`.  Prints each failure and returns false if there was
-// one.
+// row, its digest and event count must match exactly, its flow visits and
+// peak block slots may not exceed the committed counts, and its events/sec
+// may not drop by more than `max_regress`.  Prints each failure and returns
+// false if there was one.
 bool CheckBaseline(const Baseline& baseline, const std::string& label, const std::string& digest,
-                   const std::string& events, std::uint64_t flow_visits, double events_per_s,
-                   double max_regress) {
+                   const std::string& events, const RunStats& stats, double max_regress) {
   const Result<const JsonValue*> row =
       baseline.Row(label, {{"digest", JsonValue::Kind::kString},
                            {"events", JsonValue::Kind::kNumber},
                            {"flow_visits", JsonValue::Kind::kNumber},
+                           {"peak_block_slots", JsonValue::Kind::kNumber},
                            {"calendar_events_per_s", JsonValue::Kind::kNumber}});
   if (!row.ok()) {
     std::fprintf(stderr, "FAIL: %s\n", row.status().message().c_str());
@@ -196,23 +220,14 @@ bool CheckBaseline(const Baseline& baseline, const std::string& label, const std
                  events.c_str(), base_events.c_str());
     ok = false;
   }
-  const std::string& base_visits = (*row)->Find("flow_visits")->text();
-  const Result<std::uint64_t> pinned_visits = ParseU64(base_visits);
-  if (!pinned_visits.ok()) {
-    std::fprintf(stderr, "FAIL: %s baseline flow_visits '%s' is not a count\n", label.c_str(),
-                 base_visits.c_str());
-    ok = false;
-  } else if (flow_visits > *pinned_visits) {
-    std::fprintf(stderr, "FAIL: %s flow_visits %llu, baseline %llu\n", label.c_str(),
-                 static_cast<unsigned long long>(flow_visits),
-                 static_cast<unsigned long long>(*pinned_visits));
-    ok = false;
-  }
+  ok = CountWithinBaseline(**row, label, "flow_visits", stats.flow_visits) && ok;
+  ok = CountWithinBaseline(**row, label, "peak_block_slots", stats.peak_block_slots) && ok;
   // The reader has parsed every number token, so this parse cannot fail.
   const double base = *ParseDouble((*row)->Find("calendar_events_per_s")->text());
-  if (base > 0 && events_per_s < (1.0 - max_regress) * base) {
+  if (base > 0 && stats.events_per_s < (1.0 - max_regress) * base) {
     std::fprintf(stderr, "FAIL: %s regressed: %.0f ev/s vs baseline %.0f (-%.0f%%)\n",
-                 label.c_str(), events_per_s, base, 100.0 * (1.0 - events_per_s / base));
+                 label.c_str(), stats.events_per_s, base,
+                 100.0 * (1.0 - stats.events_per_s / base));
     ok = false;
   }
   return ok;
@@ -271,7 +286,7 @@ int main(int argc, char** argv) {
     baseline = *std::move(loaded);
   }
 
-  Table table({"jobs", "events", "flow visits", "ev/s", "digest"});
+  Table table({"jobs", "events", "flow visits", "peak block slots", "ev/s", "digest"});
   std::vector<RunReport> runs;
   bool failed = false;
   // Adds one row to the table and the report, and gates it against the
@@ -280,15 +295,16 @@ int main(int argc, char** argv) {
                           const RunStats& stats) {
     const std::string digest = FormatDigest(ResultDigest(result));
     const std::string events = std::to_string(stats.steps);
-    table.AddRow({row, events, std::to_string(stats.flow_visits), Fmt(stats.events_per_s), digest});
+    table.AddRow({row, events, std::to_string(stats.flow_visits),
+                  std::to_string(stats.peak_block_slots), Fmt(stats.events_per_s), digest});
     report.AddExtra("events", static_cast<std::int64_t>(stats.steps));
     report.AddExtra("flow_visits", static_cast<std::int64_t>(stats.flow_visits));
+    report.AddExtra("peak_block_slots", static_cast<std::int64_t>(stats.peak_block_slots));
     report.AddExtra("digest", digest);
     report.AddExtra("calendar_wall_s", stats.wall_s);
     report.AddExtra("calendar_events_per_s", stats.events_per_s);
     if (baseline) {
-      failed = !CheckBaseline(*baseline, report.label, digest, events, stats.flow_visits,
-                              stats.events_per_s, *max_regress) ||
+      failed = !CheckBaseline(*baseline, report.label, digest, events, stats, *max_regress) ||
                failed;
     }
     runs.push_back(std::move(report));
@@ -327,7 +343,7 @@ int main(int argc, char** argv) {
                                        static_cast<int>(*repeats), &result);
     const std::string digest = FormatDigest(ResultDigest(result));
     us_per_job.push_back(1e6 * stats.wall_s / n);
-    table.AddRow({"flow/" + std::to_string(n), "-", "-", "-", digest});
+    table.AddRow({"flow/" + std::to_string(n), "-", "-", "-", "-", digest});
     RunReport report = MakeRunReport("flow/" + std::to_string(n) + "-jobs", "flow", result);
     report.AddExtra("digest", digest);
     report.AddExtra("wall_s", stats.wall_s);

@@ -1,6 +1,7 @@
 #include "src/cache/cache_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -30,9 +31,29 @@ CacheManager::DatasetState& CacheManager::GetOrCreate(const Dataset& dataset) {
   if (!state.present) {
     state.present = true;
     state.dataset = dataset;
+    state.resident_bits.assign(static_cast<std::size_t>((dataset.num_blocks + 63) / 64), 0);
     state.block_gen.assign(static_cast<std::size_t>(dataset.num_blocks), 0);
+    block_slots_ += dataset.num_blocks;
   }
   return state;
+}
+
+void CacheManager::ReleaseIfIdle(DatasetState& state) {
+  if (state.present && state.quota == 0 && state.resident == 0 && state.readers.empty()) {
+    block_slots_ -= state.dataset.num_blocks;
+    state = DatasetState{};
+  }
+}
+
+std::vector<std::int64_t> CacheManager::ResidentBlocks(const DatasetState& state) {
+  std::vector<std::int64_t> blocks;
+  blocks.reserve(static_cast<std::size_t>(state.resident));
+  for (std::size_t w = 0; w < state.resident_bits.size(); ++w) {
+    for (std::uint64_t word = state.resident_bits[w]; word != 0; word &= word - 1) {
+      blocks.push_back(static_cast<std::int64_t>(w * 64) + std::countr_zero(word));
+    }
+  }
+  return blocks;
 }
 
 CacheManager::DatasetState* CacheManager::Find(DatasetId dataset) {
@@ -68,15 +89,16 @@ const CacheManager::JobState& CacheManager::JobRef(JobId job) const {
 void CacheManager::Admit(DatasetState& state, std::int64_t block) {
   SILOD_CHECK(block >= 0 && block < state.dataset.num_blocks)
       << "block " << block << " out of range for dataset " << state.dataset.id;
+  state.resident_bits[static_cast<std::size_t>(block) / 64] |= std::uint64_t{1} << (block % 64);
   state.block_gen[static_cast<std::size_t>(block)] = ++generation_;
   state.used += state.dataset.BlockBytes(block);
   ++state.resident;
 }
 
 Bytes CacheManager::Evict(DatasetState& state, std::int64_t block) {
+  SILOD_CHECK(Resident(state, block)) << "evicting non-resident block " << block;
+  state.resident_bits[static_cast<std::size_t>(block) / 64] &= ~(std::uint64_t{1} << (block % 64));
   const std::uint64_t gen = state.block_gen[static_cast<std::size_t>(block)];
-  SILOD_CHECK(gen != 0) << "evicting non-resident block " << block;
-  state.block_gen[static_cast<std::size_t>(block)] = 0;
   const Bytes bytes = state.dataset.BlockBytes(block);
   state.used -= bytes;
   --state.resident;
@@ -111,13 +133,7 @@ Status CacheManager::AllocateCacheSize(const Dataset& dataset, Bytes cache_size)
   // are collected in block order and shuffled once so large shrinks stay
   // O(n) and the outcome is independent of any container iteration order.
   if (state.used > state.quota) {
-    std::vector<std::int64_t> resident;
-    resident.reserve(static_cast<std::size_t>(state.resident));
-    for (std::size_t b = 0; b < state.block_gen.size(); ++b) {
-      if (state.block_gen[b] != 0) {
-        resident.push_back(static_cast<std::int64_t>(b));
-      }
-    }
+    std::vector<std::int64_t> resident = ResidentBlocks(state);
     rng_.Shuffle(resident);
     for (std::int64_t block : resident) {
       if (state.used <= state.quota) {
@@ -126,6 +142,7 @@ Status CacheManager::AllocateCacheSize(const Dataset& dataset, Bytes cache_size)
       Evict(state, block);
     }
   }
+  ReleaseIfIdle(state);
   return Status::Ok();
 }
 
@@ -135,15 +152,18 @@ Bytes CacheManager::Allocation(DatasetId dataset) const {
 }
 
 bool CacheManager::AccessBlock(const Dataset& dataset, std::int64_t block) {
-  DatasetState& state = GetOrCreate(dataset);
   SILOD_CHECK(block >= 0 && block < dataset.num_blocks)
       << "block " << block << " out of range for dataset " << dataset.id;
-  if (state.block_gen[static_cast<std::size_t>(block)] != 0) {
+  DatasetState* state = Find(dataset.id);
+  if (state == nullptr) {
+    return false;  // Quota 0: every block (at least one byte) misses unadmitted.
+  }
+  if (Resident(*state, block)) {
     return true;
   }
   // Miss: the caller fetches remotely; admit under uniform caching.
-  if (state.used + state.dataset.BlockBytes(block) <= state.quota) {
-    Admit(state, block);
+  if (state->used + state->dataset.BlockBytes(block) <= state->quota) {
+    Admit(*state, block);
   }
   return false;
 }
@@ -171,15 +191,9 @@ std::int64_t CacheManager::EvictDatasetFraction(DatasetId dataset, double fracti
   if (state == nullptr) {
     return 0;
   }
-  // Candidates come out of the flat residency array already sorted by block,
-  // so the shuffle outcome is bit-identical across platforms.
-  std::vector<std::int64_t> resident;
-  resident.reserve(static_cast<std::size_t>(state->resident));
-  for (std::size_t b = 0; b < state->block_gen.size(); ++b) {
-    if (state->block_gen[b] != 0) {
-      resident.push_back(static_cast<std::int64_t>(b));
-    }
-  }
+  // Candidates come out of the residency bits already sorted by block, so
+  // the shuffle outcome is bit-identical across platforms.
+  std::vector<std::int64_t> resident = ResidentBlocks(*state);
   rng_.Shuffle(resident);
   const auto count = static_cast<std::size_t>(
       static_cast<double>(resident.size()) * fraction + 0.5);
@@ -191,6 +205,7 @@ std::int64_t CacheManager::EvictDatasetFraction(DatasetId dataset, double fracti
     }
     ++evicted;
   }
+  ReleaseIfIdle(*state);
   return evicted;
 }
 
@@ -201,24 +216,13 @@ Bytes CacheManager::CachedBytes(DatasetId dataset) const {
 
 bool CacheManager::IsCached(DatasetId dataset, std::int64_t block) const {
   const DatasetState* state = Find(dataset);
-  return state != nullptr && block >= 0 &&
-         static_cast<std::size_t>(block) < state->block_gen.size() &&
-         state->block_gen[static_cast<std::size_t>(block)] != 0;
+  return state != nullptr && block >= 0 && block < state->dataset.num_blocks &&
+         Resident(*state, block);
 }
 
 std::vector<std::int64_t> CacheManager::CachedBlocks(DatasetId dataset) const {
-  std::vector<std::int64_t> blocks;
   const DatasetState* state = Find(dataset);
-  if (state == nullptr) {
-    return blocks;
-  }
-  blocks.reserve(static_cast<std::size_t>(state->resident));
-  for (std::size_t b = 0; b < state->block_gen.size(); ++b) {
-    if (state->block_gen[b] != 0) {
-      blocks.push_back(static_cast<std::int64_t>(b));
-    }
-  }
-  return blocks;  // Flat-array scan order is already sorted.
+  return state == nullptr ? std::vector<std::int64_t>{} : ResidentBlocks(*state);
 }
 
 Status CacheManager::RestoreCachedBlocks(const Dataset& dataset,
@@ -226,9 +230,10 @@ Status CacheManager::RestoreCachedBlocks(const Dataset& dataset,
   DatasetState& state = GetOrCreate(dataset);
   for (const std::int64_t block : blocks) {
     if (block < 0 || block >= dataset.num_blocks) {
+      ReleaseIfIdle(state);
       return Status::InvalidArgument("restored block out of range");
     }
-    if (state.block_gen[static_cast<std::size_t>(block)] != 0) {
+    if (Resident(state, block)) {
       continue;
     }
     if (state.used + dataset.BlockBytes(block) > state.quota) {
@@ -236,6 +241,7 @@ Status CacheManager::RestoreCachedBlocks(const Dataset& dataset,
     }
     Admit(state, block);
   }
+  ReleaseIfIdle(state);
   return Status::Ok();
 }
 
@@ -266,6 +272,7 @@ void CacheManager::UnregisterJob(JobId job) {
   if (state.dataset >= 0 && index < datasets_.size()) {
     auto& readers = datasets_[index].readers;
     readers.erase(std::remove(readers.begin(), readers.end(), job), readers.end());
+    ReleaseIfIdle(datasets_[index]);
   }
   state = JobState{};
 }

@@ -12,14 +12,18 @@
 //     generation at which the job's epoch started.
 //
 // Storage is arena-style: datasets and jobs live in flat vectors indexed by
-// their dense DatasetId/JobId, and each dataset's residency is a flat
-// generation-per-block array (0 = absent).  Per-job effective bytes are
+// their dense DatasetId/JobId.  Each dataset keeps one residency bit per
+// block, the only residency test (hits, eviction checks and the ascending
+// scans that feed the eviction shuffle), beside a generation-per-block array
+// that Admit writes and only Evict reads.  Per-job effective bytes are
 // maintained incrementally — admissions carry a fresh generation (never
 // effective for any current epoch), evictions subtract from exactly the
 // registered readers whose epoch they were effective for — so EffectiveBytes
-// is O(1) instead of a scan over every resident block.  This is what lets
-// the fine engine rebuild snapshots for 10k–100k-job traces at interactive
-// speed (docs/MODEL.md §9).
+// is O(1) instead of a scan over every resident block.  A dataset with quota
+// 0, nothing resident and no registered reader is released back to absent,
+// so the per-block arrays follow the live datasets, not the trace's history.
+// This is what lets the fine engine rebuild snapshots for 10k–100k-job
+// traces at interactive speed (docs/MODEL.md §9).
 #ifndef SILOD_SRC_CACHE_CACHE_MANAGER_H_
 #define SILOD_SRC_CACHE_CACHE_MANAGER_H_
 
@@ -51,6 +55,8 @@ class CacheManager {
   // --- Item path (driven by the fine engine / the rt fetch path) ----------
   // Records a read of `block`.  Returns true on hit.  On miss the caller
   // fetches remotely and the manager admits the block under uniform caching.
+  // An absent dataset (never allocated, or released) has quota 0: the read
+  // misses and nothing is created.
   bool AccessBlock(const Dataset& dataset, std::int64_t block);
   Bytes CachedBytes(DatasetId dataset) const;
   bool IsCached(DatasetId dataset, std::int64_t block) const;
@@ -94,6 +100,10 @@ class CacheManager {
   // O(1): maintained incrementally across admissions and evictions.
   Bytes EffectiveBytes(JobId job) const;
 
+  // Per-block generation slots held across the present datasets: their
+  // num_blocks summed.  The fine engine reports its peak (EngineStepCounters).
+  std::int64_t block_slots() const { return block_slots_; }
+
   // --- Crash forensics (fault/minidump.h) -----------------------------------
   // The eviction shuffle stream.  Minidumps capture and restore its raw state
   // so a replayed shrink evicts exactly the blocks the live run evicted; no
@@ -108,9 +118,12 @@ class CacheManager {
     Bytes quota = 0;
     Bytes used = 0;
     std::int64_t resident = 0;
-    // Insertion generation per block, 0 = not resident.  Flat so residency
-    // scans walk memory in block order (which also makes eviction candidate
-    // collection deterministically sorted before the shuffle).
+    // One bit per block, 64 to a word: set iff the block is resident.  Scans
+    // walk the words in block order, so eviction candidates come out sorted
+    // before the shuffle.
+    std::vector<std::uint64_t> resident_bits;
+    // Insertion generation per block, meaningful where the bit is set:
+    // written by Admit, read only by Evict for the effectiveness comparison.
     std::vector<std::uint64_t> block_gen;
     // Jobs registered on this dataset: the readers whose effective bytes an
     // eviction may reduce.
@@ -124,6 +137,15 @@ class CacheManager {
   };
 
   DatasetState& GetOrCreate(const Dataset& dataset);
+  // Resets the dataset to absent if its quota is 0, nothing is resident and
+  // no job is registered on it: a re-created state is indistinguishable
+  // from the released one.
+  void ReleaseIfIdle(DatasetState& state);
+  static bool Resident(const DatasetState& state, std::int64_t block) {
+    return (state.resident_bits[static_cast<std::size_t>(block) / 64] >> (block % 64)) & 1;
+  }
+  // The resident blocks, ascending.
+  static std::vector<std::int64_t> ResidentBlocks(const DatasetState& state);
   DatasetState* Find(DatasetId dataset);
   const DatasetState* Find(DatasetId dataset) const;
   JobState& JobRef(JobId job);
@@ -138,6 +160,7 @@ class CacheManager {
   Bytes total_capacity_;
   Bytes total_allocated_ = 0;
   std::uint64_t generation_ = 0;
+  std::int64_t block_slots_ = 0;
   Rng rng_;
   std::vector<DatasetState> datasets_;  // Indexed by DatasetId.
   std::vector<JobState> jobs_;          // Indexed by JobId.

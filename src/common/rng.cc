@@ -13,8 +13,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -24,33 +22,9 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> uniform in [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::NextBelow(std::uint64_t n) {
-  // Lemire's nearly-divisionless method would be overkill; simple rejection on
-  // the top bits keeps the distribution exactly uniform.
-  const std::uint64_t threshold = -n % n;
-  for (;;) {
-    std::uint64_t r = NextU64();
-    if (r >= threshold) {
-      return r % n;
-    }
-  }
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }

@@ -10,6 +10,7 @@
 #define SILOD_SRC_COMMON_RNG_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -20,13 +21,37 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x5157D00DULL);
 
   // Uniform bits in [0, 2^64).
-  std::uint64_t NextU64();
+  std::uint64_t NextU64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Uniform integer in [0, n).  n must be > 0.
-  std::uint64_t NextBelow(std::uint64_t n);
+  // Uniform integer in [0, n).  n must be > 0.  Rejection on the low end
+  // keeps the distribution exactly uniform: a draw below 2^64 mod n is
+  // redrawn.  That threshold is below n, so a draw of at least n is accepted
+  // without computing it, with one division; the stream and the outputs are
+  // those of the loop that computes the threshold first.
+  std::uint64_t NextBelow(std::uint64_t n) {
+    std::uint64_t r = NextU64();
+    if (r >= n) {
+      return r % n;
+    }
+    const std::uint64_t threshold = -n % n;
+    while (r < threshold) {
+      r = NextU64();
+    }
+    return r % n;
+  }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/core/recovery.h"
@@ -21,6 +23,19 @@ static_assert(kPrefetchWindow >= 1, "prefetch window must be >= 1");
 
 }  // namespace
 
+Status ValidateFineBlockCounts(const Trace& trace) {
+  constexpr std::int64_t kMaxBlocks = std::numeric_limits<std::int32_t>::max();
+  for (const Dataset& d : trace.catalog.all()) {
+    if (d.num_blocks > kMaxBlocks) {
+      return Status::InvalidArgument("dataset " + std::to_string(d.id) + " (" + d.name +
+                                     ") has " + std::to_string(d.num_blocks) +
+                                     " blocks; the fine engine takes at most " +
+                                     std::to_string(kMaxBlocks));
+    }
+  }
+  return Status::Ok();
+}
+
 FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
                        SimConfig config, FineEngineOptions options)
     : trace_(trace), scheduler_(std::move(scheduler)),
@@ -28,6 +43,8 @@ FineEngine::FineEngine(const Trace* trace, std::shared_ptr<Scheduler> scheduler,
       options_(options),
       cache_manager_(config_.resources.total_cache, config_.seed ^ 0xCACE), rng_(config_.seed) {
   SILOD_CHECK(scheduler_ != nullptr) << "scheduler required";
+  const Status blocks = ValidateFineBlockCounts(*trace_);
+  SILOD_CHECK(blocks.ok()) << blocks.ToString();
 
   const StorageFabric fabric{config_.fabric};
   fabric_rate_ = fabric.PerServerCacheReadRate(config_.resources.num_servers);
@@ -246,6 +263,16 @@ void FineEngine::Reschedule(Seconds now) {
       StartNextFetch(s, now);
     }
   }
+  NoteBlockSlots();
+}
+
+// Slots grow only in a reschedule (quota grows, job registrations, first
+// epoch orders) and in a Data Manager restart; everywhere else they shrink
+// or stay, so noting them at those two points finds the exact peak.
+void FineEngine::NoteBlockSlots() {
+  counters_.peak_block_slots =
+      std::max(counters_.peak_block_slots,
+               static_cast<std::uint64_t>(order_slots_ + cache_manager_.block_slots()));
 }
 
 void FineEngine::BeginEpoch(JobState& s) {
@@ -254,8 +281,9 @@ void FineEngine::BeginEpoch(JobState& s) {
     return;  // Curriculum jobs have no epoch structure (§7.4).
   }
   const Dataset& d = trace_->catalog.Get(s.spec->dataset);
+  order_slots_ += d.num_blocks - static_cast<std::int64_t>(s.order.size());
   s.order.resize(static_cast<std::size_t>(d.num_blocks));
-  std::iota(s.order.begin(), s.order.end(), std::int64_t{0});
+  std::iota(s.order.begin(), s.order.end(), std::int32_t{0});
   s.rng.Shuffle(s.order);
   s.epoch_index = 0;
   if (plan_.cache_model == CacheModelKind::kDatasetQuota) {
@@ -636,6 +664,7 @@ void FineEngine::ApplyFault(const FaultEvent& event, Seconds now) {
           cache_manager_.RegisterJob(id, trace_->catalog.Get(s.spec->dataset));
         }
       }
+      NoteBlockSlots();
       return;
     }
   }
@@ -678,6 +707,8 @@ bool FineEngine::FireJobEvent(JobState& s, Seconds now) {
         cache_manager_.UnregisterJob(s.spec->id);
       }
       s.private_cache.reset();  // CoorDL's cache goes with the finished job.
+      order_slots_ -= static_cast<std::int64_t>(s.order.size());
+      std::vector<std::int32_t>().swap(s.order);
       return true;
     case Phase::kIdle:
       break;

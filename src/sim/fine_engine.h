@@ -17,6 +17,7 @@
 #ifndef SILOD_SRC_SIM_FINE_ENGINE_H_
 #define SILOD_SRC_SIM_FINE_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "src/cache/cache_manager.h"
 #include "src/cache/item_cache.h"
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/sched/policy.h"
 #include "src/sim/cluster.h"
 #include "src/sim/cluster_fault_state.h"
@@ -39,6 +41,11 @@ struct FineEngineOptions {
   // Metrics sampling period on top of event-driven samples.
   Seconds sample_period = Minutes(5);
 };
+
+// The fine engine's epoch orders hold 32-bit block indices, so it takes no
+// dataset of more than INT32_MAX blocks.  InvalidArgument names the first
+// catalog dataset past that bound; the constructor SILOD_CHECKs the same.
+Status ValidateFineBlockCounts(const Trace& trace);
 
 class FineEngine {
  public:
@@ -68,7 +75,7 @@ class FineEngine {
     std::int64_t blocks_total = 0;    // Blocks to fetch over the job's life.
     std::int64_t blocks_fetched = 0;
     std::int64_t epoch_fetched = 0;   // Completed fetches in the current epoch.
-    std::vector<std::int64_t> order;  // Current epoch's permutation.
+    std::vector<std::int32_t> order;  // Current epoch's permutation; freed at finish.
     std::int64_t epoch_index = 0;     // Position within `order`.
     std::int64_t epochs_done = 0;
 
@@ -114,6 +121,8 @@ class FineEngine {
   bool CacheAccess(JobState& s, std::int64_t block);  // True on hit.
   void RecordMetrics(Seconds now);
   Bytes EffectiveBytesFor(const JobState& s);
+  // Raises counters_.peak_block_slots to the slots held now.
+  void NoteBlockSlots();
 
   // Fault events fire from the main event loop and each one triggers an
   // immediate reschedule; faults_ applies the cluster effect, this the loss.
@@ -174,6 +183,7 @@ class FineEngine {
   std::vector<std::int32_t> due_;            // Scratch: keys due this step.
   bool flows_dirty_ = true;                  // Miss set, caps or capacity changed.
   bool wants_dirty_ = true;                  // Throttles or resources may have moved.
+  std::int64_t order_slots_ = 0;             // Entries held by the jobs' epoch orders.
   EngineStepCounters counters_;
 };
 

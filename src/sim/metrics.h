@@ -44,8 +44,8 @@ struct JobResult {
 // performance regressions observable: `steps` bounds wall time, the per-phase
 // completion counts say which events fired, and `calendar_updates` measures
 // indexing work.  All of them are deterministic, so ResultDigest pins them
-// with the physics, all but flow_visits, which bench_engine_scaling gates on
-// its own.
+// with the physics, all but flow_visits and peak_block_slots, which
+// bench_engine_scaling gates on their own.
 struct EngineStepCounters {
   std::uint64_t steps = 0;             // Main-loop iterations.
   std::uint64_t miss_completions = 0;  // Remote fetches finished.
@@ -59,6 +59,9 @@ struct EngineStepCounters {
   // Jobs whose rate a flow recompute evaluated: an exact work count, kept
   // out of ResultDigest so that the digest pins results, not this cost.
   std::uint64_t flow_visits = 0;
+  // The most per-block slots held at once: epoch-order entries plus
+  // CacheManager generation slots.  Also kept out of ResultDigest.
+  std::uint64_t peak_block_slots = 0;
 };
 
 struct SimResult {

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/analytic.h"
@@ -13,6 +16,7 @@
 #include "src/cache/item_cache.h"
 #include "src/cache/quiver.h"
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/estimator/profiler.h"
 #include "src/workload/model_zoo.h"
@@ -403,6 +407,257 @@ TEST_F(CacheManagerTest, SharingJobSeesPriorJobsBlocksAsEffective) {
   manager_.StartJobEpoch(2);
   EXPECT_EQ(manager_.EffectiveBytes(2), 20 * MB(100));
   EXPECT_EQ(manager_.EffectiveBytes(1), 0);
+}
+
+// The generation-array manager the residency bits replaced: one insertion
+// generation per block (0 = absent), a dataset created on its first touch
+// and never released, and effective bytes by the defining scan (resident
+// blocks inserted no later than the job's epoch snapshot).  Only the calls
+// ResidencyBitsMatchOracle makes.
+class GenerationArrayOracle {
+ public:
+  GenerationArrayOracle(Bytes capacity, std::uint64_t seed) : capacity_(capacity), rng_(seed) {}
+
+  Status AllocateCacheSize(const Dataset& dataset, Bytes cache_size) {
+    State& state = Get(dataset);
+    const Bytes delta = cache_size - state.quota;
+    if (delta > 0 && allocated_ + delta > capacity_) {
+      return Status::ResourceExhausted("over-committed");
+    }
+    allocated_ += delta;
+    state.quota = cache_size;
+    if (state.used > state.quota) {
+      std::vector<std::int64_t> resident = Resident(state);
+      rng_.Shuffle(resident);
+      for (const std::int64_t block : resident) {
+        if (state.used <= state.quota) {
+          break;
+        }
+        Evict(state, block);
+      }
+    }
+    return Status::Ok();
+  }
+  bool AccessBlock(const Dataset& dataset, std::int64_t block) {
+    State& state = Get(dataset);
+    if (state.gen[static_cast<std::size_t>(block)] != 0) {
+      return true;
+    }
+    if (state.used + dataset.BlockBytes(block) <= state.quota) {
+      Admit(state, block);
+    }
+    return false;
+  }
+  std::int64_t EvictRandomFraction(double fraction) {
+    std::int64_t evicted = 0;
+    for (auto& [id, state] : datasets_) {
+      evicted += EvictDatasetFraction(id, fraction, nullptr);
+    }
+    return evicted;
+  }
+  std::int64_t EvictDatasetFraction(DatasetId id, double fraction, Bytes* bytes_evicted) {
+    const auto it = datasets_.find(id);
+    if (it == datasets_.end()) {
+      return 0;
+    }
+    std::vector<std::int64_t> resident = Resident(it->second);
+    rng_.Shuffle(resident);
+    const auto count =
+        static_cast<std::size_t>(static_cast<double>(resident.size()) * fraction + 0.5);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Bytes bytes = Evict(it->second, resident[i]);
+      if (bytes_evicted != nullptr) {
+        *bytes_evicted += bytes;
+      }
+    }
+    return static_cast<std::int64_t>(count);
+  }
+  Status RestoreCachedBlocks(const Dataset& dataset, const std::vector<std::int64_t>& blocks) {
+    State& state = Get(dataset);
+    for (const std::int64_t block : blocks) {
+      if (block < 0 || block >= dataset.num_blocks) {
+        return Status::InvalidArgument("restored block out of range");
+      }
+      if (state.gen[static_cast<std::size_t>(block)] == 0 &&
+          state.used + dataset.BlockBytes(block) <= state.quota) {
+        Admit(state, block);
+      }
+    }
+    return Status::Ok();
+  }
+  void RegisterJob(JobId job, const Dataset& dataset) {
+    Get(dataset);
+    jobs_[job] = {dataset.id, generation_};
+  }
+  void UnregisterJob(JobId job) { jobs_.erase(job); }
+  void StartJobEpoch(JobId job) { jobs_.at(job).second = generation_; }
+
+  Bytes EffectiveBytes(JobId job) const {
+    const auto& [id, epoch_generation] = jobs_.at(job);
+    const State& state = datasets_.at(id);
+    Bytes effective = 0;
+    for (std::size_t b = 0; b < state.gen.size(); ++b) {
+      if (state.gen[b] != 0 && state.gen[b] <= epoch_generation) {
+        effective += state.dataset.BlockBytes(static_cast<std::int64_t>(b));
+      }
+    }
+    return effective;
+  }
+  bool IsCached(DatasetId id, std::int64_t block) const {
+    const auto it = datasets_.find(id);
+    return it != datasets_.end() && block >= 0 && block < it->second.dataset.num_blocks &&
+           it->second.gen[static_cast<std::size_t>(block)] != 0;
+  }
+  std::vector<std::int64_t> CachedBlocks(DatasetId id) const {
+    const auto it = datasets_.find(id);
+    return it == datasets_.end() ? std::vector<std::int64_t>{} : Resident(it->second);
+  }
+  Bytes CachedBytes(DatasetId id) const {
+    const auto it = datasets_.find(id);
+    return it == datasets_.end() ? 0 : it->second.used;
+  }
+  Bytes Allocation(DatasetId id) const {
+    const auto it = datasets_.find(id);
+    return it == datasets_.end() ? 0 : it->second.quota;
+  }
+  Bytes total_allocated() const { return allocated_; }
+  const Rng& eviction_rng() const { return rng_; }
+
+ private:
+  struct State {
+    Dataset dataset;
+    Bytes quota = 0;
+    Bytes used = 0;
+    std::vector<std::uint64_t> gen;
+  };
+  State& Get(const Dataset& dataset) {
+    auto [it, inserted] = datasets_.try_emplace(dataset.id);
+    if (inserted) {
+      it->second.dataset = dataset;
+      it->second.gen.assign(static_cast<std::size_t>(dataset.num_blocks), 0);
+    }
+    return it->second;
+  }
+  static std::vector<std::int64_t> Resident(const State& state) {
+    std::vector<std::int64_t> blocks;
+    for (std::size_t b = 0; b < state.gen.size(); ++b) {
+      if (state.gen[b] != 0) {
+        blocks.push_back(static_cast<std::int64_t>(b));
+      }
+    }
+    return blocks;
+  }
+  void Admit(State& state, std::int64_t block) {
+    state.gen[static_cast<std::size_t>(block)] = ++generation_;
+    state.used += state.dataset.BlockBytes(block);
+  }
+  Bytes Evict(State& state, std::int64_t block) {
+    state.gen[static_cast<std::size_t>(block)] = 0;
+    const Bytes bytes = state.dataset.BlockBytes(block);
+    state.used -= bytes;
+    return bytes;
+  }
+
+  Bytes capacity_;
+  Bytes allocated_ = 0;
+  std::uint64_t generation_ = 0;
+  Rng rng_;
+  std::map<DatasetId, State> datasets_;
+  std::map<JobId, std::pair<DatasetId, std::uint64_t>> jobs_;  // Dataset, epoch generation.
+};
+
+TEST(CacheManager, ResidencyBitsMatchOracle) {
+  // Word-boundary sizes; the 65-block dataset ends in a short block.
+  std::vector<Dataset> datasets;
+  for (const std::int64_t blocks : {1, 63, 64, 65, 130}) {
+    const Bytes size = blocks == 65 ? 64 * MB(1) + KB(100) : blocks * MB(1);
+    datasets.push_back(MakeDataset(static_cast<DatasetId>(datasets.size()),
+                                   "d" + std::to_string(blocks), size, MB(1)));
+  }
+  constexpr int kJobs = 6;
+  int releases = 0;
+  int recreations = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    CacheManager manager(MB(200), seed);
+    GenerationArrayOracle oracle(MB(200), seed);
+    Rng ops(seed + 100);
+    std::vector<int> job_dataset(kJobs, -1);  // -1: not registered.
+    std::vector<bool> released(datasets.size(), false);
+    for (int step = 0; step < 3000; ++step) {
+      const Dataset& d = datasets[ops.NextBelow(datasets.size())];
+      const auto job = static_cast<JobId>(ops.NextBelow(kJobs));
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step) + " on " +
+                   d.name);
+      const std::int64_t slots_before = manager.block_slots();
+      const std::uint64_t op = ops.NextBelow(100);
+      if (op < 55) {
+        const auto block = static_cast<std::int64_t>(ops.NextBelow(d.num_blocks));
+        ASSERT_EQ(manager.AccessBlock(d, block), oracle.AccessBlock(d, block));
+      } else if (op < 72) {
+        // Quota 0 a third of the time: shrinks to nothing and regrowth.
+        const Bytes quota = ops.NextBelow(3) == 0
+                                ? 0
+                                : static_cast<Bytes>(ops.NextBelow(
+                                      static_cast<std::uint64_t>(d.size) + 1));
+        ASSERT_EQ(manager.AllocateCacheSize(d, quota).ok(),
+                  oracle.AllocateCacheSize(d, quota).ok());
+      } else if (op < 78) {
+        const double fraction = ops.NextDouble();
+        Bytes got = 0;
+        Bytes want = 0;
+        ASSERT_EQ(manager.EvictDatasetFraction(d.id, fraction, &got),
+                  oracle.EvictDatasetFraction(d.id, fraction, &want));
+        ASSERT_EQ(got, want);
+      } else if (op < 80) {
+        const double fraction = ops.NextDouble();
+        ASSERT_EQ(manager.EvictRandomFraction(fraction), oracle.EvictRandomFraction(fraction));
+      } else if (op < 85) {
+        std::vector<std::int64_t> blocks;
+        for (std::int64_t b = 0; b < d.num_blocks; ++b) {
+          if (ops.NextBelow(2) == 0) {
+            blocks.push_back(b);
+          }
+        }
+        ASSERT_EQ(manager.RestoreCachedBlocks(d, blocks).ok(),
+                  oracle.RestoreCachedBlocks(d, blocks).ok());
+      } else if (job_dataset[static_cast<std::size_t>(job)] < 0) {
+        manager.RegisterJob(job, d);
+        oracle.RegisterJob(job, d);
+        job_dataset[static_cast<std::size_t>(job)] = d.id;
+      } else if (op < 93) {
+        manager.UnregisterJob(job);
+        oracle.UnregisterJob(job);
+        job_dataset[static_cast<std::size_t>(job)] = -1;
+      } else {
+        manager.StartJobEpoch(job);
+        oracle.StartJobEpoch(job);
+      }
+      if (manager.block_slots() < slots_before) {
+        ++releases;
+        released[static_cast<std::size_t>(d.id)] = true;
+      } else if (manager.block_slots() > slots_before && released[static_cast<std::size_t>(d.id)]) {
+        ++recreations;
+      }
+      for (const Dataset& each : datasets) {
+        for (std::int64_t b = -1; b <= each.num_blocks; ++b) {
+          ASSERT_EQ(manager.IsCached(each.id, b), oracle.IsCached(each.id, b)) << each.name;
+        }
+        ASSERT_EQ(manager.CachedBlocks(each.id), oracle.CachedBlocks(each.id)) << each.name;
+        ASSERT_EQ(manager.CachedBytes(each.id), oracle.CachedBytes(each.id)) << each.name;
+        ASSERT_EQ(manager.Allocation(each.id), oracle.Allocation(each.id)) << each.name;
+      }
+      for (JobId j = 0; j < kJobs; ++j) {
+        if (job_dataset[static_cast<std::size_t>(j)] >= 0) {
+          ASSERT_EQ(manager.EffectiveBytes(j), oracle.EffectiveBytes(j)) << "job " << j;
+        }
+      }
+      ASSERT_EQ(manager.total_allocated(), oracle.total_allocated());
+      ASSERT_EQ(manager.eviction_rng().state(), oracle.eviction_rng().state());
+    }
+  }
+  // The mix released idle datasets and re-created released ones.
+  EXPECT_GT(releases, 50);
+  EXPECT_GT(recreations, 50);
 }
 
 // ----------------------------------------------------------------- Quiver --

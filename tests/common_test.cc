@@ -3,10 +3,12 @@
 // backoff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string_view>
@@ -89,6 +91,49 @@ TEST(Rng, NextBelowIsUniformish) {
   for (int c : counts) {
     EXPECT_NEAR(c, kDraws / 10, kDraws / 10 * 0.1);
   }
+}
+
+// The rejection loop NextBelow had before its one-division fast path:
+// computes 2^64 mod n first, then redraws below it.  `draws` counts the
+// NextU64 calls.
+std::uint64_t TwoDivisionNextBelow(Rng& rng, std::uint64_t n, int* draws) {
+  const std::uint64_t threshold = -n % n;
+  for (;;) {
+    const std::uint64_t r = rng.NextU64();
+    ++*draws;
+    if (r >= threshold) {
+      return r % n;
+    }
+  }
+}
+
+TEST(Rng, NextBelowMatchesTwoDivisionLoop) {
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo62 = std::uint64_t{1} << 62;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  // Small n, both sides of 2^32, and the n near 2^64 where a draw below n
+  // is common and 2^64 mod n is large enough that rejection is frequent.
+  const std::uint64_t fixed[] = {1,          2,          3,
+                                 kTwo32 - 1, kTwo32 + 1, kTwo63,
+                                 kTwo63 + 1, 3 * kTwo62, std::numeric_limits<std::uint64_t>::max()};
+  int rejections = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng subject(seed);
+    Rng oracle(seed);
+    Rng sizes(seed + 1000);
+    for (int i = 0; i < 4000; ++i) {
+      // Every fixed n, then random n of every magnitude.
+      const std::uint64_t n = i < 900 ? fixed[i % std::size(fixed)]
+                                      : std::max<std::uint64_t>(
+                                            1, sizes.NextU64() >> sizes.NextBelow(64));
+      int draws = 0;
+      const std::uint64_t want = TwoDivisionNextBelow(oracle, n, &draws);
+      rejections += draws - 1;
+      ASSERT_EQ(subject.NextBelow(n), want) << "seed " << seed << " n " << n;
+      ASSERT_EQ(subject.state(), oracle.state()) << "seed " << seed << " n " << n;
+    }
+  }
+  EXPECT_GT(rejections, 500);  // The redraw path ran, not only the fast path.
 }
 
 TEST(Rng, ExponentialMean) {

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -602,6 +604,16 @@ TEST(FineEngine, StepCountersAccountForEveryBlock) {
   EXPECT_GT(result.steps.steps, 0u);
 }
 
+// The peak of per-block slots held at once: the job's 625-entry epoch order
+// plus its dataset's 625 generation slots in the cache manager.
+TEST(FineEngine, PeakBlockSlotsCountOrderAndGenerations) {
+  ExperimentConfig config;
+  config.policy = "fifo+silod";
+  config.sim = SmallCluster(GB(10), MBps(50));
+  config.engine = EngineKind::kFine;
+  EXPECT_EQ(RunExperiment(SingleJobTrace(3.0), config).steps.peak_block_slots, 1250u);
+}
+
 // Regression: curriculum jobs never cross an epoch boundary, so the
 // per-job-static (CoorDL) model must not gate their effective cache on
 // epochs_done — before the fix they permanently reported zero.
@@ -932,6 +944,25 @@ TEST(SimInputs, RejectsMalformedTraceAndTopology) {
   }
 
   EXPECT_TRUE(ValidateSimInputs(SingleJobTrace(1), config).ok());
+}
+
+// The fine engine's epoch orders hold 32-bit block indices.  A 4 TB dataset
+// of 1-byte blocks used to abort the fine engine with std::bad_alloc; the
+// flow engine keeps no per-block state and runs it.
+TEST(SimInputs, FineEngineBoundsBlockCounts) {
+  constexpr Bytes kMaxBlocks = std::numeric_limits<std::int32_t>::max();
+  Trace at_bound = SingleJobTrace(1);
+  at_bound.catalog.Add("at-bound", kMaxBlocks, 1);
+  EXPECT_TRUE(ValidateFineBlockCounts(at_bound).ok());
+
+  Trace past_bound = SingleJobTrace(1);
+  past_bound.catalog.Add("past-bound", kMaxBlocks + 1, 1);
+  const Status st = ValidateFineBlockCounts(past_bound);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(st, "dataset 1 (past-bound) has 2147483648 blocks")) << st.ToString();
+  EXPECT_DEATH(FineEngine(&past_bound, MakeScheduler(SchedulerKind::kFifo, CacheSystem::kSiloD),
+                          SmallCluster(GB(10), MBps(100))),
+               "past-bound");
 }
 
 }  // namespace

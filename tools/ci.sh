@@ -169,9 +169,9 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   # 2048 and 8192 jobs.  With --baseline, bench_engine_scaling fails on a row
   # whose ResultDigest or event count differs from the committed
   # BENCH_engine_scaling.json (exact: the fine engine's stepping is pinned
-  # bit-for-bit), on more flow visits than committed (an exact work
-  # counter), on calendar events/sec more than 30% below the committed
-  # value, and when the flow engine's wall time per job at 8192 jobs is more
+  # bit-for-bit), on more flow visits or peak block slots than committed
+  # (exact work and memory counters), on calendar events/sec more than 30%
+  # below the committed value, and when the flow engine's wall time per job at 8192 jobs is more
   # than twice that at 2048 (both timed in this run).  The self-tests run
   # before that run, so a host too slow for the events/sec bound still runs
   # every exact check before the bound can stop the stage (set -e): each
@@ -179,8 +179,10 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   # altered (a digest failure; for the scaling bench a calendar row's
   # and a flow row's), against the other bench's committed file, against its
   # own file cut to 200 bytes, against an empty file, and against a copy
-  # with one gated field deleted; the scaling bench also against a copy with
-  # calendar/64-jobs' flow_visits lowered by one; a NaN --max-regress or a
+  # with one gated field deleted; the scaling bench also against copies with
+  # calendar/64-jobs' flow_visits, or its peak_block_slots (the most
+  # epoch-order entries plus cache generation slots held at once), lowered
+  # by one; a NaN --max-regress or a
   # malformed --sizes entry must exit 2.  The self-tests time each row once
   # (--repeats=1) to stay short.
   echo "=== [scaling-smoke] configure ==="
@@ -214,20 +216,23 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   rc=0; ./build-ci-smoke/bench/$flow_cmd >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
   [[ "$rc" == 1 ]] && grep -q '^FAIL: flow/2048-jobs result digest' build-ci-smoke/self_test.err \
       || { echo "scaling-smoke: $flow_cmd exited $rc without the flow row's digest failure, want 1"; exit 1; }
-  lowered_visits="build-ci-smoke/BENCH_engine_scaling.lowered_visits.json"
-  awk '/"label": "calendar\/64-jobs"/ { row = 1 }
-       row && match($0, /"flow_visits": [0-9]+/) {
-         split(substr($0, RSTART, RLENGTH), kv, ": ")
-         $0 = substr($0, 1, RSTART - 1) "\"flow_visits\": " (kv[2] - 1) substr($0, RSTART + RLENGTH)
-         row = 0
-       }
-       { print }' BENCH_engine_scaling.json > "$lowered_visits"
-  ! cmp -s BENCH_engine_scaling.json "$lowered_visits" \
-      || { echo "scaling-smoke: no calendar/64-jobs flow_visits to lower"; exit 1; }
-  rc=0; ./build-ci-smoke/bench/$scaling --baseline="$lowered_visits" \
-      >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
-  [[ "$rc" == 1 ]] && grep -q '^FAIL: calendar/64-jobs flow_visits' build-ci-smoke/self_test.err \
-      || { echo "scaling-smoke: a lowered flow_visits exited $rc without its FAIL: line, want 1"; exit 1; }
+  for counter in flow_visits peak_block_slots; do
+    lowered="build-ci-smoke/BENCH_engine_scaling.lowered_$counter.json"
+    awk -v key="\"$counter\": " \
+        '/"label": "calendar\/64-jobs"/ { row = 1 }
+         row && match($0, key "[0-9]+") {
+           value = substr($0, RSTART + length(key), RLENGTH - length(key))
+           $0 = substr($0, 1, RSTART - 1) key (value - 1) substr($0, RSTART + RLENGTH)
+           row = 0
+         }
+         { print }' BENCH_engine_scaling.json > "$lowered"
+    ! cmp -s BENCH_engine_scaling.json "$lowered" \
+        || { echo "scaling-smoke: no calendar/64-jobs $counter to lower"; exit 1; }
+    rc=0; ./build-ci-smoke/bench/$scaling --baseline="$lowered" \
+        >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
+    [[ "$rc" == 1 ]] && grep -q "^FAIL: calendar/64-jobs $counter" build-ci-smoke/self_test.err \
+        || { echo "scaling-smoke: a lowered $counter exited $rc without its FAIL: line, want 1"; exit 1; }
+  done
   empty="build-ci-smoke/BENCH_empty.json"
   : > "$empty"
   for bench in engine_scaling sched_solve; do

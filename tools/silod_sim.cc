@@ -448,10 +448,14 @@ int main(int argc, char** argv) {
   if (!topology.empty() || topology.has_gpu_types()) {
     config.sim.topology = topology;
   }
-  // The engines' input contract (sim/cluster.h): a violation exits 2 with
-  // its one-line reason instead of aborting mid-run.
+  // The engines' input contract (sim/cluster.h, and the fine engine's block
+  // bound): a violation exits 2 with its one-line reason instead of aborting
+  // mid-run.
   const auto rejects = [&](const Trace& run_trace) {
-    const Status st = ValidateSimInputs(run_trace, config.sim);
+    Status st = ValidateSimInputs(run_trace, config.sim);
+    if (st.ok() && config.engine == EngineKind::kFine) {
+      st = ValidateFineBlockCounts(run_trace);
+    }
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.message().c_str());
     }
