@@ -21,11 +21,14 @@
 // negative or not finite, exits 2.
 //
 // The flow rows ("flow/2048", "flow/8192") always run and are gated on
-// their digest, and with --baseline the run also fails when the flow
-// engine's wall time per job at 8192 jobs exceeds kMaxFlowGrowth times that
-// at 2048.  Both are timed in the same run, so the ratio is not exposed to
-// the host's speed the way an absolute bound is; the flow engine reports no
-// step count, so the ratio is its only cost gate.
+// their digest and on their heap allocations: this binary replaces the
+// global operator new to count every allocation made during a row's run
+// (scheduler, engine, metrics), and a row that allocates more often than
+// committed, or whose baseline row has no numeric "allocations", fails.
+// With --baseline the run also fails when the flow engine's wall time per
+// job at 8192 jobs exceeds kMaxFlowGrowth times that at 2048.  Both are
+// timed in the same run, so the ratio is not exposed to the host's speed the
+// way an absolute bound is.
 //
 // The sweep recipe is deliberately frozen (ScalingTrace/ScalingCluster, seed
 // 17): committed baselines stay comparable across refactors.  A separate
@@ -33,9 +36,12 @@
 // 400-GPU cluster (§7.2 shape) so queueing-heavy scaling is covered too.
 // Emits BENCH_engine_scaling.json (RunReport schema, sim/metrics.h).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -48,6 +54,23 @@
 
 using namespace silod;
 using namespace silod::bench;
+
+// Heap allocations made by this process so far.  Replacing the global
+// operator new (and with it new[], which calls it) counts every allocation
+// of the library code this binary runs.
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so that the compiler does not see free() meet a pointer from
+// operator new in the callers it would be inlined into.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -127,6 +150,7 @@ struct RunStats {
   std::uint64_t steps = 0;
   std::uint64_t flow_visits = 0;
   std::uint64_t peak_block_slots = 0;
+  std::uint64_t allocations = 0;  // Heap allocations during the run.
   double events_per_s = 0;
 };
 
@@ -134,10 +158,12 @@ RunStats TimeRun(const Trace& trace, const SimConfig& sim, EngineKind engine, Si
   ExperimentConfig config;
   config.sim = sim;
   config.engine = engine;
+  const std::uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   *out = RunExperiment(trace, config);
   const auto end = std::chrono::steady_clock::now();
   RunStats stats;
+  stats.allocations = g_allocations.load(std::memory_order_relaxed) - allocations;
   stats.wall_s = std::chrono::duration<double>(end - start).count();
   stats.steps = out->steps.steps;
   stats.flow_visits = out->steps.flow_visits;
@@ -170,26 +196,6 @@ bool DigestMatches(const JsonValue& row, const std::string& label, const std::st
   if (base_digest != digest) {
     std::fprintf(stderr, "FAIL: %s result digest %s, baseline %s\n", label.c_str(),
                  digest.c_str(), base_digest.c_str());
-    return false;
-  }
-  return true;
-}
-
-// The exact-counter gate: prints a failure and returns false when `count`
-// exceeds the row's committed `field`, or the committed value is no count.
-bool CountWithinBaseline(const JsonValue& row, const std::string& label, const char* field,
-                         std::uint64_t count) {
-  const std::string& base = row.Find(field)->text();
-  const Result<std::uint64_t> pinned = ParseU64(base);
-  if (!pinned.ok()) {
-    std::fprintf(stderr, "FAIL: %s baseline %s '%s' is not a count\n", label.c_str(), field,
-                 base.c_str());
-    return false;
-  }
-  if (count > *pinned) {
-    std::fprintf(stderr, "FAIL: %s %s %llu, baseline %llu\n", label.c_str(), field,
-                 static_cast<unsigned long long>(count),
-                 static_cast<unsigned long long>(*pinned));
     return false;
   }
   return true;
@@ -233,16 +239,18 @@ bool CheckBaseline(const Baseline& baseline, const std::string& label, const std
   return ok;
 }
 
-// Gates one flow row's digest against the baseline, like CheckBaseline.
+// Gates one flow row's digest and allocation count against the baseline,
+// like CheckBaseline.
 bool CheckFlowBaseline(const Baseline& baseline, const std::string& label,
-                       const std::string& digest) {
-  const Result<const JsonValue*> row =
-      baseline.Row(label, {{"digest", JsonValue::Kind::kString}});
+                       const std::string& digest, const RunStats& stats) {
+  const Result<const JsonValue*> row = baseline.Row(
+      label, {{"digest", JsonValue::Kind::kString}, {"allocations", JsonValue::Kind::kNumber}});
   if (!row.ok()) {
     std::fprintf(stderr, "FAIL: %s\n", row.status().message().c_str());
     return false;
   }
-  return DigestMatches(**row, label, digest);
+  const bool ok = DigestMatches(**row, label, digest);
+  return CountWithinBaseline(**row, label, "allocations", stats.allocations) && ok;
 }
 
 }  // namespace
@@ -286,7 +294,8 @@ int main(int argc, char** argv) {
     baseline = *std::move(loaded);
   }
 
-  Table table({"jobs", "events", "flow visits", "peak block slots", "ev/s", "digest"});
+  Table table(
+      {"jobs", "events", "flow visits", "peak block slots", "allocations", "ev/s", "digest"});
   std::vector<RunReport> runs;
   bool failed = false;
   // Adds one row to the table and the report, and gates it against the
@@ -296,7 +305,7 @@ int main(int argc, char** argv) {
     const std::string digest = FormatDigest(ResultDigest(result));
     const std::string events = std::to_string(stats.steps);
     table.AddRow({row, events, std::to_string(stats.flow_visits),
-                  std::to_string(stats.peak_block_slots), Fmt(stats.events_per_s), digest});
+                  std::to_string(stats.peak_block_slots), "-", Fmt(stats.events_per_s), digest});
     report.AddExtra("events", static_cast<std::int64_t>(stats.steps));
     report.AddExtra("flow_visits", static_cast<std::int64_t>(stats.flow_visits));
     report.AddExtra("peak_block_slots", static_cast<std::int64_t>(stats.peak_block_slots));
@@ -343,13 +352,15 @@ int main(int argc, char** argv) {
                                        static_cast<int>(*repeats), &result);
     const std::string digest = FormatDigest(ResultDigest(result));
     us_per_job.push_back(1e6 * stats.wall_s / n);
-    table.AddRow({"flow/" + std::to_string(n), "-", "-", "-", "-", digest});
+    table.AddRow({"flow/" + std::to_string(n), "-", "-", "-", std::to_string(stats.allocations),
+                  "-", digest});
     RunReport report = MakeRunReport("flow/" + std::to_string(n) + "-jobs", "flow", result);
     report.AddExtra("digest", digest);
+    report.AddExtra("allocations", static_cast<std::int64_t>(stats.allocations));
     report.AddExtra("wall_s", stats.wall_s);
     report.AddExtra("wall_us_per_job", us_per_job.back());
     if (baseline) {
-      failed = !CheckFlowBaseline(*baseline, report.label, digest) || failed;
+      failed = !CheckFlowBaseline(*baseline, report.label, digest, stats) || failed;
     }
     runs.push_back(std::move(report));
   }

@@ -9,6 +9,14 @@
 // solve (gavel+silod) also records that first solve's predicate evaluations:
 // its fairness-ratio and throttle-level probes (GavelScheduler counters).
 //
+// When gavel+silod is among the policies, one more cell,
+// "gavel+silod/sequence", solves a seeded series of snapshots perturbed from
+// the 64- and 256-job snapshots with one GavelScheduler, as an engine's
+// scheduler sees a run: each search starts from where the last one ended.
+// It records the digest of the whole series and the total probes of each
+// kind, and checks every plan against a fresh scheduler's for the same
+// snapshot (the cold fairness probe total is reported, not gated).
+//
 //   bench_sched_solve [--out=PATH] [--sizes=N,N,...] [--policies=A,B,...]
 //                     [--baseline=PATH] [--max-regress=F]
 //
@@ -16,7 +24,10 @@
 // any cell's digest differs from the committed one, when a cell makes more
 // probes of either kind than the committed counts, or when a cell's p50 is
 // more than --max-regress (default 0.3) slower than the committed p50 in
-// each of up to three attempts.  Digests and probe counts are exact.  It
+// each of up to three attempts.  The sequence cell fails on a different
+// series digest, on more probes of either kind than committed, and on any
+// plan that differs from the cold solve's.  Digests and probe counts are
+// exact.  It
 // also fails on a baseline that does not parse or is not a "sched_solve"
 // report, on a cell the baseline lacks, on a baseline cell without a string
 // "digest" or a numeric "p50_us", and on a probe-counting cell whose
@@ -42,6 +53,7 @@
 #include "bench/bench_util.h"
 #include "src/common/digest.h"
 #include "src/common/flags.h"
+#include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/core/policy_registry.h"
 #include "src/sched/gavel.h"
@@ -73,6 +85,103 @@ using Clock = std::chrono::steady_clock;
 
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+}
+
+// The warm-start cell's name and its solves per snapshot size.
+constexpr char kSequenceCell[] = "gavel+silod/sequence";
+constexpr int kSequenceSize[] = {64, 256};
+constexpr int kSequenceSolves = 32;
+
+struct SequenceCell {
+  int solves = 0;
+  std::uint64_t digest = 0;  // FNV-1a over every plan's PlanDigest, in order.
+  std::uint64_t fair_probes = 0;
+  std::uint64_t throttle_probes = 0;
+  std::uint64_t cold_fair_probes = 0;  // The same solves, each by a fresh scheduler.
+  int cold_mismatches = 0;  // Plans whose digest differs from the cold solve's.
+};
+
+// One GavelScheduler solves kSequenceSolves snapshots per size, each a step
+// on from the last (seed 29): ten minutes pass, running jobs fill their
+// caches and shrink their remaining work, a running job finishes now and
+// then, the last plan's admissions hold GPUs, egress degrades to half one
+// solve in five and a rack's worth of cache is down one in ten.
+SequenceCell RunSequence() {
+  SequenceCell cell;
+  GavelScheduler warm(nullptr, /*silod_aware=*/true);
+  Fnv1a64 digest;
+  Rng rng(29);
+  for (const int n : kSequenceSize) {
+    const std::unique_ptr<SolveSnapshot> fixture = MakeSolveSnapshot(n);
+    const Snapshot& base = fixture->snapshot;
+    Snapshot snap = base;
+    std::vector<std::size_t> running;
+    for (int k = 0; k < kSequenceSolves; ++k) {
+      snap.now += Minutes(10);
+      snap.resources.remote_io = base.resources.remote_io * (rng.NextDouble() < 0.2 ? 0.5 : 1.0);
+      snap.resources.total_cache =
+          base.resources.total_cache / 4 * (rng.NextDouble() < 0.1 ? 3 : 4);
+      running.clear();
+      for (std::size_t i = 0; i < snap.jobs.size(); ++i) {
+        JobView& view = snap.jobs[i];
+        if (!view.running) {
+          continue;
+        }
+        running.push_back(i);
+        const Bytes size = fixture->trace.catalog.Get(view.spec->dataset).size;
+        const Bytes filled =
+            static_cast<Bytes>(0.05 * rng.NextDouble() * static_cast<double>(size));
+        view.effective_cache = std::min(size, view.effective_cache + filled);
+        const Bytes trained = static_cast<Bytes>(0.05 * rng.NextDouble() *
+                                                 static_cast<double>(view.spec->total_bytes));
+        view.remaining_bytes = std::max<Bytes>(1, view.remaining_bytes - trained);
+      }
+      if (!running.empty() && rng.NextDouble() < 0.3) {
+        snap.jobs.erase(snap.jobs.begin() +
+                        static_cast<std::ptrdiff_t>(running[rng.NextBelow(running.size())]));
+      }
+      const AllocationPlan plan = warm.Schedule(snap);
+      GavelScheduler cold(nullptr, /*silod_aware=*/true);
+      const std::uint64_t plan_digest = PlanDigest(plan);
+      cell.cold_mismatches += plan_digest != PlanDigest(cold.Schedule(snap));
+      cell.cold_fair_probes += cold.fair_probes();
+      digest.U64(plan_digest);
+      ++cell.solves;
+      for (JobView& view : snap.jobs) {
+        if (!view.running && plan.IsRunning(view.spec->id)) {
+          view.running = true;
+          view.effective_cache = 0;
+        }
+      }
+    }
+  }
+  cell.digest = digest.hash();
+  cell.fair_probes = warm.fair_probes();
+  cell.throttle_probes = warm.throttle_probes();
+  return cell;
+}
+
+// Gates the sequence cell against its baseline row; prints each failure and
+// returns false if there was one.
+bool CheckSequence(const Baseline& baseline, const SequenceCell& cell) {
+  const Result<const JsonValue*> row =
+      baseline.Row(kSequenceCell, {{"digest", JsonValue::Kind::kString},
+                                   {"fair_probes", JsonValue::Kind::kNumber},
+                                   {"throttle_probes", JsonValue::Kind::kNumber}});
+  if (!row.ok()) {
+    std::fprintf(stderr, "FAIL: %s\n", row.status().message().c_str());
+    return false;
+  }
+  bool ok = true;
+  const std::string& base_digest = (*row)->Find("digest")->text();
+  if (base_digest != FormatDigest(cell.digest)) {
+    std::fprintf(stderr, "FAIL: %s series digest %s, baseline %s\n", kSequenceCell,
+                 FormatDigest(cell.digest).c_str(), base_digest.c_str());
+    ok = false;
+  }
+  ok = CountWithinBaseline(**row, kSequenceCell, "fair_probes", cell.fair_probes) && ok;
+  ok = CountWithinBaseline(**row, kSequenceCell, "throttle_probes", cell.throttle_probes) && ok;
+  return ok;
 }
 
 // Three rounds of timed solves after one untimed warm-up solve (the digest);
@@ -213,23 +322,10 @@ int main(int argc, char** argv) {
       }
       // Probe counts are exact work counters: any increase fails, whatever
       // the host's speed.
-      for (const auto& [field, probes] :
-           {std::pair{"fair_probes", cell.fair_probes},
-            std::pair{"throttle_probes", cell.throttle_probes}}) {
-        if (!probes) {
-          continue;
-        }
-        const Result<std::uint64_t> pinned = ParseU64(row->Find(field)->text());
-        if (!pinned.ok()) {
-          std::fprintf(stderr, "FAIL: %s baseline %s '%s' is not a count\n", cell.name.c_str(),
-                       field, row->Find(field)->text().c_str());
-          failed = true;
-        } else if (*probes > *pinned) {
-          std::fprintf(stderr, "FAIL: %s %s %llu, baseline %llu\n", cell.name.c_str(), field,
-                       static_cast<unsigned long long>(*probes),
-                       static_cast<unsigned long long>(*pinned));
-          failed = true;
-        }
+      if (cell.fair_probes) {
+        failed = !CountWithinBaseline(*row, cell.name, "fair_probes", *cell.fair_probes) || failed;
+        failed = !CountWithinBaseline(*row, cell.name, "throttle_probes", *cell.throttle_probes) ||
+                 failed;
       }
       if (base > 0 && cell.p50_us > (1.0 + *max_regress) * base) {
         std::fprintf(stderr, "FAIL: %s p50 regressed: %.1f us vs baseline %.1f us (+%.0f%%)\n",
@@ -239,6 +335,25 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
+
+  std::optional<SequenceCell> sequence;
+  if (std::find(policies.begin(), policies.end(), "gavel+silod") != policies.end()) {
+    sequence = RunSequence();
+    std::printf("%s: %d solves, fair probes %llu (cold %llu), throttle probes %llu, digest %s\n",
+                kSequenceCell, sequence->solves,
+                static_cast<unsigned long long>(sequence->fair_probes),
+                static_cast<unsigned long long>(sequence->cold_fair_probes),
+                static_cast<unsigned long long>(sequence->throttle_probes),
+                FormatDigest(sequence->digest).c_str());
+    if (sequence->cold_mismatches > 0) {
+      std::fprintf(stderr, "FAIL: %s: %d of %d plans differ from a fresh scheduler's\n",
+                   kSequenceCell, sequence->cold_mismatches, sequence->solves);
+      failed = true;
+    }
+    if (baseline) {
+      failed = !CheckSequence(*baseline, *sequence) || failed;
+    }
+  }
 
   JsonValue rows = JsonValue::Array();
   for (const Cell& c : cells) {
@@ -252,6 +367,18 @@ int main(int argc, char** argv) {
       row.Set("fair_probes", JsonValue::Int(static_cast<std::int64_t>(*c.fair_probes)))
           .Set("throttle_probes", JsonValue::Int(static_cast<std::int64_t>(*c.throttle_probes)));
     }
+    rows.Push(std::move(row));
+  }
+  if (sequence) {
+    JsonValue row = JsonValue::Object(/*one_line=*/true);
+    row.Set("cell", JsonValue::String(kSequenceCell))
+        .Set("solves", JsonValue::Int(sequence->solves))
+        .Set("digest", JsonValue::String(FormatDigest(sequence->digest)))
+        .Set("fair_probes", JsonValue::Int(static_cast<std::int64_t>(sequence->fair_probes)))
+        .Set("throttle_probes",
+             JsonValue::Int(static_cast<std::int64_t>(sequence->throttle_probes)))
+        .Set("cold_fair_probes",
+             JsonValue::Int(static_cast<std::int64_t>(sequence->cold_fair_probes)));
     rows.Push(std::move(row));
   }
   JsonValue doc = JsonValue::Object();

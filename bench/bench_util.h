@@ -312,6 +312,26 @@ class Baseline {
   std::string name_key_;
 };
 
+// The exact-counter gate: prints a failure and returns false when `count`
+// exceeds the row's committed `field`, or the committed value is no count.
+inline bool CountWithinBaseline(const JsonValue& row, const std::string& label,
+                                const char* field, std::uint64_t count) {
+  const std::string& base = row.Find(field)->text();
+  const Result<std::uint64_t> pinned = ParseU64(base);
+  if (!pinned.ok()) {
+    std::fprintf(stderr, "FAIL: %s baseline %s '%s' is not a count\n", label.c_str(), field,
+                 base.c_str());
+    return false;
+  }
+  if (count > *pinned) {
+    std::fprintf(stderr, "FAIL: %s %s %llu, baseline %llu\n", label.c_str(), field,
+                 static_cast<unsigned long long>(count),
+                 static_cast<unsigned long long>(*pinned));
+    return false;
+  }
+  return true;
+}
+
 }  // namespace silod::bench
 
 #endif  // SILOD_BENCH_BENCH_UTIL_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "src/cache/analytic.h"
 #include "src/common/logging.h"
@@ -30,13 +29,13 @@ struct RunningJob {
   BytesPerSec ideal = 0;           // Effective ideal rate f*·speed.
 };
 
-// The jobs marked running in `plan`, in snapshot order.  The plan's placement
-// is authoritative post-admission: every target and demand uses the
-// effective ideal rate of the GPU type the gang actually landed on (speed
-// 1.0 on uniform fleets).  One plan lookup per job; the solve reads and
-// writes each job's allocation through `alloc`.
-std::vector<RunningJob> GatherRunning(const Snapshot& snapshot, AllocationPlan& plan) {
-  std::vector<RunningJob> jobs;
+// The jobs marked running in `plan`, in snapshot order, into *jobs.  The
+// plan's placement is authoritative post-admission: every target and demand
+// uses the effective ideal rate of the GPU type the gang actually landed on
+// (speed 1.0 on uniform fleets).  One plan lookup per job; the solve reads
+// and writes each job's allocation through `alloc`.
+void GatherRunning(const Snapshot& snapshot, AllocationPlan& plan, std::vector<RunningJob>* jobs) {
+  jobs->clear();
   for (const JobView& view : snapshot.jobs) {
     const auto it = plan.jobs.find(view.spec->id);
     if (it != plan.jobs.end() && it->second.running) {
@@ -45,10 +44,9 @@ std::vector<RunningJob> GatherRunning(const Snapshot& snapshot, AllocationPlan& 
       j.alloc = &it->second;
       j.speed = it->second.speed;
       j.ideal = EffectiveIdeal(view.spec->ideal_io, j.speed);
-      jobs.push_back(j);
+      jobs->push_back(j);
     }
   }
-  return jobs;
 }
 
 // Fractional-knapsack feasibility oracle: can every job sustain target[i]?
@@ -63,21 +61,23 @@ std::vector<RunningJob> GatherRunning(const Snapshot& snapshot, AllocationPlan& 
 // caches (non-negative by construction) on the plan DatasetCache returns.
 class FeasibilityOracle {
  public:
-  FeasibilityOracle(const Snapshot& snapshot, const std::vector<RunningJob>& jobs)
-      : snapshot_(snapshot) {
-    ids_.reserve(jobs.size());
+  // Sets the oracle up for one solve over `jobs`.  The arrays keep their
+  // capacity from one solve to the next.
+  void Reset(const Snapshot& snapshot, const std::vector<RunningJob>& jobs) {
+    snapshot_ = &snapshot;
+    ids_.clear();
     for (const RunningJob& j : jobs) {
       ids_.push_back(j.view->spec->dataset);
     }
     std::sort(ids_.begin(), ids_.end());
     ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
-    job_dataset_.reserve(jobs.size());
+    job_dataset_.clear();
     for (const RunningJob& j : jobs) {
       job_dataset_.push_back(static_cast<std::size_t>(
           std::lower_bound(ids_.begin(), ids_.end(), j.view->spec->dataset) - ids_.begin()));
     }
     slots_.resize(ids_.size());
-    order_.reserve(ids_.size());
+    order_.clear();
     for (std::size_t k = 0; k < ids_.size(); ++k) {
       slots_[k].size = snapshot.catalog->Get(ids_[k]).size;
       SILOD_CHECK(slots_[k].size > 0) << "dataset size must be positive";
@@ -105,7 +105,7 @@ class FeasibilityOracle {
     // sustain T_j only if its dataset holds at least d (1 - cap / T_j) bytes
     // of cache.  With sharing, a dataset's floor is the max over its jobs.
     // A floor is at least one byte, so 0 means "no floor".
-    const BytesPerSec cap = snapshot_.resources.per_job_remote_cap;
+    const BytesPerSec cap = snapshot_->resources.per_job_remote_cap;
     for (std::size_t i = 0; i < targets.size(); ++i) {
       Slot& slot = slots_[job_dataset_[i]];
       slot.saving_rate += targets[i] / static_cast<double>(slot.size);
@@ -115,7 +115,7 @@ class FeasibilityOracle {
         slot.floor = std::max(slot.floor, std::min(need, slot.size));
       }
     }
-    Bytes remaining = snapshot_.resources.total_cache;
+    Bytes remaining = snapshot_->resources.total_cache;
     for (Slot& slot : slots_) {
       if (slot.floor > 0) {
         slot.cache = slot.floor;
@@ -170,12 +170,12 @@ class FeasibilityOracle {
       total_io += required_io_[i];
     }
     const BytesPerSec cap_limit = cap * (1.0 + 1e-12);
-    const BytesPerSec egress = snapshot_.resources.remote_io;
+    const BytesPerSec egress = snapshot_->resources.remote_io;
     const BytesPerSec egress_limit = egress * (1.0 + 1e-12);
     SearchProbe probe;
     // The per-job cap binds before the account cap.
     probe.feasible = floor_slack >= 0 && !(max_io > cap_limit) && total_io <= egress_limit;
-    const Bytes total_cache = snapshot_.resources.total_cache;
+    const Bytes total_cache = snapshot_->resources.total_cache;
     probe.slack = std::min((egress_limit - total_io) / (egress > 0 ? egress : 1.0),
                            static_cast<double>(floor_slack) /
                                static_cast<double>(total_cache > 0 ? total_cache : 1));
@@ -217,7 +217,7 @@ class FeasibilityOracle {
     bool present = false;  // Whether the dataset has a cache entry.
   };
 
-  const Snapshot& snapshot_;
+  const Snapshot* snapshot_ = nullptr;
   std::vector<DatasetId> ids_;            // Sorted unique dataset ids.
   std::vector<Slot> slots_;               // By local index.
   std::vector<std::size_t> job_dataset_;  // Job i's local dataset index.
@@ -262,12 +262,18 @@ double SetFairnessBases(const Snapshot& snapshot, std::vector<RunningJob>& jobs,
 // min(rho·base, f*·s) under the steady-state cache plan?
 class FairnessProbe {
  public:
-  FairnessProbe(const Snapshot& snapshot, const std::vector<RunningJob>& jobs)
-      : jobs_(jobs), oracle_(snapshot, jobs), targets_(jobs.size()) {}
+  // Sets the predicate up for one solve over `jobs`, which must outlive it.
+  void Reset(const Snapshot& snapshot, const std::vector<RunningJob>& jobs) {
+    jobs_ = &jobs;
+    oracle_.Reset(snapshot, jobs);
+    targets_.resize(jobs.size());
+    last_feasible_ = false;
+  }
 
   SearchProbe operator()(double rho) {
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      targets_[i] = std::min(rho * jobs_[i].base, jobs_[i].ideal);
+    const std::vector<RunningJob>& jobs = *jobs_;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      targets_[i] = std::min(rho * jobs[i].base, jobs[i].ideal);
     }
     const SearchProbe probe = oracle_.Probe(targets_);
     last_rho_ = rho;
@@ -275,25 +281,25 @@ class FairnessProbe {
     return probe;
   }
 
-  // Solves for rho* over [0, hi] and leaves the oracle holding its plan.
-  // Adds the probes made to *probes.
-  double Solve(double hi, std::uint64_t* probes) {
-    const RatioSearch search =
-        LargestFeasibleRatio(hi, kFairnessSteps, kSlackAtZero, /*first=*/0, *this);
+  // Solves for rho* over [0, hi], starting from the probe `first` (0: none),
+  // and leaves the oracle holding its plan.  Adds the probes made to
+  // *probes.  The search's value, and so the plan, depend only on x*, not
+  // on `first`.
+  RatioSearch Solve(double hi, double first, std::uint64_t* probes) {
+    const RatioSearch search = LargestFeasibleRatio(hi, kFairnessSteps, kSlackAtZero, first, *this);
     *probes += static_cast<std::uint64_t>(search.probes);
-    const double rho = search.value;
-    if (!(last_feasible_ && last_rho_ == rho)) {
+    if (!(last_feasible_ && last_rho_ == search.value)) {
       ++*probes;
-      const bool ok = (*this)(rho).feasible;
+      const bool ok = (*this)(search.value).feasible;
       SILOD_CHECK(ok) << "the search's answer must be feasible";
     }
-    return rho;
+    return search;
   }
 
   const FeasibilityOracle& oracle() const { return oracle_; }
 
  private:
-  const std::vector<RunningJob>& jobs_;
+  const std::vector<RunningJob>* jobs_ = nullptr;
   FeasibilityOracle oracle_;
   std::vector<BytesPerSec> targets_;
   double last_rho_ = 0;
@@ -309,11 +315,13 @@ class FairnessProbe {
 // its arguments checked, once.
 class ThrottleProbe {
  public:
-  ThrottleProbe(const Snapshot& snapshot, const std::vector<RunningJob>& jobs)
-      : cap_(snapshot.resources.per_job_remote_cap), egress_(snapshot.resources.remote_io) {
-    base_.reserve(jobs.size());
-    ideal_.reserve(jobs.size());
-    miss_.reserve(jobs.size());
+  // Sets the predicate up for one solve over `jobs`.
+  void Reset(const Snapshot& snapshot, const std::vector<RunningJob>& jobs) {
+    cap_ = snapshot.resources.per_job_remote_cap;
+    egress_ = snapshot.resources.remote_io;
+    base_.clear();
+    ideal_.clear();
+    miss_.clear();
     for (const RunningJob& j : jobs) {
       const Bytes cache = SurvivingCacheShare(snapshot, j.view->effective_cache);
       const Bytes size = snapshot.catalog->Get(j.view->spec->dataset).size;
@@ -354,8 +362,8 @@ class ThrottleProbe {
   }
 
  private:
-  BytesPerSec cap_;
-  BytesPerSec egress_;
+  BytesPerSec cap_ = 0;
+  BytesPerSec egress_ = 0;
   std::vector<BytesPerSec> base_;
   std::vector<BytesPerSec> ideal_;
   std::vector<double> miss_;
@@ -408,14 +416,16 @@ BytesPerSec EqualShareThroughput(const JobSpec& job, double speed, const Dataset
 GavelSolution SolveMaxMinFairness(const Snapshot& snapshot, const AllocationPlan& plan) {
   GavelSolution solution;
   AllocationPlan running = plan;  // GatherRunning hands out pointers into its plan.
-  std::vector<RunningJob> jobs = GatherRunning(snapshot, running);
+  std::vector<RunningJob> jobs;
+  GatherRunning(snapshot, running, &jobs);
   if (jobs.empty()) {
     return solution;
   }
   const double hi = SetFairnessBases(snapshot, jobs, GavelObjective::kMaxMinFairness);
-  FairnessProbe fairness(snapshot, jobs);
+  FairnessProbe fairness;
+  fairness.Reset(snapshot, jobs);
   std::uint64_t probes = 0;
-  solution.fairness_ratio = fairness.Solve(hi, &probes);
+  solution.fairness_ratio = fairness.Solve(hi, /*first=*/0, &probes).value;
   const FeasibilityOracle& oracle = fairness.oracle();
   const std::vector<BytesPerSec>& required = oracle.required_io();
 
@@ -433,7 +443,9 @@ GavelSolution SolveMaxMinFairness(const Snapshot& snapshot, const AllocationPlan
                  snapshot.resources.per_job_remote_cap);
     extra_demand[i] = std::max(0.0, max_b - required[i]);
   }
-  const std::vector<BytesPerSec> extra = MaxMinShare(extra_demand, leftover);
+  std::vector<BytesPerSec> sorted;
+  std::vector<BytesPerSec> extra;
+  MaxMinShare(extra_demand, /*caps=*/{}, leftover, &sorted, &extra);
 
   solution.dataset_cache = oracle.DatasetCache();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -451,30 +463,46 @@ GavelSearches MakeGavelSearches(const Snapshot& snapshot, const AllocationPlan& 
   struct State {
     AllocationPlan plan;
     std::vector<RunningJob> jobs;
-    std::optional<FairnessProbe> fairness;
-    std::optional<ThrottleProbe> throttle;
+    FairnessProbe fairness;
+    ThrottleProbe throttle;
   };
   auto state = std::make_shared<State>();
   state->plan = plan;
-  state->jobs = GatherRunning(snapshot, state->plan);
+  GatherRunning(snapshot, state->plan, &state->jobs);
   const double hi = SetFairnessBases(snapshot, state->jobs, objective);
-  state->fairness.emplace(snapshot, state->jobs);
-  state->throttle.emplace(snapshot, state->jobs);
+  state->fairness.Reset(snapshot, state->jobs);
+  state->throttle.Reset(snapshot, state->jobs);
   GavelSearches searches;
   searches.fairness = {hi, kFairnessSteps, kSlackAtZero, /*first=*/0,
-                       [state](double rho) { return (*state->fairness)(rho); }};
-  searches.throttle = {hi, kThrottleSteps, kSlackAtZero, state->throttle->Estimate(),
-                       [state](double level) { return (*state->throttle)(level); }};
+                       [state](double rho) { return state->fairness(rho); }};
+  searches.throttle = {hi, kThrottleSteps, kSlackAtZero, state->throttle.Estimate(),
+                       [state](double level) { return state->throttle(level); }};
   return searches;
 }
+
+// What one fair-share solve needs besides the plan, kept from solve to solve
+// so that a solve reuses the arrays instead of allocating them.
+struct GavelScheduler::Scratch {
+  std::vector<std::size_t> order;  // Admission order.
+  std::vector<RunningJob> jobs;
+  FairnessProbe fairness;
+  ThrottleProbe throttle;
+  std::vector<BytesPerSec> grant;
+  std::vector<BytesPerSec> residual;
+  std::vector<BytesPerSec> sorted;
+  std::vector<BytesPerSec> topup;
+};
 
 GavelScheduler::GavelScheduler(std::shared_ptr<StoragePolicy> storage, bool silod_aware,
                                bool manage_remote_io, GavelObjective objective)
     : storage_(std::move(storage)), silod_aware_(silod_aware),
-      manage_remote_io_(manage_remote_io), objective_(objective) {
+      manage_remote_io_(manage_remote_io), objective_(objective),
+      scratch_(std::make_unique<Scratch>()) {
   SILOD_CHECK(silod_aware_ || storage_ != nullptr)
       << "vanilla Gavel needs an independent storage policy";
 }
+
+GavelScheduler::~GavelScheduler() = default;
 
 std::string GavelScheduler::name() const {
   std::string base;
@@ -490,19 +518,21 @@ std::string GavelScheduler::name() const {
 }
 
 void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan& plan) {
-  std::vector<RunningJob> jobs = GatherRunning(snapshot, plan);
+  std::vector<RunningJob>& jobs = scratch_->jobs;
+  GatherRunning(snapshot, plan, &jobs);
   plan.dataset_cache.clear();
   if (jobs.empty()) {
     return;
   }
   // The cache plan is the steady-state solve's at rho*; its remote-IO and
-  // target fill (SolveMaxMinFairness) would be thrown away here.
+  // target fill (SolveMaxMinFairness) would be thrown away here.  The search
+  // starts from the last solve's x*: successive snapshots differ by a few
+  // jobs, so rho* rarely moves far (docs/MODEL.md §4).
   const double hi = SetFairnessBases(snapshot, jobs, objective_);
-  {
-    FairnessProbe fairness(snapshot, jobs);
-    fairness.Solve(hi, &fair_probes_);
-    plan.dataset_cache = fairness.oracle().DatasetCache();
-  }
+  FairnessProbe& fairness = scratch_->fairness;
+  fairness.Reset(snapshot, jobs);
+  last_rho_star_ = fairness.Solve(hi, last_rho_star_, &fair_probes_).largest;
+  plan.dataset_cache = fairness.oracle().DatasetCache();
   if (!manage_remote_io_) {
     return;
   }
@@ -512,21 +542,25 @@ void GavelScheduler::AllocateFairShare(const Snapshot& snapshot, AllocationPlan&
   // train and to fill that cache).  We search the same ratio over each job's
   // current achievable throughput min(f*, b/(1 - eff/d)); as caches fill,
   // this converges to the steady-state solution.
-  const ThrottleProbe throttle(snapshot, jobs);
+  ThrottleProbe& throttle = scratch_->throttle;
+  throttle.Reset(snapshot, jobs);
   const RatioSearch level =
       LargestFeasibleRatio(hi, kThrottleSteps, kSlackAtZero, throttle.Estimate(), throttle);
   throttle_probes_ += static_cast<std::uint64_t>(level.probes);
   const BytesPerSec cap = snapshot.resources.per_job_remote_cap;
-  std::vector<BytesPerSec> grant(jobs.size());
-  std::vector<BytesPerSec> residual(jobs.size());
+  std::vector<BytesPerSec>& grant = scratch_->grant;
+  std::vector<BytesPerSec>& residual = scratch_->residual;
+  grant.resize(jobs.size());
+  residual.resize(jobs.size());
   BytesPerSec used = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     grant[i] = throttle.Demand(level.value, i);
     used += grant[i];
     residual[i] = std::max(0.0, std::min(throttle.MaxDemand(i), cap) - grant[i]);
   }
-  const std::vector<BytesPerSec> topup =
-      MaxMinShare(residual, std::max(0.0, snapshot.resources.remote_io - used));
+  std::vector<BytesPerSec>& topup = scratch_->topup;
+  MaxMinShare(residual, /*caps=*/{}, std::max(0.0, snapshot.resources.remote_io - used),
+              &scratch_->sorted, &topup);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].alloc->remote_io = grant[i] + topup[i];
   }
@@ -540,7 +574,8 @@ void GavelScheduler::AllocateGreedyObjective(const Snapshot& snapshot, Allocatio
     double remaining_time = 0;  // remaining / (f*·speed).
   };
   std::vector<Entry> jobs;
-  for (const RunningJob& j : GatherRunning(snapshot, plan)) {
+  GatherRunning(snapshot, plan, &scratch_->jobs);
+  for (const RunningJob& j : scratch_->jobs) {
     Entry e;
     e.view = j.view;
     e.alloc = j.alloc;
@@ -617,7 +652,8 @@ AllocationPlan GavelScheduler::Schedule(const Snapshot& snapshot) {
   // GPU admission: with gang-scheduled fixed GPU demands, max-min over GPU
   // time reduces to arrival order among waiting jobs (running jobs are not
   // preempted).
-  std::vector<std::size_t> order(snapshot.jobs.size());
+  std::vector<std::size_t>& order = scratch_->order;
+  order.resize(snapshot.jobs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return snapshot.jobs[a].spec->submit_time < snapshot.jobs[b].spec->submit_time;

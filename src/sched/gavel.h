@@ -112,6 +112,7 @@ class GavelScheduler : public Scheduler {
   GavelScheduler(std::shared_ptr<StoragePolicy> storage, bool silod_aware,
                  bool manage_remote_io = true,
                  GavelObjective objective = GavelObjective::kMaxMinFairness);
+  ~GavelScheduler() override;
 
   AllocationPlan Schedule(const Snapshot& snapshot) override;
   std::string name() const override;
@@ -119,10 +120,14 @@ class GavelScheduler : public Scheduler {
   // Predicate evaluations of this scheduler's fair-share solves so far: the
   // fairness-ratio probes (with the closing one that leaves the oracle at
   // rho*) and the throttle-level probes.  Exact, so a gate can pin them.
+  // The fairness count depends on the solve history (each search starts
+  // from the last solve's x*); the plans do not.
   std::uint64_t fair_probes() const { return fair_probes_; }
   std::uint64_t throttle_probes() const { return throttle_probes_; }
 
  private:
+  struct Scratch;  // Per-solve arrays, reused by the next solve.
+
   void AllocateFairShare(const Snapshot& snapshot, AllocationPlan& plan);
   void AllocateGreedyObjective(const Snapshot& snapshot, AllocationPlan& plan);
 
@@ -132,6 +137,11 @@ class GavelScheduler : public Scheduler {
   GavelObjective objective_;
   std::uint64_t fair_probes_ = 0;
   std::uint64_t throttle_probes_ = 0;
+  // x* of the last fair-share solve, the next fairness search's first probe
+  // (0 before the first solve: a cold search).  Only the probe count
+  // depends on it.
+  double last_rho_star_ = 0;
+  std::unique_ptr<Scratch> scratch_;
 };
 
 }  // namespace silod

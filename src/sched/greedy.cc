@@ -89,7 +89,9 @@ void AllocateRemoteIo(const Snapshot& snapshot, AllocationPlan* plan) {
   std::vector<BytesPerSec> headroom;
   surviving.RemoteIoDemands(&headroom);
   const std::vector<BytesPerSec> caps(demands.size(), snapshot.resources.per_job_remote_cap);
-  std::vector<BytesPerSec> rates = MaxMinShare(demands, caps, snapshot.resources.remote_io);
+  std::vector<BytesPerSec> sorted;
+  std::vector<BytesPerSec> rates;
+  MaxMinShare(demands, caps, snapshot.resources.remote_io, &sorted, &rates);
   if (snapshot.topology != nullptr && !snapshot.topology->empty()) {
     // Grant the post-crash headroom from slack only: the first round already
     // satisfied every job's exact effective-cache demand (the same water-fill
@@ -107,7 +109,8 @@ void AllocateRemoteIo(const Snapshot& snapshot, AllocationPlan* plan) {
         extra_demand[i] = std::max(0.0, headroom[i] - rates[i]);
         extra_cap[i] = std::max(0.0, caps[i] - rates[i]);
       }
-      const std::vector<BytesPerSec> extra = MaxMinShare(extra_demand, extra_cap, leftover);
+      std::vector<BytesPerSec> extra;
+      MaxMinShare(extra_demand, extra_cap, leftover, &sorted, &extra);
       for (std::size_t i = 0; i < ids.size(); ++i) {
         rates[i] += extra[i];
       }

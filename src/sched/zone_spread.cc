@@ -23,7 +23,8 @@ std::vector<Bytes> ZoneSpreader::Spread(Bytes quota) {
     return shares;
   }
 
-  std::vector<double> placed(num_zones, 0.0);
+  std::vector<double>& placed = placed_;
+  placed.assign(num_zones, 0.0);
   double want = static_cast<double>(quota);
   // Pass 0 respects the loss bound; pass 1 relaxes it (capacity never
   // relaxes).  Proportional-to-headroom distribution of at most the total
@@ -32,7 +33,8 @@ std::vector<Bytes> ZoneSpreader::Spread(Bytes quota) {
     const double per_zone_cap =
         pass == 0 ? topology_.loss_bound() * static_cast<double>(quota)
                   : static_cast<double>(quota);
-    std::vector<double> headroom(num_zones, 0.0);
+    std::vector<double>& headroom = headroom_;
+    headroom.assign(num_zones, 0.0);
     double headroom_total = 0;
     for (int z = 0; z < num_zones; ++z) {
       headroom[z] = std::max(0.0, std::min(remaining_[z] - placed[z], per_zone_cap - placed[z]));
@@ -56,16 +58,20 @@ std::vector<Bytes> ZoneSpreader::Spread(Bytes quota) {
     placed[z] += want;
   }
 
-  // Largest-remainder rounding so integer shares sum exactly to the quota.
+  // Largest-remainder rounding so integer shares sum exactly to the quota;
+  // equal remainders go in zone order.
   Bytes assigned = 0;
-  std::vector<int> order(num_zones);
+  std::vector<int>& order = order_;
+  order.resize(num_zones);
   std::iota(order.begin(), order.end(), 0);
   for (int z = 0; z < num_zones; ++z) {
     shares[z] = static_cast<Bytes>(std::floor(placed[z]));
     assigned += shares[z];
   }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return placed[a] - std::floor(placed[a]) > placed[b] - std::floor(placed[b]);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const double ra = placed[a] - std::floor(placed[a]);
+    const double rb = placed[b] - std::floor(placed[b]);
+    return ra != rb ? ra > rb : a < b;
   });
   for (int i = 0; assigned < quota && num_zones > 0; i = (i + 1) % num_zones) {
     shares[order[i]] += 1;
@@ -106,7 +112,8 @@ void SpreadPlanAcrossZones(const Snapshot& snapshot, AllocationPlan* plan) {
                         snapshot.resources.num_servers);
   plan->dataset_zone_cache.clear();
   for (const auto& [dataset, quota] : plan->dataset_cache) {
-    plan->dataset_zone_cache[dataset] = spreader.Spread(quota);
+    plan->dataset_zone_cache.emplace_hint(plan->dataset_zone_cache.end(), dataset,
+                                          spreader.Spread(quota));
   }
 }
 

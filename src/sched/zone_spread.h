@@ -47,6 +47,10 @@ class ZoneSpreader {
  private:
   const ClusterTopology& topology_;
   std::vector<double> remaining_;  // Uncommitted capacity per zone, in bytes.
+  // Spread's per-call scratch, reused by the next call.
+  std::vector<double> placed_;
+  std::vector<double> headroom_;
+  std::vector<int> order_;
 };
 
 // Upper bound on the fraction of any dataset's quota a single zone-crash can

@@ -48,6 +48,8 @@ class ClusterFaultState {
   // unless the event restores the nominal rate.
   void Degrade(const FaultEvent& event, Seconds now);
 
+  // Whether no server is down: every zone's alive fraction is then 1.
+  bool AllServersAlive() const { return alive_servers_ == base_.num_servers; }
   double ZoneAliveFraction(int zone) const {
     return static_cast<double>(zone_alive_[static_cast<std::size_t>(zone)]) /
            zone_size_[static_cast<std::size_t>(zone)];

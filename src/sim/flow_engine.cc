@@ -67,8 +67,8 @@ void FlowEngine::Reschedule(Seconds now) {
   const DatasetId num_datasets = static_cast<DatasetId>(datasets_.size());
   auto cache_it = plan_.dataset_cache.lower_bound(0);
   auto zone_it = plan_.dataset_zone_cache.lower_bound(0);
-  std::vector<DatasetId> held;
-  held.reserve(held_.size() + plan_.dataset_cache.size());
+  std::vector<DatasetId>& held = held_next_;
+  held.clear();
   for (std::size_t h = 0;;) {
     DatasetId d = h < held_.size() ? held_[h] : num_datasets;
     if (cache_it != plan_.dataset_cache.end()) {
@@ -96,7 +96,7 @@ void FlowEngine::Reschedule(Seconds now) {
       held.push_back(d);
     }
   }
-  held_ = std::move(held);
+  held_.swap(held);
   if (config_.prefetch_waiting) {
     // Evict opportunistic data (largest holdings first) until quotas plus
     // opportunistic contents fit the pool.
@@ -257,11 +257,12 @@ void FlowEngine::ApplyZoneQuota(std::size_t d, Bytes quota, const std::vector<By
   // migrates into other zones' headroom (quota that moved between zones, or
   // a recovering zone reclaiming its share, travels over the intra-cluster
   // fabric, not the remote link) and only the remainder is evicted.
-  const std::vector<double> caps = ZoneFillCaps(ds);
+  const std::vector<double>& caps = ZoneFillCaps(ds);
   const double before = ds.cached;
   double spill = 0;
   double total_headroom = 0;
-  std::vector<double> headroom(static_cast<std::size_t>(num_zones), 0.0);
+  std::vector<double>& headroom = zone_headroom_;
+  headroom.assign(static_cast<std::size_t>(num_zones), 0.0);
   for (int z = 0; z < num_zones; ++z) {
     double& zc = ds.zone_cached[static_cast<std::size_t>(z)];
     if (zc > caps[static_cast<std::size_t>(z)]) {
@@ -287,9 +288,13 @@ void FlowEngine::ApplyZoneQuota(std::size_t d, Bytes quota, const std::vector<By
   ds.quota = quota;
 }
 
-std::vector<double> FlowEngine::ZoneFillCaps(const DatasetState& ds) const {
+const std::vector<double>& FlowEngine::ZoneFillCaps(const DatasetState& ds) {
+  if (faults_.AllServersAlive()) {
+    return ds.zone_limit;  // limit · 1.0 in every zone, and nothing dead to absorb.
+  }
   const int num_zones = config_.topology.num_zones();
-  std::vector<double> caps(static_cast<std::size_t>(num_zones), 0.0);
+  std::vector<double>& caps = zone_caps_;
+  caps.assign(static_cast<std::size_t>(num_zones), 0.0);
   double alive_total = 0;
   double dead_total = 0;
   for (int z = 0; z < num_zones; ++z) {
@@ -318,8 +323,9 @@ void FlowEngine::FillZones(DatasetState& ds, double delta) {
     return;
   }
   const int num_zones = config_.topology.num_zones();
-  const std::vector<double> caps = ZoneFillCaps(ds);
-  std::vector<double> headroom(static_cast<std::size_t>(num_zones), 0.0);
+  const std::vector<double>& caps = ZoneFillCaps(ds);
+  std::vector<double>& headroom = zone_headroom_;
+  headroom.assign(static_cast<std::size_t>(num_zones), 0.0);
   double total_headroom = 0;
   for (int z = 0; z < num_zones; ++z) {
     headroom[static_cast<std::size_t>(z)] = std::max(
@@ -338,7 +344,8 @@ void FlowEngine::FillZones(DatasetState& ds, double delta) {
 }
 
 void FlowEngine::ComputeRates() {
-  std::vector<JobState*> running;
+  std::vector<JobState*>& running = running_;
+  running.clear();
   for (const JobId id : lifecycle_.live()) {
     JobState& s = jobs_[static_cast<std::size_t>(id)];
     if (s.running) {
@@ -356,7 +363,8 @@ void FlowEngine::ComputeRates() {
   }
 
   const std::size_t n = running.size();
-  std::vector<double> miss(n);
+  std::vector<double>& miss = miss_;
+  miss.resize(n);
 
   if (plan_.cache_model == CacheModelKind::kSharedLru ||
       plan_.cache_model == CacheModelKind::kSharedLfu) {
@@ -373,6 +381,7 @@ void FlowEngine::ComputeRates() {
     }
     share_demand_.resize(n);
     share_caps_.assign(n, faults_.resources().per_job_remote_cap);
+    share_capacity_ = faults_.resources().remote_io;
     for (int iter = 0; iter < kSharedLruIterations; ++iter) {
       const SharedLruResult lru =
           SharedLruModel(rates, sizes, faults_.resources().total_cache);
@@ -381,8 +390,7 @@ void FlowEngine::ComputeRates() {
         miss[i] = 1.0 - h;
         share_demand_[i] = ideals[i] * miss[i];
       }
-      MaxMinShare(share_demand_, share_caps_, faults_.resources().remote_io, &share_sorted_,
-                  &share_granted_);
+      MaxMinShare(share_demand_, share_caps_, share_capacity_, &share_sorted_, &share_granted_);
       for (std::size_t i = 0; i < n; ++i) {
         rates[i] =
             miss[i] > kEps ? std::min(ideals[i], share_granted_[i] / miss[i]) : ideals[i];
@@ -401,19 +409,27 @@ void FlowEngine::ComputeRates() {
   }
 
   // Quota-based models (SiloD, Quiver) and CoorDL's private static caches.
-  share_demand_.resize(n);
-  share_caps_.assign(n, faults_.resources().per_job_remote_cap);
+  // The shares are a function of the demands, caps and capacity alone, and
+  // most steps (arrivals, ticks, epoch boundaries that move no cache) leave
+  // all three as they were: then the last step's shares stand.
+  next_demand_.resize(n);
+  next_caps_.assign(n, faults_.resources().per_job_remote_cap);
   for (std::size_t i = 0; i < n; ++i) {
     const JobState& s = *running[i];
     const Dataset& d = trace_->catalog.Get(s.spec->dataset);
     const double hit =
         std::min(1.0, std::max(0.0, s.effective / static_cast<double>(d.size)));
     miss[i] = 1.0 - hit;
-    share_demand_[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
-    share_caps_[i] = std::min(share_caps_[i], s.throttle);
+    next_demand_[i] = EffectiveIdeal(s.spec->ideal_io, s.speed) * miss[i];
+    next_caps_[i] = std::min(next_caps_[i], s.throttle);
   }
-  MaxMinShare(share_demand_, share_caps_, faults_.resources().remote_io, &share_sorted_,
-              &share_granted_);
+  if (next_demand_ != share_demand_ || next_caps_ != share_caps_ ||
+      faults_.resources().remote_io != share_capacity_) {
+    share_demand_.swap(next_demand_);
+    share_caps_.swap(next_caps_);
+    share_capacity_ = faults_.resources().remote_io;
+    MaxMinShare(share_demand_, share_caps_, share_capacity_, &share_sorted_, &share_granted_);
+  }
 
   for (std::size_t i = 0; i < n; ++i) {
     JobState& s = *running[i];
@@ -620,7 +636,8 @@ void FlowEngine::ApplyFault(const FaultEvent& event, Seconds now) {
 }
 
 void FlowEngine::RecordMetrics(Seconds now) {
-  std::vector<JobRates> rates;
+  std::vector<JobRates>& rates = rates_;
+  rates.clear();
   for (const JobId id : lifecycle_.live()) {
     const JobState& s = jobs_[static_cast<std::size_t>(id)];
     if (!s.running) {

@@ -100,8 +100,9 @@ class FlowEngine {
   // Per-zone holding caps: the alive-scaled share, plus each alive zone's
   // proportional slice of dead zones' capacity (a dead server's blocks
   // rehash to the survivors, so an outage never strands quota).  Equals
-  // zone_limit exactly when every member is alive.
-  std::vector<double> ZoneFillCaps(const DatasetState& ds) const;
+  // zone_limit exactly when every member is alive, and then returns it;
+  // otherwise returns zone_caps_, valid until the next call.
+  const std::vector<double>& ZoneFillCaps(const DatasetState& ds);
 
   const Trace* trace_;
   std::shared_ptr<Scheduler> scheduler_;
@@ -123,12 +124,25 @@ class FlowEngine {
   std::vector<std::vector<JobId>> dataset_jobs_;
   AllocationPlan plan_;
   MetricsCollector metrics_;
-  // ComputeRates' max-min share buffers, kept so that a step does not
-  // allocate them.
+  // Scratch kept so that a step does not allocate: ComputeRates' running
+  // jobs, miss ratios and max-min share buffers, RecordMetrics' rates, the
+  // zone fill's caps and headroom, and Reschedule's next held set.
+  std::vector<JobState*> running_;
+  std::vector<double> miss_;
+  // share_granted_ holds MaxMinShare(share_demand_, share_caps_,
+  // share_capacity_); next_demand_ and next_caps_ are the step's inputs
+  // before ComputeRates compares them with these.
   std::vector<BytesPerSec> share_demand_;
   std::vector<BytesPerSec> share_caps_;
+  BytesPerSec share_capacity_ = 0;
   std::vector<BytesPerSec> share_sorted_;
   std::vector<BytesPerSec> share_granted_;
+  std::vector<BytesPerSec> next_demand_;
+  std::vector<BytesPerSec> next_caps_;
+  std::vector<JobRates> rates_;
+  std::vector<double> zone_caps_;
+  std::vector<double> zone_headroom_;
+  std::vector<DatasetId> held_next_;
 };
 
 }  // namespace silod

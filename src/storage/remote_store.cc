@@ -42,12 +42,13 @@ BytesPerSec WaterLevel(std::span<const BytesPerSec> sorted_wants, BytesPerSec ca
 void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerSec> caps,
                  BytesPerSec capacity, std::vector<BytesPerSec>* sorted,
                  std::vector<BytesPerSec>* rates) {
-  SILOD_CHECK(demands.size() == caps.size()) << "demands/caps size mismatch";
+  SILOD_CHECK(caps.empty() || demands.size() == caps.size()) << "demands/caps size mismatch";
   const std::size_t n = demands.size();
   rates->resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    SILOD_CHECK(demands[i] >= 0 && caps[i] >= 0) << "negative demand or cap";
-    (*rates)[i] = std::min(demands[i], caps[i]);
+    const BytesPerSec cap = caps.empty() ? kUnlimitedRate : caps[i];
+    SILOD_CHECK(demands[i] >= 0 && cap >= 0) << "negative demand or cap";
+    (*rates)[i] = std::min(demands[i], cap);
   }
   sorted->assign(rates->begin(), rates->end());
   std::sort(sorted->begin(), sorted->end());
@@ -55,20 +56,6 @@ void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerS
   for (BytesPerSec& rate : *rates) {
     rate = rate > 0 ? std::min(rate, level) : 0.0;
   }
-}
-
-std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
-                                     const std::vector<BytesPerSec>& caps,
-                                     BytesPerSec capacity) {
-  std::vector<BytesPerSec> sorted;
-  std::vector<BytesPerSec> rates;
-  MaxMinShare(demands, caps, capacity, &sorted, &rates);
-  return rates;
-}
-
-std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
-                                     BytesPerSec capacity) {
-  return MaxMinShare(demands, std::vector<BytesPerSec>(demands.size(), kUnlimitedRate), capacity);
 }
 
 RemoteStore::RemoteStore(BytesPerSec egress_limit) : egress_limit_(egress_limit) {

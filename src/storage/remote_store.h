@@ -28,16 +28,11 @@
 namespace silod {
 
 // Max-min fair allocation of `capacity` among flows with the given demands and
-// per-flow caps.  Returns per-flow rates with:
+// per-flow caps, written into caller-owned buffers: `rates` receives
 //   rate[i] <= min(demand[i], cap[i]),  sum(rate) <= capacity,
-// and no flow can gain without an equally-or-less-served flow losing.
-// Either vector entry may be kUnlimitedRate.
-std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
-                                     const std::vector<BytesPerSec>& caps, BytesPerSec capacity);
-
-// The same rates written into caller-owned buffers: `rates` receives them and
+// and no flow can gain without an equally-or-less-served flow losing;
 // `sorted` is scratch.  Neither allocates once it has grown to the flow
-// count.
+// count.  Either entry may be kUnlimitedRate; an empty `caps` caps no flow.
 void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerSec> caps,
                  BytesPerSec capacity, std::vector<BytesPerSec>* sorted,
                  std::vector<BytesPerSec>* rates);
@@ -48,10 +43,6 @@ void MaxMinShare(std::span<const BytesPerSec> demands, std::span<const BytesPerS
 // min(want, L), bit for bit, and L depends only on the sorted multiset of
 // wants.
 BytesPerSec WaterLevel(std::span<const BytesPerSec> sorted_wants, BytesPerSec capacity);
-
-// Convenience overload without per-flow caps.
-std::vector<BytesPerSec> MaxMinShare(const std::vector<BytesPerSec>& demands,
-                                     BytesPerSec capacity);
 
 class RemoteStore {
  public:

@@ -20,7 +20,9 @@
 #include "src/common/rng.h"
 #include "src/common/topology.h"
 #include "src/common/units.h"
+#include "src/core/system.h"
 #include "src/estimator/ioperf.h"
+#include "src/fault/fault_plan.h"
 #include "src/sched/fifo.h"
 #include "src/sched/gavel.h"
 #include "src/sched/greedy.h"
@@ -543,6 +545,122 @@ TEST_F(SchedTest, GavelSearchMatchesBisection) {
     EXPECT_LT(found.largest, std::ldexp(search->hi, depth));
     EXPECT_NE(Bits(found.value), Bits(found.largest));  // The old loop never got there.
   }
+}
+
+// Solves every snapshot twice: with the one GavelScheduler the engine keeps
+// for the whole run (warm: each fairness search starts from the previous
+// x*) and with a fresh one (cold), and expects the two plans' digests to be
+// equal.  The engine runs on the warm plan.
+class WarmColdGavel : public Scheduler {
+ public:
+  AllocationPlan Schedule(const Snapshot& snapshot) override {
+    AllocationPlan plan = warm_.Schedule(snapshot);
+    GavelScheduler cold(nullptr, /*silod_aware=*/true);
+    EXPECT_EQ(PlanDigest(plan), PlanDigest(cold.Schedule(snapshot))) << "solve " << solves_;
+    cold_fair_probes_ += cold.fair_probes();
+    cold_throttle_probes_ += cold.throttle_probes();
+    ++solves_;
+    return plan;
+  }
+  std::string name() const override { return warm_.name(); }
+
+  const GavelScheduler& warm() const { return warm_; }
+  int solves() const { return solves_; }
+  std::uint64_t cold_fair_probes() const { return cold_fair_probes_; }
+  std::uint64_t cold_throttle_probes() const { return cold_throttle_probes_; }
+
+ private:
+  GavelScheduler warm_{nullptr, /*silod_aware=*/true};
+  int solves_ = 0;
+  std::uint64_t cold_fair_probes_ = 0;
+  std::uint64_t cold_throttle_probes_ = 0;
+};
+
+// A seeded gavel+silod flow run under server-crash, worker-crash and
+// degrade churn on four racks: every warm solve returns the cold solve's
+// plan, and the warm searches make fewer fairness probes in all.
+TEST(GavelWarmStart, ChurnRunPlansMatchColdSolves) {
+  TraceOptions options;
+  options.num_jobs = 60;
+  options.mean_interarrival = Minutes(1);
+  options.median_duration = Hours(2);
+  options.duration_sigma = 1.4;
+  options.max_duration = Hours(8);
+  options.share_fraction = 0.3;
+  options.seed = 41;
+  const Trace trace = TraceGenerator(options).Generate();
+
+  ExperimentConfig config;
+  config.engine = EngineKind::kFlow;
+  config.sim.resources.total_gpus = 48;
+  config.sim.resources.total_cache = TB(3);
+  config.sim.resources.remote_io = Gbps(4);
+  config.sim.resources.per_job_remote_cap = MBps(60);
+  config.sim.resources.num_servers = 16;
+  config.sim.reschedule_period = Minutes(10);
+  Result<ClusterTopology> topology =
+      ClusterTopology::Parse("rack0=0-3;rack1=4-7;rack2=8-11;rack3=12-15");
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  config.sim.topology = *std::move(topology);
+  FaultChurnOptions churn;
+  churn.horizon = Hours(24);
+  churn.server_crashes_per_hour = 1;
+  churn.worker_crashes_per_hour = 1;
+  churn.degrade_windows_per_hour = 0.5;
+  churn.num_servers = config.sim.resources.num_servers;
+  churn.num_jobs = options.num_jobs;
+  churn.seed = 7;
+  config.sim.faults = GenerateFaultPlan(churn);
+
+  const auto scheduler = std::make_shared<WarmColdGavel>();
+  const SimResult result = RunExperimentWith(trace, scheduler, config);
+  EXPECT_EQ(result.jobs.size(), trace.jobs.size());
+  EXPECT_GT(result.faults.server_crashes, 0);
+  EXPECT_GT(result.faults.worker_crashes, 0);
+  EXPECT_GT(result.faults.degrade_windows, 0);
+  ASSERT_GT(scheduler->solves(), 100);
+  EXPECT_LT(scheduler->warm().fair_probes(), scheduler->cold_fair_probes());
+  // The throttle search starts from its estimate, warm or cold.
+  EXPECT_EQ(scheduler->warm().throttle_probes(), scheduler->cold_throttle_probes());
+}
+
+// A warm first probe at or above the new range's top is ignored: after a
+// solve whose x* lies above the next snapshot's hi, the next solve makes
+// exactly the cold search's probes and returns the cold plan.
+TEST_F(SchedTest, GavelWarmStartIgnoresFirstAboveHi) {
+  // A: four jobs share one fully cacheable dataset over a thin egress.  The
+  // equal-share normalizer sees a quarter of the cache each, so every job
+  // runs far above it, and x* = hi.
+  snapshot_.resources.total_gpus = 16;
+  for (int i = 0; i < 4; ++i) {
+    AddJob("ResNet-50", 1, TB(1));
+    jobs_.back().dataset = jobs_.front().dataset;
+  }
+  snapshot_.resources.remote_io = 0.25 * jobs_[0].ideal_io;
+  const Snapshot a = snapshot();
+  // B: two jobs on their own datasets, no cache, twice the egress.
+  AddJob("ResNet-50", 1, TB(1));
+  AddJob("ResNet-50", 1, TB(1));
+  Snapshot b = snapshot();
+  b.jobs.erase(b.jobs.begin(), b.jobs.begin() + 4);
+  b.resources.total_cache = 0;
+  b.resources.remote_io = 0.5 * jobs_[0].ideal_io;
+
+  GavelScheduler warm(nullptr, /*silod_aware=*/true);
+  const AllocationPlan plan_a = warm.Schedule(a);
+  const GavelSearches search_a = MakeGavelSearches(a, plan_a, GavelObjective::kMaxMinFairness);
+  const RatioSearch found_a = ExpectMatchesBisection(search_a.fairness);
+  EXPECT_EQ(found_a.largest, search_a.fairness.hi);
+  const std::uint64_t after_a = warm.fair_probes();
+
+  GavelScheduler cold(nullptr, /*silod_aware=*/true);
+  const AllocationPlan cold_b = cold.Schedule(b);
+  const GavelSearches search_b = MakeGavelSearches(b, cold_b, GavelObjective::kMaxMinFairness);
+  ASSERT_GT(found_a.largest, search_b.fairness.hi);
+  ASSERT_FALSE(search_b.fairness.probe(search_b.fairness.hi).feasible);
+
+  EXPECT_EQ(PlanDigest(warm.Schedule(b)), PlanDigest(cold_b));
+  EXPECT_EQ(warm.fair_probes() - after_a, cold.fair_probes());
 }
 
 // The search on synthetic monotone predicates "feasible iff x <= t", with

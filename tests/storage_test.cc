@@ -91,42 +91,55 @@ TEST(TokenBucket, SetRateAccruesElapsedTimeAtOldRate) {
 
 // ------------------------------------------------------------ MaxMinShare --
 
+// MaxMinShare's rates in a fresh vector; an empty `caps` caps no flow.
+std::vector<BytesPerSec> MaxMinRates(const std::vector<BytesPerSec>& demands,
+                                     const std::vector<BytesPerSec>& caps, BytesPerSec capacity) {
+  std::vector<BytesPerSec> sorted;
+  std::vector<BytesPerSec> rates;
+  MaxMinShare(demands, caps, capacity, &sorted, &rates);
+  return rates;
+}
+std::vector<BytesPerSec> MaxMinRates(const std::vector<BytesPerSec>& demands,
+                                     BytesPerSec capacity) {
+  return MaxMinRates(demands, {}, capacity);
+}
+
 TEST(MaxMinShare, UnderloadedGrantsDemands) {
-  const auto rates = MaxMinShare({MBps(10), MBps(20)}, MBps(100));
+  const auto rates = MaxMinRates({MBps(10), MBps(20)}, MBps(100));
   EXPECT_DOUBLE_EQ(rates[0], MBps(10));
   EXPECT_DOUBLE_EQ(rates[1], MBps(20));
 }
 
 TEST(MaxMinShare, OverloadedSplitsEvenly) {
-  const auto rates = MaxMinShare({MBps(100), MBps(100)}, MBps(100));
+  const auto rates = MaxMinRates({MBps(100), MBps(100)}, MBps(100));
   EXPECT_DOUBLE_EQ(rates[0], MBps(50));
   EXPECT_DOUBLE_EQ(rates[1], MBps(50));
 }
 
 TEST(MaxMinShare, SmallFlowsProtected) {
   // Classic max-min: {2, 8, 10} into 12 -> {2, 5, 5}.
-  const auto rates = MaxMinShare({2, 8, 10}, 12);
+  const auto rates = MaxMinRates({2, 8, 10}, 12);
   EXPECT_DOUBLE_EQ(rates[0], 2);
   EXPECT_DOUBLE_EQ(rates[1], 5);
   EXPECT_DOUBLE_EQ(rates[2], 5);
 }
 
 TEST(MaxMinShare, CapsBind) {
-  const auto rates = MaxMinShare({100, 100}, {30, kUnlimitedRate}, 100);
+  const auto rates = MaxMinRates({100, 100}, {30, kUnlimitedRate}, 100);
   EXPECT_DOUBLE_EQ(rates[0], 30);
   EXPECT_DOUBLE_EQ(rates[1], 70);
 }
 
 TEST(MaxMinShare, InfiniteDemandsShareEqually) {
   const auto rates =
-      MaxMinShare({kUnlimitedRate, kUnlimitedRate, kUnlimitedRate}, 90);
+      MaxMinRates({kUnlimitedRate, kUnlimitedRate, kUnlimitedRate}, 90);
   for (double r : rates) {
     EXPECT_DOUBLE_EQ(r, 30);
   }
 }
 
 TEST(MaxMinShare, ZeroDemandGetsZero) {
-  const auto rates = MaxMinShare({0, 50}, 100);
+  const auto rates = MaxMinRates({0, 50}, 100);
   EXPECT_DOUBLE_EQ(rates[0], 0);
   EXPECT_DOUBLE_EQ(rates[1], 50);
 }
@@ -143,7 +156,7 @@ TEST(MaxMinShare, ConservationProperty) {
       caps[i] = rng.NextDouble() < 0.3 ? kUnlimitedRate : rng.Uniform(0, 50);
     }
     const double capacity = rng.Uniform(1, 200);
-    const auto rates = MaxMinShare(demands, caps, capacity);
+    const auto rates = MaxMinRates(demands, caps, capacity);
     double total = 0;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LE(rates[i], demands[i] + 1e-9);
@@ -275,7 +288,7 @@ TEST(MaxMinShare, RateIsWantCappedAtTheWaterLevel) {
     for (const double capacity : capacities) {
       const std::vector<BytesPerSec> oracle = ReferenceMaxMinShare(demands, caps, capacity);
       const BytesPerSec level = WaterLevel(sorted, capacity);
-      const std::vector<BytesPerSec> rates = MaxMinShare(demands, caps, capacity);
+      const std::vector<BytesPerSec> rates = MaxMinRates(demands, caps, capacity);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle[i]),
                   std::bit_cast<std::uint64_t>(std::min(wants[i], level)))

@@ -181,8 +181,9 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   # own file cut to 200 bytes, against an empty file, and against a copy
   # with one gated field deleted; the scaling bench also against copies with
   # calendar/64-jobs' flow_visits, or its peak_block_slots (the most
-  # epoch-order entries plus cache generation slots held at once), lowered
-  # by one; a NaN --max-regress or a
+  # epoch-order entries plus cache generation slots held at once), or
+  # flow/2048-jobs' allocations (heap allocations during the row's run),
+  # lowered by one; a NaN --max-regress or a
   # malformed --sizes entry must exit 2.  The self-tests time each row once
   # (--repeats=1) to stay short.
   echo "=== [scaling-smoke] configure ==="
@@ -216,10 +217,12 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
   rc=0; ./build-ci-smoke/bench/$flow_cmd >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
   [[ "$rc" == 1 ]] && grep -q '^FAIL: flow/2048-jobs result digest' build-ci-smoke/self_test.err \
       || { echo "scaling-smoke: $flow_cmd exited $rc without the flow row's digest failure, want 1"; exit 1; }
-  for counter in flow_visits peak_block_slots; do
+  for row_counter in calendar/64-jobs:flow_visits calendar/64-jobs:peak_block_slots \
+                     flow/2048-jobs:allocations; do
+    label="${row_counter%%:*}" counter="${row_counter#*:}"
     lowered="build-ci-smoke/BENCH_engine_scaling.lowered_$counter.json"
-    awk -v key="\"$counter\": " \
-        '/"label": "calendar\/64-jobs"/ { row = 1 }
+    awk -v label="\"label\": \"$label\"" -v key="\"$counter\": " \
+        'index($0, label) { row = 1 }
          row && match($0, key "[0-9]+") {
            value = substr($0, RSTART + length(key), RLENGTH - length(key))
            $0 = substr($0, 1, RSTART - 1) key (value - 1) substr($0, RSTART + RLENGTH)
@@ -227,11 +230,11 @@ if [[ "$stage" == "all" || "$stage" == "scaling-smoke" ]]; then
          }
          { print }' BENCH_engine_scaling.json > "$lowered"
     ! cmp -s BENCH_engine_scaling.json "$lowered" \
-        || { echo "scaling-smoke: no calendar/64-jobs $counter to lower"; exit 1; }
+        || { echo "scaling-smoke: no $label $counter to lower"; exit 1; }
     rc=0; ./build-ci-smoke/bench/$scaling --baseline="$lowered" \
         >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
-    [[ "$rc" == 1 ]] && grep -q "^FAIL: calendar/64-jobs $counter" build-ci-smoke/self_test.err \
-        || { echo "scaling-smoke: a lowered $counter exited $rc without its FAIL: line, want 1"; exit 1; }
+    [[ "$rc" == 1 ]] && grep -q "^FAIL: $label $counter" build-ci-smoke/self_test.err \
+        || { echo "scaling-smoke: a lowered $label $counter exited $rc without its FAIL: line, want 1"; exit 1; }
   done
   empty="build-ci-smoke/BENCH_empty.json"
   : > "$empty"
@@ -282,9 +285,13 @@ if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
   # (the solvers' output is pinned bit-for-bit), on a gavel+silod cell that
   # makes more fairness or throttle probes than committed (exact counters),
   # and on any cell whose p50 is more than 30% slower than committed in three
-  # attempts.  Then the self-test: against a copy with gavel+silod/64's
-  # fair_probes, or its throttle_probes, lowered by one, the gate must exit 1
-  # with a FAIL: line naming the count.
+  # attempts.  The gavel+silod/sequence cell (one scheduler solving a seeded
+  # series of perturbed snapshots, so each search starts warm) fails on a
+  # different series digest, on more probes than committed and on any plan
+  # that differs from a fresh scheduler's.  Then the self-test: against a
+  # copy with gavel+silod/64's or gavel+silod/sequence's fair_probes, or its
+  # throttle_probes, lowered by one, the gate must exit 1 with a FAIL: line
+  # naming the cell and the count.
   echo "=== [solve-smoke] configure ==="
   cmake -B build-ci-smoke -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   echo "=== [solve-smoke] build ==="
@@ -294,23 +301,25 @@ if [[ "$stage" == "all" || "$stage" == "solve-smoke" ]]; then
       --baseline=BENCH_sched_solve.json --max-regress=0.3 \
       --out=build-ci-smoke/BENCH_sched_solve.json
   echo "=== [solve-smoke] gate self-test ==="
-  for field in fair_probes throttle_probes; do
-    lowered="build-ci-smoke/BENCH_sched_solve.$field.json"
-    awk -v field="$field" '/"cell": "gavel\+silod\/64"/ {
-           pattern = "\"" field "\": [0-9]+"
-           if (match($0, pattern)) {
-             split(substr($0, RSTART, RLENGTH), kv, ": ")
-             $0 = substr($0, 1, RSTART - 1) "\"" field "\": " (kv[2] - 1) substr($0, RSTART + RLENGTH)
+  for cell in gavel+silod/64 gavel+silod/sequence; do
+    for field in fair_probes throttle_probes; do
+      lowered="build-ci-smoke/BENCH_sched_solve.$field.json"
+      awk -v cell="\"cell\": \"$cell\"" -v field="$field" 'index($0, cell) {
+             pattern = "\"" field "\": [0-9]+"
+             if (match($0, pattern)) {
+               split(substr($0, RSTART, RLENGTH), kv, ": ")
+               $0 = substr($0, 1, RSTART - 1) "\"" field "\": " (kv[2] - 1) substr($0, RSTART + RLENGTH)
+             }
            }
-         }
-         { print }' BENCH_sched_solve.json > "$lowered"
-    ! cmp -s BENCH_sched_solve.json "$lowered" \
-        || { echo "solve-smoke: no gavel+silod/64 $field to lower"; exit 1; }
-    rc=0; ./build-ci-smoke/bench/bench_sched_solve --policies=gavel+silod --sizes=64 \
-        --baseline="$lowered" --out=build-ci-smoke/BENCH_self_test.json \
-        >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
-    [[ "$rc" == 1 ]] && grep -q "^FAIL: gavel+silod/64 $field" build-ci-smoke/self_test.err \
-        || { echo "solve-smoke: a lowered $field exited $rc without its FAIL: line, want 1"; exit 1; }
+           { print }' BENCH_sched_solve.json > "$lowered"
+      ! cmp -s BENCH_sched_solve.json "$lowered" \
+          || { echo "solve-smoke: no $cell $field to lower"; exit 1; }
+      rc=0; ./build-ci-smoke/bench/bench_sched_solve --policies=gavel+silod --sizes=64 \
+          --baseline="$lowered" --out=build-ci-smoke/BENCH_self_test.json \
+          >/dev/null 2>build-ci-smoke/self_test.err || rc=$?
+      [[ "$rc" == 1 ]] && grep -q "^FAIL: $cell $field" build-ci-smoke/self_test.err \
+          || { echo "solve-smoke: a lowered $cell $field exited $rc without its FAIL: line, want 1"; exit 1; }
+    done
   done
 fi
 
